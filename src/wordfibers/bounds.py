@@ -27,8 +27,6 @@ EXACT_DIGIT_CAP = 10**4
 _FACTORIAL_EXACT_CAP = 5000
 _EXACT_POWER_CAP = 10**6
 
-_LN10 = None
-
 
 @dataclass(frozen=True)
 class LogNumber:

@@ -17,11 +17,11 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import is_dataclass
+from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import mpmath
 import numpy as np
@@ -378,101 +378,152 @@ def cmd_fiber_max(args, ctx):
     return doc, "ok", EXIT_OK
 
 
-def cmd_verify_identity_max(args, ctx):
-    g, autset = _group_and_aut(args.group, args.auts)
-    w = parse_word(args.word, require_nonempty=True)
-    report = check_identity_maximal(g, w, autset, budget=ctx.budget, threads=ctx.threads)
-    return report_result(report)
+# -- check registry ---------------------------------------------------------------
 
 
-def cmd_verify_submult(args, ctx):
-    g, autset = _group_and_aut(args.group, args.auts)
+@dataclass(frozen=True)
+class Param:
+    """One check parameter: a `--name` option and a manifest key alike."""
+
+    name: str
+    type: type = str
+    default: object = None  # None: required
+    choices: Optional[tuple] = None
+
+    def convert(self, value):
+        value = self.type(value)
+        if self.choices is not None and value not in self.choices:
+            raise ValueError(f"{self.name} must be one of {', '.join(self.choices)}")
+        return value
+
+
+@dataclass(frozen=True)
+class Check:
+    """A checker as `wfl verify <name>` and as a manifest entry `"check": name`."""
+
+    name: str
+    params: tuple[Param, ...]
+    run: Callable[[dict, int, int], CheckReport]  # (params, budget, threads)
+
+
+def _run_identity_max(p, budget, threads):
+    g, autset = _group_and_aut(p["group"], p["auts"])
+    w = parse_word(p["word"], require_nonempty=True)
+    return check_identity_maximal(g, w, autset, budget=budget, threads=threads)
+
+
+def _run_submult(p, budget, threads):
+    g, autset = _group_and_aut(p["group"], p["auts"])
     aut_full = autset if autset.kind == "full" else automorphism_group(g)
-    n = resolve_subgroup(g, args.subgroup, aut_full)
-    w = parse_word(args.word, require_nonempty=True)
-    report = check_submultiplicative(
-        g, n, w, autset, budget=ctx.budget, threads=ctx.threads
-    )
-    return report_result(report)
+    n = resolve_subgroup(g, p["subgroup"], aut_full)
+    w = parse_word(p["word"], require_nonempty=True)
+    return check_submultiplicative(g, n, w, autset, budget=budget, threads=threads)
 
 
-def cmd_verify_dihedral(args, ctx):
-    report = check_dihedral_counterexample(args.o, budget=ctx.budget)
-    return report_result(report)
+def _run_rewrite(p, budget, threads):
+    g = make_group(p["group"])
+    n = resolve_subgroup(g, p["subgroup"], automorphism_group(g))
+    w = parse_word(p["word"], require_nonempty=True)
+    return check_rewrite(g, n, w, trials=p["trials"], seed=p["seed"], budget=budget)
 
 
-def cmd_verify_rewrite(args, ctx):
-    g = make_group(args.group)
-    aut = automorphism_group(g)
-    n = resolve_subgroup(g, args.subgroup, aut)
-    w = parse_word(args.word, require_nonempty=True)
-    report = check_rewrite(g, n, w, trials=args.trials, seed=args.seed, budget=ctx.budget)
-    return report_result(report)
-
-
-def cmd_verify_variation_bound(args, ctx):
-    s = make_group(args.simple)
-    w = parse_word(args.word, require_nonempty=True)
-    report = check_variation_bound(
+def _run_variation_bound(p, budget, threads):
+    s = make_group(p["simple"])
+    w = parse_word(p["word"], require_nonempty=True)
+    return check_variation_bound(
         s,
-        args.n,
+        p["n"],
         w,
-        samples=args.samples,
-        seed=args.seed,
-        exponent_mode=args.exponent_mode,
-        epsilon_factor=parse_fraction(args.epsilon_factor),
-        budget=ctx.budget,
-        threads=ctx.threads,
+        samples=p["samples"],
+        seed=p["seed"],
+        exponent_mode=p["exponent_mode"],
+        epsilon_factor=parse_fraction(p["epsilon_factor"]),
+        budget=budget,
+        threads=threads,
     )
-    return report_result(report)
 
 
-def run_battery_entry(entry: dict, ctx: Context) -> CheckReport:
-    kind = entry["check"]
-    budget = int(entry.get("budget", ctx.budget))
-    if kind == "dihedral":
-        return check_dihedral_counterexample(int(entry["o"]), budget=budget)
-    if kind == "identity-max":
-        g, autset = _group_and_aut(entry["group"], entry.get("auts", "aut"))
-        w = parse_word(entry["word"], require_nonempty=True)
-        return check_identity_maximal(g, w, autset, budget=budget)
-    if kind == "submult":
-        g, autset = _group_and_aut(entry["group"], entry.get("auts", "aut"))
-        aut_full = autset if autset.kind == "full" else automorphism_group(g)
-        n = resolve_subgroup(g, entry["subgroup"], aut_full)
-        w = parse_word(entry["word"], require_nonempty=True)
-        return check_submultiplicative(g, n, w, autset, budget=budget)
-    if kind == "rewrite":
-        g = make_group(entry["group"])
-        aut = automorphism_group(g)
-        n = resolve_subgroup(g, entry["subgroup"], aut)
-        w = parse_word(entry["word"], require_nonempty=True)
-        return check_rewrite(
-            g,
-            n,
-            w,
-            trials=int(entry.get("trials", 100)),
-            seed=int(entry.get("seed", 0)),
-            budget=budget,
-        )
-    if kind == "variation-bound":
-        s = make_group(entry["simple"])
-        w = parse_word(entry["word"], require_nonempty=True)
-        return check_variation_bound(
-            s,
-            int(entry.get("n", 1)),
-            w,
-            samples=int(entry.get("samples", 1000)),
-            seed=int(entry.get("seed", 0)),
-            exponent_mode=entry.get("exponent_mode", "ceil"),
-            epsilon_factor=parse_fraction(entry.get("epsilon_factor", "1")),
-            budget=budget,
-        )
-    if kind == "variation-projection":
-        g = make_group(entry["group"])
-        w = parse_word(entry["word"], require_nonempty=True)
-        return check_variation_projection(g, w, budget=budget)
-    raise ValueError(f"unknown check type {kind!r}")
+def _run_variation_projection(p, budget, threads):
+    g = make_group(p["group"])
+    w = parse_word(p["word"], require_nonempty=True)
+    return check_variation_projection(g, w, budget=budget, threads=threads)
+
+
+_AUTS = Param("auts", default="aut", choices=("inn", "aut"))
+CHECKS = {
+    c.name: c
+    for c in (
+        Check("identity-max", (Param("group"), Param("word"), _AUTS), _run_identity_max),
+        Check(
+            "submult",
+            (Param("group"), Param("subgroup"), Param("word"), _AUTS),
+            _run_submult,
+        ),
+        Check(
+            "dihedral",
+            (Param("o", int),),
+            lambda p, budget, threads: check_dihedral_counterexample(p["o"], budget=budget),
+        ),
+        Check(
+            "rewrite",
+            (Param("group"), Param("subgroup"), Param("word"),
+             Param("trials", int, 100), Param("seed", int, 0)),
+            _run_rewrite,
+        ),
+        Check(
+            "variation-bound",
+            (Param("simple"), Param("n", int, 1), Param("word"),
+             Param("samples", int, 1000), Param("seed", int, 0),
+             Param("exponent_mode", default="ceil", choices=("ceil", "floor")),
+             Param("epsilon_factor", default="1")),
+            _run_variation_bound,
+        ),
+        Check("variation-projection", (Param("group"), Param("word")),
+              _run_variation_projection),
+    )
+}
+
+
+def cmd_verify_check(args, ctx):
+    check = CHECKS[args.action]
+    params = {p.name: getattr(args, p.name) for p in check.params}
+    return report_result(check.run(params, ctx.budget, ctx.threads))
+
+
+def _entry_params(index: int, entry, budget: int) -> tuple[Check, dict, int]:
+    """Validate manifest entry `index` against the registry: its check, params
+    (defaults filled in) and budget, which the `budget` key overrides."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"manifest entry {index} is not an object")
+    name = entry.get("check")
+    check = CHECKS.get(name) if isinstance(name, str) else None
+    if check is None:
+        raise ValueError(f"manifest entry {index}: unknown check type {name!r}")
+    declared = {p.name for p in check.params}
+    for key in entry:
+        if key not in declared and key not in ("check", "budget"):
+            raise ValueError(
+                f"manifest entry {index}: unknown key {key!r} for check {check.name!r}"
+            )
+    params = {}
+    try:
+        for p in check.params:
+            if p.name in entry:
+                params[p.name] = p.convert(entry[p.name])
+            elif p.default is None:
+                raise ValueError(f"missing key {p.name!r}")
+            else:
+                params[p.name] = p.default
+        budget = int(entry.get("budget", budget))
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"manifest entry {index}: {err}") from err
+    return check, params, budget
+
+
+def run_battery_entry(entry: dict, ctx: Context, index: int = 0) -> CheckReport:
+    """Run one manifest entry single-threaded; the battery parallelizes entries."""
+    check, params, budget = _entry_params(index, entry, ctx.budget)
+    return check.run(params, budget, 1)
 
 
 def default_battery_path() -> Path:
@@ -487,11 +538,16 @@ def cmd_verify_battery(args, ctx):
         raise ValueError(f"cannot read manifest {manifest_path}: {err}") from err
     if not isinstance(entries, list):
         raise ValueError("the manifest must be a JSON list of check entries")
+    for index, entry in enumerate(entries):
+        _entry_params(index, entry, ctx.budget)  # refuse a bad manifest before any work
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = max(1, ctx.threads)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_battery_entry, entry, ctx) for entry in entries]
+        futures = [
+            pool.submit(run_battery_entry, entry, ctx, index)
+            for index, entry in enumerate(entries)
+        ]
         reports = [f.result() for f in futures]
     summary = {"total": len(reports), "passed": 0, "failed": 0, "inconclusive": 0}
     files = []
@@ -668,36 +724,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_fiber_max)
 
     verify = top.add_parser("verify").add_subparsers(dest="action", required=True)
-    p = verify.add_parser("identity-max")
-    p.add_argument("--group", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--auts", default="aut", choices=["inn", "aut"])
-    p.set_defaults(handler=cmd_verify_identity_max)
-    p = verify.add_parser("submult")
-    p.add_argument("--group", required=True)
-    p.add_argument("--subgroup", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--auts", default="aut", choices=["inn", "aut"])
-    p.set_defaults(handler=cmd_verify_submult)
-    p = verify.add_parser("dihedral")
-    p.add_argument("--o", type=int, required=True)
-    p.set_defaults(handler=cmd_verify_dihedral)
-    p = verify.add_parser("rewrite")
-    p.add_argument("--group", required=True)
-    p.add_argument("--subgroup", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_verify_rewrite)
-    p = verify.add_parser("variation-bound")
-    p.add_argument("--simple", required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--word", required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exponent-mode", default="ceil", choices=["ceil", "floor"])
-    p.add_argument("--epsilon-factor", default="1")
-    p.set_defaults(handler=cmd_verify_variation_bound)
+    for check in CHECKS.values():
+        p = verify.add_parser(check.name)
+        for param in check.params:
+            p.add_argument(
+                "--" + param.name.replace("_", "-"),
+                type=param.type,
+                required=param.default is None,
+                default=param.default,
+                choices=param.choices,
+            )
+        p.set_defaults(handler=cmd_verify_check)
     p = verify.add_parser("battery")
     p.add_argument("--manifest", default=None, help="defaults to the shipped manifest")
     p.add_argument("--out", default="battery_reports")

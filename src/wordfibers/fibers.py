@@ -271,24 +271,33 @@ class _BestCell:
 
 def _scan_range(
     ev: _BatchEvaluator,
-    start: int,
-    stop: int,
-    m: int,
+    rows: range | np.ndarray,
     target: Optional[int],
 ) -> tuple[_BestCell, np.ndarray, np.ndarray, int]:
-    """Scan tuple indices [start, stop); returns the best cell, the per-target
-    maxima with first-attaining tuple indices, and the evaluation count."""
-    l = ev.w.length
+    """Scan the tuples in `rows`; returns the best cell, the per-target maxima
+    with first-attaining tuple indices, and the evaluation count.
+
+    `rows` is a range of mixed-radix tuple indices (exact search) or a (k, l)
+    array of per-letter AutSet indices (sampled search).  Tuple indices in the
+    result are range values or array row numbers respectively, and ties go to
+    the least of them, then to the least target.
+    """
+    m, l = ev.at.shape[0], ev.w.length
     best = _BestCell()
     per_vals = np.zeros(ev.n, dtype=np.int64)
     per_idx = np.full(ev.n, -1, dtype=np.int64)
     evals = 0
     bsize = ev.batch_size()
-    for lo in range(start, stop, bsize):
-        hi = min(lo + bsize, stop)
-        indices = np.arange(lo, hi, dtype=np.int64)
-        counts = ev.counts(_tuple_digits(indices, m, l))
-        evals += (hi - lo) * ev.total_args
+    for pos in range(0, len(rows), bsize):
+        batch = rows[pos : pos + bsize]
+        if isinstance(batch, range):
+            lo = batch.start
+            digits = _tuple_digits(np.arange(batch.start, batch.stop, dtype=np.int64), m, l)
+        else:
+            lo = pos
+            digits = [batch[:, i] for i in range(l)]
+        counts = ev.counts(digits)
+        evals += len(batch) * ev.total_args
         batch_max = counts.max(axis=0)
         batch_arg = counts.argmax(axis=0)
         improved = batch_max > per_vals
@@ -299,7 +308,7 @@ def _scan_range(
             row_targets = counts.argmax(axis=1)
         else:
             row_vals = counts[:, target]
-            row_targets = np.full(hi - lo, target, dtype=np.int64)
+            row_targets = np.full(len(batch), target, dtype=np.int64)
         r = int(np.argmax(row_vals))
         best.offer(int(row_vals[r]), lo + r, int(row_targets[r]))
     return best, per_vals, per_idx, evals
@@ -341,24 +350,18 @@ def _search_all_tuples(
     ev = _BatchEvaluator(g, w, a.tables)
     threads = max(1, int(threads))
     if threads == 1 or total_tuples < 4 * threads:
-        parts = [_scan_range(ev, 0, total_tuples, m, target)]
+        parts = [_scan_range(ev, range(total_tuples), target)]
     else:
         bounds = np.linspace(0, total_tuples, threads + 1, dtype=np.int64)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_scan_range, ev, int(lo), int(hi), m, target)
+                pool.submit(_scan_range, ev, range(int(lo), int(hi)), target)
                 for lo, hi in zip(bounds, bounds[1:])
                 if hi > lo
             ]
             parts = [f.result() for f in futures]
     best, per_vals, per_idx, evals = _merge_ranges(parts)
     return best, per_vals, per_idx, evals, total_tuples
-
-
-def _tuple_from_index(a: AutSet, l: int, tuple_idx: int) -> tuple[tuple[int, ...], AutTuple]:
-    m = len(a)
-    digits = tuple(int(tuple_idx // m ** (l - 1 - i)) % m for i in range(l))
-    return digits, AutTuple(tuple(a[i] for i in digits))
 
 
 def max_fiber(
@@ -396,56 +399,30 @@ def max_fiber(
             evaluations=1,
             witness_tuple_indices=tuple(0 for _ in range(w.length)),
         )
+    l = w.length
     if mode == "exact":
         best, _, _, evals, total = _search_all_tuples(g, w, a, target, budget, threads)
-        digits, tup = _tuple_from_index(a, w.length, best.tuple_idx)
-        return MaxFiberResult(
-            value=best.value,
-            proportion=Fraction(best.value, g.order**d),
-            witness_tuple=tup,
-            witness_target=best.target,
-            status="exact",
-            tuples_examined=total,
-            evaluations=evals,
-            witness_tuple_indices=digits,
+        digits = tuple(int(x) for x in np.unravel_index(best.tuple_idx, (len(a),) * l))
+    elif mode == "sample":
+        rng = np.random.default_rng(seed)
+        draws = np.vstack(
+            [np.zeros((1, l), dtype=np.int64), rng.integers(0, len(a), size=(budget, l))]
         )
-    if mode != "sample":
+        best, _, _, evals = _scan_range(_BatchEvaluator(g, w, a.tables), draws, target)
+        digits = tuple(int(x) for x in draws[best.tuple_idx])
+        total = draws.shape[0]
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    m = len(a)
-    l = w.length
-    draws = np.vstack(
-        [np.zeros((1, l), dtype=np.int64), rng.integers(0, m, size=(budget, l))]
-    )
-    ev = _BatchEvaluator(g, w, a.tables)
-    best = _BestCell()
-    evals = 0
-    bsize = ev.batch_size()
-    for lo in range(0, draws.shape[0], bsize):
-        hi = min(lo + bsize, draws.shape[0])
-        digit_arrays = [draws[lo:hi, i] for i in range(l)]
-        counts = ev.counts(digit_arrays)
-        evals += (hi - lo) * ev.total_args
-        if target is None:
-            row_vals = counts.max(axis=1)
-            row_targets = counts.argmax(axis=1)
-        else:
-            row_vals = counts[:, target]
-            row_targets = np.full(hi - lo, target, dtype=np.int64)
-        r = int(np.argmax(row_vals))
-        best.offer(int(row_vals[r]), lo + r, int(row_targets[r]))
-    digits = tuple(int(x) for x in draws[best.tuple_idx])
-    tup = AutTuple(tuple(a[i] for i in digits))
     return MaxFiberResult(
         value=best.value,
         proportion=Fraction(best.value, g.order**d),
-        witness_tuple=tup,
+        witness_tuple=AutTuple(tuple(a[i] for i in digits)),
         witness_target=best.target,
-        status="lower_bound",
-        tuples_examined=draws.shape[0],
+        status="exact" if mode == "exact" else "lower_bound",
+        tuples_examined=total,
         evaluations=evals,
         witness_tuple_indices=digits,
-        seed=seed,
+        seed=None if mode == "exact" else seed,
     )
 
 

@@ -1,13 +1,15 @@
 """Concrete finite groups on indexed elements, their automorphisms and structure.
 
-Every group lives on element indices 0..order-1 with the identity at index 0.
-Small groups carry a dense multiplication table; symmetric and alternating
-groups are backed by permutation words and materialize tables lazily.
+Every group lives on element indices 0..order-1 with the identity at index 0
+and carries a dense multiplication table.  Symmetric and alternating groups
+number their permutations in ``itertools.permutations`` (lexicographic) order
+and build the table eagerly at construction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -23,52 +25,26 @@ SUBGROUP_ORDER_CAP = 200
 RADICAL_ORDER_CAP = 360
 ISO_ORDER_CAP = 512
 AUTSET_SIZE_CAP = 500_000
-_DENSE_TABLE_ORDER_CAP = 8192
 _ASSOC_FULL_CHECK_CAP = 64
 _ASSOC_RANDOM_TRIPLES = 100_000
-
-
-def _dtype_for(order: int):
-    return np.int16 if order <= 2**15 - 1 else np.int32
+_COMPOSE_BLOCK_ELEMENTS = 1 << 17
 
 
 class FiniteGroup:
-    """A finite group by indexed elements with total multiplication structure."""
+    """A finite group by indexed elements with a dense multiplication table."""
 
-    def __init__(
-        self,
-        order: int,
-        *,
-        table: Optional[np.ndarray] = None,
-        perms: Optional[Sequence[tuple[int, ...]]] = None,
-        spec: str = "",
-    ):
-        if (table is None) == (perms is None):
-            raise ValueError("provide exactly one of table or perms")
+    def __init__(self, order: int, *, table: np.ndarray, spec: str = ""):
+        tbl = np.asarray(table)
+        if tbl.shape != (order, order):
+            raise ValueError("table shape does not match order")
         self.order = order
         self.spec = spec
-        self._table = None
-        self._perms = None
-        if table is not None:
-            tbl = np.asarray(table)
-            if tbl.shape != (order, order):
-                raise ValueError("table shape does not match order")
-            self._table = np.ascontiguousarray(tbl.astype(np.int32))
-        else:
-            if len(perms) != order:
-                raise ValueError("permutation list does not match order")
-            self._perms = tuple(tuple(p) for p in perms)
-            self._perm_index = {p: i for i, p in enumerate(self._perms)}
-            if self._perms[0] != tuple(range(len(self._perms[0]))):
-                raise ValueError("identity permutation must sit at index 0")
+        self._table = np.ascontiguousarray(tbl, dtype=np.int32)
 
     # -- core operations ----------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if self._table is not None:
-            return int(self._table[a, b])
-        pa, pb = self._perms[a], self._perms[b]
-        return self._perm_index[tuple(pa[x] for x in pb)]
+        return int(self._table[a, b])
 
     def inv(self, a: int) -> int:
         return int(self.inv_table[a])
@@ -79,32 +55,11 @@ class FiniteGroup:
 
     @property
     def table(self) -> np.ndarray:
-        """Dense multiplication table, built on first use for perm-backed groups."""
-        if self._table is None:
-            if self.order > _DENSE_TABLE_ORDER_CAP:
-                raise CapExceeded(
-                    f"dense table for order {self.order} exceeds cap "
-                    f"{_DENSE_TABLE_ORDER_CAP}"
-                )
-            arr = np.array(self._perms, dtype=np.int32)
-            out = np.empty((self.order, self.order), dtype=np.int32)
-            for a in range(self.order):
-                composed = arr[a][arr]  # row b holds perm a applied after perm b
-                for b in range(self.order):
-                    out[a, b] = self._perm_index[tuple(int(x) for x in composed[b])]
-            self._table = out
+        """Dense multiplication table: ``table[a, b]`` is the index of a*b."""
         return self._table
 
     @cached_property
     def inv_table(self) -> np.ndarray:
-        if self._perms is not None and self._table is None:
-            inv = np.empty(self.order, dtype=np.int32)
-            for i, p in enumerate(self._perms):
-                q = [0] * len(p)
-                for pos, img in enumerate(p):
-                    q[img] = pos
-                inv[i] = self._perm_index[tuple(q)]
-            return inv
         rows, cols = np.nonzero(self.table == 0)
         inv = np.empty(self.order, dtype=np.int32)
         inv[rows] = cols
@@ -254,13 +209,27 @@ def power_group(s: FiniteGroup, n: int, max_order: int = DEFAULT_ORDER_CAP) -> F
 
 
 def _perm_group(n: int, even_only: bool) -> FiniteGroup:
-    perms = []
-    for p in itertools.permutations(range(n)):
-        if even_only and _perm_parity(p) != 0:
-            continue
-        perms.append(p)
+    """S_n or A_n with table[a, b] the index of "perm a after perm b".
+
+    Each permutation is encoded as a base-n integer.  ``itertools.permutations``
+    yields lexicographic order, so the codes ascend and ``searchsorted`` ranks
+    a product's code back to its element index.  Products are composed in
+    blocks of rows to keep the temporaries at a few MB.
+    """
+    perms = [
+        p for p in itertools.permutations(range(n)) if not even_only or _perm_parity(p) == 0
+    ]
+    arr = np.array(perms, dtype=np.int64)
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = arr @ weights
+    order = len(perms)
+    table = np.empty((order, order), dtype=np.int32)
+    rows = max(1, _COMPOSE_BLOCK_ELEMENTS // (order * n))
+    for lo in range(0, order, rows):
+        composed = arr[lo : lo + rows][:, arr]  # [a, b, x] = perm a applied to perm b's x
+        table[lo : lo + rows] = np.searchsorted(codes, composed @ weights)
     name = f"alt:{n}" if even_only else f"sym:{n}"
-    return FiniteGroup(len(perms), perms=perms, spec=name)
+    return FiniteGroup(order, table=table, spec=name)
 
 
 def _perm_parity(p: Sequence[int]) -> int:
@@ -317,8 +286,6 @@ def make_group(spec: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         if n < 1:
             raise ValueError(f"degree must be positive in spec {spec!r}")
         even = spec.startswith("alt:")
-        import math
-
         cap(max(1, math.factorial(n) // (2 if even else 1)))
         return _perm_group(n, even)
     if spec.startswith("dih:"):
@@ -990,8 +957,6 @@ def wreath_autset(
     max_size: int = AUTSET_SIZE_CAP,
 ) -> AutSet:
     """All automorphisms (a_1 x ... x a_n) o sigma of S^n with a_i from base."""
-    import math
-
     size = len(base) ** n * math.factorial(n)
     if size > max_size:
         raise CapExceeded(
@@ -1019,8 +984,6 @@ class WreathSampler:
     """Sampling access to Aut(S) wr Sym_n acting on S^n, without enumeration."""
 
     def __init__(self, s: FiniteGroup, n: int, base: AutSet, power: Optional[FiniteGroup] = None):
-        import math
-
         self.s = s
         self.n = n
         self.base = base

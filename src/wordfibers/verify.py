@@ -314,7 +314,6 @@ def check_variation_bound(
     s: FiniteGroup,
     n: int,
     w: ReducedWord,
-    mode: str = "exact",
     samples: int = 1000,
     seed: int = 0,
     exponent_mode: str = "ceil",

@@ -3,12 +3,15 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from wordfibers.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
     default_battery_path,
+    dumps_canonical,
     parse_fraction,
     run_command,
 )
@@ -302,6 +305,117 @@ class TestBattery:
         assert isinstance(entries, list) and len(entries) > 50
         kinds = {e["check"] for e in entries}
         assert {"dihedral", "identity-max", "submult", "rewrite"} <= kinds
+
+    def _run_manifest(self, tmp_path, entries):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(entries))
+        return run(
+            ["verify", "battery", "--manifest", str(manifest), "--out",
+             str(tmp_path / "out")]
+        )
+
+    def test_misspelt_key_is_rejected_before_any_check_runs(self, tmp_path):
+        entries = [
+            {"check": "dihedral", "o": 3},
+            {"check": "rewrite", "group": "sym:3", "subgroup": "order:3",
+             "word": "x1^2", "trails": 10},
+        ]
+        code, doc, _ = self._run_manifest(tmp_path, entries)
+        assert code == EXIT_USAGE
+        assert doc["status"] == "usage-error"
+        assert "manifest entry 1" in doc["result"]["error"]
+        assert "'trails'" in doc["result"]["error"]
+        assert not (tmp_path / "out").exists()
+
+    def test_value_outside_choices_is_rejected(self, tmp_path):
+        entries = [{"check": "identity-max", "group": "cyc:4", "word": "x1^2",
+                    "auts": "id"}]
+        code, doc, _ = self._run_manifest(tmp_path, entries)
+        assert code == EXIT_USAGE
+        assert "manifest entry 0" in doc["result"]["error"]
+        assert "auts" in doc["result"]["error"]
+
+    def test_missing_required_key_and_unknown_check(self, tmp_path):
+        code, doc, _ = self._run_manifest(tmp_path, [{"check": "dihedral"}])
+        assert code == EXIT_USAGE and "'o'" in doc["result"]["error"]
+        for entry in ({"check": "no-such-check"}, {"check": ["dihedral"]}, ["dihedral"]):
+            code, doc, _ = self._run_manifest(tmp_path, [entry])
+            assert code == EXIT_USAGE and "manifest entry 0" in doc["result"]["error"]
+
+    def test_default_manifest_validates_against_the_registry(self):
+        from wordfibers.cli import _entry_params
+
+        entries = json.loads(default_battery_path().read_text())
+        for index, entry in enumerate(entries):
+            _entry_params(index, entry, 1)
+
+
+# One cheap entry per registered check; the CLI invocation is derived from it.
+REGISTRY_CASES = {
+    "identity-max": {"group": "sym:3", "word": "x1^2", "auts": "inn"},
+    "submult": {"group": "dih:4", "subgroup": "center", "word": "[x1,x2]"},
+    "dihedral": {"o": 5},
+    "rewrite": {"group": "dih:4", "subgroup": "center", "word": "x1^2",
+                "trials": 4, "seed": 3},
+    "variation-bound": {"simple": "alt:5", "n": 2, "word": "x1", "samples": 3,
+                        "seed": 7, "exponent_mode": "floor", "epsilon_factor": "1"},
+    "variation-projection": {"group": "cyc:2", "word": "x1^2"},
+}
+
+
+class TestCheckRegistry:
+    def test_every_registered_check_has_a_case(self):
+        from wordfibers.cli import CHECKS
+
+        assert set(CHECKS) == set(REGISTRY_CASES)
+
+    def test_manifest_entry_and_cli_give_the_same_report(self, tmp_path):
+        for name, params in REGISTRY_CASES.items():
+            manifest = tmp_path / f"{name}.json"
+            manifest.write_text(json.dumps([{"check": name, **params}]))
+            out_dir = tmp_path / name
+            code, doc, _ = run(
+                ["verify", "battery", "--manifest", str(manifest), "--out", str(out_dir)]
+            )
+            assert code == EXIT_OK, name
+            report = (out_dir / doc["result"]["reports"][0]).read_text()
+            argv = ["verify", name]
+            for key, value in params.items():
+                argv += ["--" + key.replace("_", "-"), str(value)]
+            code, doc, _ = run(argv)
+            assert code == EXIT_OK, name
+            assert dumps_canonical(doc["result"]) + "\n" == report, name
+
+    @pytest.mark.parametrize(
+        "argv, params",
+        [
+            (["variation-bound", "--simple", "alt:5", "--word", "x1"],
+             {"epsilon_factor": "1", "exponent_mode": "ceil", "n": "1",
+              "samples": "1000", "seed": "0", "simple": "alt:5", "word": "x1"}),
+            (["identity-max", "--group", "cyc:3", "--word", "x1^2"],
+             {"auts": "aut", "group": "cyc:3", "word": "x1^2"}),
+            (["submult", "--group", "cyc:4", "--subgroup", "center", "--word", "x1^2"],
+             {"auts": "aut", "group": "cyc:4", "subgroup": "center", "word": "x1^2"}),
+            (["dihedral", "--o", "3"], {"o": "3"}),
+            (["rewrite", "--group", "cyc:4", "--subgroup", "center", "--word", "x1^2"],
+             {"group": "cyc:4", "seed": "0", "subgroup": "center", "trials": "100",
+              "word": "x1^2"}),
+        ],
+    )
+    def test_request_params_are_pinned(self, argv, params):
+        # The request params, defaults included, feed the cache digest.
+        code, doc, _ = run(["verify", *argv])
+        assert code == EXIT_OK
+        assert doc["request"]["command"] == f"verify {argv[0]}"
+        assert doc["request"]["params"] == params
+
+    def test_variation_projection_subcommand(self):
+        code, doc, _ = run(
+            ["verify", "variation-projection", "--group", "cyc:2", "--word", "x1^2"]
+        )
+        assert code == EXIT_OK
+        assert doc["result"]["claim"] == "variation-projection"
+        assert doc["result"]["outcome"] == "pass"
 
 
 class TestBoundsCommands:

@@ -282,6 +282,31 @@ class TestMaxFiber:
         assert s1.witness_tuple_indices == s2.witness_tuple_indices
         assert s1.tuples_examined == 21
 
+    @pytest.mark.parametrize(
+        "spec, word, budget, seed, target, value, witness_target, indices, evaluations",
+        [
+            ("dih:4", "x1^2", 20, 11, None, 6, 0, (0, 0), 168),
+            ("dih:4", "x1^2", 20, 11, 2, 6, 2, (3, 1), 168),
+            ("alt:4", "[x1,x2]", 50, 3, 3, 48, 3, (15, 16, 20, 7), 7344),
+            ("alt:4", "[x1,x2]", 50, 3, 5, 24, 5, (4, 19, 20, 13), 7344),
+        ],
+    )
+    def test_sample_mode_pinned_witnesses(
+        self, spec, word, budget, seed, target, value, witness_target, indices, evaluations
+    ):
+        # Pins the rng stream (identity row first, then `budget` seeded draws)
+        # and the tie-breaking (least row, then least target).
+        g = make_group(spec)
+        res = max_fiber(
+            g, parse_word(word), automorphism_group(g), target=target,
+            mode="sample", budget=budget, seed=seed,
+        )
+        assert res.value == value
+        assert res.witness_target == witness_target
+        assert res.witness_tuple_indices == indices
+        assert res.evaluations == evaluations
+        assert res.tuples_examined == budget + 1
+
     def test_isomorphism_invariance_under_relabelling(self):
         g = make_group("sym:3")
         rng = np.random.default_rng(3)

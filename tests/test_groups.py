@@ -99,6 +99,44 @@ class TestMakeGroup:
         make_group("cyc:100").validate()
 
 
+def _reference_perm_table(n, even_only):
+    """Composition table by a plain loop: entry [a, b] is perm a after perm b."""
+
+    def even(p):
+        return sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0
+
+    perms = [p for p in itertools.permutations(range(n)) if not even_only or even(p)]
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[tuple(a[x] for x in b)] for b in perms] for a in perms])
+
+
+class TestPermutationTables:
+    @pytest.mark.parametrize(
+        "spec", [f"sym:{n}" for n in range(1, 6)] + [f"alt:{n}" for n in range(1, 7)]
+    )
+    def test_table_equals_plain_composition(self, spec):
+        n, even_only = int(spec[4:]), spec.startswith("alt:")
+        g = make_group(spec)
+        assert g.table.dtype == np.int32
+        assert g.table.tolist() == _reference_perm_table(n, even_only).tolist()
+        assert g.order == len(g.table)
+
+    def test_table_is_a_read_only_property(self):
+        from wordfibers.groups import FiniteGroup
+
+        assert isinstance(FiniteGroup.__dict__["table"], property)
+        with pytest.raises(AttributeError):
+            make_group("sym:3").table = np.zeros((6, 6), dtype=np.int32)
+
+    def test_permutation_constructor_form_is_gone(self):
+        from wordfibers.groups import FiniteGroup
+
+        with pytest.raises(TypeError):
+            FiniteGroup(2, perms=[(0, 1), (1, 0)])
+        with pytest.raises(TypeError):
+            FiniteGroup(2)
+
+
 class TestCayleyTableFile:
     def test_roundtrip(self, tmp_path):
         g = make_group("dih:3")
