@@ -50,6 +50,7 @@ from .groups import (
     identity_autset,
     inner_automorphisms,
     make_group,
+    normal_subgroups,
     solvable_radical,
     subgroup_handle,
     subgroups,
@@ -176,7 +177,7 @@ def resolve_subgroup(g: FiniteGroup, spec: str, aut: AutSet):
         return subgroup_handle(g, rad.elements, aut=aut)
     if spec.startswith("order:"):
         k = int(spec[6:])
-        hits = [s for s in subgroups(g, aut=aut) if s.order == k and s.characteristic]
+        hits = [s for s in normal_subgroups(g, aut) if s.order == k and s.characteristic]
         if len(hits) != 1:
             raise ValueError(
                 f"expected exactly one characteristic subgroup of order {k}, "
@@ -391,6 +392,8 @@ class Param:
     choices: Optional[tuple] = None
 
     def convert(self, value):
+        if self.type is int and isinstance(value, (bool, float)):
+            raise ValueError(f"{self.name!r} must be an integer, got {json.dumps(value)}")
         value = self.type(value)
         if self.choices is not None and value not in self.choices:
             raise ValueError(f"{self.name} must be one of {', '.join(self.choices)}")
@@ -450,6 +453,7 @@ def _run_variation_projection(p, budget, threads):
 
 
 _AUTS = Param("auts", default="aut", choices=("inn", "aut"))
+_BUDGET = Param("budget", int)
 CHECKS = {
     c.name: c
     for c in (
@@ -514,7 +518,7 @@ def _entry_params(index: int, entry, budget: int) -> tuple[Check, dict, int]:
                 raise ValueError(f"missing key {p.name!r}")
             else:
                 params[p.name] = p.default
-        budget = int(entry.get("budget", budget))
+        budget = _BUDGET.convert(entry.get("budget", budget))
     except (TypeError, ValueError) as err:
         raise ValueError(f"manifest entry {index}: {err}") from err
     return check, params, budget

@@ -204,8 +204,7 @@ def power_group(s: FiniteGroup, n: int, max_order: int = DEFAULT_ORDER_CAP) -> F
     g = s
     for _ in range(n - 1):
         g = direct_product(g, s)
-    g.spec = f"pow:({s.spec})^{n}"
-    return g
+    return FiniteGroup(g.order, table=g.table, spec=f"pow:({s.spec})^{n}")
 
 
 def _perm_group(n: int, even_only: bool) -> FiniteGroup:
@@ -693,45 +692,57 @@ def _is_characteristic(elems: tuple[int, ...], aut: AutSet) -> bool:
     return True
 
 
+def _lattice(
+    g: FiniteGroup, atoms: Iterable[tuple[int, ...]], aut: Optional[AutSet]
+) -> list[SubgroupHandle]:
+    """Every join of the atom subgroups (the trivial group included), flagged
+    normal and characteristic (under Aut(G) when aut is None) and sorted by
+    (order, elements).
+
+    A join of k atoms is reached from the join of k - 1 of them, so closing the
+    found set under "join one more atom" finds them all."""
+    if aut is None:
+        aut = automorphism_group(g, max_order=max(AUT_ORDER_CAP, g.order))
+    atoms = sorted(set(atoms))
+    found: dict[tuple[int, ...], None] = {(0,): None}
+    worklist = [(0,)]
+    while worklist:
+        base = worklist.pop()
+        base_set = set(base)
+        for atom in atoms:
+            if base_set.issuperset(atom):
+                continue
+            bigger = _closure(g.table, base + atom)
+            if bigger not in found:
+                found[bigger] = None
+                worklist.append(bigger)
+    return [
+        SubgroupHandle(g, e, normal=_is_normal(g, e), characteristic=_is_characteristic(e, aut))
+        for e in sorted(found, key=lambda e: (len(e), e))
+    ]
+
+
 def subgroups(
     g: FiniteGroup,
     aut: Optional[AutSet] = None,
     max_order: int = SUBGROUP_ORDER_CAP,
 ) -> list[SubgroupHandle]:
-    """All subgroups, each flagged normal and characteristic."""
+    """All subgroups, each flagged normal and characteristic.
+
+    The atoms are the cyclic subgroups <x>: every subgroup H is the join of
+    <h> over its elements h."""
     if g.order > max_order:
         raise CapExceeded(f"subgroup enumeration capped at order {max_order}")
-    table = g.table
-    found: dict[tuple[int, ...], None] = {(0,): None}
-    worklist = [(0,)]
-    for x in range(1, g.order):
-        cyc = _closure(table, [x])
-        if cyc not in found:
-            found[cyc] = None
-            worklist.append(cyc)
-    while worklist:
-        base = worklist.pop()
-        base_set = set(base)
-        for x in range(1, g.order):
-            if x in base_set:
-                continue
-            bigger = _closure(table, base + (x,))
-            if bigger not in found:
-                found[bigger] = None
-                worklist.append(bigger)
-    if aut is None:
-        aut = automorphism_group(g, max_order=max(AUT_ORDER_CAP, g.order))
-    handles = []
-    for elems in sorted(found, key=lambda e: (len(e), e)):
-        handles.append(
-            SubgroupHandle(
-                g,
-                elems,
-                normal=_is_normal(g, elems),
-                characteristic=_is_characteristic(elems, aut),
-            )
-        )
-    return handles
+    return _lattice(g, (_closure(g.table, [x]) for x in range(1, g.order)), aut)
+
+
+def normal_subgroups(g: FiniteGroup, aut: Optional[AutSet] = None) -> list[SubgroupHandle]:
+    """All normal subgroups, flagged as in `subgroups`.
+
+    The atoms are the class closures: a normal subgroup N is the join of the
+    normal closures of the classes it contains, and a join of normal subgroups
+    is normal, so the joins are exactly the normal subgroups."""
+    return _lattice(g, _class_closures(g), aut)
 
 
 @dataclass
@@ -828,31 +839,20 @@ class CharSeries:
     factors: list[FactorDecomposition]
 
 
-def characteristic_series(
-    g: FiniteGroup,
-    aut: Optional[AutSet] = None,
-    max_order: int = SUBGROUP_ORDER_CAP,
-) -> CharSeries:
+def characteristic_series(g: FiniteGroup, aut: Optional[AutSet] = None) -> CharSeries:
     """A maximal chain of characteristic subgroups with decomposed factors.
 
-    The chain is made deterministic by always taking the lexicographically
+    The candidates come from `normal_subgroups`: every characteristic subgroup
+    is normal, so the joins of the class closures reach all of them.  The
+    chain is made deterministic by always taking the lexicographically
     smallest eligible next subgroup; only the factor multiset is meaningful.
     """
-    if aut is None:
-        aut = automorphism_group(g, max_order=max(AUT_ORDER_CAP, g.order))
-    subs = subgroups(g, aut=aut, max_order=max_order)
-    char_subs = [s for s in subs if s.characteristic]
-    chain = [next(s for s in char_subs if s.order == 1)]
+    char_subs = [s for s in normal_subgroups(g, aut) if s.characteristic]
+    chain = [char_subs[0]]
     while chain[-1].order < g.order:
         cur = chain[-1].element_set
         above = [s for s in char_subs if cur < s.element_set]
-        minimal = [
-            s
-            for s in above
-            if not any(
-                cur < t.element_set < s.element_set for t in above if t is not s
-            )
-        ]
+        minimal = [s for s in above if not any(t.element_set < s.element_set for t in above)]
         chain.append(min(minimal, key=lambda s: s.elements))
     factors = []
     for lower, upper in zip(chain, chain[1:]):
@@ -865,32 +865,23 @@ def characteristic_series(
     return CharSeries(group=g, chain=chain, factors=factors)
 
 
-def _normal_closure(g: FiniteGroup, seed_class: tuple[int, ...]) -> tuple[int, ...]:
-    """Smallest normal subgroup containing a conjugacy class: closure suffices
-    because the generating set is conjugation-stable."""
-    return _closure(g.table, seed_class)
+def _class_closures(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """The normal closures of the non-identity conjugacy classes, without
+    repeats, sorted by (order, elements).  Closing a class under products
+    suffices because the generating set is conjugation-stable."""
+    closures = {_closure(g.table, cls) for cls in g.conjugacy_classes if cls != (0,)}
+    return sorted(closures, key=lambda c: (len(c), c))
 
 
 def minimal_normal_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
-    closures = {
-        _normal_closure(g, cls)
-        for cls in g.conjugacy_classes
-        if cls != (0,)
-    }
-    return sorted(
-        (c for c in closures if not any(set(o) < set(c) for o in closures)),
-        key=lambda c: (len(c), c),
-    )
+    closures = _class_closures(g)
+    return [c for c in closures if not any(set(o) < set(c) for o in closures)]
 
 
 def is_simple(g: FiniteGroup) -> bool:
     if g.order == 1:
         return False
-    return all(
-        _normal_closure(g, cls) == tuple(range(g.order))
-        for cls in g.conjugacy_classes
-        if cls != (0,)
-    )
+    return all(c == tuple(range(g.order)) for c in _class_closures(g))
 
 
 def decompose_char_simple(f: FiniteGroup) -> tuple[FiniteGroup, int]:
@@ -1037,10 +1028,7 @@ def solvable_radical(g: FiniteGroup, max_order: int = RADICAL_ORDER_CAP) -> Subg
     if g.order > max_order:
         raise CapExceeded(f"solvable radical capped at order {max_order}")
     seeds: set[int] = {0}
-    for cls in g.conjugacy_classes:
-        if cls == (0,):
-            continue
-        closure = _normal_closure(g, cls)
+    for closure in _class_closures(g):
         if is_solvable_subset(g, closure):
             seeds.update(closure)
     elems = _closure(g.table, seeds)

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +95,38 @@ class TestGroupCommands:
         code, doc, _ = run(["group", "make", "--spec", "sym:8"])
         assert code == EXIT_BUDGET
         assert doc["status"] == "budget-exceeded"
+
+    def test_subgroup_cap_guards_only_the_subgroups_command(self):
+        spec = "prod:(alt:5)x(cyc:4)"  # order 240, above the subgroup cap of 200
+        code, doc, _ = run(["group", "subgroups", "--spec", spec])
+        assert code == EXIT_BUDGET
+        code, doc, _ = run(["group", "series", "--spec", spec])
+        assert code == EXIT_OK
+        assert [c["order"] for c in doc["result"]["chain"]] == ["1", "2", "4", "240"]
+        code, doc, _ = run(["verify", "submult", "--group", spec, "--subgroup", "order:4",
+                            "--word", "x1^2", "--auts", "inn"])
+        assert code == EXIT_OK
+        assert doc["result"]["params"]["subgroup_order"] == "4"
+
+
+GOLDEN_LARGE_GROUPS = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "large-groups.json"
+)
+GROUP_RECORDS = [
+    r for r in json.loads(GOLDEN_LARGE_GROUPS.read_text())["records"] if r["argv"][0] == "group"
+]
+
+
+def test_group_records_cover_every_structure_command():
+    assert {r["argv"][1] for r in GROUP_RECORDS} == {"make", "series", "subgroups", "auts",
+                                                     "radical"}
+
+
+@pytest.mark.parametrize("record", GROUP_RECORDS, ids=lambda r: " ".join(r["argv"]))
+def test_group_record_of_the_benchmark_golden_file(record):
+    code, doc, _ = run(record["argv"])
+    assert code == record["exit_code"]
+    assert doc["result"] == record["result"]
 
 
 class TestFiberCommands:
@@ -341,6 +374,27 @@ class TestBattery:
         for entry in ({"check": "no-such-check"}, {"check": ["dihedral"]}, ["dihedral"]):
             code, doc, _ = self._run_manifest(tmp_path, [entry])
             assert code == EXIT_USAGE and "manifest entry 0" in doc["result"]["error"]
+
+    @pytest.mark.parametrize("entry,key", [
+        ({"check": "dihedral", "o": 3.9}, "'o'"),
+        ({"check": "dihedral", "o": True}, "'o'"),
+        ({"check": "rewrite", "group": "sym:3", "subgroup": "order:3", "word": "x1^3",
+          "trials": True}, "'trials'"),
+        ({"check": "dihedral", "o": 3, "budget": 1e6}, "'budget'"),
+        ({"check": "dihedral", "o": 3, "budget": False}, "'budget'"),
+    ])
+    def test_integer_key_rejects_bools_and_floats(self, tmp_path, entry, key):
+        code, doc, _ = self._run_manifest(tmp_path, [{"check": "dihedral", "o": 3}, entry])
+        assert code == EXIT_USAGE
+        assert "manifest entry 1" in doc["result"]["error"]
+        assert key in doc["result"]["error"]
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_strings_stay_accepted(self):
+        from wordfibers.cli import _entry_params
+
+        _, params, budget = _entry_params(0, {"check": "dihedral", "o": "3", "budget": "50"}, 1)
+        assert params == {"o": 3} and budget == 50
 
     def test_default_manifest_validates_against_the_registry(self):
         from wordfibers.cli import _entry_params

@@ -1,10 +1,13 @@
+import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from wordfibers.errors import CapExceeded
 from wordfibers.groups import (
+    _closure,
     automorphism_group,
     characteristic_series,
     decompose_char_simple,
@@ -17,10 +20,13 @@ from wordfibers.groups import (
     is_simple,
     make_group,
     minimal_normal_subgroups,
+    normal_subgroups,
+    power_group,
     quotient,
     read_cayley_table,
     restricted_autset,
     solvable_radical,
+    subgroup_group,
     subgroup_handle,
     subgroups,
     wreath_autset,
@@ -367,7 +373,7 @@ class TestCharacteristicSeries:
         assert decomposed == [(3, 1), (2, 1)]
 
     def test_simple_group(self):
-        series = characteristic_series(make_group("alt:5"), max_order=200)
+        series = characteristic_series(make_group("alt:5"))
         assert [h.order for h in series.chain] == [1, 60]
         assert [(f.simple.order, f.copies) for f in series.factors] == [(60, 1)]
 
@@ -392,6 +398,106 @@ class TestCharacteristicSeries:
             assert total == g.order
 
 
+# Every group of the shipped battery manifest, plus a few with richer lattices.
+def _battery_groups():
+    from wordfibers.cli import default_battery_path
+
+    entries = json.loads(default_battery_path().read_text())
+    return sorted({e[k] for e in entries for k in ("group", "simple") if k in e})
+
+
+LATTICE_SPECS = _battery_groups() + ["sym:4", "dih:8", "pow:(cyc:2)^4", "prod:(sym:4)x(cyc:3)"]
+
+
+@functools.lru_cache(maxsize=None)
+def group_and_aut(spec):
+    g = make_group(spec)
+    return g, automorphism_group(g)
+
+
+def reference_subgroups(g, aut):
+    """The per-element discovery loop: join every found subgroup with every
+    element, starting from the trivial and the cyclic subgroups.  Flags are
+    checked by whole-array conjugation and by Aut's stacked tables."""
+    found = {(0,): None}
+    for x in range(1, g.order):
+        found[_closure(g.table, [x])] = None
+    worklist = list(found)
+    while worklist:
+        base = worklist.pop()
+        for x in range(1, g.order):
+            if x not in base:
+                bigger = _closure(g.table, base + (x,))
+                if bigger not in found:
+                    found[bigger] = None
+                    worklist.append(bigger)
+    t, inv = g.table, g.inv_table
+    out = []
+    for elems in sorted(found, key=lambda e: (len(e), e)):
+        members = np.zeros(g.order, dtype=bool)
+        members[list(elems)] = True
+        arr = np.asarray(elems)
+        conj = t[t[np.arange(g.order)[:, None], arr[None, :]], inv[:, None]]
+        out.append((elems, bool(members[conj].all()), bool(members[aut.tables[:, arr]].all())))
+    return out
+
+
+def reference_series(g, aut):
+    """The chain of `characteristic_series` picked from all of `subgroups`."""
+    char_subs = [s for s in subgroups(g, aut=aut) if s.characteristic]
+    chain = [char_subs[0]]
+    while chain[-1].order < g.order:
+        cur = chain[-1].element_set
+        above = [s for s in char_subs if cur < s.element_set]
+        minimal = [s for s in above if not any(cur < t.element_set < s.element_set for t in above)]
+        chain.append(min(minimal, key=lambda s: s.elements))
+    factors = []
+    for lower, upper in zip(chain, chain[1:]):
+        simple, copies = decompose_char_simple(quotient_of(g, upper, lower))
+        factors.append((upper.order // lower.order, simple.order, copies))
+    return [s.elements for s in chain], factors
+
+
+def quotient_of(g, upper, lower):
+    hgrp = subgroup_group(g, upper)
+    pos = {x: i for i, x in enumerate(upper.elements)}
+    return quotient(hgrp, subgroup_handle(hgrp, [pos[x] for x in lower.elements])).quotient
+
+
+def flags(handles):
+    return [(s.elements, s.normal, s.characteristic) for s in handles]
+
+
+class TestLattice:
+    @pytest.mark.parametrize("spec", LATTICE_SPECS)
+    def test_subgroups_match_the_per_element_loop(self, spec):
+        g, aut = group_and_aut(spec)
+        assert flags(subgroups(g, aut=aut)) == reference_subgroups(g, aut)
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS)
+    def test_normal_subgroups_are_the_normal_members_of_the_lattice(self, spec):
+        g, aut = group_and_aut(spec)
+        expected = [s for s in subgroups(g, aut=aut) if s.normal]
+        assert flags(normal_subgroups(g, aut=aut)) == flags(expected)
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS)
+    def test_series_matches_the_subgroups_reference(self, spec):
+        g, aut = group_and_aut(spec)
+        series = characteristic_series(g, aut=aut)
+        chain = [h.elements for h in series.chain]
+        factors = [(f.factor.order, f.simple.order, f.copies) for f in series.factors]
+        assert (chain, factors) == reference_series(g, aut)
+
+    def test_series_and_normal_lattice_above_the_subgroup_cap(self):
+        g = make_group("prod:(alt:5)x(cyc:4)")
+        assert g.order > 200
+        with pytest.raises(CapExceeded):
+            subgroups(g)
+        assert [s.order for s in normal_subgroups(g)] == [1, 2, 4, 60, 120, 240]
+        series = characteristic_series(g)
+        assert [h.order for h in series.chain] == [1, 2, 4, 240]
+
+
 class TestDecomposeCharSimple:
     def test_klein_four(self):
         s, n = decompose_char_simple(klein_four())
@@ -412,6 +518,15 @@ class TestDecomposeCharSimple:
     def test_power_of_c3(self):
         s, n = decompose_char_simple(make_group("pow:(cyc:3)^2"))
         assert (s.order, n) == (3, 2)
+
+
+class TestPowerGroup:
+    def test_first_power_leaves_its_input_unchanged(self):
+        s = make_group("alt:5")
+        g = power_group(s, 1)
+        assert s.spec == "alt:5"
+        assert g.spec == "pow:(alt:5)^1" and g is not s
+        assert (g.table == s.table).all()
 
 
 class TestSimplicity:
