@@ -11,6 +11,7 @@ thread counts.  Exit codes: 0 success/pass, 1 check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -151,10 +152,13 @@ class ResultCache:
 
 
 class Context:
+    """Per-request settings; a handler may add work counters to ``stats``."""
+
     def __init__(self, threads: int, budget: int, cache: Optional[ResultCache]):
         self.threads = threads
         self.budget = budget
         self.cache = cache
+        self.stats: dict = {}
 
 
 def _group_and_aut(spec: str, which: str) -> tuple[FiniteGroup, AutSet]:
@@ -374,6 +378,9 @@ def cmd_fiber_max(args, ctx):
         "tuples_examined": res.tuples_examined,
         "evaluations": res.evaluations,
     }
+    ctx.stats.update(
+        tuples_scanned=res.tuples_scanned, evaluations_performed=res.evaluations_performed
+    )
     if res.seed is not None:
         doc["seed"] = res.seed
     return doc, "ok", EXIT_OK
@@ -662,7 +669,9 @@ def cmd_bounds_radical_bound(args, ctx):
 # -- argument parsing -------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `wfl` argument parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="wfl",
         description="automorphic word map fibers on finite groups",
@@ -836,7 +845,10 @@ def run_command(argv, stdout=None) -> int:
     exit_code = EXIT_OK
     result = None
     try:
-        result, status, exit_code = args.handler(args, ctx)
+        # Looked up by name: the parser is built once, and a handler replaced on
+        # this module since (say, by a tracing wrapper) is the one to call.
+        handler = globals()[args.handler.__name__]
+        result, status, exit_code = handler(args, ctx)
     except (BudgetExceeded, CapExceeded) as err:
         result, status, exit_code = {"error": str(err)}, "budget-exceeded", EXIT_BUDGET
     except (ValueError, WordSyntaxError, EmptyWordError, OSError) as err:
@@ -847,7 +859,7 @@ def run_command(argv, stdout=None) -> int:
         "request": request,
         "result": canonical(result),
         "status": status,
-        "stats": {"exit_code": str(exit_code)},
+        "stats": canonical({**ctx.stats, "exit_code": exit_code}),
     }
     stdout.write(dumps_canonical(doc) + "\n")
     if cache is not None and status in ("ok", "fail"):

@@ -4,7 +4,8 @@ Argument tuples (g_1, ..., g_d) are flattened to a single index with g_1 most
 significant: index = sum_k g_k * n^(d-k).  Automorphism tuples drawn from an
 enumerated AutSet of size m are likewise numbered in mixed radix with the
 first letter most significant, which fixes the deterministic search order and
-tie-breaking.
+tie-breaking.  The exact search scans only the tuples in normal form (see
+`_search_all_tuples`) but reports every tuple index in this full numbering.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, EmptyWordError
+from .errors import BudgetExceeded, CapExceeded, EmptyWordError
 from .groups import (
     Automorphism,
     AutSet,
@@ -71,6 +72,10 @@ class FiberDistribution:
 
 @dataclass
 class MaxFiberResult:
+    """``tuples_examined``/``evaluations`` count the tuples the result covers
+    (all |A|^l of them in exact mode); ``tuples_scanned``/
+    ``evaluations_performed`` count the work actually done."""
+
     value: int
     proportion: Fraction
     witness_tuple: AutTuple
@@ -78,18 +83,24 @@ class MaxFiberResult:
     status: str  # "exact" or "lower_bound"
     tuples_examined: int
     evaluations: int
+    tuples_scanned: int
+    evaluations_performed: int
     witness_tuple_indices: Optional[tuple[int, ...]] = None
     seed: Optional[int] = None
 
 
 @dataclass
 class PerTargetMax:
-    """P^(A)(G, g) for every g, with the first tuple index attaining each."""
+    """P^(A)(G, g) for every g, with the first tuple index attaining each.
+
+    Coverage and work are counted as in `MaxFiberResult`."""
 
     values: np.ndarray
     witness_tuple_indices: np.ndarray
     tuples_examined: int
     evaluations: int
+    tuples_scanned: int
+    evaluations_performed: int
 
 
 def _var_positions(w: ReducedWord) -> dict[int, int]:
@@ -203,9 +214,37 @@ def pi_w(g: FiniteGroup, w: ReducedWord, budget: int = DEFAULT_BUDGET) -> tuple[
 # -- exhaustive / sampled search over automorphism tuples ----------------------
 
 
-def _tuple_digits(indices: np.ndarray, m: int, l: int) -> list[np.ndarray]:
-    """Mixed-radix digits of tuple indices; letter 0 is the most significant."""
-    return [((indices // m ** (l - 1 - i)) % m).astype(np.int64) for i in range(l)]
+def _free_letters(w: ReducedWord, a: AutSet) -> list[int]:
+    """Positions of the letters whose automorphism the exact search varies:
+    every later occurrence of a variable when A is closed, every letter when
+    it is not (see `_search_all_tuples`)."""
+    if not a.is_closed:
+        return list(range(w.length))
+    seen: set[int] = set()
+    free = []
+    for i, let in enumerate(w.letters):
+        if let.var in seen:
+            free.append(i)
+        seen.add(let.var)
+    return free
+
+
+def _tuple_digits(
+    rows: np.ndarray, m: int, l: int, free: Sequence[int]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-letter AutSet indices of scanned rows, and their full tuple indices.
+
+    The base-m digits of each row go to the free letters, the first of them
+    most significant; every other letter gets the identity, index 0.  The full
+    index reads all l letters in mixed radix, so it increases with the row.
+    """
+    zero = np.zeros_like(rows)
+    digits = [zero] * l
+    full = zero
+    for j, i in enumerate(free):
+        digits[i] = (rows // m ** (len(free) - 1 - j)) % m
+        full = full + digits[i] * m ** (l - 1 - i)
+    return digits, full
 
 
 class _BatchEvaluator:
@@ -273,14 +312,16 @@ def _scan_range(
     ev: _BatchEvaluator,
     rows: range | np.ndarray,
     target: Optional[int],
+    free: Sequence[int] = (),
 ) -> tuple[_BestCell, np.ndarray, np.ndarray, int]:
     """Scan the tuples in `rows`; returns the best cell, the per-target maxima
     with first-attaining tuple indices, and the evaluation count.
 
-    `rows` is a range of mixed-radix tuple indices (exact search) or a (k, l)
-    array of per-letter AutSet indices (sampled search).  Tuple indices in the
-    result are range values or array row numbers respectively, and ties go to
-    the least of them, then to the least target.
+    `rows` is a range of scanned rows whose digits fill the `free` letters
+    (exact search, see `_tuple_digits`) or a (k, l) array of per-letter AutSet
+    indices (sampled search).  Tuple indices in the result are full mixed-radix
+    indices or array row numbers respectively, and ties go to the least of
+    them, then to the least target.
     """
     m, l = ev.at.shape[0], ev.w.length
     best = _BestCell()
@@ -291,17 +332,17 @@ def _scan_range(
     for pos in range(0, len(rows), bsize):
         batch = rows[pos : pos + bsize]
         if isinstance(batch, range):
-            lo = batch.start
-            digits = _tuple_digits(np.arange(batch.start, batch.stop, dtype=np.int64), m, l)
+            scanned = np.arange(batch.start, batch.stop, dtype=np.int64)
+            digits, idx = _tuple_digits(scanned, m, l, free)
         else:
-            lo = pos
             digits = [batch[:, i] for i in range(l)]
+            idx = np.arange(pos, pos + len(batch), dtype=np.int64)
         counts = ev.counts(digits)
         evals += len(batch) * ev.total_args
         batch_max = counts.max(axis=0)
         batch_arg = counts.argmax(axis=0)
         improved = batch_max > per_vals
-        per_idx[improved] = lo + batch_arg[improved]
+        per_idx[improved] = idx[batch_arg[improved]]
         np.maximum(per_vals, batch_max, out=per_vals)
         if target is None:
             row_vals = counts.max(axis=1)
@@ -310,7 +351,7 @@ def _scan_range(
             row_vals = counts[:, target]
             row_targets = np.full(len(batch), target, dtype=np.int64)
         r = int(np.argmax(row_vals))
-        best.offer(int(row_vals[r]), lo + r, int(row_targets[r]))
+        best.offer(int(row_vals[r]), int(idx[r]), int(row_targets[r]))
     return best, per_vals, per_idx, evals
 
 
@@ -339,29 +380,58 @@ def _search_all_tuples(
     budget: int,
     threads: int,
 ):
+    """Exact search over all |A|^l tuples, scanning only those in normal form.
+
+    Reparametrization: for a variable v and gamma in A, composing gamma onto
+    the automorphism of every letter of v (alpha_i -> alpha_i o gamma)
+    substitutes gamma(x_v) for x_v, a bijection of G, so every fiber size
+    stays the same.  When A is closed under composition, gamma = alpha_p^-1
+    for the first letter p of v keeps the tuple in A^l and puts the identity
+    at p.  Every tuple thus has a partner with the identity (index 0) on the
+    first letter of each variable and the same fiber sizes, and only the
+    later letters, the free ones, need to vary: |A|^(l-d) tuples.  An unclosed
+    A makes every letter free, which is the full scan.
+
+    Least witness: the least-index tuple attaining a maximum (overall, at a
+    fixed target or at each target) is already in normal form.  If its first
+    non-identity first letter is p, of variable v, the move above with
+    gamma = alpha_p^-1 leaves every letter before p alone, since p is v's
+    first letter, and puts 0 at p, giving a smaller mixed-radix index with
+    the same counts.  Scanned rows map to full indices monotonically, so
+    scanning them in order, in any thread split, reports the same witnesses
+    as the full scan.
+
+    The budget is checked against the evaluations performed, before any is
+    made.  Returns the best cell, the per-target maxima with their witness
+    indices, the evaluations performed, and the tuples covered and scanned.
+    """
     _require_word(w)
-    m = len(a)
-    total_tuples = m**w.length
-    needed = total_tuples * g.order**w.num_variables
+    m, l = len(a), w.length
+    covered = m**l
+    if covered > np.iinfo(np.int64).max:
+        raise CapExceeded(f"{covered} automorphism tuples exceed the 64-bit tuple numbering")
+    free = _free_letters(w, a)
+    scanned = m ** len(free)
+    needed = scanned * g.order**w.num_variables
     if needed > budget:
         raise BudgetExceeded(
             f"exact search needs {needed} evaluations, budget is {budget}"
         )
     ev = _BatchEvaluator(g, w, a.tables)
     threads = max(1, int(threads))
-    if threads == 1 or total_tuples < 4 * threads:
-        parts = [_scan_range(ev, range(total_tuples), target)]
+    if threads == 1 or scanned < 4 * threads:
+        parts = [_scan_range(ev, range(scanned), target, free)]
     else:
-        bounds = np.linspace(0, total_tuples, threads + 1, dtype=np.int64)
+        bounds = np.linspace(0, scanned, threads + 1, dtype=np.int64)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_scan_range, ev, range(int(lo), int(hi)), target)
+                pool.submit(_scan_range, ev, range(int(lo), int(hi)), target, free)
                 for lo, hi in zip(bounds, bounds[1:])
                 if hi > lo
             ]
             parts = [f.result() for f in futures]
     best, per_vals, per_idx, evals = _merge_ranges(parts)
-    return best, per_vals, per_idx, evals, total_tuples
+    return best, per_vals, per_idx, evals, covered, scanned
 
 
 def max_fiber(
@@ -376,10 +446,15 @@ def max_fiber(
 ) -> MaxFiberResult:
     """Maximum fiber size over automorphism tuples drawn from A.
 
-    target None means maximize over all targets.  Exact mode enumerates all
-    |A|^l tuples; sample mode draws `budget` seeded uniform tuples plus the
-    identity tuple and reports a lower bound.  Ties are broken by the least
-    (tuple index, target index).
+    target None means maximize over all targets.  Exact mode covers all |A|^l
+    tuples but, when A is closed, scans only the |A|^(l-d) with the identity
+    on the first letter of each variable: composing an automorphism of A onto
+    all letters of one variable reparametrizes that variable and changes no
+    fiber size, and the least maximizing tuple already has that form (see
+    `_search_all_tuples`).  The budget bounds the evaluations performed.
+    Sample mode draws `budget` seeded uniform tuples plus the identity tuple
+    and reports a lower bound.  Ties are broken by the least (tuple index,
+    target index).
     """
     _require_word(w)
     if len(a) == 0:
@@ -397,11 +472,15 @@ def max_fiber(
             status="exact",
             tuples_examined=1,
             evaluations=1,
+            tuples_scanned=1,
+            evaluations_performed=1,
             witness_tuple_indices=tuple(0 for _ in range(w.length)),
         )
     l = w.length
     if mode == "exact":
-        best, _, _, evals, total = _search_all_tuples(g, w, a, target, budget, threads)
+        best, _, _, evals, total, scanned = _search_all_tuples(
+            g, w, a, target, budget, threads
+        )
         digits = tuple(int(x) for x in np.unravel_index(best.tuple_idx, (len(a),) * l))
     elif mode == "sample":
         rng = np.random.default_rng(seed)
@@ -410,7 +489,7 @@ def max_fiber(
         )
         best, _, _, evals = _scan_range(_BatchEvaluator(g, w, a.tables), draws, target)
         digits = tuple(int(x) for x in draws[best.tuple_idx])
-        total = draws.shape[0]
+        total = scanned = draws.shape[0]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return MaxFiberResult(
@@ -420,7 +499,9 @@ def max_fiber(
         witness_target=best.target,
         status="exact" if mode == "exact" else "lower_bound",
         tuples_examined=total,
-        evaluations=evals,
+        evaluations=total * g.order**d,
+        tuples_scanned=scanned,
+        evaluations_performed=evals,
         witness_tuple_indices=digits,
         seed=None if mode == "exact" else seed,
     )
@@ -441,15 +522,19 @@ def max_fiber_per_target(
             witness_tuple_indices=np.array([0], dtype=np.int64),
             tuples_examined=1,
             evaluations=1,
+            tuples_scanned=1,
+            evaluations_performed=1,
         )
-    _, per_vals, per_idx, evals, total = _search_all_tuples(
+    _, per_vals, per_idx, evals, total, scanned = _search_all_tuples(
         g, w, a, None, budget, threads
     )
     return PerTargetMax(
         values=per_vals,
         witness_tuple_indices=per_idx,
         tuples_examined=total,
-        evaluations=evals,
+        evaluations=total * g.order**w.num_variables,
+        tuples_scanned=scanned,
+        evaluations_performed=evals,
     )
 
 

@@ -185,12 +185,12 @@ def _quaternion_table() -> np.ndarray:
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, spec: str = "") -> FiniteGroup:
     """Direct product with index a*|G2| + b."""
     n1, n2 = g1.order, g2.order
-    t1 = g1.table.astype(np.int64)
-    t2 = g2.table.astype(np.int64)
-    table = (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
+    table = np.add(
+        (g1.table * n2)[:, None, :, None], g2.table[None, :, None, :], dtype=np.int32
+    ).reshape(n1 * n2, n1 * n2)
     return FiniteGroup(
         n1 * n2,
-        table=table.astype(np.int32),
+        table=table,
         spec=spec or f"prod:({g1.spec})x({g2.spec})",
     )
 
@@ -412,11 +412,18 @@ def identity_automorphism(g: FiniteGroup) -> Automorphism:
     return Automorphism(g, np.arange(g.order, dtype=np.int32))
 
 
+_SUBGROUP_KINDS = ("full", "inner", "identity-only")
+
+
 class AutSet:
     """An enumerated subgroup of Aut(G), canonically ordered.
 
     Elements are sorted by their permutation tables, which puts the identity
-    automorphism first.  ``contains_inner`` is computed, never trusted.
+    automorphism first.  ``contains_inner`` is computed, never trusted.  The
+    kinds in ``_SUBGROUP_KINDS`` name the sets this module builds as subgroups
+    of Aut(G) (`automorphism_group`, `inner_automorphisms`,
+    `identity_autset`); ``is_closed`` takes them as closed and checks any
+    other set.
     """
 
     def __init__(self, group: FiniteGroup, auts: Sequence[Automorphism], kind: str):
@@ -456,14 +463,22 @@ class AutSet:
                 return False
         return True
 
+    @cached_property
     def is_closed(self) -> bool:
-        """Full closure check under composition and inverse."""
-        for a in self.auts:
-            if a.inverse() not in self:
+        """Whether A is closed under composition, so a subgroup of Aut(G): a
+        finite set of bijections closed under composition holds the inverses.
+
+        Every product is composed, a block of rows at a time, and looked up.
+        """
+        if self.kind in _SUBGROUP_KINDS:
+            return True
+        t = self.tables
+        m, n = t.shape
+        rows = max(1, _COMPOSE_BLOCK_ELEMENTS // (m * n))
+        for lo in range(0, m, rows):
+            composed = t[lo : lo + rows][:, t]  # [i, j] = auts[lo + i] after auts[j]
+            if any(p.tobytes() not in self._index for p in composed.reshape(-1, n)):
                 return False
-            for b in self.auts:
-                if a.compose(b) not in self:
-                    return False
         return True
 
     def __repr__(self) -> str:
@@ -899,6 +914,8 @@ def decompose_char_simple(f: FiniteGroup) -> tuple[FiniteGroup, int]:
         n += 1
     if rest != 1:
         raise ValueError(f"{f.spec or 'group'} is not characteristically simple")
+    if n == 1:
+        return s, n  # s is a normal subgroup as large as f, so s is f
     ok, _ = is_isomorphic(f, power_group(s, n))
     if not ok:
         raise ValueError(f"{f.spec or 'group'} is not characteristically simple")

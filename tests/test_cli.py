@@ -11,6 +11,7 @@ from wordfibers.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     default_battery_path,
     dumps_canonical,
     parse_fraction,
@@ -173,6 +174,20 @@ class TestFiberCommands:
         code, doc, _ = run(
             ["--budget", "10", "fiber", "pi", "--group", "alt:4", "--word", "[x1,x2]"]
         )
+        assert code == EXIT_BUDGET
+
+    def test_max_reports_work_in_stats_and_coverage_in_result(self):
+        argv = ["fiber", "max", "--group", "alt:4", "--word", "[x1,x2]", "--auts", "aut"]
+        code, doc, _ = run(argv)
+        assert code == EXIT_OK
+        assert doc["stats"] == {
+            "evaluations_performed": str(24**2 * 12**2),
+            "exit_code": "0",
+            "tuples_scanned": str(24**2),
+        }
+        assert doc["result"]["tuples_examined"] == str(24**4)
+        assert doc["result"]["evaluations"] == str(24**4 * 12**2)
+        code, doc, _ = run(["--budget", str(24**2 * 12**2 - 1)] + argv)
         assert code == EXIT_BUDGET
 
 
@@ -535,6 +550,23 @@ class TestEnvironmentVariables:
 
 
 class TestUsageErrors:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_handler_replaced_after_the_parser_is_built_is_called(self, monkeypatch):
+        import wordfibers.cli as cli
+
+        build_parser()
+        original, calls = cli.cmd_word_mconst, []
+
+        def spy(args, ctx):
+            calls.append(args.action)
+            return original(args, ctx)
+
+        monkeypatch.setattr(cli, "cmd_word_mconst", spy)
+        assert run(["word", "mconst", "-l", "1", "-d", "1"])[0] == EXIT_OK
+        assert calls == ["mconst"]
+
     def test_unknown_subcommand(self):
         code, doc, _ = run(["word", "frobnicate"])
         assert code == EXIT_USAGE

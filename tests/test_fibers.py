@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wordfibers.errors import BudgetExceeded, EmptyWordError
+from wordfibers.errors import BudgetExceeded, CapExceeded, EmptyWordError
 from wordfibers.fibers import (
+    DEFAULT_BUDGET,
     AutTuple,
     eval_automorphic,
     eval_word,
@@ -18,6 +19,7 @@ from wordfibers.fibers import (
 )
 from wordfibers.groups import (
     Automorphism,
+    AutSet,
     automorphism_group,
     identity_autset,
     inner_automorphisms,
@@ -325,6 +327,154 @@ class TestMaxFiber:
                 max_fiber(g, w, automorphism_group(g)).value
                 == max_fiber(h, w, automorphism_group(h)).value
             )
+
+
+# reference for the exact search: every tuple of A^l in mixed-radix order
+def brute_force_search(g, w, a, targets):
+    """Per entry of `targets` (None: any target) the best (value, target,
+    letter indices); and the per-target maxima with first-attaining indices."""
+    best = {t: (-1, None, None) for t in targets}
+    per_vals = np.zeros(g.order, dtype=np.int64)
+    per_idx = np.full(g.order, -1, dtype=np.int64)
+    for idx, combo in enumerate(itertools.product(range(len(a)), repeat=w.length)):
+        counts = fiber_distribution(g, w, [a[i] for i in combo]).counts
+        for t in targets:
+            at = int(np.argmax(counts)) if t is None else t
+            if counts[at] > best[t][0]:
+                best[t] = (int(counts[at]), at, combo)
+        better = counts > per_vals
+        per_idx[better] = idx
+        per_vals[better] = counts[better]
+    return best, per_vals, per_idx
+
+
+# x1^-1 x2 x1^2 starts on an inverse letter; in x1^2 x2^2 a free letter comes
+# before a first letter, so scanned rows and full tuple indices differ.
+NORMAL_FORM_WORDS = ["x1^2", "x1 x2 x1", "[x1,x2]", "x1^-1 x2 x1^2", "x1^2 x2^2"]
+# Aut(q8) and Aut(alt:4) have 24 elements: their 4-letter words cover 331,776
+# tuples, too many for the reference loop; TestNormalFormSearch pins them.
+NORMAL_FORM_CASES = [
+    (spec, auts, word)
+    for spec in ["cyc:4", "sym:3", "dih:4", "q8", "alt:4", "prod:(cyc:2)x(cyc:2)"]
+    for auts in ["inn", "aut"]
+    for word in NORMAL_FORM_WORDS
+    if not (spec in ("q8", "alt:4") and auts == "aut" and len(parse_word(word).letters) == 4)
+]
+
+
+def doubling_autset():
+    """{id, x -> 2x} on cyc:5: not closed, since doubling twice is x -> 4x."""
+    g = make_group("cyc:5")
+    double = Automorphism(g, np.array([0, 2, 4, 1, 3]))
+    return g, AutSet(g, [Automorphism(g, np.arange(5)), double], kind="custom")
+
+
+class TestNormalFormSearch:
+    def _check_against_brute_force(self, g, w, a):
+        best, per_vals, per_idx = brute_force_search(g, w, a, [None, 1])
+        for threads in (1, 2):
+            for target in (None, 1):
+                res = max_fiber(g, w, a, target=target, threads=threads)
+                value, witness_target, indices = best[target]
+                assert (res.value, res.witness_target, res.witness_tuple_indices) == (
+                    value, witness_target, indices
+                ), (target, threads)
+                assert res.tuples_examined == len(a) ** w.length
+                assert res.evaluations == res.tuples_examined * g.order**w.num_variables
+            pt = max_fiber_per_target(g, w, a, threads=threads)
+            assert pt.values.tolist() == per_vals.tolist()
+            assert pt.witness_tuple_indices.tolist() == per_idx.tolist()
+        return res, pt
+
+    @pytest.mark.parametrize("spec, auts, word", NORMAL_FORM_CASES)
+    def test_matches_brute_force(self, spec, auts, word):
+        g = make_group(spec)
+        a = inner_automorphisms(g) if auts == "inn" else automorphism_group(g)
+        w = parse_word(word)
+        res, pt = self._check_against_brute_force(g, w, a)
+        scanned = len(a) ** (w.length - w.num_variables)
+        assert res.tuples_scanned == pt.tuples_scanned == scanned
+        assert res.evaluations_performed == scanned * g.order**w.num_variables
+
+    @pytest.mark.parametrize("word", NORMAL_FORM_WORDS)
+    def test_unclosed_set_falls_back_to_the_full_scan(self, word):
+        g, a = doubling_autset()
+        assert not a.is_closed
+        w = parse_word(word)
+        res, pt = self._check_against_brute_force(g, w, a)
+        assert res.tuples_scanned == pt.tuples_scanned == 2**w.length
+        assert res.evaluations_performed == res.evaluations
+
+    def test_closure_of_a_custom_set_is_computed(self):
+        g = make_group("dih:4")
+        a = AutSet(g, list(automorphism_group(g)), kind="custom")
+        assert a.is_closed
+        res, _ = self._check_against_brute_force(g, COMMUTATOR, a)
+        assert res.tuples_scanned == 8**2
+
+    # Taken from the full |A|^l scan at the commit before the normal-form
+    # search: (value, target, indices) for any target and for target 1, then
+    # the per-target maxima and their first tuple indices.
+    @pytest.mark.parametrize("spec, word, any_target, target_one, values, indices", [
+        ("q8", "[x1,x2]", (40, 0, (0, 0, 0, 0)), (40, 1, (0, 0, 1, 4)),
+         [40, 40, 24, 24, 24, 24, 24, 24], [0, 28, 76, 52, 42, 46, 36, 32]),
+        ("q8", "x1^-1 x2 x1^2", (8, 0, (0, 0, 0, 0)), (8, 1, (0, 0, 0, 0)),
+         [8] * 8, [0] * 8),
+        ("alt:4", "[x1,x2]", (48, 0, (0, 0, 0, 0)), (24, 1, (0, 0, 1, 3)),
+         [48, 24, 24, 48, 24, 24, 24, 24, 48, 24, 24, 48],
+         [0, 27, 51, 36, 63, 39, 42, 66, 45, 54, 30, 33]),
+        ("alt:4", "x1^-1 x2 x1^2", (12, 0, (0, 0, 0, 0)), (12, 1, (0, 0, 0, 0)),
+         [12] * 12, [0] * 12),
+        ("q8", "x1^2 x2^2", (40, 0, (0, 0, 0, 0)), (40, 1, (0, 0, 0, 1)),
+         [40, 40, 24, 24, 24, 24, 24, 24], [0, 1, 3, 2, 18, 22, 12, 9]),
+        ("alt:4", "x1^2 x2^2", (48, 0, (0, 3, 0, 3)), (24, 1, (0, 0, 0, 1)),
+         [48, 24, 24, 48, 24, 24, 24, 24, 48, 24, 24, 48],
+         [1731, 1, 2, 1734, 23, 22, 10, 11, 1736, 14, 13, 1744]),
+    ])
+    def test_matches_pinned_full_scans(self, spec, word, any_target, target_one, values, indices):
+        g = make_group(spec)
+        a = automorphism_group(g)
+        w = parse_word(word)
+        for threads in (1, 2):
+            for target, expected in ((None, any_target), (1, target_one)):
+                res = max_fiber(g, w, a, target=target, threads=threads)
+                assert (res.value, res.witness_target, res.witness_tuple_indices) == expected
+            pt = max_fiber_per_target(g, w, a, threads=threads)
+            assert pt.values.tolist() == values
+            assert pt.witness_tuple_indices.tolist() == indices
+            assert pt.tuples_examined == 24**4 and pt.tuples_scanned == 24**2
+
+    def test_alt5_commutator_over_aut_is_exact(self):
+        # |G| k(G) = 60 * 5 commuting pairs: the identity's fiber, the largest
+        g = make_group("alt:5")
+        res = max_fiber(g, COMMUTATOR, automorphism_group(g))
+        assert res.status == "exact"
+        assert (res.value, res.witness_target, res.witness_tuple_indices) == (300, 0, (0, 0, 0, 0))
+        assert res.tuples_scanned == 14400
+        assert res.tuples_examined == 120**4
+        assert res.evaluations_performed == 14400 * 3600 <= DEFAULT_BUDGET
+
+    def test_tuple_numbering_past_64_bits_is_refused_before_the_search(self):
+        # 168^9 tuples overflow int64, although the normal form scans one
+        g = make_group("pow:(cyc:2)^3")
+        w = parse_word("x1 x2 x3 x4 x5 x6 x7 x8 x9")
+        with pytest.raises(CapExceeded):
+            max_fiber(g, w, automorphism_group(g), budget=10**12)
+
+    def test_budget_bounds_the_performed_work(self):
+        g = make_group("alt:4")
+        a = automorphism_group(g)
+        needed = 24**2 * 12**2
+        assert max_fiber(g, COMMUTATOR, a, budget=needed).evaluations_performed == needed
+        with pytest.raises(BudgetExceeded):
+            max_fiber(g, COMMUTATOR, a, budget=needed - 1)
+        with pytest.raises(BudgetExceeded):
+            max_fiber_per_target(g, COMMUTATOR, a, budget=needed - 1)
+        g5, unclosed = doubling_autset()
+        full = 2**4 * 5**2
+        assert max_fiber(g5, COMMUTATOR, unclosed, budget=full).tuples_scanned == 2**4
+        with pytest.raises(BudgetExceeded):
+            max_fiber(g5, COMMUTATOR, unclosed, budget=full - 1)
 
 
 def center_handle(g, aut=None):

@@ -8,6 +8,7 @@ import pytest
 from wordfibers.errors import CapExceeded
 from wordfibers.groups import (
     _closure,
+    AutSet,
     automorphism_group,
     characteristic_series,
     decompose_char_simple,
@@ -200,7 +201,9 @@ class TestAutomorphismGroup:
 
     def test_closure_small(self):
         for spec in ["cyc:4", "sym:3", "dih:4"]:
-            assert automorphism_group(make_group(spec)).is_closed()
+            aut = automorphism_group(make_group(spec))
+            assert aut.is_closed
+            assert AutSet(aut.group, list(aut), kind="custom").is_closed
 
     def test_identity_first(self):
         aut = automorphism_group(make_group("dih:4"))
@@ -210,6 +213,35 @@ class TestAutomorphismGroup:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             automorphism_group(make_group("pow:(alt:5)^2"), max_order=512)
+
+
+# reference for AutSet.is_closed: every pair composed in a plain loop
+def reference_is_closed(a):
+    return all(x.compose(y) in a for x in a for y in a)
+
+
+class TestAutSetClosure:
+    def test_matches_the_pairwise_loop(self):
+        sets = []
+        for spec in ["cyc:4", "cyc:5", "sym:3", "dih:4", "q8", "alt:4"]:
+            g = make_group(spec)
+            for built in (automorphism_group(g), inner_automorphisms(g)):
+                auts = list(built)
+                subsets = [auts, auts[:-1], [auts[0], auts[-1]], auts[: len(auts) // 2]]
+                sets += [sub for sub in subsets if sub]
+        g = make_group("sym:3")
+        sets.append(list(wreath_autset(g, 2, inner_automorphisms(g))))
+        verdicts = []
+        for auts in sets:
+            a = AutSet(auts[0].group, auts, kind="custom")
+            assert a.is_closed == reference_is_closed(a)
+            verdicts.append(a.is_closed)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_subgroup_kinds_are_closed(self):
+        g = make_group("dih:4")
+        for a in (automorphism_group(g), inner_automorphisms(g), identity_autset(g)):
+            assert a.is_closed and reference_is_closed(a)
 
 
 class TestInnerAutomorphisms:
@@ -519,6 +551,44 @@ class TestDecomposeCharSimple:
         s, n = decompose_char_simple(make_group("pow:(cyc:3)^2"))
         assert (s.order, n) == (3, 2)
 
+    def test_simple_group_needs_no_isomorphism_search(self, monkeypatch):
+        import wordfibers.groups as groups_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_isomorphic called for a simple factor")
+
+        monkeypatch.setattr(groups_module, "is_isomorphic", refuse)
+        for spec, order in [("alt:5", 60), ("cyc:7", 7)]:
+            s, n = decompose_char_simple(make_group(spec))
+            assert (s.order, n) == (order, 1)
+
+
+# reference for direct products: coordinates in mixed radix, the first most
+# significant, multiplied one factor at a time
+def reference_product_table(factors):
+    elements = list(itertools.product(*(range(f.order) for f in factors)))
+    index = {e: i for i, e in enumerate(elements)}
+    table = np.empty((len(elements), len(elements)), dtype=np.int64)
+    for i, x in enumerate(elements):
+        for j, y in enumerate(elements):
+            table[i, j] = index[tuple(f.mul(a, b) for f, a, b in zip(factors, x, y))]
+    return table
+
+
+class TestProductTables:
+    @pytest.mark.parametrize(
+        "spec, factors",
+        [
+            ("pow:(cyc:2)^3", ["cyc:2"] * 3),
+            ("prod:(sym:3)x(cyc:4)", ["sym:3", "cyc:4"]),
+            ("pow:(sym:3)^2", ["sym:3"] * 2),
+        ],
+    )
+    def test_int32_and_equal_to_a_composition_loop(self, spec, factors):
+        g = make_group(spec)
+        assert g.table.dtype == np.int32
+        assert (g.table == reference_product_table([make_group(f) for f in factors])).all()
+
 
 class TestPowerGroup:
     def test_first_power_leaves_its_input_unchanged(self):
@@ -568,7 +638,7 @@ class TestWreath:
         w = wreath_autset(g, 2, automorphism_group(g))
         for a in w:
             assert a.is_valid()
-        assert w.is_closed()
+        assert w.is_closed
 
     def test_sampler_matches_enumeration_and_is_seeded(self):
         g = make_group("sym:3")
