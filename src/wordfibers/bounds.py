@@ -103,6 +103,9 @@ def _exact_ceiling_of_exp_product(factor: int, l_pow: int, exponent: int) -> Opt
     interval is widened until it contains a single integer boundary.
     """
     ln10 = math.log(10.0)
+    # int/float comparison is exact, so a huge exponent never meets a float
+    if exponent > EXACT_DIGIT_CAP * ln10:
+        return None
     digits = int((math.log(factor) + math.log(l_pow) + exponent) / ln10) + 1
     if digits > EXACT_DIGIT_CAP:
         return None
@@ -154,10 +157,10 @@ def alt_exclusion_threshold(w: ReducedWord, rho: Fraction) -> AltThreshold:
             inv = 1 / rho
             ln_rho_term = power * _ln_fraction(inv)
             exact = None
-            est_digits = float(power) * (
+            # the cap comes first: float(power) overflows for long words
+            if power <= _EXACT_POWER_CAP and float(power) * (
                 math.log10(inv.numerator) - math.log10(inv.denominator)
-            )
-            if est_digits <= EXACT_DIGIT_CAP and power <= _EXACT_POWER_CAP:
+            ) <= EXACT_DIGIT_CAP:
                 as_fraction = inv**power
                 if as_fraction.denominator == 1:
                     exact = as_fraction.numerator

@@ -23,13 +23,13 @@ from .groups import (
     AutSet,
     FiniteGroup,
     SubgroupHandle,
+    _require_characteristic,
     identity_automorphism,
     subgroup_group,
 )
 from .words import ReducedWord
 
 DEFAULT_BUDGET = 10**8
-_ARG_CHUNK = 1 << 22
 _BATCH_ELEMENTS = 1 << 22
 
 
@@ -125,9 +125,12 @@ def eval_automorphic(
     g: FiniteGroup,
     w: ReducedWord,
     auts: Sequence[Automorphism] | AutTuple,
-    args: Sequence[int],
-) -> int:
-    """Like eval_word, but the i-th letter is first passed through auts[i]."""
+    args: Sequence[int] | Sequence[np.ndarray],
+) -> int | np.ndarray:
+    """Like eval_word, but the i-th letter is first passed through auts[i].
+
+    With one array of K elements per variable in `args`, evaluates K argument
+    tuples at once and returns an array of K values."""
     entries = tuple(auts)
     if len(entries) != w.length:
         raise ValueError(f"expected {w.length} automorphisms, got {len(entries)}")
@@ -136,11 +139,11 @@ def eval_automorphic(
     pos = _var_positions(w)
     acc = 0
     for let, alpha in zip(w.letters, entries):
-        x = alpha(int(args[pos[let.var]]))
+        x = alpha.perm[args[pos[let.var]]]
         if let.sign < 0:
-            x = g.inv(x)
-        acc = g.mul(acc, x)
-    return acc
+            x = g.inv_table[x]
+        acc = g.table[acc, x]
+    return acc if np.ndim(acc) else int(acc)
 
 
 def _require_word(w: ReducedWord) -> None:
@@ -151,33 +154,6 @@ def _require_word(w: ReducedWord) -> None:
 def _arg_slice(n: int, d: int, var_rank: int, start: int, stop: int) -> np.ndarray:
     idx = np.arange(start, stop, dtype=np.int64)
     return ((idx // n ** (d - 1 - var_rank)) % n).astype(np.int32)
-
-
-def _letters_plan(w: ReducedWord) -> list[tuple[int, int]]:
-    pos = _var_positions(w)
-    return [(pos[let.var], let.sign) for let in w.letters]
-
-
-def _counts_single_tuple(
-    g: FiniteGroup, w: ReducedWord, aut_perms: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Fiber counts of one automorphic word map by chunked full enumeration."""
-    n, d = g.order, w.num_variables
-    table, inv_t = g.table, g.inv_table
-    plan = _letters_plan(w)
-    total = n**d
-    counts = np.zeros(n, dtype=np.int64)
-    for start in range(0, total, _ARG_CHUNK):
-        stop = min(start + _ARG_CHUNK, total)
-        res = None
-        for (rank, sign), perm in zip(plan, aut_perms):
-            v = _arg_slice(n, d, rank, start, stop)
-            if sign < 0:
-                v = inv_t[v]
-            v = perm[v]
-            res = v if res is None else table[res, v]
-        counts += np.bincount(res, minlength=n)
-    return counts
 
 
 def fiber_distribution(
@@ -194,7 +170,8 @@ def fiber_distribution(
     d = w.num_variables
     if g.order**d > budget:
         raise BudgetExceeded(f"{g.order}^{d} evaluations exceed budget {budget}")
-    counts = _counts_single_tuple(g, w, [a.perm for a in entries])
+    ev = _BatchEvaluator(g, w, np.stack([a.perm for a in entries]))
+    counts = ev.counts([np.array([i]) for i in range(w.length)])[0]
     return FiberDistribution(counts=counts, order=g.order, arity=d)
 
 
@@ -231,16 +208,16 @@ def _free_letters(w: ReducedWord, a: AutSet) -> list[int]:
 
 def _tuple_digits(
     rows: np.ndarray, m: int, l: int, free: Sequence[int]
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[list[Optional[np.ndarray]], np.ndarray]:
     """Per-letter AutSet indices of scanned rows, and their full tuple indices.
 
     The base-m digits of each row go to the free letters, the first of them
-    most significant; every other letter gets the identity, index 0.  The full
-    index reads all l letters in mixed radix, so it increases with the row.
+    most significant; every other letter is the identity, index 0, given as
+    None.  The full index reads all l letters in mixed radix, so it increases
+    with the row.
     """
-    zero = np.zeros_like(rows)
-    digits = [zero] * l
-    full = zero
+    digits: list[Optional[np.ndarray]] = [None] * l
+    full = np.zeros_like(rows)
     for j, i in enumerate(free):
         digits[i] = (rows // m ** (len(free) - 1 - j)) % m
         full = full + digits[i] * m ** (l - 1 - i)
@@ -248,53 +225,51 @@ def _tuple_digits(
 
 
 class _BatchEvaluator:
-    """Evaluates fiber counts for batches of automorphism tuples at once.
+    """Fiber counts for batches of automorphism tuples, the one fiber-count kernel.
 
-    When the argument space alone exceeds the chunking threshold, tuples are
-    processed one at a time with chunked argument sweeps instead of batching,
-    keeping peak memory bounded."""
+    Blocks hold at most `_BATCH_ELEMENTS` word values: b = `batch_size()`
+    tuples over the whole argument space when n^d fits, else one tuple over
+    consecutive argument chunks.  A block builds each letter's argument column
+    when it reaches that letter.  Row r of a block is offset by r*n for one
+    shared bincount.  The offsets stay in int32 because b*n <= `_BATCH_ELEMENTS`:
+    b*n^d fits when b > 1, and b = 1 with n within the group order cap.
+    """
 
     def __init__(self, g: FiniteGroup, w: ReducedWord, aut_tables: np.ndarray):
-        self.g = g
         self.w = w
         self.at = aut_tables
         self.n = g.order
         self.d = w.num_variables
         self.total_args = self.n**self.d
-        self.plan = _letters_plan(w)
+        pos = _var_positions(w)
+        self.plan = [(pos[let.var], let.sign) for let in w.letters]
         self.table = g.table
         self.inv_t = g.inv_table
-        self.chunked = self.total_args > _ARG_CHUNK
-        if not self.chunked:
-            self.grids = [
-                _arg_slice(self.n, self.d, rank, 0, self.total_args)
-                for rank in range(self.d)
-            ]
 
     def batch_size(self) -> int:
-        if self.chunked:
-            return 1
-        return max(1, min(_BATCH_ELEMENTS // max(self.total_args, 1), 1 << 16))
+        return max(1, min(_BATCH_ELEMENTS // self.total_args, 1 << 16))
 
-    def counts(self, digit_arrays: list[np.ndarray]) -> np.ndarray:
-        """(B, n) fiber counts for the tuples described by per-letter indices."""
-        b = digit_arrays[0].shape[0]
-        if self.chunked:
-            rows = []
-            for r in range(b):
-                perms = [self.at[int(dig[r])] for dig in digit_arrays]
-                rows.append(_counts_single_tuple(self.g, self.w, perms))
-            return np.stack(rows)
-        res = None
-        for (rank, sign), dig in zip(self.plan, digit_arrays):
-            v = self.grids[rank]
-            if sign < 0:
-                v = self.inv_t[v]
-            img = self.at[dig[:, None], v[None, :]]
-            res = img if res is None else self.table[res, img]
-        offs = np.arange(b, dtype=np.int64)[:, None] * self.n
-        flat = (res.astype(np.int64) + offs).ravel()
-        return np.bincount(flat, minlength=b * self.n).reshape(b, self.n)
+    def counts(self, digit_arrays: list[Optional[np.ndarray]]) -> np.ndarray:
+        """(b, n) fiber counts for at most `batch_size()` tuples given by
+        per-letter AutSet indices.  A None letter is the identity on every
+        tuple, one (1, K) row broadcast over the batch, so a prefix of such
+        letters is composed once per block; with every letter None, b is 1."""
+        n, total = self.n, self.total_args
+        b = max((len(dig) for dig in digit_arrays if dig is not None), default=1)
+        step = _BATCH_ELEMENTS // b
+        offs = np.arange(b, dtype=np.int32)[:, None] * np.int32(n)
+        counts = np.zeros((b, n), dtype=np.int64)
+        for start in range(0, total, step):
+            res = None
+            for (rank, sign), dig in zip(self.plan, digit_arrays):
+                v = _arg_slice(n, self.d, rank, start, min(start + step, total))
+                if sign < 0:
+                    v = self.inv_t[v]
+                v = v[None, :] if dig is None else self.at[dig][:, v]
+                res = v if res is None else self.table[res, v]
+            res += offs
+            counts += np.bincount(res.ravel(), minlength=b * n).reshape(b, n)
+        return counts
 
 
 @dataclass
@@ -573,8 +548,6 @@ def rewrite_coset_equation(
         raise ValueError(f"expected {w.length} automorphisms, got {len(entries)}")
     if len(base) != w.num_variables:
         raise ValueError(f"expected {w.num_variables} base entries, got {len(base)}")
-    from .groups import _require_characteristic
-
     _require_characteristic(g, n)
     pos = _var_positions(w)
     factors = []

@@ -7,7 +7,6 @@ Exhaustive checkers report "pass" or "fail"; sampled checkers never report
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -15,6 +14,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .fibers import (
+    _BATCH_ELEMENTS,
     DEFAULT_BUDGET,
     eval_automorphic,
     fiber_distribution,
@@ -36,7 +36,7 @@ from .groups import (
     quotient,
     restricted_autset,
 )
-from .words import ReducedWord, format_word, variations
+from .words import ReducedWord, format_word, parse_word, variations
 
 
 @dataclass
@@ -183,8 +183,6 @@ def check_dihedral_counterexample(o: int, budget: int = DEFAULT_BUDGET) -> Check
     the plain bounds over its cyclic index-2 subgroup and the order-2 quotient."""
     if o < 3 or o % 2 == 0:
         raise ValueError(f"o must be an odd integer >= 3, got {o}")
-    from .words import parse_word
-
     w = parse_word("x1^2")
     g = make_group(f"dih:{o}")
     sub = make_group(f"cyc:{o}")
@@ -229,18 +227,24 @@ def check_rewrite(
         "trials": trials,
         "seed": seed,
     }
+    shape = (n.order,) * d
+    step = _BATCH_ELEMENTS // d  # coset tuples per block, d arguments each
+    n_elements = np.asarray(n.elements)
     checked = 0
     for trial in range(trials):
         tuple_indices = [int(i) for i in rng.integers(0, len(aut), w.length)]
         auts = tuple(aut[i] for i in tuple_indices)
         base = tuple(int(x) for x in rng.integers(0, g.order, d))
         result = rewrite_coset_equation(g, n, w, auts, base)
-        for combo in itertools.product(range(n.order), repeat=d):
-            shifted = tuple(g.mul(n.elements[c], b) for c, b in zip(combo, base))
+        # the coset tuples of N^d in itertools.product order, a block at a time
+        for start in range(0, sweep, step):
+            combos = np.unravel_index(np.arange(start, min(start + step, sweep)), shape)
+            shifted = [g.table[n_elements[c], b] for c, b in zip(combos, base)]
             lhs = eval_automorphic(g, w, auts, shifted) == result.target
-            rhs = eval_automorphic(result.n_group, w, result.beta, combo) == 0
-            checked += 1
-            if lhs != rhs:
+            rhs = eval_automorphic(result.n_group, w, result.beta, combos) == 0
+            mismatches = np.flatnonzero(lhs != rhs)
+            if len(mismatches):
+                k = int(mismatches[0])
                 return CheckReport(
                     claim="rewrite",
                     params=params,
@@ -249,12 +253,13 @@ def check_rewrite(
                         "trial": trial,
                         "tuple_indices": tuple_indices,
                         "base": list(base),
-                        "coset_tuple": list(combo),
-                        "lhs_holds": lhs,
-                        "rhs_holds": rhs,
+                        "coset_tuple": [int(c[k]) for c in combos],
+                        "lhs_holds": bool(lhs[k]),
+                        "rhs_holds": bool(rhs[k]),
                     },
-                    counters={"equivalences_checked": checked},
+                    counters={"equivalences_checked": checked + k + 1},
                 )
+            checked += len(lhs)
     return CheckReport(
         claim="rewrite",
         params=params,

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -110,12 +111,16 @@ class TestGroupCommands:
         assert doc["result"]["params"]["subgroup_order"] == "4"
 
 
-GOLDEN_LARGE_GROUPS = (
-    Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "large-groups.json"
-)
-GROUP_RECORDS = [
-    r for r in json.loads(GOLDEN_LARGE_GROUPS.read_text())["records"] if r["argv"][0] == "group"
-]
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+def golden_records(workload, command):
+    records = json.loads((GOLDEN / f"{workload}.json").read_text())["records"]
+    return [r for r in records if r["argv"][0] == command]
+
+
+GROUP_RECORDS = golden_records("large-groups", "group")
+FIBER_RECORDS = golden_records("large-groups", "fiber") + golden_records("requests", "fiber")
 
 
 def test_group_records_cover_every_structure_command():
@@ -123,7 +128,17 @@ def test_group_records_cover_every_structure_command():
                                                      "radical"}
 
 
-@pytest.mark.parametrize("record", GROUP_RECORDS, ids=lambda r: " ".join(r["argv"]))
+def test_fiber_records_cover_the_chunked_path():
+    assert Counter(r["argv"][1] for r in FIBER_RECORDS) == {"pi": 61, "dist": 9, "max": 40}
+    # alt:5, 60^4 arguments: above the kernel's block, so swept in chunks
+    assert ["fiber", "pi", "--group", "alt:5", "--word", "x1 x2 x3 x4"] in [
+        r["argv"] for r in FIBER_RECORDS
+    ]
+
+
+@pytest.mark.parametrize(
+    "record", GROUP_RECORDS + FIBER_RECORDS, ids=lambda r: " ".join(r["argv"])
+)
 def test_group_record_of_the_benchmark_golden_file(record):
     code, doc, _ = run(record["argv"])
     assert code == record["exit_code"]
@@ -519,6 +534,20 @@ class TestBoundsCommands:
         assert doc["result"]["M"] == "341"
         assert doc["result"]["lie"]["term_const"] == "288"
         assert len(doc["result"]["narrative"]) == 3
+
+    @pytest.mark.parametrize("action", ["alt", "exclude"])
+    @pytest.mark.parametrize("word, rho", [("x1^42", "1"), ("x1^43", "1/2")])
+    def test_long_words_stay_in_log_space(self, action, word, rho):
+        # the exponent 16 M' l - 2 passes the float range at x1^42, the rho
+        # power 16 M' at x1^43
+        code, doc, text = run(["bounds", action, "--word", word, "--rho", rho])
+        assert code == EXIT_OK
+        assert text.count("\n") == 1
+        alt = doc["result"] if action == "alt" else doc["result"]["alt"]
+        assert "exact" not in alt["ceil_argument"]
+        assert "ln" in alt["threshold"]
+        if rho != "1":
+            assert set(alt["term_rho"]) == {"ln"}
 
 
 class TestEnvironmentVariables:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import wordfibers.fibers as fibers
 from wordfibers.errors import BudgetExceeded, CapExceeded, EmptyWordError
 from wordfibers.fibers import (
     DEFAULT_BUDGET,
@@ -58,6 +59,14 @@ def per_target_oracle(g, w, autset):
     return best
 
 
+# independent oracle: the fiber sizes of one tuple by a loop over G^d
+def dist_oracle(g, w, auts):
+    counts = [0] * g.order
+    for args in itertools.product(range(g.order), repeat=w.num_variables):
+        counts[eval_oracle(g, w, auts, args)] += 1
+    return counts
+
+
 class TestEvalWord:
     def test_single_variable_is_identity_map(self):
         g = make_group("sym:3")
@@ -110,6 +119,22 @@ class TestEvalAutomorphic:
         g = make_group("cyc:3")
         with pytest.raises(ValueError):
             eval_automorphic(g, SQUARE, (Automorphism(g, np.arange(3)),), (1,))
+
+    @pytest.mark.parametrize("spec, word", [
+        ("sym:3", "x1^-1 x2 x1^2"), ("dih:4", "[x1,x2]"), ("q8", "x1 x2 x3^-1 x2"),
+    ])
+    def test_columns_equal_scalar_calls(self, spec, word):
+        g = make_group(spec)
+        aut = automorphism_group(g)
+        w = parse_word(word)
+        rng = np.random.default_rng(5)
+        auts = tuple(aut[int(i)] for i in rng.integers(0, len(aut), w.length))
+        cols = np.indices((g.order,) * w.num_variables).reshape(w.num_variables, -1)
+        got = eval_automorphic(g, w, auts, cols)
+        scalar = [eval_automorphic(g, w, auts, tuple(int(x) for x in col)) for col in cols.T]
+        assert all(type(v) is int for v in scalar)
+        assert got.tolist() == scalar
+        assert scalar == [eval_oracle(g, w, auts, tuple(col)) for col in cols.T.tolist()]
 
 
 class TestFiberDistribution:
@@ -249,9 +274,7 @@ class TestMaxFiber:
         g = make_group("dih:4")
         a = automorphism_group(g)
         batched = max_fiber_per_target(g, COMMUTATOR, a)
-        import wordfibers.fibers as fib
-
-        monkeypatch.setattr(fib, "_ARG_CHUNK", 7)
+        monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 7)
         chunked = max_fiber_per_target(g, COMMUTATOR, a)
         assert batched.values.tolist() == chunked.values.tolist()
         assert (
@@ -327,6 +350,58 @@ class TestMaxFiber:
                 max_fiber(g, w, automorphism_group(g)).value
                 == max_fiber(h, w, automorphism_group(h)).value
             )
+
+
+# Block sizes for the kernel: the default; a batch of 2 tuples in one block
+# (n^d = 36); one tuple in one block; chunks of 12, which divide 36; chunks
+# of 7, which do not.
+KERNEL_BLOCKS = [None, 72, 36, 12, 7]
+# inverse letters, repeated variables, a free letter before a first letter
+KERNEL_WORDS = ["x1^-1 x2 x1^2", "[x1,x2]", "x1^2 x2^-2"]
+
+
+class TestKernelAgainstOracle:
+    @pytest.fixture(params=KERNEL_BLOCKS, ids=lambda b: f"block{b}")
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("word", KERNEL_WORDS)
+    def test_normal_form_batches_with_identity_letters(self, block, word):
+        g = make_group("sym:3")
+        a = automorphism_group(g)
+        w = parse_word(word)
+        ev = fibers._BatchEvaluator(g, w, a.tables)
+        free = fibers._free_letters(w, a)
+        assert len(free) < w.length
+        rows = np.arange(min(ev.batch_size(), len(a) ** len(free)))
+        assert len(rows) == {None: len(a) ** len(free), 72: 2}.get(block, 1)
+        digits, _ = fibers._tuple_digits(rows, len(a), w.length, free)
+        assert sum(dig is None for dig in digits) == w.num_variables
+        counts = ev.counts(digits)
+        for r in rows:
+            tup = [a[0] if dig is None else a[int(dig[r])] for dig in digits]
+            assert counts[r].tolist() == dist_oracle(g, w, tup)
+
+    @pytest.mark.parametrize("word", KERNEL_WORDS)
+    def test_fiber_distribution(self, block, word):
+        g = make_group("sym:3")
+        a = automorphism_group(g)
+        w = parse_word(word)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            tup = [a[int(i)] for i in rng.integers(0, len(a), w.length)]
+            assert fiber_distribution(g, w, tup).counts.tolist() == dist_oracle(g, w, tup)
+
+    @pytest.mark.parametrize("word", KERNEL_WORDS)
+    def test_per_target_maxima(self, block, word):
+        w = parse_word(word)
+        g = make_group("sym:3")
+        unclosed_g, unclosed = doubling_autset()
+        for grp, a in ((g, automorphism_group(g)), (unclosed_g, unclosed)):
+            got = max_fiber_per_target(grp, w, a)
+            assert got.values.tolist() == per_target_oracle(grp, w, a)
 
 
 # reference for the exact search: every tuple of A^l in mixed-radix order

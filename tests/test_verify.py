@@ -1,9 +1,13 @@
+import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from wordfibers.fibers import fiber_distribution
+import wordfibers.verify as verify
+from wordfibers.fibers import AutTuple, fiber_distribution
 from wordfibers.groups import (
+    Automorphism,
     automorphism_group,
     identity_autset,
     inner_automorphisms,
@@ -147,6 +151,63 @@ class TestRewriteCheck:
         r2 = check_rewrite(g, n, SQUARE, trials=20, seed=9)
         assert r1.outcome == r2.outcome == "pass"
         assert r1.counters == r2.counters
+
+
+def corrupt_target(res):
+    return dataclasses.replace(res, target=res.target ^ 1)
+
+
+def corrupt_beta(letter):
+    """Swaps two involutions of the Klein four-group N after beta_letter."""
+    def change(res):
+        betas = list(res.beta)
+        betas[letter] = Automorphism(res.n_group, np.array([0, 2, 1, 3])[betas[letter].perm])
+        return dataclasses.replace(res, beta=AutTuple(tuple(betas)))
+    return change
+
+
+class TestRewriteFailureReport:
+    # The rewrite of one trial is corrupted, so that trial fails.  Outcome,
+    # witness and counter were taken at the commit before the vectorized
+    # sweep, which checked one coset tuple at a time.  A corrupted beta never
+    # fails at coset tuple 0, where both sides evaluate at the base tuple.
+    @pytest.mark.parametrize("spec, order, word, seed, trial, change, witness, checked", [
+        ("dih:4", 2, "[x1,x2]", 1, 0, corrupt_target,
+         {"trial": 0, "tuple_indices": [3, 4, 6, 7], "base": [0, 1],
+          "coset_tuple": [0, 0], "lhs_holds": False, "rhs_holds": True}, 1),
+        ("dih:4", 2, "[x1,x2]", 1, 3, corrupt_target,
+         {"trial": 3, "tuple_indices": [0, 0, 6, 6], "base": [6, 4],
+          "coset_tuple": [0, 0], "lhs_holds": False, "rhs_holds": True}, 13),
+        ("alt:4", 4, "x1 x2^-1 x1", 5, 2, corrupt_beta(2),
+         {"trial": 2, "tuple_indices": [6, 9, 13], "base": [4, 1],
+          "coset_tuple": [1, 0], "lhs_holds": False, "rhs_holds": True}, 37),
+        ("alt:4", 4, "x1 x2 x3", 5, 1, corrupt_beta(1),
+         {"trial": 1, "tuple_indices": [15, 6, 23], "base": [0, 3, 4],
+          "coset_tuple": [0, 1, 2], "lhs_holds": True, "rhs_holds": False}, 71),
+    ])
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7-arguments"])
+    def test_pinned(self, monkeypatch, block, spec, order, word, seed, trial, change, witness,
+                    checked):
+        if block is not None:
+            monkeypatch.setattr(verify, "_BATCH_ELEMENTS", block)
+        real = verify.rewrite_coset_equation
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append(None)
+            res = real(*args, **kwargs)
+            return change(res) if len(calls) - 1 == trial else res
+
+        monkeypatch.setattr(verify, "rewrite_coset_equation", fake)
+        g = make_group(spec)
+        report = check_rewrite(
+            g, char_subgroup_of_order(g, order), parse_word(word), trials=10, seed=seed
+        )
+        assert report.outcome == "fail"
+        assert report.witness == witness
+        assert [type(v) for v in report.witness["coset_tuple"]] == [int] * len(witness["coset_tuple"])
+        assert type(report.witness["lhs_holds"]) is type(report.witness["rhs_holds"]) is bool
+        assert report.counters == {"equivalences_checked": checked}
 
 
 class TestVariationBound:
