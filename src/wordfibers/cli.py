@@ -262,6 +262,9 @@ def cmd_group_make(args, ctx):
 def cmd_group_auts(args, ctx):
     g = make_group(args.spec)
     aut = automorphism_group(g)
+    ctx.stats.update(
+        aut_candidates=aut.search.candidates, aut_generators=len(aut.search.generators)
+    )
     doc = {
         "order": g.order,
         "aut_size": len(aut),

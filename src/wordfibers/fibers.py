@@ -153,7 +153,9 @@ def _require_word(w: ReducedWord) -> None:
 
 def _arg_slice(n: int, d: int, var_rank: int, start: int, stop: int) -> np.ndarray:
     idx = np.arange(start, stop, dtype=np.int64)
-    return ((idx // n ** (d - 1 - var_rank)) % n).astype(np.int32)
+    idx //= n ** (d - 1 - var_rank)
+    idx %= n
+    return idx.astype(np.int32)
 
 
 def fiber_distribution(

@@ -20,14 +20,16 @@ import numpy as np
 from .errors import CapExceeded
 
 DEFAULT_ORDER_CAP = 4096
-AUT_ORDER_CAP = 512
+# Table steps a generator-image search may take (`plan_hom_search`); it
+# bounds automorphism groups and isomorphism tests alike.
+HOM_WORK_CAP = 10**8
 SUBGROUP_ORDER_CAP = 200
 RADICAL_ORDER_CAP = 360
-ISO_ORDER_CAP = 512
 AUTSET_SIZE_CAP = 500_000
 _ASSOC_FULL_CHECK_CAP = 64
 _ASSOC_RANDOM_TRIPLES = 100_000
 _COMPOSE_BLOCK_ELEMENTS = 1 << 17
+_HOM_BLOCK_ELEMENTS = 1 << 18
 
 
 class FiniteGroup:
@@ -415,6 +417,24 @@ def identity_automorphism(g: FiniteGroup) -> Automorphism:
 _SUBGROUP_KINDS = ("full", "inner", "identity-only")
 
 
+def _canonical_rows(tables: np.ndarray) -> np.ndarray:
+    """The distinct rows of a stack of permutation tables, in lexicographic
+    order, as one int32 array.
+
+    Viewed as big-endian bytes, rows of non-negative ints compare bytewise
+    (memcmp) in the same order as tuples of their entries, so one argsort of
+    that void view orders them; equal rows end up adjacent."""
+    rows = np.ascontiguousarray(tables, dtype=np.int32)
+    m, n = rows.shape
+    keys = rows.astype(">i4").view(np.dtype((np.void, 4 * n))).ravel()
+    order = np.argsort(keys, kind="stable")
+    del keys
+    rows = rows[order]
+    keep = np.ones(m, dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows if keep.all() else rows[keep]
+
+
 class AutSet:
     """An enumerated subgroup of Aut(G), canonically ordered.
 
@@ -423,13 +443,24 @@ class AutSet:
     kinds in ``_SUBGROUP_KINDS`` name the sets this module builds as subgroups
     of Aut(G) (`automorphism_group`, `inner_automorphisms`,
     `identity_autset`); ``is_closed`` takes them as closed and checks any
-    other set.
+    other set.  The members may be given as automorphisms or as their tables
+    stacked one per row; ``search`` is the `HomSearch` that enumerated the
+    set, when one did.
     """
 
-    def __init__(self, group: FiniteGroup, auts: Sequence[Automorphism], kind: str):
-        unique = {a._key: a for a in auts}
+    search: Optional["HomSearch"] = None
+
+    def __init__(
+        self, group: FiniteGroup, auts: Sequence[Automorphism] | np.ndarray, kind: str
+    ):
+        if isinstance(auts, np.ndarray):
+            stacked = auts.reshape(-1, group.order)
+        else:
+            stacked = np.array([a.perm for a in auts], dtype=np.int32).reshape(-1, group.order)
         self.group = group
-        self.auts = tuple(sorted(unique.values(), key=lambda a: tuple(a.perm)))
+        self.tables = _canonical_rows(stacked)
+        self.tables.setflags(write=False)
+        self.auts = tuple(Automorphism(group, row) for row in self.tables)
         self.kind = kind
         if not self.auts or (self.auts[0].perm != np.arange(group.order)).any():
             raise ValueError("an AutSet must contain the identity automorphism")
@@ -449,10 +480,6 @@ class AutSet:
 
     def index_of(self, a: Automorphism) -> int:
         return self._index[a._key]
-
-    @cached_property
-    def tables(self) -> np.ndarray:
-        return np.stack([a.perm for a in self.auts])
 
     @cached_property
     def contains_inner(self) -> bool:
@@ -497,151 +524,231 @@ def inner_automorphisms(g: FiniteGroup) -> AutSet:
     return AutSet(g, auts, kind="inner")
 
 
+def _span_mask(table: np.ndarray, gens: Sequence[int]) -> np.ndarray:
+    """Membership mask of the subgroup generated by gens (always holding 0).
+
+    In a finite group every element of <gens> is a positive word in gens, so
+    right-multiplying by gens breadth-first from the identity reaches all of
+    it; each level is one table gather."""
+    mask = np.zeros(table.shape[0], dtype=bool)
+    mask[0] = True
+    cols = np.unique(np.asarray(gens, dtype=np.int64))
+    frontier = np.zeros(1 if cols.size else 0, dtype=np.int64)
+    while frontier.size:
+        prods = table[frontier[:, None], cols].ravel()
+        frontier = np.unique(prods[~mask[prods]])
+        mask[frontier] = True
+    return mask
+
+
 def _closure(table: np.ndarray, seeds: Iterable[int]) -> tuple[int, ...]:
     """Subgroup generated by the seed elements (always contains 0)."""
-    members = {0}
-    frontier = sorted(set(int(s) for s in seeds) - members)
-    members.update(frontier)
-    while frontier:
-        mem = np.fromiter(members, dtype=np.int64)
-        fro = np.asarray(frontier, dtype=np.int64)
-        prods = np.unique(
-            np.concatenate([table[np.ix_(mem, fro)].ravel(), table[np.ix_(fro, mem)].ravel()])
-        )
-        frontier = [int(x) for x in prods if int(x) not in members]
-        members.update(frontier)
-    return tuple(sorted(members))
+    return tuple(np.flatnonzero(_span_mask(table, [int(s) for s in seeds])).tolist())
 
 
-def greedy_generators(g: FiniteGroup) -> list[int]:
-    """Generating set grown by always adding the element that enlarges the
-    generated subgroup most (ties to the smallest index)."""
-    table = g.table
+def _bucket_keys(g: FiniteGroup) -> np.ndarray:
+    """(element order, class size) of each element as one int64: an
+    isomorphism maps each element into the bucket of elements sharing its key."""
+    return g.element_orders * (g.order + 1) + g.class_size_of
+
+
+def choose_generators(g: FiniteGroup, max_work: int = HOM_WORK_CAP) -> list[int]:
+    """A small generating set, chosen deterministically.
+
+    The first generator is the element of largest order (then smallest
+    bucket, then least index).  Each later step scans the elements outside
+    the current subgroup by (smallest bucket, largest order, least index) and
+    takes the first whose addition gives G, or else the one that enlarges the
+    subgroup most.  The choice stops with `CapExceeded` as soon as no
+    further choice can keep the search work of `plan_hom_search` within
+    ``max_work``."""
+    n = g.order
+    table, orders = g.table, g.element_orders
+    _, where, counts = np.unique(_bucket_keys(g), return_inverse=True, return_counts=True)
+    sizes = counts[where.ravel()]
+    idx = np.arange(n)
+    scan = np.lexsort((idx, -orders, sizes))
     gens: list[int] = []
-    current: set[int] = {0}
-    while len(current) < g.order:
-        best_gain, best_g, best_closure = -1, None, None
-        for cand in range(g.order):
-            if cand in current:
-                continue
-            closed = _closure(table, list(current) + [cand, *gens])
-            if len(closed) > best_gain:
-                best_gain, best_g, best_closure = len(closed), cand, closed
-        gens.append(best_g)
-        current = set(best_closure)
+    candidates = 1
+    span = _span_mask(table, gens)
+    while not span.all():
+        least = int(sizes[~span].min())
+        _check_work(candidates * least, n, len(gens) + 1, max_work)
+        if not gens:
+            pick = int(np.lexsort((idx, sizes, -orders))[0])
+            span = _span_mask(table, [pick])
+        else:
+            pick, best = -1, None
+            for c in scan[~span[scan]].tolist():
+                grown = _span_mask(table, gens + [c])
+                if best is None or grown.sum() > best.sum():
+                    pick, best = c, grown
+                    if grown.all():
+                        break
+            span = best
+        gens.append(pick)
+        candidates *= int(sizes[pick])
+        _check_work(candidates, n, len(gens), max_work)
     return gens
 
 
-def _hom_sweep(
-    table_src: np.ndarray,
-    table_dst: np.ndarray,
-    phi: np.ndarray,
-    dom: list[int],
-    gens: list[int],
-) -> bool:
-    """Close phi over the subgroup generated by gens; False on conflict or
-    non-injectivity.  phi maps src indices to dst indices, -1 for undefined."""
-    i = 0
-    while i < len(dom):
-        x = dom[i]
-        for s in gens:
-            y = int(table_src[x, s])
-            im = int(table_dst[phi[x], phi[s]])
-            if phi[y] < 0:
-                phi[y] = im
-                dom.append(y)
-            elif phi[y] != im:
-                return False
-        i += 1
-    images = phi[dom]
-    return len(set(int(v) for v in images)) == len(dom)
-
-
-def _candidate_buckets(src: FiniteGroup, dst: FiniteGroup, gens: list[int]) -> list[list[int]]:
-    src_orders, dst_orders = src.element_orders, dst.element_orders
-    src_cls, dst_cls = src.class_size_of, dst.class_size_of
-    buckets = []
-    for gen in gens:
-        key = (src_orders[gen], src_cls[gen])
-        buckets.append(
-            [
-                h
-                for h in range(dst.order)
-                if (dst_orders[h], dst_cls[h]) == key
-            ]
+def _check_work(candidates: int, order: int, k: int, max_work: int) -> None:
+    work = candidates * order * k
+    if work > max_work:
+        raise CapExceeded(
+            f"generator-image search of at least {work} steps exceeds cap {max_work}"
         )
-    return buckets
 
 
-def _search_homs(
-    src: FiniteGroup,
-    dst: FiniteGroup,
-    *,
-    find_all: bool,
-    max_results: int,
-) -> list[np.ndarray]:
-    """Backtracking search for isomorphisms src -> dst via generator images."""
-    if src.order == 1:
-        return [np.zeros(1, dtype=np.int32)]
-    gens = greedy_generators(src)
-    buckets = _candidate_buckets(src, dst, gens)
-    table_src, table_dst = src.table, dst.table
-    results: list[np.ndarray] = []
+@dataclass
+class HomSearch:
+    """A generator-image search for the isomorphisms src -> dst, planned in
+    full before any candidate is tested.
 
-    phi0 = np.full(src.order, -1, dtype=np.int32)
-    phi0[0] = 0
+    ``buckets[j]`` holds the dst elements that may image ``generators[j]``;
+    the search tests every tuple of their product, so its work is
+    ``candidates * |src| * len(generators)`` table steps."""
 
-    def dfs(level: int, phi: np.ndarray, dom: list[int]) -> bool:
-        if level == len(gens):
-            if len(dom) == src.order:
-                results.append(phi.copy())
-                if len(results) > max_results:
-                    raise CapExceeded(
-                        f"automorphism enumeration exceeds cap {max_results}"
-                    )
-                return not find_all
-            return False
-        gen = gens[level]
-        for img in buckets[level]:
-            nxt = phi.copy()
-            if nxt[gen] >= 0:
-                continue  # pragma: no cover - generators sit outside prior subgroup
-            nxt[gen] = img
-            nxt_dom = dom + [gen]
-            if _hom_sweep(table_src, table_dst, nxt, nxt_dom, gens[: level + 1]):
-                if dfs(level + 1, nxt, nxt_dom):
-                    return True
-        return False
+    src: FiniteGroup
+    dst: FiniteGroup
+    generators: list[int]
+    buckets: list[np.ndarray]
 
-    dfs(0, phi0, [0])
-    return results
+    @property
+    def candidates(self) -> int:
+        return math.prod(len(b) for b in self.buckets)
+
+
+def plan_hom_search(src: FiniteGroup, dst: FiniteGroup, max_work: int = HOM_WORK_CAP) -> HomSearch:
+    """Choose src's generators and their candidate images in dst; refuse
+    (`CapExceeded`) when the search work would exceed ``max_work``.
+
+    The work bound uses src's own bucket sizes, which equal dst's when the two
+    groups have the same (order, class size) profile, as `is_isomorphic`
+    checks first; otherwise some bucket may only shrink."""
+    gens = choose_generators(src, max_work)
+    src_keys, dst_keys = _bucket_keys(src), _bucket_keys(dst)
+    buckets = [np.flatnonzero(dst_keys == src_keys[s]).astype(np.int32) for s in gens]
+    return HomSearch(src, dst, gens, buckets)
+
+
+def _spanning_program(
+    table: np.ndarray, gens: Sequence[int]
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], tuple[np.ndarray, ...]]:
+    """BFS levels of the right Cayley graph from the identity, and its
+    non-tree edges.
+
+    Each level is (elements x, parents p, generator positions j) with
+    x = p * gens[j]; each non-tree edge is (x, j, x * gens[j])."""
+    n, k = table.shape[0], len(gens)
+    cols = np.asarray(gens, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    tree = np.zeros((n, k), dtype=bool)
+    levels = []
+    frontier = np.zeros(1 if k else 0, dtype=np.int64)
+    while frontier.size:
+        prods = table[frontier[:, None], cols].ravel()
+        fresh = np.flatnonzero(~seen[prods])
+        elems, first = np.unique(prods[fresh], return_index=True)
+        pos = fresh[first]
+        parents, js = frontier[pos // k], pos % k
+        seen[elems] = True
+        tree[parents, js] = True
+        levels.append((elems, parents, js))
+        frontier = elems.astype(np.int64)
+    xs, js = np.nonzero(~tree)
+    return levels, (xs, js, table[xs, cols[js]])
+
+
+def _hom_rows(
+    table_dst: np.ndarray,
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    edges: tuple[np.ndarray, ...],
+    images: np.ndarray,
+) -> np.ndarray:
+    """The maps φ of a block of generator-image rows that are bijective
+    homomorphisms, one per row, in row order.
+
+    φ is built along the spanning program, φ(p * s_j) = φ(p) * h_j, so the
+    tree edges hold by construction; a row is kept when every non-tree edge
+    holds too and only the identity maps to the identity."""
+    r, n = images.shape[0], table_dst.shape[0]
+    phi = np.zeros((r, n), dtype=np.int32)
+    for elems, parents, js in levels:
+        phi[:, elems] = table_dst[phi[:, parents], images[:, js]]
+    xs, js, ys = edges
+    ok = (phi[:, ys] == table_dst[phi[:, xs], images[:, js]]).all(axis=1)
+    ok &= (phi[:, 1:] != 0).all(axis=1)
+    return phi[ok]
+
+
+def _search_homs(search: HomSearch, *, find_all: bool, max_results: int) -> np.ndarray:
+    """The bijective homomorphisms src -> dst with generator images in the
+    buckets, stacked one per row (the first one only without ``find_all``).
+
+    Blocks of the bucket product are walked in mixed-radix order (the first
+    generator's image most significant), a bounded number of rows at a time.
+
+    Why the rows kept are exactly the isomorphisms: every element of the
+    finite group src is a positive word in the generators, so a map that
+    satisfies φ(x * s_j) = φ(x) * φ(s_j) for every x and every generator s_j
+    satisfies φ(x * y) = φ(x) * φ(y) for all y, by induction on the length of
+    a word for y; with trivial kernel and |src| = |dst| it is a bijection.
+    Conversely an isomorphism is fixed by its generator images, which keep
+    their order and class size and so lie in the buckets.  The set found does
+    not depend on which generators were chosen, and `AutSet` sorts it
+    canonically, so any deterministic choice gives byte-identical output."""
+    src, dst = search.src, search.dst
+    levels, edges = _spanning_program(src.table, search.generators)
+    radices = [len(b) for b in search.buckets]
+    total = search.candidates
+    rows = max(1, _HOM_BLOCK_ELEMENTS // (src.order * max(1, len(radices))))
+    found: list[np.ndarray] = []
+    count = 0
+    for lo in range(0, total, rows):
+        idx = np.arange(lo, min(lo + rows, total), dtype=np.int64)
+        images = np.empty((idx.size, len(radices)), dtype=np.int32)
+        for j in reversed(range(len(radices))):
+            images[:, j] = search.buckets[j][idx % radices[j]]
+            idx //= radices[j]
+        homs = _hom_rows(dst.table, levels, edges, images)
+        if not homs.size:
+            continue
+        if not find_all:
+            return homs[:1]
+        found.append(homs)
+        count += len(homs)
+        if count > max_results:
+            raise CapExceeded(f"automorphism enumeration exceeds cap {max_results}")
+    return np.concatenate(found) if found else np.empty((0, src.order), dtype=np.int32)
 
 
 def automorphism_group(
     g: FiniteGroup,
-    max_order: int = AUT_ORDER_CAP,
+    max_work: int = HOM_WORK_CAP,
     max_size: int = AUTSET_SIZE_CAP,
 ) -> AutSet:
-    """The full automorphism group, enumerated by generator-image backtracking."""
-    if g.order > max_order:
-        raise CapExceeded(f"automorphism search capped at order {max_order}")
-    perms = _search_homs(g, g, find_all=True, max_results=max_size)
-    return AutSet(g, [Automorphism(g, p) for p in perms], kind="full")
+    """The full automorphism group, enumerated from blocked generator-image
+    tests; refused before any test runs when the search work exceeds
+    ``max_work`` (see `plan_hom_search`)."""
+    search = plan_hom_search(g, g, max_work)
+    aut = AutSet(g, _search_homs(search, find_all=True, max_results=max_size), kind="full")
+    aut.search = search
+    return aut
 
 
 def is_isomorphic(
-    g: FiniteGroup, h: FiniteGroup, max_order: int = ISO_ORDER_CAP
+    g: FiniteGroup, h: FiniteGroup, max_work: int = HOM_WORK_CAP
 ) -> tuple[bool, Optional[np.ndarray]]:
     """Isomorphism test with a witness map on success."""
     if g.order != h.order:
         return False, None
-    if g.order > max_order:
-        raise CapExceeded(f"isomorphism search capped at order {max_order}")
     profile = lambda k: sorted(zip(k.element_orders.tolist(), k.class_size_of.tolist()))
     if profile(g) != profile(h):
         return False, None
-    found = _search_homs(g, h, find_all=False, max_results=2)
-    if found:
+    found = _search_homs(plan_hom_search(g, h, max_work), find_all=False, max_results=1)
+    if len(found):
         return True, found[0]
     return False, None
 
@@ -717,7 +824,7 @@ def _lattice(
     A join of k atoms is reached from the join of k - 1 of them, so closing the
     found set under "join one more atom" finds them all."""
     if aut is None:
-        aut = automorphism_group(g, max_order=max(AUT_ORDER_CAP, g.order))
+        aut = automorphism_group(g)
     atoms = sorted(set(atoms))
     found: dict[tuple[int, ...], None] = {(0,): None}
     worklist = [(0,)]
@@ -803,7 +910,7 @@ def subgroup_group(g: FiniteGroup, n: SubgroupHandle) -> FiniteGroup:
 
 def _require_characteristic(g: FiniteGroup, n: SubgroupHandle) -> None:
     if n.characteristic is None:
-        aut = automorphism_group(g, max_order=max(AUT_ORDER_CAP, g.order))
+        aut = automorphism_group(g)
         n.characteristic = _is_characteristic(n.elements, aut)
     if not n.characteristic:
         raise ValueError("subgroup is not characteristic")
@@ -973,19 +1080,15 @@ def wreath_autset(
         )
     t = power if power is not None else power_group(s, n)
     coords, weights = _power_decode(s.order, n)
-    auts = []
-    for sigma in itertools.permutations(range(n)):
-        for combo in itertools.product(range(len(base)), repeat=n):
-            perm = wreath_element_perm(
-                s.order,
-                n,
-                [base[i].perm for i in combo],
-                sigma,
-                coords,
-                weights,
-            )
-            auts.append(Automorphism(t, perm))
-    return AutSet(t, auts, kind="custom")
+    tables = np.empty((size, t.order), dtype=np.int32)
+    parts = itertools.product(
+        itertools.permutations(range(n)), itertools.product(range(len(base)), repeat=n)
+    )
+    for row, (sigma, combo) in enumerate(parts):
+        tables[row] = wreath_element_perm(
+            s.order, n, [base[i].perm for i in combo], sigma, coords, weights
+        )
+    return AutSet(t, tables, kind="custom")
 
 
 class WreathSampler:

@@ -111,6 +111,37 @@ class TestGroupCommands:
         assert doc["result"]["params"]["subgroup_order"] == "4"
 
 
+    def test_auts_reports_its_search_in_stats(self):
+        code, doc, _ = run(["group", "auts", "--spec", "alt:5"])
+        assert code == EXIT_OK
+        assert doc["stats"] == {"aut_candidates": "360", "aut_generators": "2", "exit_code": "0"}
+        assert set(doc["result"]) == {"aut_size", "inner_size", "order"}
+
+    def test_aut_of_sym6_is_answered_on_every_path(self):
+        code, doc, _ = run(["group", "auts", "--spec", "sym:6"])
+        assert code == EXIT_OK and doc["result"]["aut_size"] == "1440"
+        code, doc, _ = run(["group", "series", "--spec", "sym:6"])
+        assert code == EXIT_OK
+        assert [c["order"] for c in doc["result"]["chain"]] == ["1", "360", "720"]
+
+    @pytest.mark.parametrize("spec", ["pow:(cyc:2)^8", "pow:(alt:5)^2"])
+    @pytest.mark.parametrize("action", ["auts", "series"])
+    def test_refused_before_any_kernel_block(self, monkeypatch, spec, action):
+        import time
+
+        import wordfibers.groups as groups
+
+        def no_blocks(*args):
+            raise AssertionError("a kernel block ran")
+
+        monkeypatch.setattr(groups, "_hom_rows", no_blocks)
+        start = time.perf_counter()
+        code, doc, _ = run(["group", action, "--spec", spec])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BUDGET
+        assert "exceeds cap" in doc["result"]["error"]
+
+
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 

@@ -1,18 +1,20 @@
 import functools
+import hashlib
 import itertools
 import json
 
 import numpy as np
 import pytest
 
+import wordfibers.groups as groups_mod
 from wordfibers.errors import CapExceeded
 from wordfibers.groups import (
     _closure,
     AutSet,
     automorphism_group,
     characteristic_series,
+    choose_generators,
     decompose_char_simple,
-    greedy_generators,
     identity_automorphism,
     identity_autset,
     induced_autset,
@@ -212,7 +214,7 @@ class TestAutomorphismGroup:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            automorphism_group(make_group("pow:(alt:5)^2"), max_order=512)
+            automorphism_group(make_group("pow:(alt:5)^2"))
 
 
 # reference for AutSet.is_closed: every pair composed in a plain loop
@@ -723,15 +725,217 @@ class TestIsIsomorphic:
         ok, _ = is_isomorphic(make_group("cyc:8"), make_group("prod:(cyc:4)x(cyc:2)"))
         assert not ok
 
+    @pytest.mark.parametrize(
+        "g_spec,h_spec",
+        [("dih:3", "sym:3"), ("q8", "q8"), ("prod:(cyc:2)x(cyc:4)", "prod:(cyc:4)x(cyc:2)"),
+         ("prod:(cyc:3)x(cyc:5)", "cyc:15"), ("pow:(cyc:2)^4", "pow:(cyc:2)^4"),
+         ("alt:5", "alt:5"), ("sym:6", "sym:6")],
+    )
+    def test_witness_is_an_isomorphism(self, g_spec, h_spec):
+        g, h = make_group(g_spec), relabelled(make_group(h_spec), seed=3)
+        ok, witness = is_isomorphic(g, h)
+        assert ok
+        assert_isomorphism(g, h, witness)
+
+    def test_empty_bucket_means_no_search(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a kernel block ran")
+
+        search = groups_mod.plan_hom_search(make_group("cyc:4"), klein_four())
+        assert search.candidates == 0
+        monkeypatch.setattr(groups_mod, "_hom_rows", no_blocks)
+        assert groups_mod._search_homs(search, find_all=True, max_results=10).shape == (0, 4)
+
+
+def relabelled(g, seed):
+    """A copy of g with its non-identity elements renumbered at random."""
+    rng = np.random.default_rng(seed)
+    new = np.concatenate([[0], 1 + rng.permutation(g.order - 1)])
+    table = np.empty_like(g.table)
+    table[new[:, None], new[None, :]] = new[g.table]
+    return groups_mod.FiniteGroup(g.order, table=table, spec=f"relabelled {g.spec}")
+
+
+def assert_isomorphism(g, h, phi):
+    phi = np.asarray(phi)
+    assert sorted(phi.tolist()) == list(range(h.order))
+    assert (phi[g.table] == h.table[phi[:, None], phi[None, :]]).all()
+
 
 class TestGenerators:
-    def test_greedy_generators_generate(self):
-        from wordfibers.groups import _closure
-
-        for spec in ["cyc:6", "sym:3", "dih:4", "q8", "alt:4"]:
+    def test_chosen_generators_generate(self):
+        for spec in ["cyc:6", "sym:3", "dih:4", "q8", "alt:4", "pow:(cyc:2)^4", "sym:6"]:
             g = make_group(spec)
-            gens = greedy_generators(g)
+            gens = choose_generators(g)
             assert _closure(g.table, gens) == tuple(range(g.order))
 
     def test_trivial_group_needs_no_generators(self):
-        assert greedy_generators(make_group("cyc:1")) == []
+        assert choose_generators(make_group("cyc:1")) == []
+
+    def test_choice_rule(self):
+        # sym:6: an element of order 6 first, then the first element of the
+        # smallest bucket (order 2, class size 15, 30 elements) that generates
+        g = make_group("sym:6")
+        first, second = choose_generators(g)
+        assert g.element_orders[first] == 6
+        assert g.element_orders[second] == 2 and g.class_size_of[second] == 15
+        # (C2)^4 needs four generators, each doubling the subgroup
+        assert choose_generators(make_group("pow:(cyc:2)^4")) == [1, 2, 4, 8]
+
+
+# Size and sha256 of the stacked, sorted little-endian int32 tables of
+# Aut(G), recorded with the depth-first backtracking search this kernel
+# replaced.
+AUT_DIGESTS = {
+    "cyc:1": (1, "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"),
+    "cyc:2": (1, "01acecb507abfe1a354aa8064f4af5d3f1acd019e37db3c11c97523b71c76e9d"),
+    "cyc:3": (2, "385d526042cf5b8459848959032f13e45dda0f49cdd1ed86e95c94ffb8edc6f9"),
+    "cyc:4": (2, "8371262fdbc4ea7454046db20b1d83d1ebb2d22af8b6a5bec7967cfc6dc78ac8"),
+    "cyc:5": (4, "c781cd7ca7ee661774696921b58736f7c1172793721c48fa83328f93a38f6fe6"),
+    "cyc:6": (2, "4e85ba159f34fd097f4d3fe3803b6786d9ff3e612c5a9bb42027e1e3e49d2dac"),
+    "cyc:7": (6, "8cb449f0cc4f927b52a8036d83c011ad7aaca1233c7d1a7349068c1d9134e6e5"),
+    "cyc:8": (4, "d49cde7a6f3522c5fffb50c5122c2b90073d3c17a855187642fbdf1745be5b6f"),
+    "cyc:9": (6, "f54dfe9dbd4cdc36e933cb83d7ab8a0eaeb061b4b7a38eccd298b689b42f93bd"),
+    "cyc:10": (4, "3e3bea740ba6806882bb4da86f9b804dfbe7420b4b637207b36b65320fb184b1"),
+    "cyc:12": (4, "d9abe9c405338535f4121d5422c02b072793865d169fd6cb8bcca145b4be8898"),
+    "cyc:16": (8, "51aa7db508b1d2835161c6ce92d0ad3f1772c7b5949c8ff5f51fcf1db5402dd4"),
+    "cyc:24": (8, "cf619c113df16fdae3e6061c83ad67ba52d5523a66a9891a9a36be2a1ee48aae"),
+    "dih:3": (6, "278e6ecfcf71ae0a4f15f12790e8caadbdfe3efafb9db3ad9812dc1122fe213d"),
+    "dih:4": (8, "22bee9fba2eb000c0bdae73f813d3329c0fe0ba60af11a8d2c7d4e804dc7f2e9"),
+    "dih:5": (20, "06e607d6afeedc9ab39e9b5304471502f4492eb34698b89a21540516cd8411ad"),
+    "dih:6": (12, "463ec40a2ee09467bdc8d253ea5b305833c5bcfa5334eb04e00cfe7fb991f6ed"),
+    "dih:8": (32, "697c76246efdac287756d37426a138bca22e8049246d41f352bcf4e369141568"),
+    "dih:10": (40, "a6ffd37b2db2a2cddc8159e507a461cb1c5b29061fdab3cad06252902fc0dd67"),
+    "dih:12": (48, "849651ce63f7bed8f689ad14372edd29824dfa48672ad6fb91823d6896c4b5ae"),
+    "sym:3": (6, "6ed326a93f82adaecad9d736b9fedfcc9ca842f43ad589cc74a934d849985615"),
+    "sym:4": (24, "0ca576e509e4f26ba62a888c8d5686116887e35c256e5179dccd9e4e0a1bfa97"),
+    "alt:4": (24, "5ae1edb16a7fedde073e6e1cba85278997336a6b315ca0bce33ac1687f323188"),
+    "q8": (24, "88d9b6f3f1c17bf32510fbb75c77c1842c40d84d812f0f0ae332b4b9e1d97a00"),
+    "prod:(cyc:2)x(cyc:2)": (6, "b8a76308a8fbd490c099290d1fe0c3a5fb9a9ede63a22d71f23b344d12107ba1"),
+    "prod:(cyc:2)x(cyc:4)": (8, "52459eecfe7d8ef9ded863a7c18472650c5faafeb72f9498ca10a67aa06f011a"),
+    "prod:(cyc:3)x(cyc:3)": (48, "ae0ea86a3d8788cf7b4754415555cf43fd6dddc7b3cccbe5541d39722f6e6f39"),
+    "prod:(sym:3)x(cyc:2)": (12, "73d07252e0c5280397fc704c973a1662fb5c3f2c03c1782a09ad577d56e29ed4"),
+    "prod:(cyc:2)x(q8)": (192, "d2b0ca623239fb64fbbd0e8e195285eaa01f24326176ef03ff98ecce5c1a5258"),
+    "pow:(cyc:2)^3": (168, "3bc753f6620b94526b2ddb27a23015270a09c6b04058d29151fe9b88efc76118"),
+    "pow:(cyc:2)^4": (20160, "f1aab8546792388d7242a702ebab3fa0c2974440da0ce5c4df623b2b7f0c9b71"),
+    "pow:(cyc:3)^2": (48, "ae0ea86a3d8788cf7b4754415555cf43fd6dddc7b3cccbe5541d39722f6e6f39"),
+    "alt:5": (120, "f9a9ccf2cc0e1c26ff541bd5fe5367daf9b3b5e277d964ea4d3886bf011fb686"),
+    "sym:5": (120, "44da1079c785d63b9b5794cdbb3c04c706db0b9e3dd0edfa78158201390fef3a"),
+    "alt:6": (1440, "5b67e9c5fc1f1fd8351143bd094338122279fb08e82ca54780224e35a7965f1f"),
+    "prod:(sym:4)x(cyc:3)": (48, "00ea46e3924979df6edd02a652d2785e4fccc8eef433773ac0b94f2cfb0fc22a"),
+    "pow:(cyc:3)^3": (11232, "34382a7f0e5f8c4c577e6e2ced52aa4f97e09d7f87f390ec2bbe5b29c8a0e616"),
+    "prod:(alt:5)x(cyc:2)": (120, "c3e01abbe3d6dff5841751e9e8c939a3d3c846d95318f68853228d7e7a905c75"),
+    "prod:(cyc:4)x(cyc:2)": (8, "7735f599d384005745503ad9757520edf5bfe6274507a680026096701d3c906b"),
+    "cyc:11": (10, "c577d2d5e10018ddce4ecf16f6a6241ec602af2f07c8e7ec1e67bf9727da441f"),
+    "sym:6": (1440, "0e7dc49be49d3c802e20673c84fe4fda12ae8ad42bc93919594e1220754e6839")
+}
+
+
+def aut_digest(aut):
+    tables = np.ascontiguousarray(aut.tables, dtype="<i4")
+    return len(aut), hashlib.sha256(tables.tobytes()).hexdigest()
+
+
+class TestBlockedKernel:
+    @pytest.mark.parametrize("spec", sorted(AUT_DIGESTS))
+    def test_aut_set_matches_the_backtracking_search(self, spec):
+        assert aut_digest(automorphism_group(make_group(spec))) == AUT_DIGESTS[spec]
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_block_size_does_not_change_the_set(self, monkeypatch, block):
+        # the block holds max(1, block // (|G| * k)) candidate rows
+        monkeypatch.setattr(groups_mod, "_HOM_BLOCK_ELEMENTS", block)
+        for spec in ["sym:3", "q8", "dih:5", "prod:(cyc:3)x(cyc:3)", "alt:5"]:
+            assert aut_digest(automorphism_group(make_group(spec))) == AUT_DIGESTS[spec]
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["sym:3", "cyc:6", "dih:4", "q8", "prod:(cyc:2)x(cyc:2)", "prod:(cyc:2)x(cyc:4)",
+         "prod:(cyc:4)x(cyc:4)", "alt:4", "dih:5"],
+    )
+    def test_rows_kept_from_all_image_tuples_are_the_automorphisms(self, spec):
+        # every tuple of G^k, not only the buckets, so that no generator's
+        # relations hold merely because its image has the right order
+        g = make_group(spec)
+        gens = choose_generators(g)
+        levels, edges = groups_mod._spanning_program(g.table, gens)
+        images = np.array(list(itertools.product(range(g.order), repeat=len(gens))), np.int32)
+        kept = groups_mod._hom_rows(g.table, levels, edges, images)
+        expected = {tuple(a.perm.tolist()) for a in automorphism_group(g)}
+        assert {tuple(row) for row in kept.tolist()} == expected
+        assert all(groups_mod.Automorphism(g, row).is_valid() for row in kept)
+        if g.order <= 8:
+            assert expected == set(brute_force_automorphisms(g))
+
+    def test_work_is_known_before_the_search(self):
+        g = make_group("sym:6")
+        search = groups_mod.plan_hom_search(g, g)
+        assert (search.candidates, len(search.generators)) == (240 * 30, 2)
+
+    @pytest.mark.parametrize(
+        "spec", ["pow:(cyc:2)^5", "pow:(cyc:2)^8", "pow:(alt:5)^2", "pow:(cyc:3)^4"]
+    )
+    def test_refusal_comes_before_any_block(self, monkeypatch, spec):
+        def no_blocks(*args):
+            raise AssertionError("a kernel block ran")
+
+        monkeypatch.setattr(groups_mod, "_hom_rows", no_blocks)
+        g = make_group(spec)
+        with pytest.raises(CapExceeded):
+            automorphism_group(g)
+        with pytest.raises(CapExceeded):
+            is_isomorphic(g, g)
+
+    def test_cap_is_the_work(self):
+        g = make_group("sym:5")
+        search = groups_mod.plan_hom_search(g, g)
+        work = search.candidates * g.order * len(search.generators)
+        assert len(automorphism_group(g, max_work=work)) == 120
+        with pytest.raises(CapExceeded):
+            automorphism_group(g, max_work=work - 1)
+
+    def test_result_cap(self):
+        with pytest.raises(CapExceeded):
+            automorphism_group(make_group("pow:(cyc:2)^4"), max_size=20159)
+        assert len(automorphism_group(make_group("pow:(cyc:2)^4"), max_size=20160)) == 20160
+
+
+def tuple_sorted(aut):
+    return sorted(tuple(int(x) for x in a.perm) for a in aut)
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("spec", sorted(AUT_DIGESTS))
+    def test_order_equals_the_tuple_sort(self, spec):
+        aut = automorphism_group(make_group(spec))
+        assert [tuple(int(x) for x in row) for row in aut.tables] == tuple_sorted(aut)
+        assert all((a.perm == row).all() for a, row in zip(aut, aut.tables))
+
+    def test_wreath_sets(self):
+        for spec, base in (("sym:3", automorphism_group), ("cyc:3", automorphism_group),
+                           ("sym:3", inner_automorphisms)):
+            s = make_group(spec)
+            w = wreath_autset(s, 2, base(s))
+            assert [tuple(int(x) for x in row) for row in w.tables] == tuple_sorted(w)
+        # a sample of Aut(A5) wr S2, given shuffled and with repeats
+        s = make_group("alt:5")
+        sampler = WreathSampler(s, 2, automorphism_group(s))
+        rng = np.random.default_rng(7)
+        drawn = [sampler.sample(rng) for _ in range(300)]
+        members = [sampler.identity()] + drawn + drawn[:50]
+        sample = AutSet(sampler.power, members, kind="custom")
+        assert len(sample) == len(set(members))
+        assert [tuple(int(x) for x in row) for row in sample.tables] == tuple_sorted(sample)
+
+    def test_stacked_tables_and_automorphisms_agree(self):
+        g = make_group("dih:4")
+        aut = automorphism_group(g)
+        shuffled = aut.tables[np.random.default_rng(0).permutation(len(aut))]
+        from_rows = AutSet(g, np.concatenate([shuffled, shuffled[:3]]), kind="custom")
+        assert from_rows.auts == aut.auts
+        assert (from_rows.tables == aut.tables).all()
+
+    def test_empty_set_is_refused(self):
+        g = make_group("cyc:3")
+        with pytest.raises(ValueError):
+            AutSet(g, [], kind="custom")
