@@ -271,7 +271,7 @@ def cmd_group_auts(args, ctx):
         "inner_size": len(inner_automorphisms(g)),
     }
     if args.tables:
-        doc["tables"] = [[int(x) for x in a.perm] for a in aut]
+        doc["tables"] = aut.tables.tolist()
     return doc, "ok", EXIT_OK
 
 
@@ -336,8 +336,7 @@ def cmd_fiber_dist(args, ctx):
         raise ValueError(f"need {w.length} tuple indices, got {len(indices)}")
     if any(not 0 <= i < len(autset) for i in indices):
         raise ValueError(f"tuple indices must lie in 0..{len(autset) - 1}")
-    tup = tuple(autset[i] for i in indices)
-    dist = fiber_distribution(g, w, tup, budget=ctx.budget)
+    dist = fiber_distribution(g, w, autset.tables[indices], budget=ctx.budget)
     return (
         {
             "counts": [int(c) for c in dist.counts],

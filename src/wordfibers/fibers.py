@@ -6,6 +6,8 @@ enumerated AutSet of size m are likewise numbered in mixed radix with the
 first letter most significant, which fixes the deterministic search order and
 tie-breaking.  The exact search scans only the tuples in normal form (see
 `_search_all_tuples`) but reports every tuple index in this full numbering.
+One tuple of letter automorphisms is an (l, |G|) array, row i the table of
+the automorphism on letter i.
 """
 
 from __future__ import annotations
@@ -18,35 +20,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, CapExceeded, EmptyWordError
-from .groups import (
-    Automorphism,
-    AutSet,
-    FiniteGroup,
-    SubgroupHandle,
-    _require_characteristic,
-    identity_automorphism,
-    subgroup_group,
-)
+from .groups import AutSet, FiniteGroup, SubgroupHandle, _require_characteristic
 from .words import ReducedWord
 
 DEFAULT_BUDGET = 10**8
 _BATCH_ELEMENTS = 1 << 22
-
-
-@dataclass(frozen=True)
-class AutTuple:
-    """An ordered tuple of automorphisms of one group, one per word letter."""
-
-    entries: tuple[Automorphism, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> Automorphism:
-        return self.entries[i]
 
 
 @dataclass
@@ -74,11 +52,12 @@ class FiberDistribution:
 class MaxFiberResult:
     """``tuples_examined``/``evaluations`` count the tuples the result covers
     (all |A|^l of them in exact mode); ``tuples_scanned``/
-    ``evaluations_performed`` count the work actually done."""
+    ``evaluations_performed`` count the work actually done.  ``witness_tuple``
+    holds the witness's letter automorphisms, one table per row."""
 
     value: int
     proportion: Fraction
-    witness_tuple: AutTuple
+    witness_tuple: np.ndarray
     witness_target: int
     status: str  # "exact" or "lower_bound"
     tuples_examined: int
@@ -121,25 +100,33 @@ def eval_word(g: FiniteGroup, w: ReducedWord, args: Sequence[int]) -> int:
     return acc
 
 
+def _letter_tables(g: FiniteGroup, w: ReducedWord, auts: np.ndarray) -> np.ndarray:
+    tables = np.asarray(auts)
+    if tables.shape != (w.length, g.order):
+        raise ValueError(
+            f"expected {w.length} automorphism rows of {g.order} entries, got {tables.shape}"
+        )
+    return tables
+
+
 def eval_automorphic(
     g: FiniteGroup,
     w: ReducedWord,
-    auts: Sequence[Automorphism] | AutTuple,
+    auts: np.ndarray,
     args: Sequence[int] | Sequence[np.ndarray],
 ) -> int | np.ndarray:
-    """Like eval_word, but the i-th letter is first passed through auts[i].
+    """Like eval_word, but the i-th letter is first passed through the
+    automorphism in row i of the (l, |G|) array `auts`.
 
     With one array of K elements per variable in `args`, evaluates K argument
     tuples at once and returns an array of K values."""
-    entries = tuple(auts)
-    if len(entries) != w.length:
-        raise ValueError(f"expected {w.length} automorphisms, got {len(entries)}")
+    tables = _letter_tables(g, w, auts)
     if len(args) != w.num_variables:
         raise ValueError(f"expected {w.num_variables} arguments, got {len(args)}")
     pos = _var_positions(w)
     acc = 0
-    for let, alpha in zip(w.letters, entries):
-        x = alpha.perm[args[pos[let.var]]]
+    for let, alpha in zip(w.letters, tables):
+        x = alpha[args[pos[let.var]]]
         if let.sign < 0:
             x = g.inv_table[x]
         acc = g.table[acc, x]
@@ -161,31 +148,26 @@ def _arg_slice(n: int, d: int, var_rank: int, start: int, stop: int) -> np.ndarr
 def fiber_distribution(
     g: FiniteGroup,
     w: ReducedWord,
-    auts: Sequence[Automorphism] | AutTuple,
+    auts: np.ndarray,
     budget: int = DEFAULT_BUDGET,
 ) -> FiberDistribution:
-    """Exact fiber sizes by full enumeration of the argument space."""
+    """Exact fiber sizes by full enumeration of the argument space, for the
+    letter automorphisms in the rows of the (l, |G|) array `auts`."""
     _require_word(w)
-    entries = tuple(auts)
-    if len(entries) != w.length:
-        raise ValueError(f"expected {w.length} automorphisms, got {len(entries)}")
+    tables = _letter_tables(g, w, auts)
     d = w.num_variables
     if g.order**d > budget:
         raise BudgetExceeded(f"{g.order}^{d} evaluations exceed budget {budget}")
-    ev = _BatchEvaluator(g, w, np.stack([a.perm for a in entries]))
+    ev = _BatchEvaluator(g, w, tables)
     counts = ev.counts([np.array([i]) for i in range(w.length)])[0]
     return FiberDistribution(counts=counts, order=g.order, arity=d)
-
-
-def identity_tuple(g: FiniteGroup, w: ReducedWord) -> AutTuple:
-    ident = identity_automorphism(g)
-    return AutTuple(tuple(ident for _ in range(w.length)))
 
 
 def pi_w(g: FiniteGroup, w: ReducedWord, budget: int = DEFAULT_BUDGET) -> tuple[int, Fraction]:
     """Maximum fiber size of the plain word map, and its proportion of |G|^d."""
     _require_word(w)
-    dist = fiber_distribution(g, w, identity_tuple(g, w), budget=budget)
+    identity = np.broadcast_to(np.arange(g.order, dtype=np.int32), (w.length, g.order))
+    dist = fiber_distribution(g, w, identity, budget=budget)
     value, _ = dist.max_fiber()
     return value, Fraction(value, dist.total)
 
@@ -440,11 +422,10 @@ def max_fiber(
         raise ValueError(f"target {target} out of range for order {g.order}")
     d = w.num_variables
     if g.order == 1:
-        ident = identity_tuple(g, w)
         return MaxFiberResult(
             value=1,
             proportion=Fraction(1),
-            witness_tuple=ident,
+            witness_tuple=a.tables[[0] * w.length],
             witness_target=0,
             status="exact",
             tuples_examined=1,
@@ -472,7 +453,7 @@ def max_fiber(
     return MaxFiberResult(
         value=best.value,
         proportion=Fraction(best.value, g.order**d),
-        witness_tuple=AutTuple(tuple(a[i] for i in digits)),
+        witness_tuple=a.tables[list(digits)],
         witness_target=best.target,
         status="exact" if mode == "exact" else "lower_bound",
         tuples_examined=total,
@@ -520,11 +501,12 @@ def max_fiber_per_target(
 
 @dataclass
 class RewriteResult:
-    """A tuple of automorphisms of N expressing the coset equation over N^d."""
+    """Automorphisms of N, one table row per letter, expressing the coset
+    equation over N^d."""
 
     n_group: FiniteGroup
     n_elements: tuple[int, ...]
-    beta: AutTuple
+    beta: np.ndarray
     target: int
     conjugators: tuple[int, ...]
 
@@ -533,7 +515,7 @@ def rewrite_coset_equation(
     g: FiniteGroup,
     n: SubgroupHandle,
     w: ReducedWord,
-    auts: Sequence[Automorphism] | AutTuple,
+    auts: np.ndarray,
     base: Sequence[int],
     target: Optional[int] = None,
 ) -> RewriteResult:
@@ -542,19 +524,18 @@ def rewrite_coset_equation(
 
     beta_i is the restriction to N of conj(c_i) composed after auts[i], where
     c_i is the product of the first i-1 letter factors for positive letters
-    and of the first i factors for negative ones.
+    and of the first i factors for negative ones.  `auts` holds one table row
+    per letter, and so does beta.
     """
     _require_word(w)
-    entries = tuple(auts)
-    if len(entries) != w.length:
-        raise ValueError(f"expected {w.length} automorphisms, got {len(entries)}")
+    tables = _letter_tables(g, w, auts)
     if len(base) != w.num_variables:
         raise ValueError(f"expected {w.num_variables} base entries, got {len(base)}")
     _require_characteristic(g, n)
     pos = _var_positions(w)
     factors = []
-    for let, alpha in zip(w.letters, entries):
-        x = alpha(int(base[pos[let.var]]))
+    for let, alpha in zip(w.letters, tables):
+        x = int(alpha[base[pos[let.var]]])
         factors.append(g.inv(x) if let.sign < 0 else x)
     value = 0
     for f in factors:
@@ -574,21 +555,16 @@ def rewrite_coset_equation(
             prefix = g.mul(prefix, f)
             conjugators.append(prefix)
 
-    ngrp = subgroup_group(g, n)
-    arr = np.asarray(n.elements, dtype=np.int64)
     npos = np.full(g.order, -1, dtype=np.int32)
-    npos[arr] = np.arange(len(arr), dtype=np.int32)
-    table, inv_t = g.table, g.inv_table
-    betas = []
-    for alpha, c in zip(entries, conjugators):
-        composed = table[table[c, alpha.perm], inv_t[c]]
-        restricted = npos[composed[arr]]
-        assert (restricted >= 0).all(), "conjugated automorphism must stabilize N"
-        betas.append(Automorphism(ngrp, restricted))
+    npos[list(n.elements)] = np.arange(n.order, dtype=np.int32)
+    c = np.asarray(conjugators)[:, None]
+    # row i: x -> c_i auts[i](x) c_i^-1, restricted to N
+    beta = npos[g.table[g.table[c, tables[:, list(n.elements)]], g.inv_table[c]]]
+    assert (beta >= 0).all(), "conjugated automorphism must stabilize N"
     return RewriteResult(
-        n_group=ngrp,
+        n_group=n.as_group,
         n_elements=tuple(n.elements),
-        beta=AutTuple(tuple(betas)),
+        beta=beta,
         target=target,
         conjugators=tuple(conjugators),
     )

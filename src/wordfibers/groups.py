@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -368,127 +368,89 @@ def write_cayley_table(path: str | Path, g: FiniteGroup) -> None:
 # -- automorphisms ------------------------------------------------------------
 
 
-class Automorphism:
-    """A structure-preserving bijection on element indices."""
-
-    __slots__ = ("group", "perm", "_key")
-
-    def __init__(self, group: FiniteGroup, perm: np.ndarray):
-        self.group = group
-        self.perm = np.ascontiguousarray(np.asarray(perm, dtype=np.int32))
-        self.perm.setflags(write=False)
-        self._key = self.perm.tobytes()
-
-    def __call__(self, g: int) -> int:
-        return int(self.perm[g])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Automorphism) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other."""
-        return Automorphism(self.group, self.perm[other.perm])
-
-    def inverse(self) -> "Automorphism":
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(len(self.perm), dtype=np.int32)
-        return Automorphism(self.group, inv)
-
-    def is_valid(self) -> bool:
-        """Full homomorphism-law check over all pairs."""
-        t = self.group.table
-        p = self.perm
-        return bool(
-            (p[0] == 0) and (sorted(p) == list(range(self.group.order)))
-            and (p[t] == t[p[:, None], p[None, :]]).all()
-        )
-
-    def __repr__(self) -> str:
-        return f"Automorphism({list(int(x) for x in self.perm)})"
-
-
-def identity_automorphism(g: FiniteGroup) -> Automorphism:
-    return Automorphism(g, np.arange(g.order, dtype=np.int32))
+def is_automorphism(g: FiniteGroup, perm: np.ndarray) -> bool:
+    """Full homomorphism-law check of one table row over all pairs."""
+    t, p = g.table, np.asarray(perm)
+    return bool(
+        p.shape == (g.order,) and p[0] == 0 and (np.sort(p) == np.arange(g.order)).all()
+        and (p[t] == t[p[:, None], p[None, :]]).all()
+    )
 
 
 _SUBGROUP_KINDS = ("full", "inner", "identity-only")
 
 
+def _row_view(rows: np.ndarray) -> np.ndarray:
+    """One void scalar per row, holding its entries as big-endian int32.
+
+    Rows of non-negative ints compare bytewise (memcmp) in the same order as
+    tuples of their entries, so this view sorts and searches rows."""
+    n = rows.shape[-1]
+    return rows.astype(">i4").view(np.dtype((np.void, 4 * n))).ravel()
+
+
 def _canonical_rows(tables: np.ndarray) -> np.ndarray:
     """The distinct rows of a stack of permutation tables, in lexicographic
-    order, as one int32 array.
-
-    Viewed as big-endian bytes, rows of non-negative ints compare bytewise
-    (memcmp) in the same order as tuples of their entries, so one argsort of
-    that void view orders them; equal rows end up adjacent."""
+    order, as one int32 array: one argsort of `_row_view` orders them, and
+    equal rows end up adjacent."""
     rows = np.ascontiguousarray(tables, dtype=np.int32)
-    m, n = rows.shape
-    keys = rows.astype(">i4").view(np.dtype((np.void, 4 * n))).ravel()
-    order = np.argsort(keys, kind="stable")
-    del keys
+    order = np.argsort(_row_view(rows), kind="stable")
     rows = rows[order]
-    keep = np.ones(m, dtype=bool)
+    keep = np.ones(len(rows), dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return rows if keep.all() else rows[keep]
 
 
 class AutSet:
-    """An enumerated subgroup of Aut(G), canonically ordered.
+    """An enumerated subset of Aut(G): the member tables as the rows of one
+    sorted int32 array.
 
-    Elements are sorted by their permutation tables, which puts the identity
-    automorphism first.  ``contains_inner`` is computed, never trusted.  The
-    kinds in ``_SUBGROUP_KINDS`` name the sets this module builds as subgroups
-    of Aut(G) (`automorphism_group`, `inner_automorphisms`,
-    `identity_autset`); ``is_closed`` takes them as closed and checks any
-    other set.  The members may be given as automorphisms or as their tables
-    stacked one per row; ``search`` is the `HomSearch` that enumerated the
-    set, when one did.
+    Row order is lexicographic, which puts the identity automorphism first;
+    a member is its row, and its index is its row number (`index`).
+    ``contains_inner`` is computed, never trusted.  The kinds in
+    ``_SUBGROUP_KINDS`` name the sets this module builds as subgroups of
+    Aut(G) (`automorphism_group`, `inner_automorphisms`, `identity_autset`);
+    ``is_closed`` takes them as closed and checks any other set.  ``search``
+    is the `HomSearch` that enumerated the set, when one did.
     """
 
     search: Optional["HomSearch"] = None
 
-    def __init__(
-        self, group: FiniteGroup, auts: Sequence[Automorphism] | np.ndarray, kind: str
-    ):
-        if isinstance(auts, np.ndarray):
-            stacked = auts.reshape(-1, group.order)
-        else:
-            stacked = np.array([a.perm for a in auts], dtype=np.int32).reshape(-1, group.order)
+    def __init__(self, group: FiniteGroup, tables: np.ndarray, kind: str):
         self.group = group
-        self.tables = _canonical_rows(stacked)
+        self.tables = _canonical_rows(np.asarray(tables).reshape(-1, group.order))
         self.tables.setflags(write=False)
-        self.auts = tuple(Automorphism(group, row) for row in self.tables)
         self.kind = kind
-        if not self.auts or (self.auts[0].perm != np.arange(group.order)).any():
+        if not len(self.tables) or (self.tables[0] != np.arange(group.order)).any():
             raise ValueError("an AutSet must contain the identity automorphism")
-        self._index = {a._key: i for i, a in enumerate(self.auts)}
 
     def __len__(self) -> int:
-        return len(self.auts)
+        return len(self.tables)
 
-    def __iter__(self) -> Iterator[Automorphism]:
-        return iter(self.auts)
+    @cached_property
+    def _sorted_view(self) -> np.ndarray:
+        return _row_view(self.tables)
 
-    def __getitem__(self, i: int) -> Automorphism:
-        return self.auts[i]
+    def index(self, rows: np.ndarray) -> np.ndarray:
+        """The row number of each given table in A, or -1 where it is not a
+        member: a binary search of the sorted rows."""
+        view = self._sorted_view
+        wanted = _row_view(np.asarray(rows).reshape(-1, self.group.order))
+        pos = np.minimum(np.searchsorted(view, wanted), len(view) - 1)
+        return np.where(view[pos] == wanted, pos, -1)
 
-    def __contains__(self, a: Automorphism) -> bool:
-        return a._key in self._index
-
-    def index_of(self, a: Automorphism) -> int:
-        return self._index[a._key]
+    def _all_members(self, rows: np.ndarray) -> bool:
+        return bool((self.index(rows) >= 0).all())
 
     @cached_property
     def contains_inner(self) -> bool:
         g = self.group
         t, inv = g.table, g.inv_table
-        for x in range(g.order):
-            if t[t[x], inv[x]].tobytes() not in self._index:
-                return False
-        return True
+        step = max(1, _COMPOSE_BLOCK_ELEMENTS // g.order)
+        return all(
+            self._all_members(t[t[lo : lo + step], inv[lo : lo + step, None]])
+            for lo in range(0, g.order, step)
+        )
 
     @cached_property
     def is_closed(self) -> bool:
@@ -501,27 +463,22 @@ class AutSet:
             return True
         t = self.tables
         m, n = t.shape
-        rows = max(1, _COMPOSE_BLOCK_ELEMENTS // (m * n))
-        for lo in range(0, m, rows):
-            composed = t[lo : lo + rows][:, t]  # [i, j] = auts[lo + i] after auts[j]
-            if any(p.tobytes() not in self._index for p in composed.reshape(-1, n)):
-                return False
-        return True
+        step = max(1, _COMPOSE_BLOCK_ELEMENTS // (m * n))
+        # block [i, j] = row lo + i after row j
+        return all(self._all_members(t[lo : lo + step][:, t]) for lo in range(0, m, step))
 
     def __repr__(self) -> str:
         return f"AutSet(kind={self.kind!r}, size={len(self)}, |G|={self.group.order})"
 
 
 def identity_autset(g: FiniteGroup) -> AutSet:
-    return AutSet(g, [identity_automorphism(g)], kind="identity-only")
+    return AutSet(g, np.arange(g.order, dtype=np.int32), kind="identity-only")
 
 
 def inner_automorphisms(g: FiniteGroup) -> AutSet:
+    """Row x is conj(x): y -> x y x^-1."""
     t, inv = g.table, g.inv_table
-    auts = [
-        Automorphism(g, t[t[x], inv[x]]) for x in range(g.order)
-    ]  # conj(x): y -> x y x^-1
-    return AutSet(g, auts, kind="inner")
+    return AutSet(g, t[t, inv[:, None]], kind="inner")
 
 
 def _span_mask(table: np.ndarray, gens: Sequence[int]) -> np.ndarray:
@@ -776,6 +733,12 @@ class SubgroupHandle:
     def __contains__(self, g: int) -> bool:
         return g in self.element_set
 
+    @cached_property
+    def as_group(self) -> FiniteGroup:
+        """The subgroup as a group in its own right (`subgroup_group`), built
+        on first use."""
+        return subgroup_group(self.group, self)
+
 
 def subgroup_handle(
     g: FiniteGroup,
@@ -784,6 +747,9 @@ def subgroup_handle(
 ) -> SubgroupHandle:
     """Validate a set of indices as a subgroup; flags computed when possible."""
     elems = tuple(sorted(set(int(x) for x in elements)))
+    bad = [x for x in elems if not 0 <= x < g.order]
+    if bad:
+        raise ValueError(f"element index {bad[0]} out of range 0..{g.order - 1}")
     if _closure(g.table, elems) != elems:
         raise ValueError("element set is not closed under the group operation")
     handle = SubgroupHandle(g, elems)
@@ -807,11 +773,7 @@ def _is_normal(g: FiniteGroup, elems: tuple[int, ...]) -> bool:
 def _is_characteristic(elems: tuple[int, ...], aut: AutSet) -> bool:
     members = np.zeros(aut.group.order, dtype=bool)
     members[list(elems)] = True
-    arr = np.asarray(elems, dtype=np.int64)
-    for a in aut:
-        if not members[a.perm[arr]].all():
-            return False
-    return True
+    return bool(members[aut.tables[:, list(elems)]].all())
 
 
 def _lattice(
@@ -920,28 +882,18 @@ def induced_autset(g: FiniteGroup, n: SubgroupHandle, a: AutSet) -> AutSet:
     """Automorphisms of G/N induced by members of A."""
     _require_characteristic(g, n)
     qh = quotient(g, n)
-    reps = np.asarray(qh.coset_reps, dtype=np.int64)
-    perms = []
-    for alpha in a:
-        induced = qh.projection[alpha.perm[reps]]
-        perms.append(induced)
-    return AutSet(qh.quotient, [Automorphism(qh.quotient, p) for p in perms], kind="custom")
+    return AutSet(qh.quotient, qh.projection[a.tables[:, list(qh.coset_reps)]], kind="custom")
 
 
 def restricted_autset(g: FiniteGroup, n: SubgroupHandle, a: AutSet) -> AutSet:
     """Restrictions of members of A to N, re-indexed to N's own numbering."""
     _require_characteristic(g, n)
-    ngrp = subgroup_group(g, n)
-    arr = np.asarray(n.elements, dtype=np.int64)
     pos = np.full(g.order, -1, dtype=np.int32)
-    pos[arr] = np.arange(len(arr), dtype=np.int32)
-    perms = []
-    for alpha in a:
-        restricted = pos[alpha.perm[arr]]
-        if (restricted < 0).any():
-            raise ValueError("an automorphism does not stabilize the subgroup")
-        perms.append(restricted)
-    return AutSet(ngrp, [Automorphism(ngrp, p) for p in perms], kind="custom")
+    pos[list(n.elements)] = np.arange(n.order, dtype=np.int32)
+    restricted = pos[a.tables[:, list(n.elements)]]
+    if (restricted < 0).any():
+        raise ValueError("an automorphism does not stabilize the subgroup")
+    return AutSet(n.as_group, restricted, kind="custom")
 
 
 # -- characteristic series and simple decomposition ----------------------------
@@ -978,7 +930,7 @@ def characteristic_series(g: FiniteGroup, aut: Optional[AutSet] = None) -> CharS
         chain.append(min(minimal, key=lambda s: s.elements))
     factors = []
     for lower, upper in zip(chain, chain[1:]):
-        hgrp = subgroup_group(g, upper)
+        hgrp = upper.as_group
         pos = {gidx: i for i, gidx in enumerate(upper.elements)}
         inner = subgroup_handle(hgrp, [pos[x] for x in lower.elements])
         f = quotient(hgrp, inner).quotient
@@ -1011,7 +963,7 @@ def decompose_char_simple(f: FiniteGroup) -> tuple[FiniteGroup, int]:
     if f.order == 1:
         raise ValueError("the trivial group has no simple decomposition")
     minimal = minimal_normal_subgroups(f)[0]
-    s = subgroup_group(f, SubgroupHandle(f, minimal))
+    s = SubgroupHandle(f, minimal).as_group
     if not is_simple(s):
         raise ValueError(f"{f.spec or 'group'} is not characteristically simple")
     n = 0
@@ -1042,18 +994,15 @@ def _power_decode(order_s: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def wreath_element_perm(
-    s_order: int,
-    n: int,
-    aut_tables: Sequence[np.ndarray],
-    sigma: Sequence[int],
-    coords: Optional[np.ndarray] = None,
-    weights: Optional[np.ndarray] = None,
+    aut_tables: np.ndarray, sigma: Sequence[int], coords: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Permutation of S^n indices for (a_1 x ... x a_n) after the coordinate
-    permutation sigma (output coordinate i reads input coordinate sigma^-1(i))."""
-    if coords is None or weights is None:
-        coords, weights = _power_decode(s_order, n)
+    permutation sigma (output coordinate i reads input coordinate sigma^-1(i)).
+
+    Row i of ``aut_tables`` is a_i; ``coords`` and ``weights`` come from
+    `_power_decode`."""
     sigma = list(sigma)
+    n = len(sigma)
     sigma_inv = [0] * n
     for i, v in enumerate(sigma):
         sigma_inv[v] = i
@@ -1085,38 +1034,28 @@ def wreath_autset(
         itertools.permutations(range(n)), itertools.product(range(len(base)), repeat=n)
     )
     for row, (sigma, combo) in enumerate(parts):
-        tables[row] = wreath_element_perm(
-            s.order, n, [base[i].perm for i in combo], sigma, coords, weights
-        )
+        tables[row] = wreath_element_perm(base.tables[list(combo)], sigma, coords, weights)
     return AutSet(t, tables, kind="custom")
 
 
 class WreathSampler:
-    """Sampling access to Aut(S) wr Sym_n acting on S^n, without enumeration."""
+    """Sampling access to Aut(S) wr Sym_n acting on S^n, without enumeration;
+    members come out as table rows."""
 
     def __init__(self, s: FiniteGroup, n: int, base: AutSet, power: Optional[FiniteGroup] = None):
-        self.s = s
         self.n = n
         self.base = base
         self.power = power if power is not None else power_group(s, n)
         self.size = len(base) ** n * math.factorial(n)
         self._coords, self._weights = _power_decode(s.order, n)
 
-    def identity(self) -> Automorphism:
-        return identity_automorphism(self.power)
-
-    def from_parts(self, base_indices: Sequence[int], sigma: Sequence[int]) -> Automorphism:
-        perm = wreath_element_perm(
-            self.s.order,
-            self.n,
-            [self.base[int(i)].perm for i in base_indices],
-            sigma,
-            self._coords,
-            self._weights,
+    def from_parts(self, base_indices: Sequence[int], sigma: Sequence[int]) -> np.ndarray:
+        """The table of (a_1 x ... x a_n) o sigma, a_i = base row base_indices[i]."""
+        return wreath_element_perm(
+            self.base.tables[list(base_indices)], sigma, self._coords, self._weights
         )
-        return Automorphism(self.power, perm)
 
-    def sample(self, rng: np.random.Generator) -> Automorphism:
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
         base_indices = rng.integers(0, len(self.base), size=self.n)
         sigma = rng.permutation(self.n)
         return self.from_parts(base_indices, sigma)

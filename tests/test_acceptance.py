@@ -164,10 +164,10 @@ def test_criterion_4_rewrite_trials_and_closed_form():
             g, aut, n = resolve_pair(group_spec, sub_spec)
             rng = np.random.default_rng(42)
             for _ in range(20):
-                auts = tuple(aut[int(i)] for i in rng.integers(0, len(aut), 4))
+                auts = aut.tables[rng.integers(0, len(aut), 4)]
                 base = tuple(int(x) for x in rng.integers(0, g.order, 2))
                 res = rewrite_coset_equation(g, n, w, auts, base)
-                a1, a2, a3, a4 = auts
+                a1, a2, a3, a4 = (lambda x, row=row: int(row[x]) for row in auts)
                 g1, g2 = base
                 c2 = a1(g1)
                 c3 = g.mul(g.mul(a1(g1), a2(g2)), g.inv(a3(g1)))
@@ -180,7 +180,7 @@ def test_criterion_4_rewrite_trials_and_closed_form():
                 ]
                 for i in range(4):
                     for pos, elem in enumerate(res.n_elements):
-                        assert res.n_elements[res.beta[i](pos)] == closed[i](elem)
+                        assert res.n_elements[res.beta[i][pos]] == closed[i](elem)
 
 
 def test_criterion_5_variation_machinery():

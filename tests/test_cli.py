@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -643,6 +644,16 @@ class TestUsageErrors:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("index", ["99", "-1"])
+    def test_subgroup_index_out_of_range(self, index):
+        code, doc, text = run(
+            ["verify", "submult", "--group", "sym:3", "--subgroup", f"indices:0,{index}",
+             "--word", "x1^2", "--auts", "inn"]
+        )
+        assert code == EXIT_USAGE and doc["status"] == "usage-error"
+        assert text.count("\n") == 1  # one JSON document
+        assert f"element index {index} out of range" in doc["result"]["error"]
+
     def test_target_out_of_range(self):
         code, doc, _ = run(
             ["fiber", "max", "--group", "cyc:4", "--word", "x1^2",
@@ -653,10 +664,16 @@ class TestUsageErrors:
 
 class TestEntryPoint:
     def test_subprocess_invocation(self):
+        # the child imports wordfibers from the same place as this test does
+        import wordfibers
+
+        src = str(Path(wordfibers.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "wordfibers.cli", "verify", "dihedral", "--o", "5"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)

@@ -8,18 +8,15 @@ import wordfibers.fibers as fibers
 from wordfibers.errors import BudgetExceeded, CapExceeded, EmptyWordError
 from wordfibers.fibers import (
     DEFAULT_BUDGET,
-    AutTuple,
     eval_automorphic,
     eval_word,
     fiber_distribution,
-    identity_tuple,
     max_fiber,
     max_fiber_per_target,
     pi_w,
     rewrite_coset_equation,
 )
 from wordfibers.groups import (
-    Automorphism,
     AutSet,
     automorphism_group,
     identity_autset,
@@ -34,12 +31,17 @@ SQUARE = parse_word("x1^2")
 XY = parse_word("x1 x2")
 
 
+def identity_rows(g, w):
+    """The identity on every letter: one table row per letter."""
+    return np.tile(np.arange(g.order), (w.length, 1))
+
+
 # independent oracle: evaluate an automorphic word map by plain loops
 def eval_oracle(g, w, auts, args):
     acc = 0
     order = {v: i for i, v in enumerate(w.variables)}
     for let, alpha in zip(w.letters, auts):
-        x = alpha(args[order[let.var]])
+        x = int(alpha[args[order[let.var]]])
         if let.sign < 0:
             x = g.inv(x)
         acc = g.mul(acc, x)
@@ -50,7 +52,7 @@ def eval_oracle(g, w, auts, args):
 def per_target_oracle(g, w, autset):
     d = w.num_variables
     best = [0] * g.order
-    for auts in itertools.product(autset.auts, repeat=w.length):
+    for auts in itertools.product(autset.tables, repeat=w.length):
         counts = [0] * g.order
         for args in itertools.product(range(g.order), repeat=d):
             counts[eval_oracle(g, w, auts, args)] += 1
@@ -93,7 +95,7 @@ class TestEvalWord:
 class TestEvalAutomorphic:
     def test_identity_tuple_equals_plain_map_exhaustively(self):
         g = make_group("sym:3")
-        ident = identity_tuple(g, COMMUTATOR)
+        ident = identity_rows(g, COMMUTATOR)
         for a in range(6):
             for b in range(6):
                 assert eval_automorphic(g, COMMUTATOR, ident, (a, b)) == eval_word(
@@ -102,23 +104,24 @@ class TestEvalAutomorphic:
 
     def test_single_letter_with_inversion(self):
         g = make_group("cyc:3")
-        invert = Automorphism(g, np.array([0, 2, 1]))
+        invert = np.array([0, 2, 1])
         w = parse_word("x1")
         for x in range(3):
-            assert eval_automorphic(g, w, (invert,), (x,)) == g.inv(x)
+            assert eval_automorphic(g, w, invert[None], (x,)) == g.inv(x)
 
     def test_commutator_with_mixed_tuple_on_c3(self):
         g = make_group("cyc:3")
-        invert = Automorphism(g, np.array([0, 2, 1]))
-        ident = Automorphism(g, np.arange(3))
-        auts = (invert, ident, ident, ident)
+        invert, ident = [0, 2, 1], [0, 1, 2]
+        auts = np.array([invert, ident, ident, ident])
         got = eval_automorphic(g, COMMUTATOR, auts, (1, 0))
         assert got == eval_oracle(g, COMMUTATOR, auts, (1, 0)) == 1
 
     def test_tuple_length_mismatch(self):
         g = make_group("cyc:3")
         with pytest.raises(ValueError):
-            eval_automorphic(g, SQUARE, (Automorphism(g, np.arange(3)),), (1,))
+            eval_automorphic(g, SQUARE, np.arange(3)[None], (1,))
+        with pytest.raises(ValueError):  # rows of the wrong width
+            eval_automorphic(g, SQUARE, np.zeros((2, 4), dtype=np.int32), (1,))
 
     @pytest.mark.parametrize("spec, word", [
         ("sym:3", "x1^-1 x2 x1^2"), ("dih:4", "[x1,x2]"), ("q8", "x1 x2 x3^-1 x2"),
@@ -128,7 +131,7 @@ class TestEvalAutomorphic:
         aut = automorphism_group(g)
         w = parse_word(word)
         rng = np.random.default_rng(5)
-        auts = tuple(aut[int(i)] for i in rng.integers(0, len(aut), w.length))
+        auts = aut.tables[rng.integers(0, len(aut), w.length)]
         cols = np.indices((g.order,) * w.num_variables).reshape(w.num_variables, -1)
         got = eval_automorphic(g, w, auts, cols)
         scalar = [eval_automorphic(g, w, auts, tuple(int(x) for x in col)) for col in cols.T]
@@ -140,31 +143,31 @@ class TestEvalAutomorphic:
 class TestFiberDistribution:
     def test_squares_in_c2(self):
         g = make_group("cyc:2")
-        dist = fiber_distribution(g, SQUARE, identity_tuple(g, SQUARE))
+        dist = fiber_distribution(g, SQUARE, identity_rows(g, SQUARE))
         assert dist.counts.tolist() == [2, 0]
 
     def test_product_word_is_flat_everywhere(self):
         g = make_group("sym:3")
         aut = automorphism_group(g)
-        tup = AutTuple((aut[3], aut[1]))
+        tup = aut.tables[[3, 1]]
         dist = fiber_distribution(g, XY, tup)
         assert dist.counts.tolist() == [6] * 6
 
     def test_squares_in_d6(self):
         g = make_group("dih:3")
-        dist = fiber_distribution(g, SQUARE, identity_tuple(g, SQUARE))
+        dist = fiber_distribution(g, SQUARE, identity_rows(g, SQUARE))
         assert dist.counts.tolist() == [4, 1, 1, 0, 0, 0]
 
     def test_counts_sum_to_group_power(self):
         for spec, w in [("dih:4", COMMUTATOR), ("q8", SQUARE), ("alt:4", XY)]:
             g = make_group(spec)
-            dist = fiber_distribution(g, w, identity_tuple(g, w))
+            dist = fiber_distribution(g, w, identity_rows(g, w))
             assert int(dist.counts.sum()) == g.order**w.num_variables
 
     def test_matches_pointwise_oracle(self):
         g = make_group("dih:4")
         aut = automorphism_group(g)
-        tup = (aut[5], aut[2], aut[7], aut[0])
+        tup = aut.tables[[5, 2, 7, 0]]
         dist = fiber_distribution(g, COMMUTATOR, tup)
         oracle = [0] * 8
         for a in range(8):
@@ -175,7 +178,7 @@ class TestFiberDistribution:
     def test_budget(self):
         g = make_group("alt:4")
         with pytest.raises(BudgetExceeded):
-            fiber_distribution(g, COMMUTATOR, identity_tuple(g, COMMUTATOR), budget=10)
+            fiber_distribution(g, COMMUTATOR, identity_rows(g, COMMUTATOR), budget=10)
 
     def test_empty_word_rejected(self):
         g = make_group("cyc:2")
@@ -223,6 +226,7 @@ class TestMaxFiber:
         g = make_group("dih:4")
         a = automorphism_group(g)
         res = max_fiber(g, COMMUTATOR, a)
+        assert res.witness_tuple.tolist() == a.tables[list(res.witness_tuple_indices)].tolist()
         dist = fiber_distribution(g, COMMUTATOR, res.witness_tuple)
         assert int(dist.counts[res.witness_target]) == res.value
 
@@ -381,7 +385,7 @@ class TestKernelAgainstOracle:
         assert sum(dig is None for dig in digits) == w.num_variables
         counts = ev.counts(digits)
         for r in rows:
-            tup = [a[0] if dig is None else a[int(dig[r])] for dig in digits]
+            tup = [a.tables[0 if dig is None else int(dig[r])] for dig in digits]
             assert counts[r].tolist() == dist_oracle(g, w, tup)
 
     @pytest.mark.parametrize("word", KERNEL_WORDS)
@@ -391,7 +395,7 @@ class TestKernelAgainstOracle:
         w = parse_word(word)
         rng = np.random.default_rng(11)
         for _ in range(3):
-            tup = [a[int(i)] for i in rng.integers(0, len(a), w.length)]
+            tup = a.tables[rng.integers(0, len(a), w.length)]
             assert fiber_distribution(g, w, tup).counts.tolist() == dist_oracle(g, w, tup)
 
     @pytest.mark.parametrize("word", KERNEL_WORDS)
@@ -412,7 +416,7 @@ def brute_force_search(g, w, a, targets):
     per_vals = np.zeros(g.order, dtype=np.int64)
     per_idx = np.full(g.order, -1, dtype=np.int64)
     for idx, combo in enumerate(itertools.product(range(len(a)), repeat=w.length)):
-        counts = fiber_distribution(g, w, [a[i] for i in combo]).counts
+        counts = fiber_distribution(g, w, a.tables[list(combo)]).counts
         for t in targets:
             at = int(np.argmax(counts)) if t is None else t
             if counts[at] > best[t][0]:
@@ -440,8 +444,7 @@ NORMAL_FORM_CASES = [
 def doubling_autset():
     """{id, x -> 2x} on cyc:5: not closed, since doubling twice is x -> 4x."""
     g = make_group("cyc:5")
-    double = Automorphism(g, np.array([0, 2, 4, 1, 3]))
-    return g, AutSet(g, [Automorphism(g, np.arange(5)), double], kind="custom")
+    return g, AutSet(g, np.array([[0, 1, 2, 3, 4], [0, 2, 4, 1, 3]]), kind="custom")
 
 
 class TestNormalFormSearch:
@@ -482,7 +485,7 @@ class TestNormalFormSearch:
 
     def test_closure_of_a_custom_set_is_computed(self):
         g = make_group("dih:4")
-        a = AutSet(g, list(automorphism_group(g)), kind="custom")
+        a = AutSet(g, automorphism_group(g).tables, kind="custom")
         assert a.is_closed
         res, _ = self._check_against_brute_force(g, COMMUTATOR, a)
         assert res.tuples_scanned == 8**2
@@ -564,10 +567,11 @@ class TestRewrite:
 
         sub = next(s for s in subgroups(g, aut=aut) if s.order == 3)
         w = parse_word("x1")
-        alpha = aut[4]
-        res = rewrite_coset_equation(g, sub, w, (alpha,), (3,))
+        alpha = aut.tables[4]
+        res = rewrite_coset_equation(g, sub, w, alpha[None], (3,))
+        assert res.beta.shape == (1, 3)
         for i, n_elem in enumerate(res.n_elements):
-            assert res.n_elements[res.beta[0](i)] == alpha(n_elem)
+            assert res.n_elements[res.beta[0][i]] == alpha[n_elem]
 
     def test_commutator_closed_form(self):
         g = make_group("dih:4")
@@ -575,10 +579,10 @@ class TestRewrite:
         n = center_handle(g, aut)
         rng = np.random.default_rng(7)
         for _ in range(25):
-            auts = tuple(aut[int(i)] for i in rng.integers(0, len(aut), 4))
+            auts = aut.tables[rng.integers(0, len(aut), 4)]
             base = tuple(int(x) for x in rng.integers(0, 8, 2))
             res = rewrite_coset_equation(g, n, COMMUTATOR, auts, base)
-            a1, a2, a3, a4 = auts
+            a1, a2, a3, a4 = (lambda x, row=row: int(row[x]) for row in auts)
             g1, g2 = base
             c2 = a1(g1)
             c3 = g.mul(g.mul(a1(g1), a2(g2)), g.inv(a3(g1)))
@@ -591,7 +595,7 @@ class TestRewrite:
             ]
             for i in range(4):
                 for pos, n_elem in enumerate(res.n_elements):
-                    got = res.n_elements[res.beta[i](pos)]
+                    got = res.n_elements[res.beta[i][pos]]
                     assert got == expected[i](n_elem)
 
     @pytest.mark.parametrize(
@@ -614,7 +618,7 @@ class TestRewrite:
         w = parse_word(word)
         rng = np.random.default_rng(13)
         for _ in range(10):
-            auts = tuple(aut[int(i)] for i in rng.integers(0, len(aut), w.length))
+            auts = aut.tables[rng.integers(0, len(aut), w.length)]
             base = tuple(int(x) for x in rng.integers(0, g.order, w.num_variables))
             res = rewrite_coset_equation(g, n, w, auts, base)
             for combo in itertools.product(range(n.order), repeat=w.num_variables):
@@ -629,7 +633,7 @@ class TestRewrite:
         g = make_group("dih:4")
         aut = automorphism_group(g)
         n = center_handle(g, aut)
-        value = eval_automorphic(g, SQUARE, (aut[0], aut[0]), (3,))
+        value = eval_automorphic(g, SQUARE, aut.tables[[0, 0]], (3,))
         bad = (value + 1) % 8
         with pytest.raises(ValueError):
-            rewrite_coset_equation(g, n, SQUARE, (aut[0], aut[0]), (3,), target=bad)
+            rewrite_coset_equation(g, n, SQUARE, aut.tables[[0, 0]], (3,), target=bad)

@@ -15,10 +15,10 @@ from wordfibers.groups import (
     characteristic_series,
     choose_generators,
     decompose_char_simple,
-    identity_automorphism,
     identity_autset,
     induced_autset,
     inner_automorphisms,
+    is_automorphism,
     is_isomorphic,
     is_simple,
     make_group,
@@ -186,64 +186,131 @@ class TestAutomorphismGroup:
         assert len(auts) == expected
         if g.order <= 8:
             oracle = brute_force_automorphisms(g)
-            assert sorted(tuple(a.perm) for a in auts) == sorted(oracle)
+            assert sorted(row_tuples(auts)) == sorted(oracle)
 
     def test_all_inner_for_sym3(self):
         g = make_group("sym:3")
         aut = automorphism_group(g)
         inn = inner_automorphisms(g)
         assert len(aut) == len(inn) == 6
-        assert set(aut.auts) == set(inn.auts)
+        assert aut.tables.tolist() == inn.tables.tolist()
 
     def test_every_member_satisfies_hom_law(self):
         for spec in ["cyc:6", "dih:4", "q8", "alt:4"]:
             g = make_group(spec)
-            for a in automorphism_group(g):
-                assert a.is_valid()
+            for row in automorphism_group(g).tables:
+                assert is_automorphism(g, row)
 
     def test_closure_small(self):
         for spec in ["cyc:4", "sym:3", "dih:4"]:
             aut = automorphism_group(make_group(spec))
             assert aut.is_closed
-            assert AutSet(aut.group, list(aut), kind="custom").is_closed
+            assert AutSet(aut.group, aut.tables, kind="custom").is_closed
 
     def test_identity_first(self):
         aut = automorphism_group(make_group("dih:4"))
-        assert (aut[0].perm == np.arange(8)).all()
-        assert aut.index_of(identity_automorphism(aut.group)) == 0
+        assert (aut.tables[0] == np.arange(8)).all()
+        assert aut.index(np.arange(8)).tolist() == [0]
+
+    def test_hom_law_check_rejects_non_automorphisms(self):
+        g = make_group("sym:3")
+        assert not is_automorphism(g, np.array([1, 0, 2, 3, 4, 5]))  # moves the identity
+        assert not is_automorphism(g, np.array([0, 1, 1, 3, 4, 5]))  # not a bijection
+        assert not is_automorphism(g, np.array([0, 2, 1, 3, 4, 5]))  # breaks the law
+        assert not is_automorphism(g, np.arange(5))
+
+
+def row_tuples(a):
+    return [tuple(row) for row in a.tables.tolist()]
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
             automorphism_group(make_group("pow:(alt:5)^2"))
 
 
-# reference for AutSet.is_closed: every pair composed in a plain loop
+# reference for AutSet.is_closed: every pair of rows composed in a plain loop
 def reference_is_closed(a):
-    return all(x.compose(y) in a for x in a for y in a)
+    rows = set(row_tuples(a))
+    return all(tuple(x[y].tolist()) in rows for x in a.tables for y in a.tables)
+
+
+@functools.lru_cache(maxsize=None)
+def closure_test_sets():
+    """(group, rows) of 45 sets: Aut and Inn of six groups with three kinds
+    of subset each, and Inn(S3) wr S2."""
+    sets = []
+    for spec in ["cyc:4", "cyc:5", "sym:3", "dih:4", "q8", "alt:4"]:
+        g = make_group(spec)
+        for built in (automorphism_group(g), inner_automorphisms(g)):
+            rows = built.tables
+            subsets = [rows, rows[:-1], rows[[0, -1]], rows[: len(rows) // 2]]
+            sets += [(g, sub) for sub in subsets if len(sub)]
+    g = make_group("sym:3")
+    w = wreath_autset(g, 2, inner_automorphisms(g))
+    sets.append((w.group, w.tables))
+    return sets
 
 
 class TestAutSetClosure:
     def test_matches_the_pairwise_loop(self):
-        sets = []
-        for spec in ["cyc:4", "cyc:5", "sym:3", "dih:4", "q8", "alt:4"]:
-            g = make_group(spec)
-            for built in (automorphism_group(g), inner_automorphisms(g)):
-                auts = list(built)
-                subsets = [auts, auts[:-1], [auts[0], auts[-1]], auts[: len(auts) // 2]]
-                sets += [sub for sub in subsets if sub]
-        g = make_group("sym:3")
-        sets.append(list(wreath_autset(g, 2, inner_automorphisms(g))))
         verdicts = []
-        for auts in sets:
-            a = AutSet(auts[0].group, auts, kind="custom")
+        assert len(closure_test_sets()) == 45
+        for g, rows in closure_test_sets():
+            a = AutSet(g, rows, kind="custom")
             assert a.is_closed == reference_is_closed(a)
             verdicts.append(a.is_closed)
         assert any(verdicts) and not all(verdicts)
+
+    def test_closure_does_not_depend_on_the_block_size(self, monkeypatch):
+        monkeypatch.setattr(groups_mod, "_COMPOSE_BLOCK_ELEMENTS", 1)
+        for g, rows in closure_test_sets():
+            a = AutSet(g, rows, kind="custom")
+            assert a.is_closed == reference_is_closed(a)
 
     def test_subgroup_kinds_are_closed(self):
         g = make_group("dih:4")
         for a in (automorphism_group(g), inner_automorphisms(g), identity_autset(g)):
             assert a.is_closed and reference_is_closed(a)
+
+
+def reference_index(a, queries):
+    """Position of each query row among A's rows by a Python dict, or -1."""
+    position = {row: i for i, row in enumerate(row_tuples(a))}
+    return [position.get(tuple(q), -1) for q in np.asarray(queries).tolist()]
+
+
+class TestAutSetIndex:
+    def test_matches_a_set_of_row_tuples(self):
+        for g, rows in closure_test_sets():
+            a = AutSet(g, rows, kind="custom")
+            full = automorphism_group(g).tables  # members and non-members of a
+            rng = np.random.default_rng(len(rows))
+            junk = rng.integers(0, g.order, size=(5, g.order))
+            queries = np.concatenate([full, junk, full[::-1]])
+            got = a.index(queries)
+            assert got.tolist() == reference_index(a, queries)
+            assert (got[: len(full)] >= 0).sum() == len(a)
+
+    def test_shuffled_wreath_sample(self):
+        s = make_group("alt:5")
+        sampler = WreathSampler(s, 2, automorphism_group(s))
+        rng = np.random.default_rng(11)
+        drawn = np.stack([sampler.sample(rng) for _ in range(200)])
+        members = np.concatenate([np.arange(3600)[None], drawn, drawn[:30]])
+        a = AutSet(sampler.power, members[rng.permutation(len(members))], kind="custom")
+        outsiders = np.stack([sampler.sample(rng) for _ in range(100)])
+        queries = np.concatenate([outsiders, drawn, np.arange(3600)[None]])
+        got = a.index(queries)
+        assert got.tolist() == reference_index(a, queries)
+        assert (got[100:] >= 0).all() and got[-1] == 0
+        assert (got[:100] == -1).any()
+
+    def test_one_row_and_an_empty_query(self):
+        g = make_group("dih:4")
+        aut = automorphism_group(g)
+        for i, row in enumerate(aut.tables):
+            assert aut.index(row).tolist() == [i]
+        assert aut.index(np.empty((0, 8), dtype=np.int32)).tolist() == []
 
 
 class TestInnerAutomorphisms:
@@ -300,8 +367,8 @@ class TestSubgroups:
         aut = automorphism_group(g)
         for s in subgroups(g, aut=aut):
             if s.characteristic:
-                for a in aut:
-                    assert {int(a.perm[x]) for x in s.elements} == set(s.elements)
+                for a in aut.tables:
+                    assert {int(a[x]) for x in s.elements} == set(s.elements)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -616,9 +683,7 @@ class TestWreath:
         base = inner_automorphisms(g)
         w = wreath_autset(g, 1, base)
         assert len(w) == len(base)
-        assert sorted(tuple(a.perm) for a in w.auts) == sorted(
-            tuple(a.perm) for a in base.auts
-        )
+        assert sorted(row_tuples(w)) == sorted(row_tuples(base))
 
     def test_sym3_squared_inner_count(self):
         g = make_group("sym:3")
@@ -629,17 +694,16 @@ class TestWreath:
         g = make_group("sym:3")
         sampler = WreathSampler(g, 2, identity_autset(g))
         swap = sampler.from_parts([0, 0], [1, 0])
-        t = sampler.power
         for a in range(6):
             for b in range(6):
                 idx = a * 6 + b
-                assert swap(idx) == b * 6 + a
+                assert swap[idx] == b * 6 + a
 
     def test_wreath_elements_are_automorphisms(self):
         g = make_group("cyc:3")
         w = wreath_autset(g, 2, automorphism_group(g))
-        for a in w:
-            assert a.is_valid()
+        for row in w.tables:
+            assert is_automorphism(w.group, row)
         assert w.is_closed
 
     def test_sampler_matches_enumeration_and_is_seeded(self):
@@ -649,11 +713,11 @@ class TestWreath:
         sampler = WreathSampler(g, 2, base, power=w.group)
         assert sampler.size == 72
         rng = np.random.default_rng(5)
-        drawn = [sampler.sample(rng) for _ in range(10)]
-        assert all(a in w for a in drawn)
+        drawn = np.stack([sampler.sample(rng) for _ in range(10)])
+        assert set(map(tuple, drawn.tolist())) <= set(row_tuples(w))
         rng2 = np.random.default_rng(5)
-        again = [sampler.sample(rng2) for _ in range(10)]
-        assert drawn == again
+        again = np.stack([sampler.sample(rng2) for _ in range(10)])
+        assert drawn.tolist() == again.tolist()
 
     def test_cap_requires_sampler(self):
         g = make_group("alt:5")
@@ -665,7 +729,7 @@ class TestWreath:
         sampler = WreathSampler(s, 2, automorphism_group(s))
         rng = np.random.default_rng(1)
         drawn = sampler.sample(rng)
-        assert drawn.is_valid()  # full 3600^2-pair check, vectorized
+        assert is_automorphism(sampler.power, drawn)  # full 3600^2-pair check, vectorized
 
 
 class TestSolvableRadical:
@@ -861,9 +925,9 @@ class TestBlockedKernel:
         levels, edges = groups_mod._spanning_program(g.table, gens)
         images = np.array(list(itertools.product(range(g.order), repeat=len(gens))), np.int32)
         kept = groups_mod._hom_rows(g.table, levels, edges, images)
-        expected = {tuple(a.perm.tolist()) for a in automorphism_group(g)}
+        expected = set(row_tuples(automorphism_group(g)))
         assert {tuple(row) for row in kept.tolist()} == expected
-        assert all(groups_mod.Automorphism(g, row).is_valid() for row in kept)
+        assert all(is_automorphism(g, row) for row in kept)
         if g.order <= 8:
             assert expected == set(brute_force_automorphisms(g))
 
@@ -901,41 +965,41 @@ class TestBlockedKernel:
 
 
 def tuple_sorted(aut):
-    return sorted(tuple(int(x) for x in a.perm) for a in aut)
+    return sorted(row_tuples(aut))
 
 
 class TestCanonicalOrder:
     @pytest.mark.parametrize("spec", sorted(AUT_DIGESTS))
     def test_order_equals_the_tuple_sort(self, spec):
         aut = automorphism_group(make_group(spec))
-        assert [tuple(int(x) for x in row) for row in aut.tables] == tuple_sorted(aut)
-        assert all((a.perm == row).all() for a, row in zip(aut, aut.tables))
+        assert row_tuples(aut) == tuple_sorted(aut)
 
     def test_wreath_sets(self):
         for spec, base in (("sym:3", automorphism_group), ("cyc:3", automorphism_group),
                            ("sym:3", inner_automorphisms)):
             s = make_group(spec)
             w = wreath_autset(s, 2, base(s))
-            assert [tuple(int(x) for x in row) for row in w.tables] == tuple_sorted(w)
+            assert row_tuples(w) == tuple_sorted(w)
         # a sample of Aut(A5) wr S2, given shuffled and with repeats
         s = make_group("alt:5")
         sampler = WreathSampler(s, 2, automorphism_group(s))
         rng = np.random.default_rng(7)
         drawn = [sampler.sample(rng) for _ in range(300)]
-        members = [sampler.identity()] + drawn + drawn[:50]
+        members = np.stack([np.arange(3600)] + drawn + drawn[:50])
         sample = AutSet(sampler.power, members, kind="custom")
-        assert len(sample) == len(set(members))
-        assert [tuple(int(x) for x in row) for row in sample.tables] == tuple_sorted(sample)
+        assert len(sample) == len(set(map(tuple, members.tolist())))
+        assert row_tuples(sample) == tuple_sorted(sample)
 
     def test_stacked_tables_and_automorphisms_agree(self):
         g = make_group("dih:4")
         aut = automorphism_group(g)
         shuffled = aut.tables[np.random.default_rng(0).permutation(len(aut))]
         from_rows = AutSet(g, np.concatenate([shuffled, shuffled[:3]]), kind="custom")
-        assert from_rows.auts == aut.auts
-        assert (from_rows.tables == aut.tables).all()
+        assert from_rows.tables.tolist() == aut.tables.tolist()
 
     def test_empty_set_is_refused(self):
         g = make_group("cyc:3")
         with pytest.raises(ValueError):
             AutSet(g, [], kind="custom")
+        with pytest.raises(ValueError):
+            AutSet(g, np.array([[0, 2, 1]]), kind="custom")  # no identity

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import wordfibers.verify as verify
-from wordfibers.fibers import AutTuple, fiber_distribution
+import wordfibers.groups as groups
+from wordfibers.fibers import fiber_distribution
 from wordfibers.groups import (
-    Automorphism,
     automorphism_group,
     identity_autset,
     inner_automorphisms,
@@ -152,6 +152,17 @@ class TestRewriteCheck:
         assert r1.outcome == r2.outcome == "pass"
         assert r1.counters == r2.counters
 
+    def test_subgroup_group_is_built_once_per_call(self, monkeypatch):
+        g = make_group("alt:4")
+        n = char_subgroup_of_order(g, 4)
+        calls = []
+        real = groups.subgroup_group
+        monkeypatch.setattr(
+            groups, "subgroup_group", lambda *args: calls.append(None) or real(*args)
+        )
+        assert check_rewrite(g, n, SQUARE, trials=20, seed=9).outcome == "pass"
+        assert len(calls) == 1
+
 
 def corrupt_target(res):
     return dataclasses.replace(res, target=res.target ^ 1)
@@ -160,9 +171,9 @@ def corrupt_target(res):
 def corrupt_beta(letter):
     """Swaps two involutions of the Klein four-group N after beta_letter."""
     def change(res):
-        betas = list(res.beta)
-        betas[letter] = Automorphism(res.n_group, np.array([0, 2, 1, 3])[betas[letter].perm])
-        return dataclasses.replace(res, beta=AutTuple(tuple(betas)))
+        beta = res.beta.copy()
+        beta[letter] = np.array([0, 2, 1, 3])[beta[letter]]
+        return dataclasses.replace(res, beta=beta)
     return change
 
 
@@ -251,7 +262,7 @@ class TestVariationBound:
         assert report.outcome == "fail"
         # the witness re-evaluates to a genuine violation
         aut = automorphism_group(s)
-        tup = tuple(aut[i] for i in report.witness["tuple_indices"])
+        tup = aut.tables[list(report.witness["tuple_indices"])]
         dist = fiber_distribution(s, w, tup)
         prop = Fraction(int(dist.counts[report.witness["target"]]), 60)
         assert prop == report.witness["proportion"]
