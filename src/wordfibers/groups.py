@@ -389,6 +389,17 @@ def _row_view(rows: np.ndarray) -> np.ndarray:
     return rows.astype(">i4").view(np.dtype((np.void, 4 * n))).ravel()
 
 
+def _as_rows(tables, n: int) -> np.ndarray:
+    """`tables` as an (m, n) array of rows; a single row of n entries is
+    m = 1, and any other shape is refused."""
+    rows = np.asarray(tables)
+    if rows.ndim == 1 and rows.shape[0] == n:
+        rows = rows[None]
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"expected rows of {n} entries, got shape {rows.shape}")
+    return rows
+
+
 def _canonical_rows(tables: np.ndarray) -> np.ndarray:
     """The distinct rows of a stack of permutation tables, in lexicographic
     order, as one int32 array: one argsort of `_row_view` orders them, and
@@ -418,7 +429,7 @@ class AutSet:
 
     def __init__(self, group: FiniteGroup, tables: np.ndarray, kind: str):
         self.group = group
-        self.tables = _canonical_rows(np.asarray(tables).reshape(-1, group.order))
+        self.tables = _canonical_rows(_as_rows(tables, group.order))
         self.tables.setflags(write=False)
         self.kind = kind
         if not len(self.tables) or (self.tables[0] != np.arange(group.order)).any():
@@ -429,13 +440,17 @@ class AutSet:
 
     @cached_property
     def _sorted_view(self) -> np.ndarray:
+        # built on the first lookup rather than kept from `_canonical_rows`,
+        # where it would be a third copy of the tables next to the caller's
+        # unsorted stack and the sorted rows
         return _row_view(self.tables)
 
     def index(self, rows: np.ndarray) -> np.ndarray:
         """The row number of each given table in A, or -1 where it is not a
-        member: a binary search of the sorted rows."""
+        member: a binary search of the sorted rows.  ``rows`` is one row of
+        |G| entries or an (m, |G|) array."""
         view = self._sorted_view
-        wanted = _row_view(np.asarray(rows).reshape(-1, self.group.order))
+        wanted = _row_view(_as_rows(rows, self.group.order))
         pos = np.minimum(np.searchsorted(view, wanted), len(view) - 1)
         return np.where(view[pos] == wanted, pos, -1)
 
@@ -465,7 +480,9 @@ class AutSet:
         m, n = t.shape
         step = max(1, _COMPOSE_BLOCK_ELEMENTS // (m * n))
         # block [i, j] = row lo + i after row j
-        return all(self._all_members(t[lo : lo + step][:, t]) for lo in range(0, m, step))
+        return all(
+            self._all_members(t[lo : lo + step][:, t].reshape(-1, n)) for lo in range(0, m, step)
+        )
 
     def __repr__(self) -> str:
         return f"AutSet(kind={self.kind!r}, size={len(self)}, |G|={self.group.order})"

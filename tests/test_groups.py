@@ -220,12 +220,13 @@ class TestAutomorphismGroup:
         assert not is_automorphism(g, np.arange(5))
 
 
-def row_tuples(a):
-    return [tuple(row) for row in a.tables.tolist()]
-
     def test_cap(self):
         with pytest.raises(CapExceeded):
             automorphism_group(make_group("pow:(alt:5)^2"))
+
+
+def row_tuples(a):
+    return [tuple(row) for row in a.tables.tolist()]
 
 
 # reference for AutSet.is_closed: every pair of rows composed in a plain loop
@@ -311,6 +312,14 @@ class TestAutSetIndex:
         for i, row in enumerate(aut.tables):
             assert aut.index(row).tolist() == [i]
         assert aut.index(np.empty((0, 8), dtype=np.int32)).tolist() == []
+
+    def test_wrong_width_is_refused(self):
+        aut = automorphism_group(make_group("dih:4"))
+        for bad in (aut.tables.reshape(-1, 4), aut.tables[:, :4], aut.tables[None]):
+            with pytest.raises(ValueError):
+                aut.index(bad)
+        with pytest.raises(ValueError):
+            AutSet(aut.group, aut.tables.reshape(-1, 4), kind="custom")
 
 
 class TestInnerAutomorphisms:
