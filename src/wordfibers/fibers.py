@@ -39,9 +39,6 @@ class FiberDistribution:
     def total(self) -> int:
         return self.order**self.arity
 
-    def proportion(self, target: int) -> Fraction:
-        return Fraction(int(self.counts[target]), self.total)
-
     def max_fiber(self) -> tuple[int, int]:
         """(size, least target attaining it)."""
         target = int(np.argmax(self.counts))
@@ -421,19 +418,6 @@ def max_fiber(
     if target is not None and not 0 <= target < g.order:
         raise ValueError(f"target {target} out of range for order {g.order}")
     d = w.num_variables
-    if g.order == 1:
-        return MaxFiberResult(
-            value=1,
-            proportion=Fraction(1),
-            witness_tuple=a.tables[[0] * w.length],
-            witness_target=0,
-            status="exact",
-            tuples_examined=1,
-            evaluations=1,
-            tuples_scanned=1,
-            evaluations_performed=1,
-            witness_tuple_indices=tuple(0 for _ in range(w.length)),
-        )
     l = w.length
     if mode == "exact":
         best, _, _, evals, total, scanned = _search_all_tuples(
@@ -441,6 +425,8 @@ def max_fiber(
         )
         digits = tuple(int(x) for x in np.unravel_index(best.tuple_idx, (len(a),) * l))
     elif mode == "sample":
+        if budget < 1:
+            raise ValueError(f"samples must be >= 1, got {budget}")
         rng = np.random.default_rng(seed)
         draws = np.vstack(
             [np.zeros((1, l), dtype=np.int64), rng.integers(0, len(a), size=(budget, l))]
@@ -474,15 +460,6 @@ def max_fiber_per_target(
 ) -> PerTargetMax:
     """Exact P^(A)(G, g) for every target g at once."""
     _require_word(w)
-    if g.order == 1:
-        return PerTargetMax(
-            values=np.array([1], dtype=np.int64),
-            witness_tuple_indices=np.array([0], dtype=np.int64),
-            tuples_examined=1,
-            evaluations=1,
-            tuples_scanned=1,
-            evaluations_performed=1,
-        )
     _, per_vals, per_idx, evals, total, scanned = _search_all_tuples(
         g, w, a, None, budget, threads
     )

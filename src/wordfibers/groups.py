@@ -377,7 +377,7 @@ def is_automorphism(g: FiniteGroup, perm: np.ndarray) -> bool:
     )
 
 
-_SUBGROUP_KINDS = ("full", "inner", "identity-only")
+_SUBGROUP_KINDS = ("full", "inner", "identity-only", "wreath")
 
 
 def _row_view(rows: np.ndarray) -> np.ndarray:
@@ -420,9 +420,10 @@ class AutSet:
     a member is its row, and its index is its row number (`index`).
     ``contains_inner`` is computed, never trusted.  The kinds in
     ``_SUBGROUP_KINDS`` name the sets this module builds as subgroups of
-    Aut(G) (`automorphism_group`, `inner_automorphisms`, `identity_autset`);
-    ``is_closed`` takes them as closed and checks any other set.  ``search``
-    is the `HomSearch` that enumerated the set, when one did.
+    Aut(G) (`automorphism_group`, `inner_automorphisms`, `identity_autset`,
+    `wreath_autset` of a closed base); ``is_closed`` takes them as closed and
+    checks any other set.  ``search`` is the `HomSearch` that enumerated the
+    set, when one did.
     """
 
     search: Optional["HomSearch"] = None
@@ -794,16 +795,13 @@ def _is_characteristic(elems: tuple[int, ...], aut: AutSet) -> bool:
 
 
 def _lattice(
-    g: FiniteGroup, atoms: Iterable[tuple[int, ...]], aut: Optional[AutSet]
+    g: FiniteGroup, atoms: Iterable[tuple[int, ...]], aut: AutSet
 ) -> list[SubgroupHandle]:
     """Every join of the atom subgroups (the trivial group included), flagged
-    normal and characteristic (under Aut(G) when aut is None) and sorted by
-    (order, elements).
+    normal and characteristic under aut and sorted by (order, elements).
 
     A join of k atoms is reached from the join of k - 1 of them, so closing the
     found set under "join one more atom" finds them all."""
-    if aut is None:
-        aut = automorphism_group(g)
     atoms = sorted(set(atoms))
     found: dict[tuple[int, ...], None] = {(0,): None}
     worklist = [(0,)]
@@ -828,12 +826,14 @@ def subgroups(
     aut: Optional[AutSet] = None,
     max_order: int = SUBGROUP_ORDER_CAP,
 ) -> list[SubgroupHandle]:
-    """All subgroups, each flagged normal and characteristic.
+    """All subgroups, each flagged normal and characteristic (under Aut(G)
+    when aut is None).
 
     The atoms are the cyclic subgroups <x>: every subgroup H is the join of
     <h> over its elements h."""
     if g.order > max_order:
         raise CapExceeded(f"subgroup enumeration capped at order {max_order}")
+    aut = automorphism_group(g) if aut is None else aut
     return _lattice(g, (_closure(g.table, [x]) for x in range(1, g.order)), aut)
 
 
@@ -842,7 +842,9 @@ def normal_subgroups(g: FiniteGroup, aut: Optional[AutSet] = None) -> list[Subgr
 
     The atoms are the class closures: a normal subgroup N is the join of the
     normal closures of the classes it contains, and a join of normal subgroups
-    is normal, so the joins are exactly the normal subgroups."""
+    is normal, so the joins are exactly the normal subgroups.  Aut(G) is
+    resolved first, so its cap refuses before the class closures are built."""
+    aut = automorphism_group(g) if aut is None else aut
     return _lattice(g, _class_closures(g), aut)
 
 
@@ -1001,32 +1003,26 @@ def decompose_char_simple(f: FiniteGroup) -> tuple[FiniteGroup, int]:
 # -- wreath-type automorphisms of direct powers --------------------------------
 
 
-def _power_decode(order_s: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate matrix (|S|^n, n) and radix weights for the power encoding."""
-    total = order_s**n
-    weights = np.array([order_s ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    idx = np.arange(total, dtype=np.int64)
-    coords = (idx[:, None] // weights[None, :]) % order_s
-    return coords, weights
+def wreath_rows(base: AutSet, n: int, base_indices, sigmas) -> np.ndarray:
+    """The (k, |S|^n) int32 tables of (a_1 x ... x a_n) o sigma on S^n, one row
+    per part: a_i is base row ``base_indices[r, i]`` and sigma = ``sigmas[r]``,
+    a permutation of the n coordinates (output coordinate i reads input
+    coordinate sigma^-1(i)).  Coordinate 0 is the most significant digit of an
+    S^n index, as in `power_group`.
 
-
-def wreath_element_perm(
-    aut_tables: np.ndarray, sigma: Sequence[int], coords: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Permutation of S^n indices for (a_1 x ... x a_n) after the coordinate
-    permutation sigma (output coordinate i reads input coordinate sigma^-1(i)).
-
-    Row i of ``aut_tables`` is a_i; ``coords`` and ``weights`` come from
-    `_power_decode`."""
-    sigma = list(sigma)
-    n = len(sigma)
-    sigma_inv = [0] * n
-    for i, v in enumerate(sigma):
-        sigma_inv[v] = i
-    out = np.zeros(coords.shape[0], dtype=np.int64)
-    for i in range(n):
-        out += np.asarray(aut_tables[i], dtype=np.int64)[coords[:, sigma_inv[i]]] * weights[i]
-    return out.astype(np.int32)
+    Input coordinate j goes to output coordinate sigma(j), weighted
+    |S|^(n-1-sigma(j)), so a row is the outer sum over j of the small vectors
+    a_sigma(j) * weight: n - 1 broadcast additions and no gather of S^n size.
+    """
+    s = base.group.order
+    sigmas = np.asarray(sigmas, dtype=np.intp)
+    picked = np.take_along_axis(np.asarray(base_indices, dtype=np.intp), sigmas, axis=1)
+    weights = (s ** np.arange(n - 1, -1, -1, dtype=np.int32))[sigmas]
+    parts = base.tables[picked] * weights[:, :, None]  # (k, n, |S|), part j for input j
+    rows = parts[:, 0]
+    for j in range(1, n):
+        rows = (rows[:, :, None] + parts[:, j, None, :]).reshape(len(parts), -1)
+    return rows
 
 
 def wreath_autset(
@@ -1037,45 +1033,32 @@ def wreath_autset(
     power: Optional[FiniteGroup] = None,
     max_size: int = AUTSET_SIZE_CAP,
 ) -> AutSet:
-    """All automorphisms (a_1 x ... x a_n) o sigma of S^n with a_i from base."""
-    size = len(base) ** n * math.factorial(n)
+    """All automorphisms (a_1 x ... x a_n) o sigma of S^n with a_i from base,
+    built by `wreath_rows` in blocks of about `_COMPOSE_BLOCK_ELEMENTS` entries.
+
+    Kind "wreath" when the base is closed: then B wr S_n is a subgroup of
+    Aut(S^n).  Permuting coordinates conjugates a product of base
+    automorphisms into one with its factors permuted,
+    sigma o (b_1 x ... x b_n) = (b_sigma^-1(1) x ... x b_sigma^-1(n)) o sigma,
+    so the composite of two members is (a_i b_sigma^-1(i))_i o (sigma tau),
+    again a member since B is closed, and a finite set of bijections closed
+    under composition is a group.  An unclosed base gives kind "custom".
+    """
+    m = len(base)
+    size = m**n * math.factorial(n)
     if size > max_size:
-        raise CapExceeded(
-            f"wreath enumeration of size {size} exceeds cap {max_size}; "
-            "use WreathSampler for sampling access"
-        )
+        raise CapExceeded(f"wreath enumeration of size {size} exceeds cap {max_size}")
     t = power if power is not None else power_group(s, n)
-    coords, weights = _power_decode(s.order, n)
+    # row order: sigma outermost, then the base indices in mixed radix
+    sigmas = np.repeat(list(itertools.permutations(range(n))), m**n, axis=0)
+    combos = np.indices((m,) * n).reshape(n, -1).T
+    base_indices = np.tile(combos, (math.factorial(n), 1))
     tables = np.empty((size, t.order), dtype=np.int32)
-    parts = itertools.product(
-        itertools.permutations(range(n)), itertools.product(range(len(base)), repeat=n)
-    )
-    for row, (sigma, combo) in enumerate(parts):
-        tables[row] = wreath_element_perm(base.tables[list(combo)], sigma, coords, weights)
-    return AutSet(t, tables, kind="custom")
-
-
-class WreathSampler:
-    """Sampling access to Aut(S) wr Sym_n acting on S^n, without enumeration;
-    members come out as table rows."""
-
-    def __init__(self, s: FiniteGroup, n: int, base: AutSet, power: Optional[FiniteGroup] = None):
-        self.n = n
-        self.base = base
-        self.power = power if power is not None else power_group(s, n)
-        self.size = len(base) ** n * math.factorial(n)
-        self._coords, self._weights = _power_decode(s.order, n)
-
-    def from_parts(self, base_indices: Sequence[int], sigma: Sequence[int]) -> np.ndarray:
-        """The table of (a_1 x ... x a_n) o sigma, a_i = base row base_indices[i]."""
-        return wreath_element_perm(
-            self.base.tables[list(base_indices)], sigma, self._coords, self._weights
-        )
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        base_indices = rng.integers(0, len(self.base), size=self.n)
-        sigma = rng.permutation(self.n)
-        return self.from_parts(base_indices, sigma)
+    step = max(1, _COMPOSE_BLOCK_ELEMENTS // t.order)
+    for lo in range(0, size, step):
+        block = slice(lo, lo + step)
+        tables[block] = wreath_rows(base, n, base_indices[block], sigmas[block])
+    return AutSet(t, tables, kind="wreath" if base.is_closed else "custom")
 
 
 # -- solvable radical -----------------------------------------------------------

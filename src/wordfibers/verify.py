@@ -18,6 +18,7 @@ import numpy as np
 from .errors import BudgetExceeded
 from .fibers import (
     _BATCH_ELEMENTS,
+    _BatchEvaluator,
     DEFAULT_BUDGET,
     eval_automorphic,
     fiber_distribution,
@@ -27,10 +28,10 @@ from .fibers import (
     rewrite_coset_equation,
 )
 from .groups import (
+    _COMPOSE_BLOCK_ELEMENTS,
     AutSet,
     FiniteGroup,
     SubgroupHandle,
-    WreathSampler,
     automorphism_group,
     induced_autset,
     is_simple,
@@ -38,6 +39,7 @@ from .groups import (
     power_group,
     quotient,
     restricted_autset,
+    wreath_rows,
 )
 from .words import ReducedWord, format_word, parse_word, variations
 
@@ -217,6 +219,8 @@ def check_rewrite(
     budget: int = DEFAULT_BUDGET,
 ) -> CheckReport:
     """Random trials of the coset-equation rewrite, each verified over all of N^d."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     aut = automorphism_group(g)
     rng = np.random.default_rng(seed)
     d = w.num_variables
@@ -336,12 +340,19 @@ def check_variation_bound(
     """Fiber proportions over S^n stay below the best variation proportion,
     raised to the n/l^2 exponent.
 
-    n = 1 is checked exactly; n >= 2 draws sampled automorphism tuples through
-    the coordinate-permuting construction and can only report
-    inconclusive-sampled or fail.  ``exponent_mode`` selects the ceiling
-    (default) or the weaker floor exponent; ``epsilon_factor`` rescales the
-    computed bound (used by negative controls).
+    n = 1 is checked exactly.  n >= 2 draws ``samples`` seeded tuples of
+    members of Aut(S) wr S_n and can only report inconclusive-sampled or fail:
+    per sample and letter, n base indices (``rng.integers``) and then a
+    coordinate permutation (``rng.permutation``).  Blocks of about
+    `_COMPOSE_BLOCK_ELEMENTS` table entries are built by `wreath_rows` and
+    counted by the fiber kernel (`_BatchEvaluator`).  The witness is the first
+    violating sample, else the first sample with the largest fiber.
+    ``exponent_mode`` selects the ceiling (default) or the weaker floor
+    exponent; ``epsilon_factor`` rescales the computed bound (used by negative
+    controls).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if s.is_abelian or not is_simple(s):
         raise ValueError("the base group must be a nonabelian simple group")
     if exponent_mode not in ("ceil", "floor"):
@@ -383,40 +394,53 @@ def check_variation_bound(
             counters={"evaluations": evaluations},
         )
     power = power_group(s, n)
-    sampler = WreathSampler(s, n, aut, power=power)
+    d = w.num_variables
+    total = power.order**d
+    if total > budget:
+        raise BudgetExceeded(f"{power.order}^{d} evaluations exceed budget {budget}")
     rng = np.random.default_rng(seed)
-    total = power.order**w.num_variables
-    worst_count = 0
+    # exact comparison value/total <= bound, as value <= floor(bound * total),
+    # clamped into int64 range: every value lies in 1..total
+    allowed = min(total, max(-1, bound.numerator * total // bound.denominator))
+    step = max(1, _COMPOSE_BLOCK_ELEMENTS // (l * power.order))
     worst = {}
-    for sample_idx in range(samples):
-        tup = np.stack([sampler.sample(rng) for _ in range(l)])
-        dist = fiber_distribution(power, w, tup, budget=budget)
-        evaluations += total
-        value, target = dist.max_fiber()
-        if value > worst_count:
-            worst_count = value
-            worst = {"sample": sample_idx, "value": value, "target": target}
-        # exact comparison: value/total <= bound
-        if value * bound.denominator > bound.numerator * total:
+    for lo in range(0, samples, step):
+        k = min(step, samples - lo)
+        # sample-major, letter-minor: the seeded draw order
+        draws = [(rng.integers(0, len(aut), size=n), rng.permutation(n)) for _ in range(k * l)]
+        base_indices, sigmas = (np.array(part) for part in zip(*draws))
+        ev = _BatchEvaluator(power, w, wreath_rows(aut, n, base_indices, sigmas))
+        counts = ev.counts([np.arange(i, k * l, l) for i in range(l)])
+        values, targets = counts.max(axis=1), counts.argmax(axis=1)
+        over = np.flatnonzero(values > allowed)
+        if len(over):
+            r = int(over[0])
+            value = int(values[r])
             return CheckReport(
                 claim="variation-bound",
                 params=params,
                 outcome="fail",
                 witness={
-                    "sample": sample_idx,
+                    "sample": lo + r,
                     "seed": seed,
                     "value": value,
-                    "target": target,
+                    "target": int(targets[r]),
                     "proportion": Fraction(value, total),
                 },
-                counters={"evaluations": evaluations, "samples": sample_idx + 1},
+                counters={
+                    "evaluations": evaluations + (lo + r + 1) * total,
+                    "samples": lo + r + 1,
+                },
             )
+        r = int(np.argmax(values))
+        if values[r] > worst.get("value", 0):
+            worst = {"sample": lo + r, "value": int(values[r]), "target": int(targets[r])}
     return CheckReport(
         claim="variation-bound",
         params=params,
         outcome="inconclusive-sampled",
         witness={"worst_sampled": worst, "seed": seed},
-        counters={"evaluations": evaluations, "samples": samples},
+        counters={"evaluations": evaluations + samples * total, "samples": samples},
     )
 
 

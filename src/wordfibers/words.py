@@ -66,15 +66,6 @@ class ReducedWord:
         return len(self.variables)
 
     @cached_property
-    def iota(self) -> tuple[int, ...]:
-        """Variable index used at each position."""
-        return tuple(let.var for let in self.letters)
-
-    @cached_property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(let.sign for let in self.letters)
-
-    @cached_property
     def occurrence_counts(self) -> dict[int, int]:
         """Number of occurrences of each variable (either sign)."""
         counts: dict[int, int] = {}

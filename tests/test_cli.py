@@ -142,6 +142,17 @@ class TestGroupCommands:
         assert code == EXIT_BUDGET
         assert "exceeds cap" in doc["result"]["error"]
 
+    def test_series_refuses_on_the_aut_cap_before_class_closures(self, monkeypatch):
+        import wordfibers.groups as groups
+
+        def no_closures(*args):
+            raise AssertionError("class closures were built")
+
+        monkeypatch.setattr(groups, "_class_closures", no_closures)
+        code, doc, _ = run(["group", "series", "--spec", "pow:(alt:5)^2"])
+        assert code == EXIT_BUDGET
+        assert "exceeds cap" in doc["result"]["error"]
+
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
@@ -217,6 +228,14 @@ class TestFiberCommands:
         assert doc["result"]["status"] == "lower_bound"
         assert doc["result"]["seed"] == "3"
 
+    def test_max_sample_refuses_samples_below_one(self):
+        code, doc, _ = run(
+            ["fiber", "max", "--group", "dih:4", "--word", "x1^2", "--mode", "sample",
+             "--samples", "-2"]
+        )
+        assert code == EXIT_USAGE
+        assert doc["result"]["error"] == "samples must be >= 1, got -2"
+
     def test_budget_exit(self):
         code, doc, _ = run(
             ["--budget", "10", "fiber", "pi", "--group", "alt:4", "--word", "[x1,x2]"]
@@ -272,6 +291,23 @@ class TestVerifyCommands:
         )
         assert code == EXIT_OK
         assert doc["result"]["outcome"] == "pass"
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_rewrite_refuses_trials_below_one(self, trials):
+        code, doc, _ = run(
+            ["verify", "rewrite", "--group", "sym:3", "--subgroup", "order:3",
+             "--word", "x1^2", "--trials", trials]
+        )
+        assert code == EXIT_USAGE
+        assert doc["result"]["error"] == f"trials must be >= 1, got {trials}"
+
+    def test_variation_bound_refuses_samples_below_one(self):
+        code, doc, _ = run(
+            ["verify", "variation-bound", "--simple", "alt:5", "--n", "2",
+             "--word", "x1", "--samples", "-5"]
+        )
+        assert code == EXIT_USAGE
+        assert doc["result"]["error"] == "samples must be >= 1, got -5"
 
     def test_variation_bound_negative_control_exits_one(self):
         code, doc, _ = run(
@@ -337,6 +373,17 @@ class TestCache:
 
 
 class TestBattery:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_shipped_battery_matches_the_benchmark_golden_file(self, tmp_path, threads):
+        golden = json.loads((GOLDEN / "battery.json").read_text())
+        (record,) = golden["records"]
+        code, doc, _ = run(["--threads", threads, "verify", "battery", "--out", str(tmp_path)])
+        assert code == record["exit_code"]
+        assert doc["result"] == record["result"]
+        assert len(golden["reports"]) == len(doc["result"]["reports"]) == 73
+        for name in doc["result"]["reports"]:
+            assert (tmp_path / name).read_text() == golden["reports"][name], name
+
     def test_empty_manifest(self, tmp_path):
         manifest = tmp_path / "empty.json"
         manifest.write_text("[]")

@@ -238,9 +238,29 @@ class TestMaxFiber:
         assert res_one.witness_target == 1
 
     def test_trivial_group(self):
+        # the general search covers the one tuple and the one target
         g = make_group("cyc:1")
-        res = max_fiber(g, SQUARE, identity_autset(g))
-        assert res.value == 1 and res.proportion == 1
+        for a in (identity_autset(g), inner_automorphisms(g), automorphism_group(g)):
+            for w in (SQUARE, XY, COMMUTATOR):
+                res = max_fiber(g, w, a)
+                assert (res.value, res.proportion, res.witness_target) == (1, 1, 0)
+                assert res.status == "exact" and res.witness_tuple_indices == (0,) * w.length
+                assert res.witness_tuple.tolist() == [[0]] * w.length
+                assert (res.tuples_examined, res.evaluations) == (1, 1)
+                assert (res.tuples_scanned, res.evaluations_performed) == (1, 1)
+                pt = max_fiber_per_target(g, w, a)
+                assert pt.values.tolist() == [1] and pt.witness_tuple_indices.tolist() == [0]
+                assert (pt.tuples_examined, pt.evaluations) == (1, 1)
+                assert (pt.tuples_scanned, pt.evaluations_performed) == (1, 1)
+                sampled = max_fiber(g, w, a, mode="sample", budget=4, seed=9)
+                assert (sampled.value, sampled.status, sampled.seed) == (1, "lower_bound", 9)
+                assert sampled.tuples_examined == sampled.evaluations == 5
+
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_sample_mode_refuses_counts_below_one(self, samples):
+        g = make_group("sym:3")
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            max_fiber(g, SQUARE, inner_automorphisms(g), mode="sample", budget=samples)
 
     def test_per_target_matches_python_oracle(self):
         g = make_group("sym:3")

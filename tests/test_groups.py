@@ -33,7 +33,7 @@ from wordfibers.groups import (
     subgroup_handle,
     subgroups,
     wreath_autset,
-    WreathSampler,
+    wreath_rows,
     write_cayley_table,
 )
 
@@ -294,12 +294,12 @@ class TestAutSetIndex:
 
     def test_shuffled_wreath_sample(self):
         s = make_group("alt:5")
-        sampler = WreathSampler(s, 2, automorphism_group(s))
+        base, power = automorphism_group(s), power_group(s, 2)
         rng = np.random.default_rng(11)
-        drawn = np.stack([sampler.sample(rng) for _ in range(200)])
+        drawn = wreath_rows(base, 2, *draw_wreath_parts(rng, len(base), 2, 200))
         members = np.concatenate([np.arange(3600)[None], drawn, drawn[:30]])
-        a = AutSet(sampler.power, members[rng.permutation(len(members))], kind="custom")
-        outsiders = np.stack([sampler.sample(rng) for _ in range(100)])
+        a = AutSet(power, members[rng.permutation(len(members))], kind="custom")
+        outsiders = wreath_rows(base, 2, *draw_wreath_parts(rng, len(base), 2, 100))
         queries = np.concatenate([outsiders, drawn, np.arange(3600)[None]])
         got = a.index(queries)
         assert got.tolist() == reference_index(a, queries)
@@ -686,6 +686,31 @@ class TestSimplicity:
         assert not is_simple(make_group("cyc:1"))
 
 
+def reference_wreath_row(base, n, base_indices, sigma):
+    """(a_1 x ... x a_n) o sigma on S^n, built one output coordinate at a time:
+    output coordinate i reads input coordinate sigma^-1(i) through a_i."""
+    s = base.group.order
+    weights = [s ** (n - 1 - i) for i in range(n)]
+    coords = (np.arange(s**n)[:, None] // np.array(weights)[None, :]) % s
+    sigma_inv = [0] * n
+    for i, v in enumerate(sigma):
+        sigma_inv[v] = i
+    out = np.zeros(s**n, dtype=np.int64)
+    for i in range(n):
+        out += base.tables[base_indices[i]].astype(np.int64)[coords[:, sigma_inv[i]]] * weights[i]
+    return out.tolist()
+
+
+def draw_wreath_parts(rng, m, n, k):
+    """k seeded (base indices, sigma) parts, drawn in the order the sampled
+    variation check draws them: n base indices, then a permutation."""
+    base_indices, sigmas = [], []
+    for _ in range(k):
+        base_indices.append(rng.integers(0, m, size=n))
+        sigmas.append(rng.permutation(n))
+    return np.array(base_indices), np.array(sigmas)
+
+
 class TestWreath:
     def test_n1_is_base(self):
         g = make_group("sym:3")
@@ -701,8 +726,8 @@ class TestWreath:
 
     def test_swap_exchanges_coordinates(self):
         g = make_group("sym:3")
-        sampler = WreathSampler(g, 2, identity_autset(g))
-        swap = sampler.from_parts([0, 0], [1, 0])
+        swap = wreath_rows(identity_autset(g), 2, [[0, 0]], [[1, 0]])[0]
+        assert swap.tolist() == reference_wreath_row(identity_autset(g), 2, [0, 0], [1, 0])
         for a in range(6):
             for b in range(6):
                 idx = a * 6 + b
@@ -715,30 +740,67 @@ class TestWreath:
             assert is_automorphism(w.group, row)
         assert w.is_closed
 
-    def test_sampler_matches_enumeration_and_is_seeded(self):
+    @pytest.mark.parametrize(
+        "spec, n, build",
+        [("sym:3", 1, automorphism_group), ("sym:3", 2, automorphism_group),
+         ("sym:3", 3, automorphism_group), ("cyc:3", 2, automorphism_group),
+         ("dih:4", 2, automorphism_group), ("sym:3", 2, inner_automorphisms)],
+    )
+    def test_rows_match_the_per_row_construction(self, spec, n, build):
+        g = make_group(spec)
+        base = build(g)
+        parts = [(b, p) for p in itertools.permutations(range(n))
+                 for b in itertools.product(range(len(base)), repeat=n)]
+        rows = wreath_rows(base, n, [b for b, _ in parts], [p for _, p in parts])
+        assert rows.dtype == np.int32
+        assert rows.tolist() == [reference_wreath_row(base, n, b, p) for b, p in parts]
+        w = wreath_autset(g, n, base)
+        assert row_tuples(w) == sorted(set(map(tuple, rows.tolist())))
+
+    def test_sampled_rows_match_enumeration_and_are_seeded(self):
         g = make_group("sym:3")
         base = inner_automorphisms(g)
         w = wreath_autset(g, 2, base)
-        sampler = WreathSampler(g, 2, base, power=w.group)
-        assert sampler.size == 72
-        rng = np.random.default_rng(5)
-        drawn = np.stack([sampler.sample(rng) for _ in range(10)])
+        assert len(w) == 72
+        parts = draw_wreath_parts(np.random.default_rng(5), len(base), 2, 10)
+        drawn = wreath_rows(base, 2, *parts)
         assert set(map(tuple, drawn.tolist())) <= set(row_tuples(w))
-        rng2 = np.random.default_rng(5)
-        again = np.stack([sampler.sample(rng2) for _ in range(10)])
-        assert drawn.tolist() == again.tolist()
+        again = draw_wreath_parts(np.random.default_rng(5), len(base), 2, 10)
+        assert wreath_rows(base, 2, *again).tolist() == drawn.tolist()
 
-    def test_cap_requires_sampler(self):
+    def test_sampled_rows_of_aut_a5_squared(self):
+        s = make_group("alt:5")
+        base = automorphism_group(s)
+        parts = draw_wreath_parts(np.random.default_rng(3), len(base), 2, 40)
+        rows = wreath_rows(base, 2, *parts)
+        assert rows.tolist() == [reference_wreath_row(base, 2, b, p) for b, p in zip(*parts)]
+
+    def test_cap(self):
         g = make_group("alt:5")
         with pytest.raises(CapExceeded):
             wreath_autset(g, 2, automorphism_group(g), max_size=1000)
 
     def test_sampled_element_on_large_power_satisfies_hom_law(self):
         s = make_group("alt:5")
-        sampler = WreathSampler(s, 2, automorphism_group(s))
-        rng = np.random.default_rng(1)
-        drawn = sampler.sample(rng)
-        assert is_automorphism(sampler.power, drawn)  # full 3600^2-pair check, vectorized
+        base = automorphism_group(s)
+        drawn = wreath_rows(base, 2, *draw_wreath_parts(np.random.default_rng(1), len(base), 2, 1))
+        assert is_automorphism(power_group(s, 2), drawn[0])  # full 3600^2-pair check, vectorized
+
+    @pytest.mark.parametrize("spec, build", [("sym:3", inner_automorphisms),
+                                             ("cyc:3", automorphism_group)])
+    def test_closed_base_gives_a_closed_kind(self, spec, build):
+        g = make_group(spec)
+        w = wreath_autset(g, 2, build(g))
+        assert w.kind == "wreath" and w.is_closed
+        assert reference_is_closed(w)
+
+    def test_unclosed_base_stays_custom(self):
+        g = make_group("sym:3")
+        base = AutSet(g, inner_automorphisms(g).tables[[0, 3]], kind="custom")
+        assert not base.is_closed
+        w = wreath_autset(g, 2, base)
+        assert w.kind == "custom"
+        assert not w.is_closed and not reference_is_closed(w)
 
 
 class TestSolvableRadical:
@@ -991,11 +1053,11 @@ class TestCanonicalOrder:
             assert row_tuples(w) == tuple_sorted(w)
         # a sample of Aut(A5) wr S2, given shuffled and with repeats
         s = make_group("alt:5")
-        sampler = WreathSampler(s, 2, automorphism_group(s))
-        rng = np.random.default_rng(7)
-        drawn = [sampler.sample(rng) for _ in range(300)]
-        members = np.stack([np.arange(3600)] + drawn + drawn[:50])
-        sample = AutSet(sampler.power, members, kind="custom")
+        base = automorphism_group(s)
+        parts = draw_wreath_parts(np.random.default_rng(7), len(base), 2, 300)
+        drawn = wreath_rows(base, 2, *parts)
+        members = np.concatenate([np.arange(3600)[None], drawn, drawn[:50]])
+        sample = AutSet(power_group(s, 2), members, kind="custom")
         assert len(sample) == len(set(map(tuple, members.tolist())))
         assert row_tuples(sample) == tuple_sorted(sample)
 

@@ -32,6 +32,10 @@ COMMUTATOR = parse_word("[x1,x2]")
 XYX = parse_word("x1 x2 x1")
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
 def char_subgroup_of_order(g, order, aut=None):
     aut = aut or automorphism_group(g)
     return next(
@@ -144,6 +148,14 @@ class TestRewriteCheck:
         report = check_rewrite(g, n, SQUARE, trials=10, seed=3)
         assert report.outcome == "pass"
 
+    def test_refuses_trials_below_one_before_any_work(self, monkeypatch):
+        g = make_group("sym:3")
+        n = char_subgroup_of_order(g, 3)
+        monkeypatch.setattr(verify, "automorphism_group", no_work)
+        for trials in (0, -3):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                check_rewrite(g, n, SQUARE, trials=trials)
+
     def test_seed_reproducible(self):
         g = make_group("alt:4")
         n = char_subgroup_of_order(g, 4)
@@ -254,6 +266,48 @@ class TestVariationBound:
         assert report.outcome == "inconclusive-sampled"
         assert report.params["exponent"] == 2
         assert report.params["bound"] == Fraction(1, 3600)
+
+    # reports of the sampled n = 2 branch, recorded from the one-sample-at-a-time
+    # construction this branch replaced: (word, samples, seed, epsilon_factor,
+    # outcome, witness, counters)
+    PINNED_SAMPLED = [
+        ("x1", 300, 7, Fraction(1), "inconclusive-sampled",
+         {"worst_sampled": {"sample": 0, "value": 1, "target": 0}, "seed": 7},
+         {"evaluations": 1087200, "samples": 300}),
+        ("x1^2", 1000, 2026, Fraction(1), "inconclusive-sampled",
+         {"worst_sampled": {"sample": 4, "value": 256, "target": 18}, "seed": 2026},
+         {"evaluations": 56304000, "samples": 1000}),
+        ("x1", 40, 4, Fraction(1), "inconclusive-sampled",
+         {"worst_sampled": {"sample": 0, "value": 1, "target": 0}, "seed": 4},
+         {"evaluations": 151200, "samples": 40}),
+        ("x1", 50, 0, Fraction(1, 1000), "fail",
+         {"sample": 0, "seed": 0, "value": 1, "target": 0, "proportion": Fraction(1, 3600)},
+         {"evaluations": 10800, "samples": 1}),
+        ("x1^2", 30, 11, Fraction(1, 10), "fail",
+         {"sample": 1, "seed": 11, "value": 160, "target": 0, "proportion": Fraction(2, 45)},
+         {"evaluations": 52711200, "samples": 2}),
+    ]
+
+    @pytest.mark.parametrize("case", PINNED_SAMPLED, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+    def test_sampled_reports_are_pinned(self, case):
+        word, samples, seed, factor, outcome, witness, counters = case
+        report = check_variation_bound(
+            make_group("alt:5"), 2, parse_word(word), samples=samples, seed=seed,
+            epsilon_factor=factor,
+        )
+        assert (report.outcome, report.witness, report.counters) == (outcome, witness, counters)
+
+    def test_sampled_blocks_do_not_change_the_report(self, monkeypatch):
+        s, w = make_group("alt:5"), parse_word("x1^2")
+        whole = check_variation_bound(s, 2, w, samples=60, seed=2026)
+        monkeypatch.setattr(verify, "_COMPOSE_BLOCK_ELEMENTS", 1)
+        assert check_variation_bound(s, 2, w, samples=60, seed=2026) == whole
+
+    def test_refuses_samples_below_one_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(verify, "is_simple", no_work)
+        for samples in (0, -5):
+            with pytest.raises(ValueError, match="samples must be >= 1"):
+                check_variation_bound(make_group("alt:5"), 2, parse_word("x1"), samples=samples)
 
     def test_negative_control_fails_with_counterexample(self):
         s = make_group("alt:5")
