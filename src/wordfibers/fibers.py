@@ -47,10 +47,13 @@ class FiberDistribution:
 
 @dataclass
 class MaxFiberResult:
-    """``tuples_examined``/``evaluations`` count the tuples the result covers
-    (all |A|^l of them in exact mode); ``tuples_scanned``/
-    ``evaluations_performed`` count the work actually done.  ``witness_tuple``
-    holds the witness's letter automorphisms, one table per row."""
+    """``tuples_examined`` counts the automorphism tuples the result covers
+    (all |A|^l of them in exact mode) and ``tuples_scanned`` those actually
+    scanned; ``evaluations`` and ``evaluations_performed`` count the argument
+    tuples accounted for, |G|^d per covered or scanned tuple.  A word that
+    splits into segments (see `_BatchEvaluator`) accounts for them without
+    evaluating each one.  ``witness_tuple`` holds the witness's letter
+    automorphisms, one table per row."""
 
     value: int
     proportion: Fraction
@@ -148,8 +151,9 @@ def fiber_distribution(
     auts: np.ndarray,
     budget: int = DEFAULT_BUDGET,
 ) -> FiberDistribution:
-    """Exact fiber sizes by full enumeration of the argument space, for the
-    letter automorphisms in the rows of the (l, |G|) array `auts`."""
+    """Exact fiber sizes over the whole argument space, for the letter
+    automorphisms in the rows of the (l, |G|) array `auts`.  The budget bounds
+    the |G|^d argument tuples accounted for (see `_BatchEvaluator`)."""
     _require_word(w)
     tables = _letter_tables(g, w, auts)
     d = w.num_variables
@@ -208,24 +212,44 @@ def _tuple_digits(
 class _BatchEvaluator:
     """Fiber counts for batches of automorphism tuples, the one fiber-count kernel.
 
+    The word is cut into segments: a cut goes after letter i when no variable
+    of letters 0..i occurs after i, so consecutive segments have pairwise
+    disjoint variable sets, and each is as short as that allows.  Each
+    segment's counts come from enumerating only its own n^(d_k) arguments,
+    and the counts of the word are their group-algebra convolution, folded
+    in word order: with L the counts of the letters so far and R those of
+    the next segment, a*x gets L[a] * R[x] for every a and x, so for each a
+    in the support of L the row L[a] * R is added at the positions x -> a*x,
+    row a of the table, a permutation; no inverse table is needed.  This is
+    exact: the segments take independent arguments, so an argument tuple of
+    the whole word is one argument tuple per segment, and its value is the
+    product of the segment values in word order; each letter still goes
+    through its own automorphism row, so the segment counts are those of the
+    tuple itself.  The fold keeps the left factor on the left, as a
+    nonabelian group needs.  A word that does not split is one segment,
+    enumerated as a whole.
+
     Blocks hold at most `_BATCH_ELEMENTS` word values: b = `batch_size()`
-    tuples over the whole argument space when n^d fits, else one tuple over
-    consecutive argument chunks.  A block builds each letter's argument column
-    when it reaches that letter.  Row r of a block is offset by r*n for one
-    shared bincount.  The offsets stay in int32 because b*n <= `_BATCH_ELEMENTS`:
-    b*n^d fits when b > 1, and b = 1 with n within the group order cap.
+    tuples over a segment's whole argument space when n^d fits, else one
+    tuple over consecutive argument chunks.  A block builds each letter's
+    argument column when it reaches that letter.  Row r of a block is offset
+    by r*n for one shared bincount.  The offsets stay in int32 because
+    b*n <= `_BATCH_ELEMENTS`: b*n^d fits when b > 1, and b = 1 with n within
+    the group order cap.  Counts are int64, so words with n^d beyond its
+    range are refused.
     """
 
     def __init__(self, g: FiniteGroup, w: ReducedWord, aut_tables: np.ndarray):
         self.w = w
         self.at = aut_tables
         self.n = g.order
-        self.d = w.num_variables
-        self.total_args = self.n**self.d
-        pos = _var_positions(w)
-        self.plan = [(pos[let.var], let.sign) for let in w.letters]
+        d = w.num_variables
+        self.total_args = self.n**d
+        if self.total_args > np.iinfo(np.int64).max:
+            raise CapExceeded(f"{self.n}^{d} argument tuples exceed the 64-bit fiber counts")
+        self.segments = _segments(w)
         self.table = g.table
-        self.inv_t = g.inv_table
+        self.inv_t = g.inv_table if any(let.sign < 0 for let in w.letters) else None
 
     def batch_size(self) -> int:
         return max(1, min(_BATCH_ELEMENTS // self.total_args, 1 << 16))
@@ -234,16 +258,24 @@ class _BatchEvaluator:
         """(b, n) fiber counts for at most `batch_size()` tuples given by
         per-letter AutSet indices.  A None letter is the identity on every
         tuple, one (1, K) row broadcast over the batch, so a prefix of such
-        letters is composed once per block; with every letter None, b is 1."""
-        n, total = self.n, self.total_args
+        letters is composed once per block; a segment of None letters has
+        (1, n) counts, broadcast in the fold; with every letter None, b is 1."""
+        res = None
+        for lo, hi, d, plan in self.segments:
+            h = self._segment_counts(d, plan, digit_arrays[lo:hi])
+            res = h if res is None else self._fold(res, h)
+        return res
+
+    def _segment_counts(self, d, plan, digit_arrays) -> np.ndarray:
+        n, total = self.n, self.n**d
         b = max((len(dig) for dig in digit_arrays if dig is not None), default=1)
         step = _BATCH_ELEMENTS // b
         offs = np.arange(b, dtype=np.int32)[:, None] * np.int32(n)
         counts = np.zeros((b, n), dtype=np.int64)
         for start in range(0, total, step):
             res = None
-            for (rank, sign), dig in zip(self.plan, digit_arrays):
-                v = _arg_slice(n, self.d, rank, start, min(start + step, total))
+            for (rank, sign), dig in zip(plan, digit_arrays):
+                v = _arg_slice(n, d, rank, start, min(start + step, total))
                 if sign < 0:
                     v = self.inv_t[v]
                 v = v[None, :] if dig is None else self.at[dig][:, v]
@@ -251,6 +283,31 @@ class _BatchEvaluator:
             res += offs
             counts += np.bincount(res.ravel(), minlength=b * n).reshape(b, n)
         return counts
+
+    def _fold(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Counts of the product of two independent segments, left first."""
+        out = np.zeros((max(len(left), len(right)), self.n), dtype=np.int64)
+        for a in np.flatnonzero(left.any(axis=0)):
+            out[:, self.table[a]] += left[:, a, None] * right
+        return out
+
+
+def _segments(w: ReducedWord) -> list[tuple[int, int, int, list[tuple[int, int]]]]:
+    """(first letter, end letter, variable count, plan) of each segment of
+    `_BatchEvaluator`; the plan gives each letter's variable rank within the
+    segment, in ascending variable order, and its sign."""
+    last = {let.var: i for i, let in enumerate(w.letters)}
+    segments = []
+    lo = reach = 0
+    for i, let in enumerate(w.letters):
+        reach = max(reach, last[let.var])
+        if reach == i:
+            letters = w.letters[lo : i + 1]
+            rank = {v: r for r, v in enumerate(sorted({x.var for x in letters}))}
+            plan = [(rank[x.var], x.sign) for x in letters]
+            segments.append((lo, i + 1, len(rank), plan))
+            lo = i + 1
+    return segments
 
 
 @dataclass
@@ -357,9 +414,10 @@ def _search_all_tuples(
     scanning them in order, in any thread split, reports the same witnesses
     as the full scan.
 
-    The budget is checked against the evaluations performed, before any is
-    made.  Returns the best cell, the per-target maxima with their witness
-    indices, the evaluations performed, and the tuples covered and scanned.
+    The budget is checked against the evaluations performed, the argument
+    tuples the scanned tuples account for, before any is made.  Returns the
+    best cell, the per-target maxima with their witness indices, the
+    evaluations performed, and the tuples covered and scanned.
     """
     _require_word(w)
     m, l = len(a), w.length

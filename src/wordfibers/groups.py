@@ -62,10 +62,10 @@ class FiniteGroup:
 
     @cached_property
     def inv_table(self) -> np.ndarray:
-        rows, cols = np.nonzero(self.table == 0)
-        inv = np.empty(self.order, dtype=np.int32)
-        inv[rows] = cols
-        return inv
+        """``inv_table[a]`` is the index of a^-1: the column of the identity,
+        index 0, in row a, which is a permutation of 0..n-1 and so has its
+        least entry there."""
+        return np.argmin(self.table, axis=1).astype(np.int32)
 
     # -- derived structure ---------------------------------------------------
 

@@ -173,7 +173,9 @@ def test_group_records_cover_every_structure_command():
 
 def test_fiber_records_cover_the_chunked_path():
     assert Counter(r["argv"][1] for r in FIBER_RECORDS) == {"pi": 61, "dist": 9, "max": 40}
-    # alt:5, 60^4 arguments: above the kernel's block, so swept in chunks
+    # alt:5, 60^4 arguments: above the kernel's block, which would sweep them
+    # in chunks; the kernel splits this word into four one-letter segments
+    # instead, so tests/test_fibers.py covers the chunked sweep (TestSplitWords)
     assert ["fiber", "pi", "--group", "alt:5", "--word", "x1 x2 x3 x4"] in [
         r["argv"] for r in FIBER_RECORDS
     ]
@@ -241,6 +243,18 @@ class TestFiberCommands:
             ["--budget", "10", "fiber", "pi", "--group", "alt:4", "--word", "[x1,x2]"]
         )
         assert code == EXIT_BUDGET
+
+    def test_counts_beyond_64_bits_are_refused_within_the_budget(self):
+        # 120^11 argument tuples fit the budget but not the int64 fiber counts
+        word = " ".join(f"x{i}" for i in range(1, 12))
+        argv = ["--budget", str(10**30), "fiber", "pi", "--group", "sym:5", "--word", word]
+        code, doc, _ = run(argv)
+        assert code == EXIT_BUDGET
+        assert doc["status"] == "budget-exceeded"
+        assert doc["result"] == {"error": "120^11 argument tuples exceed the 64-bit fiber counts"}
+        code, doc, _ = run(argv[:-1] + [" ".join(word.split()[:9])])
+        assert code == EXIT_OK
+        assert doc["result"] == {"max_fiber": str(120**8), "proportion": "1/120"}
 
     def test_max_reports_work_in_stats_and_coverage_in_result(self):
         argv = ["fiber", "max", "--group", "alt:4", "--word", "[x1,x2]", "--auts", "aut"]

@@ -428,7 +428,148 @@ class TestKernelAgainstOracle:
             assert got.values.tolist() == per_target_oracle(grp, w, a)
 
 
-# reference for the exact search: every tuple of A^l in mixed-radix order
+# independent oracle: the fiber sizes of one tuple by itertools.product over
+# G^d, every argument tuple evaluated by eval_automorphic
+def product_counts(g, w, auts):
+    args = np.array(list(itertools.product(range(g.order), repeat=w.num_variables)))
+    values = eval_automorphic(g, w, np.asarray(auts), list(args.T))
+    return np.bincount(values, minlength=g.order).tolist()
+
+
+def counting_arg_slices(monkeypatch):
+    """Replace the kernel's argument columns by a wrapper; returns the list
+    of (start, size) of every column built."""
+    built = []
+    real = fibers._arg_slice
+
+    def counting(n, d, rank, start, stop):
+        built.append((start, stop - start))
+        return real(n, d, rank, start, stop)
+
+    monkeypatch.setattr(fibers, "_arg_slice", counting)
+    return built
+
+
+# split words: inverse letters; a segment with the non-consecutive variables
+# x1, x3; all-identity segments on the left (x1 x2^2) and on the right
+# (x1^2 x2, x1 x2^-1 x1 x3) of a normal-form batch
+SPLIT_WORDS = ["x1^2 x2^-2", "x2 x1 x3^2 x1", "x1 x2^2", "x1^2 x2", "x1 x2^-1 x1 x3"]
+
+
+class TestSplitWords:
+    @pytest.mark.parametrize("word, segments", [
+        ("x1 x2 x3 x4", [(0, 1, 1, [(0, 1)]), (1, 2, 1, [(0, 1)]),
+                         (2, 3, 1, [(0, 1)]), (3, 4, 1, [(0, 1)])]),
+        ("x2 x1 x3^2 x1", [(0, 1, 1, [(0, 1)]),
+                           (1, 5, 2, [(0, 1), (1, 1), (1, 1), (0, 1)])]),
+        ("x1 x2^-1 x1 x3", [(0, 3, 2, [(0, 1), (1, -1), (0, 1)]), (3, 4, 1, [(0, 1)])]),
+        ("[x1,x2] x3^2", [(0, 4, 2, [(0, 1), (1, 1), (0, -1), (1, -1)]),
+                          (4, 6, 1, [(0, 1), (0, 1)])]),
+        ("x1 x2 x1", [(0, 3, 2, [(0, 1), (1, 1), (0, 1)])]),
+    ])
+    def test_cuts_go_where_no_earlier_variable_recurs(self, word, segments):
+        assert fibers._segments(parse_word(word)) == segments
+
+    def test_segment_counts_are_not_class_functions(self):
+        # On alt:4, x1^2 under the rows (identity, alpha_j) of Aut has counts
+        # that are not class functions, and u v and v u differ for two such
+        # segments, so the brute-force tests below see the fold order.
+        g = make_group("alt:4")
+        a = automorphism_group(g)
+        counts = [product_counts(g, SQUARE, a.tables[[0, j]]) for j in range(len(a))]
+        assert any(len({c[x] for x in cls}) > 1 for c in counts for cls in g.conjugacy_classes)
+        w = parse_word("x1^2 x2^2")
+        assert any(
+            product_counts(g, w, a.tables[[0, j, 0, k]])
+            != product_counts(g, w, a.tables[[0, k, 0, j]])
+            for j, k in itertools.combinations(range(len(a)), 2)
+        )
+
+    @pytest.mark.parametrize("block", [None, 7], ids=lambda b: f"block{b}")
+    @pytest.mark.parametrize("word", SPLIT_WORDS)
+    def test_normal_form_batches_match_brute_force(self, monkeypatch, block, word):
+        if block is not None:
+            monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", block)
+        g = make_group("alt:4")
+        a = automorphism_group(g)
+        w = parse_word(word)
+        ev = fibers._BatchEvaluator(g, w, a.tables)
+        assert len(fibers._segments(w)) > 1
+        free = fibers._free_letters(w, a)
+        rows = np.arange(min(ev.batch_size(), len(a) ** len(free)))
+        assert len(rows) == (len(a) ** len(free) if block is None else 1)
+        digits, _ = fibers._tuple_digits(rows, len(a), w.length, free)
+        counts = ev.counts(digits)
+        assert counts.shape == (len(rows), g.order)
+        for r in rows:
+            tup = a.tables[[0 if dig is None else int(dig[r]) for dig in digits]]
+            assert counts[r].tolist() == product_counts(g, w, tup)
+
+    @pytest.mark.parametrize("word", SPLIT_WORDS)
+    def test_sampled_batches_match_brute_force(self, word):
+        g = make_group("alt:4")
+        a = automorphism_group(g)
+        w = parse_word(word)
+        rng = np.random.default_rng(5)
+        draws = rng.integers(0, len(a), size=(9, w.length))
+        counts = fibers._BatchEvaluator(g, w, a.tables).counts(list(draws.T))
+        for row, combo in zip(counts, draws):
+            assert row.tolist() == product_counts(g, w, a.tables[combo])
+
+    @pytest.mark.parametrize("spec, word", [("alt:4", "x1^2 x2^-2"), ("sym:3", "x1 x2^-1 x1 x3")])
+    def test_searches_match_brute_force(self, spec, word):
+        w = parse_word(word)
+        g = make_group(spec)
+        unclosed_g, unclosed = doubling_autset()
+        for grp, a in ((g, inner_automorphisms(g)), (unclosed_g, unclosed)):
+            best, per_vals, per_idx = brute_force_search(grp, w, a, [None])
+            for threads in (1, 2):
+                res = max_fiber(grp, w, a, threads=threads)
+                assert (res.value, res.witness_target, res.witness_tuple_indices) == best[None]
+                pt = max_fiber_per_target(grp, w, a, threads=threads)
+                assert pt.values.tolist() == per_vals.tolist()
+                assert pt.witness_tuple_indices.tolist() == per_idx.tolist()
+                assert pt.evaluations_performed == pt.tuples_scanned * grp.order**w.num_variables
+
+    @pytest.mark.parametrize("word", ["x1 x2 x3 x1^-1", "x1 x2 x1 x3^2"])
+    def test_chunked_sweep_matches_brute_force(self, monkeypatch, word):
+        # 20 values a block: the unsplit word's 216 arguments, and the 36 of
+        # the split word's first segment, are swept in several chunks
+        monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 20)
+        built = counting_arg_slices(monkeypatch)
+        g = make_group("sym:3")
+        a = automorphism_group(g)
+        w = parse_word(word)
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            tup = a.tables[rng.integers(0, len(a), w.length)]
+            assert fiber_distribution(g, w, tup).counts.tolist() == product_counts(g, w, tup)
+        assert len({start for start, _ in built}) > 1
+
+    def test_split_word_builds_only_segment_arguments(self, monkeypatch):
+        built = counting_arg_slices(monkeypatch)
+        assert pi_w(make_group("alt:5"), parse_word("x1 x2 x3 x4")) == (216000, Fraction(1, 60))
+        assert sum(size for _, size in built) == 4 * 60
+
+    def test_counts_beyond_64_bits_are_refused_before_any_argument(self, monkeypatch):
+        built = counting_arg_slices(monkeypatch)
+        w = parse_word(" ".join(f"x{i}" for i in range(1, 12)))
+        with pytest.raises(CapExceeded):
+            pi_w(make_group("sym:5"), w, budget=10**30)
+        assert built == []
+
+    def test_inverse_table_is_read_only_for_inverse_letters(self):
+        from wordfibers.groups import FiniteGroup
+
+        g = FiniteGroup(6, table=make_group("sym:3").table.copy(), spec="copy of sym:3")
+        fibers._BatchEvaluator(g, parse_word("x1^2 x2"), identity_rows(g, parse_word("x1^2 x2")))
+        assert "inv_table" not in vars(g)
+        fibers._BatchEvaluator(g, COMMUTATOR, identity_rows(g, COMMUTATOR))
+        assert "inv_table" in vars(g)
+
+
+# reference for the exact search: every tuple of A^l in mixed-radix order,
+# each counted by `product_counts`
 def brute_force_search(g, w, a, targets):
     """Per entry of `targets` (None: any target) the best (value, target,
     letter indices); and the per-target maxima with first-attaining indices."""
@@ -436,7 +577,7 @@ def brute_force_search(g, w, a, targets):
     per_vals = np.zeros(g.order, dtype=np.int64)
     per_idx = np.full(g.order, -1, dtype=np.int64)
     for idx, combo in enumerate(itertools.product(range(len(a)), repeat=w.length)):
-        counts = fiber_distribution(g, w, a.tables[list(combo)]).counts
+        counts = np.array(product_counts(g, w, a.tables[list(combo)]))
         for t in targets:
             at = int(np.argmax(counts)) if t is None else t
             if counts[at] > best[t][0]:

@@ -95,6 +95,13 @@ class TestMakeGroup:
         assert s4.order == 24 and a4.order == 12
         assert s4.mul(0, 5) == 5 and a4.inv(0) == 0
 
+    @pytest.mark.parametrize("spec", ["cyc:1", "q8", "sym:4", "dih:5", "prod:(alt:5)x(cyc:2)"])
+    def test_inverse_table(self, spec):
+        g = make_group(spec)
+        expected = [next(b for b in range(g.order) if g.mul(a, b) == 0) for a in range(g.order)]
+        assert g.inv_table.dtype == np.int32
+        assert g.inv_table.tolist() == expected
+
     def test_element_orders_and_center(self):
         d8 = make_group("dih:4")
         assert sorted(d8.element_orders.tolist()) == [1, 2, 2, 2, 2, 2, 4, 4]
