@@ -360,16 +360,16 @@ def cmd_fiber_max(args, ctx):
     g, autset = _group_and_aut(args.group, args.auts)
     w = parse_word(args.word, require_nonempty=True)
     target = None if args.target == "any" else int(args.target)
-    budget = args.samples if args.mode == "sample" else ctx.budget
     res = max_fiber(
         g,
         w,
         autset,
         target=target,
         mode=args.mode,
-        budget=budget,
+        budget=ctx.budget,
         seed=args.seed,
         threads=ctx.threads,
+        samples=args.samples,
     )
     doc = {
         "value": res.value,
@@ -434,9 +434,10 @@ def _run_submult(p, budget, threads):
 
 def _run_rewrite(p, budget, threads):
     g = make_group(p["group"])
-    n = resolve_subgroup(g, p["subgroup"], automorphism_group(g))
+    aut = automorphism_group(g)
+    n = resolve_subgroup(g, p["subgroup"], aut)
     w = parse_word(p["word"], require_nonempty=True)
-    return check_rewrite(g, n, w, trials=p["trials"], seed=p["seed"], budget=budget)
+    return check_rewrite(g, n, w, aut, trials=p["trials"], seed=p["seed"], budget=budget)
 
 
 def _run_variation_bound(p, budget, threads):

@@ -6,6 +6,8 @@ Exhaustive checkers report "pass" or "fail"; sampled checkers report
 `check_rewrite` samples its trials (automorphism tuple and base tuple) with a
 seed, yet reports "pass" when every trial holds; each trial is checked over
 all of N^d, but the trials cover only part of the space (ROADMAP item 1).
+Its trials are drawn one at a time but rewritten and swept in blocks of
+trials, with the witness and counters of a trial-by-trial sweep.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from .errors import BudgetExceeded
 from .fibers import (
     _BATCH_ELEMENTS,
     _BatchEvaluator,
+    _arg_slice,
+    _require_word,
+    _word_values,
     DEFAULT_BUDGET,
-    eval_automorphic,
     fiber_distribution,
     max_fiber,
     max_fiber_per_target,
@@ -214,16 +218,32 @@ def check_rewrite(
     g: FiniteGroup,
     n: SubgroupHandle,
     w: ReducedWord,
+    aut: AutSet,
     trials: int = 100,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> CheckReport:
-    """Random trials of the coset-equation rewrite, each verified over all of N^d."""
+    """Random trials of the coset-equation rewrite, each verified over all of N^d.
+
+    Trial t draws l indices into `aut` (Aut(G) on the command line), then d
+    base elements of G, from one seeded stream, trial after trial.  Trials
+    are rewritten and swept in blocks, by the block rule of `_BatchEvaluator`:
+    one trial's s = |N|^d coset tuples take s*d arguments.  When that fits
+    in `_BATCH_ELEMENTS`, a block holds b trials with b*s*d and b*l*|G| (its
+    gathered tables) within it, and its (b, s) equivalences are checked at
+    once over the grid of coset tuples, built once per check.  Otherwise each
+    trial is a block of its own, swept in chunks of `_BATCH_ELEMENTS // d`
+    coset tuples.  One `rewrite_coset_equation` call rewrites a block.  Both
+    sides are row gathers per trial: the left side's row for letter i maps
+    each n in N to alpha_i(n g_v), v the variable of letter i, so both sides
+    read the same coset-tuple indices.  The first mismatch in (trial, coset
+    tuple) order is the witness, as in a sweep one trial at a time.  The
+    budget, 2*trials*s evaluations, is checked before any draw.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    aut = automorphism_group(g)
-    rng = np.random.default_rng(seed)
-    d = w.num_variables
+    _require_word(w)
+    d, l = w.num_variables, w.length
     sweep = n.order**d
     if trials * sweep * 2 > budget:
         raise BudgetExceeded(f"{trials} trials over {sweep} coset tuples exceed budget")
@@ -234,45 +254,63 @@ def check_rewrite(
         "trials": trials,
         "seed": seed,
     }
-    shape = (n.order,) * d
-    step = _BATCH_ELEMENTS // d  # coset tuples per block, d arguments each
-    n_elements = np.asarray(n.elements)
-    checked = 0
-    for trial in range(trials):
-        tuple_indices = [int(i) for i in rng.integers(0, len(aut), w.length)]
-        auts = aut.tables[tuple_indices]
-        base = tuple(int(x) for x in rng.integers(0, g.order, d))
-        result = rewrite_coset_equation(g, n, w, auts, base)
-        # the coset tuples of N^d in itertools.product order, a block at a time
+    # coset tuples of N^d in itertools.product order, as indices into N; a
+    # block lays its trials' rows end to end, so trial r reads them at r*|N|
+    if sweep * d <= _BATCH_ELEMENTS:
+        block = min(trials, _BATCH_ELEMENTS // (sweep * d), _BATCH_ELEMENTS // (l * g.order))
+        block, step = max(1, block), sweep
+        offs = np.arange(block, dtype=np.int32)[:, None] * np.int32(n.order)
+        grid = [_arg_slice(n.order, d, j, 0, sweep) + offs for j in range(d)]
+    else:
+        block, step, grid = 1, _BATCH_ELEMENTS // d, None
+    letter_vars = [w.variables.index(let.var) for let in w.letters]
+    n_elements = np.asarray(n.elements, dtype=np.int32)
+    rng = np.random.default_rng(seed)
+    for lo in range(0, trials, block):
+        draws = [
+            (rng.integers(0, len(aut), l), rng.integers(0, g.order, d))
+            for _ in range(min(block, trials - lo))
+        ]
+        indices = np.array([i for i, _ in draws])
+        bases = np.array([b for _, b in draws])
+        res = rewrite_coset_equation(g, n, w, aut.tables[indices], bases)
+        # row (r, i) of the left side: n_j -> alpha_ri(n_j g_rv), v of letter i
+        cosets = g.table[n_elements, bases[:, :, None]]
+        lhs_rows = aut.tables[indices[:, :, None], cosets[:, letter_vars]]
+        lhs_rows, rhs_rows = (x.transpose(1, 0, 2).reshape(l, -1) for x in (lhs_rows, res.beta))
         for start in range(0, sweep, step):
-            combos = np.unravel_index(np.arange(start, min(start + step, sweep)), shape)
-            shifted = [g.table[n_elements[c], b] for c, b in zip(combos, base)]
-            lhs = eval_automorphic(g, w, auts, shifted) == result.target
-            rhs = eval_automorphic(result.n_group, w, result.beta, combos) == 0
-            mismatches = np.flatnonzero(lhs != rhs)
+            if grid is None:
+                stop = min(start + step, sweep)
+                cols = [_arg_slice(n.order, d, j, start, stop)[None] for j in range(d)]
+            else:
+                cols = [c[: len(draws)] for c in grid]
+            lhs = _word_values(g, w, lhs_rows, cols) == res.target[:, None]
+            rhs = _word_values(res.n_group, w, rhs_rows, cols) == 0
+            mismatches = np.flatnonzero(lhs != rhs)  # row-major: trial, then coset tuple
             if len(mismatches):
-                k = int(mismatches[0])
+                r, k = divmod(int(mismatches[0]), lhs.shape[1])
                 return CheckReport(
                     claim="rewrite",
                     params=params,
                     outcome="fail",
                     witness={
-                        "trial": trial,
-                        "tuple_indices": tuple_indices,
-                        "base": list(base),
-                        "coset_tuple": [int(c[k]) for c in combos],
-                        "lhs_holds": bool(lhs[k]),
-                        "rhs_holds": bool(rhs[k]),
+                        "trial": lo + r,
+                        "tuple_indices": indices[r].tolist(),
+                        "base": bases[r].tolist(),
+                        "coset_tuple": [
+                            int(c) for c in np.unravel_index(start + k, (n.order,) * d)
+                        ],
+                        "lhs_holds": bool(lhs[r, k]),
+                        "rhs_holds": bool(rhs[r, k]),
                     },
-                    counters={"equivalences_checked": checked + k + 1},
+                    counters={"equivalences_checked": (lo + r) * sweep + start + k + 1},
                 )
-            checked += len(lhs)
     return CheckReport(
         claim="rewrite",
         params=params,
         outcome="pass",
         witness={},
-        counters={"equivalences_checked": checked},
+        counters={"equivalences_checked": trials * sweep},
     )
 
 

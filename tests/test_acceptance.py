@@ -151,7 +151,7 @@ def test_criterion_4_rewrite_trials_and_closed_form():
             g, aut, n = resolve_pair(group_spec, sub_spec)
             for jdx, text in enumerate(["x1^2", "[x1,x2]", "x1 x2 x1"]):
                 w = parse_word(text)
-                report = check_rewrite(g, n, w, trials=100, seed=1000 * idx + jdx)
+                report = check_rewrite(g, n, w, aut, trials=100, seed=1000 * idx + jdx)
                 assert report.outcome == "pass", (group_spec, sub_spec, text)
                 assert report.counters["equivalences_checked"] == (
                     100 * n.order**w.num_variables

@@ -230,6 +230,28 @@ class TestFiberCommands:
         assert doc["result"]["status"] == "lower_bound"
         assert doc["result"]["seed"] == "3"
 
+    def test_max_sample_refuses_over_budget_before_any_draw(self, monkeypatch):
+        import wordfibers.fibers as fibers
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before the budget was checked")
+
+        monkeypatch.setattr(fibers, "_scan_range", no_scan)
+        monkeypatch.setattr(fibers.np.random, "default_rng", no_scan)
+        # 1001 tuples of 8 arguments: 8008 evaluations
+        code, doc, _ = run(
+            ["--no-cache", "--budget", "8007", "fiber", "max", "--group", "dih:4",
+             "--word", "x1^2", "--mode", "sample", "--samples", "1000"]
+        )
+        assert code == EXIT_BUDGET
+        assert doc["result"]["error"] == "sampled search needs 8008 evaluations, budget is 8007"
+        monkeypatch.undo()
+        code, doc, _ = run(
+            ["--no-cache", "--budget", "8008", "fiber", "max", "--group", "dih:4",
+             "--word", "x1^2", "--mode", "sample", "--samples", "1000"]
+        )
+        assert code == EXIT_OK and doc["result"]["tuples_examined"] == "1001"
+
     def test_max_sample_refuses_samples_below_one(self):
         code, doc, _ = run(
             ["fiber", "max", "--group", "dih:4", "--word", "x1^2", "--mode", "sample",
@@ -305,6 +327,27 @@ class TestVerifyCommands:
         )
         assert code == EXIT_OK
         assert doc["result"]["outcome"] == "pass"
+
+    def test_rewrite_builds_aut_once(self, monkeypatch):
+        import wordfibers.cli as cli
+        import wordfibers.groups as groups
+        import wordfibers.verify as verify
+
+        calls = []
+        real = groups.automorphism_group
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        for module in (cli, groups, verify):
+            monkeypatch.setattr(module, "automorphism_group", counting)
+        code, doc, _ = run(
+            ["--no-cache", "verify", "rewrite", "--group", "alt:4", "--subgroup", "order:4",
+             "--word", "[x1,x2]", "--trials", "5"]
+        )
+        assert code == EXIT_OK and doc["result"]["outcome"] == "pass"
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_rewrite_refuses_trials_below_one(self, trials):

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from wordfibers.groups import (
     inner_automorphisms,
     make_group,
     subgroup_handle,
+    subgroups,
 )
 from wordfibers.words import EMPTY_WORD, parse_word
 
@@ -252,7 +257,7 @@ class TestMaxFiber:
                 assert pt.values.tolist() == [1] and pt.witness_tuple_indices.tolist() == [0]
                 assert (pt.tuples_examined, pt.evaluations) == (1, 1)
                 assert (pt.tuples_scanned, pt.evaluations_performed) == (1, 1)
-                sampled = max_fiber(g, w, a, mode="sample", budget=4, seed=9)
+                sampled = max_fiber(g, w, a, mode="sample", samples=4, seed=9)
                 assert (sampled.value, sampled.status, sampled.seed) == (1, "lower_bound", 9)
                 assert sampled.tuples_examined == sampled.evaluations == 5
 
@@ -260,7 +265,7 @@ class TestMaxFiber:
     def test_sample_mode_refuses_counts_below_one(self, samples):
         g = make_group("sym:3")
         with pytest.raises(ValueError, match="samples must be >= 1"):
-            max_fiber(g, SQUARE, inner_automorphisms(g), mode="sample", budget=samples)
+            max_fiber(g, SQUARE, inner_automorphisms(g), mode="sample", samples=samples)
 
     def test_per_target_matches_python_oracle(self):
         g = make_group("sym:3")
@@ -321,8 +326,8 @@ class TestMaxFiber:
         g = make_group("dih:4")
         a = automorphism_group(g)
         exact = max_fiber(g, SQUARE, a)
-        s1 = max_fiber(g, SQUARE, a, mode="sample", budget=20, seed=11)
-        s2 = max_fiber(g, SQUARE, a, mode="sample", budget=20, seed=11)
+        s1 = max_fiber(g, SQUARE, a, mode="sample", samples=20, seed=11)
+        s2 = max_fiber(g, SQUARE, a, mode="sample", samples=20, seed=11)
         assert s1.status == "lower_bound" and s1.seed == 11
         assert s1.value <= exact.value
         plain, _ = pi_w(g, SQUARE)
@@ -332,7 +337,7 @@ class TestMaxFiber:
         assert s1.tuples_examined == 21
 
     @pytest.mark.parametrize(
-        "spec, word, budget, seed, target, value, witness_target, indices, evaluations",
+        "spec, word, samples, seed, target, value, witness_target, indices, evaluations",
         [
             ("dih:4", "x1^2", 20, 11, None, 6, 0, (0, 0), 168),
             ("dih:4", "x1^2", 20, 11, 2, 6, 2, (3, 1), 168),
@@ -341,20 +346,20 @@ class TestMaxFiber:
         ],
     )
     def test_sample_mode_pinned_witnesses(
-        self, spec, word, budget, seed, target, value, witness_target, indices, evaluations
+        self, spec, word, samples, seed, target, value, witness_target, indices, evaluations
     ):
-        # Pins the rng stream (identity row first, then `budget` seeded draws)
+        # Pins the rng stream (identity row first, then `samples` seeded draws)
         # and the tie-breaking (least row, then least target).
         g = make_group(spec)
         res = max_fiber(
             g, parse_word(word), automorphism_group(g), target=target,
-            mode="sample", budget=budget, seed=seed,
+            mode="sample", samples=samples, seed=seed,
         )
         assert res.value == value
         assert res.witness_target == witness_target
         assert res.witness_tuple_indices == indices
         assert res.evaluations == evaluations
-        assert res.tuples_examined == budget + 1
+        assert res.tuples_examined == samples + 1
 
     def test_isomorphism_invariance_under_relabelling(self):
         g = make_group("sym:3")
@@ -715,6 +720,22 @@ class TestNormalFormSearch:
         with pytest.raises(BudgetExceeded):
             max_fiber(g5, COMMUTATOR, unclosed, budget=full - 1)
 
+    def test_sample_mode_budget_is_checked_before_any_draw(self, monkeypatch):
+        g = make_group("dih:4")
+        a = automorphism_group(g)
+        # 9 draws after the identity tuple, 8 arguments each
+        res = max_fiber(g, SQUARE, a, mode="sample", samples=9, seed=11, budget=80)
+        assert res.evaluations_performed == 80
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before the budget was checked")
+
+        monkeypatch.setattr(fibers.np.random, "default_rng", no_draw)
+        with pytest.raises(BudgetExceeded, match="80 evaluations, budget is 79"):
+            max_fiber(g, SQUARE, a, mode="sample", samples=9, budget=79)
+        with pytest.raises(BudgetExceeded):
+            max_fiber(g, SQUARE, a, mode="sample", samples=10**15)
+
 
 def center_handle(g, aut=None):
     return subgroup_handle(g, g.center, aut=aut or automorphism_group(g))
@@ -789,6 +810,78 @@ class TestRewrite:
                 lhs = eval_automorphic(g, w, auts, shifted) == res.target
                 rhs = eval_automorphic(res.n_group, w, res.beta, combo) == 0
                 assert lhs == rhs
+
+    @pytest.mark.parametrize("spec, sub_order, word", [
+        ("dih:4", 2, "[x1,x2]"),
+        ("alt:4", 4, "x1 x2^-1 x1"),
+        ("alt:4", 4, "x1^-1 x2 x3^-1 x1"),
+    ])
+    def test_batch_rows_equal_single_calls(self, spec, sub_order, word):
+        g = make_group(spec)
+        aut = automorphism_group(g)
+        n = next(s for s in subgroups(g, aut=aut) if s.order == sub_order and s.characteristic)
+        w = parse_word(word)
+        rng = np.random.default_rng(3)
+        auts = aut.tables[rng.integers(0, len(aut), (7, w.length))]
+        bases = rng.integers(0, g.order, (7, w.num_variables))
+        batch = rewrite_coset_equation(g, n, w, auts, bases)
+        assert batch.beta.shape == (7, w.length, n.order)
+        assert batch.target.shape == (7,) and batch.conjugators.shape == (7, w.length)
+        for t in range(7):
+            one = rewrite_coset_equation(g, n, w, auts[t], tuple(int(x) for x in bases[t]))
+            assert type(one.target) is int and one.beta.shape == (w.length, n.order)
+            assert all(type(c) is int for c in one.conjugators)
+            assert (batch.beta[t] == one.beta).all()
+            assert batch.target[t] == one.target
+            assert batch.conjugators[t].tolist() == list(one.conjugators)
+        again = rewrite_coset_equation(g, n, w, auts, bases, target=batch.target)
+        assert (again.beta == batch.beta).all()
+        with pytest.raises(ValueError, match="does not satisfy"):
+            rewrite_coset_equation(g, n, w, auts, bases, target=batch.target ^ 1)
+        with pytest.raises(ValueError, match="base entries per trial"):
+            rewrite_coset_equation(g, n, w, auts, bases[:6])
+        with pytest.raises(ValueError, match="automorphism rows"):
+            rewrite_coset_equation(g, n, w, auts[:, 1:], bases)
+
+    def test_row_moving_n_is_refused(self):
+        g = make_group("dih:4")
+        n = center_handle(g)
+        z = n.elements[1]
+        outside = next(x for x in range(g.order) if x not in n.elements)
+        row = np.arange(g.order)
+        row[[z, outside]] = row[[outside, z]]  # a permutation, not an automorphism
+        with pytest.raises(ValueError, match="must stabilize N"):
+            rewrite_coset_equation(g, n, parse_word("x1"), row[None], (0,))
+
+    def test_row_moving_n_is_refused_under_python_O(self):
+        # the refusal is no assert, which -O would strip
+        import wordfibers
+
+        src = str(Path(wordfibers.__file__).resolve().parents[1])
+        script = (
+            "import numpy as np\n"
+            "from wordfibers.fibers import rewrite_coset_equation\n"
+            "from wordfibers.groups import automorphism_group, make_group, subgroup_handle\n"
+            "from wordfibers.words import parse_word\n"
+            "g = make_group('dih:4')\n"
+            "n = subgroup_handle(g, g.center, aut=automorphism_group(g))\n"
+            "outside = next(x for x in range(8) if x not in n.elements)\n"
+            "row = np.arange(8)\n"
+            "row[[n.elements[1], outside]] = [outside, n.elements[1]]\n"
+            "try:\n"
+            "    rewrite_coset_equation(g, n, parse_word('x1'), row[None], (0,))\n"
+            "except ValueError as err:\n"
+            "    print(err)\n"
+        )
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "conjugated automorphism must stabilize N"
 
     def test_wrong_target_rejected(self):
         g = make_group("dih:4")

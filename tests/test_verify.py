@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import wordfibers.fibers as fibers
 import wordfibers.verify as verify
 import wordfibers.groups as groups
-from wordfibers.fibers import fiber_distribution
+from wordfibers.errors import BudgetExceeded
+from wordfibers.fibers import eval_automorphic, fiber_distribution
 from wordfibers.groups import (
     automorphism_group,
     identity_autset,
@@ -127,66 +129,221 @@ class TestDihedral:
             assert report.witness["product"] == 2
 
 
+def rewrite_setup(spec, order):
+    g = make_group(spec)
+    aut = automorphism_group(g)
+    return g, aut, char_subgroup_of_order(g, order, aut)
+
+
 class TestRewriteCheck:
     def test_d8_center_commutator(self):
-        g = make_group("dih:4")
-        n = char_subgroup_of_order(g, 2)
-        report = check_rewrite(g, n, COMMUTATOR, trials=100, seed=1)
+        g, aut, n = rewrite_setup("dih:4", 2)
+        report = check_rewrite(g, n, COMMUTATOR, aut, trials=100, seed=1)
         assert report.outcome == "pass"
         assert report.counters["equivalences_checked"] == 100 * 4
 
     def test_sym3_a3_cube(self):
-        g = make_group("sym:3")
-        n = char_subgroup_of_order(g, 3)
-        report = check_rewrite(g, n, CUBE, trials=100, seed=2)
+        g, aut, n = rewrite_setup("sym:3", 3)
+        report = check_rewrite(g, n, CUBE, aut, trials=100, seed=2)
         assert report.outcome == "pass"
 
     def test_trivial_subgroup_vacuous(self):
         g = make_group("dih:4")
         aut = automorphism_group(g)
         n = subgroup_handle(g, [0], aut=aut)
-        report = check_rewrite(g, n, SQUARE, trials=10, seed=3)
+        report = check_rewrite(g, n, SQUARE, aut, trials=10, seed=3)
         assert report.outcome == "pass"
 
     def test_refuses_trials_below_one_before_any_work(self, monkeypatch):
-        g = make_group("sym:3")
-        n = char_subgroup_of_order(g, 3)
-        monkeypatch.setattr(verify, "automorphism_group", no_work)
+        g, aut, n = rewrite_setup("sym:3", 3)
+        monkeypatch.setattr(verify, "rewrite_coset_equation", no_work)
+        monkeypatch.setattr(verify, "_arg_slice", no_work)
         for trials in (0, -3):
             with pytest.raises(ValueError, match="trials must be >= 1"):
-                check_rewrite(g, n, SQUARE, trials=trials)
+                check_rewrite(g, n, SQUARE, aut, trials=trials)
+
+    def test_refuses_over_budget_before_any_work(self, monkeypatch):
+        g, aut, n = rewrite_setup("sym:3", 3)
+        monkeypatch.setattr(verify, "rewrite_coset_equation", no_work)
+        monkeypatch.setattr(verify, "_arg_slice", no_work)
+        # 10 trials over 3 coset tuples, both sides: 60 evaluations
+        with pytest.raises(BudgetExceeded):
+            check_rewrite(g, n, SQUARE, aut, trials=10, budget=59)
+        with pytest.raises(AssertionError, match="work started"):
+            check_rewrite(g, n, SQUARE, aut, trials=10, budget=60)
 
     def test_seed_reproducible(self):
-        g = make_group("alt:4")
-        n = char_subgroup_of_order(g, 4)
-        r1 = check_rewrite(g, n, SQUARE, trials=20, seed=9)
-        r2 = check_rewrite(g, n, SQUARE, trials=20, seed=9)
+        g, aut, n = rewrite_setup("alt:4", 4)
+        r1 = check_rewrite(g, n, SQUARE, aut, trials=20, seed=9)
+        r2 = check_rewrite(g, n, SQUARE, aut, trials=20, seed=9)
         assert r1.outcome == r2.outcome == "pass"
         assert r1.counters == r2.counters
 
     def test_subgroup_group_is_built_once_per_call(self, monkeypatch):
-        g = make_group("alt:4")
-        n = char_subgroup_of_order(g, 4)
+        g, aut, n = rewrite_setup("alt:4", 4)
         calls = []
         real = groups.subgroup_group
         monkeypatch.setattr(
             groups, "subgroup_group", lambda *args: calls.append(None) or real(*args)
         )
-        assert check_rewrite(g, n, SQUARE, trials=20, seed=9).outcome == "pass"
+        assert check_rewrite(g, n, SQUARE, aut, trials=20, seed=9).outcome == "pass"
         assert len(calls) == 1
 
+    def test_uses_the_callers_automorphisms(self, monkeypatch):
+        g, aut, n = rewrite_setup("alt:4", 4)
+        monkeypatch.setattr(verify, "automorphism_group", no_work)
+        monkeypatch.setattr(groups, "automorphism_group", no_work)
+        assert check_rewrite(g, n, SQUARE, aut, trials=20, seed=9).outcome == "pass"
 
-def corrupt_target(res):
-    return dataclasses.replace(res, target=res.target ^ 1)
+
+def corrupt_target(res, row):
+    target = np.array(res.target)
+    target[row] ^= 1
+    return dataclasses.replace(res, target=target)
 
 
 def corrupt_beta(letter):
     """Swaps two involutions of the Klein four-group N after beta_letter."""
-    def change(res):
+    def change(res, row):
         beta = res.beta.copy()
-        beta[letter] = np.array([0, 2, 1, 3])[beta[letter]]
+        beta[row + (letter,)] = np.array([0, 2, 1, 3])[beta[row + (letter,)]]
         return dataclasses.replace(res, beta=beta)
     return change
+
+
+def corrupt_trials(monkeypatch, changes):
+    """Make verify's rewrite apply changes[t] to the result of trial t.
+
+    Trials are numbered across calls in call order, a batch of T trials
+    taking T numbers and one trial, (l, |G|) rows, one; a change gets the
+    result and the index of the trial's row, () for one trial."""
+    real = fibers.rewrite_coset_equation
+    seen = [0]
+
+    def fake(g, n, w, auts, base, *args, **kwargs):
+        res = real(g, n, w, auts, base, *args, **kwargs)
+        batched = np.ndim(auts) == 3
+        lo = seen[0]
+        seen[0] += len(auts) if batched else 1
+        for trial, change in changes.items():
+            if lo <= trial < seen[0]:
+                res = change(res, (trial - lo,) if batched else ())
+        return res
+
+    monkeypatch.setattr(verify, "rewrite_coset_equation", fake)
+
+
+def reference_rewrite(g, n, w, aut, trials, seed):
+    """The trial-by-trial sweep check_rewrite made before trials were
+    batched: per trial, one rewrite call and both sides over all of N^d."""
+    rng = np.random.default_rng(seed)
+    d = w.num_variables
+    sweep = n.order**d
+    combos = np.unravel_index(np.arange(sweep), (n.order,) * d)
+    n_elements = np.asarray(n.elements)
+    for trial in range(trials):
+        tuple_indices = [int(i) for i in rng.integers(0, len(aut), w.length)]
+        auts = aut.tables[tuple_indices]
+        base = tuple(int(x) for x in rng.integers(0, g.order, d))
+        result = verify.rewrite_coset_equation(g, n, w, auts, base)
+        shifted = [g.table[n_elements[c], b] for c, b in zip(combos, base)]
+        lhs = eval_automorphic(g, w, auts, shifted) == result.target
+        rhs = eval_automorphic(result.n_group, w, result.beta, combos) == 0
+        mismatches = np.flatnonzero(lhs != rhs)
+        if len(mismatches):
+            k = int(mismatches[0])
+            witness = {
+                "trial": trial,
+                "tuple_indices": tuple_indices,
+                "base": list(base),
+                "coset_tuple": [int(c[k]) for c in combos],
+                "lhs_holds": bool(lhs[k]),
+                "rhs_holds": bool(rhs[k]),
+            }
+            return "fail", witness, {"equivalences_checked": trial * sweep + k + 1}
+    return "pass", {}, {"equivalences_checked": trials * sweep}
+
+
+# the default block (every check here is one block), blocks of 7 arguments
+# (every trial split into chunks), and blocks of several trials but not all
+BLOCKS = pytest.mark.parametrize(
+    "block",
+    [None, 7, 1000],
+    ids=["one-block", "blocks-of-7-arguments", "blocks-of-1000-arguments"],
+)
+
+
+def with_block(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(verify, "_BATCH_ELEMENTS", block)
+
+
+def assert_report_types(report):
+    witness = report.witness
+    if report.failed:
+        assert type(witness["trial"]) is int
+        for key in ("tuple_indices", "base", "coset_tuple"):
+            assert all(type(v) is int for v in witness[key])
+        assert type(witness["lhs_holds"]) is type(witness["rhs_holds"]) is bool
+    assert type(report.counters["equivalences_checked"]) is int
+
+
+class TestRewriteBatched:
+    """check_rewrite against the trial-by-trial reference sweep."""
+
+    BATTERY = [
+        (spec, sub, word, seed)
+        for spec, sub, seeds in [
+            ("dih:4", "center", (0, 1, 2)),
+            ("sym:3", "order:3", (100, 101, 102)),
+            ("alt:4", "order:4", (200, 201, 202)),
+        ]
+        for word, seed in zip(("x1^2", "[x1,x2]", "x1 x2 x1"), seeds)
+    ]
+
+    @staticmethod
+    def compare(monkeypatch, block, spec, sub, word, trials, seed, changes=None):
+        from wordfibers.cli import resolve_subgroup
+
+        g = make_group(spec)
+        aut = automorphism_group(g)
+        n = resolve_subgroup(g, sub, aut)
+        w = parse_word(word)
+        corrupt_trials(monkeypatch, changes or {})
+        expected = reference_rewrite(g, n, w, aut, trials, seed)
+        with_block(monkeypatch, block)
+        corrupt_trials(monkeypatch, changes or {})
+        report = check_rewrite(g, n, w, aut, trials=trials, seed=seed)
+        assert (report.outcome, report.witness, report.counters) == expected
+        assert_report_types(report)
+        return report
+
+    @BLOCKS
+    @pytest.mark.parametrize("spec, sub, word, seed", BATTERY)
+    def test_battery_cases(self, monkeypatch, block, spec, sub, word, seed):
+        report = self.compare(monkeypatch, block, spec, sub, word, 100, seed)
+        assert report.outcome == "pass"
+
+    @BLOCKS
+    @pytest.mark.parametrize("word", ["x1 x2^-1 x1", "x1 x2 x3", "x1^-1 x2 x3^-1 x1"])
+    def test_inverse_letters_and_three_variables(self, monkeypatch, block, word):
+        report = self.compare(monkeypatch, block, "alt:4", "order:4", word, 30, 5)
+        assert report.outcome == "pass"
+
+    @BLOCKS
+    @pytest.mark.parametrize("word, changes", [
+        ("x1 x2^-1 x1", {2: corrupt_beta(2)}),
+        ("x1 x2^-1 x1", {9: corrupt_target}),
+        ("x1 x2 x3", {1: corrupt_beta(1)}),
+        # the earlier trial fails at a later coset tuple: the witness is
+        # the first failing trial, not the first failing coset tuple
+        ("x1 x2^-1 x1", {2: corrupt_beta(2), 4: corrupt_target}),
+        ("x1 x2 x3", {3: corrupt_beta(1), 6: corrupt_target, 7: corrupt_beta(0)}),
+    ])
+    def test_failing_trials(self, monkeypatch, block, word, changes):
+        report = self.compare(monkeypatch, block, "alt:4", "order:4", word, 10, 5, changes)
+        assert report.outcome == "fail"
+        assert report.witness["trial"] == min(changes)
 
 
 class TestRewriteFailureReport:
@@ -194,6 +351,8 @@ class TestRewriteFailureReport:
     # witness and counter were taken at the commit before the vectorized
     # sweep, which checked one coset tuple at a time.  A corrupted beta never
     # fails at coset tuple 0, where both sides evaluate at the base tuple.
+    # The rewrite now serves blocks of trials, and the corruption goes to the
+    # trial's row of the block.
     @pytest.mark.parametrize("spec, order, word, seed, trial, change, witness, checked", [
         ("dih:4", 2, "[x1,x2]", 1, 0, corrupt_target,
          {"trial": 0, "tuple_indices": [3, 4, 6, 7], "base": [0, 1],
@@ -208,28 +367,16 @@ class TestRewriteFailureReport:
          {"trial": 1, "tuple_indices": [15, 6, 23], "base": [0, 3, 4],
           "coset_tuple": [0, 1, 2], "lhs_holds": True, "rhs_holds": False}, 71),
     ])
-    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7-arguments"])
+    @BLOCKS
     def test_pinned(self, monkeypatch, block, spec, order, word, seed, trial, change, witness,
                     checked):
-        if block is not None:
-            monkeypatch.setattr(verify, "_BATCH_ELEMENTS", block)
-        real = verify.rewrite_coset_equation
-        calls = []
-
-        def fake(*args, **kwargs):
-            calls.append(None)
-            res = real(*args, **kwargs)
-            return change(res) if len(calls) - 1 == trial else res
-
-        monkeypatch.setattr(verify, "rewrite_coset_equation", fake)
-        g = make_group(spec)
-        report = check_rewrite(
-            g, char_subgroup_of_order(g, order), parse_word(word), trials=10, seed=seed
-        )
+        with_block(monkeypatch, block)
+        corrupt_trials(monkeypatch, {trial: change})
+        g, aut, n = rewrite_setup(spec, order)
+        report = check_rewrite(g, n, parse_word(word), aut, trials=10, seed=seed)
         assert report.outcome == "fail"
         assert report.witness == witness
-        assert [type(v) for v in report.witness["coset_tuple"]] == [int] * len(witness["coset_tuple"])
-        assert type(report.witness["lhs_holds"]) is type(report.witness["rhs_holds"]) is bool
+        assert_report_types(report)
         assert report.counters == {"equivalences_checked": checked}
 
 
