@@ -80,6 +80,16 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(str(text).strip())
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def canonical(obj):
     """Convert a result tree to JSON-ready form with canonical number formats."""
     if isinstance(obj, bool):
@@ -152,17 +162,40 @@ class ResultCache:
 
 
 class Context:
-    """Per-request settings; a handler may add work counters to ``stats``."""
+    """Per-request settings and groups; a handler may add work counters to
+    ``stats``.
+
+    `group` builds each spec once per request, so every check of a battery
+    on the same spec shares one `FiniteGroup`, and with it the structure
+    cached on the group: Aut(G), the normal lattice and its quotients.  A
+    new request builds everything again."""
 
     def __init__(self, threads: int, budget: int, cache: Optional[ResultCache]):
         self.threads = threads
         self.budget = budget
         self.cache = cache
         self.stats: dict = {}
+        self._groups: dict[str, FiniteGroup] = {}
+
+    def group(self, spec: str) -> FiniteGroup:
+        """The request's group for ``spec``; battery workers that race on a
+        new spec all get the first one stored."""
+        g = self._groups.get(spec)
+        if g is None:
+            g = self._groups.setdefault(spec, make_group(spec))
+        return g
+
+    def close(self) -> None:
+        """Drop the structure cached on the request's groups.  Aut(G) and the
+        normal lattice refer back to their group, so a group and its cache
+        form reference cycles, which would hold their tables past the request
+        until the cyclic garbage collector runs."""
+        for g in self._groups.values():
+            g._derived.clear()
 
 
-def _group_and_aut(spec: str, which: str) -> tuple[FiniteGroup, AutSet]:
-    g = make_group(spec)
+def _group_and_aut(ctx: Context, spec: str, which: str) -> tuple[FiniteGroup, AutSet]:
+    g = ctx.group(spec)
     if which == "id":
         return g, identity_autset(g)
     if which == "inn":
@@ -245,7 +278,7 @@ def cmd_word_mconst(args, ctx):
 
 
 def cmd_group_make(args, ctx):
-    g = make_group(args.spec)
+    g = ctx.group(args.spec)
     return (
         {
             "spec": g.spec,
@@ -260,7 +293,7 @@ def cmd_group_make(args, ctx):
 
 
 def cmd_group_auts(args, ctx):
-    g = make_group(args.spec)
+    g = ctx.group(args.spec)
     aut = automorphism_group(g)
     ctx.stats.update(
         aut_candidates=aut.search.candidates, aut_generators=len(aut.search.generators)
@@ -276,7 +309,7 @@ def cmd_group_auts(args, ctx):
 
 
 def cmd_group_subgroups(args, ctx):
-    g = make_group(args.spec)
+    g = ctx.group(args.spec)
     subs = subgroups(g)
     return (
         {
@@ -297,7 +330,7 @@ def cmd_group_subgroups(args, ctx):
 
 
 def cmd_group_series(args, ctx):
-    g = make_group(args.spec)
+    g = ctx.group(args.spec)
     series = characteristic_series(g)
     return (
         {
@@ -320,13 +353,13 @@ def cmd_group_series(args, ctx):
 
 
 def cmd_group_radical(args, ctx):
-    g = make_group(args.spec)
+    g = ctx.group(args.spec)
     rad = solvable_radical(g)
     return {"order": rad.order, "elements": list(rad.elements)}, "ok", EXIT_OK
 
 
 def cmd_fiber_dist(args, ctx):
-    g, autset = _group_and_aut(args.group, args.auts)
+    g, autset = _group_and_aut(ctx, args.group, args.auts)
     w = parse_word(args.word, require_nonempty=True)
     if args.tuple:
         indices = [int(x) for x in args.tuple.split(",")]
@@ -350,14 +383,14 @@ def cmd_fiber_dist(args, ctx):
 
 
 def cmd_fiber_pi(args, ctx):
-    g = make_group(args.group)
+    g = ctx.group(args.group)
     w = parse_word(args.word, require_nonempty=True)
     value, proportion = pi_w(g, w, budget=ctx.budget)
     return {"max_fiber": value, "proportion": proportion}, "ok", EXIT_OK
 
 
 def cmd_fiber_max(args, ctx):
-    g, autset = _group_and_aut(args.group, args.auts)
+    g, autset = _group_and_aut(ctx, args.group, args.auts)
     w = parse_word(args.word, require_nonempty=True)
     target = None if args.target == "any" else int(args.target)
     res = max_fiber(
@@ -415,33 +448,34 @@ class Check:
 
     name: str
     params: tuple[Param, ...]
-    run: Callable[[dict, int, int], CheckReport]  # (params, budget, threads)
+    # (params, request context, budget, threads)
+    run: Callable[[dict, Context, int, int], CheckReport]
 
 
-def _run_identity_max(p, budget, threads):
-    g, autset = _group_and_aut(p["group"], p["auts"])
+def _run_identity_max(p, ctx, budget, threads):
+    g, autset = _group_and_aut(ctx, p["group"], p["auts"])
     w = parse_word(p["word"], require_nonempty=True)
     return check_identity_maximal(g, w, autset, budget=budget, threads=threads)
 
 
-def _run_submult(p, budget, threads):
-    g, autset = _group_and_aut(p["group"], p["auts"])
+def _run_submult(p, ctx, budget, threads):
+    g, autset = _group_and_aut(ctx, p["group"], p["auts"])
     aut_full = autset if autset.kind == "full" else automorphism_group(g)
     n = resolve_subgroup(g, p["subgroup"], aut_full)
     w = parse_word(p["word"], require_nonempty=True)
     return check_submultiplicative(g, n, w, autset, budget=budget, threads=threads)
 
 
-def _run_rewrite(p, budget, threads):
-    g = make_group(p["group"])
+def _run_rewrite(p, ctx, budget, threads):
+    g = ctx.group(p["group"])
     aut = automorphism_group(g)
     n = resolve_subgroup(g, p["subgroup"], aut)
     w = parse_word(p["word"], require_nonempty=True)
     return check_rewrite(g, n, w, aut, trials=p["trials"], seed=p["seed"], budget=budget)
 
 
-def _run_variation_bound(p, budget, threads):
-    s = make_group(p["simple"])
+def _run_variation_bound(p, ctx, budget, threads):
+    s = ctx.group(p["simple"])
     w = parse_word(p["word"], require_nonempty=True)
     return check_variation_bound(
         s,
@@ -456,8 +490,8 @@ def _run_variation_bound(p, budget, threads):
     )
 
 
-def _run_variation_projection(p, budget, threads):
-    g = make_group(p["group"])
+def _run_variation_projection(p, ctx, budget, threads):
+    g = ctx.group(p["group"])
     w = parse_word(p["word"], require_nonempty=True)
     return check_variation_projection(g, w, budget=budget, threads=threads)
 
@@ -476,7 +510,7 @@ CHECKS = {
         Check(
             "dihedral",
             (Param("o", int),),
-            lambda p, budget, threads: check_dihedral_counterexample(p["o"], budget=budget),
+            lambda p, ctx, budget, threads: check_dihedral_counterexample(p["o"], budget=budget),
         ),
         Check(
             "rewrite",
@@ -501,7 +535,7 @@ CHECKS = {
 def cmd_verify_check(args, ctx):
     check = CHECKS[args.action]
     params = {p.name: getattr(args, p.name) for p in check.params}
-    return report_result(check.run(params, ctx.budget, ctx.threads))
+    return report_result(check.run(params, ctx, ctx.budget, ctx.threads))
 
 
 def _entry_params(index: int, entry, budget: int) -> tuple[Check, dict, int]:
@@ -537,7 +571,7 @@ def _entry_params(index: int, entry, budget: int) -> tuple[Check, dict, int]:
 def run_battery_entry(entry: dict, ctx: Context, index: int = 0) -> CheckReport:
     """Run one manifest entry single-threaded; the battery parallelizes entries."""
     check, params, budget = _entry_params(index, entry, ctx.budget)
-    return check.run(params, budget, 1)
+    return check.run(params, ctx, budget, 1)
 
 
 def default_battery_path() -> Path:
@@ -556,7 +590,7 @@ def cmd_verify_battery(args, ctx):
         _entry_params(index, entry, ctx.budget)  # refuse a bad manifest before any work
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = max(1, ctx.threads)
+    workers = min(ctx.threads, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(run_battery_entry, entry, ctx, index)
@@ -679,7 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wfl",
         description="automorphic word map fibers on finite groups",
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
+    parser.add_argument(
+        "--threads", type=_positive_int, default=None,
+        help="worker threads, at most one per core",
+    )
     parser.add_argument("--budget", type=int, default=None, help="evaluation budget")
     parser.add_argument("--cache-dir", default=None, help="result cache directory")
     parser.add_argument(
@@ -791,28 +828,38 @@ def _request_params(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
+def _setting(flag: Optional[int], env: str, default: int, parse: Callable[[str], int]) -> int:
+    """The flag's value, else the environment variable's, else the default;
+    a bad environment value is a usage error, as a bad flag is."""
+    if flag is not None:
+        return flag
+    text = os.environ.get(env)
+    if text is None:
+        return default
+    try:
+        return parse(text)
+    except (ValueError, argparse.ArgumentTypeError) as err:
+        raise ValueError(f"{env}={text!r}: {err}") from None
+
+
 def run_command(argv, stdout=None) -> int:
     stdout = stdout or sys.stdout
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
+        threads = _setting(args.threads, "WFL_THREADS", 1, _positive_int)
+        budget = _setting(args.budget, "WFL_BUDGET", DEFAULT_BUDGET, int)
+    except (SystemExit, ValueError) as err:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "request": {"argv": list(argv)},
-            "result": None,
+            "result": {"error": str(err)} if isinstance(err, ValueError) else None,
             "status": "usage-error",
             "stats": {},
         }
         stdout.write(dumps_canonical(doc) + "\n")
         return EXIT_USAGE
 
-    threads = args.threads if args.threads is not None else int(
-        os.environ.get("WFL_THREADS", "1")
-    )
-    budget = args.budget if args.budget is not None else int(
-        os.environ.get("WFL_BUDGET", str(DEFAULT_BUDGET))
-    )
     cache_dir = args.cache_dir if args.cache_dir is not None else os.environ.get(
         "WFL_CACHE_DIR"
     )
@@ -856,6 +903,8 @@ def run_command(argv, stdout=None) -> int:
         result, status, exit_code = {"error": str(err)}, "budget-exceeded", EXIT_BUDGET
     except (ValueError, WordSyntaxError, EmptyWordError, OSError) as err:
         result, status, exit_code = {"error": str(err)}, "usage-error", EXIT_USAGE
+    finally:
+        ctx.close()
 
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -12,6 +12,7 @@ the automorphism on letter i.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,6 +131,12 @@ def eval_automorphic(
     return acc if np.ndim(acc) else int(acc)
 
 
+def _flat_radix(n: int):
+    """The row stride of a flattened n x n table, typed so that acc*n + x
+    cannot overflow: int64 once n*n exceeds int32."""
+    return n if n * n <= np.iinfo(np.int32).max else np.int64(n)
+
+
 def _word_values(g: FiniteGroup, w: ReducedWord, rows, args):
     """The loop of `eval_automorphic`, unchecked: letter i reads row i at
     its variable's arguments, then inverts and composes in g.  A product is
@@ -137,7 +144,7 @@ def _word_values(g: FiniteGroup, w: ReducedWord, rows, args):
     runs about twice as fast as the 2-D ``table[acc, x]``."""
     pos = _var_positions(w)
     flat = g.table.ravel()
-    n = g.order if g.order**2 <= np.iinfo(np.int32).max else np.int64(g.order)
+    n = _flat_radix(g.order)
     acc = None
     for let, alpha in zip(w.letters, rows):
         x = alpha[args[pos[let.var]]]
@@ -251,11 +258,12 @@ class _BatchEvaluator:
     Blocks hold at most `_BATCH_ELEMENTS` word values: b = `batch_size()`
     tuples over a segment's whole argument space when n^d fits, else one
     tuple over consecutive argument chunks.  A block builds each letter's
-    argument column when it reaches that letter.  Row r of a block is offset
-    by r*n for one shared bincount.  The offsets stay in int32 because
-    b*n <= `_BATCH_ELEMENTS`: b*n^d fits when b > 1, and b = 1 with n within
-    the group order cap.  Counts are int64, so words with n^d beyond its
-    range are refused.
+    argument column when it reaches that letter and composes it with a 1-D
+    gather from the flattened table, as `_word_values` does.  Row r of a
+    block is offset by r*n for one shared bincount.  The offsets stay in
+    int32 because b*n <= `_BATCH_ELEMENTS`: b*n^d fits when b > 1, and b = 1
+    with n within the group order cap.  Counts are int64, so words with n^d
+    beyond its range are refused.
     """
 
     def __init__(self, g: FiniteGroup, w: ReducedWord, aut_tables: np.ndarray):
@@ -268,6 +276,7 @@ class _BatchEvaluator:
             raise CapExceeded(f"{self.n}^{d} argument tuples exceed the 64-bit fiber counts")
         self.segments = _segments(w)
         self.table = g.table
+        self.flat, self.radix = g.table.ravel(), _flat_radix(self.n)
         self.inv_t = g.inv_table if any(let.sign < 0 for let in w.letters) else None
 
     def batch_size(self) -> int:
@@ -298,7 +307,7 @@ class _BatchEvaluator:
                 if sign < 0:
                     v = self.inv_t[v]
                 v = v[None, :] if dig is None else self.at[dig][:, v]
-                res = v if res is None else self.table[res, v]
+                res = v if res is None else self.flat[res * self.radix + v]
             res += offs
             counts += np.bincount(res.ravel(), minlength=b * n).reshape(b, n)
         return counts
@@ -451,7 +460,8 @@ def _search_all_tuples(
             f"exact search needs {needed} evaluations, budget is {budget}"
         )
     ev = _BatchEvaluator(g, w, a.tables)
-    threads = max(1, int(threads))
+    # no more workers than cores; the witnesses do not depend on the split
+    threads = max(1, min(int(threads), os.cpu_count() or 1))
     if threads == 1 or scanned < 4 * threads:
         parts = [_scan_range(ev, range(scanned), target, free)]
     else:

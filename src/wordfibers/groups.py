@@ -42,6 +42,7 @@ class FiniteGroup:
         self.order = order
         self.spec = spec
         self._table = np.ascontiguousarray(tbl, dtype=np.int32)
+        self._derived: dict = {}  # see `_derived`
 
     # -- core operations ----------------------------------------------------
 
@@ -142,6 +143,17 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, spec={self.spec!r})"
+
+
+def _derived(g: FiniteGroup, key: tuple, build):
+    """``build()``, kept on ``g`` under ``key``: structure that is a function
+    of the group and the key is built once per group object.  Two threads
+    that race on a key may both build it; the first value stored is the one
+    every caller gets."""
+    value = g._derived.get(key)
+    if value is None:
+        value = g._derived.setdefault(key, build())
+    return value
 
 
 # -- constructions -----------------------------------------------------------
@@ -706,11 +718,19 @@ def automorphism_group(
 ) -> AutSet:
     """The full automorphism group, enumerated from blocked generator-image
     tests; refused before any test runs when the search work exceeds
-    ``max_work`` (see `plan_hom_search`)."""
-    search = plan_hom_search(g, g, max_work)
-    aut = AutSet(g, _search_homs(search, find_all=True, max_results=max_size), kind="full")
-    aut.search = search
-    return aut
+    ``max_work`` (see `plan_hom_search`).
+
+    Kept on ``g`` per pair of caps, so repeated calls share one `AutSet` and
+    its cached lookups; a call with other caps plans its own search, and
+    refuses if its caps are too small."""
+
+    def build() -> AutSet:
+        search = plan_hom_search(g, g, max_work)
+        aut = AutSet(g, _search_homs(search, find_all=True, max_results=max_size), kind="full")
+        aut.search = search
+        return aut
+
+    return _derived(g, ("aut", max_work, max_size), build)
 
 
 def is_isomorphic(
@@ -756,6 +776,12 @@ class SubgroupHandle:
         """The subgroup as a group in its own right (`subgroup_group`), built
         on first use."""
         return subgroup_group(self.group, self)
+
+    @cached_property
+    def as_quotient(self) -> "QuotientHandle":
+        """The quotient by this normal subgroup (`quotient`), built on first
+        use."""
+        return quotient(self.group, self)
 
 
 def subgroup_handle(
@@ -843,9 +869,13 @@ def normal_subgroups(g: FiniteGroup, aut: Optional[AutSet] = None) -> list[Subgr
     The atoms are the class closures: a normal subgroup N is the join of the
     normal closures of the classes it contains, and a join of normal subgroups
     is normal, so the joins are exactly the normal subgroups.  Aut(G) is
-    resolved first, so its cap refuses before the class closures are built."""
+    resolved first, so its cap refuses before the class closures are built.
+
+    The lattice is kept on ``g`` per automorphism set (the characteristic
+    flags depend on it): each call returns a new list over the same handles,
+    which keep their own cached `as_group` and `as_quotient`."""
     aut = automorphism_group(g) if aut is None else aut
-    return _lattice(g, _class_closures(g), aut)
+    return list(_derived(g, ("normal", aut), lambda: _lattice(g, _class_closures(g), aut)))
 
 
 @dataclass
@@ -900,7 +930,7 @@ def _require_characteristic(g: FiniteGroup, n: SubgroupHandle) -> None:
 def induced_autset(g: FiniteGroup, n: SubgroupHandle, a: AutSet) -> AutSet:
     """Automorphisms of G/N induced by members of A."""
     _require_characteristic(g, n)
-    qh = quotient(g, n)
+    qh = n.as_quotient
     return AutSet(qh.quotient, qh.projection[a.tables[:, list(qh.coset_reps)]], kind="custom")
 
 

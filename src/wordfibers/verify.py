@@ -6,8 +6,8 @@ Exhaustive checkers report "pass" or "fail"; sampled checkers report
 `check_rewrite` samples its trials (automorphism tuple and base tuple) with a
 seed, yet reports "pass" when every trial holds; each trial is checked over
 all of N^d, but the trials cover only part of the space (ROADMAP item 1).
-Its trials are drawn one at a time but rewritten and swept in blocks of
-trials, with the witness and counters of a trial-by-trial sweep.
+Its trials are drawn, rewritten and swept in blocks of trials, with the
+draws, witness and counters of a trial-by-trial sweep.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .groups import (
     is_simple,
     make_group,
     power_group,
-    quotient,
     restricted_autset,
     wreath_rows,
 )
@@ -122,7 +121,7 @@ def check_submultiplicative(
     _require_inner(a)
     ind = induced_autset(g, n, a)
     res = restricted_autset(g, n, a)
-    qh = quotient(g, n)
+    qh = n.as_quotient
     pt_g = max_fiber_per_target(g, w, a, budget=budget, threads=threads)
     pt_q = max_fiber_per_target(qh.quotient, w, ind, budget=budget, threads=threads)
     pt_n = max_fiber_per_target(res.group, w, res, budget=budget, threads=threads)
@@ -239,6 +238,12 @@ def check_rewrite(
     read the same coset-tuple indices.  The first mismatch in (trial, coset
     tuple) order is the witness, as in a sweep one trial at a time.  The
     budget, 2*trials*s evaluations, is checked before any draw.
+
+    A block's draws are one ``rng.integers`` call with a bound per column,
+    l times |A| then d times |G|.  numpy's `Generator` draws such an array
+    element by element in row-major order, each element with its own bound,
+    so the values and the generator state after them are those of the
+    per-trial calls (l indices, then d bases); `TestRewriteDraws` pins this.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -266,13 +271,10 @@ def check_rewrite(
     letter_vars = [w.variables.index(let.var) for let in w.letters]
     n_elements = np.asarray(n.elements, dtype=np.int32)
     rng = np.random.default_rng(seed)
+    bounds = [len(aut)] * l + [g.order] * d
     for lo in range(0, trials, block):
-        draws = [
-            (rng.integers(0, len(aut), l), rng.integers(0, g.order, d))
-            for _ in range(min(block, trials - lo))
-        ]
-        indices = np.array([i for i, _ in draws])
-        bases = np.array([b for _, b in draws])
+        draws = rng.integers(0, bounds, size=(min(block, trials - lo), l + d))
+        indices, bases = draws[:, :l], draws[:, l:]
         res = rewrite_coset_equation(g, n, w, aut.tables[indices], bases)
         # row (r, i) of the left side: n_j -> alpha_ri(n_j g_rv), v of letter i
         cosets = g.table[n_elements, bases[:, :, None]]

@@ -795,3 +795,131 @@ class TestEntryPoint:
         bad.write_text("2\n0 1\n1 1\n")
         code, doc, _ = run(["group", "make", "--spec", f"table:{bad}"])
         assert code == EXIT_USAGE
+
+
+class TestSharedStructure:
+    """One request builds each group spec once, and each group's Aut(G) and
+    normal lattice once; a new request builds them again."""
+
+    @staticmethod
+    def count(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, **k: calls.append(None) or real(*a, **k)
+        )
+        return calls
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_shipped_battery_builds_each_structure_once(self, monkeypatch, tmp_path, threads):
+        import wordfibers.groups as groups
+
+        homs = self.count(monkeypatch, groups, "_search_homs")
+        lattices = self.count(monkeypatch, groups, "_lattice")
+        golden = json.loads((GOLDEN / "battery.json").read_text())
+        code, doc, _ = run(["--threads", threads, "verify", "battery", "--out", str(tmp_path)])
+        assert (code, doc["result"]) == (golden["records"][0]["exit_code"],
+                                         golden["records"][0]["result"])
+        for name in doc["result"]["reports"]:
+            assert (tmp_path / name).read_text() == golden["reports"][name], name
+        if threads == "1":
+            # 10 of the 16 specs need Aut(G); 4 resolve order:<k> selectors
+            assert (len(homs), len(lattices)) == (10, 4)
+        else:
+            # two workers may race on a spec and both build it
+            assert len(homs) <= 66 and len(lattices) <= 22
+
+    def test_each_request_builds_its_own_groups(self, monkeypatch):
+        import wordfibers.groups as groups
+
+        homs = self.count(monkeypatch, groups, "_search_homs")
+        argv = ["verify", "submult", "--group", "alt:4", "--subgroup", "order:4",
+                "--word", "x1^2", "--auts", "inn"]
+        first, second = run(argv), run(argv)
+        assert first == second and first[0] == EXIT_OK
+        assert len(homs) == 2
+
+    def test_a_request_leaves_no_reference_cycles(self):
+        # Aut(G) and the lattice point back at their group; the request drops
+        # them at its end, so its groups are freed at once
+        import gc
+
+        argv = ["verify", "submult", "--group", "dih:4", "--subgroup", "order:4",
+                "--word", "x1^2"]
+        run(argv)  # builds the parser, once per process
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(argv)[0] == EXIT_OK
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_submult_builds_one_quotient(self, monkeypatch):
+        import wordfibers.groups as groups
+
+        quotients = self.count(monkeypatch, groups, "quotient")
+        for subgroup in ("center", "order:4"):
+            quotients.clear()
+            code, _, _ = run(["verify", "submult", "--group", "dih:4", "--subgroup",
+                              subgroup, "--word", "x1^2"])
+            assert code == EXIT_OK and len(quotients) == 1, subgroup
+
+
+class TestThreadSettings:
+    ARGV = ["word", "parse", "--word", "x1"]
+
+    @pytest.mark.parametrize("name, value", [
+        ("WFL_THREADS", "abc"), ("WFL_THREADS", "0"), ("WFL_THREADS", "-3"),
+        ("WFL_BUDGET", "abc"), ("WFL_BUDGET", "1e5"),
+    ])
+    def test_bad_environment_value_is_a_usage_error(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        code, doc, text = run(self.ARGV)
+        assert code == EXIT_USAGE and doc["status"] == "usage-error"
+        assert text.count("\n") == 1
+        assert doc["result"]["error"].startswith(f"{name}={value!r}: ")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_bad_threads_flag_is_a_usage_error(self, monkeypatch, value):
+        monkeypatch.setenv("WFL_THREADS", "2")  # the flag is read first
+        code, doc, _ = run(["--threads", value, *self.ARGV])
+        assert code == EXIT_USAGE and doc["status"] == "usage-error"
+
+    def test_worker_pools_are_capped_at_the_core_count(self, monkeypatch, tmp_path):
+        from concurrent.futures import Future
+
+        import wordfibers.cli as cli
+        import wordfibers.fibers as fibers
+
+        workers = []
+
+        class InlinePool:
+            """Records its size and runs every task at once, on this thread."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args, **kwargs):
+                future = Future()
+                future.set_result(fn(*args, **kwargs))
+                return future
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(fibers, "ThreadPoolExecutor", InlinePool)
+        argv = ["fiber", "max", "--group", "sym:3", "--word", "x1 x2 x1^-1 x2"]
+        _, _, expected = run(argv)
+        _, _, threaded = run(["--threads", "64", *argv])
+        assert threaded == expected and workers == [2]
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{"check": "dihedral", "o": 3}]))
+        code, _, _ = run(["--threads", "64", "verify", "battery", "--manifest", str(manifest),
+                          "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK and workers == [2, 2]

@@ -1032,14 +1032,17 @@ class TestBlockedKernel:
         g = make_group("sym:5")
         search = groups_mod.plan_hom_search(g, g)
         work = search.candidates * g.order * len(search.generators)
+        # Aut(G) is kept on g per pair of caps: a smaller cap still refuses
+        assert len(automorphism_group(g)) == 120
         assert len(automorphism_group(g, max_work=work)) == 120
         with pytest.raises(CapExceeded):
             automorphism_group(g, max_work=work - 1)
 
     def test_result_cap(self):
+        g = make_group("pow:(cyc:2)^4")
+        assert len(automorphism_group(g, max_size=20160)) == 20160
         with pytest.raises(CapExceeded):
-            automorphism_group(make_group("pow:(cyc:2)^4"), max_size=20159)
-        assert len(automorphism_group(make_group("pow:(cyc:2)^4"), max_size=20160)) == 20160
+            automorphism_group(g, max_size=20159)
 
 
 def tuple_sorted(aut):
@@ -1081,3 +1084,41 @@ class TestCanonicalOrder:
             AutSet(g, [], kind="custom")
         with pytest.raises(ValueError):
             AutSet(g, np.array([[0, 2, 1]]), kind="custom")  # no identity
+
+
+class TestDerivedStructure:
+    """Aut(G) and the normal lattice are built once per group object."""
+
+    def test_aut_is_built_once_per_group(self, monkeypatch):
+        g = make_group("dih:4")
+        calls = []
+        real = groups_mod._search_homs
+        monkeypatch.setattr(
+            groups_mod, "_search_homs", lambda *a, **k: calls.append(None) or real(*a, **k)
+        )
+        first = automorphism_group(g)
+        assert automorphism_group(g) is first
+        assert normal_subgroups(g)[0].characteristic and len(calls) == 1
+        assert automorphism_group(make_group("dih:4")) is not first
+        assert len(calls) == 2
+
+    def test_characteristic_flags_follow_the_automorphism_set(self):
+        g = make_group("dih:4")
+        inner = normal_subgroups(g, inner_automorphisms(g))
+        full = normal_subgroups(g, automorphism_group(g))
+        assert [s.elements for s in inner] == [s.elements for s in full]
+        # the two Klein four-subgroups are normal; Aut(D8) swaps them
+        klein = [i for i, s in enumerate(full)
+                 if s.order == 4 and (g.element_orders[list(s.elements)] <= 2).all()]
+        assert len(klein) == 2
+        assert all(inner[i].characteristic and not full[i].characteristic for i in klein)
+        assert all(s.normal for s in inner + full)
+
+    def test_lattice_calls_share_their_handles_in_new_lists(self):
+        g = make_group("alt:4")
+        aut = automorphism_group(g)
+        first, second = normal_subgroups(g, aut), normal_subgroups(g, aut)
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
+        first.clear()
+        assert len(normal_subgroups(g, aut)) == len(second) == 3

@@ -346,6 +346,35 @@ class TestRewriteBatched:
         assert report.witness["trial"] == min(changes)
 
 
+class TestRewriteDraws:
+    """check_rewrite draws a block of trials in one call, with a bound per
+    column; that must be the per-trial stream of l indices then d bases."""
+
+    @pytest.mark.parametrize("aut_size, order", [
+        (1, 8),  # trivial Aut: a bound of 1 consumes no randomness
+        (12, 12),
+        (4096, 60),
+        (2**31, 24),
+        (2**33, 6),
+        (7, 2**33),
+    ])
+    @pytest.mark.parametrize("l, d", [(1, 1), (3, 2), (4, 2)])
+    def test_one_call_is_the_per_trial_stream(self, aut_size, order, l, d):
+        trials = 17
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            per_trial = [
+                np.concatenate([rng.integers(0, aut_size, l), rng.integers(0, order, d)])
+                for _ in range(trials)
+            ]
+            after = rng.integers(0, 2**40), rng.random()
+            rng = np.random.default_rng(seed)
+            draws = rng.integers(0, [aut_size] * l + [order] * d, size=(trials, l + d))
+            assert draws.dtype == np.int64
+            assert draws.tolist() == np.array(per_trial).tolist()
+            assert (rng.integers(0, 2**40), rng.random()) == after
+
+
 class TestRewriteFailureReport:
     # The rewrite of one trial is corrupted, so that trial fails.  Outcome,
     # witness and counter were taken at the commit before the vectorized
