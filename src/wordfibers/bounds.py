@@ -57,18 +57,6 @@ def _digit_count_at_most(value: int, cap: int) -> bool:
     return len(str(abs(value))) <= cap
 
 
-def log_of_int(value: int) -> mpmath.mpf:
-    if value < 1:
-        raise ValueError("log-space values must be >= 1")
-    with _MP_LOCK, mp.workdps(WORKING_DPS):
-        return mp.log(mp.mpf(value))
-
-
-def lognumber_from_int(value: int) -> LogNumber:
-    exact = value if _digit_count_at_most(value, EXACT_DIGIT_CAP) else None
-    return LogNumber(ln_value=log_of_int(value), exact=exact)
-
-
 LOG_ONE = LogNumber(ln_value=mpmath.mpf(0), exact=1)
 
 
@@ -237,16 +225,13 @@ def epsilon_upper_bound(s_order: int, l: int) -> Fraction:
 
 
 def n0_bound(w: ReducedWord, rho: Fraction, s_order: int) -> int:
-    """floor(l^2 log(rho) / log(1 - 1/|S|^l)), resolved exactly."""
+    """floor(l^2 log(rho) / log(eps)), resolved exactly, with
+    eps = 1 - 1/|S|^l from `epsilon_upper_bound`, which checks |S| and l."""
     rho = _rho_ok(rho)
-    if s_order < 60:
-        raise ValueError("nonabelian simple groups have order at least 60")
     l = w.length
-    if l < 1:
-        raise ValueError("the word must be nonempty")
+    base = epsilon_upper_bound(s_order, l)
     if rho == 1:
         return 0
-    base = Fraction(s_order**l - 1, s_order**l)
     ll = l * l
     iv = mpmath.iv
     with _MP_LOCK:

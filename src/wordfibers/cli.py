@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from importlib import resources
@@ -80,14 +79,22 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(str(text).strip())
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argument type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def canonical(obj):
@@ -178,11 +185,10 @@ class Context:
         self._groups: dict[str, FiniteGroup] = {}
 
     def group(self, spec: str) -> FiniteGroup:
-        """The request's group for ``spec``; battery workers that race on a
-        new spec all get the first one stored."""
+        """The request's group for ``spec``, built on first use."""
         g = self._groups.get(spec)
         if g is None:
-            g = self._groups.setdefault(spec, make_group(spec))
+            g = self._groups[spec] = make_group(spec)
         return g
 
     def close(self) -> None:
@@ -448,25 +454,25 @@ class Check:
 
     name: str
     params: tuple[Param, ...]
-    # (params, request context, budget, threads)
-    run: Callable[[dict, Context, int, int], CheckReport]
+    # (params, request context, budget); searches split over ctx.threads
+    run: Callable[[dict, Context, int], CheckReport]
 
 
-def _run_identity_max(p, ctx, budget, threads):
+def _run_identity_max(p, ctx, budget):
     g, autset = _group_and_aut(ctx, p["group"], p["auts"])
     w = parse_word(p["word"], require_nonempty=True)
-    return check_identity_maximal(g, w, autset, budget=budget, threads=threads)
+    return check_identity_maximal(g, w, autset, budget=budget, threads=ctx.threads)
 
 
-def _run_submult(p, ctx, budget, threads):
+def _run_submult(p, ctx, budget):
     g, autset = _group_and_aut(ctx, p["group"], p["auts"])
     aut_full = autset if autset.kind == "full" else automorphism_group(g)
     n = resolve_subgroup(g, p["subgroup"], aut_full)
     w = parse_word(p["word"], require_nonempty=True)
-    return check_submultiplicative(g, n, w, autset, budget=budget, threads=threads)
+    return check_submultiplicative(g, n, w, autset, budget=budget, threads=ctx.threads)
 
 
-def _run_rewrite(p, ctx, budget, threads):
+def _run_rewrite(p, ctx, budget):
     g = ctx.group(p["group"])
     aut = automorphism_group(g)
     n = resolve_subgroup(g, p["subgroup"], aut)
@@ -474,7 +480,7 @@ def _run_rewrite(p, ctx, budget, threads):
     return check_rewrite(g, n, w, aut, trials=p["trials"], seed=p["seed"], budget=budget)
 
 
-def _run_variation_bound(p, ctx, budget, threads):
+def _run_variation_bound(p, ctx, budget):
     s = ctx.group(p["simple"])
     w = parse_word(p["word"], require_nonempty=True)
     return check_variation_bound(
@@ -486,14 +492,14 @@ def _run_variation_bound(p, ctx, budget, threads):
         exponent_mode=p["exponent_mode"],
         epsilon_factor=parse_fraction(p["epsilon_factor"]),
         budget=budget,
-        threads=threads,
+        threads=ctx.threads,
     )
 
 
-def _run_variation_projection(p, ctx, budget, threads):
+def _run_variation_projection(p, ctx, budget):
     g = ctx.group(p["group"])
     w = parse_word(p["word"], require_nonempty=True)
-    return check_variation_projection(g, w, budget=budget, threads=threads)
+    return check_variation_projection(g, w, budget=budget, threads=ctx.threads)
 
 
 _AUTS = Param("auts", default="aut", choices=("inn", "aut"))
@@ -510,7 +516,7 @@ CHECKS = {
         Check(
             "dihedral",
             (Param("o", int),),
-            lambda p, ctx, budget, threads: check_dihedral_counterexample(p["o"], budget=budget),
+            lambda p, ctx, budget: check_dihedral_counterexample(p["o"], budget=budget),
         ),
         Check(
             "rewrite",
@@ -535,7 +541,7 @@ CHECKS = {
 def cmd_verify_check(args, ctx):
     check = CHECKS[args.action]
     params = {p.name: getattr(args, p.name) for p in check.params}
-    return report_result(check.run(params, ctx, ctx.budget, ctx.threads))
+    return report_result(check.run(params, ctx, ctx.budget))
 
 
 def _entry_params(index: int, entry, budget: int) -> tuple[Check, dict, int]:
@@ -569,9 +575,9 @@ def _entry_params(index: int, entry, budget: int) -> tuple[Check, dict, int]:
 
 
 def run_battery_entry(entry: dict, ctx: Context, index: int = 0) -> CheckReport:
-    """Run one manifest entry single-threaded; the battery parallelizes entries."""
+    """Run one manifest entry; ``ctx.threads`` splits its tuple searches."""
     check, params, budget = _entry_params(index, entry, ctx.budget)
-    return check.run(params, ctx, budget, 1)
+    return check.run(params, ctx, budget)
 
 
 def default_battery_path() -> Path:
@@ -590,13 +596,7 @@ def cmd_verify_battery(args, ctx):
         _entry_params(index, entry, ctx.budget)  # refuse a bad manifest before any work
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = min(ctx.threads, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_battery_entry, entry, ctx, index)
-            for index, entry in enumerate(entries)
-        ]
-        reports = [f.result() for f in futures]
+    reports = [run_battery_entry(entry, ctx, index) for index, entry in enumerate(entries)]
     summary = {"total": len(reports), "passed": 0, "failed": 0, "inconclusive": 0}
     files = []
     for idx, report in enumerate(reports):
@@ -730,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_word_parse)
     p = word.add_parser("variations")
     p.add_argument("--word", required=True)
-    p.add_argument("--limit", type=int, default=64)
+    p.add_argument("--limit", type=_int_at_least(0), default=64)
     p.set_defaults(handler=cmd_word_variations)
     p = word.add_parser("mconst")
     p.add_argument("-l", type=int, required=True)

@@ -87,20 +87,6 @@ def _var_positions(w: ReducedWord) -> dict[int, int]:
     return {v: i for i, v in enumerate(w.variables)}
 
 
-def eval_word(g: FiniteGroup, w: ReducedWord, args: Sequence[int]) -> int:
-    """Substitute args into the word; args follow the ascending variable order."""
-    if len(args) != w.num_variables:
-        raise ValueError(f"expected {w.num_variables} arguments, got {len(args)}")
-    pos = _var_positions(w)
-    acc = 0
-    for let in w.letters:
-        x = int(args[pos[let.var]])
-        if let.sign < 0:
-            x = g.inv(x)
-        acc = g.mul(acc, x)
-    return acc
-
-
 def _letter_tables(
     g: FiniteGroup, w: ReducedWord, auts: np.ndarray, batched: bool = False
 ) -> np.ndarray:
@@ -119,8 +105,9 @@ def eval_automorphic(
     auts: np.ndarray,
     args: Sequence[int] | Sequence[np.ndarray],
 ) -> int | np.ndarray:
-    """Like eval_word, but the i-th letter is first passed through the
-    automorphism in row i of the (l, |G|) array `auts`.
+    """Substitute args, in ascending variable order, into the word, the i-th
+    letter first passed through the automorphism in row i of the (l, |G|)
+    array `auts`.
 
     With one array of K elements per variable in `args`, evaluates K argument
     tuples at once and returns an array of K values."""

@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import CapExceeded
 
+# The caps are read when a function runs; no function takes one as a
+# parameter.
 DEFAULT_ORDER_CAP = 4096
 # Table steps a generator-image search may take (`plan_hom_search`); it
 # bounds automorphism groups and isomorphism tests alike.
@@ -209,16 +211,38 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup, spec: str = "") -> FiniteGr
     )
 
 
-def power_group(s: FiniteGroup, n: int, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def _capped(order: int) -> int:
+    if order > DEFAULT_ORDER_CAP:
+        raise CapExceeded(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
+    return order
+
+
+def _capped_product(factors: Iterable[int], what: str) -> int:
+    """The product of the positive ``factors``, refused above the order cap.
+
+    The loop stops once the product passes the square of the cap, so a huge
+    order costs a few steps; it is then named by ``what``, never by its
+    digits.  A smaller refused order is named by its value."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > DEFAULT_ORDER_CAP**2:
+            raise CapExceeded(f"order of {what} exceeds cap {DEFAULT_ORDER_CAP}")
+    return _capped(order)
+
+
+def power_group(s: FiniteGroup, n: int) -> FiniteGroup:
     """Direct power S^n; coordinate 0 is the most significant index digit."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    if s.order**n > max_order:
-        raise CapExceeded(f"order {s.order**n} exceeds cap {max_order}")
+    spec = f"pow:({s.spec})^{n}"
+    if s.order == 1:
+        return FiniteGroup(1, table=s.table, spec=spec)
+    _capped_product(itertools.repeat(s.order, n), spec)
     g = s
     for _ in range(n - 1):
         g = direct_product(g, s)
-    return FiniteGroup(g.order, table=g.table, spec=f"pow:({s.spec})^{n}")
+    return FiniteGroup(g.order, table=g.table, spec=spec)
 
 
 def _perm_group(n: int, even_only: bool) -> FiniteGroup:
@@ -276,8 +300,9 @@ def _split_outer(spec: str, prefix: str) -> tuple[str, str]:
     raise ValueError(f"unbalanced parentheses in spec {spec!r}")
 
 
-def make_group(spec: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Build a group from a construction string.
+def make_group(spec: str) -> FiniteGroup:
+    """Build a group from a construction string, refusing orders above
+    `DEFAULT_ORDER_CAP` before any table is built.
 
     Grammar: cyc:n | sym:n | alt:n | dih:o | q8 | prod:(s1)x(s2) | pow:(s)^n
     | table:<path>.
@@ -285,11 +310,9 @@ def make_group(spec: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     spec = spec.strip()
 
     def cap(order: int) -> int:
-        if order > max_order:
-            raise CapExceeded(f"order {order} exceeds cap {max_order}")
         if order < 1:
             raise ValueError(f"order must be positive in spec {spec!r}")
-        return order
+        return _capped(order)
 
     if spec.startswith("cyc:"):
         n = cap(int(spec[4:]))
@@ -299,7 +322,7 @@ def make_group(spec: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         if n < 1:
             raise ValueError(f"degree must be positive in spec {spec!r}")
         even = spec.startswith("alt:")
-        cap(max(1, math.factorial(n) // (2 if even else 1)))
+        _capped_product(range(3 if even else 2, n + 1), spec)  # n! or n!/2
         return _perm_group(n, even)
     if spec.startswith("dih:"):
         o = int(spec[4:])
@@ -316,8 +339,8 @@ def make_group(spec: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         right, tail = _split_outer("x:" + rest[1:], "x:")
         if tail:
             raise ValueError(f"trailing characters in spec {spec!r}")
-        g1 = make_group(left, max_order)
-        g2 = make_group(right, max_order)
+        g1 = make_group(left)
+        g2 = make_group(right)
         cap(g1.order * g2.order)
         return direct_product(g1, g2, spec=spec)
     if spec.startswith("pow:"):
@@ -325,8 +348,8 @@ def make_group(spec: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         if not rest.startswith("^"):
             raise ValueError(f"malformed spec {spec!r}")
         n = int(rest[1:])
-        s = make_group(inner, max_order)
-        g = power_group(s, n, max_order)
+        s = make_group(inner)
+        g = power_group(s, n)
         g.spec = spec
         return g
     if spec.startswith("table:"):
@@ -369,14 +392,6 @@ def read_cayley_table(path: str | Path) -> np.ndarray:
     return table
 
 
-def write_cayley_table(path: str | Path, g: FiniteGroup) -> None:
-    rows = [str(g.order)]
-    table = g.table
-    for i in range(g.order):
-        rows.append(" ".join(str(int(x)) for x in table[i]))
-    Path(path).write_text("\n".join(rows) + "\n")
-
-
 # -- automorphisms ------------------------------------------------------------
 
 
@@ -389,7 +404,7 @@ def is_automorphism(g: FiniteGroup, perm: np.ndarray) -> bool:
     )
 
 
-_SUBGROUP_KINDS = ("full", "inner", "identity-only", "wreath")
+_SUBGROUP_KINDS = ("full", "inner", "identity-only")
 
 
 def _row_view(rows: np.ndarray) -> np.ndarray:
@@ -432,10 +447,9 @@ class AutSet:
     a member is its row, and its index is its row number (`index`).
     ``contains_inner`` is computed, never trusted.  The kinds in
     ``_SUBGROUP_KINDS`` name the sets this module builds as subgroups of
-    Aut(G) (`automorphism_group`, `inner_automorphisms`, `identity_autset`,
-    `wreath_autset` of a closed base); ``is_closed`` takes them as closed and
-    checks any other set.  ``search`` is the `HomSearch` that enumerated the
-    set, when one did.
+    Aut(G) (`automorphism_group`, `inner_automorphisms`, `identity_autset`);
+    ``is_closed`` takes them as closed and checks any other set.  ``search``
+    is the `HomSearch` that enumerated the set, when one did.
     """
 
     search: Optional["HomSearch"] = None
@@ -539,7 +553,7 @@ def _bucket_keys(g: FiniteGroup) -> np.ndarray:
     return g.element_orders * (g.order + 1) + g.class_size_of
 
 
-def choose_generators(g: FiniteGroup, max_work: int = HOM_WORK_CAP) -> list[int]:
+def choose_generators(g: FiniteGroup) -> list[int]:
     """A small generating set, chosen deterministically.
 
     The first generator is the element of largest order (then smallest
@@ -548,7 +562,7 @@ def choose_generators(g: FiniteGroup, max_work: int = HOM_WORK_CAP) -> list[int]
     takes the first whose addition gives G, or else the one that enlarges the
     subgroup most.  The choice stops with `CapExceeded` as soon as no
     further choice can keep the search work of `plan_hom_search` within
-    ``max_work``."""
+    `HOM_WORK_CAP`."""
     n = g.order
     table, orders = g.table, g.element_orders
     _, where, counts = np.unique(_bucket_keys(g), return_inverse=True, return_counts=True)
@@ -560,7 +574,7 @@ def choose_generators(g: FiniteGroup, max_work: int = HOM_WORK_CAP) -> list[int]
     span = _span_mask(table, gens)
     while not span.all():
         least = int(sizes[~span].min())
-        _check_work(candidates * least, n, len(gens) + 1, max_work)
+        _check_work(candidates * least, n, len(gens) + 1)
         if not gens:
             pick = int(np.lexsort((idx, sizes, -orders))[0])
             span = _span_mask(table, [pick])
@@ -575,15 +589,15 @@ def choose_generators(g: FiniteGroup, max_work: int = HOM_WORK_CAP) -> list[int]
             span = best
         gens.append(pick)
         candidates *= int(sizes[pick])
-        _check_work(candidates, n, len(gens), max_work)
+        _check_work(candidates, n, len(gens))
     return gens
 
 
-def _check_work(candidates: int, order: int, k: int, max_work: int) -> None:
+def _check_work(candidates: int, order: int, k: int) -> None:
     work = candidates * order * k
-    if work > max_work:
+    if work > HOM_WORK_CAP:
         raise CapExceeded(
-            f"generator-image search of at least {work} steps exceeds cap {max_work}"
+            f"generator-image search of at least {work} steps exceeds cap {HOM_WORK_CAP}"
         )
 
 
@@ -606,14 +620,14 @@ class HomSearch:
         return math.prod(len(b) for b in self.buckets)
 
 
-def plan_hom_search(src: FiniteGroup, dst: FiniteGroup, max_work: int = HOM_WORK_CAP) -> HomSearch:
+def plan_hom_search(src: FiniteGroup, dst: FiniteGroup) -> HomSearch:
     """Choose src's generators and their candidate images in dst; refuse
-    (`CapExceeded`) when the search work would exceed ``max_work``.
+    (`CapExceeded`) when the search work would exceed `HOM_WORK_CAP`.
 
     The work bound uses src's own bucket sizes, which equal dst's when the two
     groups have the same (order, class size) profile, as `is_isomorphic`
     checks first; otherwise some bucket may only shrink."""
-    gens = choose_generators(src, max_work)
+    gens = choose_generators(src)
     src_keys, dst_keys = _bucket_keys(src), _bucket_keys(dst)
     buckets = [np.flatnonzero(dst_keys == src_keys[s]).astype(np.int32) for s in gens]
     return HomSearch(src, dst, gens, buckets)
@@ -711,38 +725,33 @@ def _search_homs(search: HomSearch, *, find_all: bool, max_results: int) -> np.n
     return np.concatenate(found) if found else np.empty((0, src.order), dtype=np.int32)
 
 
-def automorphism_group(
-    g: FiniteGroup,
-    max_work: int = HOM_WORK_CAP,
-    max_size: int = AUTSET_SIZE_CAP,
-) -> AutSet:
+def automorphism_group(g: FiniteGroup) -> AutSet:
     """The full automorphism group, enumerated from blocked generator-image
     tests; refused before any test runs when the search work exceeds
-    ``max_work`` (see `plan_hom_search`).
+    `HOM_WORK_CAP` (see `plan_hom_search`), and once more than
+    `AUTSET_SIZE_CAP` automorphisms are found.
 
-    Kept on ``g`` per pair of caps, so repeated calls share one `AutSet` and
-    its cached lookups; a call with other caps plans its own search, and
-    refuses if its caps are too small."""
+    Kept on ``g``, so repeated calls share one `AutSet` and its cached
+    lookups."""
 
     def build() -> AutSet:
-        search = plan_hom_search(g, g, max_work)
-        aut = AutSet(g, _search_homs(search, find_all=True, max_results=max_size), kind="full")
+        search = plan_hom_search(g, g)
+        found = _search_homs(search, find_all=True, max_results=AUTSET_SIZE_CAP)
+        aut = AutSet(g, found, kind="full")
         aut.search = search
         return aut
 
-    return _derived(g, ("aut", max_work, max_size), build)
+    return _derived(g, ("aut",), build)
 
 
-def is_isomorphic(
-    g: FiniteGroup, h: FiniteGroup, max_work: int = HOM_WORK_CAP
-) -> tuple[bool, Optional[np.ndarray]]:
+def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> tuple[bool, Optional[np.ndarray]]:
     """Isomorphism test with a witness map on success."""
     if g.order != h.order:
         return False, None
     profile = lambda k: sorted(zip(k.element_orders.tolist(), k.class_size_of.tolist()))
     if profile(g) != profile(h):
         return False, None
-    found = _search_homs(plan_hom_search(g, h, max_work), find_all=False, max_results=1)
+    found = _search_homs(plan_hom_search(g, h), find_all=False, max_results=1)
     if len(found):
         return True, found[0]
     return False, None
@@ -847,18 +856,14 @@ def _lattice(
     ]
 
 
-def subgroups(
-    g: FiniteGroup,
-    aut: Optional[AutSet] = None,
-    max_order: int = SUBGROUP_ORDER_CAP,
-) -> list[SubgroupHandle]:
+def subgroups(g: FiniteGroup, aut: Optional[AutSet] = None) -> list[SubgroupHandle]:
     """All subgroups, each flagged normal and characteristic (under Aut(G)
     when aut is None).
 
     The atoms are the cyclic subgroups <x>: every subgroup H is the join of
     <h> over its elements h."""
-    if g.order > max_order:
-        raise CapExceeded(f"subgroup enumeration capped at order {max_order}")
+    if g.order > SUBGROUP_ORDER_CAP:
+        raise CapExceeded(f"subgroup enumeration capped at order {SUBGROUP_ORDER_CAP}")
     aut = automorphism_group(g) if aut is None else aut
     return _lattice(g, (_closure(g.table, [x]) for x in range(1, g.order)), aut)
 
@@ -1055,42 +1060,6 @@ def wreath_rows(base: AutSet, n: int, base_indices, sigmas) -> np.ndarray:
     return rows
 
 
-def wreath_autset(
-    s: FiniteGroup,
-    n: int,
-    base: AutSet,
-    *,
-    power: Optional[FiniteGroup] = None,
-    max_size: int = AUTSET_SIZE_CAP,
-) -> AutSet:
-    """All automorphisms (a_1 x ... x a_n) o sigma of S^n with a_i from base,
-    built by `wreath_rows` in blocks of about `_COMPOSE_BLOCK_ELEMENTS` entries.
-
-    Kind "wreath" when the base is closed: then B wr S_n is a subgroup of
-    Aut(S^n).  Permuting coordinates conjugates a product of base
-    automorphisms into one with its factors permuted,
-    sigma o (b_1 x ... x b_n) = (b_sigma^-1(1) x ... x b_sigma^-1(n)) o sigma,
-    so the composite of two members is (a_i b_sigma^-1(i))_i o (sigma tau),
-    again a member since B is closed, and a finite set of bijections closed
-    under composition is a group.  An unclosed base gives kind "custom".
-    """
-    m = len(base)
-    size = m**n * math.factorial(n)
-    if size > max_size:
-        raise CapExceeded(f"wreath enumeration of size {size} exceeds cap {max_size}")
-    t = power if power is not None else power_group(s, n)
-    # row order: sigma outermost, then the base indices in mixed radix
-    sigmas = np.repeat(list(itertools.permutations(range(n))), m**n, axis=0)
-    combos = np.indices((m,) * n).reshape(n, -1).T
-    base_indices = np.tile(combos, (math.factorial(n), 1))
-    tables = np.empty((size, t.order), dtype=np.int32)
-    step = max(1, _COMPOSE_BLOCK_ELEMENTS // t.order)
-    for lo in range(0, size, step):
-        block = slice(lo, lo + step)
-        tables[block] = wreath_rows(base, n, base_indices[block], sigmas[block])
-    return AutSet(t, tables, kind="wreath" if base.is_closed else "custom")
-
-
 # -- solvable radical -----------------------------------------------------------
 
 
@@ -1112,10 +1081,10 @@ def is_solvable_subset(g: FiniteGroup, elems: tuple[int, ...]) -> bool:
         cur = nxt
 
 
-def solvable_radical(g: FiniteGroup, max_order: int = RADICAL_ORDER_CAP) -> SubgroupHandle:
+def solvable_radical(g: FiniteGroup) -> SubgroupHandle:
     """Largest solvable normal subgroup, as the join of solvable class closures."""
-    if g.order > max_order:
-        raise CapExceeded(f"solvable radical capped at order {max_order}")
+    if g.order > RADICAL_ORDER_CAP:
+        raise CapExceeded(f"solvable radical capped at order {RADICAL_ORDER_CAP}")
     seeds: set[int] = {0}
     for closure in _class_closures(g):
         if is_solvable_subset(g, closure):

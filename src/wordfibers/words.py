@@ -98,9 +98,6 @@ class ReducedWord:
         return format_word(self)
 
 
-EMPTY_WORD = ReducedWord(())
-
-
 def free_reduce(letters: Iterable[Letter]) -> ReducedWord:
     """Cancel adjacent inverse pairs until none remain.
 
@@ -300,30 +297,3 @@ def variation_count(w: ReducedWord) -> int:
     for a in w.occurrence_counts.values():
         result *= a**a
     return result
-
-
-def is_variation(candidate: VariationWord, w: ReducedWord) -> bool:
-    """True iff ``candidate`` assigns, per position, a legal copy index to ``w``."""
-    if candidate.length != w.length:
-        return False
-    counts = w.occurrence_counts
-    for got, want in zip(candidate.letters, w.letters):
-        if got.var != want.var or got.sign != want.sign:
-            return False
-        if not 1 <= got.copy <= counts[want.var]:
-            return False
-    return True
-
-
-def project_variation(v: VariationWord) -> ReducedWord:
-    """Drop the copy indices; the projection of a variation is its parent word."""
-    return free_reduce(Letter(l.var, l.sign) for l in v.letters)
-
-
-def terminal_segment(w: ReducedWord, j: int) -> ReducedWord:
-    """Suffix consisting of the last j letters; variable indices are kept."""
-    if not 0 <= j <= w.length:
-        raise ValueError(f"j must be in 0..{w.length}, got {j}")
-    if j == 0:
-        return EMPTY_WORD
-    return ReducedWord(w.letters[w.length - j :])

@@ -9,8 +9,8 @@ from wordfibers.bounds import (
     alt_exclusion_threshold,
     epsilon_upper_bound,
     excluded_factors_report,
+    LogNumber,
     lie_rank_threshold,
-    lognumber_from_int,
     n0_bound,
     radical_index_bound,
     simple_group_bound_alt,
@@ -28,29 +28,40 @@ def rel_close(a, b, tol):
     return abs(a - b) <= tol * max(abs(a), abs(b))
 
 
+def log_number(value):
+    """`value` as a LogNumber: its log at 60 digits, and its digits."""
+    with mp.workdps(60):
+        return LogNumber(ln_value=mp.log(mp.mpf(value)), exact=value)
+
+
 class TestLogNumber:
     def test_exact_and_log_agree_to_40_digits(self):
-        for value in (1, 2, 341, 10**50, 3**1000):
-            ln = lognumber_from_int(value)
-            assert ln.exact == value
+        # the logs are added at the caller's working precision
+        for a, b in ((1, 2), (2, 171), (10**25, 10**25), (3**500, 3**500)):
+            with mp.workdps(60):
+                product = log_number(a) * log_number(b)
+            assert product.exact == a * b
             with mp.workdps(80):
-                independent = mp.log(mp.mpf(value))
-                if value == 1:
-                    assert ln.ln_value == 0
+                independent = mp.log(mp.mpf(a * b))
+                if a * b == 1:
+                    assert product.ln_value == 0
                 else:
-                    assert rel_close(ln.ln_value, independent, mpmath.mpf(10) ** -40)
+                    assert rel_close(product.ln_value, independent, mpmath.mpf(10) ** -40)
 
     def test_huge_value_drops_exact(self):
-        big = 10 ** (10**4 + 10)
-        ln = lognumber_from_int(big)
-        assert ln.exact is None
-        assert ln.ln_value > 0
+        # 10^5000 * 10^5010 has 10^4 + 11 digits, above the exact-digit cap
+        product = log_number(10**5000) * log_number(10**5010)
+        assert product.exact is None
+        assert product.ln_value > 0
+        assert (log_number(10**5000) * log_number(10**4000)).exact == 10**9000
 
     def test_product_adds_logs(self):
-        a, b = lognumber_from_int(6), lognumber_from_int(35)
-        c = a * b
+        c = log_number(6) * log_number(35)
         assert c.exact == 210
         assert rel_close(c.ln_value, mp.log(210), mpmath.mpf(10) ** -40)
+        inexact = LogNumber(ln_value=mp.log(6)) * log_number(35)
+        assert inexact.exact is None
+        assert rel_close(inexact.ln_value, mp.log(210), mpmath.mpf(10) ** -14)
 
 
 class TestAltThreshold:

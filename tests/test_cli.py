@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -64,6 +66,14 @@ class TestWordCommands:
         assert doc["result"]["count"] == "16"
         assert len(doc["result"]["variations"]) == 3
 
+    def test_variations_limit_zero_and_negative(self):
+        argv = ["word", "variations", "--word", "[x1,x2]", "--limit"]
+        code, doc, _ = run(argv + ["0"])
+        assert code == EXIT_OK and doc["result"]["variations"] == []
+        code, doc, text = run(argv + ["-1"])
+        assert code == EXIT_USAGE and doc["status"] == "usage-error"
+        assert text.count("\n") == 1
+
     def test_syntax_error_is_usage(self):
         code, doc, _ = run(["word", "parse", "--word", "y1"])
         assert code == EXIT_USAGE
@@ -98,6 +108,25 @@ class TestGroupCommands:
         code, doc, _ = run(["group", "make", "--spec", "sym:8"])
         assert code == EXIT_BUDGET
         assert doc["status"] == "budget-exceeded"
+        assert doc["result"]["error"] == "order 40320 exceeds cap 4096"
+        code, doc, _ = run(["group", "make", "--spec", "cyc:5000"])
+        assert code == EXIT_BUDGET
+        assert doc["result"]["error"] == "order 5000 exceeds cap 4096"
+
+    @pytest.mark.parametrize("spec", ["sym:1000000", "alt:100000", "pow:(cyc:3)^10000"])
+    def test_huge_orders_are_refused_before_they_are_computed(self, spec):
+        run(["group", "make", "--spec", "cyc:1"])  # builds the parser, once per process
+        start = time.perf_counter()
+        code, doc, _ = run(["group", "make", "--spec", spec])
+        assert time.perf_counter() - start < 0.1
+        assert code == EXIT_BUDGET
+        assert doc["result"]["error"] == f"order of {spec} exceeds cap 4096"
+
+    def test_power_of_the_trivial_group_is_answered_at_once(self):
+        start = time.perf_counter()
+        code, doc, _ = run(["group", "make", "--spec", "pow:(cyc:1)^1000000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK and doc["result"]["order"] == "1"
 
     def test_subgroup_cap_guards_only_the_subgroups_command(self):
         spec = "prod:(alt:5)x(cyc:4)"  # order 240, above the subgroup cap of 200
@@ -164,6 +193,9 @@ def golden_records(workload, command):
 
 GROUP_RECORDS = golden_records("large-groups", "group")
 FIBER_RECORDS = golden_records("large-groups", "fiber") + golden_records("requests", "fiber")
+# the rest of the requests pool: bounds, word and group make
+REQUEST_RECORDS = [r for command in ("bounds", "word", "group")
+                   for r in golden_records("requests", command)]
 
 
 def test_group_records_cover_every_structure_command():
@@ -188,6 +220,48 @@ def test_group_record_of_the_benchmark_golden_file(record):
     code, doc, _ = run(record["argv"])
     assert code == record["exit_code"]
     assert doc["result"] == record["result"]
+
+
+def test_request_records_cover_the_rest_of_the_pool():
+    assert len(REQUEST_RECORDS) == 327
+    assert len(REQUEST_RECORDS) + len(golden_records("requests", "fiber")) == len(
+        json.loads((GOLDEN / "requests.json").read_text())["records"]
+    )
+
+
+@pytest.mark.parametrize("record", REQUEST_RECORDS, ids=lambda r: " ".join(r["argv"]))
+def test_request_record_of_the_benchmark_golden_file(record):
+    code, doc, _ = run(record["argv"])
+    assert code == record["exit_code"]
+    assert doc["result"] == record["result"]
+
+
+def readme_commands():
+    """The `wfl` lines of the README's CLI block, split as a shell would,
+    each with its `# ->` note (or None)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for line in readme.splitlines():
+        if line.startswith("wfl "):
+            command, _, note = line.partition("# ->")
+            commands.append((shlex.split(command)[1:], note.strip() or None))
+    return commands
+
+
+def test_every_readme_command_succeeds(tmp_path):
+    commands = readme_commands()
+    assert len(commands) == 23
+    results = {}
+    for argv, note in commands:
+        if argv[:2] == ["verify", "battery"]:
+            argv = argv[:2] + ["--out", str(tmp_path)]
+        code, doc, _ = run(argv)
+        assert code == EXIT_OK, argv
+        results[note] = doc["result"]
+    assert results['{"M": "341"}'] == {"M": "341"}
+    pi = results["max fiber 4, proportion 2/3"]
+    assert (pi["max_fiber"], pi["proportion"]) == ("4", "2/3")
+    assert float(results["threshold 28800"]["threshold"]) == 28800
 
 
 class TestFiberCommands:
@@ -658,6 +732,13 @@ class TestBoundsCommands:
         )
         assert doc["result"]["n0"] == "0"
 
+    def test_n0_refuses_orders_below_60(self):
+        code, doc, _ = run(
+            ["bounds", "n0", "--word", "x1^2", "--rho", "1/2", "--order", "59"]
+        )
+        assert code == EXIT_USAGE
+        assert doc["result"]["error"] == "nonabelian simple groups have order at least 60"
+
     def test_radical_bound(self):
         code, doc, _ = run(
             ["bounds", "radical-bound", "--word", "x1", "--rho", "0.97",
@@ -784,10 +865,10 @@ class TestEntryPoint:
         assert doc["result"]["witness"]["group_max"] == "6"
 
     def test_cayley_table_workflow(self, tmp_path):
-        from wordfibers.groups import make_group, write_cayley_table
-
         path = tmp_path / "c4.tbl"
-        write_cayley_table(path, make_group("cyc:4"))
+        path.write_text("4\n" + "".join(
+            " ".join(str((a + b) % 4) for b in range(4)) + "\n" for a in range(4)
+        ))
         code, doc, _ = run(["group", "make", "--spec", f"table:{path}"])
         assert code == EXIT_OK
         assert doc["result"]["order"] == "4"
@@ -822,12 +903,9 @@ class TestSharedStructure:
                                          golden["records"][0]["result"])
         for name in doc["result"]["reports"]:
             assert (tmp_path / name).read_text() == golden["reports"][name], name
-        if threads == "1":
-            # 10 of the 16 specs need Aut(G); 4 resolve order:<k> selectors
-            assert (len(homs), len(lattices)) == (10, 4)
-        else:
-            # two workers may race on a spec and both build it
-            assert len(homs) <= 66 and len(lattices) <= 22
+        # 10 of the 16 specs need Aut(G); 4 resolve order:<k> selectors.  The
+        # entries run in order on one thread, whatever the thread count.
+        assert (len(homs), len(lattices)) == (10, 4)
 
     def test_each_request_builds_its_own_groups(self, monkeypatch):
         import wordfibers.groups as groups
@@ -889,7 +967,6 @@ class TestThreadSettings:
     def test_worker_pools_are_capped_at_the_core_count(self, monkeypatch, tmp_path):
         from concurrent.futures import Future
 
-        import wordfibers.cli as cli
         import wordfibers.fibers as fibers
 
         workers = []
@@ -912,14 +989,17 @@ class TestThreadSettings:
                 return future
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(fibers, "ThreadPoolExecutor", InlinePool)
         argv = ["fiber", "max", "--group", "sym:3", "--word", "x1 x2 x1^-1 x2"]
         _, _, expected = run(argv)
         _, _, threaded = run(["--threads", "64", *argv])
         assert threaded == expected and workers == [2]
+        # a battery entry's search is split the same way: 6^2 scanned rows,
+        # at least 4 per worker, so the pool opens
         manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps([{"check": "dihedral", "o": 3}]))
-        code, _, _ = run(["--threads", "64", "verify", "battery", "--manifest", str(manifest),
+        manifest.write_text(json.dumps(
+            [{"check": "identity-max", "group": "sym:3", "word": "x1 x2 x1^-1 x2"}]
+        ))
+        code, _, _ = run(["--threads", "2", "verify", "battery", "--manifest", str(manifest),
                           "--out", str(tmp_path / "out")])
         assert code == EXIT_OK and workers == [2, 2]

@@ -13,7 +13,6 @@ from wordfibers.errors import BudgetExceeded, CapExceeded, EmptyWordError
 from wordfibers.fibers import (
     DEFAULT_BUDGET,
     eval_automorphic,
-    eval_word,
     fiber_distribution,
     max_fiber,
     max_fiber_per_target,
@@ -29,7 +28,7 @@ from wordfibers.groups import (
     subgroup_handle,
     subgroups,
 )
-from wordfibers.words import EMPTY_WORD, parse_word
+from wordfibers.words import ReducedWord, parse_word
 
 COMMUTATOR = parse_word("[x1,x2]")
 SQUARE = parse_word("x1^2")
@@ -75,26 +74,32 @@ def dist_oracle(g, w, auts):
 
 
 class TestEvalWord:
+    """The plain word map: `eval_automorphic` with the identity on every letter."""
+
+    @staticmethod
+    def eval_word(g, w, args):
+        return eval_automorphic(g, w, identity_rows(g, w), args)
+
     def test_single_variable_is_identity_map(self):
         g = make_group("sym:3")
         w = parse_word("x1")
         for x in range(6):
-            assert eval_word(g, w, (x,)) == x
+            assert self.eval_word(g, w, (x,)) == x
 
     def test_commutator_vanishes_on_abelian(self):
         g = make_group("cyc:6")
         for a in range(6):
             for b in range(6):
-                assert eval_word(g, COMMUTATOR, (a, b)) == 0
+                assert self.eval_word(g, COMMUTATOR, (a, b)) == 0
 
     def test_square_on_c4(self):
         g = make_group("cyc:4")
-        assert eval_word(g, SQUARE, (1,)) == 2
+        assert self.eval_word(g, SQUARE, (1,)) == 2
 
     def test_arity_mismatch(self):
         g = make_group("cyc:4")
         with pytest.raises(ValueError):
-            eval_word(g, COMMUTATOR, (1,))
+            self.eval_word(g, COMMUTATOR, (1,))
 
 
 class TestEvalAutomorphic:
@@ -103,8 +108,8 @@ class TestEvalAutomorphic:
         ident = identity_rows(g, COMMUTATOR)
         for a in range(6):
             for b in range(6):
-                assert eval_automorphic(g, COMMUTATOR, ident, (a, b)) == eval_word(
-                    g, COMMUTATOR, (a, b)
+                assert eval_automorphic(g, COMMUTATOR, ident, (a, b)) == eval_oracle(
+                    g, COMMUTATOR, ident, (a, b)
                 )
 
     def test_single_letter_with_inversion(self):
@@ -188,7 +193,7 @@ class TestFiberDistribution:
     def test_empty_word_rejected(self):
         g = make_group("cyc:2")
         with pytest.raises(EmptyWordError):
-            fiber_distribution(g, EMPTY_WORD, ())
+            fiber_distribution(g, ReducedWord(()), ())
 
 
 class TestPiW:

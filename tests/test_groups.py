@@ -32,9 +32,7 @@ from wordfibers.groups import (
     subgroup_group,
     subgroup_handle,
     subgroups,
-    wreath_autset,
     wreath_rows,
-    write_cayley_table,
 )
 
 
@@ -55,6 +53,14 @@ def brute_force_automorphisms(g):
 
 def klein_four():
     return make_group("prod:(cyc:2)x(cyc:2)")
+
+
+def write_cayley_table(path, g):
+    """The table file format, written by a plain loop: the order, then one
+    row of indices per line."""
+    rows = [str(g.order)] + [" ".join(str(g.mul(a, b)) for b in range(g.order))
+                             for a in range(g.order)]
+    path.write_text("\n".join(rows) + "\n")
 
 
 class TestMakeGroup:
@@ -83,7 +89,24 @@ class TestMakeGroup:
             make_group("cyc:5000")
         with pytest.raises(CapExceeded):
             make_group("sym:7")
-        make_group("cyc:5000", max_order=5000)
+
+    def test_power_orders_are_capped_before_any_product(self, monkeypatch):
+        def no_products(*args, **kwargs):
+            raise AssertionError("a direct product was built")
+
+        monkeypatch.setattr(groups_mod, "direct_product", no_products)
+        with pytest.raises(CapExceeded, match=r"^order 6561 exceeds cap 4096$"):
+            power_group(make_group("cyc:3"), 8)
+        with pytest.raises(CapExceeded, match=r"^order of pow:\(cyc:3\)\^10000 exceeds"):
+            power_group(make_group("cyc:3"), 10000)
+        g = power_group(make_group("cyc:1"), 10**9)
+        assert (g.order, g.spec, g.table.tolist()) == (1, "pow:(cyc:1)^1000000000", [[0]])
+
+    def test_order_cap_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(groups_mod, "DEFAULT_ORDER_CAP", 5000)
+        assert make_group("cyc:5000").order == 5000
+        with pytest.raises(CapExceeded, match="order 5001 exceeds cap 5000"):
+            make_group("cyc:5001")
 
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
@@ -254,7 +277,7 @@ def closure_test_sets():
             subsets = [rows, rows[:-1], rows[[0, -1]], rows[: len(rows) // 2]]
             sets += [(g, sub) for sub in subsets if len(sub)]
     g = make_group("sym:3")
-    w = wreath_autset(g, 2, inner_automorphisms(g))
+    w = whole_wreath_set(g, 2, inner_automorphisms(g))
     sets.append((w.group, w.tables))
     return sets
 
@@ -708,6 +731,15 @@ def reference_wreath_row(base, n, base_indices, sigma):
     return out.tolist()
 
 
+def whole_wreath_set(s, n, base):
+    """Every (a_1 x ... x a_n) o sigma on S^n with each a_i in base, as one
+    custom set: the rows of `wreath_rows` over all parts."""
+    parts = [(b, p) for p in itertools.permutations(range(n))
+             for b in itertools.product(range(len(base)), repeat=n)]
+    rows = wreath_rows(base, n, [b for b, _ in parts], [p for _, p in parts])
+    return AutSet(power_group(s, n), rows, kind="custom")
+
+
 def draw_wreath_parts(rng, m, n, k):
     """k seeded (base indices, sigma) parts, drawn in the order the sampled
     variation check draws them: n base indices, then a permutation."""
@@ -722,13 +754,13 @@ class TestWreath:
     def test_n1_is_base(self):
         g = make_group("sym:3")
         base = inner_automorphisms(g)
-        w = wreath_autset(g, 1, base)
+        w = whole_wreath_set(g, 1, base)
         assert len(w) == len(base)
         assert sorted(row_tuples(w)) == sorted(row_tuples(base))
 
     def test_sym3_squared_inner_count(self):
         g = make_group("sym:3")
-        w = wreath_autset(g, 2, inner_automorphisms(g))
+        w = whole_wreath_set(g, 2, inner_automorphisms(g))
         assert len(w) == 6 * 6 * 2 == 72
 
     def test_swap_exchanges_coordinates(self):
@@ -742,7 +774,7 @@ class TestWreath:
 
     def test_wreath_elements_are_automorphisms(self):
         g = make_group("cyc:3")
-        w = wreath_autset(g, 2, automorphism_group(g))
+        w = whole_wreath_set(g, 2, automorphism_group(g))
         for row in w.tables:
             assert is_automorphism(w.group, row)
         assert w.is_closed
@@ -761,13 +793,12 @@ class TestWreath:
         rows = wreath_rows(base, n, [b for b, _ in parts], [p for _, p in parts])
         assert rows.dtype == np.int32
         assert rows.tolist() == [reference_wreath_row(base, n, b, p) for b, p in parts]
-        w = wreath_autset(g, n, base)
-        assert row_tuples(w) == sorted(set(map(tuple, rows.tolist())))
+        assert row_tuples(whole_wreath_set(g, n, base)) == sorted(set(map(tuple, rows.tolist())))
 
     def test_sampled_rows_match_enumeration_and_are_seeded(self):
         g = make_group("sym:3")
         base = inner_automorphisms(g)
-        w = wreath_autset(g, 2, base)
+        w = whole_wreath_set(g, 2, base)
         assert len(w) == 72
         parts = draw_wreath_parts(np.random.default_rng(5), len(base), 2, 10)
         drawn = wreath_rows(base, 2, *parts)
@@ -782,11 +813,6 @@ class TestWreath:
         rows = wreath_rows(base, 2, *parts)
         assert rows.tolist() == [reference_wreath_row(base, 2, b, p) for b, p in zip(*parts)]
 
-    def test_cap(self):
-        g = make_group("alt:5")
-        with pytest.raises(CapExceeded):
-            wreath_autset(g, 2, automorphism_group(g), max_size=1000)
-
     def test_sampled_element_on_large_power_satisfies_hom_law(self):
         s = make_group("alt:5")
         base = automorphism_group(s)
@@ -795,18 +821,18 @@ class TestWreath:
 
     @pytest.mark.parametrize("spec, build", [("sym:3", inner_automorphisms),
                                              ("cyc:3", automorphism_group)])
-    def test_closed_base_gives_a_closed_kind(self, spec, build):
+    def test_closed_base_gives_a_closed_set(self, spec, build):
+        # B wr S_n is a group when B is: sigma o (b_1 x ... x b_n) is
+        # (b_sigma^-1(1) x ... x b_sigma^-1(n)) o sigma
         g = make_group(spec)
-        w = wreath_autset(g, 2, build(g))
-        assert w.kind == "wreath" and w.is_closed
-        assert reference_is_closed(w)
+        w = whole_wreath_set(g, 2, build(g))
+        assert w.is_closed and reference_is_closed(w)
 
-    def test_unclosed_base_stays_custom(self):
+    def test_unclosed_base_gives_an_unclosed_set(self):
         g = make_group("sym:3")
         base = AutSet(g, inner_automorphisms(g).tables[[0, 3]], kind="custom")
         assert not base.is_closed
-        w = wreath_autset(g, 2, base)
-        assert w.kind == "custom"
+        w = whole_wreath_set(g, 2, base)
         assert not w.is_closed and not reference_is_closed(w)
 
 
@@ -1028,21 +1054,25 @@ class TestBlockedKernel:
         with pytest.raises(CapExceeded):
             is_isomorphic(g, g)
 
-    def test_cap_is_the_work(self):
+    def test_cap_is_the_work(self, monkeypatch):
         g = make_group("sym:5")
         search = groups_mod.plan_hom_search(g, g)
         work = search.candidates * g.order * len(search.generators)
-        # Aut(G) is kept on g per pair of caps: a smaller cap still refuses
-        assert len(automorphism_group(g)) == 120
-        assert len(automorphism_group(g, max_work=work)) == 120
+        monkeypatch.setattr(groups_mod, "HOM_WORK_CAP", work)
+        assert len(automorphism_group(make_group("sym:5"))) == 120
+        # the cap is read at call time, and a fresh group plans its own search
+        monkeypatch.setattr(groups_mod, "HOM_WORK_CAP", work - 1)
         with pytest.raises(CapExceeded):
-            automorphism_group(g, max_work=work - 1)
+            automorphism_group(make_group("sym:5"))
+        with pytest.raises(CapExceeded):
+            is_isomorphic(g, make_group("sym:5"))
 
-    def test_result_cap(self):
-        g = make_group("pow:(cyc:2)^4")
-        assert len(automorphism_group(g, max_size=20160)) == 20160
+    def test_result_cap(self, monkeypatch):
+        monkeypatch.setattr(groups_mod, "AUTSET_SIZE_CAP", 20160)
+        assert len(automorphism_group(make_group("pow:(cyc:2)^4"))) == 20160
+        monkeypatch.setattr(groups_mod, "AUTSET_SIZE_CAP", 20159)
         with pytest.raises(CapExceeded):
-            automorphism_group(g, max_size=20159)
+            automorphism_group(make_group("pow:(cyc:2)^4"))
 
 
 def tuple_sorted(aut):
@@ -1059,7 +1089,7 @@ class TestCanonicalOrder:
         for spec, base in (("sym:3", automorphism_group), ("cyc:3", automorphism_group),
                            ("sym:3", inner_automorphisms)):
             s = make_group(spec)
-            w = wreath_autset(s, 2, base(s))
+            w = whole_wreath_set(s, 2, base(s))
             assert row_tuples(w) == tuple_sorted(w)
         # a sample of Aut(A5) wr S2, given shuffled and with repeats
         s = make_group("alt:5")

@@ -3,19 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from wordfibers.errors import EmptyWordError, WordSyntaxError
 from wordfibers.words import (
-    EMPTY_WORD,
     Letter,
     ReducedWord,
     VariationWord,
     VarLetter,
     format_word,
     free_reduce,
-    is_variation,
     m_constant,
     m_prime,
     parse_word,
-    project_variation,
-    terminal_segment,
     variation_count,
     variations,
 )
@@ -23,6 +19,24 @@ from wordfibers.words import (
 
 def W(*pairs):
     return ReducedWord(tuple(Letter(v, s) for v, s in pairs))
+
+
+EMPTY_WORD = ReducedWord(())
+
+
+# oracle: a variation keeps each letter's variable and sign, and gives it a
+# copy index from 1 to its variable's occurrence count
+def is_variation(candidate, w):
+    counts = w.occurrence_counts
+    return candidate.length == w.length and all(
+        got.var == want.var and got.sign == want.sign and 1 <= got.copy <= counts[want.var]
+        for got, want in zip(candidate.letters, w.letters)
+    )
+
+
+# oracle: dropping the copy indices of a variation gives back its word
+def project_variation(v):
+    return free_reduce(Letter(l.var, l.sign) for l in v.letters)
 
 
 COMMUTATOR = W((1, 1), (2, 1), (1, -1), (2, -1))
@@ -284,25 +298,6 @@ class TestProjectVariation:
         for w in (SQUARE, COMMUTATOR, W((1, 1), (2, 1), (1, 1))):
             for v in variations(w):
                 assert project_variation(v) == w
-
-
-class TestTerminalSegment:
-    def test_last_letter(self):
-        assert terminal_segment(COMMUTATOR, 1) == W((2, -1))
-
-    def test_zero_and_full(self):
-        assert terminal_segment(COMMUTATOR, 0) == EMPTY_WORD
-        assert terminal_segment(COMMUTATOR, 4) == COMMUTATOR
-
-    def test_keeps_variable_indices(self):
-        w = W((1, 1), (2, 1), (1, -1))
-        assert terminal_segment(w, 2) == W((2, 1), (1, -1))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            terminal_segment(COMMUTATOR, 5)
-        with pytest.raises(ValueError):
-            terminal_segment(COMMUTATOR, -1)
 
 
 def test_normalized_first_occurrence_order():
