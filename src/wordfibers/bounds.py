@@ -54,7 +54,7 @@ def _digit_count_at_most(value: int, cap: int) -> bool:
         return True
     if bits > cap * 3.322 + 2:
         return False
-    return len(str(abs(value))) <= cap
+    return abs(value) < 10**cap
 
 
 LOG_ONE = LogNumber(ln_value=mpmath.mpf(0), exact=1)

@@ -11,6 +11,7 @@ thread counts.  Exit codes: 0 success/pass, 1 check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import hashlib
 import json
@@ -97,22 +98,33 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 _positive_int = _int_at_least(1)
 
 
+def _digits(value) -> str:
+    """The decimal digits of an integer.  ``str()`` refuses ints beyond
+    Python's digit limit (4300 digits by default), and exact values reach
+    10^4 digits; ``decimal.Decimal`` converts without that limit."""
+    value = int(value)
+    try:
+        return str(value)
+    except ValueError:
+        return str(decimal.Decimal(value))
+
+
 def canonical(obj):
     """Convert a result tree to JSON-ready form with canonical number formats."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        return _digits(obj)
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
+        return f"{_digits(obj.numerator)}/{_digits(obj.denominator)}"
     if isinstance(obj, mpmath.mpf):
         return mpmath.nstr(obj, 50)
     if isinstance(obj, LogNumber):
         doc = {"ln": mpmath.nstr(obj.ln_value, 50)}
         if obj.exact is not None:
-            doc["exact"] = str(obj.exact)
+            doc["exact"] = _digits(obj.exact)
         if obj.is_factorial_of is not None:
-            doc["is_factorial_of"] = str(obj.is_factorial_of)
+            doc["is_factorial_of"] = _digits(obj.is_factorial_of)
         return doc
     if isinstance(obj, np.ndarray):
         return [canonical(x) for x in obj.tolist()]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, CapExceeded, EmptyWordError
 from .groups import AutSet, FiniteGroup, SubgroupHandle, _require_characteristic
-from .words import ReducedWord
+from .words import Letter, ReducedWord
 
 DEFAULT_BUDGET = 10**8
 _BATCH_ELEMENTS = 1 << 22
@@ -225,56 +225,81 @@ def _tuple_digits(
 class _BatchEvaluator:
     """Fiber counts for batches of automorphism tuples, the one fiber-count kernel.
 
-    The word is cut into segments: a cut goes after letter i when no variable
-    of letters 0..i occurs after i, so consecutive segments have pairwise
-    disjoint variable sets, and each is as short as that allows.  Each
-    segment's counts come from enumerating only its own n^(d_k) arguments,
-    and the counts of the word are their group-algebra convolution, folded
-    in word order: with L the counts of the letters so far and R those of
-    the next segment, a*x gets L[a] * R[x] for every a and x, so for each a
-    in the support of L the row L[a] * R is added at the positions x -> a*x,
-    row a of the table, a permutation; no inverse table is needed.  This is
-    exact: the segments take independent arguments, so an argument tuple of
-    the whole word is one argument tuple per segment, and its value is the
-    product of the segment values in word order; each letter still goes
-    through its own automorphism row, so the segment counts are those of the
-    tuple itself.  The fold keeps the left factor on the left, as a
-    nonabelian group needs.  A word that does not split is one segment,
-    enumerated as a whole.
+    It counts one word, or a word system: J words over shared variables,
+    each letter with its own automorphism row, whose joint values go to n^J
+    bins keyed in mixed radix, the first word most significant.  The digits
+    of `counts` are given per letter, the words' letters one word after
+    another.  A single word is a system of one.
+
+    A single word is cut into segments: a cut goes after letter i when no
+    variable of letters 0..i occurs after i, so consecutive segments have
+    pairwise disjoint variable sets, and each is as short as that allows.
+    Each segment's counts come from enumerating only its own n^(d_k)
+    arguments, and the counts of the word are their group-algebra
+    convolution, folded in word order: with L the counts of the letters so
+    far and R those of the next segment, a*x gets L[a] * R[x] for every a and
+    x, so for each a in the support of L the row L[a] * R is added at the
+    positions x -> a*x, row a of the table, a permutation; no inverse table
+    is needed.  This is exact: the segments take independent arguments, so
+    an argument tuple of the whole word is one argument tuple per segment,
+    and its value is the product of the segment values in word order; each
+    letter still goes through its own automorphism row, so the segment
+    counts are those of the tuple itself.  The fold keeps the left factor on
+    the left, as a nonabelian group needs.  A word that does not split is one
+    segment, enumerated as a whole.  A system of several words is
+    enumerated as a whole (`_system_counts`).
 
     Blocks hold at most `_BATCH_ELEMENTS` word values: b = `batch_size()`
-    tuples over a segment's whole argument space when n^d fits, else one
-    tuple over consecutive argument chunks.  A block builds each letter's
+    tuples over a segment's whole argument space when n^d and n^J fit, else
+    one tuple over consecutive argument chunks.  A block builds each letter's
     argument column when it reaches that letter and composes it with a 1-D
     gather from the flattened table, as `_word_values` does.  Row r of a
-    block is offset by r*n for one shared bincount.  The offsets stay in
-    int32 because b*n <= `_BATCH_ELEMENTS`: b*n^d fits when b > 1, and b = 1
-    with n within the group order cap.  Counts are int64, so words with n^d
-    beyond its range are refused.
+    block is offset by r*n^J for one shared bincount.  The offsets stay in
+    int32 because b*n^J <= `_BATCH_ELEMENTS` when b > 1, and n^J is refused
+    beyond int32 (a single word has J = 1 and n within the group order cap).
+    Counts are int64, so argument spaces beyond its range are refused.
     """
 
-    def __init__(self, g: FiniteGroup, w: ReducedWord, aut_tables: np.ndarray):
+    def __init__(
+        self,
+        g: FiniteGroup,
+        w: ReducedWord | Sequence[ReducedWord],
+        aut_tables: np.ndarray,
+    ):
+        words = (w,) if isinstance(w, ReducedWord) else tuple(w)
         self.w = w
         self.at = aut_tables
         self.n = g.order
-        d = w.num_variables
-        self.total_args = self.n**d
+        letters = [let for word in words for let in word.letters]
+        rank = {v: r for r, v in enumerate(sorted({let.var for let in letters}))}
+        self.d = len(rank)
+        self.total_args = self.n**self.d
         if self.total_args > np.iinfo(np.int64).max:
-            raise CapExceeded(f"{self.n}^{d} argument tuples exceed the 64-bit fiber counts")
-        self.segments = _segments(w)
+            raise CapExceeded(f"{self.n}^{self.d} argument tuples exceed the 64-bit fiber counts")
+        self.bins = self.n ** len(words)
+        if self.bins > np.iinfo(np.int32).max:
+            raise CapExceeded(f"{self.n}^{len(words)} joint bins exceed the 32-bit keys")
+        # a system's plans: each word's letters as (variable rank, sign)
+        self.plans = None
+        if len(words) == 1:
+            self.segments = _segments(words[0])
+        else:
+            self.plans = [[(rank[let.var], let.sign) for let in word.letters] for word in words]
         self.table = g.table
         self.flat, self.radix = g.table.ravel(), _flat_radix(self.n)
-        self.inv_t = g.inv_table if any(let.sign < 0 for let in w.letters) else None
+        self.inv_t = g.inv_table if any(let.sign < 0 for let in letters) else None
 
     def batch_size(self) -> int:
-        return max(1, min(_BATCH_ELEMENTS // self.total_args, 1 << 16))
+        return max(1, min(_BATCH_ELEMENTS // max(self.total_args, self.bins), 1 << 16))
 
     def counts(self, digit_arrays: list[Optional[np.ndarray]]) -> np.ndarray:
-        """(b, n) fiber counts for at most `batch_size()` tuples given by
+        """(b, n^J) fiber counts for at most `batch_size()` tuples given by
         per-letter AutSet indices.  A None letter is the identity on every
         tuple, one (1, K) row broadcast over the batch, so a prefix of such
         letters is composed once per block; a segment of None letters has
         (1, n) counts, broadcast in the fold; with every letter None, b is 1."""
+        if self.plans is not None:
+            return self._system_counts(digit_arrays)
         res = None
         for lo, hi, d, plan in self.segments:
             h = self._segment_counts(d, plan, digit_arrays[lo:hi])
@@ -298,6 +323,47 @@ class _BatchEvaluator:
             res += offs
             counts += np.bincount(res.ravel(), minlength=b * n).reshape(b, n)
         return counts
+
+    def _system_counts(self, digit_arrays) -> np.ndarray:
+        """Joint counts of a system of several words.  A block is an array
+        with an axis for each of the t last variables, whose n^t arguments
+        fit in a block, and one axis for a range of assignments of the d - t
+        leading ones; each argument column is a vector along its variable's
+        axis (the leading ones along the range), so each word is composed by
+        broadcasting over only the axes of the variables it reads, and only
+        the joint key spans the whole block."""
+        n, d, bins = self.n, self.d, self.bins
+        b = max((len(dig) for dig in digit_arrays if dig is not None), default=1)
+        per = max(1, _BATCH_ELEMENTS // b)
+        t = 0
+        while t < d and n ** (t + 1) <= per:
+            t += 1
+        lead, step = n ** (d - t), max(1, per // n**t)
+        trailing = [
+            np.arange(n, dtype=np.int32).reshape([n if a == j else 1 for a in range(t + 1)])
+            for j in range(1, t + 1)
+        ]
+        offs = (np.arange(b, dtype=np.int32) * np.int32(bins)).reshape([b] + [1] * (t + 1))
+        counts = np.zeros(b * bins, dtype=np.int64)
+        for start in range(0, lead, step):
+            stop = min(start + step, lead)
+            cols = [
+                _arg_slice(n, d - t, r, start, stop).reshape([-1] + [1] * t)
+                for r in range(d - t)
+            ] + trailing
+            key, letters = None, iter(digit_arrays)
+            for plan in self.plans:
+                res = None
+                for (rank, sign), dig in zip(plan, letters):
+                    v = cols[rank]
+                    if sign < 0:
+                        v = self.inv_t[v]
+                    v = v[None] if dig is None else self.at[dig][:, v]
+                    res = v if res is None else self.flat[res * self.radix + v]
+                key = res if key is None else key * n + res
+            key += offs
+            counts += np.bincount(key.ravel(), minlength=b * bins)
+        return counts.reshape(b, bins)
 
     def _fold(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Counts of the product of two independent segments, left first."""
@@ -323,7 +389,6 @@ def _segments(w: ReducedWord) -> list[tuple[int, int, int, list[tuple[int, int]]
             segments.append((lo, i + 1, len(rank), plan))
             lo = i + 1
     return segments
-
 
 @dataclass
 class _BestCell:
@@ -550,6 +615,108 @@ def max_fiber_per_target(
         tuples_scanned=scanned,
         evaluations_performed=evals,
     )
+
+
+# -- wreath-type automorphisms of direct powers ---------------------------------
+
+
+def wreath_counts(
+    s: FiniteGroup,
+    w: ReducedWord,
+    base: AutSet,
+    n: int,
+    base_indices,
+    sigmas,
+) -> np.ndarray:
+    """(k, |S|^n) fiber counts on S^n of k tuples of members of B wr S_n,
+    counted on S with no S^n table.  Coordinate 0 is the most significant
+    digit of an S^n index, as in `power_group`.
+
+    Letter i of tuple r is (a_0 x ... x a_(n-1)) o sigma with a_c the row
+    ``base_indices[r, i, c]`` of B and sigma = ``sigmas[r, i]``, a
+    permutation of the n coordinates: output coordinate c reads input
+    coordinate sigma^-1(c) through a_c.  The count is exact in three steps.
+    (1) Coordinate c of the word's value is a variation of w over S: letter
+    i reads copy sigma_i^-1(c) of its variable through a_(i,c), and the n
+    coordinate words share the copies.  (2) Relabelling the copies of each
+    variable by the sigma of its first letter, copy j -> sigma_f(j), is a
+    bijection of the arguments, so every count stays the same; after it,
+    letter i reads copy pi_i(c) = sigma_f(sigma_i^-1(c)), and a variable's
+    first letter reads copy c at coordinate c.  (3) So coordinates c and
+    pi_i(c) read the same copy, and joining them for every letter splits
+    the coordinates into components that read disjoint sets of copies (copy
+    j of every variable goes with coordinate j).  Their values are
+    independent, so the counts on S^n are the products of the components'
+    joint counts, each a word system over S (`_BatchEvaluator`).
+
+    Tuples with the same read patterns pi share their components and are
+    counted together.  The counts of one tuple, |S|^n of them, must fit in
+    `_BATCH_ELEMENTS`.
+    """
+    _require_word(w)
+    l, q = w.length, s.order
+    base_indices = np.asarray(base_indices)
+    sigmas = np.asarray(sigmas, dtype=np.intp)
+    if base_indices.shape != sigmas.shape or base_indices.shape[1:] != (l, n):
+        raise ValueError(f"expected (k, {l}, {n}) base indices and permutations")
+    if q**n > _BATCH_ELEMENTS:
+        raise CapExceeded(f"{q}^{n} fiber counts of one tuple exceed {_BATCH_ELEMENTS}")
+    args = n * w.num_variables
+    if q**args > np.iinfo(np.int64).max:
+        raise CapExceeded(f"{q}^{args} argument tuples exceed the 64-bit fiber counts")
+    first: dict[int, int] = {}
+    lead = [first.setdefault(let.var, i) for i, let in enumerate(w.letters)]
+    rank = _var_positions(w)
+    # reads[r, i, c] = pi_i(c) of tuple r
+    reads = np.take_along_axis(sigmas[:, lead], np.argsort(sigmas, axis=2), axis=2)
+    patterns, which = np.unique(reads.reshape(len(reads), -1), axis=0, return_inverse=True)
+    which = which.ravel()
+    out = np.empty((len(reads), q**n), dtype=np.int64)
+    for p, pattern in enumerate(patterns.reshape(-1, l, n)):
+        members = np.flatnonzero(which == p)
+        joint = np.ones((len(members),) + (1,) * n, dtype=np.int64)
+        for coords in _components(pattern):
+            pos = {c: j for j, c in enumerate(coords)}
+            # copy pi_i(c) of variable v is system variable rank(v)*|C| + pos + 1
+            system = [
+                ReducedWord(tuple(
+                    Letter(rank[let.var] * len(coords) + pos[int(pattern[i, c])] + 1, let.sign)
+                    for i, let in enumerate(w.letters)
+                ))
+                for c in coords
+            ]
+            ev = _BatchEvaluator(s, system, base.tables)
+            # one row per system letter, word by word: a_(i,c) of every member
+            digits = base_indices[members][:, :, coords].transpose(2, 1, 0)
+            digits = digits.reshape(-1, len(members))
+            step = ev.batch_size()
+            counts = np.concatenate([
+                ev.counts(list(digits[:, lo : lo + step])) for lo in range(0, len(members), step)
+            ])
+            shape = [q if c in pos else 1 for c in range(n)]
+            joint = joint * counts.reshape([len(members)] + shape)
+        out[members] = joint.reshape(len(members), -1)
+    return out
+
+
+def _components(pattern: np.ndarray) -> list[list[int]]:
+    """The coordinates joined by the read pattern (pattern[i, c] = pi_i(c)),
+    each component ascending, in order of its least coordinate."""
+    n = pattern.shape[1]
+    root = list(range(n))
+
+    def find(c: int) -> int:
+        while root[c] != c:
+            c = root[c]
+        return c
+
+    for row in pattern:
+        for c, j in enumerate(row.tolist()):
+            root[find(c)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for c in range(n):
+        groups.setdefault(find(c), []).append(c)
+    return list(groups.values())
 
 
 # -- coset equation rewriting ---------------------------------------------------

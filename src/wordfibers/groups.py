@@ -1035,31 +1035,6 @@ def decompose_char_simple(f: FiniteGroup) -> tuple[FiniteGroup, int]:
     return s, n
 
 
-# -- wreath-type automorphisms of direct powers --------------------------------
-
-
-def wreath_rows(base: AutSet, n: int, base_indices, sigmas) -> np.ndarray:
-    """The (k, |S|^n) int32 tables of (a_1 x ... x a_n) o sigma on S^n, one row
-    per part: a_i is base row ``base_indices[r, i]`` and sigma = ``sigmas[r]``,
-    a permutation of the n coordinates (output coordinate i reads input
-    coordinate sigma^-1(i)).  Coordinate 0 is the most significant digit of an
-    S^n index, as in `power_group`.
-
-    Input coordinate j goes to output coordinate sigma(j), weighted
-    |S|^(n-1-sigma(j)), so a row is the outer sum over j of the small vectors
-    a_sigma(j) * weight: n - 1 broadcast additions and no gather of S^n size.
-    """
-    s = base.group.order
-    sigmas = np.asarray(sigmas, dtype=np.intp)
-    picked = np.take_along_axis(np.asarray(base_indices, dtype=np.intp), sigmas, axis=1)
-    weights = (s ** np.arange(n - 1, -1, -1, dtype=np.int32))[sigmas]
-    parts = base.tables[picked] * weights[:, :, None]  # (k, n, |S|), part j for input j
-    rows = parts[:, 0]
-    for j in range(1, n):
-        rows = (rows[:, :, None] + parts[:, j, None, :]).reshape(len(parts), -1)
-    return rows
-
-
 # -- solvable radical -----------------------------------------------------------
 
 

@@ -17,22 +17,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, CapExceeded
 from .fibers import (
     _BATCH_ELEMENTS,
-    _BatchEvaluator,
     _arg_slice,
     _require_word,
     _word_values,
     DEFAULT_BUDGET,
+    MaxFiberResult,
     fiber_distribution,
     max_fiber,
     max_fiber_per_target,
     pi_w,
     rewrite_coset_equation,
+    wreath_counts,
 )
 from .groups import (
-    _COMPOSE_BLOCK_ELEMENTS,
     AutSet,
     FiniteGroup,
     SubgroupHandle,
@@ -40,9 +40,7 @@ from .groups import (
     induced_autset,
     is_simple,
     make_group,
-    power_group,
     restricted_autset,
-    wreath_rows,
 )
 from .words import ReducedWord, format_word, parse_word, variations
 
@@ -333,17 +331,20 @@ def variation_profile(
     aut: AutSet,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
-) -> tuple[Fraction, list[dict], int]:
+) -> tuple[Fraction, list[dict], int, dict[str, MaxFiberResult]]:
     """Exact best fiber proportion over all variations, with a per-form breakdown.
 
     Variations sharing a flattened form are computed once; the breakdown lists
-    each distinct flattened word with its proportion and multiplicity.
+    each distinct flattened word with its proportion and multiplicity.  Also
+    returns the evaluations and each form's `max_fiber` result, keyed by its
+    formatted word.
     """
     evaluations = 0
     best = Fraction(0)
     breakdown = []
+    results = {}
     for key, (flattened, multiplicity) in _flattened_forms(w).items():
-        res = max_fiber(s, flattened, aut, budget=budget, threads=threads)
+        res = results[key] = max_fiber(s, flattened, aut, budget=budget, threads=threads)
         evaluations += res.evaluations
         best = max(best, res.proportion)
         breakdown.append(
@@ -354,7 +355,7 @@ def variation_profile(
                 "value": res.value,
             }
         )
-    return best, breakdown, evaluations
+    return best, breakdown, evaluations, results
 
 
 def bound_exponent(n: int, l: int, mode: str = "ceil") -> int:
@@ -380,25 +381,46 @@ def check_variation_bound(
     """Fiber proportions over S^n stay below the best variation proportion,
     raised to the n/l^2 exponent.
 
-    n = 1 is checked exactly.  n >= 2 draws ``samples`` seeded tuples of
-    members of Aut(S) wr S_n and can only report inconclusive-sampled or fail:
-    per sample and letter, n base indices (``rng.integers``) and then a
-    coordinate permutation (``rng.permutation``).  Blocks of about
-    `_COMPOSE_BLOCK_ELEMENTS` table entries are built by `wreath_rows` and
-    counted by the fiber kernel (`_BatchEvaluator`).  The witness is the first
-    violating sample, else the first sample with the largest fiber.
+    n = 1 is checked exactly, by the search `variation_profile` already ran
+    on the all-ones variation, whose flattened form is w letter for letter.
+    n >= 2 draws ``samples`` seeded tuples of members of Aut(S) wr S_n and can
+    only report inconclusive-sampled or fail: per sample and letter, n base
+    indices (``rng.integers``) and then a coordinate permutation
+    (``rng.permutation``).  `wreath_counts` counts blocks of samples on S,
+    with no table of S^n, and is exact: each coordinate of the word's value
+    is a variation of w over S, relabelling each variable's copies by the
+    permutation of its first letter is a bijection of the arguments, and the
+    components of coordinates that read shared copies take disjoint
+    arguments, so the S^n counts are products of component counts.  The
+    budget, samples * |S|^(n*d) evaluations, and the size of one sample's
+    |S|^n counts, at most `_BATCH_ELEMENTS`, are checked before any work.
+    The witness is the first violating sample, else the first sample with
+    the largest fiber.
     ``exponent_mode`` selects the ceiling (default) or the weaker floor
     exponent; ``epsilon_factor`` rescales the computed bound (used by negative
     controls).
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if s.is_abelian or not is_simple(s):
         raise ValueError("the base group must be a nonabelian simple group")
     if exponent_mode not in ("ceil", "floor"):
         raise ValueError(f"unknown exponent mode {exponent_mode!r}")
+    d = w.num_variables
+    total = s.order ** (n * d)
+    if n >= 2:
+        if samples * total > budget:
+            raise BudgetExceeded(
+                f"{samples} samples of {s.order}^{n * d} evaluations exceed budget {budget}"
+            )
+        if s.order**n > _BATCH_ELEMENTS:
+            raise CapExceeded(
+                f"{s.order}^{n} fiber counts of one sample exceed {_BATCH_ELEMENTS}"
+            )
     aut = automorphism_group(s)
-    epsilon, breakdown, evaluations = variation_profile(
+    epsilon, breakdown, evaluations, searches = variation_profile(
         s, w, aut, budget=budget, threads=threads
     )
     epsilon_used = epsilon * epsilon_factor
@@ -418,7 +440,9 @@ def check_variation_bound(
         "variation_breakdown": breakdown,
     }
     if n == 1:
-        res = max_fiber(s, w, aut, budget=budget, threads=threads)
+        res = searches.get(format_word(w)) or max_fiber(
+            s, w, aut, budget=budget, threads=threads
+        )
         evaluations += res.evaluations
         holds = res.proportion <= bound
         return CheckReport(
@@ -433,24 +457,19 @@ def check_variation_bound(
             },
             counters={"evaluations": evaluations},
         )
-    power = power_group(s, n)
-    d = w.num_variables
-    total = power.order**d
-    if total > budget:
-        raise BudgetExceeded(f"{power.order}^{d} evaluations exceed budget {budget}")
     rng = np.random.default_rng(seed)
     # exact comparison value/total <= bound, as value <= floor(bound * total),
     # clamped into int64 range: every value lies in 1..total
     allowed = min(total, max(-1, bound.numerator * total // bound.denominator))
-    step = max(1, _COMPOSE_BLOCK_ELEMENTS // (l * power.order))
+    # blocks of samples whose S^n counts take about 1 MB (2^17 int64 entries)
+    step = max(1, (_BATCH_ELEMENTS >> 5) // s.order**n)
     worst = {}
     for lo in range(0, samples, step):
         k = min(step, samples - lo)
         # sample-major, letter-minor: the seeded draw order
         draws = [(rng.integers(0, len(aut), size=n), rng.permutation(n)) for _ in range(k * l)]
-        base_indices, sigmas = (np.array(part) for part in zip(*draws))
-        ev = _BatchEvaluator(power, w, wreath_rows(aut, n, base_indices, sigmas))
-        counts = ev.counts([np.arange(i, k * l, l) for i in range(l)])
+        base_indices, sigmas = (np.array(part).reshape(k, l, n) for part in zip(*draws))
+        counts = wreath_counts(s, w, aut, n, base_indices, sigmas)
         values, targets = counts.max(axis=1), counts.argmax(axis=1)
         over = np.flatnonzero(values > allowed)
         if len(over):

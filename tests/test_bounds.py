@@ -55,6 +55,13 @@ class TestLogNumber:
         assert product.ln_value > 0
         assert (log_number(10**5000) * log_number(10**4000)).exact == 10**9000
 
+    def test_exact_cap_at_its_edge(self):
+        # 10^9999 has 10^4 digits, the cap, and 10^10000 one more; both are
+        # far past the 4300 digits str() converts by default
+        assert (log_number(10**5000) * log_number(10**4999)).exact == 10**9999
+        assert (log_number(10**5000 - 1) * log_number(10**5000 + 1)).exact == 10**10000 - 1
+        assert (log_number(10**5000) * log_number(10**5000)).exact is None
+
     def test_product_adds_logs(self):
         c = log_number(6) * log_number(35)
         assert c.exact == 210

@@ -1,3 +1,4 @@
+import decimal
 import io
 import json
 import os
@@ -725,6 +726,15 @@ class TestBoundsCommands:
         code, doc, _ = run(["bounds", "alt", "--word", "x1", "--rho", "1/2"])
         assert doc["result"]["term_rho"]["exact"] == str(2 ** (16 * 341))
         assert "ln" in doc["result"]["threshold"]
+
+    def test_exact_values_beyond_the_int_string_limit(self):
+        # term_rho is 7^(16*341), 4611 digits: past the 4300 digits str()
+        # converts by default, so the digits are compared as Decimals
+        code, doc, _ = run(["bounds", "alt", "--word", "x1", "--rho", "1/7"])
+        assert code == EXIT_OK
+        exact = doc["result"]["term_rho"]["exact"]
+        assert len(exact) == 4611
+        assert decimal.Decimal(exact) == decimal.Decimal(7 ** (16 * 341))
 
     def test_n0(self):
         code, doc, _ = run(

@@ -25,10 +25,12 @@ from wordfibers.groups import (
     identity_autset,
     inner_automorphisms,
     make_group,
+    power_group,
     subgroup_handle,
     subgroups,
 )
-from wordfibers.words import ReducedWord, parse_word
+from wordfibers.words import Letter, ReducedWord, parse_word
+from wreath_oracle import draw_wreath_parts, wreath_rows
 
 COMMUTATOR = parse_word("[x1,x2]")
 SQUARE = parse_word("x1^2")
@@ -896,3 +898,150 @@ class TestRewrite:
         bad = (value + 1) % 8
         with pytest.raises(ValueError):
             rewrite_coset_equation(g, n, SQUARE, aut.tables[[0, 0]], (3,), target=bad)
+
+
+# -- word systems and counts on direct powers ------------------------------------
+
+
+def word_of(*pairs):
+    """A word with the given (variable, sign) letters, variables not renamed."""
+    return ReducedWord(tuple(Letter(v, s) for v, s in pairs))
+
+
+# independent oracle: joint counts of a word system by a loop over every
+# assignment of its variables, word 0 the most significant digit of a bin
+def system_oracle(g, words, auts):
+    variables = sorted({let.var for w in words for let in w.letters})
+    counts = [0] * g.order ** len(words)
+    for args in itertools.product(range(g.order), repeat=len(variables)):
+        value = dict(zip(variables, args))
+        key, rows = 0, iter(auts)
+        for w in words:
+            word_rows = [next(rows) for _ in w.letters]
+            key = key * g.order + eval_oracle(g, w, word_rows, [value[v] for v in w.variables])
+        counts[key] += 1
+    return counts
+
+
+# two words sharing x2, one with an inverse letter; three words, one of them
+# a single inverse letter
+SYSTEMS = [
+    [word_of((1, 1), (2, 1)), word_of((2, -1), (3, 1), (2, 1))],
+    [word_of((1, 1), (1, 1)), word_of((1, 1), (2, 1)), word_of((2, -1))],
+]
+
+
+class TestWordSystems:
+    @pytest.mark.parametrize("block", [None, 20], ids=lambda b: f"block{b}")
+    @pytest.mark.parametrize("system", SYSTEMS, ids=["shared", "three"])
+    def test_joint_counts_match_brute_force(self, monkeypatch, block, system):
+        if block is not None:
+            monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", block)
+        g = make_group("sym:3")
+        a = automorphism_group(g)
+        letters = sum(w.length for w in system)
+        draws = np.random.default_rng(3).integers(0, len(a), size=(5, letters))
+        ev = fibers._BatchEvaluator(g, system, a.tables)
+        # a block of 20 values holds one tuple, swept in chunks
+        assert (ev.batch_size() == 1) == (block is not None)
+        step = min(ev.batch_size(), len(draws))
+        counts = np.concatenate([
+            ev.counts(list(draws[lo : lo + step].T)) for lo in range(0, len(draws), step)
+        ])
+        assert counts.shape == (len(draws), g.order ** len(system))
+        for row, combo in zip(counts, draws):
+            assert row.tolist() == system_oracle(g, system, a.tables[combo])
+        # an identity letter (None) is broadcast over the batch
+        digits = list(draws[:step].T)
+        digits[1] = None
+        combos = draws[:step].copy()
+        combos[:, 1] = 0
+        for row, combo in zip(ev.counts(digits), combos):
+            assert row.tolist() == system_oracle(g, system, a.tables[combo])
+
+    def test_a_system_of_one_is_the_single_word(self):
+        g = make_group("alt:4")
+        a = automorphism_group(g)
+        w = parse_word("x1^2 x2^-1 x3 x2")
+        single, system = (fibers._BatchEvaluator(g, x, a.tables) for x in (w, [w]))
+        assert system.plans is None and system.segments == single.segments
+        assert len(single.segments) == 2
+        draws = list(np.random.default_rng(1).integers(0, len(a), size=(6, w.length)).T)
+        assert system.counts(draws).tolist() == single.counts(draws).tolist()
+
+    def test_bins_beyond_32_bits_are_refused(self):
+        g = make_group("alt:5")
+        with pytest.raises(CapExceeded):
+            fibers._BatchEvaluator(g, [word_of((1, 1))] * 6, automorphism_group(g).tables)
+
+
+def dense_wreath_counts(s, w, base, n, base_indices, sigmas):
+    """The fiber counts on the table of S^n: the `wreath_rows` tables of each
+    tuple, counted by the kernel one tuple at a time."""
+    k, l = base_indices.shape[:2]
+    rows = wreath_rows(base, n, base_indices.reshape(k * l, n), sigmas.reshape(k * l, n))
+    ev = fibers._BatchEvaluator(power_group(s, n), w, rows)
+    return np.concatenate([ev.counts([np.array([r * l + i]) for i in range(l)]) for r in range(k)])
+
+
+WREATH_WORDS = ["x1", "x1^2", "x1^3", "x1 x2 x1", "x1 x2^-1", "[x1,x2]"]
+# (group, n, word, tuples): few tuples where the table of S^n is large
+WREATH_CASES = [
+    (spec, n, word, 24)
+    for spec, n in (("sym:3", 2), ("sym:3", 3), ("dih:4", 2), ("alt:4", 2))
+    for word in WREATH_WORDS
+] + [("alt:5", 2, word, 24 if word.count("x") == 1 else 3) for word in WREATH_WORDS]
+
+
+class TestWreathCounts:
+    @pytest.mark.parametrize("spec, n, word, k", WREATH_CASES,
+                             ids=lambda c: str(c).replace(" ", ""))
+    def test_rows_match_the_table_of_the_power(self, spec, n, word, k):
+        s, w = make_group(spec), parse_word(word)
+        base = automorphism_group(s)
+        parts = draw_wreath_parts(np.random.default_rng(6), len(base), n, k * w.length)
+        base_indices, sigmas = (x.reshape(k, w.length, n) for x in parts)
+        got = fibers.wreath_counts(s, w, base, n, base_indices, sigmas)
+        assert got.shape == (k, s.order**n) and got.dtype == np.int64
+        assert got.tolist() == dense_wreath_counts(s, w, base, n, base_indices, sigmas).tolist()
+
+    def test_tuples_with_joined_coordinates_are_covered(self):
+        # sigma of the second x1 differs from the first's: coordinates 0 and 1
+        # read each other's copies and form one component
+        s, w = make_group("sym:3"), SQUARE
+        base = inner_automorphisms(s)
+        base_indices = np.array([[[1, 2], [3, 4]], [[5, 0], [2, 2]]])
+        sigmas = np.array([[[0, 1], [1, 0]], [[1, 0], [1, 0]]])
+        got = fibers.wreath_counts(s, w, base, 2, base_indices, sigmas)
+        assert got.tolist() == dense_wreath_counts(s, w, base, 2, base_indices, sigmas).tolist()
+        assert [fibers._components(np.array(p)) for p in ([[0, 1], [1, 0]], [[0, 1], [0, 1]])] == [
+            [[0, 1]], [[0], [1]]]
+
+    @pytest.mark.parametrize("word", ["x1", "x1 x2^-1"])
+    def test_first_letters_split_every_coordinate(self, monkeypatch, word):
+        # after the relabelling every first letter reads its own coordinate's
+        # copy, so a word of first letters has n components of one
+        # coordinate, whatever the permutations; without it, a permutation
+        # would join the coordinates it moves (exact, but counted on S^|C|)
+        systems = []
+
+        class Recording(fibers._BatchEvaluator):
+            def __init__(self, g, w, aut_tables):
+                systems.append(w)
+                super().__init__(g, w, aut_tables)
+
+        monkeypatch.setattr(fibers, "_BatchEvaluator", Recording)
+        s, w = make_group("sym:3"), parse_word(word)
+        base = automorphism_group(s)
+        parts = draw_wreath_parts(np.random.default_rng(2), len(base), 3, 8 * w.length)
+        base_indices, sigmas = (x.reshape(8, w.length, 3) for x in parts)
+        assert len({p.tobytes() for p in sigmas}) > 1
+        fibers.wreath_counts(s, w, base, 3, base_indices, sigmas)
+        assert systems and all(len(system) == 1 for system in systems)
+
+    def test_refuses_counts_of_one_tuple_beyond_a_block(self, monkeypatch):
+        monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 35)
+        s = make_group("sym:3")
+        with pytest.raises(CapExceeded):
+            fibers.wreath_counts(s, SQUARE, automorphism_group(s), 2,
+                                 np.zeros((1, 2, 2), dtype=int), np.zeros((1, 2, 2), dtype=int))

@@ -32,8 +32,8 @@ from wordfibers.groups import (
     subgroup_group,
     subgroup_handle,
     subgroups,
-    wreath_rows,
 )
+from wreath_oracle import draw_wreath_parts, wreath_rows
 
 
 # independent oracle: enumerate every bijection fixing 0 and keep homomorphisms
@@ -738,16 +738,6 @@ def whole_wreath_set(s, n, base):
              for b in itertools.product(range(len(base)), repeat=n)]
     rows = wreath_rows(base, n, [b for b, _ in parts], [p for _, p in parts])
     return AutSet(power_group(s, n), rows, kind="custom")
-
-
-def draw_wreath_parts(rng, m, n, k):
-    """k seeded (base indices, sigma) parts, drawn in the order the sampled
-    variation check draws them: n base indices, then a permutation."""
-    base_indices, sigmas = [], []
-    for _ in range(k):
-        base_indices.append(rng.integers(0, m, size=n))
-        sigmas.append(rng.permutation(n))
-    return np.array(base_indices), np.array(sigmas)
 
 
 class TestWreath:

@@ -7,7 +7,7 @@ import pytest
 import wordfibers.fibers as fibers
 import wordfibers.verify as verify
 import wordfibers.groups as groups
-from wordfibers.errors import BudgetExceeded
+from wordfibers.errors import BudgetExceeded, CapExceeded
 from wordfibers.fibers import eval_automorphic, fiber_distribution
 from wordfibers.groups import (
     automorphism_group,
@@ -476,8 +476,74 @@ class TestVariationBound:
     def test_sampled_blocks_do_not_change_the_report(self, monkeypatch):
         s, w = make_group("alt:5"), parse_word("x1^2")
         whole = check_variation_bound(s, 2, w, samples=60, seed=2026)
-        monkeypatch.setattr(verify, "_COMPOSE_BLOCK_ELEMENTS", 1)
+        # blocks of 7 samples (a block's counts take _BATCH_ELEMENTS / 32 entries)
+        monkeypatch.setattr(verify, "_BATCH_ELEMENTS", 32 * 7 * 3600)
         assert check_variation_bound(s, 2, w, samples=60, seed=2026) == whole
+        # and kernel batches of one sample
+        monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 3600)
+        assert check_variation_bound(s, 2, w, samples=60, seed=2026) == whole
+
+    def test_refuses_n_below_one_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(verify, "is_simple", no_work)
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                check_variation_bound(make_group("alt:5"), n, parse_word("x1"))
+
+    def test_budget_counts_every_sample_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(verify, "automorphism_group", no_work)
+        monkeypatch.setattr(verify, "wreath_counts", no_work)
+        s, w = make_group("alt:5"), parse_word("x1 x2^-1")
+        # 10 samples of 60^(2*2) evaluations each
+        with pytest.raises(BudgetExceeded):
+            check_variation_bound(s, 2, w, samples=10, budget=10 * 60**4 - 1)
+        with pytest.raises(AssertionError, match="work started"):
+            check_variation_bound(s, 2, w, samples=10, budget=10 * 60**4)
+
+    def test_refuses_counts_of_one_sample_beyond_a_block(self, monkeypatch):
+        monkeypatch.setattr(verify, "automorphism_group", no_work)
+        # one sample's counts on A5^4 are 60^4 > _BATCH_ELEMENTS entries
+        with pytest.raises(CapExceeded, match="60\\^4"):
+            check_variation_bound(make_group("alt:5"), 4, parse_word("x1"), samples=1)
+
+    def test_alt5_cubed_is_answered(self):
+        # every member of Aut(A5) wr S3 is a bijection of A5^3, so x1 has
+        # fibers of size 1 on all 216000 targets
+        report = check_variation_bound(make_group("alt:5"), 3, parse_word("x1"), samples=20)
+        assert report.outcome == "inconclusive-sampled"
+        assert report.witness["worst_sampled"] == {"sample": 0, "value": 1, "target": 0}
+        # the exact n = 1 profile covers 120 tuples of 60 arguments
+        assert report.counters == {"evaluations": 120 * 60 + 20 * 60**3, "samples": 20}
+
+    @pytest.mark.parametrize("n, word", [(2, "x1^2"), (2, "x1 x2^-1"), (3, "x1^3")])
+    def test_builds_no_table_of_the_power(self, monkeypatch, n, word):
+        monkeypatch.setattr(groups, "power_group", no_work)
+        monkeypatch.setattr(groups, "direct_product", no_work)
+        report = check_variation_bound(make_group("alt:5"), n, parse_word(word), samples=2,
+                                       budget=10**9)
+        assert report.outcome == "inconclusive-sampled"
+
+    def test_n1_reuses_the_search_of_the_all_ones_variation(self, monkeypatch):
+        calls = []
+        real = verify.max_fiber
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        s, w = make_group("alt:5"), SQUARE
+        monkeypatch.setattr(verify, "max_fiber", counting)
+        report = check_variation_bound(s, 1, w)
+        # the flattened forms x1 x1 and x1 x2, once each
+        assert [str(v) for v in calls] == ["x1 x1", "x1 x2"]
+        res = real(s, w, automorphism_group(s))
+        assert report.witness == {
+            "proportion": res.proportion,
+            "value": res.value,
+            "target": res.witness_target,
+            "tuple_indices": res.witness_tuple_indices,
+        }
+        # both forms cover 120^2 tuples; the n = 1 search counts once more
+        assert report.counters == {"evaluations": 120**2 * (60 + 3600) + res.evaluations}
 
     def test_refuses_samples_below_one_before_any_work(self, monkeypatch):
         monkeypatch.setattr(verify, "is_simple", no_work)
@@ -523,7 +589,7 @@ class TestVariationBound:
 class TestVariationProfile:
     def test_xy_single_variation(self):
         s = make_group("alt:5")
-        eps, breakdown, _ = variation_profile(
+        eps, breakdown, _, _ = variation_profile(
             s, parse_word("x1 x2"), automorphism_group(s)
         )
         assert eps == Fraction(1, 60)
