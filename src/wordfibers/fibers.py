@@ -83,8 +83,11 @@ class PerTargetMax:
     evaluations_performed: int
 
 
-def _var_positions(w: ReducedWord) -> dict[int, int]:
-    return {v: i for i, v in enumerate(w.variables)}
+def _letter_args(w: ReducedWord) -> list[tuple[int, int]]:
+    """(argument position, sign) of each letter of w, its variables' arguments
+    given in ascending variable order."""
+    pos = {v: i for i, v in enumerate(w.variables)}
+    return [(pos[let.var], let.sign) for let in w.letters]
 
 
 def _letter_tables(
@@ -114,35 +117,37 @@ def eval_automorphic(
     tables = _letter_tables(g, w, auts)
     if len(args) != w.num_variables:
         raise ValueError(f"expected {w.num_variables} arguments, got {len(args)}")
-    acc = _word_values(g, w, tables, args)
+    acc = _word_values(g, _letter_args(w), tables, args)
     return acc if np.ndim(acc) else int(acc)
 
 
-def _flat_radix(n: int):
-    """The row stride of a flattened n x n table, typed so that acc*n + x
-    cannot overflow: int64 once n*n exceeds int32."""
-    return n if n * n <= np.iinfo(np.int32).max else np.int64(n)
+def _word_values(g: FiniteGroup, letters, rows, args):
+    """The one letter loop of every word evaluation, unchecked: letter i,
+    (j, sign) in `letters`, reads row i at argument ``args[j]``, and the
+    values are composed in g.
 
-
-def _word_values(g: FiniteGroup, w: ReducedWord, rows, args):
-    """The loop of `eval_automorphic`, unchecked: letter i reads row i at
-    its variable's arguments, then inverts and composes in g.  A product is
-    read from the flattened table at acc*|G| + x, a 1-D gather, which numpy
-    runs about twice as fast as the 2-D ``table[acc, x]``."""
-    pos = _var_positions(w)
+    A row is read on its last axis, so it may be one table, (|G|,), or one
+    table per tuple, (b, |G|) (or (b, |N|) for the coset rows of
+    `check_rewrite`), whose values gain a leading axis of b; arguments and
+    values broadcast.  `np.take` keeps the values C-contiguous, which
+    ``row[:, x]`` does not, so a block's values reshape without a copy.  A
+    row None is the identity.  An inverse letter reads the inverted row
+    ``g.inv_table[row]``, which is exact for any row; inverting the argument
+    instead would need the row to be a homomorphism, and the left-side rows
+    of `check_rewrite` are not.  A product is read from the flattened table
+    at acc*|G| + x, a 1-D gather, which numpy runs about twice as fast as
+    the 2-D ``table[acc, x]``; the row stride n is typed so that acc*n + x
+    cannot overflow, int64 once n*n exceeds int32."""
     flat = g.table.ravel()
-    n = _flat_radix(g.order)
+    n = g.order if g.order**2 < 2**31 else np.int64(g.order)
     acc = None
-    for let, alpha in zip(w.letters, rows):
-        x = alpha[args[pos[let.var]]]
-        if let.sign < 0:
-            x = g.inv_table[x]
-        if acc is None:
-            acc = x
-        else:
-            acc = acc * n
-            acc += x
-            acc = flat[acc]
+    for (j, sign), row in zip(letters, rows):
+        x = args[j]
+        if sign < 0:
+            row = g.inv_table if row is None else g.inv_table[row]
+        if row is not None:
+            x = np.take(row, x, axis=-1)
+        acc = x if acc is None else flat[acc * n + x]
     return acc
 
 
@@ -156,6 +161,34 @@ def _arg_slice(n: int, d: int, var_rank: int, start: int, stop: int) -> np.ndarr
     idx //= n ** (d - 1 - var_rank)
     idx %= n
     return idx.astype(np.int32)
+
+
+def _argument_blocks(n: int, d: int, b: int):
+    """The one block rule: the blocks in which b tuples at once sweep the
+    n^d argument tuples, as (first argument index, columns) in index order.
+
+    A block has an axis for each of the t last variables, as many as have
+    n^t within `_BATCH_ELEMENTS // b`, and a first axis for a range of
+    assignments of the d - t leading ones.  Column j, variable j's
+    arguments, is a vector along its variable's axis (the leading ones along
+    the range), so a word composed from the columns broadcasts over only
+    the axes of the variables it reads.  A lead assignment a heads the
+    tuples a*n^t onwards, so position p of a block, in row-major order, is
+    argument tuple start + p, with start the first lead assignment times
+    n^t."""
+    per = max(1, _BATCH_ELEMENTS // b)
+    t = 0
+    while t < d and n ** (t + 1) <= per:
+        t += 1
+    lead, step = n ** (d - t), max(1, per // n**t)
+    trailing = [
+        np.arange(n, dtype=np.int32).reshape([n if a == j else 1 for a in range(t + 1)])
+        for j in range(1, t + 1)
+    ]
+    for lo in range(0, lead, step):
+        hi = min(lo + step, lead)
+        cols = [_arg_slice(n, d - t, r, lo, hi).reshape([-1] + [1] * t) for r in range(d - t)]
+        yield lo * n**t, cols + trailing
 
 
 def fiber_distribution(
@@ -246,18 +279,17 @@ class _BatchEvaluator:
     letter still goes through its own automorphism row, so the segment
     counts are those of the tuple itself.  The fold keeps the left factor on
     the left, as a nonabelian group needs.  A word that does not split is one
-    segment, enumerated as a whole.  A system of several words is
-    enumerated as a whole (`_system_counts`).
+    segment, enumerated as a whole, and so is a system of several words.
 
-    Blocks hold at most `_BATCH_ELEMENTS` word values: b = `batch_size()`
-    tuples over a segment's whole argument space when n^d and n^J fit, else
-    one tuple over consecutive argument chunks.  A block builds each letter's
-    argument column when it reaches that letter and composes it with a 1-D
-    gather from the flattened table, as `_word_values` does.  Row r of a
-    block is offset by r*n^J for one shared bincount.  The offsets stay in
-    int32 because b*n^J <= `_BATCH_ELEMENTS` when b > 1, and n^J is refused
-    beyond int32 (a single word has J = 1 and n within the group order cap).
-    Counts are int64, so argument spaces beyond its range are refused.
+    Every segment is counted by one method, `_joint_counts`, on the block
+    rule `_argument_blocks` and the letter loop `_word_values`.  Blocks hold
+    at most `_BATCH_ELEMENTS` word values: b = `batch_size()` tuples over a
+    segment's whole argument space when n^d and n^J fit, else one tuple over
+    consecutive argument blocks.  Row r of a block is offset by r*n^J for
+    one shared bincount.  The offsets stay in int32 because b*n^J <=
+    `_BATCH_ELEMENTS` when b > 1, and n^J is refused beyond int32 (a single
+    word has J = 1 and n within the group order cap).  Counts are int64, so
+    argument spaces beyond its range are refused.
     """
 
     def __init__(
@@ -267,27 +299,29 @@ class _BatchEvaluator:
         aut_tables: np.ndarray,
     ):
         words = (w,) if isinstance(w, ReducedWord) else tuple(w)
+        self.g = g
         self.w = w
         self.at = aut_tables
         self.n = g.order
         letters = [let for word in words for let in word.letters]
-        rank = {v: r for r, v in enumerate(sorted({let.var for let in letters}))}
-        self.d = len(rank)
-        self.total_args = self.n**self.d
+        d = len({let.var for let in letters})
+        self.total_args = self.n**d
         if self.total_args > np.iinfo(np.int64).max:
-            raise CapExceeded(f"{self.n}^{self.d} argument tuples exceed the 64-bit fiber counts")
+            raise CapExceeded(f"{self.n}^{d} argument tuples exceed the 64-bit fiber counts")
         self.bins = self.n ** len(words)
         if self.bins > np.iinfo(np.int32).max:
             raise CapExceeded(f"{self.n}^{len(words)} joint bins exceed the 32-bit keys")
-        # a system's plans: each word's letters as (variable rank, sign)
-        self.plans = None
         if len(words) == 1:
-            self.segments = _segments(words[0])
+            parts = [(lo, hi, [letters[lo:hi]]) for lo, hi in _segments(words[0])]
         else:
-            self.plans = [[(rank[let.var], let.sign) for let in word.letters] for word in words]
-        self.table = g.table
-        self.flat, self.radix = g.table.ravel(), _flat_radix(self.n)
-        self.inv_t = g.inv_table if any(let.sign < 0 for let in letters) else None
+            parts = [(0, len(letters), [word.letters for word in words])]
+        # each segment: its letters, its variable count, and each word's
+        # letters as (segment rank of the variable, ascending, sign)
+        self.segments = []
+        for lo, hi, part in parts:
+            rank = {v: r for r, v in enumerate(sorted({x.var for x in letters[lo:hi]}))}
+            plan = [[(rank[x.var], x.sign) for x in word] for word in part]
+            self.segments.append((lo, hi, len(rank), plan))
 
     def batch_size(self) -> int:
         return max(1, min(_BATCH_ELEMENTS // max(self.total_args, self.bins), 1 << 16))
@@ -295,143 +329,109 @@ class _BatchEvaluator:
     def counts(self, digit_arrays: list[Optional[np.ndarray]]) -> np.ndarray:
         """(b, n^J) fiber counts for at most `batch_size()` tuples given by
         per-letter AutSet indices.  A None letter is the identity on every
-        tuple, one (1, K) row broadcast over the batch, so a prefix of such
-        letters is composed once per block; a segment of None letters has
-        (1, n) counts, broadcast in the fold; with every letter None, b is 1."""
-        if self.plans is not None:
-            return self._system_counts(digit_arrays)
+        tuple, whose values have no batch axis, so a prefix of such letters
+        is composed once per block; a segment of None letters has (1, n)
+        counts, broadcast in the fold; with every letter None, b is 1."""
         res = None
         for lo, hi, d, plan in self.segments:
-            h = self._segment_counts(d, plan, digit_arrays[lo:hi])
+            h = self._joint_counts(d, plan, digit_arrays[lo:hi])
             res = h if res is None else self._fold(res, h)
         return res
 
-    def _segment_counts(self, d, plan, digit_arrays) -> np.ndarray:
-        n, total = self.n, self.n**d
-        b = max((len(dig) for dig in digit_arrays if dig is not None), default=1)
-        step = _BATCH_ELEMENTS // b
-        offs = np.arange(b, dtype=np.int32)[:, None] * np.int32(n)
-        counts = np.zeros((b, n), dtype=np.int64)
-        for start in range(0, total, step):
-            res = None
-            for (rank, sign), dig in zip(plan, digit_arrays):
-                v = _arg_slice(n, d, rank, start, min(start + step, total))
-                if sign < 0:
-                    v = self.inv_t[v]
-                v = v[None, :] if dig is None else self.at[dig][:, v]
-                res = v if res is None else self.flat[res * self.radix + v]
-            res += offs
-            counts += np.bincount(res.ravel(), minlength=b * n).reshape(b, n)
-        return counts
-
-    def _system_counts(self, digit_arrays) -> np.ndarray:
-        """Joint counts of a system of several words.  A block is an array
-        with an axis for each of the t last variables, whose n^t arguments
-        fit in a block, and one axis for a range of assignments of the d - t
-        leading ones; each argument column is a vector along its variable's
-        axis (the leading ones along the range), so each word is composed by
-        broadcasting over only the axes of the variables it reads, and only
-        the joint key spans the whole block."""
-        n, d, bins = self.n, self.d, self.bins
-        b = max((len(dig) for dig in digit_arrays if dig is not None), default=1)
-        per = max(1, _BATCH_ELEMENTS // b)
-        t = 0
-        while t < d and n ** (t + 1) <= per:
-            t += 1
-        lead, step = n ** (d - t), max(1, per // n**t)
-        trailing = [
-            np.arange(n, dtype=np.int32).reshape([n if a == j else 1 for a in range(t + 1)])
-            for j in range(1, t + 1)
-        ]
-        offs = (np.arange(b, dtype=np.int32) * np.int32(bins)).reshape([b] + [1] * (t + 1))
+    def _joint_counts(self, d, plan, digit_arrays) -> np.ndarray:
+        """(b, n^J) joint counts of the J words of one segment over its d
+        variables: each word is composed by `_word_values` over a block's
+        broadcast columns, and only the joint key spans the whole block."""
+        n, bins = self.n, self.n ** len(plan)
+        rows = [None if dig is None else self.at[dig] for dig in digit_arrays]
+        b = max((len(row) for row in rows if row is not None), default=1)
+        offs = np.arange(0, b * bins, bins, dtype=np.int32)[:, None]
         counts = np.zeros(b * bins, dtype=np.int64)
-        for start in range(0, lead, step):
-            stop = min(start + step, lead)
-            cols = [
-                _arg_slice(n, d - t, r, start, stop).reshape([-1] + [1] * t)
-                for r in range(d - t)
-            ] + trailing
-            key, letters = None, iter(digit_arrays)
-            for plan in self.plans:
-                res = None
-                for (rank, sign), dig in zip(plan, letters):
-                    v = cols[rank]
-                    if sign < 0:
-                        v = self.inv_t[v]
-                    v = v[None] if dig is None else self.at[dig][:, v]
-                    res = v if res is None else self.flat[res * self.radix + v]
+        for _, cols in _argument_blocks(n, d, b):
+            key, i = None, 0
+            for word in plan:
+                res = _word_values(self.g, word, rows[i : i + len(word)], cols)
                 key = res if key is None else key * n + res
-            key += offs
+                i += len(word)
+            if b > 1:
+                key = key.reshape(b, -1) + offs
             counts += np.bincount(key.ravel(), minlength=b * bins)
         return counts.reshape(b, bins)
 
     def _fold(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Counts of the product of two independent segments, left first."""
+        table = self.g.table
         out = np.zeros((max(len(left), len(right)), self.n), dtype=np.int64)
         for a in np.flatnonzero(left.any(axis=0)):
-            out[:, self.table[a]] += left[:, a, None] * right
+            out[:, table[a]] += left[:, a, None] * right
         return out
 
 
-def _segments(w: ReducedWord) -> list[tuple[int, int, int, list[tuple[int, int]]]]:
-    """(first letter, end letter, variable count, plan) of each segment of
-    `_BatchEvaluator`; the plan gives each letter's variable rank within the
-    segment, in ascending variable order, and its sign."""
+def _segments(w: ReducedWord) -> list[tuple[int, int]]:
+    """(first letter, end letter) of each segment of `_BatchEvaluator`."""
     last = {let.var: i for i, let in enumerate(w.letters)}
     segments = []
     lo = reach = 0
     for i, let in enumerate(w.letters):
         reach = max(reach, last[let.var])
         if reach == i:
-            letters = w.letters[lo : i + 1]
-            rank = {v: r for r, v in enumerate(sorted({x.var for x in letters}))}
-            plan = [(rank[x.var], x.sign) for x in letters]
-            segments.append((lo, i + 1, len(rank), plan))
+            segments.append((lo, i + 1))
             lo = i + 1
     return segments
 
+
 @dataclass
 class _BestCell:
+    """A best tuple: its value, tuple index, target and per-letter AutSet
+    indices."""
+
     value: int = -1
     tuple_idx: int = -1
     target: int = -1
+    letters: tuple[int, ...] = ()
 
-    def offer(self, value: int, tuple_idx: int, target: int) -> None:
-        if value > self.value:
-            self.value, self.tuple_idx, self.target = value, tuple_idx, target
+
+def _normal_form_batches(ev: _BatchEvaluator, start: int, stop: int, free: Sequence[int]):
+    """Scanned rows start..stop-1 of the exact search in batches, their
+    digits filling the `free` letters, with their full indices
+    (`_tuple_digits`)."""
+    m, l, step = len(ev.at), ev.w.length, ev.batch_size()
+    for lo in range(start, stop, step):
+        yield _tuple_digits(np.arange(lo, min(lo + step, stop), dtype=np.int64), m, l, free)
+
+
+def _sampled_batches(ev: _BatchEvaluator, rng: np.random.Generator, samples: int):
+    """The identity tuple, index 0, then `samples` seeded uniform tuples,
+    drawn in batches.  numpy's `Generator` draws a (k, l) array element by
+    element in row-major order, so the batches draw the values of one
+    (samples, l) call and leave the generator in the same state."""
+    m, l, step = len(ev.at), ev.w.length, ev.batch_size()
+    for lo in range(0, samples + 1, step):
+        hi = min(lo + step, samples + 1)
+        draws = rng.integers(0, m, size=(hi - max(lo, 1), l))
+        if lo == 0:
+            draws = np.vstack([np.zeros((1, l), dtype=np.int64), draws])
+        yield list(draws.T), np.arange(lo, hi, dtype=np.int64)
 
 
 def _scan_range(
-    ev: _BatchEvaluator,
-    rows: range | np.ndarray,
-    target: Optional[int],
-    free: Sequence[int] = (),
+    ev: _BatchEvaluator, batches, target: Optional[int]
 ) -> tuple[_BestCell, np.ndarray, np.ndarray, int]:
-    """Scan the tuples in `rows`; returns the best cell, the per-target maxima
+    """Scan batches of tuples; returns the best cell, the per-target maxima
     with first-attaining tuple indices, and the evaluation count.
 
-    `rows` is a range of scanned rows whose digits fill the `free` letters
-    (exact search, see `_tuple_digits`) or a (k, l) array of per-letter AutSet
-    indices (sampled search).  Tuple indices in the result are full mixed-radix
-    indices or array row numbers respectively, and ties go to the least of
-    them, then to the least target.
+    A batch is its per-letter AutSet indices, None for the identity on every
+    tuple, and its tuple indices, ascending: full mixed-radix indices
+    (`_normal_form_batches`) or draw numbers (`_sampled_batches`).  Ties go
+    to the least tuple index, then to the least target.
     """
-    m, l = ev.at.shape[0], ev.w.length
     best = _BestCell()
     per_vals = np.zeros(ev.n, dtype=np.int64)
     per_idx = np.full(ev.n, -1, dtype=np.int64)
     evals = 0
-    bsize = ev.batch_size()
-    for pos in range(0, len(rows), bsize):
-        batch = rows[pos : pos + bsize]
-        if isinstance(batch, range):
-            scanned = np.arange(batch.start, batch.stop, dtype=np.int64)
-            digits, idx = _tuple_digits(scanned, m, l, free)
-        else:
-            digits = [batch[:, i] for i in range(l)]
-            idx = np.arange(pos, pos + len(batch), dtype=np.int64)
+    for digits, idx in batches:
         counts = ev.counts(digits)
-        evals += len(batch) * ev.total_args
+        evals += len(idx) * ev.total_args
         batch_max = counts.max(axis=0)
         batch_arg = counts.argmax(axis=0)
         improved = batch_max > per_vals
@@ -442,9 +442,11 @@ def _scan_range(
             row_targets = counts.argmax(axis=1)
         else:
             row_vals = counts[:, target]
-            row_targets = np.full(len(batch), target, dtype=np.int64)
+            row_targets = np.full(len(idx), target, dtype=np.int64)
         r = int(np.argmax(row_vals))
-        best.offer(int(row_vals[r]), int(idx[r]), int(row_targets[r]))
+        if row_vals[r] > best.value:
+            letters = tuple(0 if dig is None else int(dig[r]) for dig in digits)
+            best = _BestCell(int(row_vals[r]), int(idx[r]), int(row_targets[r]), letters)
     return best, per_vals, per_idx, evals
 
 
@@ -454,7 +456,8 @@ def _merge_ranges(parts):
     per_idx = None
     evals = 0
     for part_best, vals, idx, ev in parts:
-        best.offer(part_best.value, part_best.tuple_idx, part_best.target)
+        if part_best.value > best.value:
+            best = part_best
         if per_vals is None:
             per_vals, per_idx = vals.copy(), idx.copy()
         else:
@@ -515,12 +518,12 @@ def _search_all_tuples(
     # no more workers than cores; the witnesses do not depend on the split
     threads = max(1, min(int(threads), os.cpu_count() or 1))
     if threads == 1 or scanned < 4 * threads:
-        parts = [_scan_range(ev, range(scanned), target, free)]
+        parts = [_scan_range(ev, _normal_form_batches(ev, 0, scanned, free), target)]
     else:
-        bounds = np.linspace(0, scanned, threads + 1, dtype=np.int64)
+        bounds = np.linspace(0, scanned, threads + 1, dtype=np.int64).tolist()
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_scan_range, ev, range(int(lo), int(hi)), target, free)
+                pool.submit(_scan_range, ev, _normal_form_batches(ev, lo, hi, free), target)
                 for lo, hi in zip(bounds, bounds[1:])
                 if hi > lo
             ]
@@ -548,7 +551,8 @@ def max_fiber(
     all letters of one variable reparametrizes that variable and changes no
     fiber size, and the least maximizing tuple already has that form (see
     `_search_all_tuples`).  Sample mode draws `samples` seeded uniform tuples
-    after the identity tuple and reports a lower bound.  In both modes the
+    after the identity tuple, in blocks of `batch_size()` as it scans them,
+    and reports a lower bound.  In both modes the
     budget bounds the evaluations performed, and is checked before any tuple
     is scanned or drawn.  Ties are broken by the least (tuple index, target
     index).
@@ -559,38 +563,33 @@ def max_fiber(
     if target is not None and not 0 <= target < g.order:
         raise ValueError(f"target {target} out of range for order {g.order}")
     d = w.num_variables
-    l = w.length
     if mode == "exact":
         best, _, _, evals, total, scanned = _search_all_tuples(
             g, w, a, target, budget, threads
         )
-        digits = tuple(int(x) for x in np.unravel_index(best.tuple_idx, (len(a),) * l))
     elif mode == "sample":
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
         needed = (samples + 1) * g.order**d
         if needed > budget:
             raise BudgetExceeded(f"sampled search needs {needed} evaluations, budget is {budget}")
-        rng = np.random.default_rng(seed)
-        draws = np.vstack(
-            [np.zeros((1, l), dtype=np.int64), rng.integers(0, len(a), size=(samples, l))]
-        )
-        best, _, _, evals = _scan_range(_BatchEvaluator(g, w, a.tables), draws, target)
-        digits = tuple(int(x) for x in draws[best.tuple_idx])
-        total = scanned = draws.shape[0]
+        ev = _BatchEvaluator(g, w, a.tables)
+        batches = _sampled_batches(ev, np.random.default_rng(seed), samples)
+        best, _, _, evals = _scan_range(ev, batches, target)
+        total = scanned = samples + 1
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return MaxFiberResult(
         value=best.value,
         proportion=Fraction(best.value, g.order**d),
-        witness_tuple=a.tables[list(digits)],
+        witness_tuple=a.tables[list(best.letters)],
         witness_target=best.target,
         status="exact" if mode == "exact" else "lower_bound",
         tuples_examined=total,
         evaluations=total * g.order**d,
         tuples_scanned=scanned,
         evaluations_performed=evals,
-        witness_tuple_indices=digits,
+        witness_tuple_indices=best.letters,
         seed=None if mode == "exact" else seed,
     )
 
@@ -666,7 +665,7 @@ def wreath_counts(
         raise CapExceeded(f"{q}^{args} argument tuples exceed the 64-bit fiber counts")
     first: dict[int, int] = {}
     lead = [first.setdefault(let.var, i) for i, let in enumerate(w.letters)]
-    rank = _var_positions(w)
+    letter_args = _letter_args(w)
     # reads[r, i, c] = pi_i(c) of tuple r
     reads = np.take_along_axis(sigmas[:, lead], np.argsort(sigmas, axis=2), axis=2)
     patterns, which = np.unique(reads.reshape(len(reads), -1), axis=0, return_inverse=True)
@@ -677,11 +676,12 @@ def wreath_counts(
         joint = np.ones((len(members),) + (1,) * n, dtype=np.int64)
         for coords in _components(pattern):
             pos = {c: j for j, c in enumerate(coords)}
-            # copy pi_i(c) of variable v is system variable rank(v)*|C| + pos + 1
+            # copy pi_i(c) of the variable at position j is system variable
+            # j*|C| + pos + 1
             system = [
                 ReducedWord(tuple(
-                    Letter(rank[let.var] * len(coords) + pos[int(pattern[i, c])] + 1, let.sign)
-                    for i, let in enumerate(w.letters)
+                    Letter(j * len(coords) + pos[int(pattern[i, c])] + 1, sign)
+                    for i, (j, sign) in enumerate(letter_args)
                 ))
                 for c in coords
             ]
@@ -767,9 +767,8 @@ def rewrite_coset_equation(
             f"expected {w.num_variables} base entries per trial, got {bases.shape}"
         )
     _require_characteristic(g, n)
-    pos = _var_positions(w)
     rows = np.arange(len(tables))[:, None]
-    factors = tables[rows, np.arange(w.length), bases[:, [pos[let.var] for let in w.letters]]]
+    factors = tables[rows, np.arange(w.length), bases[:, [j for j, _ in _letter_args(w)]]]
     value = np.zeros(len(tables), dtype=factors.dtype)
     conjugators = np.empty_like(factors)
     for i, let in enumerate(w.letters):

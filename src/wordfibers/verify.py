@@ -5,7 +5,7 @@ Exhaustive checkers report "pass" or "fail"; sampled checkers report
 "inconclusive-sampled" (zero violations found) or "fail".  One exception:
 `check_rewrite` samples its trials (automorphism tuple and base tuple) with a
 seed, yet reports "pass" when every trial holds; each trial is checked over
-all of N^d, but the trials cover only part of the space (ROADMAP item 1).
+all of N^d, but the trials cover only part of the space (ROADMAP item 3).
 Its trials are drawn, rewritten and swept in blocks of trials, with the
 draws, witness and counters of a trial-by-trial sweep.
 """
@@ -17,10 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import fibers
 from .errors import BudgetExceeded, CapExceeded
 from .fibers import (
     _BATCH_ELEMENTS,
-    _arg_slice,
+    _argument_blocks,
+    _letter_args,
     _require_word,
     _word_values,
     DEFAULT_BUDGET,
@@ -224,16 +226,17 @@ def check_rewrite(
 
     Trial t draws l indices into `aut` (Aut(G) on the command line), then d
     base elements of G, from one seeded stream, trial after trial.  Trials
-    are rewritten and swept in blocks, by the block rule of `_BatchEvaluator`:
-    one trial's s = |N|^d coset tuples take s*d arguments.  When that fits
-    in `_BATCH_ELEMENTS`, a block holds b trials with b*s*d and b*l*|G| (its
-    gathered tables) within it, and its (b, s) equivalences are checked at
-    once over the grid of coset tuples, built once per check.  Otherwise each
-    trial is a block of its own, swept in chunks of `_BATCH_ELEMENTS // d`
-    coset tuples.  One `rewrite_coset_equation` call rewrites a block.  Both
-    sides are row gathers per trial: the left side's row for letter i maps
-    each n in N to alpha_i(n g_v), v the variable of letter i, so both sides
-    read the same coset-tuple indices.  The first mismatch in (trial, coset
+    are rewritten and swept in blocks of b, one `rewrite_coset_equation`
+    call a block.  b*s, with s = |N|^d the coset tuples of one trial, and
+    b*l*|G|, its gathered tables, stay within `_BATCH_ELEMENTS`, else b is
+    1.  Each letter's rows are (b, |N|), one per trial: the left side's row
+    for letter i maps each n in N to alpha_i(n g_v), v the variable of
+    letter i, and the right side's is beta_i, so both sides read the same
+    coset-tuple indices.  Both are evaluated by `_word_values` over the
+    argument blocks of `_argument_blocks(|N|, d, b)`, the block rule of
+    `_BatchEvaluator`, which reads the same limit: a block of several
+    trials is then one argument block, and a single trial is swept in
+    argument blocks in index order.  So the first mismatch in (trial, coset
     tuple) order is the witness, as in a sweep one trial at a time.  The
     budget, 2*trials*s evaluations, is checked before any draw.
 
@@ -257,35 +260,26 @@ def check_rewrite(
         "trials": trials,
         "seed": seed,
     }
-    # coset tuples of N^d in itertools.product order, as indices into N; a
-    # block lays its trials' rows end to end, so trial r reads them at r*|N|
-    if sweep * d <= _BATCH_ELEMENTS:
-        block = min(trials, _BATCH_ELEMENTS // (sweep * d), _BATCH_ELEMENTS // (l * g.order))
-        block, step = max(1, block), sweep
-        offs = np.arange(block, dtype=np.int32)[:, None] * np.int32(n.order)
-        grid = [_arg_slice(n.order, d, j, 0, sweep) + offs for j in range(d)]
-    else:
-        block, step, grid = 1, _BATCH_ELEMENTS // d, None
-    letter_vars = [w.variables.index(let.var) for let in w.letters]
+    # the limit `_argument_blocks` reads: a block of several trials must be
+    # one argument block
+    limit = fibers._BATCH_ELEMENTS
+    block = max(1, min(trials, limit // sweep, limit // (l * g.order)))
+    letters = _letter_args(w)
     n_elements = np.asarray(n.elements, dtype=np.int32)
     rng = np.random.default_rng(seed)
     bounds = [len(aut)] * l + [g.order] * d
     for lo in range(0, trials, block):
         draws = rng.integers(0, bounds, size=(min(block, trials - lo), l + d))
         indices, bases = draws[:, :l], draws[:, l:]
+        b = len(draws)
         res = rewrite_coset_equation(g, n, w, aut.tables[indices], bases)
         # row (r, i) of the left side: n_j -> alpha_ri(n_j g_rv), v of letter i
-        cosets = g.table[n_elements, bases[:, :, None]]
-        lhs_rows = aut.tables[indices[:, :, None], cosets[:, letter_vars]]
-        lhs_rows, rhs_rows = (x.transpose(1, 0, 2).reshape(l, -1) for x in (lhs_rows, res.beta))
-        for start in range(0, sweep, step):
-            if grid is None:
-                stop = min(start + step, sweep)
-                cols = [_arg_slice(n.order, d, j, start, stop)[None] for j in range(d)]
-            else:
-                cols = [c[: len(draws)] for c in grid]
-            lhs = _word_values(g, w, lhs_rows, cols) == res.target[:, None]
-            rhs = _word_values(res.n_group, w, rhs_rows, cols) == 0
+        cosets = g.table[n_elements, bases[:, [j for j, _ in letters], None]]
+        lhs_rows = aut.tables[indices[:, :, None], cosets].swapaxes(0, 1)
+        rhs_rows = res.beta.swapaxes(0, 1)
+        for start, cols in _argument_blocks(n.order, d, b):
+            lhs = _word_values(g, letters, lhs_rows, cols).reshape(b, -1) == res.target[:, None]
+            rhs = _word_values(res.n_group, letters, rhs_rows, cols).reshape(b, -1) == 0
             mismatches = np.flatnonzero(lhs != rhs)  # row-major: trial, then coset tuple
             if len(mismatches):
                 r, k = divmod(int(mismatches[0]), lhs.shape[1])

@@ -368,6 +368,50 @@ class TestMaxFiber:
         assert res.evaluations == evaluations
         assert res.tuples_examined == samples + 1
 
+    # Taken at the commit that drew all samples in one call; each limit
+    # makes the draws come in several blocks (one row a block for cyc:2 and
+    # dih:4, so the first block is the identity row alone and draws nothing).
+    @pytest.mark.parametrize("spec, word, target, samples, limit, pins", [
+        ("cyc:5", "x1^2", None, 30, 5 * 3, [
+            (0, 5, 0, (2, 1), 756955185367),
+            (1, 5, 0, (1, 2), 567423410539),
+            (7, 5, 0, (3, 0), 546318119748)]),
+        ("alt:4", "x1^2", 1, 60, 12 * 9, [
+            (0, 4, 1, (1, 2), 444809451921),
+            (1, 4, 1, (11, 12), 301319389854),
+            (7, 4, 1, (11, 12), 665266386544)]),
+        ("dih:4", "x1^2", 2, 25, 8, [
+            (0, 6, 2, (2, 0), 421857932227),
+            (1, 6, 2, (6, 4), 796914967575),
+            (7, 6, 2, (7, 5), 566126244900)]),
+        ("sym:3", "[x1,x2]", None, 50, 36 * 7, [
+            (0, 18, 0, (0, 0, 0, 0), 527752303418),
+            (1, 18, 0, (0, 0, 0, 0), 718933282177),
+            (7, 18, 0, (0, 0, 0, 0), 1063390730602)]),
+        ("cyc:2", "x1^2", None, 10, 2, [
+            (0, 2, 0, (0, 0), 700346781657),
+            (1, 2, 0, (0, 0), 562753827705),
+            (7, 2, 0, (0, 0), 687299734001)]),
+    ])
+    def test_sample_mode_draws_in_blocks(self, monkeypatch, spec, word, target, samples,
+                                         limit, pins):
+        g, w = make_group(spec), parse_word(word)
+        a = automorphism_group(g)
+        monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", limit)
+        step = fibers._BatchEvaluator(g, w, a.tables).batch_size()
+        assert step < samples + 1
+        made, real = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: made.append(real(seed)) or made[-1])
+        for seed, value, witness_target, indices, after in pins:
+            res = max_fiber(g, w, a, target=target, mode="sample", samples=samples, seed=seed)
+            assert (res.value, res.witness_target, res.witness_tuple_indices) == (
+                value, witness_target, indices)
+            assert res.tuples_scanned == samples + 1
+            assert res.evaluations_performed == (samples + 1) * g.order**w.num_variables
+            # the generator stands where one (samples, l) draw leaves it
+            assert int(made.pop().integers(0, 2**40)) == after
+
     def test_isomorphism_invariance_under_relabelling(self):
         g = make_group("sym:3")
         rng = np.random.default_rng(3)
@@ -448,18 +492,54 @@ def product_counts(g, w, auts):
     return np.bincount(values, minlength=g.order).tolist()
 
 
-def counting_arg_slices(monkeypatch):
-    """Replace the kernel's argument columns by a wrapper; returns the list
-    of (start, size) of every column built."""
+def counting_argument_blocks(monkeypatch):
+    """Wrap the kernel's block rule; returns the list of (start, argument
+    tuples) of every block it yields."""
     built = []
-    real = fibers._arg_slice
+    real = fibers._argument_blocks
 
-    def counting(n, d, rank, start, stop):
-        built.append((start, stop - start))
-        return real(n, d, rank, start, stop)
+    def counting(n, d, b):
+        for start, cols in real(n, d, b):
+            built.append((start, int(np.prod(np.broadcast_shapes(*(c.shape for c in cols))))))
+            yield start, cols
 
-    monkeypatch.setattr(fibers, "_arg_slice", counting)
+    monkeypatch.setattr(fibers, "_argument_blocks", counting)
     return built
+
+
+class TestArgumentBlocks:
+    # (n, d, b, limit): d = 1; several trailing axes in one block; a batch
+    # of 2 tuples in one block; lead chunks of 2 assignments, the last of
+    # one; lead chunks with no trailing axis; blocks of one tuple
+    @pytest.mark.parametrize("n, d, b, limit, blocks", [
+        (5, 1, 1, None, 1),
+        (3, 4, 1, None, 1),
+        (4, 3, 2, 200, 1),
+        (3, 4, 1, 20, 5),
+        (4, 3, 3, 10, 22),
+        (3, 3, 1, 1, 27),
+        (2, 5, 4, 16, 8),
+    ])
+    def test_every_tuple_once_at_its_index(self, monkeypatch, n, d, b, limit, blocks):
+        if limit is not None:
+            monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", limit)
+        per = max(1, fibers._BATCH_ELEMENTS // b)
+        tuples, starts = [], []
+        for start, cols in fibers._argument_blocks(n, d, b):
+            assert len(cols) == d
+            shape = np.broadcast_shapes(*(c.shape for c in cols))
+            size = int(np.prod(shape))
+            assert size <= per
+            block = np.stack([np.broadcast_to(c, shape).ravel() for c in cols], axis=1)
+            for j in range(d):
+                column = fibers._arg_slice(n, d, j, start, start + size)
+                assert block[:, j].tolist() == column.tolist()
+            # position p of the block is argument tuple start + p
+            assert start == len(tuples)
+            tuples.extend(map(tuple, block.tolist()))
+            starts.append(start)
+        assert len(starts) == blocks
+        assert tuples == list(itertools.product(range(n), repeat=d))
 
 
 # split words: inverse letters; a segment with the non-consecutive variables
@@ -470,14 +550,11 @@ SPLIT_WORDS = ["x1^2 x2^-2", "x2 x1 x3^2 x1", "x1 x2^2", "x1^2 x2", "x1 x2^-1 x1
 
 class TestSplitWords:
     @pytest.mark.parametrize("word, segments", [
-        ("x1 x2 x3 x4", [(0, 1, 1, [(0, 1)]), (1, 2, 1, [(0, 1)]),
-                         (2, 3, 1, [(0, 1)]), (3, 4, 1, [(0, 1)])]),
-        ("x2 x1 x3^2 x1", [(0, 1, 1, [(0, 1)]),
-                           (1, 5, 2, [(0, 1), (1, 1), (1, 1), (0, 1)])]),
-        ("x1 x2^-1 x1 x3", [(0, 3, 2, [(0, 1), (1, -1), (0, 1)]), (3, 4, 1, [(0, 1)])]),
-        ("[x1,x2] x3^2", [(0, 4, 2, [(0, 1), (1, 1), (0, -1), (1, -1)]),
-                          (4, 6, 1, [(0, 1), (0, 1)])]),
-        ("x1 x2 x1", [(0, 3, 2, [(0, 1), (1, 1), (0, 1)])]),
+        ("x1 x2 x3 x4", [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        ("x2 x1 x3^2 x1", [(0, 1), (1, 5)]),
+        ("x1 x2^-1 x1 x3", [(0, 3), (3, 4)]),
+        ("[x1,x2] x3^2", [(0, 4), (4, 6)]),
+        ("x1 x2 x1", [(0, 3)]),
     ])
     def test_cuts_go_where_no_earlier_variable_recurs(self, word, segments):
         assert fibers._segments(parse_word(word)) == segments
@@ -548,7 +625,7 @@ class TestSplitWords:
         # 20 values a block: the unsplit word's 216 arguments, and the 36 of
         # the split word's first segment, are swept in several chunks
         monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 20)
-        built = counting_arg_slices(monkeypatch)
+        built = counting_argument_blocks(monkeypatch)
         g = make_group("sym:3")
         a = automorphism_group(g)
         w = parse_word(word)
@@ -559,12 +636,12 @@ class TestSplitWords:
         assert len({start for start, _ in built}) > 1
 
     def test_split_word_builds_only_segment_arguments(self, monkeypatch):
-        built = counting_arg_slices(monkeypatch)
+        built = counting_argument_blocks(monkeypatch)
         assert pi_w(make_group("alt:5"), parse_word("x1 x2 x3 x4")) == (216000, Fraction(1, 60))
         assert sum(size for _, size in built) == 4 * 60
 
     def test_counts_beyond_64_bits_are_refused_before_any_argument(self, monkeypatch):
-        built = counting_arg_slices(monkeypatch)
+        built = counting_argument_blocks(monkeypatch)
         w = parse_word(" ".join(f"x{i}" for i in range(1, 12)))
         with pytest.raises(CapExceeded):
             pi_w(make_group("sym:5"), w, budget=10**30)
@@ -574,10 +651,11 @@ class TestSplitWords:
         from wordfibers.groups import FiniteGroup
 
         g = FiniteGroup(6, table=make_group("sym:3").table.copy(), spec="copy of sym:3")
-        fibers._BatchEvaluator(g, parse_word("x1^2 x2"), identity_rows(g, parse_word("x1^2 x2")))
-        assert "inv_table" not in vars(g)
-        fibers._BatchEvaluator(g, COMMUTATOR, identity_rows(g, COMMUTATOR))
-        assert "inv_table" in vars(g)
+        for word, reads in ((parse_word("x1^2 x2"), False), (COMMUTATOR, True)):
+            ev = fibers._BatchEvaluator(g, word, identity_rows(g, word))
+            counts = ev.counts([np.array([i]) for i in range(word.length)])
+            assert counts.sum() == g.order**word.num_variables
+            assert ("inv_table" in vars(g)) == reads
 
 
 # reference for the exact search: every tuple of A^l in mixed-radix order,
@@ -964,7 +1042,7 @@ class TestWordSystems:
         a = automorphism_group(g)
         w = parse_word("x1^2 x2^-1 x3 x2")
         single, system = (fibers._BatchEvaluator(g, x, a.tables) for x in (w, [w]))
-        assert system.plans is None and system.segments == single.segments
+        assert system.segments == single.segments
         assert len(single.segments) == 2
         draws = list(np.random.default_rng(1).integers(0, len(a), size=(6, w.length)).T)
         assert system.counts(draws).tolist() == single.counts(draws).tolist()

@@ -157,7 +157,7 @@ class TestRewriteCheck:
     def test_refuses_trials_below_one_before_any_work(self, monkeypatch):
         g, aut, n = rewrite_setup("sym:3", 3)
         monkeypatch.setattr(verify, "rewrite_coset_equation", no_work)
-        monkeypatch.setattr(verify, "_arg_slice", no_work)
+        monkeypatch.setattr(verify, "_argument_blocks", no_work)
         for trials in (0, -3):
             with pytest.raises(ValueError, match="trials must be >= 1"):
                 check_rewrite(g, n, SQUARE, aut, trials=trials)
@@ -165,7 +165,7 @@ class TestRewriteCheck:
     def test_refuses_over_budget_before_any_work(self, monkeypatch):
         g, aut, n = rewrite_setup("sym:3", 3)
         monkeypatch.setattr(verify, "rewrite_coset_equation", no_work)
-        monkeypatch.setattr(verify, "_arg_slice", no_work)
+        monkeypatch.setattr(verify, "_argument_blocks", no_work)
         # 10 trials over 3 coset tuples, both sides: 60 evaluations
         with pytest.raises(BudgetExceeded):
             check_rewrite(g, n, SQUARE, aut, trials=10, budget=59)
@@ -265,7 +265,8 @@ def reference_rewrite(g, n, w, aut, trials, seed):
 
 
 # the default block (every check here is one block), blocks of 7 arguments
-# (every trial split into chunks), and blocks of several trials but not all
+# (every trial of more than 7 coset tuples split into chunks), and blocks of
+# several trials but not all
 BLOCKS = pytest.mark.parametrize(
     "block",
     [None, 7, 1000],
@@ -274,8 +275,20 @@ BLOCKS = pytest.mark.parametrize(
 
 
 def with_block(monkeypatch, block):
+    """Set the limit the block rule reads; returns the (trials, start) of
+    every argument block check_rewrite sweeps."""
     if block is not None:
-        monkeypatch.setattr(verify, "_BATCH_ELEMENTS", block)
+        monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", block)
+    swept = []
+    real = fibers._argument_blocks
+
+    def recording(n, d, b):
+        for start, cols in real(n, d, b):
+            swept.append((b, start))
+            yield start, cols
+
+    monkeypatch.setattr(verify, "_argument_blocks", recording)
+    return swept
 
 
 def assert_report_types(report):
@@ -311,10 +324,14 @@ class TestRewriteBatched:
         w = parse_word(word)
         corrupt_trials(monkeypatch, changes or {})
         expected = reference_rewrite(g, n, w, aut, trials, seed)
-        with_block(monkeypatch, block)
+        swept = with_block(monkeypatch, block)
         corrupt_trials(monkeypatch, changes or {})
         report = check_rewrite(g, n, w, aut, trials=trials, seed=seed)
         assert (report.outcome, report.witness, report.counters) == expected
+        if block == 7 and n.order**w.num_variables > 7:
+            assert any(start > 0 for _, start in swept)
+        if block == 1000:
+            assert max(b for b, _ in swept) > 1
         assert_report_types(report)
         return report
 
