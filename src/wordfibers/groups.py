@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class FiniteGroup:
     @cached_property
     def center(self) -> tuple[int, ...]:
         t = self.table
-        return tuple(int(g) for g in range(self.order) if (t[g] == t[:, g]).all())
+        return tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist())
 
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -110,6 +110,14 @@ class FiniteGroup:
             seen[orbit] = True
             classes.append(tuple(int(x) for x in orbit))
         return tuple(classes)
+
+    @cached_property
+    def class_minima(self) -> np.ndarray:
+        """``class_minima[g]`` is the least member of g's conjugacy class."""
+        least = np.empty(self.order, dtype=np.int64)
+        for cls in self.conjugacy_classes:
+            least[list(cls)] = cls[0]
+        return least
 
     @cached_property
     def class_size_of(self) -> np.ndarray:
@@ -773,7 +781,7 @@ class SubgroupHandle:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def element_set(self) -> frozenset[int]:
         return frozenset(self.elements)
 
@@ -812,21 +820,63 @@ def subgroup_handle(
     return handle
 
 
-def _is_normal(g: FiniteGroup, elems: tuple[int, ...]) -> bool:
+def _members(g: FiniteGroup, elems: Iterable[int]) -> np.ndarray:
+    mask = np.zeros(g.order, dtype=bool)
+    mask[list(elems)] = True
+    return mask
+
+
+def _conjugates(
+    g: FiniteGroup, xs: np.ndarray, elems: Sequence[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks ``(x, c)`` of conjugates, ``c[i, j] = x[i] elems[j] x[i]^-1``,
+    over consecutive runs ``x`` of ``xs``.  A block holds at most
+    `_COMPOSE_BLOCK_ELEMENTS` entries, so no |G|×|G| array is built."""
     t, inv = g.table, g.inv_table
-    members = np.zeros(g.order, dtype=bool)
-    members[list(elems)] = True
-    arr = np.asarray(elems, dtype=np.int64)
-    for x in range(g.order):
-        if not members[t[t[x, arr], inv[x]]].all():
-            return False
-    return True
+    cols = np.asarray(elems, dtype=np.int64)
+    step = max(1, _COMPOSE_BLOCK_ELEMENTS // len(cols))
+    for lo in range(0, len(xs), step):
+        x = xs[lo : lo + step]
+        yield x, t[t[x[:, None], cols], inv[x, None]]
+
+
+def _is_normal(g: FiniteGroup, elems: tuple[int, ...]) -> bool:
+    members = _members(g, elems)
+    return all(members[c].all() for _, c in _conjugates(g, np.arange(g.order), elems))
 
 
 def _is_characteristic(elems: tuple[int, ...], aut: AutSet) -> bool:
-    members = np.zeros(aut.group.order, dtype=bool)
-    members[list(elems)] = True
+    members = _members(aut.group, elems)
     return bool(members[aut.tables[:, list(elems)]].all())
+
+
+def _conjugacy_class(
+    g: FiniteGroup, elems: tuple[int, ...]
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The conjugates of the subgroup ``elems``, ``elems`` first and each an
+    ascending tuple, and its normalizer N_G(elems) as an ascending array.  A
+    conjugate is ``elems`` itself exactly when it lies inside it, as both
+    have |elems| members; only the others are sorted."""
+    members = _members(g, elems)
+    normalizer, others = [], set()
+    for x, c in _conjugates(g, np.arange(g.order), elems):
+        inside = members[c].all(axis=1)
+        normalizer.append(x[inside])
+        others.update(map(tuple, np.sort(c[~inside], axis=1).tolist()))
+    return [elems, *others], np.concatenate(normalizer)
+
+
+def _orbit_minima(g: FiniteGroup, xs: np.ndarray) -> np.ndarray:
+    """The least conjugate ``x e x^-1`` over x in the subgroup ``xs``, per
+    element e: equal labels mark the orbits of ``xs`` acting on G by
+    conjugation.  For all of G these are the conjugacy classes, which the
+    group keeps."""
+    if len(xs) == g.order:
+        return g.class_minima
+    label = np.arange(g.order)
+    for _, c in _conjugates(g, xs, range(g.order)):
+        np.minimum(label, c.min(axis=0), out=label)
+    return label
 
 
 def _lattice(
@@ -835,25 +885,66 @@ def _lattice(
     """Every join of the atom subgroups (the trivial group included), flagged
     normal and characteristic under aut and sorted by (order, elements).
 
-    A join of k atoms is reached from the join of k - 1 of them, so closing the
-    found set under "join one more atom" finds them all."""
-    atoms = sorted(set(atoms))
-    found: dict[tuple[int, ...], None] = {(0,): None}
-    worklist = [(0,)]
+    The atoms must hold, for each element e ≠ 1, the least subgroup of the
+    walked kind that contains e: <e>, or its normal closure.  So the atom of
+    e is the least atom containing e, and a join holds e exactly when it
+    holds e's atom.
+
+    The walk goes one conjugacy class at a time.  It keeps a representative
+    H per class found, joins H only with one atom per N_G(H)-orbit of the
+    atoms H does not contain, and adds each new join's whole class at once.
+    Why that finds every join: conjugation permutes the subgroups and the
+    atoms (x<e>x^-1 = <x e x^-1>, likewise for normal closures), and for x in
+    N_G(H), <H, x A x^-1> = x <H, A> x^-1, a conjugate of <H, A>.  By
+    induction on the number of atoms in a join J = <J', A> with J' a join of
+    fewer atoms and A not in J': some y J' y^-1 is a representative R, which
+    does not contain y A y^-1.  The walk joins R with some x y A y^-1 x^-1,
+    x in N_G(R), and gets x y J y^-1 x^-1.  That join is either new, and its
+    class is added, or was found with its whole class; either way J is
+    found.
+
+    Atoms A and B lie in one N_G(H)-orbit exactly when some element whose
+    atom is A is N_G(H)-conjugate to one whose atom is B; so each atom is
+    keyed by the least orbit label (`_orbit_minima`) of its elements, and the
+    key element's own atom represents the orbit.  A subgroup is normal
+    exactly when its class has one member."""
+    n = g.order
+    atoms = sorted(set(atoms), key=lambda a: (len(a), a))
+    atom_of = np.empty(n, dtype=np.int64)
+    for i in reversed(range(len(atoms))):  # the least atom containing e wins
+        atom_of[list(atoms[i])] = i
+    class_size = {(0,): 1}
+    worklist = [((0,), np.arange(n))]
     while worklist:
-        base = worklist.pop()
-        base_set = set(base)
-        for atom in atoms:
-            if base_set.issuperset(atom):
-                continue
-            bigger = _closure(g.table, base + atom)
-            if bigger not in found:
-                found[bigger] = None
-                worklist.append(bigger)
+        h, normalizer = worklist.pop()
+        outside = np.flatnonzero(~_members(g, h))
+        ids, labels = atom_of[outside], _orbit_minima(g, normalizer)[outside]
+        key = np.full(len(atoms), n)
+        np.minimum.at(key, ids, labels)
+        for e in np.unique(key[ids]).tolist():
+            join = _closure(g.table, h + atoms[atom_of[e]])
+            if join not in class_size:
+                conjugates, join_normalizer = _conjugacy_class(g, join)
+                class_size.update(dict.fromkeys(conjugates, len(conjugates)))
+                worklist.append((join, join_normalizer))
     return [
-        SubgroupHandle(g, e, normal=_is_normal(g, e), characteristic=_is_characteristic(e, aut))
-        for e in sorted(found, key=lambda e: (len(e), e))
+        SubgroupHandle(g, e, normal=class_size[e] == 1, characteristic=_is_characteristic(e, aut))
+        for e in sorted(class_size, key=lambda e: (len(e), e))
     ]
+
+
+def _cyclic_subgroups(g: FiniteGroup) -> set[tuple[int, ...]]:
+    """The subgroups <x>, x ≠ 1, from one walk over the powers of every
+    element at once, as `element_orders` walks them: after max order steps,
+    row x of the mask holds every power of x."""
+    n = g.order
+    idx = np.arange(n)
+    mask = np.zeros((n, n), dtype=bool)
+    power = idx
+    for _ in range(int(g.element_orders.max())):
+        mask[idx, power] = True
+        power = g.table[power, idx]
+    return {tuple(np.flatnonzero(row).tolist()) for row in mask[1:]}
 
 
 def subgroups(g: FiniteGroup, aut: Optional[AutSet] = None) -> list[SubgroupHandle]:
@@ -865,7 +956,7 @@ def subgroups(g: FiniteGroup, aut: Optional[AutSet] = None) -> list[SubgroupHand
     if g.order > SUBGROUP_ORDER_CAP:
         raise CapExceeded(f"subgroup enumeration capped at order {SUBGROUP_ORDER_CAP}")
     aut = automorphism_group(g) if aut is None else aut
-    return _lattice(g, (_closure(g.table, [x]) for x in range(1, g.order)), aut)
+    return _lattice(g, _cyclic_subgroups(g), aut)
 
 
 def normal_subgroups(g: FiniteGroup, aut: Optional[AutSet] = None) -> list[SubgroupHandle]:

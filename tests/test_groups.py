@@ -539,6 +539,10 @@ class TestCharacteristicSeries:
 
 
 # Every group of the shipped battery manifest, plus a few with richer lattices.
+# They catch both wrong variants of the class-by-class walk: reducing the
+# atoms by all of G instead of N_G(H) misses subgroups of alt:4, alt:5, sym:4,
+# sym:5 and prod:(sym:4)x(cyc:3); adding a new join without its conjugates
+# misses subgroups of ten specs.
 def _battery_groups():
     from wordfibers.cli import default_battery_path
 
@@ -546,7 +550,9 @@ def _battery_groups():
     return sorted({e[k] for e in entries for k in ("group", "simple") if k in e})
 
 
-LATTICE_SPECS = _battery_groups() + ["sym:4", "dih:8", "pow:(cyc:2)^4", "prod:(sym:4)x(cyc:3)"]
+LATTICE_SPECS = _battery_groups() + [
+    "sym:4", "sym:5", "dih:8", "dih:12", "pow:(cyc:2)^4", "prod:(sym:4)x(cyc:3)"
+]
 
 
 @functools.lru_cache(maxsize=None)
@@ -627,6 +633,27 @@ class TestLattice:
         chain = [h.elements for h in series.chain]
         factors = [(f.factor.order, f.simple.order, f.copies) for f in series.factors]
         assert (chain, factors) == reference_series(g, aut)
+
+    def test_walk_joins_one_atom_per_normalizer_orbit(self, monkeypatch):
+        # joining every found subgroup with every atom took 1,700 closures
+        g, aut = group_and_aut("alt:5")
+        calls = []
+        real = groups_mod._closure
+        monkeypatch.setattr(
+            groups_mod, "_closure", lambda *a, **k: calls.append(None) or real(*a, **k)
+        )
+        assert len(subgroups(g, aut=aut)) == 59
+        assert len(calls) == 48
+
+    def test_conjugation_blocks_of_any_size_give_the_same_flags(self, monkeypatch):
+        # a block of 5 entries splits every conjugation into many blocks
+        monkeypatch.setattr(groups_mod, "_COMPOSE_BLOCK_ELEMENTS", 5)
+        g, aut = group_and_aut("sym:4")
+        expected = reference_subgroups(g, aut)
+        assert flags(subgroups(g, aut=aut)) == expected
+        assert [subgroup_handle(g, e).normal for e, _, _ in expected] == [
+            normal for _, normal, _ in expected
+        ]
 
     def test_series_and_normal_lattice_above_the_subgroup_cap(self):
         g = make_group("prod:(alt:5)x(cyc:4)")
