@@ -76,8 +76,12 @@ EXIT_BUDGET = 3
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Exact rational from 'p/q', an integer, or a decimal literal."""
-    return Fraction(str(text).strip())
+    """Exact rational from 'p/q', an integer, or a decimal literal; a zero
+    denominator is a ValueError, as any other bad literal is."""
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:

@@ -54,7 +54,14 @@ class MaxFiberResult:
     tuples accounted for, |G|^d per covered or scanned tuple.  A word that
     splits into segments (see `_BatchEvaluator`) accounts for them without
     evaluating each one.  ``witness_tuple`` holds the witness's letter
-    automorphisms, one table per row."""
+    automorphisms, one table per row, and ``witness_tuple_indices`` their
+    AutSet indices.
+
+    ``target_values[g]`` is the largest fiber at target g over the tuples
+    covered, P^(A)(G, g) in exact mode, and ``target_tuple_numbers[g]`` the
+    number of the least tuple attaining it: its full mixed-radix index in
+    exact mode, its draw number in sample mode (0 is the identity tuple);
+    -1 for a target no tuple reaches."""
 
     value: int
     proportion: Fraction
@@ -65,22 +72,10 @@ class MaxFiberResult:
     evaluations: int
     tuples_scanned: int
     evaluations_performed: int
+    target_values: np.ndarray
+    target_tuple_numbers: np.ndarray
     witness_tuple_indices: Optional[tuple[int, ...]] = None
     seed: Optional[int] = None
-
-
-@dataclass
-class PerTargetMax:
-    """P^(A)(G, g) for every g, with the first tuple index attaining each.
-
-    Coverage and work are counted as in `MaxFiberResult`."""
-
-    values: np.ndarray
-    witness_tuple_indices: np.ndarray
-    tuples_examined: int
-    evaluations: int
-    tuples_scanned: int
-    evaluations_performed: int
 
 
 def _letter_args(w: ReducedWord) -> list[tuple[int, int]]:
@@ -90,14 +85,11 @@ def _letter_args(w: ReducedWord) -> list[tuple[int, int]]:
     return [(pos[let.var], let.sign) for let in w.letters]
 
 
-def _letter_tables(
-    g: FiniteGroup, w: ReducedWord, auts: np.ndarray, batched: bool = False
-) -> np.ndarray:
+def _letter_tables(g: FiniteGroup, w: ReducedWord, auts: np.ndarray) -> np.ndarray:
     tables = np.asarray(auts)
-    if tables.ndim != 2 + batched or tables.shape[-2:] != (w.length, g.order):
+    if tables.shape != (w.length, g.order):
         raise ValueError(
-            f"expected {'trials of ' * batched}{w.length} automorphism rows of "
-            f"{g.order} entries, got {tables.shape}"
+            f"expected {w.length} automorphism rows of {g.order} entries, got {tables.shape}"
         )
     return tables
 
@@ -380,17 +372,6 @@ def _segments(w: ReducedWord) -> list[tuple[int, int]]:
     return segments
 
 
-@dataclass
-class _BestCell:
-    """A best tuple: its value, tuple index, target and per-letter AutSet
-    indices."""
-
-    value: int = -1
-    tuple_idx: int = -1
-    target: int = -1
-    letters: tuple[int, ...] = ()
-
-
 def _normal_form_batches(ev: _BatchEvaluator, start: int, stop: int, free: Sequence[int]):
     """Scanned rows start..stop-1 of the exact search in batches, their
     digits filling the `free` letters, with their full indices
@@ -414,65 +395,53 @@ def _sampled_batches(ev: _BatchEvaluator, rng: np.random.Generator, samples: int
         yield list(draws.T), np.arange(lo, hi, dtype=np.int64)
 
 
-def _scan_range(
-    ev: _BatchEvaluator, batches, target: Optional[int]
-) -> tuple[_BestCell, np.ndarray, np.ndarray, int]:
-    """Scan batches of tuples; returns the best cell, the per-target maxima
-    with first-attaining tuple indices, and the evaluation count.
+def _scan_range(ev: _BatchEvaluator, batches):
+    """Scan batches of tuples; returns, for each target, the largest fiber,
+    the number of the least tuple attaining it and that tuple's per-letter
+    AutSet indices ((n,), (n,) and (n, l) arrays), and the evaluation count.
 
     A batch is its per-letter AutSet indices, None for the identity on every
-    tuple, and its tuple indices, ascending: full mixed-radix indices
-    (`_normal_form_batches`) or draw numbers (`_sampled_batches`).  Ties go
-    to the least tuple index, then to the least target.
+    tuple, and its tuple numbers, ascending: full mixed-radix indices
+    (`_normal_form_batches`) or draw numbers (`_sampled_batches`).  A target's
+    record changes only where a batch beats it strictly, to the batch's first
+    row at the new maximum, so it is always the least tuple attaining it.  A
+    target no tuple reaches keeps value 0, number -1 and the identity tuple,
+    every letter 0.
     """
-    best = _BestCell()
-    per_vals = np.zeros(ev.n, dtype=np.int64)
-    per_idx = np.full(ev.n, -1, dtype=np.int64)
+    vals = np.zeros(ev.n, dtype=np.int64)
+    nums = np.full(ev.n, -1, dtype=np.int64)
+    letters = np.zeros((ev.n, ev.w.length), dtype=np.int64)
     evals = 0
     for digits, idx in batches:
         counts = ev.counts(digits)
         evals += len(idx) * ev.total_args
         batch_max = counts.max(axis=0)
-        batch_arg = counts.argmax(axis=0)
-        improved = batch_max > per_vals
-        per_idx[improved] = idx[batch_arg[improved]]
-        np.maximum(per_vals, batch_max, out=per_vals)
-        if target is None:
-            row_vals = counts.max(axis=1)
-            row_targets = counts.argmax(axis=1)
-        else:
-            row_vals = counts[:, target]
-            row_targets = np.full(len(idx), target, dtype=np.int64)
-        r = int(np.argmax(row_vals))
-        if row_vals[r] > best.value:
-            letters = tuple(0 if dig is None else int(dig[r]) for dig in digits)
-            best = _BestCell(int(row_vals[r]), int(idx[r]), int(row_targets[r]), letters)
-    return best, per_vals, per_idx, evals
+        improved = np.flatnonzero(batch_max > vals)
+        if improved.size:
+            rows = counts[:, improved].argmax(axis=0)
+            vals[improved] = batch_max[improved]
+            nums[improved] = idx[rows]
+            for i, dig in enumerate(digits):
+                letters[improved, i] = 0 if dig is None else dig[rows]
+    return vals, nums, letters, evals
 
 
 def _merge_ranges(parts):
-    best = _BestCell()
-    per_vals = None
-    per_idx = None
-    evals = 0
-    for part_best, vals, idx, ev in parts:
-        if part_best.value > best.value:
-            best = part_best
-        if per_vals is None:
-            per_vals, per_idx = vals.copy(), idx.copy()
-        else:
-            take = vals > per_vals
-            per_idx[take] = idx[take]
-            np.maximum(per_vals, vals, out=per_vals)
-        evals += ev
-    return best, per_vals, per_idx, evals
+    """The records of consecutive ranges, given in order, as one scan would
+    leave them: a later range's record wins only where strictly larger."""
+    vals, nums, letters, evals = parts[0]
+    for v, t, let, e in parts[1:]:
+        take = v > vals
+        vals, nums = np.where(take, v, vals), np.where(take, t, nums)
+        letters = np.where(take[:, None], let, letters)
+        evals += e
+    return vals, nums, letters, evals
 
 
 def _search_all_tuples(
     g: FiniteGroup,
     w: ReducedWord,
     a: AutSet,
-    target: Optional[int],
     budget: int,
     threads: int,
 ):
@@ -488,19 +457,18 @@ def _search_all_tuples(
     later letters, the free ones, need to vary: |A|^(l-d) tuples.  An unclosed
     A makes every letter free, which is the full scan.
 
-    Least witness: the least-index tuple attaining a maximum (overall, at a
-    fixed target or at each target) is already in normal form.  If its first
-    non-identity first letter is p, of variable v, the move above with
-    gamma = alpha_p^-1 leaves every letter before p alone, since p is v's
-    first letter, and puts 0 at p, giving a smaller mixed-radix index with
-    the same counts.  Scanned rows map to full indices monotonically, so
-    scanning them in order, in any thread split, reports the same witnesses
-    as the full scan.
+    Least witness: the least-index tuple attaining a target's maximum is
+    already in normal form.  If its first non-identity first letter is p, of
+    variable v, the move above with gamma = alpha_p^-1 leaves every letter
+    before p alone, since p is v's first letter, and puts 0 at p, giving a
+    smaller mixed-radix index with the same counts.  Scanned rows map to
+    full indices monotonically, so scanning them in order, in any thread
+    split, reports the same witnesses as the full scan.
 
     The budget is checked against the evaluations performed, the argument
     tuples the scanned tuples account for, before any is made.  Returns the
-    best cell, the per-target maxima with their witness indices, the
-    evaluations performed, and the tuples covered and scanned.
+    per-target records of `_scan_range`, the evaluations performed, and the
+    tuples covered and scanned.
     """
     _require_word(w)
     m, l = len(a), w.length
@@ -518,18 +486,17 @@ def _search_all_tuples(
     # no more workers than cores; the witnesses do not depend on the split
     threads = max(1, min(int(threads), os.cpu_count() or 1))
     if threads == 1 or scanned < 4 * threads:
-        parts = [_scan_range(ev, _normal_form_batches(ev, 0, scanned, free), target)]
+        parts = [_scan_range(ev, _normal_form_batches(ev, 0, scanned, free))]
     else:
         bounds = np.linspace(0, scanned, threads + 1, dtype=np.int64).tolist()
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_scan_range, ev, _normal_form_batches(ev, lo, hi, free), target)
+                pool.submit(_scan_range, ev, _normal_form_batches(ev, lo, hi, free))
                 for lo, hi in zip(bounds, bounds[1:])
                 if hi > lo
             ]
             parts = [f.result() for f in futures]
-    best, per_vals, per_idx, evals = _merge_ranges(parts)
-    return best, per_vals, per_idx, evals, covered, scanned
+    return *_merge_ranges(parts), covered, scanned
 
 
 def max_fiber(
@@ -543,7 +510,8 @@ def max_fiber(
     threads: int = 1,
     samples: int = 1000,
 ) -> MaxFiberResult:
-    """Maximum fiber size over automorphism tuples drawn from A.
+    """Maximum fiber size over automorphism tuples drawn from A, and the
+    maximum at every target from the same scan.
 
     target None means maximize over all targets.  Exact mode covers all |A|^l
     tuples but, when A is closed, scans only the |A|^(l-d) with the identity
@@ -554,8 +522,18 @@ def max_fiber(
     after the identity tuple, in blocks of `batch_size()` as it scans them,
     and reports a lower bound.  In both modes the
     budget bounds the evaluations performed, and is checked before any tuple
-    is scanned or drawn.  Ties are broken by the least (tuple index, target
-    index).
+    is scanned or drawn.
+
+    Ties are broken by the least (tuple index, target index), and the
+    witness is read off the per-target records of `_scan_range`.  With a
+    target given, its record is the least tuple attaining its maximum.  With
+    none, let M be the largest value and t the least tuple reaching M at any
+    target.  Every target at M has a record number of at least t, and equal
+    to t exactly where tuple t reaches M, since no earlier tuple reaches M
+    anywhere.  So the least record number among the targets at M is t, and
+    the least target holding it is the least target where tuple t reaches M.
+    A target no tuple reaches reports value 0 and the identity tuple, which
+    is what the first tuple scanned, always the identity, gives.
     """
     _require_word(w)
     if len(a) == 0:
@@ -564,8 +542,8 @@ def max_fiber(
         raise ValueError(f"target {target} out of range for order {g.order}")
     d = w.num_variables
     if mode == "exact":
-        best, _, _, evals, total, scanned = _search_all_tuples(
-            g, w, a, target, budget, threads
+        vals, nums, letters, evals, total, scanned = _search_all_tuples(
+            g, w, a, budget, threads
         )
     elif mode == "sample":
         if samples < 1:
@@ -575,44 +553,28 @@ def max_fiber(
             raise BudgetExceeded(f"sampled search needs {needed} evaluations, budget is {budget}")
         ev = _BatchEvaluator(g, w, a.tables)
         batches = _sampled_batches(ev, np.random.default_rng(seed), samples)
-        best, _, _, evals = _scan_range(ev, batches, target)
+        vals, nums, letters, evals = _scan_range(ev, batches)
         total = scanned = samples + 1
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    if target is None:
+        top = np.flatnonzero(vals == vals.max())
+        target = int(top[np.argmin(nums[top])])
+    value = int(vals[target])
     return MaxFiberResult(
-        value=best.value,
-        proportion=Fraction(best.value, g.order**d),
-        witness_tuple=a.tables[list(best.letters)],
-        witness_target=best.target,
+        value=value,
+        proportion=Fraction(value, g.order**d),
+        witness_tuple=a.tables[letters[target]],
+        witness_target=target,
         status="exact" if mode == "exact" else "lower_bound",
         tuples_examined=total,
         evaluations=total * g.order**d,
         tuples_scanned=scanned,
         evaluations_performed=evals,
-        witness_tuple_indices=best.letters,
+        target_values=vals,
+        target_tuple_numbers=nums,
+        witness_tuple_indices=tuple(letters[target].tolist()),
         seed=None if mode == "exact" else seed,
-    )
-
-
-def max_fiber_per_target(
-    g: FiniteGroup,
-    w: ReducedWord,
-    a: AutSet,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
-) -> PerTargetMax:
-    """Exact P^(A)(G, g) for every target g at once."""
-    _require_word(w)
-    _, per_vals, per_idx, evals, total, scanned = _search_all_tuples(
-        g, w, a, None, budget, threads
-    )
-    return PerTargetMax(
-        values=per_vals,
-        witness_tuple_indices=per_idx,
-        tuples_examined=total,
-        evaluations=total * g.order**w.num_variables,
-        tuples_scanned=scanned,
-        evaluations_performed=evals,
     )
 
 
@@ -725,15 +687,14 @@ def _components(pattern: np.ndarray) -> list[list[int]]:
 @dataclass
 class RewriteResult:
     """Automorphisms of N, one table row per letter, expressing the coset
-    equation over N^d.  One trial gives beta as (l, |N|), the target as an
-    int and the conjugators as a tuple; a batch of T trials gives (T, l, |N|),
-    (T,) and (T, l) arrays."""
+    equation over N^d, for a batch of T trials: beta is (T, l, |N|), the
+    targets (T,) and the conjugators (T, l)."""
 
     n_group: FiniteGroup
     n_elements: tuple[int, ...]
     beta: np.ndarray
-    target: int | np.ndarray
-    conjugators: tuple[int, ...] | np.ndarray
+    target: np.ndarray
+    conjugators: np.ndarray
 
 
 def rewrite_coset_equation(
@@ -741,7 +702,7 @@ def rewrite_coset_equation(
     n: SubgroupHandle,
     w: ReducedWord,
     auts: np.ndarray,
-    base: Sequence[int] | np.ndarray,
+    base: np.ndarray,
     target: Optional[int | np.ndarray] = None,
 ) -> RewriteResult:
     """Rewrite `word(auts, (n_1 g_1, ..., n_d g_d)) = target` over N^d as
@@ -753,15 +714,17 @@ def rewrite_coset_equation(
     per letter, and so does beta.  A batch of T trials is given as (T, l, |G|)
     tables and (T, d) bases and rewritten at once: each letter's factors,
     the running products and the conjugated rows are table gathers over all
-    trials; one trial, (l, |G|) and d entries, is a batch of one.  A row that
-    does not map N onto itself has no restriction and is refused.
+    trials.  A row that does not map N onto itself has no restriction and is
+    refused.
     """
     _require_word(w)
-    batched = np.ndim(auts) == 3
-    tables = _letter_tables(g, w, auts, batched)
+    tables = np.asarray(auts)
     bases = np.asarray(base, dtype=np.int64)
-    if not batched:
-        tables, bases = tables[None], bases[None]
+    if tables.ndim != 3 or tables.shape[1:] != (w.length, g.order):
+        raise ValueError(
+            f"expected trials of {w.length} automorphism rows of {g.order} entries, "
+            f"got {tables.shape}"
+        )
     if bases.shape != (len(tables), w.num_variables):
         raise ValueError(
             f"expected {w.num_variables} base entries per trial, got {bases.shape}"
@@ -788,7 +751,4 @@ def rewrite_coset_equation(
     beta = npos[g.table[g.table[c, tables[:, :, list(n.elements)]], g.inv_table[c]]]
     if (beta < 0).any():
         raise ValueError("conjugated automorphism must stabilize N")
-    if not batched:
-        beta, value = beta[0], int(value[0])
-        conjugators = tuple(int(x) for x in conjugators[0])
     return RewriteResult(n.as_group, tuple(n.elements), beta, value, conjugators)

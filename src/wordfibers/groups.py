@@ -533,16 +533,23 @@ def inner_automorphisms(g: FiniteGroup) -> AutSet:
     return AutSet(g, t[t, inv[:, None]], kind="inner")
 
 
-def _span_mask(table: np.ndarray, gens: Sequence[int]) -> np.ndarray:
+def _span_mask(
+    table: np.ndarray, gens: Sequence[int], start: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Membership mask of the subgroup generated by gens (always holding 0).
 
     In a finite group every element of <gens> is a positive word in gens, so
     right-multiplying by gens breadth-first from the identity reaches all of
-    it; each level is one table gather."""
-    mask = np.zeros(table.shape[0], dtype=bool)
-    mask[0] = True
+    it; each level is one table gather.  A `start` mask, holding 0 and only
+    elements of <gens>, is the first level: the walk from it reaches the same
+    subgroup, since the identity is in it, and in fewer levels when it holds
+    long words in gens, such as their powers."""
+    if start is None:
+        start = np.zeros(table.shape[0], dtype=bool)
+        start[0] = True
+    mask = start.copy()
     cols = np.unique(np.asarray(gens, dtype=np.int64))
-    frontier = np.zeros(1 if cols.size else 0, dtype=np.int64)
+    frontier = np.flatnonzero(mask) if cols.size else np.zeros(0, dtype=np.int64)
     while frontier.size:
         prods = table[frontier[:, None], cols].ravel()
         frontier = np.unique(prods[~mask[prods]])
@@ -933,10 +940,10 @@ def _lattice(
     ]
 
 
-def _cyclic_subgroups(g: FiniteGroup) -> set[tuple[int, ...]]:
-    """The subgroups <x>, x ≠ 1, from one walk over the powers of every
-    element at once, as `element_orders` walks them: after max order steps,
-    row x of the mask holds every power of x."""
+def _power_mask(g: FiniteGroup) -> np.ndarray:
+    """(|G|, |G|) mask whose row x is the cyclic subgroup <x>, from one walk
+    over the powers of every element at once, as `element_orders` walks
+    them: after max order steps, row x holds every power of x."""
     n = g.order
     idx = np.arange(n)
     mask = np.zeros((n, n), dtype=bool)
@@ -944,7 +951,12 @@ def _cyclic_subgroups(g: FiniteGroup) -> set[tuple[int, ...]]:
     for _ in range(int(g.element_orders.max())):
         mask[idx, power] = True
         power = g.table[power, idx]
-    return {tuple(np.flatnonzero(row).tolist()) for row in mask[1:]}
+    return mask
+
+
+def _cyclic_subgroups(g: FiniteGroup) -> set[tuple[int, ...]]:
+    """The subgroups <x>, x ≠ 1."""
+    return {tuple(np.flatnonzero(row).tolist()) for row in _power_mask(g)[1:]}
 
 
 def subgroups(g: FiniteGroup, aut: Optional[AutSet] = None) -> list[SubgroupHandle]:
@@ -1087,8 +1099,16 @@ def characteristic_series(g: FiniteGroup, aut: Optional[AutSet] = None) -> CharS
 def _class_closures(g: FiniteGroup) -> list[tuple[int, ...]]:
     """The normal closures of the non-identity conjugacy classes, without
     repeats, sorted by (order, elements).  Closing a class under products
-    suffices because the generating set is conjugation-stable."""
-    closures = {_closure(g.table, cls) for cls in g.conjugacy_classes if cls != (0,)}
+    suffices because the generating set is conjugation-stable.  Each class's
+    walk starts from the union of its elements' cyclic subgroups, rows of
+    one `_power_mask`, all inside the closure, so an element of order k
+    costs no k levels of the walk."""
+    powers = _power_mask(g)
+    closures = {
+        tuple(np.flatnonzero(_span_mask(g.table, cls, powers[list(cls)].any(axis=0))).tolist())
+        for cls in g.conjugacy_classes
+        if cls != (0,)
+    }
     return sorted(closures, key=lambda c: (len(c), c))
 
 

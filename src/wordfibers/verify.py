@@ -5,7 +5,7 @@ Exhaustive checkers report "pass" or "fail"; sampled checkers report
 "inconclusive-sampled" (zero violations found) or "fail".  One exception:
 `check_rewrite` samples its trials (automorphism tuple and base tuple) with a
 seed, yet reports "pass" when every trial holds; each trial is checked over
-all of N^d, but the trials cover only part of the space (ROADMAP item 3).
+all of N^d, but the trials cover only part of the space (ROADMAP item 5).
 Its trials are drawn, rewritten and swept in blocks of trials, with the
 draws, witness and counters of a trial-by-trial sweep.
 """
@@ -29,7 +29,6 @@ from .fibers import (
     MaxFiberResult,
     fiber_distribution,
     max_fiber,
-    max_fiber_per_target,
     pi_w,
     rewrite_coset_equation,
     wreath_counts,
@@ -74,26 +73,26 @@ def check_identity_maximal(
 ) -> CheckReport:
     """Every target's best fiber is at most the identity's best fiber."""
     _require_inner(a)
-    pt = max_fiber_per_target(g, w, a, budget=budget, threads=threads)
-    identity_max = int(pt.values[0])
-    worst = int(np.argmax(pt.values))
+    res = max_fiber(g, w, a, budget=budget, threads=threads)
+    identity_max = int(res.target_values[0])
+    worst = int(np.argmax(res.target_values))
     params = {
         "group": g.spec,
         "word": format_word(w),
         "autset": a.kind,
         "autset_size": len(a),
     }
-    counters = {"tuples_examined": pt.tuples_examined, "evaluations": pt.evaluations}
-    if int(pt.values[worst]) > identity_max:
+    counters = {"tuples_examined": res.tuples_examined, "evaluations": res.evaluations}
+    if res.value > identity_max:
         return CheckReport(
             claim="identity-max",
             params=params,
             outcome="fail",
             witness={
                 "target": worst,
-                "target_max": int(pt.values[worst]),
+                "target_max": res.value,
                 "identity_max": identity_max,
-                "witness_tuple_index": int(pt.witness_tuple_indices[worst]),
+                "witness_tuple_index": int(res.target_tuple_numbers[worst]),
             },
             counters=counters,
         )
@@ -103,7 +102,7 @@ def check_identity_maximal(
         outcome="pass",
         witness={
             "identity_max": identity_max,
-            "per_target_max": [int(v) for v in pt.values],
+            "per_target_max": res.target_values.tolist(),
         },
         counters=counters,
     )
@@ -122,10 +121,10 @@ def check_submultiplicative(
     ind = induced_autset(g, n, a)
     res = restricted_autset(g, n, a)
     qh = n.as_quotient
-    pt_g = max_fiber_per_target(g, w, a, budget=budget, threads=threads)
-    pt_q = max_fiber_per_target(qh.quotient, w, ind, budget=budget, threads=threads)
-    pt_n = max_fiber_per_target(res.group, w, res, budget=budget, threads=threads)
-    n_identity = int(pt_n.values[0])
+    pt_g = max_fiber(g, w, a, budget=budget, threads=threads)
+    pt_q = max_fiber(qh.quotient, w, ind, budget=budget, threads=threads)
+    pt_n = max_fiber(res.group, w, res, budget=budget, threads=threads)
+    n_identity = int(pt_n.target_values[0])
     params = {
         "group": g.spec,
         "subgroup_order": n.order,
@@ -142,8 +141,8 @@ def check_submultiplicative(
         + pt_n.tuples_examined,
     }
     for target in range(g.order):
-        lhs = int(pt_g.values[target])
-        rhs = int(pt_q.values[qh.projection[target]]) * n_identity
+        lhs = int(pt_g.target_values[target])
+        rhs = int(pt_q.target_values[qh.projection[target]]) * n_identity
         if lhs > rhs:
             return CheckReport(
                 claim="submultiplicative",
@@ -153,13 +152,13 @@ def check_submultiplicative(
                     "part": 1,
                     "target": target,
                     "group_value": lhs,
-                    "quotient_value": int(pt_q.values[qh.projection[target]]),
+                    "quotient_value": int(pt_q.target_values[qh.projection[target]]),
                     "subgroup_identity_value": n_identity,
                 },
                 counters=counters,
             )
-    overall_lhs = int(pt_g.values.max())
-    overall_rhs = int(pt_q.values.max()) * int(pt_n.values.max())
+    overall_lhs = pt_g.value
+    overall_rhs = pt_q.value * pt_n.value
     if overall_lhs > overall_rhs:
         return CheckReport(
             claim="submultiplicative",
@@ -168,8 +167,8 @@ def check_submultiplicative(
             witness={
                 "part": 3,
                 "group_value": overall_lhs,
-                "quotient_value": int(pt_q.values.max()),
-                "subgroup_value": int(pt_n.values.max()),
+                "quotient_value": pt_q.value,
+                "subgroup_value": pt_n.value,
             },
             counters=counters,
         )
@@ -179,8 +178,8 @@ def check_submultiplicative(
         outcome="pass",
         witness={
             "group_value": overall_lhs,
-            "quotient_value": int(pt_q.values.max()),
-            "subgroup_value": int(pt_n.values.max()),
+            "quotient_value": pt_q.value,
+            "subgroup_value": pt_n.value,
         },
         counters=counters,
     )

@@ -166,7 +166,7 @@ def test_criterion_4_rewrite_trials_and_closed_form():
             for _ in range(20):
                 auts = aut.tables[rng.integers(0, len(aut), 4)]
                 base = tuple(int(x) for x in rng.integers(0, g.order, 2))
-                res = rewrite_coset_equation(g, n, w, auts, base)
+                res = rewrite_coset_equation(g, n, w, auts[None], [base])
                 a1, a2, a3, a4 = (lambda x, row=row: int(row[x]) for row in auts)
                 g1, g2 = base
                 c2 = a1(g1)
@@ -180,7 +180,7 @@ def test_criterion_4_rewrite_trials_and_closed_form():
                 ]
                 for i in range(4):
                     for pos, elem in enumerate(res.n_elements):
-                        assert res.n_elements[res.beta[i][pos]] == closed[i](elem)
+                        assert res.n_elements[res.beta[0, i, pos]] == closed[i](elem)
 
 
 def test_criterion_5_variation_machinery():

@@ -40,6 +40,41 @@ class TestParseFraction:
         assert parse_fraction("3") == 3
         assert parse_fraction("0.25") == Fraction(1, 4)
 
+    def test_zero_denominator_is_a_value_error_naming_the_text(self):
+        with pytest.raises(ValueError, match="zero denominator in ' 3/0'"):
+            parse_fraction(" 3/0")
+
+    def expect_one_usage_error(self, argv):
+        code, doc, text = run(argv)
+        assert code == EXIT_USAGE and doc["status"] == "usage-error"
+        assert text.count("\n") == 1
+        assert doc["result"]["error"] == "zero denominator in '1/0'"
+
+    def test_zero_rho(self):
+        self.expect_one_usage_error(["bounds", "alt", "--word", "x1", "--rho", "1/0"])
+
+    def test_zero_eta_zero(self):
+        self.expect_one_usage_error(
+            ["bounds", "radical-bound", "--word", "x1", "--rho", "1/2", "--n-zero", "5",
+             "--eta-zero", "1/0"]
+        )
+
+    def test_zero_epsilon_factor(self):
+        self.expect_one_usage_error(
+            ["verify", "variation-bound", "--simple", "alt:5", "--word", "x1",
+             "--epsilon-factor", "1/0"]
+        )
+
+    def test_zero_epsilon_factor_in_a_manifest(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(
+            [{"check": "variation-bound", "simple": "alt:5", "word": "x1",
+              "epsilon_factor": "1/0"}]
+        ))
+        self.expect_one_usage_error(
+            ["verify", "battery", "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+        )
+
 
 class TestSchema:
     def test_document_shape(self):

@@ -15,7 +15,6 @@ from wordfibers.fibers import (
     eval_automorphic,
     fiber_distribution,
     max_fiber,
-    max_fiber_per_target,
     pi_w,
     rewrite_coset_equation,
 )
@@ -249,6 +248,26 @@ class TestMaxFiber:
         assert res_one.value <= res_any.value
         assert res_one.witness_target == 1
 
+    def test_tie_goes_to_the_least_tuple_then_the_least_target(self):
+        # q8 under Inn, x1^2: target 1 (-1) is reached 6 times by tuple 0,
+        # target 0 only by tuple 1; no tuple reaches targets 2..7
+        g = make_group("q8")
+        a = inner_automorphisms(g)
+        res = max_fiber(g, SQUARE, a)
+        assert (res.value, res.witness_target, res.witness_tuple_indices) == (6, 1, (0, 0))
+        assert res.target_values.tolist() == [6, 6] + [0] * 6
+        assert res.target_tuple_numbers.tolist() == [1, 0] + [-1] * 6
+        zero = max_fiber(g, SQUARE, a, target=0)
+        assert (zero.value, zero.witness_target, zero.witness_tuple_indices) == (6, 0, (0, 1))
+        unreached = max_fiber(g, SQUARE, a, target=2)
+        assert (unreached.value, unreached.witness_target) == (0, 2)
+        assert unreached.witness_tuple_indices == (0, 0)
+        assert unreached.witness_tuple.tolist() == a.tables[[0, 0]].tolist()
+        for threads in (1, 2):
+            for mode in ("exact", "sample"):
+                again = max_fiber(g, SQUARE, a, mode=mode, threads=threads)
+                assert (again.witness_target, again.witness_tuple_indices) == (1, (0, 0))
+
     def test_trivial_group(self):
         # the general search covers the one tuple and the one target
         g = make_group("cyc:1")
@@ -260,10 +279,8 @@ class TestMaxFiber:
                 assert res.witness_tuple.tolist() == [[0]] * w.length
                 assert (res.tuples_examined, res.evaluations) == (1, 1)
                 assert (res.tuples_scanned, res.evaluations_performed) == (1, 1)
-                pt = max_fiber_per_target(g, w, a)
-                assert pt.values.tolist() == [1] and pt.witness_tuple_indices.tolist() == [0]
-                assert (pt.tuples_examined, pt.evaluations) == (1, 1)
-                assert (pt.tuples_scanned, pt.evaluations_performed) == (1, 1)
+                assert res.target_values.tolist() == [1]
+                assert res.target_tuple_numbers.tolist() == [0]
                 sampled = max_fiber(g, w, a, mode="sample", samples=4, seed=9)
                 assert (sampled.value, sampled.status, sampled.seed) == (1, "lower_bound", 9)
                 assert sampled.tuples_examined == sampled.evaluations == 5
@@ -277,14 +294,14 @@ class TestMaxFiber:
     def test_per_target_matches_python_oracle(self):
         g = make_group("sym:3")
         inn = inner_automorphisms(g)
-        got = max_fiber_per_target(g, COMMUTATOR, inn)
-        assert got.values.tolist() == per_target_oracle(g, COMMUTATOR, inn)
+        got = max_fiber(g, COMMUTATOR, inn)
+        assert got.target_values.tolist() == per_target_oracle(g, COMMUTATOR, inn)
 
     def test_per_target_matches_oracle_with_full_aut_on_xy(self):
         g = make_group("cyc:4")
         aut = automorphism_group(g)
-        got = max_fiber_per_target(g, parse_word("x1 x2 x1"), aut)
-        assert got.values.tolist() == per_target_oracle(g, parse_word("x1 x2 x1"), aut)
+        got = max_fiber(g, parse_word("x1 x2 x1"), aut)
+        assert got.target_values.tolist() == per_target_oracle(g, parse_word("x1 x2 x1"), aut)
 
     def test_thread_count_does_not_change_results(self):
         g = make_group("dih:4")
@@ -296,10 +313,8 @@ class TestMaxFiber:
             four.witness_tuple_indices,
             four.witness_target,
         )
-        pt1 = max_fiber_per_target(g, COMMUTATOR, a, threads=1)
-        pt4 = max_fiber_per_target(g, COMMUTATOR, a, threads=4)
-        assert pt1.values.tolist() == pt4.values.tolist()
-        assert pt1.witness_tuple_indices.tolist() == pt4.witness_tuple_indices.tolist()
+        assert one.target_values.tolist() == four.target_values.tolist()
+        assert one.target_tuple_numbers.tolist() == four.target_tuple_numbers.tolist()
 
     def test_budget_error(self):
         g = make_group("alt:4")
@@ -309,16 +324,13 @@ class TestMaxFiber:
     def test_chunked_argument_path_matches_batched(self, monkeypatch):
         g = make_group("dih:4")
         a = automorphism_group(g)
-        batched = max_fiber_per_target(g, COMMUTATOR, a)
+        batched = max_fiber(g, COMMUTATOR, a)
         monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 7)
-        chunked = max_fiber_per_target(g, COMMUTATOR, a)
-        assert batched.values.tolist() == chunked.values.tolist()
-        assert (
-            batched.witness_tuple_indices.tolist()
-            == chunked.witness_tuple_indices.tolist()
-        )
-        single = max_fiber(g, COMMUTATOR, a)
-        assert single.value == int(batched.values.max())
+        chunked = max_fiber(g, COMMUTATOR, a)
+        assert batched.target_values.tolist() == chunked.target_values.tolist()
+        assert batched.target_tuple_numbers.tolist() == chunked.target_tuple_numbers.tolist()
+        assert batched.witness_tuple_indices == chunked.witness_tuple_indices
+        assert batched.value == int(batched.target_values.max())
 
     def test_monotone_in_autset(self):
         for spec, w in [("dih:4", SQUARE), ("sym:3", COMMUTATOR), ("q8", SQUARE)]:
@@ -480,8 +492,8 @@ class TestKernelAgainstOracle:
         g = make_group("sym:3")
         unclosed_g, unclosed = doubling_autset()
         for grp, a in ((g, automorphism_group(g)), (unclosed_g, unclosed)):
-            got = max_fiber_per_target(grp, w, a)
-            assert got.values.tolist() == per_target_oracle(grp, w, a)
+            got = max_fiber(grp, w, a)
+            assert got.target_values.tolist() == per_target_oracle(grp, w, a)
 
 
 # independent oracle: the fiber sizes of one tuple by itertools.product over
@@ -615,10 +627,9 @@ class TestSplitWords:
             for threads in (1, 2):
                 res = max_fiber(grp, w, a, threads=threads)
                 assert (res.value, res.witness_target, res.witness_tuple_indices) == best[None]
-                pt = max_fiber_per_target(grp, w, a, threads=threads)
-                assert pt.values.tolist() == per_vals.tolist()
-                assert pt.witness_tuple_indices.tolist() == per_idx.tolist()
-                assert pt.evaluations_performed == pt.tuples_scanned * grp.order**w.num_variables
+                assert res.target_values.tolist() == per_vals.tolist()
+                assert res.target_tuple_numbers.tolist() == per_idx.tolist()
+                assert res.evaluations_performed == res.tuples_scanned * grp.order**w.num_variables
 
     @pytest.mark.parametrize("word", ["x1 x2 x3 x1^-1", "x1 x2 x1 x3^2"])
     def test_chunked_sweep_matches_brute_force(self, monkeypatch, word):
@@ -710,19 +721,18 @@ class TestNormalFormSearch:
                 ), (target, threads)
                 assert res.tuples_examined == len(a) ** w.length
                 assert res.evaluations == res.tuples_examined * g.order**w.num_variables
-            pt = max_fiber_per_target(g, w, a, threads=threads)
-            assert pt.values.tolist() == per_vals.tolist()
-            assert pt.witness_tuple_indices.tolist() == per_idx.tolist()
-        return res, pt
+                assert res.target_values.tolist() == per_vals.tolist()
+                assert res.target_tuple_numbers.tolist() == per_idx.tolist()
+        return res
 
     @pytest.mark.parametrize("spec, auts, word", NORMAL_FORM_CASES)
     def test_matches_brute_force(self, spec, auts, word):
         g = make_group(spec)
         a = inner_automorphisms(g) if auts == "inn" else automorphism_group(g)
         w = parse_word(word)
-        res, pt = self._check_against_brute_force(g, w, a)
+        res = self._check_against_brute_force(g, w, a)
         scanned = len(a) ** (w.length - w.num_variables)
-        assert res.tuples_scanned == pt.tuples_scanned == scanned
+        assert res.tuples_scanned == scanned
         assert res.evaluations_performed == scanned * g.order**w.num_variables
 
     @pytest.mark.parametrize("word", NORMAL_FORM_WORDS)
@@ -730,15 +740,15 @@ class TestNormalFormSearch:
         g, a = doubling_autset()
         assert not a.is_closed
         w = parse_word(word)
-        res, pt = self._check_against_brute_force(g, w, a)
-        assert res.tuples_scanned == pt.tuples_scanned == 2**w.length
+        res = self._check_against_brute_force(g, w, a)
+        assert res.tuples_scanned == 2**w.length
         assert res.evaluations_performed == res.evaluations
 
     def test_closure_of_a_custom_set_is_computed(self):
         g = make_group("dih:4")
         a = AutSet(g, automorphism_group(g).tables, kind="custom")
         assert a.is_closed
-        res, _ = self._check_against_brute_force(g, COMMUTATOR, a)
+        res = self._check_against_brute_force(g, COMMUTATOR, a)
         assert res.tuples_scanned == 8**2
 
     # Taken from the full |A|^l scan at the commit before the normal-form
@@ -768,10 +778,9 @@ class TestNormalFormSearch:
             for target, expected in ((None, any_target), (1, target_one)):
                 res = max_fiber(g, w, a, target=target, threads=threads)
                 assert (res.value, res.witness_target, res.witness_tuple_indices) == expected
-            pt = max_fiber_per_target(g, w, a, threads=threads)
-            assert pt.values.tolist() == values
-            assert pt.witness_tuple_indices.tolist() == indices
-            assert pt.tuples_examined == 24**4 and pt.tuples_scanned == 24**2
+                assert res.target_values.tolist() == values
+                assert res.target_tuple_numbers.tolist() == indices
+                assert res.tuples_examined == 24**4 and res.tuples_scanned == 24**2
 
     def test_alt5_commutator_over_aut_is_exact(self):
         # |G| k(G) = 60 * 5 commuting pairs: the identity's fiber, the largest
@@ -797,8 +806,6 @@ class TestNormalFormSearch:
         assert max_fiber(g, COMMUTATOR, a, budget=needed).evaluations_performed == needed
         with pytest.raises(BudgetExceeded):
             max_fiber(g, COMMUTATOR, a, budget=needed - 1)
-        with pytest.raises(BudgetExceeded):
-            max_fiber_per_target(g, COMMUTATOR, a, budget=needed - 1)
         g5, unclosed = doubling_autset()
         full = 2**4 * 5**2
         assert max_fiber(g5, COMMUTATOR, unclosed, budget=full).tuples_scanned == 2**4
@@ -835,10 +842,10 @@ class TestRewrite:
         sub = next(s for s in subgroups(g, aut=aut) if s.order == 3)
         w = parse_word("x1")
         alpha = aut.tables[4]
-        res = rewrite_coset_equation(g, sub, w, alpha[None], (3,))
-        assert res.beta.shape == (1, 3)
+        res = rewrite_coset_equation(g, sub, w, alpha[None, None], [(3,)])
+        assert res.beta.shape == (1, 1, 3)
         for i, n_elem in enumerate(res.n_elements):
-            assert res.n_elements[res.beta[0][i]] == alpha[n_elem]
+            assert res.n_elements[res.beta[0, 0, i]] == alpha[n_elem]
 
     def test_commutator_closed_form(self):
         g = make_group("dih:4")
@@ -848,7 +855,7 @@ class TestRewrite:
         for _ in range(25):
             auts = aut.tables[rng.integers(0, len(aut), 4)]
             base = tuple(int(x) for x in rng.integers(0, 8, 2))
-            res = rewrite_coset_equation(g, n, COMMUTATOR, auts, base)
+            res = rewrite_coset_equation(g, n, COMMUTATOR, auts[None], [base])
             a1, a2, a3, a4 = (lambda x, row=row: int(row[x]) for row in auts)
             g1, g2 = base
             c2 = a1(g1)
@@ -862,7 +869,7 @@ class TestRewrite:
             ]
             for i in range(4):
                 for pos, n_elem in enumerate(res.n_elements):
-                    got = res.n_elements[res.beta[i][pos]]
+                    got = res.n_elements[res.beta[0, i, pos]]
                     assert got == expected[i](n_elem)
 
     @pytest.mark.parametrize(
@@ -887,13 +894,13 @@ class TestRewrite:
         for _ in range(10):
             auts = aut.tables[rng.integers(0, len(aut), w.length)]
             base = tuple(int(x) for x in rng.integers(0, g.order, w.num_variables))
-            res = rewrite_coset_equation(g, n, w, auts, base)
+            res = rewrite_coset_equation(g, n, w, auts[None], [base])
             for combo in itertools.product(range(n.order), repeat=w.num_variables):
                 shifted = tuple(
                     g.mul(n.elements[c], b) for c, b in zip(combo, base)
                 )
-                lhs = eval_automorphic(g, w, auts, shifted) == res.target
-                rhs = eval_automorphic(res.n_group, w, res.beta, combo) == 0
+                lhs = eval_automorphic(g, w, auts, shifted) == res.target[0]
+                rhs = eval_automorphic(res.n_group, w, res.beta[0], combo) == 0
                 assert lhs == rhs
 
     @pytest.mark.parametrize("spec, sub_order, word", [
@@ -913,12 +920,12 @@ class TestRewrite:
         assert batch.beta.shape == (7, w.length, n.order)
         assert batch.target.shape == (7,) and batch.conjugators.shape == (7, w.length)
         for t in range(7):
-            one = rewrite_coset_equation(g, n, w, auts[t], tuple(int(x) for x in bases[t]))
-            assert type(one.target) is int and one.beta.shape == (w.length, n.order)
-            assert all(type(c) is int for c in one.conjugators)
-            assert (batch.beta[t] == one.beta).all()
-            assert batch.target[t] == one.target
-            assert batch.conjugators[t].tolist() == list(one.conjugators)
+            one = rewrite_coset_equation(g, n, w, auts[t : t + 1], bases[t : t + 1])
+            assert one.beta.shape == (1, w.length, n.order)
+            assert one.target.shape == (1,) and one.conjugators.shape == (1, w.length)
+            assert (batch.beta[t] == one.beta[0]).all()
+            assert batch.target[t] == one.target[0]
+            assert (batch.conjugators[t] == one.conjugators[0]).all()
         again = rewrite_coset_equation(g, n, w, auts, bases, target=batch.target)
         assert (again.beta == batch.beta).all()
         with pytest.raises(ValueError, match="does not satisfy"):
@@ -927,6 +934,8 @@ class TestRewrite:
             rewrite_coset_equation(g, n, w, auts, bases[:6])
         with pytest.raises(ValueError, match="automorphism rows"):
             rewrite_coset_equation(g, n, w, auts[:, 1:], bases)
+        with pytest.raises(ValueError, match="automorphism rows"):
+            rewrite_coset_equation(g, n, w, auts[0], bases[0])
 
     def test_row_moving_n_is_refused(self):
         g = make_group("dih:4")
@@ -936,7 +945,7 @@ class TestRewrite:
         row = np.arange(g.order)
         row[[z, outside]] = row[[outside, z]]  # a permutation, not an automorphism
         with pytest.raises(ValueError, match="must stabilize N"):
-            rewrite_coset_equation(g, n, parse_word("x1"), row[None], (0,))
+            rewrite_coset_equation(g, n, parse_word("x1"), row[None, None], [(0,)])
 
     def test_row_moving_n_is_refused_under_python_O(self):
         # the refusal is no assert, which -O would strip
@@ -954,7 +963,7 @@ class TestRewrite:
             "row = np.arange(8)\n"
             "row[[n.elements[1], outside]] = [outside, n.elements[1]]\n"
             "try:\n"
-            "    rewrite_coset_equation(g, n, parse_word('x1'), row[None], (0,))\n"
+            "    rewrite_coset_equation(g, n, parse_word('x1'), row[None, None], [(0,)])\n"
             "except ValueError as err:\n"
             "    print(err)\n"
         )
@@ -975,7 +984,7 @@ class TestRewrite:
         value = eval_automorphic(g, SQUARE, aut.tables[[0, 0]], (3,))
         bad = (value + 1) % 8
         with pytest.raises(ValueError):
-            rewrite_coset_equation(g, n, SQUARE, aut.tables[[0, 0]], (3,), target=bad)
+            rewrite_coset_equation(g, n, SQUARE, aut.tables[[[0, 0]]], [(3,)], target=bad)
 
 
 # -- word systems and counts on direct powers ------------------------------------

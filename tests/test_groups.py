@@ -9,7 +9,9 @@ import pytest
 import wordfibers.groups as groups_mod
 from wordfibers.errors import CapExceeded
 from wordfibers.groups import (
+    _class_closures,
     _closure,
+    _span_mask,
     AutSet,
     automorphism_group,
     characteristic_series,
@@ -663,6 +665,47 @@ class TestLattice:
         assert [s.order for s in normal_subgroups(g)] == [1, 2, 4, 60, 120, 240]
         series = characteristic_series(g)
         assert [h.order for h in series.chain] == [1, 2, 4, 240]
+
+
+def counting_span_levels(monkeypatch):
+    """Wrap `_span_mask` so that its table counts the gathers made on it, one
+    per level of the walk; returns the one-entry count."""
+    levels = [0]
+
+    class CountingTable(np.ndarray):
+        def __getitem__(self, key):
+            levels[0] += 1
+            return np.asarray(self)[key]
+
+    real = groups_mod._span_mask
+    monkeypatch.setattr(
+        groups_mod, "_span_mask", lambda table, *args: real(table.view(CountingTable), *args)
+    )
+    return levels
+
+
+class TestClassClosures:
+    @pytest.mark.parametrize("spec", LATTICE_SPECS + ["dih:64", "cyc:64", "sym:6"])
+    def test_match_the_closure_of_each_class(self, spec):
+        g = make_group(spec)
+        expected = {_closure(g.table, cls) for cls in g.conjugacy_classes if cls != (0,)}
+        assert _class_closures(g) == sorted(expected, key=lambda c: (len(c), c))
+
+    def test_a_start_mask_seeds_the_walk(self):
+        g = make_group("sym:4")
+        for x in range(1, g.order):
+            cls = next(c for c in g.conjugacy_classes if x in c)
+            start = np.zeros(g.order, dtype=bool)
+            start[[0, x]] = True
+            assert (_span_mask(g.table, cls, start) == _span_mask(g.table, cls)).all()
+
+    def test_one_level_per_class_of_a_cyclic_group(self, monkeypatch):
+        # each class {x} starts from <x>, which is already closed; walking
+        # the powers took about |x| levels for each
+        levels = counting_span_levels(monkeypatch)
+        g = make_group("cyc:512")
+        assert len(_class_closures(g)) == 9
+        assert levels[0] == 511
 
 
 class TestDecomposeCharSimple:

@@ -197,7 +197,7 @@ class TestRewriteCheck:
 
 
 def corrupt_target(res, row):
-    target = np.array(res.target)
+    target = res.target.copy()
     target[row] ^= 1
     return dataclasses.replace(res, target=target)
 
@@ -206,7 +206,7 @@ def corrupt_beta(letter):
     """Swaps two involutions of the Klein four-group N after beta_letter."""
     def change(res, row):
         beta = res.beta.copy()
-        beta[row + (letter,)] = np.array([0, 2, 1, 3])[beta[row + (letter,)]]
+        beta[row, letter] = np.array([0, 2, 1, 3])[beta[row, letter]]
         return dataclasses.replace(res, beta=beta)
     return change
 
@@ -215,19 +215,18 @@ def corrupt_trials(monkeypatch, changes):
     """Make verify's rewrite apply changes[t] to the result of trial t.
 
     Trials are numbered across calls in call order, a batch of T trials
-    taking T numbers and one trial, (l, |G|) rows, one; a change gets the
-    result and the index of the trial's row, () for one trial."""
+    taking T numbers; a change gets the result and the index of the trial's
+    row."""
     real = fibers.rewrite_coset_equation
     seen = [0]
 
     def fake(g, n, w, auts, base, *args, **kwargs):
         res = real(g, n, w, auts, base, *args, **kwargs)
-        batched = np.ndim(auts) == 3
         lo = seen[0]
-        seen[0] += len(auts) if batched else 1
+        seen[0] += len(auts)
         for trial, change in changes.items():
             if lo <= trial < seen[0]:
-                res = change(res, (trial - lo,) if batched else ())
+                res = change(res, trial - lo)
         return res
 
     monkeypatch.setattr(verify, "rewrite_coset_equation", fake)
@@ -245,10 +244,10 @@ def reference_rewrite(g, n, w, aut, trials, seed):
         tuple_indices = [int(i) for i in rng.integers(0, len(aut), w.length)]
         auts = aut.tables[tuple_indices]
         base = tuple(int(x) for x in rng.integers(0, g.order, d))
-        result = verify.rewrite_coset_equation(g, n, w, auts, base)
+        result = verify.rewrite_coset_equation(g, n, w, auts[None], [base])
         shifted = [g.table[n_elements[c], b] for c, b in zip(combos, base)]
-        lhs = eval_automorphic(g, w, auts, shifted) == result.target
-        rhs = eval_automorphic(result.n_group, w, result.beta, combos) == 0
+        lhs = eval_automorphic(g, w, auts, shifted) == result.target[0]
+        rhs = eval_automorphic(result.n_group, w, result.beta[0], combos) == 0
         mismatches = np.flatnonzero(lhs != rhs)
         if len(mismatches):
             k = int(mismatches[0])
