@@ -318,7 +318,7 @@ def cmd_group_auts(args, ctx):
     g = ctx.group(args.spec)
     aut = automorphism_group(g)
     ctx.stats.update(
-        aut_candidates=aut.search.candidates, aut_generators=len(aut.search.generators)
+        aut_candidates=aut.search.tried, aut_generators=len(aut.search.generators)
     )
     doc = {
         "order": g.order,

@@ -123,8 +123,7 @@ class FiniteGroup:
     def class_size_of(self) -> np.ndarray:
         sizes = np.zeros(self.order, dtype=np.int64)
         for cls in self.conjugacy_classes:
-            for g in cls:
-                sizes[g] = len(cls)
+            sizes[list(cls)] = len(cls)
         return sizes
 
     def validate(self, seed: int = 0) -> None:
@@ -256,40 +255,31 @@ def power_group(s: FiniteGroup, n: int) -> FiniteGroup:
 def _perm_group(n: int, even_only: bool) -> FiniteGroup:
     """S_n or A_n with table[a, b] the index of "perm a after perm b".
 
-    Each permutation is encoded as a base-n integer.  ``itertools.permutations``
-    yields lexicographic order, so the codes ascend and ``searchsorted`` ranks
-    a product's code back to its element index.  Products are composed in
-    blocks of rows to keep the temporaries at a few MB.
+    Each permutation p is encoded as the base-n integer code(p) = Σ_x w_x p[x],
+    w_x = n^(n-1-x).  ``itertools.permutations`` yields lexicographic order,
+    and A_n keeps the permutations with an even number of inversions in that
+    order, so an element's index is the rank of its code, read from a dense
+    array over all n^n codes.  A product's code is one matrix product:
+    code(a ∘ b) = Σ_x w_x a[b[x]] = Σ_v a[v] w_{b⁻¹(v)}, the row of a times
+    the row of b's weights spread to the places b sends them.  Products are
+    composed in blocks of rows to keep the temporaries at a few MB.
     """
-    perms = [
-        p for p in itertools.permutations(range(n)) if not even_only or _perm_parity(p) == 0
-    ]
-    arr = np.array(perms, dtype=np.int64)
-    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = arr @ weights
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    if even_only:
+        i, j = np.triu_indices(n, 1)
+        perms = perms[(perms[:, i] > perms[:, j]).sum(axis=1) % 2 == 0]
     order = len(perms)
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    rank = np.zeros(n**n, dtype=np.int32)
+    rank[perms @ weights] = np.arange(order, dtype=np.int32)
+    spread = np.empty((n, order), dtype=np.int64)  # spread[b[x], b] = w_x
+    spread[perms, np.arange(order)[:, None]] = weights
     table = np.empty((order, order), dtype=np.int32)
-    rows = max(1, _COMPOSE_BLOCK_ELEMENTS // (order * n))
+    rows = max(1, _COMPOSE_BLOCK_ELEMENTS // order)
     for lo in range(0, order, rows):
-        composed = arr[lo : lo + rows][:, arr]  # [a, b, x] = perm a applied to perm b's x
-        table[lo : lo + rows] = np.searchsorted(codes, composed @ weights)
+        table[lo : lo + rows] = rank[perms[lo : lo + rows] @ spread]
     name = f"alt:{n}" if even_only else f"sym:{n}"
     return FiniteGroup(order, table=table, spec=name)
-
-
-def _perm_parity(p: Sequence[int]) -> int:
-    seen = [False] * len(p)
-    parity = 0
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
 
 
 def _split_outer(spec: str, prefix: str) -> tuple[str, str]:
@@ -551,9 +541,11 @@ def _span_mask(
     cols = np.unique(np.asarray(gens, dtype=np.int64))
     frontier = np.flatnonzero(mask) if cols.size else np.zeros(0, dtype=np.int64)
     while frontier.size:
-        prods = table[frontier[:, None], cols].ravel()
-        frontier = np.unique(prods[~mask[prods]])
-        mask[frontier] = True
+        fresh = np.zeros_like(mask)
+        fresh[table[frontier[:, None], cols]] = True
+        fresh &= ~mask
+        mask |= fresh
+        frontier = np.flatnonzero(fresh)
     return mask
 
 
@@ -621,31 +613,72 @@ class HomSearch:
     """A generator-image search for the isomorphisms src -> dst, planned in
     full before any candidate is tested.
 
-    ``buckets[j]`` holds the dst elements that may image ``generators[j]``;
-    the search tests every tuple of their product, so its work is
-    ``candidates * |src| * len(generators)`` table steps."""
+    ``buckets[j]`` holds the dst elements that may image ``generators[j]``.
+    Their product, ``candidates`` tuples, bounds the search: the cap reads
+    ``candidates * |src| * len(generators)`` table steps.  The search tests
+    ``tried`` rows, fewer: ``heads`` holds the images of the first two
+    generators up to conjugation in dst (see `plan_hom_search`), and each
+    later generator runs over its whole bucket."""
 
     src: FiniteGroup
     dst: FiniteGroup
     generators: list[int]
     buckets: list[np.ndarray]
+    heads: np.ndarray
 
     @property
     def candidates(self) -> int:
         return math.prod(len(b) for b in self.buckets)
 
+    @property
+    def tried(self) -> int:
+        return len(self.heads) * math.prod(len(b) for b in self.buckets[2:])
+
 
 def plan_hom_search(src: FiniteGroup, dst: FiniteGroup) -> HomSearch:
     """Choose src's generators and their candidate images in dst; refuse
-    (`CapExceeded`) when the search work would exceed `HOM_WORK_CAP`.
+    (`CapExceeded`) when the work of the whole bucket product would exceed
+    `HOM_WORK_CAP`.
 
     The work bound uses src's own bucket sizes, which equal dst's when the two
     groups have the same (order, class size) profile, as `is_isomorphic`
-    checks first; otherwise some bucket may only shrink."""
+    checks first; otherwise some bucket may only shrink.
+
+    The first two generators' images are kept only up to conjugation in dst.
+    The first image r runs over one representative of each conjugacy class
+    in its bucket (the least member), and for each r the second image runs
+    over the least member of each orbit of C_dst(r), acting by conjugation
+    on its bucket.  Every isomorphism ψ has an inner automorphism c of dst
+    with c∘ψ among those rows: conjugating by some x takes ψ(g_1) to its
+    class's least member r, then conjugating by some y in C_dst(r), which
+    keeps r, takes x ψ(g_2) x⁻¹ to its orbit's least member, and c∘ψ is an
+    isomorphism again, with both images in the buckets.  So some row gives
+    an isomorphism whenever one exists, and the rows give a set Φ of
+    isomorphisms with every isomorphism in Inn(dst)·Φ."""
     gens = choose_generators(src)
     src_keys, dst_keys = _bucket_keys(src), _bucket_keys(dst)
     buckets = [np.flatnonzero(dst_keys == src_keys[s]).astype(np.int32) for s in gens]
-    return HomSearch(src, dst, gens, buckets)
+    return HomSearch(src, dst, gens, buckets, _head_images(dst, buckets))
+
+
+def _head_images(dst: FiniteGroup, buckets: list[np.ndarray]) -> np.ndarray:
+    """The rows of images (r, s) of the first two generators that
+    `plan_hom_search` keeps: r least in its conjugacy class, s least in its
+    C_dst(r)-orbit; one column with one generator, one empty row with none."""
+    if not buckets:
+        return np.zeros((1, 0), dtype=np.int32)
+    first = buckets[0][dst.class_minima[buckets[0]] == buckets[0]]
+    if len(buckets) == 1:
+        return first[:, None]
+    t, second = dst.table, buckets[1]
+    rows = [np.zeros((0, 2), dtype=np.int32)]
+    # an empty second bucket, which only groups of different profiles give,
+    # leaves no row
+    for r in first.tolist() if len(second) else []:
+        centralizer = np.flatnonzero(t[r] == t[:, r])
+        least = second[_orbit_minima(dst, centralizer, second) == second]
+        rows.append(np.column_stack([np.full(len(least), r, dtype=np.int32), least]))
+    return np.concatenate(rows)
 
 
 def _spanning_program(
@@ -700,34 +733,36 @@ def _hom_rows(
 
 
 def _search_homs(search: HomSearch, *, find_all: bool, max_results: int) -> np.ndarray:
-    """The bijective homomorphisms src -> dst with generator images in the
-    buckets, stacked one per row (the first one only without ``find_all``).
+    """The bijective homomorphisms src -> dst among the rows the search
+    tries, stacked one per row (the first one only without ``find_all``).
 
-    Blocks of the bucket product are walked in mixed-radix order (the first
-    generator's image most significant), a bounded number of rows at a time.
+    The rows are walked in blocks, a bounded number at a time, in mixed-radix
+    order: the head row most significant, then each later generator's image.
 
-    Why the rows kept are exactly the isomorphisms: every element of the
-    finite group src is a positive word in the generators, so a map that
-    satisfies φ(x * s_j) = φ(x) * φ(s_j) for every x and every generator s_j
-    satisfies φ(x * y) = φ(x) * φ(y) for all y, by induction on the length of
-    a word for y; with trivial kernel and |src| = |dst| it is a bijection.
-    Conversely an isomorphism is fixed by its generator images, which keep
-    their order and class size and so lie in the buckets.  The set found does
-    not depend on which generators were chosen, and `AutSet` sorts it
-    canonically, so any deterministic choice gives byte-identical output."""
+    Why the rows kept are exactly the isomorphisms with those generator
+    images: every element of the finite group src is a positive word in the
+    generators, so a map that satisfies φ(x * s_j) = φ(x) * φ(s_j) for every
+    x and every generator s_j satisfies φ(x * y) = φ(x) * φ(y) for all y, by
+    induction on the length of a word for y; with trivial kernel and
+    |src| = |dst| it is a bijection.  An isomorphism is fixed by its
+    generator images, which keep their order and class size and so lie in
+    the buckets; `plan_hom_search` says why the head rows miss none up to an
+    inner automorphism."""
     src, dst = search.src, search.dst
+    k = len(search.generators)
     levels, edges = _spanning_program(src.table, search.generators)
-    radices = [len(b) for b in search.buckets]
-    total = search.candidates
-    rows = max(1, _HOM_BLOCK_ELEMENTS // (src.order * max(1, len(radices))))
+    heads, tails = search.heads, search.buckets[2:]
+    total = search.tried
+    rows = max(1, _HOM_BLOCK_ELEMENTS // (src.order * max(1, k)))
     found: list[np.ndarray] = []
     count = 0
     for lo in range(0, total, rows):
         idx = np.arange(lo, min(lo + rows, total), dtype=np.int64)
-        images = np.empty((idx.size, len(radices)), dtype=np.int32)
-        for j in reversed(range(len(radices))):
-            images[:, j] = search.buckets[j][idx % radices[j]]
-            idx //= radices[j]
+        images = np.empty((idx.size, k), dtype=np.int32)
+        for j in reversed(range(len(tails))):
+            images[:, 2 + j] = tails[j][idx % len(tails[j])]
+            idx //= len(tails[j])
+        images[:, : heads.shape[1]] = heads[idx]
         homs = _hom_rows(dst.table, levels, edges, images)
         if not homs.size:
             continue
@@ -740,19 +775,50 @@ def _search_homs(search: HomSearch, *, find_all: bool, max_results: int) -> np.n
     return np.concatenate(found) if found else np.empty((0, src.order), dtype=np.int32)
 
 
+def _compose_after(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Every composite c ∘ φ = c[φ] of a row c of ``inner`` and a row φ of
+    ``outer``, gathered from the flattened rows `_COMPOSE_BLOCK_ELEMENTS`
+    entries at a time."""
+    m, n = len(inner) * len(outer), inner.shape[1]
+    flat = inner.ravel()
+    out = np.empty((m, n), dtype=np.int32)
+    step = max(1, _COMPOSE_BLOCK_ELEMENTS // n)
+    for lo in range(0, m, step):
+        pair = np.arange(lo, min(lo + step, m))
+        out[lo : lo + step] = flat[(pair // len(outer) * n)[:, None] + outer[pair % len(outer)]]
+    return out
+
+
 def automorphism_group(g: FiniteGroup) -> AutSet:
-    """The full automorphism group, enumerated from blocked generator-image
-    tests; refused before any test runs when the search work exceeds
-    `HOM_WORK_CAP` (see `plan_hom_search`), and once more than
-    `AUTSET_SIZE_CAP` automorphisms are found.
+    """The full automorphism group as Inn(G)·Φ, where Φ holds the
+    automorphisms that the generator-image search finds (`plan_hom_search`);
+    refused before any test runs when the search work exceeds
+    `HOM_WORK_CAP`, and before any composite is built when |Inn|·|Φ|
+    exceeds `AUTSET_SIZE_CAP`.
+
+    Every automorphism is c∘φ with c inner and φ in Φ (`plan_hom_search`), so
+    the composites are all of Aut(G).  With two generators Φ meets each coset
+    Inn(G)·ψ exactly once, so |Aut| = |Inn|·|Φ|: if φ' = c_z∘φ with φ, φ' in
+    Φ, then z conjugates r = φ(g_1) to φ'(g_1), the least member of the same
+    class, so φ'(g_1) = r and z lies in C_G(r); then z conjugates φ(g_2) to
+    φ'(g_2), both least in one C_G(r)-orbit, so they are equal, and φ' = φ,
+    as an automorphism is fixed by its generator images.  With more
+    generators the later images are not reduced, so Φ may meet a coset more
+    than once; `AutSet` drops the repeated composites, and |Inn|·|Φ| is an
+    upper bound for the cap.  The set found does not depend on the
+    generators or representatives chosen, and `AutSet` sorts it canonically,
+    so any deterministic choice gives byte-identical output.
 
     Kept on ``g``, so repeated calls share one `AutSet` and its cached
     lookups."""
 
     def build() -> AutSet:
         search = plan_hom_search(g, g)
-        found = _search_homs(search, find_all=True, max_results=AUTSET_SIZE_CAP)
-        aut = AutSet(g, found, kind="full")
+        outer = _search_homs(search, find_all=True, max_results=AUTSET_SIZE_CAP)
+        inner = inner_automorphisms(g).tables
+        if len(inner) * len(outer) > AUTSET_SIZE_CAP:
+            raise CapExceeded(f"automorphism enumeration exceeds cap {AUTSET_SIZE_CAP}")
+        aut = AutSet(g, _compose_after(inner, outer), kind="full")
         aut.search = search
         return aut
 
@@ -760,7 +826,9 @@ def automorphism_group(g: FiniteGroup) -> AutSet:
 
 
 def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> tuple[bool, Optional[np.ndarray]]:
-    """Isomorphism test with a witness map on success."""
+    """Isomorphism test with a witness map on success.  The search tries the
+    first two generator images up to conjugation in h (`plan_hom_search`),
+    which keeps some isomorphism whenever one exists."""
     if g.order != h.order:
         return False, None
     profile = lambda k: sorted(zip(k.element_orders.tolist(), k.class_size_of.tolist()))
@@ -873,15 +941,18 @@ def _conjugacy_class(
     return [elems, *others], np.concatenate(normalizer)
 
 
-def _orbit_minima(g: FiniteGroup, xs: np.ndarray) -> np.ndarray:
+def _orbit_minima(
+    g: FiniteGroup, xs: np.ndarray, elems: Optional[np.ndarray] = None
+) -> np.ndarray:
     """The least conjugate ``x e x^-1`` over x in the subgroup ``xs``, per
-    element e: equal labels mark the orbits of ``xs`` acting on G by
-    conjugation.  For all of G these are the conjugacy classes, which the
-    group keeps."""
+    element e of ``elems`` (all of G by default): equal labels mark the
+    orbits of ``xs`` acting on G by conjugation.  For all of G these are the
+    conjugacy classes, which the group keeps."""
+    elems = np.arange(g.order) if elems is None else np.asarray(elems, dtype=np.int64)
     if len(xs) == g.order:
-        return g.class_minima
-    label = np.arange(g.order)
-    for _, c in _conjugates(g, xs, range(g.order)):
+        return g.class_minima[elems]
+    label = elems.copy()
+    for _, c in _conjugates(g, xs, elems):
         np.minimum(label, c.min(axis=0), out=label)
     return label
 

@@ -180,7 +180,7 @@ class TestGroupCommands:
     def test_auts_reports_its_search_in_stats(self):
         code, doc, _ = run(["group", "auts", "--spec", "alt:5"])
         assert code == EXIT_OK
-        assert doc["stats"] == {"aut_candidates": "360", "aut_generators": "2", "exit_code": "0"}
+        assert doc["stats"] == {"aut_candidates": "6", "aut_generators": "2", "exit_code": "0"}
         assert set(doc["result"]) == {"aut_size", "inner_size", "order"}
 
     def test_aut_of_sym6_is_answered_on_every_path(self):

@@ -151,6 +151,28 @@ def _reference_perm_table(n, even_only):
     return np.array([[index[tuple(a[x] for x in b)] for b in perms] for a in perms])
 
 
+def _searchsorted_perm_table(n, even_only):
+    """The composition table as built before the dense rank lookup: parity by
+    walking cycles, each product's base-n code ranked by ``searchsorted``."""
+
+    def parity(p):
+        seen, odd = set(), 0
+        for i in range(n):
+            j, length = i, 0
+            while j not in seen:
+                seen.add(j)
+                j, length = p[j], length + 1
+            odd ^= max(length - 1, 0) & 1
+        return odd
+
+    perms = [p for p in itertools.permutations(range(n)) if not even_only or parity(p) == 0]
+    arr = np.array(perms, dtype=np.int64)
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = arr @ weights
+    blocks = [arr[lo : lo + 64][:, arr] @ weights for lo in range(0, len(arr), 64)]
+    return np.searchsorted(codes, np.concatenate(blocks))
+
+
 class TestPermutationTables:
     @pytest.mark.parametrize(
         "spec", [f"sym:{n}" for n in range(1, 6)] + [f"alt:{n}" for n in range(1, 7)]
@@ -161,6 +183,19 @@ class TestPermutationTables:
         assert g.table.dtype == np.int32
         assert g.table.tolist() == _reference_perm_table(n, even_only).tolist()
         assert g.order == len(g.table)
+
+    @pytest.mark.parametrize(
+        "spec", [f"sym:{n}" for n in range(1, 7)] + [f"alt:{n}" for n in range(1, 8)]
+    )
+    def test_table_equals_the_searchsorted_builder(self, spec):
+        n, even_only = int(spec[4:]), spec.startswith("alt:")
+        assert (make_group(spec).table == _searchsorted_perm_table(n, even_only)).all()
+
+    def test_table_does_not_depend_on_the_block_size(self, monkeypatch):
+        monkeypatch.setattr(groups_mod, "_COMPOSE_BLOCK_ELEMENTS", 5)
+        for spec in ["sym:4", "alt:5"]:
+            n, even_only = int(spec[4:]), spec.startswith("alt:")
+            assert (make_group(spec).table == _searchsorted_perm_table(n, even_only)).all()
 
     def test_table_is_a_read_only_property(self):
         from wordfibers.groups import FiniteGroup
@@ -684,6 +719,30 @@ def counting_span_levels(monkeypatch):
     return levels
 
 
+def set_closure(table, gens):
+    """<gens> by a breadth-first walk over Python sets."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        fresh = {table[x][s] for x in frontier for s in gens} - seen
+        seen |= fresh
+        frontier = sorted(fresh)
+    return seen
+
+
+class TestSpanMask:
+    @pytest.mark.parametrize(
+        "spec", ["sym:4", "alt:5", "dih:12", "pow:(cyc:2)^4", "prod:(sym:4)x(cyc:3)"]
+    )
+    def test_matches_a_set_closure(self, spec):
+        g = make_group(spec)
+        table = g.table.tolist()
+        rng = np.random.default_rng(g.order)
+        for _ in range(30):
+            gens = rng.integers(0, g.order, size=rng.integers(0, 4)).tolist()
+            mask = _span_mask(g.table, gens)
+            assert set(np.flatnonzero(mask).tolist()) == set_closure(table, gens), gens
+
+
 class TestClassClosures:
     @pytest.mark.parametrize("spec", LATTICE_SPECS + ["dih:64", "cyc:64", "sym:6"])
     def test_match_the_closure_of_each_class(self, spec):
@@ -1133,6 +1192,68 @@ class TestBlockedKernel:
         monkeypatch.setattr(groups_mod, "AUTSET_SIZE_CAP", 20159)
         with pytest.raises(CapExceeded):
             automorphism_group(make_group("pow:(cyc:2)^4"))
+
+
+class TestInnerReduction:
+    """Aut(G) as Inn(G)·Φ: the search tries the first two generator images up
+    to conjugation, and the automorphisms found are expanded by Inn(G)."""
+
+    def test_digests_do_not_depend_on_the_compose_block(self, monkeypatch):
+        monkeypatch.setattr(groups_mod, "_COMPOSE_BLOCK_ELEMENTS", 5)
+        for spec in sorted(AUT_DIGESTS):
+            assert aut_digest(automorphism_group(make_group(spec))) == AUT_DIGESTS[spec], spec
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS)
+    def test_aut_is_inn_times_phi(self, spec):
+        g = make_group(spec)
+        search = groups_mod.plan_hom_search(g, g)
+        phi = groups_mod._search_homs(search, find_all=True, max_results=10**6)
+        assert all(is_automorphism(g, row) for row in phi)
+        first = phi[:, search.generators[0]]
+        assert (g.class_minima[first] == first).all()
+        size, inner = len(automorphism_group(g)), len(inner_automorphisms(g))
+        if len(search.generators) == 2:
+            assert size == inner * len(phi)
+        else:
+            assert size <= inner * len(phi)
+
+    def test_some_lattice_groups_have_two_generators(self):
+        two = [s for s in LATTICE_SPECS if len(choose_generators(make_group(s))) == 2]
+        assert {"sym:4", "alt:5", "dih:8", "prod:(sym:4)x(cyc:3)"} <= set(two)
+
+    @pytest.mark.parametrize(
+        "spec,tried", [("alt:5", 6), ("sym:5", 3), ("alt:6", 18), ("sym:6", 16)]
+    )
+    def test_rows_tried(self, monkeypatch, spec, tried):
+        rows = []
+        real = groups_mod._hom_rows
+        monkeypatch.setattr(
+            groups_mod, "_hom_rows", lambda *a: rows.append(len(a[-1])) or real(*a)
+        )
+        search = automorphism_group(make_group(spec)).search
+        assert search.tried == sum(rows) == tried
+        assert search.candidates > tried
+
+    def test_size_cap_refuses_before_any_composite(self, monkeypatch):
+        def no_composites(*args):
+            raise AssertionError("a composite was built")
+
+        monkeypatch.setattr(groups_mod, "AUTSET_SIZE_CAP", 1439)
+        monkeypatch.setattr(groups_mod, "_compose_after", no_composites)
+        with pytest.raises(CapExceeded, match="exceeds cap 1439"):
+            automorphism_group(make_group("alt:6"))
+
+    @pytest.mark.parametrize(
+        "spec", ["pow:(cyc:2)^3", "pow:(cyc:3)^2", "prod:(cyc:5)x(cyc:5)", "pow:(cyc:2)^4"]
+    )
+    def test_decomposition_finds_a_witness(self, spec):
+        f = relabelled(make_group(spec), seed=5)
+        s, n = decompose_char_simple(f)
+        power = groups_mod.power_group(s, n)
+        assert s.order ** n == f.order
+        ok, witness = is_isomorphic(f, power)
+        assert ok
+        assert_isomorphism(f, power, witness)
 
 
 def tuple_sorted(aut):
