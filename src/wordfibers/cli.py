@@ -5,7 +5,11 @@ Every subcommand emits a single JSON document {schema_version, request,
 result, status, stats} with sorted keys, integers as decimal strings and
 rationals as "p/q", so exact-mode output is byte-identical across runs and
 thread counts.  Exit codes: 0 success/pass, 1 check failed, 2 usage error,
-3 budget or cap exceeded.
+3 budget or cap exceeded.  `--help` prints argparse's help text instead, and
+exits 0.
+
+Every subcommand is one row of `COMMANDS`: its parameters, which build its
+options and its request echo, and its handler.
 """
 
 from __future__ import annotations
@@ -249,17 +253,23 @@ def resolve_subgroup(g: FiniteGroup, spec: str, aut: AutSet):
     raise ValueError(f"unknown subgroup selector {spec!r}")
 
 
-def report_result(report: CheckReport) -> tuple[dict, str, int]:
-    doc = {
+class CheckFailed(Exception):
+    """A handler's result whose check failed: the request reports it with
+    status "fail" and exit code 1."""
+
+    def __init__(self, result: dict):
+        super().__init__("check failed")
+        self.result = result
+
+
+def report_result(report: CheckReport) -> dict:
+    return {
         "claim": report.claim,
         "params": report.params,
         "outcome": report.outcome,
         "witness": report.witness,
         "counters": report.counters,
     }
-    if report.outcome == "fail":
-        return doc, "fail", EXIT_CHECK_FAILED
-    return doc, "ok", EXIT_OK
 
 
 # -- command handlers -----------------------------------------------------------
@@ -267,16 +277,12 @@ def report_result(report: CheckReport) -> tuple[dict, str, int]:
 
 def cmd_word_parse(args, ctx):
     w = parse_word(args.word)
-    return (
-        {
-            "word": format_word(w),
-            "length": w.length,
-            "num_variables": w.num_variables,
-            "letters": [[l.var, l.sign] for l in w.letters],
-        },
-        "ok",
-        EXIT_OK,
-    )
+    return {
+        "word": format_word(w),
+        "length": w.length,
+        "num_variables": w.num_variables,
+        "letters": [[l.var, l.sign] for l in w.letters],
+    }
 
 
 def cmd_word_variations(args, ctx):
@@ -292,26 +298,22 @@ def cmd_word_variations(args, ctx):
                 "flattened": format_word(v.flattened),
             }
         )
-    return {"count": count, "variations": listed}, "ok", EXIT_OK
+    return {"count": count, "variations": listed}
 
 
 def cmd_word_mconst(args, ctx):
-    return {"M": m_constant(args.d, args.l)}, "ok", EXIT_OK
+    return {"M": m_constant(args.d, args.l)}
 
 
 def cmd_group_make(args, ctx):
     g = ctx.group(args.spec)
-    return (
-        {
-            "spec": g.spec,
-            "order": g.order,
-            "abelian": g.is_abelian,
-            "center_size": len(g.center),
-            "class_sizes": sorted(len(c) for c in g.conjugacy_classes),
-        },
-        "ok",
-        EXIT_OK,
-    )
+    return {
+        "spec": g.spec,
+        "order": g.order,
+        "abelian": g.is_abelian,
+        "center_size": len(g.center),
+        "class_sizes": sorted(len(c) for c in g.conjugacy_classes),
+    }
 
 
 def cmd_group_auts(args, ctx):
@@ -327,57 +329,49 @@ def cmd_group_auts(args, ctx):
     }
     if args.tables:
         doc["tables"] = aut.tables.tolist()
-    return doc, "ok", EXIT_OK
+    return doc
 
 
 def cmd_group_subgroups(args, ctx):
     g = ctx.group(args.spec)
     subs = subgroups(g)
-    return (
-        {
-            "count": len(subs),
-            "subgroups": [
-                {
-                    "elements": list(s.elements),
-                    "order": s.order,
-                    "normal": s.normal,
-                    "characteristic": s.characteristic,
-                }
-                for s in subs
-            ],
-        },
-        "ok",
-        EXIT_OK,
-    )
+    return {
+        "count": len(subs),
+        "subgroups": [
+            {
+                "elements": list(s.elements),
+                "order": s.order,
+                "normal": s.normal,
+                "characteristic": s.characteristic,
+            }
+            for s in subs
+        ],
+    }
 
 
 def cmd_group_series(args, ctx):
     g = ctx.group(args.spec)
     series = characteristic_series(g)
-    return (
-        {
-            "chain": [
-                {"order": h.order, "elements": list(h.elements)} for h in series.chain
-            ],
-            "factors": [
-                {
-                    "factor_order": f.factor.order,
-                    "simple_order": f.simple.order,
-                    "copies": f.copies,
-                    "abelian": f.simple.is_abelian,
-                }
-                for f in series.factors
-            ],
-        },
-        "ok",
-        EXIT_OK,
-    )
+    return {
+        "chain": [
+            {"order": h.order, "elements": list(h.elements)} for h in series.chain
+        ],
+        "factors": [
+            {
+                "factor_order": f.factor.order,
+                "simple_order": f.simple.order,
+                "copies": f.copies,
+                "abelian": f.simple.is_abelian,
+            }
+            for f in series.factors
+        ],
+    }
 
 
 def cmd_group_radical(args, ctx):
     g = ctx.group(args.spec)
     rad = solvable_radical(g)
-    return {"order": rad.order, "elements": list(rad.elements)}, "ok", EXIT_OK
+    return {"order": rad.order, "elements": list(rad.elements)}
 
 
 def cmd_fiber_dist(args, ctx):
@@ -392,23 +386,19 @@ def cmd_fiber_dist(args, ctx):
     if any(not 0 <= i < len(autset) for i in indices):
         raise ValueError(f"tuple indices must lie in 0..{len(autset) - 1}")
     dist = fiber_distribution(g, w, autset.tables[indices], budget=ctx.budget)
-    return (
-        {
-            "counts": [int(c) for c in dist.counts],
-            "order": dist.order,
-            "arity": dist.arity,
-            "total": dist.total,
-        },
-        "ok",
-        EXIT_OK,
-    )
+    return {
+        "counts": [int(c) for c in dist.counts],
+        "order": dist.order,
+        "arity": dist.arity,
+        "total": dist.total,
+    }
 
 
 def cmd_fiber_pi(args, ctx):
     g = ctx.group(args.group)
     w = parse_word(args.word, require_nonempty=True)
     value, proportion = pi_w(g, w, budget=ctx.budget)
-    return {"max_fiber": value, "proportion": proportion}, "ok", EXIT_OK
+    return {"max_fiber": value, "proportion": proportion}
 
 
 def cmd_fiber_max(args, ctx):
@@ -440,20 +430,23 @@ def cmd_fiber_max(args, ctx):
     )
     if res.seed is not None:
         doc["seed"] = res.seed
-    return doc, "ok", EXIT_OK
+    return doc
 
 
-# -- check registry ---------------------------------------------------------------
+# -- parameters and the check registry ------------------------------------------
 
 
 @dataclass(frozen=True)
 class Param:
-    """One check parameter: a `--name` option and a manifest key alike."""
+    """One command parameter: a `--name` option, and for a check a manifest
+    key too.  The request echoes its value unless that is None."""
 
     name: str
-    type: type = str
-    default: object = None  # None: required
+    type: Callable = str  # bool: a flag, False when absent
+    default: object = ...  # ...: required
     choices: Optional[tuple] = None
+    help: Optional[str] = None
+    flag: Optional[str] = None  # the option's spelling, if not --name with dashes
 
     def convert(self, value):
         if self.type is int and isinstance(value, (bool, float)):
@@ -462,6 +455,22 @@ class Param:
         if self.choices is not None and value not in self.choices:
             raise ValueError(f"{self.name} must be one of {', '.join(self.choices)}")
         return value
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        required = self.default is ...
+        kind = (
+            {"action": "store_true"}
+            if self.type is bool
+            else {"type": self.type, "choices": self.choices}
+        )
+        parser.add_argument(
+            self.flag or "--" + self.name.replace("_", "-"),
+            dest=self.name,
+            required=required,
+            default=None if required else self.default,
+            help=self.help,
+            **kind,
+        )
 
 
 @dataclass(frozen=True)
@@ -556,8 +565,11 @@ CHECKS = {
 
 def cmd_verify_check(args, ctx):
     check = CHECKS[args.action]
-    params = {p.name: getattr(args, p.name) for p in check.params}
-    return report_result(check.run(params, ctx, ctx.budget))
+    report = check.run({p.name: getattr(args, p.name) for p in check.params}, ctx, ctx.budget)
+    doc = report_result(report)
+    if report.outcome == "fail":
+        raise CheckFailed(doc)
+    return doc
 
 
 def _entry_params(index: int, entry, budget: int) -> tuple[Check, dict, int]:
@@ -580,7 +592,7 @@ def _entry_params(index: int, entry, budget: int) -> tuple[Check, dict, int]:
         for p in check.params:
             if p.name in entry:
                 params[p.name] = p.convert(entry[p.name])
-            elif p.default is None:
+            elif p.default is ...:
                 raise ValueError(f"missing key {p.name!r}")
             else:
                 params[p.name] = p.default
@@ -616,7 +628,7 @@ def cmd_verify_battery(args, ctx):
     summary = {"total": len(reports), "passed": 0, "failed": 0, "inconclusive": 0}
     files = []
     for idx, report in enumerate(reports):
-        doc, _, _ = report_result(report)
+        doc = report_result(report)
         name = f"check_{idx:03d}_{report.claim}.json"
         (out_dir / name).write_text(dumps_canonical(canonical(doc)) + "\n")
         files.append(name)
@@ -632,74 +644,58 @@ def cmd_verify_battery(args, ctx):
         "outcomes": [r.outcome for r in reports],
     }
     if summary["failed"]:
-        return result, "fail", EXIT_CHECK_FAILED
-    return result, "ok", EXIT_OK
+        raise CheckFailed(result)
+    return result
 
 
 def cmd_bounds_exclude(args, ctx):
     w = parse_word(args.word, require_nonempty=True)
     report = excluded_factors_report(w, parse_fraction(args.rho))
-    return (
-        {
-            "word": report.word,
-            "length": report.length,
-            "arity": report.arity,
-            "rho": report.rho,
-            "M": report.m_value,
-            "M_prime": report.m_prime_value,
-            "alt": report.alt,
-            "lie": report.lie,
-            "alt_fiber_bound": {
-                "degree_threshold": report.alt_fiber_bound[0],
-                "exponent": report.alt_fiber_bound[1],
-            },
-            "lie_fiber_bound": {
-                "rank_threshold": report.lie_fiber_bound[0],
-                "exponent": report.lie_fiber_bound[1],
-            },
-            "narrative": report.narrative,
+    return {
+        "word": report.word,
+        "length": report.length,
+        "arity": report.arity,
+        "rho": report.rho,
+        "M": report.m_value,
+        "M_prime": report.m_prime_value,
+        "alt": report.alt,
+        "lie": report.lie,
+        "alt_fiber_bound": {
+            "degree_threshold": report.alt_fiber_bound[0],
+            "exponent": report.alt_fiber_bound[1],
         },
-        "ok",
-        EXIT_OK,
-    )
+        "lie_fiber_bound": {
+            "rank_threshold": report.lie_fiber_bound[0],
+            "exponent": report.lie_fiber_bound[1],
+        },
+        "narrative": report.narrative,
+    }
 
 
 def cmd_bounds_alt(args, ctx):
     w = parse_word(args.word, require_nonempty=True)
     res = alt_exclusion_threshold(w, parse_fraction(args.rho))
-    return (
-        {
-            "ceil_argument": res.ceil_argument,
-            "term_factorial": res.term_factorial,
-            "term_rho": res.term_rho,
-            "threshold": res.threshold,
-        },
-        "ok",
-        EXIT_OK,
-    )
+    return {
+        "ceil_argument": res.ceil_argument,
+        "term_factorial": res.term_factorial,
+        "term_rho": res.term_rho,
+        "threshold": res.threshold,
+    }
 
 
 def cmd_bounds_lie(args, ctx):
     w = parse_word(args.word, require_nonempty=True)
     res = lie_rank_threshold(w, parse_fraction(args.rho))
-    return (
-        {
-            "term_const": res.term_const,
-            "term_rho": res.term_rho,
-            "threshold": res.threshold,
-        },
-        "ok",
-        EXIT_OK,
-    )
+    return {
+        "term_const": res.term_const,
+        "term_rho": res.term_rho,
+        "threshold": res.threshold,
+    }
 
 
 def cmd_bounds_n0(args, ctx):
     w = parse_word(args.word, require_nonempty=True)
-    return (
-        {"n0": n0_bound(w, parse_fraction(args.rho), args.order)},
-        "ok",
-        EXIT_OK,
-    )
+    return {"n0": n0_bound(w, parse_fraction(args.rho), args.order)}
 
 
 def cmd_bounds_radical_bound(args, ctx):
@@ -716,10 +712,67 @@ def cmd_bounds_radical_bound(args, ctx):
         int(args.n_zero),
         parse_fraction(args.eta_zero),
     )
-    return {"bound": bound, "factors": len(factors)}, "ok", EXIT_OK
+    return {"bound": bound, "factors": len(factors)}
 
 
-# -- argument parsing -------------------------------------------------------------
+# -- the command table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Command:
+    """The subcommand `wfl <module> <action>`: its parameters and its handler.
+    The handler, a `cmd_*` function of this module, returns the result; it
+    is looked up by name when the request runs, so a handler replaced on
+    this module after the parser is built (say, by a tracing wrapper) is
+    the one called."""
+
+    module: str
+    action: str
+    params: tuple[Param, ...]
+    handler: Callable[[argparse.Namespace, Context], object]
+    cached: bool = True  # False: the result cache is never read or written
+
+
+COMMANDS = (
+    Command("word", "parse", (Param("word"),), cmd_word_parse),
+    Command("word", "variations", (Param("word"), Param("limit", _int_at_least(0), 64)),
+            cmd_word_variations),
+    Command("word", "mconst", (Param("l", int, flag="-l"), Param("d", int, flag="-d")),
+            cmd_word_mconst),
+    Command("group", "make", (Param("spec"),), cmd_group_make),
+    Command("group", "auts", (Param("spec"), Param("tables", bool, False)), cmd_group_auts),
+    Command("group", "subgroups", (Param("spec"),), cmd_group_subgroups),
+    Command("group", "series", (Param("spec"),), cmd_group_series),
+    Command("group", "radical", (Param("spec"),), cmd_group_radical),
+    Command("fiber", "dist",
+            (Param("group"), Param("word"),
+             Param("auts", default="id", choices=("id", "inn", "aut")),
+             Param("tuple", default=None, help="comma-separated tuple indices")),
+            cmd_fiber_dist),
+    Command("fiber", "pi", (Param("group"), Param("word")), cmd_fiber_pi),
+    Command("fiber", "max",
+            (Param("group"), Param("word"),
+             Param("auts", default="aut", choices=("id", "inn", "aut")),
+             Param("target", default="any"),
+             Param("mode", default="exact", choices=("exact", "sample")),
+             Param("samples", int, 1000), Param("seed", int, 0)),
+            cmd_fiber_max),
+    *(Command("verify", check.name, check.params, cmd_verify_check)
+      for check in CHECKS.values()),
+    Command("verify", "battery",
+            (Param("manifest", default=None, help="defaults to the shipped manifest"),
+             Param("out", default="battery_reports")),
+            cmd_verify_battery, cached=False),
+    Command("bounds", "exclude", (Param("word"), Param("rho")), cmd_bounds_exclude),
+    Command("bounds", "alt", (Param("word"), Param("rho")), cmd_bounds_alt),
+    Command("bounds", "lie", (Param("word"), Param("rho")), cmd_bounds_lie),
+    Command("bounds", "n0", (Param("word"), Param("rho"), Param("order", int)), cmd_bounds_n0),
+    Command("bounds", "radical-bound",
+            (Param("word"), Param("rho"),
+             Param("factors", default="", help="comma list of order:autorder"),
+             Param("n_zero", int), Param("eta_zero")),
+            cmd_bounds_radical_bound),
+)
 
 
 @functools.cache
@@ -739,109 +792,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="bypass the result cache"
     )
     top = parser.add_subparsers(dest="module", required=True)
-
-    word = top.add_parser("word").add_subparsers(dest="action", required=True)
-    p = word.add_parser("parse")
-    p.add_argument("--word", required=True)
-    p.set_defaults(handler=cmd_word_parse)
-    p = word.add_parser("variations")
-    p.add_argument("--word", required=True)
-    p.add_argument("--limit", type=_int_at_least(0), default=64)
-    p.set_defaults(handler=cmd_word_variations)
-    p = word.add_parser("mconst")
-    p.add_argument("-l", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-    p.set_defaults(handler=cmd_word_mconst)
-
-    group = top.add_parser("group").add_subparsers(dest="action", required=True)
-    p = group.add_parser("make")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(handler=cmd_group_make)
-    p = group.add_parser("auts")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--tables", action="store_true")
-    p.set_defaults(handler=cmd_group_auts)
-    p = group.add_parser("subgroups")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(handler=cmd_group_subgroups)
-    p = group.add_parser("series")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(handler=cmd_group_series)
-    p = group.add_parser("radical")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(handler=cmd_group_radical)
-
-    fiber = top.add_parser("fiber").add_subparsers(dest="action", required=True)
-    p = fiber.add_parser("dist")
-    p.add_argument("--group", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--auts", default="id", choices=["id", "inn", "aut"])
-    p.add_argument("--tuple", default=None, help="comma-separated tuple indices")
-    p.set_defaults(handler=cmd_fiber_dist)
-    p = fiber.add_parser("pi")
-    p.add_argument("--group", required=True)
-    p.add_argument("--word", required=True)
-    p.set_defaults(handler=cmd_fiber_pi)
-    p = fiber.add_parser("max")
-    p.add_argument("--group", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--auts", default="aut", choices=["id", "inn", "aut"])
-    p.add_argument("--target", default="any")
-    p.add_argument("--mode", default="exact", choices=["exact", "sample"])
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_fiber_max)
-
-    verify = top.add_parser("verify").add_subparsers(dest="action", required=True)
-    for check in CHECKS.values():
-        p = verify.add_parser(check.name)
-        for param in check.params:
-            p.add_argument(
-                "--" + param.name.replace("_", "-"),
-                type=param.type,
-                required=param.default is None,
-                default=param.default,
-                choices=param.choices,
+    actions = {}
+    for command in COMMANDS:
+        if command.module not in actions:
+            actions[command.module] = top.add_parser(command.module).add_subparsers(
+                dest="action", required=True
             )
-        p.set_defaults(handler=cmd_verify_check)
-    p = verify.add_parser("battery")
-    p.add_argument("--manifest", default=None, help="defaults to the shipped manifest")
-    p.add_argument("--out", default="battery_reports")
-    p.set_defaults(handler=cmd_verify_battery, no_cache_always=True)
-
-    bounds = top.add_parser("bounds").add_subparsers(dest="action", required=True)
-    p = bounds.add_parser("exclude")
-    p.add_argument("--word", required=True)
-    p.add_argument("--rho", required=True)
-    p.set_defaults(handler=cmd_bounds_exclude)
-    p = bounds.add_parser("alt")
-    p.add_argument("--word", required=True)
-    p.add_argument("--rho", required=True)
-    p.set_defaults(handler=cmd_bounds_alt)
-    p = bounds.add_parser("lie")
-    p.add_argument("--word", required=True)
-    p.add_argument("--rho", required=True)
-    p.set_defaults(handler=cmd_bounds_lie)
-    p = bounds.add_parser("n0")
-    p.add_argument("--word", required=True)
-    p.add_argument("--rho", required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.set_defaults(handler=cmd_bounds_n0)
-    p = bounds.add_parser("radical-bound")
-    p.add_argument("--word", required=True)
-    p.add_argument("--rho", required=True)
-    p.add_argument("--factors", default="", help="comma list of order:autorder")
-    p.add_argument("--n-zero", type=int, required=True)
-    p.add_argument("--eta-zero", required=True)
-    p.set_defaults(handler=cmd_bounds_radical_bound)
-
+        p = actions[command.module].add_parser(command.action)
+        for param in command.params:
+            param.add_to(p)
+        p.set_defaults(command=command)
     return parser
-
-
-def _request_params(args: argparse.Namespace) -> dict:
-    skip = {"handler", "module", "action", "threads", "budget", "cache_dir", "no_cache",
-            "no_cache_always"}
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
 def _setting(flag: Optional[int], env: str, default: int, parse: Callable[[str], int]) -> int:
@@ -866,6 +827,8 @@ def run_command(argv, stdout=None) -> int:
         threads = _setting(args.threads, "WFL_THREADS", 1, _positive_int)
         budget = _setting(args.budget, "WFL_BUDGET", DEFAULT_BUDGET, int)
     except (SystemExit, ValueError) as err:
+        if isinstance(err, SystemExit) and err.code == 0:
+            return EXIT_OK  # --help: argparse has printed the help text
         doc = {
             "schema_version": SCHEMA_VERSION,
             "request": {"argv": list(argv)},
@@ -879,17 +842,15 @@ def run_command(argv, stdout=None) -> int:
     cache_dir = args.cache_dir if args.cache_dir is not None else os.environ.get(
         "WFL_CACHE_DIR"
     )
-    use_cache = (
-        cache_dir is not None
-        and not args.no_cache
-        and not getattr(args, "no_cache_always", False)
-    )
+    command = args.command
+    use_cache = cache_dir is not None and not args.no_cache and command.cached
     cache = ResultCache(cache_dir) if use_cache else None
     ctx = Context(threads=threads, budget=budget, cache=cache)
 
+    params = {p.name: getattr(args, p.name) for p in command.params}
     request = {
-        "command": f"{args.module} {args.action}",
-        "params": canonical(_request_params(args)),
+        "command": f"{command.module} {command.action}",
+        "params": canonical({k: v for k, v in params.items() if v is not None}),
         "version": __version__,
         "budget": str(budget),
     }
@@ -907,14 +868,11 @@ def run_command(argv, stdout=None) -> int:
             stdout.write(dumps_canonical(doc) + "\n")
             return int(record["exit_code"])
 
-    status = "ok"
-    exit_code = EXIT_OK
-    result = None
     try:
-        # Looked up by name: the parser is built once, and a handler replaced on
-        # this module since (say, by a tracing wrapper) is the one to call.
-        handler = globals()[args.handler.__name__]
-        result, status, exit_code = handler(args, ctx)
+        result = globals()[command.handler.__name__](args, ctx)  # see `Command`
+        status, exit_code = "ok", EXIT_OK
+    except CheckFailed as failed:
+        result, status, exit_code = failed.result, "fail", EXIT_CHECK_FAILED
     except (BudgetExceeded, CapExceeded) as err:
         result, status, exit_code = {"error": str(err)}, "budget-exceeded", EXIT_BUDGET
     except (ValueError, WordSyntaxError, EmptyWordError, OSError) as err:

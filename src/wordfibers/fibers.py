@@ -483,9 +483,10 @@ def _search_all_tuples(
             f"exact search needs {needed} evaluations, budget is {budget}"
         )
     ev = _BatchEvaluator(g, w, a.tables)
-    # no more workers than cores; the witnesses do not depend on the split
+    # no more workers than cores, and a pool only for a scan of several
+    # batches; the witnesses do not depend on the split
     threads = max(1, min(int(threads), os.cpu_count() or 1))
-    if threads == 1 or scanned < 4 * threads:
+    if threads == 1 or scanned <= ev.batch_size():
         parts = [_scan_range(ev, _normal_form_batches(ev, 0, scanned, free))]
     else:
         bounds = np.linspace(0, scanned, threads + 1, dtype=np.int64).tolist()

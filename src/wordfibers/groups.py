@@ -518,9 +518,13 @@ def identity_autset(g: FiniteGroup) -> AutSet:
 
 
 def inner_automorphisms(g: FiniteGroup) -> AutSet:
-    """Row x is conj(x): y -> x y x^-1."""
-    t, inv = g.table, g.inv_table
-    return AutSet(g, t[t, inv[:, None]], kind="inner")
+    """Row x is conj(x): y -> x y x^-1.  Kept on ``g``, as Aut(G) is."""
+
+    def build() -> AutSet:
+        t, inv = g.table, g.inv_table
+        return AutSet(g, t[t, inv[:, None]], kind="inner")
+
+    return _derived(g, ("inn",), build)
 
 
 def _span_mask(

@@ -487,7 +487,12 @@ class TestVerifyCommands:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_thread_counts(self):
+    def test_byte_identical_across_thread_counts(self, monkeypatch):
+        import wordfibers.fibers as fibers
+
+        # two tuples per batch on groups of order 8 and two variables, so the
+        # searches span several batches and more than one thread splits them
+        monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 2 * 8**2)
         cases = [
             ["verify", "identity-max", "--group", "q8", "--word", "x1 x2 x1",
              "--auts", "aut"],
@@ -537,6 +542,15 @@ class TestCache:
             ["--cache-dir", str(tmp_path), "word", "mconst", "-l", "2", "-d", "1"]
         )
         assert doc["result"]["M"] == "299593"  # (8^7 - 1) / 7
+
+    def test_battery_is_never_cached(self, tmp_path):
+        # its reports are files, which a cached answer would not write again
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{"check": "dihedral", "o": 3}]))
+        argv = ["--cache-dir", str(tmp_path / "cache"), "verify", "battery",
+                "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+        assert run(argv) == run(argv) and run(argv)[0] == EXIT_OK
+        assert not (tmp_path / "cache").exists()
 
 
 class TestBattery:
@@ -748,6 +762,52 @@ class TestCheckRegistry:
         assert doc["result"]["outcome"] == "pass"
 
 
+# One argv for each subcommand that `test_request_params_are_pinned` does not
+# cover, and the params its request echoes.
+ECHO_CASES = [
+    (["word", "parse", "--word", "x1 x2"], {"word": "x1 x2"}),
+    (["word", "variations", "--word", "x1^2"], {"limit": "64", "word": "x1^2"}),
+    (["word", "mconst", "-l", "1", "-d", "2"], {"d": "2", "l": "1"}),
+    (["group", "make", "--spec", "cyc:3"], {"spec": "cyc:3"}),
+    (["group", "auts", "--spec", "cyc:3"], {"spec": "cyc:3", "tables": False}),
+    (["group", "subgroups", "--spec", "cyc:3"], {"spec": "cyc:3"}),
+    (["group", "series", "--spec", "cyc:3"], {"spec": "cyc:3"}),
+    (["group", "radical", "--spec", "cyc:3"], {"spec": "cyc:3"}),
+    (["fiber", "dist", "--group", "cyc:3", "--word", "x1^2"],
+     {"auts": "id", "group": "cyc:3", "word": "x1^2"}),
+    (["fiber", "pi", "--group", "cyc:3", "--word", "x1^2"],
+     {"group": "cyc:3", "word": "x1^2"}),
+    (["fiber", "max", "--group", "cyc:3", "--word", "x1^2"],
+     {"auts": "aut", "group": "cyc:3", "mode": "exact", "samples": "1000", "seed": "0",
+      "target": "any", "word": "x1^2"}),
+    (["verify", "variation-projection", "--group", "cyc:2", "--word", "x1^2"],
+     {"group": "cyc:2", "word": "x1^2"}),
+    (["verify", "battery"], {"out": "battery_reports"}),
+    (["bounds", "exclude", "--word", "x1", "--rho", "1"], {"rho": "1", "word": "x1"}),
+    (["bounds", "alt", "--word", "x1", "--rho", "1/2"], {"rho": "1/2", "word": "x1"}),
+    (["bounds", "lie", "--word", "x1", "--rho", "1"], {"rho": "1", "word": "x1"}),
+    (["bounds", "n0", "--word", "x1", "--rho", "1/2", "--order", "60"],
+     {"order": "60", "rho": "1/2", "word": "x1"}),
+    (["bounds", "radical-bound", "--word", "x1", "--rho", "1/2", "--n-zero", "100",
+      "--eta-zero", "1/100"],
+     {"eta_zero": "1/100", "factors": "", "n_zero": "100", "rho": "1/2", "word": "x1"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, params", ECHO_CASES, ids=[" ".join(argv[:2]) for argv, _ in ECHO_CASES]
+)
+def test_request_params_of_every_subcommand_are_pinned(monkeypatch, tmp_path, argv, params):
+    # The request params feed the result cache's digest: defaults are echoed
+    # (`tables` as false), options with no value (`--tuple`, `--manifest`)
+    # are not, and each key is the option's dest.
+    monkeypatch.chdir(tmp_path)  # the battery writes its reports to ./battery_reports
+    code, doc, _ = run(argv)
+    assert code == EXIT_OK
+    assert doc["request"]["command"] == " ".join(argv[:2])
+    assert doc["request"]["params"] == params
+
+
 class TestBoundsCommands:
     def test_mconst_via_words(self):
         code, doc, _ = run(["word", "mconst", "-l", "1", "-d", "1"])
@@ -858,6 +918,12 @@ class TestUsageErrors:
         assert run(["word", "mconst", "-l", "1", "-d", "1"])[0] == EXIT_OK
         assert calls == ["mconst"]
 
+    def test_help_exits_zero_and_writes_no_document(self, capsys):
+        out = io.StringIO()
+        assert run_command(["bounds", "n0", "--help"], stdout=out) == EXIT_OK
+        assert out.getvalue() == ""
+        assert capsys.readouterr().out.startswith("usage: wfl bounds n0")
+
     def test_unknown_subcommand(self):
         code, doc, _ = run(["word", "frobnicate"])
         assert code == EXIT_USAGE
@@ -893,21 +959,41 @@ class TestUsageErrors:
 
 
 class TestEntryPoint:
-    def test_subprocess_invocation(self):
-        # the child imports wordfibers from the same place as this test does
+    @staticmethod
+    def wfl(*argv):
+        """`python -m wordfibers.cli` in a child process, through `main()` and
+        `sys.exit`; the child imports wordfibers from the same place as this
+        test does."""
         import wordfibers
 
         src = str(Path(wordfibers.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "wordfibers.cli", "verify", "dihedral", "--o", "5"],
+        return subprocess.run(
+            [sys.executable, "-m", "wordfibers.cli", *argv],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
         )
+
+    def test_subprocess_invocation(self):
+        proc = self.wfl("verify", "dihedral", "--o", "5")
         assert proc.returncode == 0
+        assert proc.stdout.endswith("\n") and proc.stdout.count("\n") == 1
         doc = json.loads(proc.stdout)
         assert doc["result"]["witness"]["group_max"] == "6"
+
+    def test_usage_error_is_one_json_line(self):
+        proc = self.wfl("word", "frobnicate")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout.endswith("\n") and proc.stdout.count("\n") == 1
+        assert json.loads(proc.stdout)["status"] == "usage-error"
+
+    def test_help_exits_zero_with_the_help_text_alone(self):
+        proc = self.wfl("word", "parse", "--help")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout.startswith("usage: wfl word parse")
+        assert "--word WORD" in proc.stdout
+        assert not any(line.startswith("{") for line in proc.stdout.splitlines())
 
     def test_cayley_table_workflow(self, tmp_path):
         path = tmp_path / "c4.tbl"
@@ -978,6 +1064,26 @@ class TestSharedStructure:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("argv", [
+        ["group", "auts", "--spec", "sym:4"],
+        ["verify", "submult", "--group", "sym:3", "--subgroup", "order:3", "--word", "x1^2",
+         "--auts", "inn"],
+    ])
+    def test_inner_automorphisms_are_built_once(self, monkeypatch, argv):
+        # Inn(G) is kept on the group, and Aut(G), built as Inn(G)·Φ, reads it there
+        import wordfibers.groups as groups
+
+        kinds = []
+
+        class CountingAutSet(groups.AutSet):
+            def __init__(self, group, tables, kind):
+                kinds.append(kind)
+                super().__init__(group, tables, kind)
+
+        monkeypatch.setattr(groups, "AutSet", CountingAutSet)
+        assert run(argv)[0] == EXIT_OK
+        assert kinds.count("inner") == 1 and kinds.count("full") == 1
+
     def test_submult_builds_one_quotient(self, monkeypatch):
         import wordfibers.groups as groups
 
@@ -1035,12 +1141,14 @@ class TestThreadSettings:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(fibers, "ThreadPoolExecutor", InlinePool)
+        # two tuples per batch on sym:3 with two variables: the 6^2 scanned
+        # rows span several batches, so the pool opens
+        monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 2 * 6**2)
         argv = ["fiber", "max", "--group", "sym:3", "--word", "x1 x2 x1^-1 x2"]
         _, _, expected = run(argv)
         _, _, threaded = run(["--threads", "64", *argv])
         assert threaded == expected and workers == [2]
-        # a battery entry's search is split the same way: 6^2 scanned rows,
-        # at least 4 per worker, so the pool opens
+        # a battery entry's search is split the same way
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps(
             [{"check": "identity-max", "group": "sym:3", "word": "x1 x2 x1^-1 x2"}]

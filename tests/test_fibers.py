@@ -1,7 +1,9 @@
+import contextlib
 import itertools
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,6 +36,16 @@ from wreath_oracle import draw_wreath_parts, wreath_rows
 COMMUTATOR = parse_word("[x1,x2]")
 SQUARE = parse_word("x1^2")
 XY = parse_word("x1 x2")
+
+
+@contextlib.contextmanager
+def two_tuples_per_batch(g, w):
+    """Batches of two tuples, each still one block over the whole argument
+    space: a search of w on g that scans more than two tuples spans several
+    batches, and with threads > 1 it is split over a pool."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fibers, "_BATCH_ELEMENTS", 2 * g.order**w.num_variables)
+        yield
 
 
 def identity_rows(g, w):
@@ -263,10 +275,11 @@ class TestMaxFiber:
         assert (unreached.value, unreached.witness_target) == (0, 2)
         assert unreached.witness_tuple_indices == (0, 0)
         assert unreached.witness_tuple.tolist() == a.tables[[0, 0]].tolist()
-        for threads in (1, 2):
-            for mode in ("exact", "sample"):
-                again = max_fiber(g, SQUARE, a, mode=mode, threads=threads)
-                assert (again.witness_target, again.witness_tuple_indices) == (1, (0, 0))
+        with two_tuples_per_batch(g, SQUARE):
+            for threads in (1, 2):
+                for mode in ("exact", "sample"):
+                    again = max_fiber(g, SQUARE, a, mode=mode, threads=threads)
+                    assert (again.witness_target, again.witness_tuple_indices) == (1, (0, 0))
 
     def test_trivial_group(self):
         # the general search covers the one tuple and the one target
@@ -307,7 +320,8 @@ class TestMaxFiber:
         g = make_group("dih:4")
         a = automorphism_group(g)
         one = max_fiber(g, COMMUTATOR, a, threads=1)
-        four = max_fiber(g, COMMUTATOR, a, threads=4)
+        with two_tuples_per_batch(g, COMMUTATOR):
+            four = max_fiber(g, COMMUTATOR, a, threads=4)
         assert (one.value, one.witness_tuple_indices, one.witness_target) == (
             four.value,
             four.witness_tuple_indices,
@@ -315,6 +329,26 @@ class TestMaxFiber:
         )
         assert one.target_values.tolist() == four.target_values.tolist()
         assert one.target_tuple_numbers.tolist() == four.target_tuple_numbers.tolist()
+
+    def test_a_pool_opens_only_for_a_scan_of_several_batches(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fibers, "ThreadPoolExecutor", RecordingPool)
+        g = make_group("dih:4")
+        a = automorphism_group(g)
+        one_batch = max_fiber(g, COMMUTATOR, a, threads=2)
+        assert one_batch.tuples_scanned == 64 and pools == []
+        with two_tuples_per_batch(g, COMMUTATOR):
+            split = max_fiber(g, COMMUTATOR, a, threads=2)
+        assert pools == [2]
+        assert split.target_values.tolist() == one_batch.target_values.tolist()
+        assert split.target_tuple_numbers.tolist() == one_batch.target_tuple_numbers.tolist()
 
     def test_budget_error(self):
         g = make_group("alt:4")
@@ -625,7 +659,8 @@ class TestSplitWords:
         for grp, a in ((g, inner_automorphisms(g)), (unclosed_g, unclosed)):
             best, per_vals, per_idx = brute_force_search(grp, w, a, [None])
             for threads in (1, 2):
-                res = max_fiber(grp, w, a, threads=threads)
+                with two_tuples_per_batch(grp, w):
+                    res = max_fiber(grp, w, a, threads=threads)
                 assert (res.value, res.witness_target, res.witness_tuple_indices) == best[None]
                 assert res.target_values.tolist() == per_vals.tolist()
                 assert res.target_tuple_numbers.tolist() == per_idx.tolist()
@@ -714,7 +749,8 @@ class TestNormalFormSearch:
         best, per_vals, per_idx = brute_force_search(g, w, a, [None, 1])
         for threads in (1, 2):
             for target in (None, 1):
-                res = max_fiber(g, w, a, target=target, threads=threads)
+                with two_tuples_per_batch(g, w):
+                    res = max_fiber(g, w, a, target=target, threads=threads)
                 value, witness_target, indices = best[target]
                 assert (res.value, res.witness_target, res.witness_tuple_indices) == (
                     value, witness_target, indices
@@ -776,7 +812,8 @@ class TestNormalFormSearch:
         w = parse_word(word)
         for threads in (1, 2):
             for target, expected in ((None, any_target), (1, target_one)):
-                res = max_fiber(g, w, a, target=target, threads=threads)
+                with two_tuples_per_batch(g, w):
+                    res = max_fiber(g, w, a, target=target, threads=threads)
                 assert (res.value, res.witness_target, res.witness_tuple_indices) == expected
                 assert res.target_values.tolist() == values
                 assert res.target_tuple_numbers.tolist() == indices
