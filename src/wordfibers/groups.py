@@ -8,6 +8,7 @@ and build the table eagerly at construction.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -97,34 +98,41 @@ class FiniteGroup:
         return tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist())
 
     @cached_property
-    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+    def _classes(self) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
+        """The conjugacy classes, and the least member and the size of each
+        element's class, from one pass over the elements: an element that no
+        smaller element's class holds is the least of a new class."""
         n = self.order
         t, inv = self.table, self.inv_table
-        hh = np.arange(n)
         seen = np.zeros(n, dtype=bool)
+        least = np.empty(n, dtype=np.int64)
+        sizes = np.empty(n, dtype=np.int64)
         classes = []
-        for g in range(n):
-            if seen[g]:
+        for x in range(n):
+            if seen[x]:
                 continue
-            orbit = np.unique(t[t[hh, g], inv[hh]])
-            seen[orbit] = True
-            classes.append(tuple(int(x) for x in orbit))
-        return tuple(classes)
+            orbit = np.zeros(n, dtype=bool)
+            orbit[t[t[:, x], inv]] = True  # h x h^-1 over every h
+            seen |= orbit
+            members = np.flatnonzero(orbit)
+            least[members] = x
+            sizes[members] = len(members)
+            classes.append(tuple(members.tolist()))
+        return tuple(classes), least, sizes
 
-    @cached_property
+    @property
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The classes by least member, each an ascending tuple."""
+        return self._classes[0]
+
+    @property
     def class_minima(self) -> np.ndarray:
         """``class_minima[g]`` is the least member of g's conjugacy class."""
-        least = np.empty(self.order, dtype=np.int64)
-        for cls in self.conjugacy_classes:
-            least[list(cls)] = cls[0]
-        return least
+        return self._classes[1]
 
-    @cached_property
+    @property
     def class_size_of(self) -> np.ndarray:
-        sizes = np.zeros(self.order, dtype=np.int64)
-        for cls in self.conjugacy_classes:
-            sizes[list(cls)] = len(cls)
-        return sizes
+        return self._classes[2]
 
     def validate(self, seed: int = 0) -> None:
         """Check group axioms; exhaustive for small orders, sampled above."""
@@ -168,20 +176,25 @@ def _derived(g: FiniteGroup, key: tuple, build):
 # -- constructions -----------------------------------------------------------
 
 
+# The cyclic and dihedral tables are built in int32 and reduced in place, so
+# a build holds one n×n array.
 def _cyclic_table(n: int) -> np.ndarray:
-    a = np.arange(n, dtype=np.int64)
-    return ((a[:, None] + a[None, :]) % n).astype(np.int32)
+    a = np.arange(n, dtype=np.int32)
+    table = a[:, None] + a[None, :]
+    table %= n
+    return table
 
 
 def _dihedral_table(o: int) -> np.ndarray:
     # element f*o + k stands for s^f r^k; (f1,k1)(f2,k2) = (f1^f2, k2 + (-1)^f2 k1)
-    n = 2 * o
-    idx = np.arange(n)
+    idx = np.arange(2 * o, dtype=np.int32)
     f, k = idx // o, idx % o
-    f1, f2 = f[:, None], f[None, :]
-    k1, k2 = k[:, None], k[None, :]
-    sign = 1 - 2 * f2
-    return ((f1 ^ f2) * o + (k2 + sign * k1) % o).astype(np.int32)
+    table = k[:, None] * (1 - 2 * f)[None, :]
+    table += k[None, :]
+    table %= o
+    table[:o, o:] += o  # f1 ^ f2 = 1
+    table[o:, :o] += o
+    return table
 
 
 def _quaternion_table() -> np.ndarray:
@@ -518,11 +531,24 @@ def identity_autset(g: FiniteGroup) -> AutSet:
 
 
 def inner_automorphisms(g: FiniteGroup) -> AutSet:
-    """Row x is conj(x): y -> x y x^-1.  Kept on ``g``, as Aut(G) is."""
+    """The rows conj(x): y -> x y x^-1, one per coset of the center Z(G).
+    Kept on ``g``, as Aut(G) is.
+
+    Conjugation by xz equals conjugation by x for central z, so the row of
+    the least member x of each coset xZ gives every inner automorphism once;
+    an abelian group gets the identity row alone.  x is least in xZ when no
+    x z is smaller; as z x = x z, rows z of the table hold the coset members,
+    read a block of rows at a time."""
 
     def build() -> AutSet:
         t, inv = g.table, g.inv_table
-        return AutSet(g, t[t, inv[:, None]], kind="inner")
+        center = np.asarray(g.center, dtype=np.int64)
+        least = np.arange(g.order)
+        step = max(1, _COMPOSE_BLOCK_ELEMENTS // g.order)
+        for lo in range(0, len(center), step):
+            np.minimum(least, t[center[lo : lo + step]].min(axis=0), out=least)
+        reps = np.flatnonzero(least == np.arange(g.order))
+        return AutSet(g, t[t[reps], inv[reps, None]], kind="inner")
 
     return _derived(g, ("inn",), build)
 
@@ -537,7 +563,9 @@ def _span_mask(
     it; each level is one table gather.  A `start` mask, holding 0 and only
     elements of <gens>, is the first level: the walk from it reaches the same
     subgroup, since the identity is in it, and in fewer levels when it holds
-    long words in gens, such as their powers."""
+    long words in gens, such as their powers.  With many seeds one gather per
+    level beats the n·k Python steps of `_cayley_walk`, which serves the few
+    generators of a search."""
     if start is None:
         start = np.zeros(table.shape[0], dtype=bool)
         start[0] = True
@@ -564,44 +592,88 @@ def _bucket_keys(g: FiniteGroup) -> np.ndarray:
     return g.element_orders * (g.order + 1) + g.class_size_of
 
 
-def choose_generators(g: FiniteGroup) -> list[int]:
-    """A small generating set, chosen deterministically.
+@dataclass
+class CayleyWalk:
+    """A breadth-first walk of the right Cayley graph of <generators> from
+    the identity, as plain lists in reach order.
+
+    ``reached[0]`` is the identity; every later ``reached[i]`` is
+    ``parents[i] * generators[positions[i]]``, first reached at depth
+    ``depths[i] = depths of its parent + 1``.  Depths never fall along the
+    lists, so each run of one depth is a BFS level.  The walk visits the
+    parents in reach order and each parent's generator columns in order, and
+    the first edge that reaches an element is its tree edge, so the tree is
+    fixed by the table and the generators.  The identity's own entries are
+    ``parents[0] = positions[0] = -1`` and ``depths[0] = 0``."""
+
+    generators: list[int]
+    reached: list[int]
+    parents: list[int]
+    positions: list[int]
+    depths: list[int]
+
+
+def _cayley_walk(table: np.ndarray, gens: Sequence[int]) -> CayleyWalk:
+    """The `CayleyWalk` of ``gens``: one Python step per edge, n·k in all,
+    over the generator columns as lists.  It reaches exactly <gens>, as
+    `_span_mask` does."""
+    cols = table[:, list(gens)].T.tolist()
+    seen = bytearray(table.shape[0])
+    seen[0] = 1
+    walk = CayleyWalk(list(gens), [0], [-1], [-1], [0])
+    reached, parents, positions, depths = walk.reached, walk.parents, walk.positions, walk.depths
+    # the loop reads the elements appended while it runs: a list iterator
+    # checks the length at every step
+    for i, x in enumerate(reached):
+        depth = depths[i] + 1
+        for j, col in enumerate(cols):
+            y = col[x]
+            if not seen[y]:
+                seen[y] = 1
+                reached.append(y)
+                parents.append(x)
+                positions.append(j)
+                depths.append(depth)
+    return walk
+
+
+def choose_generators(g: FiniteGroup) -> CayleyWalk:
+    """A small generating set, chosen deterministically, and its Cayley walk.
 
     The first generator is the element of largest order (then smallest
     bucket, then least index).  Each later step scans the elements outside
     the current subgroup by (smallest bucket, largest order, least index) and
     takes the first whose addition gives G, or else the one that enlarges the
-    subgroup most.  The choice stops with `CapExceeded` as soon as no
-    further choice can keep the search work of `plan_hom_search` within
-    `HOM_WORK_CAP`."""
+    subgroup most; each candidate's subgroup is the reach of its walk.  The
+    choice stops with `CapExceeded` as soon as no further choice can keep
+    the search work of `plan_hom_search` within `HOM_WORK_CAP`."""
     n = g.order
     table, orders = g.table, g.element_orders
     _, where, counts = np.unique(_bucket_keys(g), return_inverse=True, return_counts=True)
     sizes = counts[where.ravel()]
     idx = np.arange(n)
     scan = np.lexsort((idx, -orders, sizes))
-    gens: list[int] = []
     candidates = 1
-    span = _span_mask(table, gens)
-    while not span.all():
-        least = int(sizes[~span].min())
-        _check_work(candidates * least, n, len(gens) + 1)
+    walk = _cayley_walk(table, [])
+    while len(walk.reached) < n:
+        span = np.zeros(n, dtype=bool)
+        span[walk.reached] = True
+        gens = walk.generators
+        _check_work(candidates * int(sizes[~span].min()), n, len(gens) + 1)
         if not gens:
-            pick = int(np.lexsort((idx, sizes, -orders))[0])
-            span = _span_mask(table, [pick])
+            walk = _cayley_walk(table, [int(np.lexsort((idx, sizes, -orders))[0])])
         else:
-            pick, best = -1, None
+            best = None
             for c in scan[~span[scan]].tolist():
-                grown = _span_mask(table, gens + [c])
-                if best is None or grown.sum() > best.sum():
-                    pick, best = c, grown
-                    if grown.all():
+                grown = _cayley_walk(table, gens + [c])
+                if best is None or len(grown.reached) > len(best.reached):
+                    best = grown
+                    if len(grown.reached) == n:
                         break
-            span = best
-        gens.append(pick)
-        candidates *= int(sizes[pick])
-        _check_work(candidates, n, len(gens))
-    return gens
+            walk = best
+        candidates *= int(sizes[walk.generators[-1]])
+        _check_work(candidates, n, len(walk.generators))
+    return walk
 
 
 def _check_work(candidates: int, order: int, k: int) -> None:
@@ -617,6 +689,7 @@ class HomSearch:
     """A generator-image search for the isomorphisms src -> dst, planned in
     full before any candidate is tested.
 
+    ``walk`` is the `CayleyWalk` of src's chosen ``generators``, and
     ``buckets[j]`` holds the dst elements that may image ``generators[j]``.
     Their product, ``candidates`` tuples, bounds the search: the cap reads
     ``candidates * |src| * len(generators)`` table steps.  The search tests
@@ -626,9 +699,13 @@ class HomSearch:
 
     src: FiniteGroup
     dst: FiniteGroup
-    generators: list[int]
+    walk: CayleyWalk
     buckets: list[np.ndarray]
     heads: np.ndarray
+
+    @property
+    def generators(self) -> list[int]:
+        return self.walk.generators
 
     @property
     def candidates(self) -> int:
@@ -659,10 +736,10 @@ def plan_hom_search(src: FiniteGroup, dst: FiniteGroup) -> HomSearch:
     isomorphism again, with both images in the buckets.  So some row gives
     an isomorphism whenever one exists, and the rows give a set Φ of
     isomorphisms with every isomorphism in Inn(dst)·Φ."""
-    gens = choose_generators(src)
+    walk = choose_generators(src)
     src_keys, dst_keys = _bucket_keys(src), _bucket_keys(dst)
-    buckets = [np.flatnonzero(dst_keys == src_keys[s]).astype(np.int32) for s in gens]
-    return HomSearch(src, dst, gens, buckets, _head_images(dst, buckets))
+    buckets = [np.flatnonzero(dst_keys == src_keys[s]).astype(np.int32) for s in walk.generators]
+    return HomSearch(src, dst, walk, buckets, _head_images(dst, buckets))
 
 
 def _head_images(dst: FiniteGroup, buckets: list[np.ndarray]) -> np.ndarray:
@@ -686,32 +763,27 @@ def _head_images(dst: FiniteGroup, buckets: list[np.ndarray]) -> np.ndarray:
 
 
 def _spanning_program(
-    table: np.ndarray, gens: Sequence[int]
+    table: np.ndarray, walk: CayleyWalk
 ) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], tuple[np.ndarray, ...]]:
-    """BFS levels of the right Cayley graph from the identity, and its
-    non-tree edges.
+    """The walk's spanning tree cut into its BFS levels, and the non-tree
+    edges of the right Cayley graph.
 
-    Each level is (elements x, parents p, generator positions j) with
-    x = p * gens[j]; each non-tree edge is (x, j, x * gens[j])."""
-    n, k = table.shape[0], len(gens)
-    cols = np.asarray(gens, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
+    Each level is one run of equal depth of the walk, (elements x, parents p,
+    generator positions j) with x = p * gens[j]; each non-tree edge is
+    (x, j, x * gens[j])."""
+    n, k = table.shape[0], len(walk.generators)
+    reached, parents, positions = (
+        np.array(a, dtype=np.int64) for a in (walk.reached, walk.parents, walk.positions)
+    )
+    # where each depth starts, and the end; depth 0 is the identity alone
+    cuts = [bisect.bisect_left(walk.depths, d) for d in range(1, walk.depths[-1] + 2)]
+    levels = [
+        (reached[lo:hi], parents[lo:hi], positions[lo:hi]) for lo, hi in zip(cuts, cuts[1:])
+    ]
     tree = np.zeros((n, k), dtype=bool)
-    levels = []
-    frontier = np.zeros(1 if k else 0, dtype=np.int64)
-    while frontier.size:
-        prods = table[frontier[:, None], cols].ravel()
-        fresh = np.flatnonzero(~seen[prods])
-        elems, first = np.unique(prods[fresh], return_index=True)
-        pos = fresh[first]
-        parents, js = frontier[pos // k], pos % k
-        seen[elems] = True
-        tree[parents, js] = True
-        levels.append((elems, parents, js))
-        frontier = elems.astype(np.int64)
+    tree[parents[1:], positions[1:]] = True
     xs, js = np.nonzero(~tree)
-    return levels, (xs, js, table[xs, cols[js]])
+    return levels, (xs, js, table[xs, np.asarray(walk.generators, dtype=np.int64)[js]])
 
 
 def _hom_rows(
@@ -725,7 +797,12 @@ def _hom_rows(
 
     φ is built along the spanning program, φ(p * s_j) = φ(p) * h_j, so the
     tree edges hold by construction; a row is kept when every non-tree edge
-    holds too and only the identity maps to the identity."""
+    holds too and only the identity maps to the identity.  Together the two
+    kinds of edge are every edge of the Cayley graph, so any spanning tree
+    keeps the same rows; the tree of `_cayley_walk` is deterministic: within
+    one BFS level, an element's tree edge comes from its first parent in
+    reach order, and from that parent's first generator column that reaches
+    it."""
     r, n = images.shape[0], table_dst.shape[0]
     phi = np.zeros((r, n), dtype=np.int32)
     for elems, parents, js in levels:
@@ -751,10 +828,15 @@ def _search_homs(search: HomSearch, *, find_all: bool, max_results: int) -> np.n
     |src| = |dst| it is a bijection.  An isomorphism is fixed by its
     generator images, which keep their order and class size and so lie in
     the buckets; `plan_hom_search` says why the head rows miss none up to an
-    inner automorphism."""
+    inner automorphism.
+
+    The program is the search's own `CayleyWalk`, the one that chose the
+    generators, cut into its BFS levels (`_spanning_program`): the graph is
+    walked once per search.  Which spanning tree the walk takes does not
+    change the rows kept (`_hom_rows`), and the tree is deterministic."""
     src, dst = search.src, search.dst
     k = len(search.generators)
-    levels, edges = _spanning_program(src.table, search.generators)
+    levels, edges = _spanning_program(src.table, search.walk)
     heads, tails = search.heads, search.buckets[2:]
     total = search.tried
     rows = max(1, _HOM_BLOCK_ELEMENTS // (src.order * max(1, k)))
@@ -822,7 +904,8 @@ def automorphism_group(g: FiniteGroup) -> AutSet:
         inner = inner_automorphisms(g).tables
         if len(inner) * len(outer) > AUTSET_SIZE_CAP:
             raise CapExceeded(f"automorphism enumeration exceeds cap {AUTSET_SIZE_CAP}")
-        aut = AutSet(g, _compose_after(inner, outer), kind="full")
+        # with Inn(G) trivial the composites are Φ itself
+        aut = AutSet(g, outer if len(inner) == 1 else _compose_after(inner, outer), kind="full")
         aut.search = search
         return aut
 

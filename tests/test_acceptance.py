@@ -7,7 +7,9 @@ oracle inside this module or checked at the stated exact/relative tolerance.
 
 import io
 import json
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from wordfibers.bounds import (
     lie_rank_threshold,
     n0_bound,
 )
+import wordfibers.fibers as fibers
 from wordfibers.cli import run_command
 from wordfibers.fibers import max_fiber, pi_w
 from wordfibers.groups import (
@@ -314,7 +317,19 @@ def test_criterion_8_monotonicity_and_invariance():
             ), text
 
 
-def test_criterion_9_determinism_across_thread_counts():
+def test_criterion_9_determinism_across_thread_counts(monkeypatch):
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    # two cores, and two tuples per batch on q8 with two variables: the
+    # searches below span several batches, so two threads split them
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(fibers, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 2 * 8**2)
     with criterion("9 determinism"):
         commands = [
             ["word", "variations", "--word", "[x1,x2]"],
@@ -337,6 +352,10 @@ def test_criterion_9_determinism_across_thread_counts():
                 assert code == 0, argv
                 outputs.append(out.getvalue())
             assert outputs[0] == outputs[1], argv
+            split = argv[:2] in (["fiber", "max"], ["verify", "identity-max"],
+                                 ["verify", "submult"])
+            assert (len(pools) > 0) == split, argv
+            pools.clear()
             doc = json.loads(outputs[0])
             assert set(doc) == {
                 "schema_version",

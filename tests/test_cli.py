@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -555,10 +556,29 @@ class TestCache:
 
 class TestBattery:
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_shipped_battery_matches_the_benchmark_golden_file(self, tmp_path, threads):
+    def test_shipped_battery_matches_the_benchmark_golden_file(
+        self, monkeypatch, tmp_path, threads
+    ):
+        import wordfibers.fibers as fibers
+
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fibers, "ThreadPoolExecutor", RecordingPool)
+        if threads == "2":
+            # batches of at most 4096 word values, so the larger searches span
+            # several batches and are split over a pool (at the default size
+            # every search of the battery fits in one batch)
+            monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 4096)
         golden = json.loads((GOLDEN / "battery.json").read_text())
         (record,) = golden["records"]
         code, doc, _ = run(["--threads", threads, "verify", "battery", "--out", str(tmp_path)])
+        assert (len(pools) > 0) == (threads == "2") and set(pools) <= {2}
         assert code == record["exit_code"]
         assert doc["result"] == record["result"]
         assert len(golden["reports"]) == len(doc["result"]["reports"]) == 73

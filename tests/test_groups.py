@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -827,6 +828,40 @@ class TestProductTables:
         assert (g.table == reference_product_table([make_group(f) for f in factors])).all()
 
 
+# the int64 formulas that the int32 builders replaced
+def reference_cyclic_table(n):
+    a = np.arange(n, dtype=np.int64)
+    return (a[:, None] + a[None, :]) % n
+
+
+def reference_dihedral_table(o):
+    idx = np.arange(2 * o)
+    f, k = idx // o, idx % o
+    sign = 1 - 2 * f[None, :]
+    return (f[:, None] ^ f[None, :]) * o + (k[None, :] + sign * k[:, None]) % o
+
+
+class TestCyclicDihedralTables:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 31])
+    def test_equal_to_the_int64_formulas(self, n):
+        cyc, dih = make_group(f"cyc:{n}"), make_group(f"dih:{n}")
+        assert cyc.table.dtype == dih.table.dtype == np.int32
+        assert (cyc.table == reference_cyclic_table(n)).all()
+        assert (dih.table == reference_dihedral_table(n)).all()
+
+    @pytest.mark.parametrize("spec", ["cyc:4096", "dih:2048"])
+    def test_a_build_holds_about_one_table(self, spec):
+        # the int64 formulas peak at 256 MB (cyc:4096) and 384 MB (dih:2048)
+        # under tracemalloc, for a 64 MB table
+        tracemalloc.start()
+        try:
+            g = make_group(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * g.table.nbytes
+
+
 class TestPowerGroup:
     def test_first_power_leaves_its_input_unchanged(self):
         s = make_group("alt:5")
@@ -1053,21 +1088,152 @@ class TestGenerators:
     def test_chosen_generators_generate(self):
         for spec in ["cyc:6", "sym:3", "dih:4", "q8", "alt:4", "pow:(cyc:2)^4", "sym:6"]:
             g = make_group(spec)
-            gens = choose_generators(g)
+            gens = choose_generators(g).generators
             assert _closure(g.table, gens) == tuple(range(g.order))
 
     def test_trivial_group_needs_no_generators(self):
-        assert choose_generators(make_group("cyc:1")) == []
+        assert choose_generators(make_group("cyc:1")).generators == []
 
     def test_choice_rule(self):
         # sym:6: an element of order 6 first, then the first element of the
         # smallest bucket (order 2, class size 15, 30 elements) that generates
         g = make_group("sym:6")
-        first, second = choose_generators(g)
+        first, second = choose_generators(g).generators
         assert g.element_orders[first] == 6
         assert g.element_orders[second] == 2 and g.class_size_of[second] == 15
         # (C2)^4 needs four generators, each doubling the subgroup
-        assert choose_generators(make_group("pow:(cyc:2)^4")) == [1, 2, 4, 8]
+        assert choose_generators(make_group("pow:(cyc:2)^4")).generators == [1, 2, 4, 8]
+
+
+# every group of the shipped battery and of the benchmark's large-groups pool,
+# and a few whose choice takes several steps
+GENERATOR_SPECS = sorted(set(_battery_groups()) | {
+    "sym:5", "sym:6", "alt:6", "prod:(sym:4)x(cyc:3)", "pow:(cyc:2)^3", "pow:(cyc:2)^4",
+    "dih:12", "prod:(cyc:2)x(q8)",
+})
+
+
+def span_mask_generators(g):
+    """The generator choice of `choose_generators` before the Cayley walk:
+    each candidate's subgroup is a `_span_mask`, the largest wins, and the
+    first that gives G stops the scan."""
+    n = g.order
+    table, orders = g.table, g.element_orders
+    _, where, counts = np.unique(
+        groups_mod._bucket_keys(g), return_inverse=True, return_counts=True
+    )
+    sizes = counts[where.ravel()]
+    idx = np.arange(n)
+    scan = np.lexsort((idx, -orders, sizes))
+    gens = []
+    candidates = 1
+    span = _span_mask(table, gens)
+    while not span.all():
+        least = int(sizes[~span].min())
+        groups_mod._check_work(candidates * least, n, len(gens) + 1)
+        if not gens:
+            pick = int(np.lexsort((idx, sizes, -orders))[0])
+            span = _span_mask(table, [pick])
+        else:
+            pick, best = -1, None
+            for c in scan[~span[scan]].tolist():
+                grown = _span_mask(table, gens + [c])
+                if best is None or grown.sum() > best.sum():
+                    pick, best = c, grown
+                    if grown.all():
+                        break
+            span = best
+        gens.append(pick)
+        candidates *= int(sizes[pick])
+        groups_mod._check_work(candidates, n, len(gens))
+    return gens
+
+
+class TestGeneratorWalk:
+    """`choose_generators` tests each candidate by the reach of a
+    `CayleyWalk`, and the search reuses the chosen generators' walk."""
+
+    @pytest.mark.parametrize("spec", GENERATOR_SPECS)
+    def test_same_generators_as_the_span_mask_rule(self, spec):
+        g = make_group(spec)
+        assert choose_generators(g).generators == span_mask_generators(g)
+
+    def test_same_generators_on_a_table_file(self, tmp_path):
+        path = tmp_path / "g.txt"
+        write_cayley_table(path, relabelled(make_group("prod:(sym:3)x(cyc:4)"), seed=2))
+        g = make_group(f"table:{path}")
+        assert choose_generators(g).generators == span_mask_generators(g)
+
+    @pytest.mark.parametrize("spec", ["pow:(cyc:2)^5", "pow:(cyc:3)^4"])
+    def test_same_refusals_as_the_span_mask_rule(self, spec):
+        g = make_group(spec)
+        with pytest.raises(CapExceeded) as walked:
+            choose_generators(g)
+        with pytest.raises(CapExceeded) as masked:
+            span_mask_generators(g)
+        assert str(walked.value) == str(masked.value)
+
+    @pytest.mark.parametrize(
+        "spec", ["cyc:1", "sym:4", "alt:5", "dih:12", "q8", "pow:(cyc:2)^4",
+                 "prod:(sym:4)x(cyc:3)"]
+    )
+    def test_walk_invariants(self, spec):
+        g = make_group(spec)
+        table = g.table.tolist()
+        rng = np.random.default_rng(g.order)
+        for _ in range(20):
+            gens = rng.integers(0, g.order, size=rng.integers(0, 4)).tolist()
+            walk = groups_mod._cayley_walk(g.table, gens)
+            reached = walk.reached
+            # every element of <gens> once, the identity first at depth 0
+            assert sorted(reached) == sorted(set_closure(table, gens))
+            assert (reached[0], walk.depths[0]) == (0, 0)
+            depth_of = dict(zip(reached, walk.depths))
+            distance = {0: 0}
+            for x in reached:  # breadth-first distances, by plain loops
+                for s in gens:
+                    distance.setdefault(table[x][s], distance[x] + 1)
+            for y, p, j, d in zip(reached[1:], walk.parents[1:], walk.positions[1:],
+                                  walk.depths[1:]):
+                assert table[p][gens[j]] == y
+                assert d == depth_of[p] + 1 == distance[y]
+            assert walk.depths == sorted(walk.depths)
+
+    @pytest.mark.parametrize("spec", ["cyc:1", "cyc:12", "sym:4", "alt:5", "q8",
+                                      "pow:(cyc:2)^4", "prod:(sym:4)x(cyc:3)"])
+    def test_tree_and_non_tree_edges_are_every_edge(self, spec):
+        g = make_group(spec)
+        walk = choose_generators(g)
+        gens, k = walk.generators, len(walk.generators)
+        levels, (xs, js, ys) = groups_mod._spanning_program(g.table, walk)
+        tree = [(p, j) for _, ps, jj in levels for p, j in zip(ps.tolist(), jj.tolist())]
+        other = list(zip(xs.tolist(), js.tolist()))
+        assert len(tree) == g.order - 1
+        assert sorted(tree + other) == [(x, j) for x in range(g.order) for j in range(k)]
+        assert ys.tolist() == [g.mul(x, gens[j]) for x, j in other]
+        # the levels are the walk's runs of one depth, in reach order
+        elements = [x for elems, _, _ in levels for x in elems.tolist()]
+        assert elements == walk.reached[1:]
+        depth_of = dict(zip(walk.reached, walk.depths))
+        assert [{depth_of[x] for x in elems.tolist()} for elems, _, _ in levels
+                if len(elems)] == [{d} for d in range(1, max(walk.depths) + 1)]
+
+    @pytest.mark.parametrize("spec", ["q8", "alt:5", "sym:6", "pow:(cyc:2)^4", "dih:12"])
+    def test_aut_walks_the_final_generators_once(self, monkeypatch, spec):
+        def no_span(*args):
+            raise AssertionError("a span mask was built")
+
+        walks = []
+        real = groups_mod._cayley_walk
+        monkeypatch.setattr(
+            groups_mod, "_cayley_walk", lambda table, gens: walks.append(list(gens)) or
+            real(table, gens)
+        )
+        monkeypatch.setattr(groups_mod, "_span_mask", no_span)
+        aut = automorphism_group(make_group(spec))
+        assert walks.count(aut.search.generators) == 1
+        assert walks[-1] == aut.search.generators
+        assert aut_digest(aut) == AUT_DIGESTS[spec]
 
 
 # Size and sha256 of the stacked, sorted little-endian int32 tables of
@@ -1144,9 +1310,11 @@ class TestBlockedKernel:
         # every tuple of G^k, not only the buckets, so that no generator's
         # relations hold merely because its image has the right order
         g = make_group(spec)
-        gens = choose_generators(g)
-        levels, edges = groups_mod._spanning_program(g.table, gens)
-        images = np.array(list(itertools.product(range(g.order), repeat=len(gens))), np.int32)
+        walk = choose_generators(g)
+        levels, edges = groups_mod._spanning_program(g.table, walk)
+        images = np.array(
+            list(itertools.product(range(g.order), repeat=len(walk.generators))), np.int32
+        )
         kept = groups_mod._hom_rows(g.table, levels, edges, images)
         expected = set(row_tuples(automorphism_group(g)))
         assert {tuple(row) for row in kept.tolist()} == expected
@@ -1217,8 +1385,32 @@ class TestInnerReduction:
         else:
             assert size <= inner * len(phi)
 
+    @pytest.mark.parametrize(
+        "spec", _battery_groups() + ["prod:(cyc:2)x(q8)", "dih:12", "sym:6", "cyc:64",
+                                     "prod:(alt:5)x(cyc:2)"]
+    )
+    def test_one_row_per_center_coset_gives_every_inner_automorphism(self, spec):
+        g = make_group(spec)
+        t, inv = g.table, g.inv_table
+        every_row = AutSet(g, t[t, inv[:, None]], kind="inner")  # row x is conj(x)
+        assert inner_automorphisms(g).tables.tolist() == every_row.tables.tolist()
+
+    def test_abelian_groups_have_one_inner_row_and_no_composites(self, monkeypatch):
+        def no_composites(*args):
+            raise AssertionError("a composite was built")
+
+        monkeypatch.setattr(groups_mod, "_compose_after", no_composites)
+        abelian = [s for s in sorted(AUT_DIGESTS) if make_group(s).is_abelian]
+        assert len(abelian) > 20
+        for spec in abelian:
+            g = make_group(spec)
+            assert inner_automorphisms(g).tables.tolist() == [list(range(g.order))]
+            assert aut_digest(automorphism_group(g)) == AUT_DIGESTS[spec], spec
+        assert len(inner_automorphisms(make_group("cyc:4096"))) == 1
+
     def test_some_lattice_groups_have_two_generators(self):
-        two = [s for s in LATTICE_SPECS if len(choose_generators(make_group(s))) == 2]
+        two = [s for s in LATTICE_SPECS
+               if len(choose_generators(make_group(s)).generators) == 2]
         assert {"sym:4", "alt:5", "dih:8", "prod:(sym:4)x(cyc:3)"} <= set(two)
 
     @pytest.mark.parametrize(
