@@ -197,10 +197,9 @@ class Context:
     cached on the group: Aut(G), the normal lattice and its quotients.  A
     new request builds everything again."""
 
-    def __init__(self, threads: int, budget: int, cache: Optional[ResultCache]):
+    def __init__(self, threads: int, budget: int):
         self.threads = threads
         self.budget = budget
-        self.cache = cache
         self.stats: dict = {}
         self._groups: dict[str, FiniteGroup] = {}
 
@@ -231,16 +230,19 @@ def _group_and_aut(ctx: Context, spec: str, which: str) -> tuple[FiniteGroup, Au
     raise ValueError(f"unknown automorphism set {which!r}; use id, inn or aut")
 
 
-def resolve_subgroup(g: FiniteGroup, spec: str, aut: AutSet):
-    """Subgroup selector: center | radical | order:<k> | indices:i,j,..."""
+def resolve_subgroup(g: FiniteGroup, spec: str):
+    """Subgroup selector: center | radical | order:<k> | indices:i,j,...
+
+    Aut(G), which the characteristic flags read, is resolved first, so its
+    cap refuses before the selector is read."""
+    automorphism_group(g)
     if spec == "center":
-        return subgroup_handle(g, g.center, aut=aut)
+        return subgroup_handle(g, g.center)
     if spec == "radical":
-        rad = solvable_radical(g)
-        return subgroup_handle(g, rad.elements, aut=aut)
+        return solvable_radical(g)
     if spec.startswith("order:"):
         k = int(spec[6:])
-        hits = [s for s in normal_subgroups(g, aut) if s.order == k and s.characteristic]
+        hits = [s for s in normal_subgroups(g) if s.order == k and s.characteristic]
         if len(hits) != 1:
             raise ValueError(
                 f"expected exactly one characteristic subgroup of order {k}, "
@@ -249,7 +251,7 @@ def resolve_subgroup(g: FiniteGroup, spec: str, aut: AutSet):
         return hits[0]
     if spec.startswith("indices:"):
         elements = [int(x) for x in spec[8:].split(",") if x]
-        return subgroup_handle(g, elements, aut=aut)
+        return subgroup_handle(g, elements)
     raise ValueError(f"unknown subgroup selector {spec!r}")
 
 
@@ -257,19 +259,9 @@ class CheckFailed(Exception):
     """A handler's result whose check failed: the request reports it with
     status "fail" and exit code 1."""
 
-    def __init__(self, result: dict):
+    def __init__(self, result):
         super().__init__("check failed")
         self.result = result
-
-
-def report_result(report: CheckReport) -> dict:
-    return {
-        "claim": report.claim,
-        "params": report.params,
-        "outcome": report.outcome,
-        "witness": report.witness,
-        "counters": report.counters,
-    }
 
 
 # -- command handlers -----------------------------------------------------------
@@ -491,8 +483,7 @@ def _run_identity_max(p, ctx, budget):
 
 def _run_submult(p, ctx, budget):
     g, autset = _group_and_aut(ctx, p["group"], p["auts"])
-    aut_full = autset if autset.kind == "full" else automorphism_group(g)
-    n = resolve_subgroup(g, p["subgroup"], aut_full)
+    n = resolve_subgroup(g, p["subgroup"])
     w = parse_word(p["word"], require_nonempty=True)
     return check_submultiplicative(g, n, w, autset, budget=budget, threads=ctx.threads)
 
@@ -500,7 +491,7 @@ def _run_submult(p, ctx, budget):
 def _run_rewrite(p, ctx, budget):
     g = ctx.group(p["group"])
     aut = automorphism_group(g)
-    n = resolve_subgroup(g, p["subgroup"], aut)
+    n = resolve_subgroup(g, p["subgroup"])
     w = parse_word(p["word"], require_nonempty=True)
     return check_rewrite(g, n, w, aut, trials=p["trials"], seed=p["seed"], budget=budget)
 
@@ -566,10 +557,9 @@ CHECKS = {
 def cmd_verify_check(args, ctx):
     check = CHECKS[args.action]
     report = check.run({p.name: getattr(args, p.name) for p in check.params}, ctx, ctx.budget)
-    doc = report_result(report)
     if report.outcome == "fail":
-        raise CheckFailed(doc)
-    return doc
+        raise CheckFailed(report)
+    return report
 
 
 def _entry_params(index: int, entry, budget: int) -> tuple[Check, dict, int]:
@@ -628,9 +618,8 @@ def cmd_verify_battery(args, ctx):
     summary = {"total": len(reports), "passed": 0, "failed": 0, "inconclusive": 0}
     files = []
     for idx, report in enumerate(reports):
-        doc = report_result(report)
         name = f"check_{idx:03d}_{report.claim}.json"
-        (out_dir / name).write_text(dumps_canonical(canonical(doc)) + "\n")
+        (out_dir / name).write_text(dumps_canonical(canonical(report)) + "\n")
         files.append(name)
         if report.outcome == "pass":
             summary["passed"] += 1
@@ -674,23 +663,12 @@ def cmd_bounds_exclude(args, ctx):
 
 def cmd_bounds_alt(args, ctx):
     w = parse_word(args.word, require_nonempty=True)
-    res = alt_exclusion_threshold(w, parse_fraction(args.rho))
-    return {
-        "ceil_argument": res.ceil_argument,
-        "term_factorial": res.term_factorial,
-        "term_rho": res.term_rho,
-        "threshold": res.threshold,
-    }
+    return alt_exclusion_threshold(w, parse_fraction(args.rho))
 
 
 def cmd_bounds_lie(args, ctx):
     w = parse_word(args.word, require_nonempty=True)
-    res = lie_rank_threshold(w, parse_fraction(args.rho))
-    return {
-        "term_const": res.term_const,
-        "term_rho": res.term_rho,
-        "threshold": res.threshold,
-    }
+    return lie_rank_threshold(w, parse_fraction(args.rho))
 
 
 def cmd_bounds_n0(args, ctx):
@@ -845,7 +823,7 @@ def run_command(argv, stdout=None) -> int:
     command = args.command
     use_cache = cache_dir is not None and not args.no_cache and command.cached
     cache = ResultCache(cache_dir) if use_cache else None
-    ctx = Context(threads=threads, budget=budget, cache=cache)
+    ctx = Context(threads=threads, budget=budget)
 
     params = {p.name: getattr(args, p.name) for p in command.params}
     request = {

@@ -730,7 +730,7 @@ def rewrite_coset_equation(
         raise ValueError(
             f"expected {w.num_variables} base entries per trial, got {bases.shape}"
         )
-    _require_characteristic(g, n)
+    _require_characteristic(n)
     rows = np.arange(len(tables))[:, None]
     factors = tables[rows, np.arange(w.length), bases[:, [j for j, _ in _letter_args(w)]]]
     value = np.zeros(len(tables), dtype=factors.dtype)

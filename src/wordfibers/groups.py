@@ -27,7 +27,6 @@ DEFAULT_ORDER_CAP = 4096
 # bounds automorphism groups and isomorphism tests alike.
 HOM_WORK_CAP = 10**8
 SUBGROUP_ORDER_CAP = 200
-RADICAL_ORDER_CAP = 360
 AUTSET_SIZE_CAP = 500_000
 _ASSOC_FULL_CHECK_CAP = 64
 _ASSOC_RANDOM_TRIPLES = 100_000
@@ -497,13 +496,8 @@ class AutSet:
 
     @cached_property
     def contains_inner(self) -> bool:
-        g = self.group
-        t, inv = g.table, g.inv_table
-        step = max(1, _COMPOSE_BLOCK_ELEMENTS // g.order)
-        return all(
-            self._all_members(t[t[lo : lo + step], inv[lo : lo + step, None]])
-            for lo in range(0, g.order, step)
-        )
+        """Whether every row of Inn(G), which the group keeps, is a member."""
+        return self._all_members(inner_automorphisms(self.group).tables)
 
     @cached_property
     def is_closed(self) -> bool:
@@ -932,12 +926,25 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> tuple[bool, Optional[np.nda
 
 @dataclass
 class SubgroupHandle:
-    """A subgroup given by its sorted element indices plus structure flags."""
+    """A subgroup given by its sorted element indices.  Its structure flags
+    are computed from ``group`` on first read; a builder that already knows
+    a flag assigns it instead."""
 
     group: FiniteGroup
     elements: tuple[int, ...]
-    normal: Optional[bool] = None
-    characteristic: Optional[bool] = None
+
+    @cached_property
+    def normal(self) -> bool:
+        """Whether every conjugate x H x^-1 lies in H."""
+        g, members = self.group, _members(self.group, self.elements)
+        return all(members[c].all() for _, c in _conjugates(g, np.arange(g.order), self.elements))
+
+    @cached_property
+    def characteristic(self) -> bool:
+        """Whether every automorphism of the group maps H onto itself, read
+        against `automorphism_group`, which is kept on the group."""
+        aut = automorphism_group(self.group)
+        return bool(_members(self.group, self.elements)[aut.tables[:, list(self.elements)]].all())
 
     @property
     def order(self) -> int:
@@ -960,26 +967,18 @@ class SubgroupHandle:
     def as_quotient(self) -> "QuotientHandle":
         """The quotient by this normal subgroup (`quotient`), built on first
         use."""
-        return quotient(self.group, self)
+        return quotient(self)
 
 
-def subgroup_handle(
-    g: FiniteGroup,
-    elements: Iterable[int],
-    aut: Optional[AutSet] = None,
-) -> SubgroupHandle:
-    """Validate a set of indices as a subgroup; flags computed when possible."""
+def subgroup_handle(g: FiniteGroup, elements: Iterable[int]) -> SubgroupHandle:
+    """Validate a set of indices as a subgroup."""
     elems = tuple(sorted(set(int(x) for x in elements)))
     bad = [x for x in elems if not 0 <= x < g.order]
     if bad:
         raise ValueError(f"element index {bad[0]} out of range 0..{g.order - 1}")
     if _closure(g.table, elems) != elems:
         raise ValueError("element set is not closed under the group operation")
-    handle = SubgroupHandle(g, elems)
-    handle.normal = _is_normal(g, elems)
-    if aut is not None:
-        handle.characteristic = _is_characteristic(elems, aut)
-    return handle
+    return SubgroupHandle(g, elems)
 
 
 def _members(g: FiniteGroup, elems: Iterable[int]) -> np.ndarray:
@@ -1000,16 +999,6 @@ def _conjugates(
     for lo in range(0, len(xs), step):
         x = xs[lo : lo + step]
         yield x, t[t[x[:, None], cols], inv[x, None]]
-
-
-def _is_normal(g: FiniteGroup, elems: tuple[int, ...]) -> bool:
-    members = _members(g, elems)
-    return all(members[c].all() for _, c in _conjugates(g, np.arange(g.order), elems))
-
-
-def _is_characteristic(elems: tuple[int, ...], aut: AutSet) -> bool:
-    members = _members(aut.group, elems)
-    return bool(members[aut.tables[:, list(elems)]].all())
 
 
 def _conjugacy_class(
@@ -1044,11 +1033,9 @@ def _orbit_minima(
     return label
 
 
-def _lattice(
-    g: FiniteGroup, atoms: Iterable[tuple[int, ...]], aut: AutSet
-) -> list[SubgroupHandle]:
+def _lattice(g: FiniteGroup, atoms: Iterable[tuple[int, ...]]) -> list[SubgroupHandle]:
     """Every join of the atom subgroups (the trivial group included), flagged
-    normal and characteristic under aut and sorted by (order, elements).
+    normal and sorted by (order, elements).
 
     The atoms must hold, for each element e ≠ 1, the least subgroup of the
     walked kind that contains e: <e>, or its normal closure.  So the atom of
@@ -1092,10 +1079,10 @@ def _lattice(
                 conjugates, join_normalizer = _conjugacy_class(g, join)
                 class_size.update(dict.fromkeys(conjugates, len(conjugates)))
                 worklist.append((join, join_normalizer))
-    return [
-        SubgroupHandle(g, e, normal=class_size[e] == 1, characteristic=_is_characteristic(e, aut))
-        for e in sorted(class_size, key=lambda e: (len(e), e))
-    ]
+    handles = [SubgroupHandle(g, e) for e in sorted(class_size, key=lambda e: (len(e), e))]
+    for h in handles:
+        h.normal = class_size[h.elements] == 1
+    return handles
 
 
 def _power_mask(g: FiniteGroup) -> np.ndarray:
@@ -1117,19 +1104,19 @@ def _cyclic_subgroups(g: FiniteGroup) -> set[tuple[int, ...]]:
     return {tuple(np.flatnonzero(row).tolist()) for row in _power_mask(g)[1:]}
 
 
-def subgroups(g: FiniteGroup, aut: Optional[AutSet] = None) -> list[SubgroupHandle]:
-    """All subgroups, each flagged normal and characteristic (under Aut(G)
-    when aut is None).
+def subgroups(g: FiniteGroup) -> list[SubgroupHandle]:
+    """All subgroups, each flagged normal.
 
     The atoms are the cyclic subgroups <x>: every subgroup H is the join of
-    <h> over its elements h."""
+    <h> over its elements h.  Aut(G), which the characteristic flags read, is
+    resolved first, so its cap refuses before the lattice is walked."""
     if g.order > SUBGROUP_ORDER_CAP:
         raise CapExceeded(f"subgroup enumeration capped at order {SUBGROUP_ORDER_CAP}")
-    aut = automorphism_group(g) if aut is None else aut
-    return _lattice(g, _cyclic_subgroups(g), aut)
+    automorphism_group(g)
+    return _lattice(g, _cyclic_subgroups(g))
 
 
-def normal_subgroups(g: FiniteGroup, aut: Optional[AutSet] = None) -> list[SubgroupHandle]:
+def normal_subgroups(g: FiniteGroup) -> list[SubgroupHandle]:
     """All normal subgroups, flagged as in `subgroups`.
 
     The atoms are the class closures: a normal subgroup N is the join of the
@@ -1137,11 +1124,10 @@ def normal_subgroups(g: FiniteGroup, aut: Optional[AutSet] = None) -> list[Subgr
     is normal, so the joins are exactly the normal subgroups.  Aut(G) is
     resolved first, so its cap refuses before the class closures are built.
 
-    The lattice is kept on ``g`` per automorphism set (the characteristic
-    flags depend on it): each call returns a new list over the same handles,
-    which keep their own cached `as_group` and `as_quotient`."""
-    aut = automorphism_group(g) if aut is None else aut
-    return list(_derived(g, ("normal", aut), lambda: _lattice(g, _class_closures(g), aut)))
+    The lattice is kept on ``g``: each call returns a new list over the same
+    handles, which keep their own cached flags, `as_group` and `as_quotient`."""
+    automorphism_group(g)
+    return list(_derived(g, ("normal",), lambda: _lattice(g, _class_closures(g))))
 
 
 @dataclass
@@ -1151,12 +1137,11 @@ class QuotientHandle:
     coset_reps: tuple[int, ...]
 
 
-def quotient(g: FiniteGroup, n: SubgroupHandle) -> QuotientHandle:
-    """Quotient group on minimal coset representatives."""
-    if n.normal is None:
-        n.normal = _is_normal(g, n.elements)
+def quotient(n: SubgroupHandle) -> QuotientHandle:
+    """Quotient of ``n.group`` by ``n``, on minimal coset representatives."""
     if not n.normal:
         raise ValueError("subgroup is not normal; quotient undefined")
+    g = n.group
     t = g.table
     arr = np.asarray(n.elements, dtype=np.int64)
     proj = np.full(g.order, -1, dtype=np.int32)
@@ -1185,25 +1170,22 @@ def subgroup_group(g: FiniteGroup, n: SubgroupHandle) -> FiniteGroup:
     return FiniteGroup(len(arr), table=table, spec=f"<order {n.order} in {g.spec}>")
 
 
-def _require_characteristic(g: FiniteGroup, n: SubgroupHandle) -> None:
-    if n.characteristic is None:
-        aut = automorphism_group(g)
-        n.characteristic = _is_characteristic(n.elements, aut)
+def _require_characteristic(n: SubgroupHandle) -> None:
     if not n.characteristic:
         raise ValueError("subgroup is not characteristic")
 
 
-def induced_autset(g: FiniteGroup, n: SubgroupHandle, a: AutSet) -> AutSet:
-    """Automorphisms of G/N induced by members of A."""
-    _require_characteristic(g, n)
+def induced_autset(n: SubgroupHandle, a: AutSet) -> AutSet:
+    """Automorphisms of G/N induced by members of A, for G = ``n.group``."""
+    _require_characteristic(n)
     qh = n.as_quotient
     return AutSet(qh.quotient, qh.projection[a.tables[:, list(qh.coset_reps)]], kind="custom")
 
 
-def restricted_autset(g: FiniteGroup, n: SubgroupHandle, a: AutSet) -> AutSet:
+def restricted_autset(n: SubgroupHandle, a: AutSet) -> AutSet:
     """Restrictions of members of A to N, re-indexed to N's own numbering."""
-    _require_characteristic(g, n)
-    pos = np.full(g.order, -1, dtype=np.int32)
+    _require_characteristic(n)
+    pos = np.full(n.group.order, -1, dtype=np.int32)
     pos[list(n.elements)] = np.arange(n.order, dtype=np.int32)
     restricted = pos[a.tables[:, list(n.elements)]]
     if (restricted < 0).any():
@@ -1228,7 +1210,7 @@ class CharSeries:
     factors: list[FactorDecomposition]
 
 
-def characteristic_series(g: FiniteGroup, aut: Optional[AutSet] = None) -> CharSeries:
+def characteristic_series(g: FiniteGroup) -> CharSeries:
     """A maximal chain of characteristic subgroups with decomposed factors.
 
     The candidates come from `normal_subgroups`: every characteristic subgroup
@@ -1236,7 +1218,7 @@ def characteristic_series(g: FiniteGroup, aut: Optional[AutSet] = None) -> CharS
     chain is made deterministic by always taking the lexicographically
     smallest eligible next subgroup; only the factor multiset is meaningful.
     """
-    char_subs = [s for s in normal_subgroups(g, aut) if s.characteristic]
+    char_subs = [s for s in normal_subgroups(g) if s.characteristic]
     chain = [char_subs[0]]
     while chain[-1].order < g.order:
         cur = chain[-1].element_set
@@ -1248,7 +1230,7 @@ def characteristic_series(g: FiniteGroup, aut: Optional[AutSet] = None) -> CharS
         hgrp = upper.as_group
         pos = {gidx: i for i, gidx in enumerate(upper.elements)}
         inner = subgroup_handle(hgrp, [pos[x] for x in lower.elements])
-        f = quotient(hgrp, inner).quotient
+        f = quotient(inner).quotient
         simple, copies = decompose_char_simple(f)
         factors.append(FactorDecomposition(factor=f, simple=simple, copies=copies))
     return CharSeries(group=g, chain=chain, factors=factors)
@@ -1327,11 +1309,10 @@ def is_solvable_subset(g: FiniteGroup, elems: tuple[int, ...]) -> bool:
 
 def solvable_radical(g: FiniteGroup) -> SubgroupHandle:
     """Largest solvable normal subgroup, as the join of solvable class closures."""
-    if g.order > RADICAL_ORDER_CAP:
-        raise CapExceeded(f"solvable radical capped at order {RADICAL_ORDER_CAP}")
     seeds: set[int] = {0}
     for closure in _class_closures(g):
         if is_solvable_subset(g, closure):
             seeds.update(closure)
-    elems = _closure(g.table, seeds)
-    return SubgroupHandle(g, elems, normal=True, characteristic=True)
+    radical = SubgroupHandle(g, _closure(g.table, seeds))
+    radical.normal = radical.characteristic = True
+    return radical

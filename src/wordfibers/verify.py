@@ -118,8 +118,8 @@ def check_submultiplicative(
 ) -> CheckReport:
     """Per-target and overall product bounds across a characteristic subgroup."""
     _require_inner(a)
-    ind = induced_autset(g, n, a)
-    res = restricted_autset(g, n, a)
+    ind = induced_autset(n, a)
+    res = restricted_autset(n, a)
     qh = n.as_quotient
     pt_g = max_fiber(g, w, a, budget=budget, threads=threads)
     pt_q = max_fiber(qh.quotient, w, ind, budget=budget, threads=threads)
@@ -375,7 +375,8 @@ def check_variation_bound(
     raised to the n/l^2 exponent.
 
     n = 1 is checked exactly, by the search `variation_profile` already ran
-    on the all-ones variation, whose flattened form is w letter for letter.
+    on the all-ones variation, whose flattened form is w with its variables
+    renamed in order of first occurrence (`ReducedWord.normalized`).
     n >= 2 draws ``samples`` seeded tuples of members of Aut(S) wr S_n and can
     only report inconclusive-sampled or fail: per sample and letter, n base
     indices (``rng.integers``) and then a coordinate permutation
@@ -433,9 +434,7 @@ def check_variation_bound(
         "variation_breakdown": breakdown,
     }
     if n == 1:
-        res = searches.get(format_word(w)) or max_fiber(
-            s, w, aut, budget=budget, threads=threads
-        )
+        res = searches[format_word(w.normalized())]
         evaluations += res.evaluations
         holds = res.proportion <= bound
         return CheckReport(

@@ -96,7 +96,7 @@ def resolve_pair(group_spec, sub_spec):
 
     g = make_group(group_spec)
     aut = automorphism_group(g)
-    return g, aut, resolve_subgroup(g, sub_spec, aut)
+    return g, aut, resolve_subgroup(g, sub_spec)
 
 
 # independent oracle for plain word-map fiber counts

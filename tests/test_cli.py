@@ -141,6 +141,11 @@ class TestGroupCommands:
         code, doc, _ = run(["group", "radical", "--spec", "prod:(alt:5)x(cyc:2)"])
         assert doc["result"]["order"] == "2"
 
+    def test_radical_of_sym6(self):
+        code, doc, _ = run(["group", "radical", "--spec", "sym:6"])
+        assert code == EXIT_OK
+        assert doc["result"] == {"order": "1", "elements": ["0"]}
+
     def test_cap_exit(self):
         code, doc, _ = run(["group", "make", "--spec", "sym:8"])
         assert code == EXIT_BUDGET
@@ -216,6 +221,15 @@ class TestGroupCommands:
 
         monkeypatch.setattr(groups, "_class_closures", no_closures)
         code, doc, _ = run(["group", "series", "--spec", "pow:(alt:5)^2"])
+        assert code == EXIT_BUDGET
+        assert "exceeds cap" in doc["result"]["error"]
+
+    @pytest.mark.parametrize("check, auts", [
+        ("submult", ["--auts", "inn"]), ("submult", ["--auts", "aut"]), ("rewrite", []),
+    ])
+    def test_checks_refuse_on_the_aut_cap_before_reading_subgroup_and_word(self, check, auts):
+        code, doc, _ = run(["verify", check, "--group", "pow:(alt:5)^2", "--subgroup", "bogus",
+                            "--word", "x1^", *auts])
         assert code == EXIT_BUDGET
         assert "exceeds cap" in doc["result"]["error"]
 
@@ -440,25 +454,19 @@ class TestVerifyCommands:
         assert doc["result"]["outcome"] == "pass"
 
     def test_rewrite_builds_aut_once(self, monkeypatch):
-        import wordfibers.cli as cli
         import wordfibers.groups as groups
-        import wordfibers.verify as verify
 
-        calls = []
-        real = groups.automorphism_group
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
-
-        for module in (cli, groups, verify):
-            monkeypatch.setattr(module, "automorphism_group", counting)
+        builds = []
+        real = groups._search_homs
+        monkeypatch.setattr(
+            groups, "_search_homs", lambda *a, **k: builds.append(None) or real(*a, **k)
+        )
         code, doc, _ = run(
             ["--no-cache", "verify", "rewrite", "--group", "alt:4", "--subgroup", "order:4",
              "--word", "[x1,x2]", "--trials", "5"]
         )
         assert code == EXIT_OK and doc["result"]["outcome"] == "pass"
-        assert len(calls) == 1
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_rewrite_refuses_trials_below_one(self, trials):

@@ -866,8 +866,8 @@ class TestNormalFormSearch:
             max_fiber(g, SQUARE, a, mode="sample", samples=10**15)
 
 
-def center_handle(g, aut=None):
-    return subgroup_handle(g, g.center, aut=aut or automorphism_group(g))
+def center_handle(g):
+    return subgroup_handle(g, g.center)
 
 
 class TestRewrite:
@@ -876,7 +876,7 @@ class TestRewrite:
         aut = automorphism_group(g)
         from wordfibers.groups import subgroups
 
-        sub = next(s for s in subgroups(g, aut=aut) if s.order == 3)
+        sub = next(s for s in subgroups(g) if s.order == 3)
         w = parse_word("x1")
         alpha = aut.tables[4]
         res = rewrite_coset_equation(g, sub, w, alpha[None, None], [(3,)])
@@ -887,7 +887,7 @@ class TestRewrite:
     def test_commutator_closed_form(self):
         g = make_group("dih:4")
         aut = automorphism_group(g)
-        n = center_handle(g, aut)
+        n = center_handle(g)
         rng = np.random.default_rng(7)
         for _ in range(25):
             auts = aut.tables[rng.integers(0, len(aut), 4)]
@@ -924,7 +924,7 @@ class TestRewrite:
         from wordfibers.groups import subgroups
 
         n = next(
-            s for s in subgroups(g, aut=aut) if s.order == sub_order and s.characteristic
+            s for s in subgroups(g) if s.order == sub_order and s.characteristic
         )
         w = parse_word(word)
         rng = np.random.default_rng(13)
@@ -948,7 +948,7 @@ class TestRewrite:
     def test_batch_rows_equal_single_calls(self, spec, sub_order, word):
         g = make_group(spec)
         aut = automorphism_group(g)
-        n = next(s for s in subgroups(g, aut=aut) if s.order == sub_order and s.characteristic)
+        n = next(s for s in subgroups(g) if s.order == sub_order and s.characteristic)
         w = parse_word(word)
         rng = np.random.default_rng(3)
         auts = aut.tables[rng.integers(0, len(aut), (7, w.length))]
@@ -992,10 +992,10 @@ class TestRewrite:
         script = (
             "import numpy as np\n"
             "from wordfibers.fibers import rewrite_coset_equation\n"
-            "from wordfibers.groups import automorphism_group, make_group, subgroup_handle\n"
+            "from wordfibers.groups import make_group, subgroup_handle\n"
             "from wordfibers.words import parse_word\n"
             "g = make_group('dih:4')\n"
-            "n = subgroup_handle(g, g.center, aut=automorphism_group(g))\n"
+            "n = subgroup_handle(g, g.center)\n"
             "outside = next(x for x in range(8) if x not in n.elements)\n"
             "row = np.arange(8)\n"
             "row[[n.elements[1], outside]] = [outside, n.elements[1]]\n"
@@ -1017,7 +1017,7 @@ class TestRewrite:
     def test_wrong_target_rejected(self):
         g = make_group("dih:4")
         aut = automorphism_group(g)
-        n = center_handle(g, aut)
+        n = center_handle(g)
         value = eval_automorphic(g, SQUARE, aut.tables[[0, 0]], (3,))
         bad = (value + 1) % 8
         with pytest.raises(ValueError):

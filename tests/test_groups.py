@@ -2,7 +2,9 @@ import functools
 import hashlib
 import itertools
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,7 +444,7 @@ class TestSubgroups:
     def test_characteristic_subgroups_stable_under_all_automorphisms(self):
         g = make_group("dih:4")
         aut = automorphism_group(g)
-        for s in subgroups(g, aut=aut):
+        for s in subgroups(g):
             if s.characteristic:
                 for a in aut.tables:
                     assert {int(a[x]) for x in s.elements} == set(s.elements)
@@ -467,19 +469,19 @@ class TestQuotient:
     def test_d6_mod_c3(self):
         g = make_group("dih:3")
         n = subgroup_handle(g, [0, 1, 2])
-        q = quotient(g, n)
+        q = quotient(n)
         assert q.quotient.order == 2
         assert q.projection[0] == 0
 
     def test_trivial_and_full(self):
         g = make_group("dih:4")
-        assert quotient(g, subgroup_handle(g, [0])).quotient.order == 8
-        assert quotient(g, subgroup_handle(g, range(8))).quotient.order == 1
+        assert quotient(subgroup_handle(g, [0])).quotient.order == 8
+        assert quotient(subgroup_handle(g, range(8))).quotient.order == 1
 
     def test_projection_is_homomorphism(self):
         g = make_group("alt:4")
         n = subgroup_handle(g, minimal_normal_subgroups(g)[0])
-        q = quotient(g, n)
+        q = quotient(n)
         for a in range(g.order):
             for b in range(g.order):
                 assert q.projection[g.mul(a, b)] == q.quotient.mul(
@@ -490,57 +492,57 @@ class TestQuotient:
         g = make_group("sym:3")
         sub = next(s for s in subgroups(g) if s.order == 2)
         with pytest.raises(ValueError):
-            quotient(g, sub)
+            quotient(sub)
 
 
 class TestInducedRestricted:
     def test_identity_only(self):
         g = make_group("dih:4")
         n = center_handle(g)
-        ind = induced_autset(g, n, identity_autset(g))
+        ind = induced_autset(n, identity_autset(g))
         assert len(ind) == 1
 
     def test_d8_center_inner_induces_identity_on_quotient(self):
         g = make_group("dih:4")
-        ind = induced_autset(g, center_handle(g), inner_automorphisms(g))
+        ind = induced_autset(center_handle(g), inner_automorphisms(g))
         assert len(ind) == 1
 
     def test_s3_a3_induced_trivial(self):
         g = make_group("sym:3")
         n = subgroup_handle(g, next(s.elements for s in subgroups(g) if s.order == 3))
-        ind = induced_autset(g, n, automorphism_group(g))
+        ind = induced_autset(n, automorphism_group(g))
         assert len(ind) == 1 and ind.group.order == 2
 
     def test_s3_a3_restriction_gives_both_automorphisms(self):
         g = make_group("sym:3")
         n = subgroup_handle(g, next(s.elements for s in subgroups(g) if s.order == 3))
-        res = restricted_autset(g, n, automorphism_group(g))
+        res = restricted_autset(n, automorphism_group(g))
         assert len(res) == 2
         assert len(automorphism_group(res.group)) == 2
 
     def test_restrict_identity_only(self):
         g = make_group("dih:4")
-        res = restricted_autset(g, center_handle(g), identity_autset(g))
+        res = restricted_autset(center_handle(g), identity_autset(g))
         assert len(res) == 1 and res.group.order == 2
 
     def test_restrict_to_whole_group(self):
         g = make_group("dih:4")
         a = automorphism_group(g)
-        res = restricted_autset(g, subgroup_handle(g, range(8)), a)
+        res = restricted_autset(subgroup_handle(g, range(8)), a)
         assert len(res) == len(a)
 
     def test_induced_contains_inner_when_a_does(self):
         g = make_group("dih:4")
         n = center_handle(g)
-        ind = induced_autset(g, n, automorphism_group(g))
-        res = restricted_autset(g, n, automorphism_group(g))
+        ind = induced_autset(n, automorphism_group(g))
+        res = restricted_autset(n, automorphism_group(g))
         assert ind.contains_inner and res.contains_inner
 
     def test_non_characteristic_rejected(self):
         g = klein_four()
-        n = subgroup_handle(g, [0, 1], aut=automorphism_group(g))
+        n = subgroup_handle(g, [0, 1])
         with pytest.raises(ValueError):
-            induced_autset(g, n, identity_autset(g))
+            induced_autset(n, identity_autset(g))
 
 
 class TestCharacteristicSeries:
@@ -564,11 +566,11 @@ class TestCharacteristicSeries:
         for spec in ["dih:4", "q8", "alt:4", "cyc:6", "sym:3"]:
             g = make_group(spec)
             aut = automorphism_group(g)
-            series = characteristic_series(g, aut=aut)
+            series = characteristic_series(g)
             assert series.chain[0].order == 1
             assert series.chain[-1].order == g.order
             for h in series.chain:
-                assert h.characteristic
+                assert np.isin(aut.tables[:, list(h.elements)], h.elements).all()
             total = 1
             for f in series.factors:
                 assert f.factor.order == f.simple.order**f.copies
@@ -626,9 +628,9 @@ def reference_subgroups(g, aut):
     return out
 
 
-def reference_series(g, aut):
+def reference_series(g):
     """The chain of `characteristic_series` picked from all of `subgroups`."""
-    char_subs = [s for s in subgroups(g, aut=aut) if s.characteristic]
+    char_subs = [s for s in subgroups(g) if s.characteristic]
     chain = [char_subs[0]]
     while chain[-1].order < g.order:
         cur = chain[-1].element_set
@@ -645,7 +647,7 @@ def reference_series(g, aut):
 def quotient_of(g, upper, lower):
     hgrp = subgroup_group(g, upper)
     pos = {x: i for i, x in enumerate(upper.elements)}
-    return quotient(hgrp, subgroup_handle(hgrp, [pos[x] for x in lower.elements])).quotient
+    return quotient(subgroup_handle(hgrp, [pos[x] for x in lower.elements])).quotient
 
 
 def flags(handles):
@@ -656,31 +658,31 @@ class TestLattice:
     @pytest.mark.parametrize("spec", LATTICE_SPECS)
     def test_subgroups_match_the_per_element_loop(self, spec):
         g, aut = group_and_aut(spec)
-        assert flags(subgroups(g, aut=aut)) == reference_subgroups(g, aut)
+        assert flags(subgroups(g)) == reference_subgroups(g, aut)
 
     @pytest.mark.parametrize("spec", LATTICE_SPECS)
     def test_normal_subgroups_are_the_normal_members_of_the_lattice(self, spec):
-        g, aut = group_and_aut(spec)
-        expected = [s for s in subgroups(g, aut=aut) if s.normal]
-        assert flags(normal_subgroups(g, aut=aut)) == flags(expected)
+        g, _ = group_and_aut(spec)
+        expected = [s for s in subgroups(g) if s.normal]
+        assert flags(normal_subgroups(g)) == flags(expected)
 
     @pytest.mark.parametrize("spec", LATTICE_SPECS)
     def test_series_matches_the_subgroups_reference(self, spec):
-        g, aut = group_and_aut(spec)
-        series = characteristic_series(g, aut=aut)
+        g, _ = group_and_aut(spec)
+        series = characteristic_series(g)
         chain = [h.elements for h in series.chain]
         factors = [(f.factor.order, f.simple.order, f.copies) for f in series.factors]
-        assert (chain, factors) == reference_series(g, aut)
+        assert (chain, factors) == reference_series(g)
 
     def test_walk_joins_one_atom_per_normalizer_orbit(self, monkeypatch):
         # joining every found subgroup with every atom took 1,700 closures
-        g, aut = group_and_aut("alt:5")
+        g, _ = group_and_aut("alt:5")
         calls = []
         real = groups_mod._closure
         monkeypatch.setattr(
             groups_mod, "_closure", lambda *a, **k: calls.append(None) or real(*a, **k)
         )
-        assert len(subgroups(g, aut=aut)) == 59
+        assert len(subgroups(g)) == 59
         assert len(calls) == 48
 
     def test_conjugation_blocks_of_any_size_give_the_same_flags(self, monkeypatch):
@@ -688,7 +690,7 @@ class TestLattice:
         monkeypatch.setattr(groups_mod, "_COMPOSE_BLOCK_ELEMENTS", 5)
         g, aut = group_and_aut("sym:4")
         expected = reference_subgroups(g, aut)
-        assert flags(subgroups(g, aut=aut)) == expected
+        assert flags(subgroups(g)) == expected
         assert [subgroup_handle(g, e).normal for e, _, _ in expected] == [
             normal for _, normal, _ in expected
         ]
@@ -1015,9 +1017,10 @@ class TestSolvableRadical:
                 if s.normal and is_solvable_subset(g, s.elements):
                     assert s.element_set <= rad.element_set
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            solvable_radical(make_group("pow:(alt:5)^2"))
+    @pytest.mark.parametrize("spec", ["sym:6", "pow:(alt:5)^2"])
+    def test_groups_of_order_above_360_are_answered(self, spec):
+        rad = solvable_radical(make_group(spec))
+        assert rad.order == 1 and rad.normal and rad.characteristic
 
 
 class TestIsIsomorphic:
@@ -1505,23 +1508,25 @@ class TestDerivedStructure:
         assert automorphism_group(make_group("dih:4")) is not first
         assert len(calls) == 2
 
-    def test_characteristic_flags_follow_the_automorphism_set(self):
-        g = make_group("dih:4")
-        inner = normal_subgroups(g, inner_automorphisms(g))
-        full = normal_subgroups(g, automorphism_group(g))
-        assert [s.elements for s in inner] == [s.elements for s in full]
+    def test_klein_four_subgroups_of_d8_are_normal_not_characteristic(self):
         # the two Klein four-subgroups are normal; Aut(D8) swaps them
-        klein = [i for i, s in enumerate(full)
+        g = make_group("dih:4")
+        klein = [s for s in normal_subgroups(g)
                  if s.order == 4 and (g.element_orders[list(s.elements)] <= 2).all()]
         assert len(klein) == 2
-        assert all(inner[i].characteristic and not full[i].characteristic for i in klein)
-        assert all(s.normal for s in inner + full)
+        assert all(s.normal and not s.characteristic for s in klein)
 
     def test_lattice_calls_share_their_handles_in_new_lists(self):
         g = make_group("alt:4")
-        aut = automorphism_group(g)
-        first, second = normal_subgroups(g, aut), normal_subgroups(g, aut)
+        first, second = normal_subgroups(g), normal_subgroups(g)
         assert first is not second
         assert all(a is b for a, b in zip(first, second))
         first.clear()
-        assert len(normal_subgroups(g, aut)) == len(second) == 3
+        assert len(normal_subgroups(g)) == len(second) == 3
+
+
+def test_readme_lists_exactly_the_public_caps():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    row = next(line for line in readme.splitlines() if line.startswith("| `wordfibers.groups`"))
+    public = {name for name in vars(groups_mod) if name.endswith("_CAP") and name[0] != "_"}
+    assert set(re.findall(r"`([A-Z][A-Z_]*_CAP)`", row)) == public

@@ -26,7 +26,7 @@ from wordfibers.verify import (
     check_variation_projection,
     variation_profile,
 )
-from wordfibers.words import parse_word
+from wordfibers.words import Letter, ReducedWord, parse_word
 
 SQUARE = parse_word("x1^2")
 CUBE = parse_word("x1^3")
@@ -38,11 +38,8 @@ def no_work(*args, **kwargs):
     raise AssertionError("work started before the arguments were checked")
 
 
-def char_subgroup_of_order(g, order, aut=None):
-    aut = aut or automorphism_group(g)
-    return next(
-        s for s in subgroups(g, aut=aut) if s.order == order and s.characteristic
-    )
+def char_subgroup_of_order(g, order):
+    return next(s for s in subgroups(g) if s.order == order and s.characteristic)
 
 
 class TestIdentityMaximal:
@@ -77,7 +74,7 @@ class TestSubmultiplicative:
     def test_sym3_over_a3(self):
         g = make_group("sym:3")
         aut = automorphism_group(g)
-        n = char_subgroup_of_order(g, 3, aut)
+        n = char_subgroup_of_order(g, 3)
         report = check_submultiplicative(g, n, SQUARE, aut)
         assert report.outcome == "pass"
 
@@ -90,14 +87,14 @@ class TestSubmultiplicative:
     def test_full_subgroup_reduces_to_identity_max(self):
         g = make_group("sym:3")
         aut = automorphism_group(g)
-        n = subgroup_handle(g, range(6), aut=aut)
+        n = subgroup_handle(g, range(6))
         report = check_submultiplicative(g, n, XYX, aut)
         assert report.outcome == "pass"
 
     def test_trivial_subgroup(self):
         g = make_group("dih:4")
         aut = automorphism_group(g)
-        n = subgroup_handle(g, [0], aut=aut)
+        n = subgroup_handle(g, [0])
         report = check_submultiplicative(g, n, SQUARE, aut)
         assert report.outcome == "pass"
 
@@ -132,7 +129,7 @@ class TestDihedral:
 def rewrite_setup(spec, order):
     g = make_group(spec)
     aut = automorphism_group(g)
-    return g, aut, char_subgroup_of_order(g, order, aut)
+    return g, aut, char_subgroup_of_order(g, order)
 
 
 class TestRewriteCheck:
@@ -150,7 +147,7 @@ class TestRewriteCheck:
     def test_trivial_subgroup_vacuous(self):
         g = make_group("dih:4")
         aut = automorphism_group(g)
-        n = subgroup_handle(g, [0], aut=aut)
+        n = subgroup_handle(g, [0])
         report = check_rewrite(g, n, SQUARE, aut, trials=10, seed=3)
         assert report.outcome == "pass"
 
@@ -319,7 +316,7 @@ class TestRewriteBatched:
 
         g = make_group(spec)
         aut = automorphism_group(g)
-        n = resolve_subgroup(g, sub, aut)
+        n = resolve_subgroup(g, sub)
         w = parse_word(word)
         corrupt_trials(monkeypatch, changes or {})
         expected = reference_rewrite(g, n, w, aut, trials, seed)
@@ -560,6 +557,25 @@ class TestVariationBound:
         }
         # both forms cover 120^2 tuples; the n = 1 search counts once more
         assert report.counters == {"evaluations": 120**2 * (60 + 3600) + res.evaluations}
+
+    def test_n1_reads_a_word_through_its_normalized_form(self, monkeypatch):
+        calls = []
+        real = verify.max_fiber
+
+        def counting(*args, **kwargs):
+            calls.append(str(args[1]))
+            return real(*args, **kwargs)
+
+        s = make_group("alt:5")
+        monkeypatch.setattr(verify, "max_fiber", counting)
+        x2_x2 = ReducedWord((Letter(2, 1), Letter(2, 1)))
+        assert not x2_x2.is_normalized
+        report = check_variation_bound(s, 1, x2_x2)
+        assert calls == ["x1 x1", "x1 x2"]  # one search per flattened form
+        assert report.params.pop("word") == "x2 x2"
+        expected = check_variation_bound(s, 1, SQUARE)
+        assert expected.params.pop("word") == "x1 x1"
+        assert report == expected
 
     def test_refuses_samples_below_one_before_any_work(self, monkeypatch):
         monkeypatch.setattr(verify, "is_simple", no_work)
