@@ -311,8 +311,11 @@ def cmd_group_make(args, ctx):
 def cmd_group_auts(args, ctx):
     g = ctx.group(args.spec)
     aut = automorphism_group(g)
+    # a group that carries its Φ runs no search: no rows tried, no generators
+    search = aut.search
     ctx.stats.update(
-        aut_candidates=aut.search.tried, aut_generators=len(aut.search.generators)
+        aut_candidates=search.tried if search else 0,
+        aut_generators=len(search.generators) if search else 0,
     )
     doc = {
         "order": g.order,

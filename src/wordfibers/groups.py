@@ -4,6 +4,11 @@ Every group lives on element indices 0..order-1 with the identity at index 0
 and carries a dense multiplication table.  Symmetric and alternating groups
 number their permutations in ``itertools.permutations`` (lexicographic) order
 and build the table eagerly at construction.
+
+Aut(G) is built as Inn(G)·Φ (`automorphism_group`).  Cyclic groups, and
+symmetric and alternating groups of degree n ≠ 6, carry Φ in closed form
+from their builders; every other group finds Φ by a generator-image search
+(`plan_hom_search`), which the tests also use as the closed forms' oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,15 +40,28 @@ _HOM_BLOCK_ELEMENTS = 1 << 18
 
 
 class FiniteGroup:
-    """A finite group by indexed elements with a dense multiplication table."""
+    """A finite group by indexed elements with a dense multiplication table.
 
-    def __init__(self, order: int, *, table: np.ndarray, spec: str = ""):
+    ``phi``, from a builder that knows it, is a zero-argument function
+    returning rows Φ of automorphisms with Aut(G) = Inn(G)·Φ;
+    `automorphism_group` calls it in place of the generator-image search,
+    and only then.  Without it, Φ is searched for."""
+
+    def __init__(
+        self,
+        order: int,
+        *,
+        table: np.ndarray,
+        spec: str = "",
+        phi: Optional[Callable[[], np.ndarray]] = None,
+    ):
         tbl = np.asarray(table)
         if tbl.shape != (order, order):
             raise ValueError("table shape does not match order")
         self.order = order
         self.spec = spec
         self._table = np.ascontiguousarray(tbl, dtype=np.int32)
+        self._phi = phi
         self._derived: dict = {}  # see `_derived`
 
     # -- core operations ----------------------------------------------------
@@ -88,11 +106,16 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        t = self.table
-        return bool((t == t.T).all())
+        """Whether the table is symmetric, compared a block of rows at a
+        time, so a non-abelian group usually stops at its first block."""
+        t, n = self.table, self.order
+        step = max(1, _COMPOSE_BLOCK_ELEMENTS // n)
+        return all((t[lo : lo + step] == t[:, lo : lo + step].T).all() for lo in range(0, n, step))
 
     @cached_property
     def center(self) -> tuple[int, ...]:
+        if self.is_abelian:
+            return tuple(range(self.order))
         t = self.table
         return tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist())
 
@@ -100,8 +123,13 @@ class FiniteGroup:
     def _classes(self) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
         """The conjugacy classes, and the least member and the size of each
         element's class, from one pass over the elements: an element that no
-        smaller element's class holds is the least of a new class."""
+        smaller element's class holds is the least of a new class.  In an
+        abelian group every class is one element, and the pass, one n-sized
+        step per class, is skipped."""
         n = self.order
+        if self.is_abelian:
+            idx = np.arange(n, dtype=np.int64)
+            return tuple((x,) for x in range(n)), idx, np.ones(n, dtype=np.int64)
         t, inv = self.table, self.inv_table
         seen = np.zeros(n, dtype=bool)
         least = np.empty(n, dtype=np.int64)
@@ -182,6 +210,15 @@ def _cyclic_table(n: int) -> np.ndarray:
     table = a[:, None] + a[None, :]
     table %= n
     return table
+
+
+def _unit_rows(n: int) -> np.ndarray:
+    """The automorphisms x -> u x mod n of C_n, one row per unit u mod n:
+    Aut(C_n) is the group of units, and Inn(C_n) is trivial."""
+    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1).astype(np.int32)
+    rows = units[:, None] * np.arange(n, dtype=np.int32)
+    rows %= n
+    return rows
 
 
 def _dihedral_table(o: int) -> np.ndarray:
@@ -275,6 +312,12 @@ def _perm_group(n: int, even_only: bool) -> FiniteGroup:
     code(a ∘ b) = Σ_x w_x a[b[x]] = Σ_v a[v] w_{b⁻¹(v)}, the row of a times
     the row of b's weights spread to the places b sends them.  Products are
     composed in blocks of rows to keep the temporaries at a few MB.
+
+    For n ≠ 6 every automorphism of S_n or A_n is conjugation by an element
+    of S_n (J. D. Dixon and B. Mortimer, *Permutation Groups*, 1996), so the
+    group carries Φ (see `FiniteGroup`): the identity for S_n, and with it
+    x -> τ x τ, τ = (0 1), for A_n with n >= 3.  That row is one gather of
+    the permutations' codes; only the row is kept, not the rank array.
     """
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
     if even_only:
@@ -291,7 +334,13 @@ def _perm_group(n: int, even_only: bool) -> FiniteGroup:
     for lo in range(0, order, rows):
         table[lo : lo + rows] = rank[perms[lo : lo + rows] @ spread]
     name = f"alt:{n}" if even_only else f"sym:{n}"
-    return FiniteGroup(order, table=table, spec=name)
+    phi_rows = [np.arange(order, dtype=np.int32)]
+    if even_only and n >= 3:
+        tau = np.arange(n)
+        tau[[0, 1]] = [1, 0]
+        phi_rows.append(rank[tau[perms[:, tau]] @ weights])  # (τ x τ)[v] = τ[x[τ[v]]]
+    phi = None if n == 6 else lambda: np.stack(phi_rows)
+    return FiniteGroup(order, table=table, spec=name, phi=phi)
 
 
 def _split_outer(spec: str, prefix: str) -> tuple[str, str]:
@@ -326,7 +375,7 @@ def make_group(spec: str) -> FiniteGroup:
 
     if spec.startswith("cyc:"):
         n = cap(int(spec[4:]))
-        return FiniteGroup(n, table=_cyclic_table(n), spec=spec)
+        return FiniteGroup(n, table=_cyclic_table(n), spec=spec, phi=lambda: _unit_rows(n))
     if spec.startswith("sym:") or spec.startswith("alt:"):
         n = int(spec[4:])
         if n < 1:
@@ -640,7 +689,16 @@ def choose_generators(g: FiniteGroup) -> CayleyWalk:
     takes the first whose addition gives G, or else the one that enlarges the
     subgroup most; each candidate's subgroup is the reach of its walk.  The
     choice stops with `CapExceeded` as soon as no further choice can keep
-    the search work of `plan_hom_search` within `HOM_WORK_CAP`."""
+    the search work of `plan_hom_search` within `HOM_WORK_CAP`.
+
+    The scan stops at the first candidate c whose bucket alone would push
+    the work, ``candidates * |bucket(c)| * |G| * (k + 1)`` for k generators
+    so far, past the cap: buckets grow along the scan, so every later
+    candidate would too, and none is walked.  A choice that the cap lets
+    through is unchanged by the stop.  Its pick lies in the scanned prefix,
+    or the cap would refuse it, and it is the first in scan order that gives
+    G, or else the first largest subgroup, in the prefix as in the whole
+    scan."""
     n = g.order
     table, orders = g.table, g.element_orders
     _, where, counts = np.unique(_bucket_keys(g), return_inverse=True, return_counts=True)
@@ -659,6 +717,8 @@ def choose_generators(g: FiniteGroup) -> CayleyWalk:
         else:
             best = None
             for c in scan[~span[scan]].tolist():
+                if candidates * int(sizes[c]) * n * (len(gens) + 1) > HOM_WORK_CAP:
+                    break
                 grown = _cayley_walk(table, gens + [c])
                 if best is None or len(grown.reached) > len(best.reached):
                     best = grown
@@ -889,12 +949,23 @@ def automorphism_group(g: FiniteGroup) -> AutSet:
     generators or representatives chosen, and `AutSet` sorts it canonically,
     so any deterministic choice gives byte-identical output.
 
+    A group whose builder knows Φ carries it (`FiniteGroup`), and no search
+    runs, so `HOM_WORK_CAP` does not apply and ``search`` stays None.  These
+    are C_n, whose automorphisms are x -> u x for the units u mod n, and S_n
+    and A_n for n ≠ 6, whose automorphisms are all conjugations by elements
+    of S_n (J. D. Dixon and B. Mortimer, *Permutation Groups*, 1996).  The
+    composites are the same set as the search's, so the same sorted tables;
+    the size cap is checked as for a search.
+
     Kept on ``g``, so repeated calls share one `AutSet` and its cached
     lookups."""
 
     def build() -> AutSet:
-        search = plan_hom_search(g, g)
-        outer = _search_homs(search, find_all=True, max_results=AUTSET_SIZE_CAP)
+        if g._phi is None:
+            search = plan_hom_search(g, g)
+            outer = _search_homs(search, find_all=True, max_results=AUTSET_SIZE_CAP)
+        else:
+            search, outer = None, g._phi()
         inner = inner_automorphisms(g).tables
         if len(inner) * len(outer) > AUTSET_SIZE_CAP:
             raise CapExceeded(f"automorphism enumeration exceeds cap {AUTSET_SIZE_CAP}")

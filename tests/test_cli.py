@@ -33,6 +33,24 @@ def run(argv):
     return code, json.loads(text), text
 
 
+def count_builds(monkeypatch, key):
+    """A list that gains one entry each time structure kept on a group under
+    ``key`` is built, by `automorphism_group` (``("aut",)``) and the like,
+    whether or not a generator-image search runs."""
+    import wordfibers.groups as groups
+
+    builds = []
+    real = groups._derived
+
+    def counting(g, k, build):
+        if k != key:
+            return real(g, k, build)
+        return real(g, k, lambda: builds.append(None) or build())
+
+    monkeypatch.setattr(groups, "_derived", counting)
+    return builds
+
+
 class TestParseFraction:
     def test_forms(self):
         from fractions import Fraction
@@ -184,10 +202,16 @@ class TestGroupCommands:
 
 
     def test_auts_reports_its_search_in_stats(self):
-        code, doc, _ = run(["group", "auts", "--spec", "alt:5"])
+        code, doc, _ = run(["group", "auts", "--spec", "alt:6"])
         assert code == EXIT_OK
-        assert doc["stats"] == {"aut_candidates": "6", "aut_generators": "2", "exit_code": "0"}
+        assert doc["stats"] == {"aut_candidates": "18", "aut_generators": "2", "exit_code": "0"}
         assert set(doc["result"]) == {"aut_size", "inner_size", "order"}
+
+    def test_auts_without_a_search_reports_none_in_stats(self):
+        # alt:5 carries its Φ (every automorphism of A_5 is a conjugation in S_5)
+        code, doc, _ = run(["group", "auts", "--spec", "alt:5"])
+        assert code == EXIT_OK and doc["result"]["aut_size"] == "120"
+        assert doc["stats"] == {"aut_candidates": "0", "aut_generators": "0", "exit_code": "0"}
 
     def test_aut_of_sym6_is_answered_on_every_path(self):
         code, doc, _ = run(["group", "auts", "--spec", "sym:6"])
@@ -454,13 +478,7 @@ class TestVerifyCommands:
         assert doc["result"]["outcome"] == "pass"
 
     def test_rewrite_builds_aut_once(self, monkeypatch):
-        import wordfibers.groups as groups
-
-        builds = []
-        real = groups._search_homs
-        monkeypatch.setattr(
-            groups, "_search_homs", lambda *a, **k: builds.append(None) or real(*a, **k)
-        )
+        builds = count_builds(monkeypatch, ("aut",))
         code, doc, _ = run(
             ["--no-cache", "verify", "rewrite", "--group", "alt:4", "--subgroup", "order:4",
              "--word", "[x1,x2]", "--trials", "5"]
@@ -1054,7 +1072,7 @@ class TestSharedStructure:
     def test_shipped_battery_builds_each_structure_once(self, monkeypatch, tmp_path, threads):
         import wordfibers.groups as groups
 
-        homs = self.count(monkeypatch, groups, "_search_homs")
+        auts = count_builds(monkeypatch, ("aut",))
         lattices = self.count(monkeypatch, groups, "_lattice")
         golden = json.loads((GOLDEN / "battery.json").read_text())
         code, doc, _ = run(["--threads", threads, "verify", "battery", "--out", str(tmp_path)])
@@ -1064,17 +1082,15 @@ class TestSharedStructure:
             assert (tmp_path / name).read_text() == golden["reports"][name], name
         # 10 of the 16 specs need Aut(G); 4 resolve order:<k> selectors.  The
         # entries run in order on one thread, whatever the thread count.
-        assert (len(homs), len(lattices)) == (10, 4)
+        assert (len(auts), len(lattices)) == (10, 4)
 
     def test_each_request_builds_its_own_groups(self, monkeypatch):
-        import wordfibers.groups as groups
-
-        homs = self.count(monkeypatch, groups, "_search_homs")
+        auts = count_builds(monkeypatch, ("aut",))
         argv = ["verify", "submult", "--group", "alt:4", "--subgroup", "order:4",
                 "--word", "x1^2", "--auts", "inn"]
         first, second = run(argv), run(argv)
         assert first == second and first[0] == EXIT_OK
-        assert len(homs) == 2
+        assert len(auts) == 2
 
     def test_a_request_leaves_no_reference_cycles(self):
         # Aut(G) and the lattice point back at their group; the request drops

@@ -1233,10 +1233,25 @@ class TestGeneratorWalk:
             real(table, gens)
         )
         monkeypatch.setattr(groups_mod, "_span_mask", no_span)
-        aut = automorphism_group(make_group(spec))
-        assert walks.count(aut.search.generators) == 1
-        assert walks[-1] == aut.search.generators
+        # the search itself, as alt:5 carries its Φ and runs none
+        search, aut = searched_aut(make_group(spec))
+        assert walks.count(search.generators) == 1
+        assert walks[-1] == search.generators
         assert aut_digest(aut) == AUT_DIGESTS[spec]
+
+    def test_refused_scan_stops_at_the_cap(self, monkeypatch):
+        # C64 x C64: 4,032 elements of order 64, one bucket; the second
+        # generator's scan stops once a candidate's bucket passes the cap
+        walks = []
+        real = groups_mod._cayley_walk
+        monkeypatch.setattr(
+            groups_mod, "_cayley_walk", lambda table, gens: walks.append(list(gens)) or
+            real(table, gens)
+        )
+        g = make_group("prod:(cyc:64)x(cyc:64)")
+        with pytest.raises(CapExceeded, match="at least 1358954496 steps"):
+            choose_generators(g)
+        assert len(walks) == 4
 
 
 # Size and sha256 of the stacked, sorted little-endian int32 tables of
@@ -1292,6 +1307,16 @@ def aut_digest(aut):
     return len(aut), hashlib.sha256(tables.tobytes()).hexdigest()
 
 
+def searched_aut(g):
+    """The search and Aut(G) as `automorphism_group` builds them for a group
+    that carries no Φ: Inn(G) times the rows `_search_homs` finds.  The
+    oracle for the groups that do carry one."""
+    search = groups_mod.plan_hom_search(g, g)
+    phi = groups_mod._search_homs(search, find_all=True, max_results=10**6)
+    inner = inner_automorphisms(g).tables
+    return search, AutSet(g, groups_mod._compose_after(inner, phi), kind="full")
+
+
 class TestBlockedKernel:
     @pytest.mark.parametrize("spec", sorted(AUT_DIGESTS))
     def test_aut_set_matches_the_backtracking_search(self, spec):
@@ -1345,17 +1370,27 @@ class TestBlockedKernel:
             is_isomorphic(g, g)
 
     def test_cap_is_the_work(self, monkeypatch):
-        g = make_group("sym:5")
-        search = groups_mod.plan_hom_search(g, g)
-        work = search.candidates * g.order * len(search.generators)
-        monkeypatch.setattr(groups_mod, "HOM_WORK_CAP", work)
-        assert len(automorphism_group(make_group("sym:5"))) == 120
+        def work(g):
+            search = groups_mod.plan_hom_search(g, g)
+            return search.candidates * g.order * len(search.generators)
+
+        # sym:5 carries its Φ, so its search is planned directly; alt:6 is
+        # still searched by `automorphism_group`
+        g, alt6 = make_group("sym:5"), make_group("alt:6")
+        sym5_work, alt6_work = work(g), work(alt6)
+        monkeypatch.setattr(groups_mod, "HOM_WORK_CAP", sym5_work)
+        assert len(searched_aut(make_group("sym:5"))[1]) == 120
+        monkeypatch.setattr(groups_mod, "HOM_WORK_CAP", alt6_work)
+        assert len(automorphism_group(make_group("alt:6"))) == 1440
         # the cap is read at call time, and a fresh group plans its own search
-        monkeypatch.setattr(groups_mod, "HOM_WORK_CAP", work - 1)
+        monkeypatch.setattr(groups_mod, "HOM_WORK_CAP", sym5_work - 1)
         with pytest.raises(CapExceeded):
-            automorphism_group(make_group("sym:5"))
+            groups_mod.plan_hom_search(g, g)
         with pytest.raises(CapExceeded):
             is_isomorphic(g, make_group("sym:5"))
+        monkeypatch.setattr(groups_mod, "HOM_WORK_CAP", alt6_work - 1)
+        with pytest.raises(CapExceeded):
+            automorphism_group(make_group("alt:6"))
 
     def test_result_cap(self, monkeypatch):
         monkeypatch.setattr(groups_mod, "AUTSET_SIZE_CAP", 20160)
@@ -1425,7 +1460,7 @@ class TestInnerReduction:
         monkeypatch.setattr(
             groups_mod, "_hom_rows", lambda *a: rows.append(len(a[-1])) or real(*a)
         )
-        search = automorphism_group(make_group(spec)).search
+        search, _ = searched_aut(make_group(spec))
         assert search.tried == sum(rows) == tried
         assert search.candidates > tried
 
@@ -1449,6 +1484,66 @@ class TestInnerReduction:
         ok, witness = is_isomorphic(f, power)
         assert ok
         assert_isomorphism(f, power, witness)
+
+
+CLOSED_FORM_SPECS = (
+    [f"sym:{n}" for n in range(1, 6)] + [f"alt:{n}" for n in range(1, 6)]
+    + [f"cyc:{n}" for n in range(1, 65)]
+)
+
+
+class TestClosedForms:
+    """C_n, and S_n and A_n for n ≠ 6, carry Φ from their builders, and
+    `automorphism_group` runs no search on them; the search is the oracle."""
+
+    @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
+    def test_closed_form_tables_are_the_searched_ones(self, spec):
+        aut = automorphism_group(make_group(spec))
+        assert aut.search is None
+        assert aut.tables.tolist() == searched_aut(make_group(spec))[1].tables.tolist()
+
+    @pytest.mark.parametrize(
+        "spec,mutate",
+        [
+            ("alt:5", lambda rows, n: rows[:1]),  # τ dropped
+            ("cyc:12", lambda rows, n: np.vstack([rows, 2 * np.arange(n) % n])),  # u = 2
+        ],
+    )
+    def test_a_mutated_closed_form_fails_the_comparison(self, spec, mutate):
+        g = make_group(spec)
+        real = g._phi
+        g._phi = lambda: mutate(real(), g.order)
+        searched = searched_aut(make_group(spec))[1].tables.tolist()
+        assert automorphism_group(g).tables.tolist() != searched
+
+    @pytest.mark.parametrize("spec", ["sym:6", "alt:6", "dih:5", "q8", "prod:(cyc:2)x(cyc:3)",
+                                      "pow:(cyc:5)^1", "pow:(alt:5)^1"])
+    def test_other_constructions_are_searched(self, spec):
+        g = make_group(spec)
+        assert g._phi is None
+        assert automorphism_group(g).search is not None
+
+    def test_subgroups_and_quotients_are_searched(self):
+        g = make_group("sym:4")
+        v4 = next(h for h in normal_subgroups(g) if h.order == 4)
+        assert v4.as_group._phi is None and v4.as_quotient.quotient._phi is None
+
+    def test_alt7_is_answered_without_the_search(self):
+        g = make_group("alt:7")
+        with pytest.raises(CapExceeded):
+            groups_mod.plan_hom_search(g, g)
+        aut = automorphism_group(g)
+        assert len(aut) == 5040 and aut.search is None
+        rows = np.random.default_rng(7).choice(len(aut), size=20, replace=False)
+        assert all(is_automorphism(g, aut.tables[i]) for i in rows)
+
+    @pytest.mark.parametrize("spec", [s for s in sorted(AUT_DIGESTS) if make_group(s).is_abelian])
+    def test_abelian_classes_equal_the_general_pass(self, spec):
+        g, general = make_group(spec), make_group(spec)
+        general.is_abelian = False  # forces the one pass over the classes
+        short, full = g._classes, general._classes
+        assert short[0] == full[0]
+        assert short[1].tolist() == full[1].tolist() and short[2].tolist() == full[2].tolist()
 
 
 def tuple_sorted(aut):
