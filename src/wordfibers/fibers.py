@@ -745,11 +745,10 @@ def rewrite_coset_equation(
     if target is not None and (value != target).any():
         raise ValueError("base tuple does not satisfy the equation")
 
-    npos = np.full(g.order, -1, dtype=np.int32)
-    npos[list(n.elements)] = np.arange(n.order, dtype=np.int32)
     c = conjugators[:, :, None]
-    # row (t, i): x -> c_ti auts[t, i](x) c_ti^-1, restricted to N
-    beta = npos[g.table[g.table[c, tables[:, :, list(n.elements)]], g.inv_table[c]]]
+    # row (t, i): x -> c_ti auts[t, i](x) c_ti^-1, restricted to N in the
+    # numbering of n.as_group
+    beta = n.positions[g.table[g.table[c, tables[:, :, list(n.elements)]], g.inv_table[c]]]
     if (beta < 0).any():
         raise ValueError("conjugated automorphism must stabilize N")
     return RewriteResult(n.as_group, tuple(n.elements), beta, value, conjugators)

@@ -508,10 +508,13 @@ class AutSet:
     ``_SUBGROUP_KINDS`` name the sets this module builds as subgroups of
     Aut(G) (`automorphism_group`, `inner_automorphisms`, `identity_autset`);
     ``is_closed`` takes them as closed and checks any other set.  ``search``
-    is the `HomSearch` that enumerated the set, when one did.
+    is the `HomSearch` that enumerated the set, when one did, and ``phi``,
+    on Aut(G) as `automorphism_group` builds it, the rows Φ with
+    Aut(G) = Inn(G)·Φ.
     """
 
     search: Optional["HomSearch"] = None
+    phi: Optional[np.ndarray] = None
 
     def __init__(self, group: FiniteGroup, tables: np.ndarray, kind: str):
         self.group = group
@@ -799,18 +802,21 @@ def plan_hom_search(src: FiniteGroup, dst: FiniteGroup) -> HomSearch:
 def _head_images(dst: FiniteGroup, buckets: list[np.ndarray]) -> np.ndarray:
     """The rows of images (r, s) of the first two generators that
     `plan_hom_search` keeps: r least in its conjugacy class, s least in its
-    C_dst(r)-orbit; one column with one generator, one empty row with none."""
+    C_dst(r)-orbit; one column with one generator, one empty row with none.
+
+    C_dst(r) acts through its image in Inn(dst), the rows that fix r: x
+    commutes with r exactly when conjugation by x fixes r."""
     if not buckets:
         return np.zeros((1, 0), dtype=np.int32)
     first = buckets[0][dst.class_minima[buckets[0]] == buckets[0]]
     if len(buckets) == 1:
         return first[:, None]
-    t, second = dst.table, buckets[1]
+    inn, second = inner_automorphisms(dst).tables, buckets[1]
     rows = [np.zeros((0, 2), dtype=np.int32)]
     # an empty second bucket, which only groups of different profiles give,
     # leaves no row
     for r in first.tolist() if len(second) else []:
-        centralizer = np.flatnonzero(t[r] == t[:, r])
+        centralizer = np.flatnonzero(inn[:, r] == r)
         least = second[_orbit_minima(dst, centralizer, second) == second]
         rows.append(np.column_stack([np.full(len(least), r, dtype=np.int32), least]))
     return np.concatenate(rows)
@@ -957,8 +963,9 @@ def automorphism_group(g: FiniteGroup) -> AutSet:
     composites are the same set as the search's, so the same sorted tables;
     the size cap is checked as for a search.
 
-    Kept on ``g``, so repeated calls share one `AutSet` and its cached
-    lookups."""
+    Φ is kept as ``phi`` on the set, for the characteristic flags
+    (`SubgroupHandle.characteristic`).  Kept on ``g``, so repeated calls
+    share one `AutSet` and its cached lookups."""
 
     def build() -> AutSet:
         if g._phi is None:
@@ -969,9 +976,10 @@ def automorphism_group(g: FiniteGroup) -> AutSet:
         inner = inner_automorphisms(g).tables
         if len(inner) * len(outer) > AUTSET_SIZE_CAP:
             raise CapExceeded(f"automorphism enumeration exceeds cap {AUTSET_SIZE_CAP}")
-        # with Inn(G) trivial the composites are Φ itself
+        # with Inn(G) trivial the composites are Φ itself, kept once
         aut = AutSet(g, outer if len(inner) == 1 else _compose_after(inner, outer), kind="full")
         aut.search = search
+        aut.phi = aut.tables if len(inner) == 1 else outer
         return aut
 
     return _derived(g, ("aut",), build)
@@ -1006,16 +1014,28 @@ class SubgroupHandle:
 
     @cached_property
     def normal(self) -> bool:
-        """Whether every conjugate x H x^-1 lies in H."""
-        g, members = self.group, _members(self.group, self.elements)
-        return all(members[c].all() for _, c in _conjugates(g, np.arange(g.order), self.elements))
+        """Whether every conjugate x H x^-1 lies in H, read against the rows
+        of Inn(G), which the group keeps: conjugation by xz equals
+        conjugation by x for central z, so one row per coset of Z(G) is
+        every conjugation."""
+        return self._invariant(inner_automorphisms(self.group).tables)
 
     @cached_property
     def characteristic(self) -> bool:
-        """Whether every automorphism of the group maps H onto itself, read
-        against `automorphism_group`, which is kept on the group."""
-        aut = automorphism_group(self.group)
-        return bool(_members(self.group, self.elements)[aut.tables[:, list(self.elements)]].all())
+        """Whether every automorphism of the group maps H onto itself.
+
+        Aut(G) = Inn(G)·Φ (`automorphism_group`), so every automorphism is
+        c∘φ with c inner and φ in Φ, and H is characteristic exactly when it
+        is normal and Φ-invariant: then c(φ(H)) = c(H) = H, and both Inn(G)
+        and Φ lie in Aut(G).  Aut(G) is resolved first, so its caps refuse
+        as they would for the whole set, but only Φ is read."""
+        phi = automorphism_group(self.group).phi
+        return self.normal and self._invariant(phi)
+
+    def _invariant(self, rows: np.ndarray) -> bool:
+        """Whether every automorphism row maps H into H."""
+        members = _members(self.group, self.elements)
+        return all(members[c].all() for _, c in _row_images(rows, self.elements))
 
     @property
     def order(self) -> int:
@@ -1027,6 +1047,15 @@ class SubgroupHandle:
 
     def __contains__(self, g: int) -> bool:
         return g in self.element_set
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """``positions[x]`` is the index of x in ``elements``, which numbers
+        the elements of `as_group`, or -1 for x outside H."""
+        pos = np.full(self.group.order, -1, dtype=np.int32)
+        pos[list(self.elements)] = np.arange(self.order, dtype=np.int32)
+        pos.setflags(write=False)
+        return pos
 
     @cached_property
     def as_group(self) -> FiniteGroup:
@@ -1058,48 +1087,52 @@ def _members(g: FiniteGroup, elems: Iterable[int]) -> np.ndarray:
     return mask
 
 
-def _conjugates(
-    g: FiniteGroup, xs: np.ndarray, elems: Sequence[int]
+def _row_images(
+    rows: np.ndarray, elems: Sequence[int], which: Optional[np.ndarray] = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks ``(x, c)`` of conjugates, ``c[i, j] = x[i] elems[j] x[i]^-1``,
-    over consecutive runs ``x`` of ``xs``.  A block holds at most
-    `_COMPOSE_BLOCK_ELEMENTS` entries, so no |G|×|G| array is built."""
-    t, inv = g.table, g.inv_table
+    """Blocks ``(i, c)`` of images, ``c[k, j] = rows[i[k], elems[j]]``, over
+    consecutive runs ``i`` of the row numbers ``which`` (every row by
+    default).  A block holds at most `_COMPOSE_BLOCK_ELEMENTS` entries, so
+    no |rows|×|G| array is built."""
     cols = np.asarray(elems, dtype=np.int64)
+    which = np.arange(len(rows)) if which is None else which
     step = max(1, _COMPOSE_BLOCK_ELEMENTS // len(cols))
-    for lo in range(0, len(xs), step):
-        x = xs[lo : lo + step]
-        yield x, t[t[x[:, None], cols], inv[x, None]]
+    for lo in range(0, len(which), step):
+        i = which[lo : lo + step]
+        yield i, rows[i[:, None], cols]
 
 
 def _conjugacy_class(
     g: FiniteGroup, elems: tuple[int, ...]
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The conjugates of the subgroup ``elems``, ``elems`` first and each an
-    ascending tuple, and its normalizer N_G(elems) as an ascending array.  A
-    conjugate is ``elems`` itself exactly when it lies inside it, as both
-    have |elems| members; only the others are sorted."""
+    ascending tuple, and the numbers of the rows of Inn(G) that fix it, the
+    image N_G(elems)/Z(G) of its normalizer, as an ascending array.  A conjugate is ``elems`` itself exactly when it lies
+    inside it, as both have |elems| members; only the others are sorted."""
     members = _members(g, elems)
     normalizer, others = [], set()
-    for x, c in _conjugates(g, np.arange(g.order), elems):
+    for i, c in _row_images(inner_automorphisms(g).tables, elems):
         inside = members[c].all(axis=1)
-        normalizer.append(x[inside])
+        normalizer.append(i[inside])
         others.update(map(tuple, np.sort(c[~inside], axis=1).tolist()))
     return [elems, *others], np.concatenate(normalizer)
 
 
 def _orbit_minima(
-    g: FiniteGroup, xs: np.ndarray, elems: Optional[np.ndarray] = None
+    g: FiniteGroup, rows: np.ndarray, elems: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """The least conjugate ``x e x^-1`` over x in the subgroup ``xs``, per
-    element e of ``elems`` (all of G by default): equal labels mark the
-    orbits of ``xs`` acting on G by conjugation.  For all of G these are the
-    conjugacy classes, which the group keeps."""
+    """The least image of e under the rows of Inn(G) numbered ``rows``, per
+    element e of ``elems`` (all of G by default).  When the rows are the
+    image in Inn(G) of a subgroup X, equal labels mark the orbits of X
+    acting on G by conjugation: x and xz conjugate alike for central z, so
+    the orbits of X are the orbits of its image.  For every row these are
+    the conjugacy classes, which the group keeps."""
     elems = np.arange(g.order) if elems is None else np.asarray(elems, dtype=np.int64)
-    if len(xs) == g.order:
+    inn = inner_automorphisms(g).tables
+    if len(rows) == len(inn):
         return g.class_minima[elems]
     label = elems.copy()
-    for _, c in _conjugates(g, xs, elems):
+    for _, c in _row_images(inn, elems, rows):
         np.minimum(label, c.min(axis=0), out=label)
     return label
 
@@ -1116,6 +1149,8 @@ def _lattice(g: FiniteGroup, atoms: Iterable[tuple[int, ...]]) -> list[SubgroupH
     The walk goes one conjugacy class at a time.  It keeps a representative
     H per class found, joins H only with one atom per N_G(H)-orbit of the
     atoms H does not contain, and adds each new join's whole class at once.
+    N_G(H) is kept as the numbers of its rows in Inn(G) (`_conjugacy_class`),
+    whose orbits are its own (`_orbit_minima`).
     Why that finds every join: conjugation permutes the subgroups and the
     atoms (x<e>x^-1 = <x e x^-1>, likewise for normal closures), and for x in
     N_G(H), <H, x A x^-1> = x <H, A> x^-1, a conjugate of <H, A>.  By
@@ -1137,7 +1172,7 @@ def _lattice(g: FiniteGroup, atoms: Iterable[tuple[int, ...]]) -> list[SubgroupH
     for i in reversed(range(len(atoms))):  # the least atom containing e wins
         atom_of[list(atoms[i])] = i
     class_size = {(0,): 1}
-    worklist = [((0,), np.arange(n))]
+    worklist = [((0,), np.arange(len(inner_automorphisms(g))))]
     while worklist:
         h, normalizer = worklist.pop()
         outside = np.flatnonzero(~_members(g, h))
@@ -1231,11 +1266,10 @@ def quotient(n: SubgroupHandle) -> QuotientHandle:
 
 
 def subgroup_group(g: FiniteGroup, n: SubgroupHandle) -> FiniteGroup:
-    """The subgroup as a group in its own right, indexed by sorted elements."""
+    """The subgroup as a group in its own right, numbered by
+    `SubgroupHandle.positions`."""
     arr = np.asarray(n.elements, dtype=np.int64)
-    pos = np.full(g.order, -1, dtype=np.int32)
-    pos[arr] = np.arange(len(arr), dtype=np.int32)
-    table = pos[g.table[np.ix_(arr, arr)]]
+    table = n.positions[g.table[np.ix_(arr, arr)]]
     if (table < 0).any():
         raise ValueError("element set is not closed under the group operation")
     return FiniteGroup(len(arr), table=table, spec=f"<order {n.order} in {g.spec}>")
@@ -1254,11 +1288,10 @@ def induced_autset(n: SubgroupHandle, a: AutSet) -> AutSet:
 
 
 def restricted_autset(n: SubgroupHandle, a: AutSet) -> AutSet:
-    """Restrictions of members of A to N, re-indexed to N's own numbering."""
+    """Restrictions of members of A to N, in N's own numbering
+    (`SubgroupHandle.positions`)."""
     _require_characteristic(n)
-    pos = np.full(n.group.order, -1, dtype=np.int32)
-    pos[list(n.elements)] = np.arange(n.order, dtype=np.int32)
-    restricted = pos[a.tables[:, list(n.elements)]]
+    restricted = n.positions[a.tables[:, list(n.elements)]]
     if (restricted < 0).any():
         raise ValueError("an automorphism does not stabilize the subgroup")
     return AutSet(n.as_group, restricted, kind="custom")
@@ -1288,6 +1321,8 @@ def characteristic_series(g: FiniteGroup) -> CharSeries:
     is normal, so the joins of the class closures reach all of them.  The
     chain is made deterministic by always taking the lexicographically
     smallest eligible next subgroup; only the factor multiset is meaningful.
+    Each lower term is normal in G, hence in the upper term: its handle
+    there is flagged normal, and no Inn of the upper term is built.
     """
     char_subs = [s for s in normal_subgroups(g) if s.characteristic]
     chain = [char_subs[0]]
@@ -1298,9 +1333,8 @@ def characteristic_series(g: FiniteGroup) -> CharSeries:
         chain.append(min(minimal, key=lambda s: s.elements))
     factors = []
     for lower, upper in zip(chain, chain[1:]):
-        hgrp = upper.as_group
-        pos = {gidx: i for i, gidx in enumerate(upper.elements)}
-        inner = subgroup_handle(hgrp, [pos[x] for x in lower.elements])
+        inner = subgroup_handle(upper.as_group, upper.positions[list(lower.elements)])
+        inner.normal = True
         f = quotient(inner).quotient
         simple, copies = decompose_char_simple(f)
         factors.append(FactorDecomposition(factor=f, simple=simple, copies=copies))
@@ -1379,11 +1413,15 @@ def is_solvable_subset(g: FiniteGroup, elems: tuple[int, ...]) -> bool:
 
 
 def solvable_radical(g: FiniteGroup) -> SubgroupHandle:
-    """Largest solvable normal subgroup, as the join of solvable class closures."""
-    seeds: set[int] = {0}
-    for closure in _class_closures(g):
-        if is_solvable_subset(g, closure):
-            seeds.update(closure)
-    radical = SubgroupHandle(g, _closure(g.table, seeds))
+    """Largest solvable normal subgroup, as the join of solvable class
+    closures; an abelian group is its own radical, and builds no closure."""
+    if g.is_abelian:
+        radical = SubgroupHandle(g, tuple(range(g.order)))
+    else:
+        seeds: set[int] = {0}
+        for closure in _class_closures(g):
+            if is_solvable_subset(g, closure):
+                seeds.update(closure)
+        radical = SubgroupHandle(g, _closure(g.table, seeds))
     radical.normal = radical.characteristic = True
     return radical

@@ -617,15 +617,18 @@ def reference_subgroups(g, aut):
                 if bigger not in found:
                     found[bigger] = None
                     worklist.append(bigger)
+    return [(e, *reference_flags(g, aut, e)) for e in sorted(found, key=lambda e: (len(e), e))]
+
+
+def reference_flags(g, aut, elems):
+    """(normal, characteristic) of the subgroup ``elems``, by conjugating it
+    by every element of G and by mapping it through every row of Aut(G)."""
     t, inv = g.table, g.inv_table
-    out = []
-    for elems in sorted(found, key=lambda e: (len(e), e)):
-        members = np.zeros(g.order, dtype=bool)
-        members[list(elems)] = True
-        arr = np.asarray(elems)
-        conj = t[t[np.arange(g.order)[:, None], arr[None, :]], inv[:, None]]
-        out.append((elems, bool(members[conj].all()), bool(members[aut.tables[:, arr]].all())))
-    return out
+    members = np.zeros(g.order, dtype=bool)
+    members[list(elems)] = True
+    arr = np.asarray(elems)
+    conj = t[t[np.arange(g.order)[:, None], arr[None, :]], inv[:, None]]
+    return bool(members[conj].all()), bool(members[aut.tables[:, arr]].all())
 
 
 def reference_series(g):
@@ -654,11 +657,19 @@ def flags(handles):
     return [(s.elements, s.normal, s.characteristic) for s in handles]
 
 
+def fresh_flags(g, elems):
+    """The flags of a new handle, computed rather than assigned by a walk."""
+    h = subgroup_handle(g, elems)
+    return h.normal, h.characteristic
+
+
 class TestLattice:
     @pytest.mark.parametrize("spec", LATTICE_SPECS)
     def test_subgroups_match_the_per_element_loop(self, spec):
         g, aut = group_and_aut(spec)
-        assert flags(subgroups(g)) == reference_subgroups(g, aut)
+        expected = reference_subgroups(g, aut)
+        assert flags(subgroups(g)) == expected
+        assert [(e, *fresh_flags(g, e)) for e, _, _ in expected] == expected
 
     @pytest.mark.parametrize("spec", LATTICE_SPECS)
     def test_normal_subgroups_are_the_normal_members_of_the_lattice(self, spec):
@@ -703,6 +714,134 @@ class TestLattice:
         assert [s.order for s in normal_subgroups(g)] == [1, 2, 4, 60, 120, 240]
         series = characteristic_series(g)
         assert [h.order for h in series.chain] == [1, 2, 4, 240]
+
+
+def conjugation_labels(g, xs, elems):
+    """min over x in xs of x e x^-1, per e in elems, element by element."""
+    return [min(g.mul(g.mul(x, e), g.inv(x)) for x in xs) for e in elems]
+
+
+class TestConjugationRows:
+    """Normality, the characteristic flag and the lattice's orbit labels are
+    read from the rows of Inn(G) and from Φ; these compare them with
+    conjugation element by element and with every row of Aut(G)."""
+
+    @pytest.mark.parametrize(
+        "spec, lattice", [("dih:64", subgroups), ("sym:6", normal_subgroups),
+                          ("alt:6", normal_subgroups)]
+    )
+    def test_flags_match_the_reference(self, spec, lattice):
+        g, aut = group_and_aut(spec)
+        for s in lattice(g):
+            expected = reference_flags(g, aut, s.elements)
+            assert (s.normal, s.characteristic) == expected, s.elements
+            assert fresh_flags(g, s.elements) == expected, s.elements
+
+    def test_klein_four_subgroups_of_dih4_are_normal_not_characteristic(self):
+        g = make_group("dih:4")
+        orders = g.element_orders
+        klein = [s for s in subgroups(g) if s.order == 4 and orders[list(s.elements)].max() == 2]
+        assert len(klein) == 2
+        for s in klein:
+            assert fresh_flags(g, s.elements) == (True, False)
+
+    def test_characteristic_reads_phi_not_the_closure(self, monkeypatch):
+        g = make_group("dih:64")
+        aut = automorphism_group(g)
+        expected = [reference_flags(g, aut, s.elements) for s in normal_subgroups(g)]
+        assert len(aut.phi) < len(aut)
+        monkeypatch.setattr(aut, "tables", None)
+        assert [fresh_flags(g, s.elements) for s in normal_subgroups(g)] == expected
+
+    @pytest.mark.parametrize("spec", ["cyc:12", "dih:12", "sym:4", "alt:6", "q8"])
+    def test_phi_with_inn_generates_aut(self, spec):
+        g, aut = group_and_aut(spec)
+        inner = inner_automorphisms(g).tables
+        closure = AutSet(g, groups_mod._compose_after(inner, aut.phi), kind="full")
+        assert closure.tables.tobytes() == aut.tables.tobytes()
+        if len(inner) == 1:
+            assert aut.phi is aut.tables
+
+    @pytest.mark.parametrize("setting", [("HOM_WORK_CAP", 10), ("AUTSET_SIZE_CAP", 10)])
+    @pytest.mark.parametrize("spec", ["dih:4", "sym:4", "cyc:16"])
+    def test_characteristic_is_refused_wherever_aut_is(self, monkeypatch, spec, setting):
+        monkeypatch.setattr(groups_mod, *setting)
+        g = make_group(spec)
+        try:
+            automorphism_group(make_group(spec))
+        except CapExceeded:
+            refused = True
+        else:
+            refused = False
+        for elems in [(0,), tuple(range(g.order))]:
+            h = subgroup_handle(g, elems)
+            if refused:
+                with pytest.raises(CapExceeded):
+                    h.characteristic
+            else:
+                assert h.characteristic
+
+    def test_characteristic_is_refused_on_a_refused_aut(self):
+        g = make_group("pow:(cyc:2)^8")
+        with pytest.raises(CapExceeded):
+            automorphism_group(g)
+        with pytest.raises(CapExceeded):
+            subgroup_handle(g, [0]).characteristic
+
+    @pytest.mark.parametrize("spec", ["dih:12", "prod:(sym:4)x(cyc:3)"])
+    def test_normalizer_rows_give_the_normalizer_orbits(self, spec):
+        g, _ = group_and_aut(spec)
+        assert len(g.center) > 1
+        inn = inner_automorphisms(g)
+        elems = list(range(g.order))
+        for s in subgroups(g):
+            conjugates, rows = groups_mod._conjugacy_class(g, s.elements)
+            normalizer = [
+                x for x in elems
+                if {g.mul(g.mul(x, h), g.inv(x)) for h in s.elements} == s.element_set
+            ]
+            conj = np.array([[g.mul(g.mul(x, y), g.inv(x)) for y in elems] for x in normalizer])
+            assert rows.tolist() == sorted(set(inn.index(conj).tolist()))
+            assert len(conjugates) == g.order // len(normalizer)
+            labels = groups_mod._orbit_minima(g, rows)
+            assert labels.tolist() == conjugation_labels(g, normalizer, elems)
+
+    @pytest.mark.parametrize("spec", ["dih:12", "prod:(sym:4)x(cyc:3)"])
+    def test_centralizer_rows_give_the_centralizer_orbits(self, spec):
+        g, _ = group_and_aut(spec)
+        inn = inner_automorphisms(g).tables
+        elems = list(range(g.order))
+        for r in elems:
+            rows = np.flatnonzero(inn[:, r] == r)
+            centralizer = [x for x in elems if g.mul(x, r) == g.mul(r, x)]
+            expected = conjugation_labels(g, centralizer, elems)
+            assert groups_mod._orbit_minima(g, rows).tolist() == expected
+            some = np.array(elems[::3])
+            assert groups_mod._orbit_minima(g, rows, some).tolist() == expected[::3]
+
+    def test_series_builds_no_inn_of_a_subgroup(self, monkeypatch):
+        seen = []
+        real = groups_mod.inner_automorphisms
+        monkeypatch.setattr(
+            groups_mod, "inner_automorphisms", lambda g: seen.append(g.spec) or real(g)
+        )
+        for spec in ["sym:4", "prod:(sym:4)x(cyc:3)", "alt:5", "q8"]:
+            characteristic_series(make_group(spec))
+        assert seen and not [s for s in seen if s.startswith("<")]
+
+
+class TestPositions:
+    @pytest.mark.parametrize("spec", ["sym:4", "dih:6"])
+    def test_positions_number_the_subgroup_group(self, spec):
+        g = make_group(spec)
+        for s in subgroups(g):
+            pos = s.positions
+            assert pos[list(s.elements)].tolist() == list(range(s.order))
+            assert (np.delete(pos, list(s.elements)) == -1).all()
+            sub = s.as_group
+            for i, x in enumerate(s.elements):
+                for j, y in enumerate(s.elements):
+                    assert sub.mul(i, j) == pos[g.mul(x, y)]
 
 
 def counting_span_levels(monkeypatch):
@@ -1016,6 +1155,21 @@ class TestSolvableRadical:
             for s in subgroups(g):
                 if s.normal and is_solvable_subset(g, s.elements):
                     assert s.element_set <= rad.element_set
+
+    @pytest.mark.parametrize("spec", ["cyc:12", "prod:(cyc:2)x(cyc:4)"])
+    def test_abelian_radical_matches_the_general_path(self, spec):
+        g, general = make_group(spec), make_group(spec)
+        general.is_abelian = False  # takes the class-closure join
+        rad = solvable_radical(g)
+        assert rad.elements == solvable_radical(general).elements == tuple(range(g.order))
+        assert rad.normal and rad.characteristic
+
+    def test_abelian_radical_builds_no_class_closure(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("class closures built for an abelian group")
+
+        monkeypatch.setattr(groups_mod, "_class_closures", refuse)
+        assert solvable_radical(make_group("cyc:4096")).order == 4096
 
     @pytest.mark.parametrize("spec", ["sym:6", "pow:(alt:5)^2"])
     def test_groups_of_order_above_360_are_answered(self, spec):
