@@ -28,18 +28,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
 
-import mpmath
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    LogNumber,
-    alt_exclusion_threshold,
-    excluded_factors_report,
-    lie_rank_threshold,
-    n0_bound,
-    radical_index_bound,
-)
 from .errors import BudgetExceeded, CapExceeded, EmptyWordError, WordSyntaxError
 from .fibers import (
     DEFAULT_BUDGET,
@@ -125,21 +116,24 @@ def canonical(obj):
         return _digits(obj)
     if isinstance(obj, Fraction):
         return f"{_digits(obj.numerator)}/{_digits(obj.denominator)}"
-    if isinstance(obj, mpmath.mpf):
-        return mpmath.nstr(obj, 50)
-    if isinstance(obj, LogNumber):
-        doc = {"ln": mpmath.nstr(obj.ln_value, 50)}
-        if obj.exact is not None:
-            doc["exact"] = _digits(obj.exact)
-        if obj.is_factorial_of is not None:
-            doc["is_factorial_of"] = _digits(obj.is_factorial_of)
-        return doc
     if isinstance(obj, np.ndarray):
         return [canonical(x) for x in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [canonical(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): canonical(v) for k, v in obj.items()}
+    # mpf and LogNumber values come only from the bounds handlers, which
+    # import `bounds` (and mpmath) on first use
+    bounds = sys.modules.get(f"{__package__}.bounds")
+    if bounds is not None and isinstance(obj, bounds.mpmath.mpf):
+        return bounds.mpmath.nstr(obj, 50)
+    if bounds is not None and isinstance(obj, bounds.LogNumber):
+        doc = {"ln": obj.ln_str(50)}
+        if obj.exact is not None:
+            doc["exact"] = _digits(obj.exact)
+        if obj.is_factorial_of is not None:
+            doc["is_factorial_of"] = _digits(obj.is_factorial_of)
+        return doc
     if is_dataclass(obj) and not isinstance(obj, type):
         return {k: canonical(v) for k, v in vars(obj).items()}
     if obj is None or isinstance(obj, (str, float)):
@@ -641,6 +635,7 @@ def cmd_verify_battery(args, ctx):
 
 
 def cmd_bounds_exclude(args, ctx):
+    from .bounds import excluded_factors_report
     w = parse_word(args.word, require_nonempty=True)
     report = excluded_factors_report(w, parse_fraction(args.rho))
     return {
@@ -665,21 +660,25 @@ def cmd_bounds_exclude(args, ctx):
 
 
 def cmd_bounds_alt(args, ctx):
+    from .bounds import alt_exclusion_threshold
     w = parse_word(args.word, require_nonempty=True)
     return alt_exclusion_threshold(w, parse_fraction(args.rho))
 
 
 def cmd_bounds_lie(args, ctx):
+    from .bounds import lie_rank_threshold
     w = parse_word(args.word, require_nonempty=True)
     return lie_rank_threshold(w, parse_fraction(args.rho))
 
 
 def cmd_bounds_n0(args, ctx):
+    from .bounds import n0_bound
     w = parse_word(args.word, require_nonempty=True)
     return {"n0": n0_bound(w, parse_fraction(args.rho), args.order)}
 
 
 def cmd_bounds_radical_bound(args, ctx):
+    from .bounds import radical_index_bound
     w = parse_word(args.word, require_nonempty=True)
     factors = []
     if args.factors:

@@ -438,6 +438,12 @@ def _merge_ranges(parts):
     return vals, nums, letters, evals
 
 
+def _require_budget(needed: int, budget: int) -> None:
+    """Refuse an exact search that performs more evaluations than the budget."""
+    if needed > budget:
+        raise BudgetExceeded(f"exact search needs {needed} evaluations, budget is {budget}")
+
+
 def _search_all_tuples(
     g: FiniteGroup,
     w: ReducedWord,
@@ -477,15 +483,11 @@ def _search_all_tuples(
         raise CapExceeded(f"{covered} automorphism tuples exceed the 64-bit tuple numbering")
     free = _free_letters(w, a)
     scanned = m ** len(free)
-    needed = scanned * g.order**w.num_variables
-    if needed > budget:
-        raise BudgetExceeded(
-            f"exact search needs {needed} evaluations, budget is {budget}"
-        )
+    _require_budget(scanned * g.order**w.num_variables, budget)
     ev = _BatchEvaluator(g, w, a.tables)
     # no more workers than cores, and a pool only for a scan of several
     # batches; the witnesses do not depend on the split
-    threads = max(1, min(int(threads), os.cpu_count() or 1))
+    threads = min(int(threads), os.cpu_count() or 1) if threads > 1 else 1
     if threads == 1 or scanned <= ev.batch_size():
         parts = [_scan_range(ev, _normal_form_batches(ev, 0, scanned, free))]
     else:
@@ -589,10 +591,11 @@ def wreath_counts(
     n: int,
     base_indices,
     sigmas,
-) -> np.ndarray:
-    """(k, |S|^n) fiber counts on S^n of k tuples of members of B wr S_n,
-    counted on S with no S^n table.  Coordinate 0 is the most significant
-    digit of an S^n index, as in `power_group`.
+) -> list[tuple[np.ndarray, list[tuple[list[int], np.ndarray]]]]:
+    """The fiber counts on S^n of k tuples of members of B wr S_n, as
+    factors counted on S, with no S^n table and no (k, |S|^n) rows.
+    Coordinate 0 is the most significant digit of an S^n index, as in
+    `power_group`.
 
     Letter i of tuple r is (a_0 x ... x a_(n-1)) o sigma with a_c the row
     ``base_indices[r, i, c]`` of B and sigma = ``sigmas[r, i]``, a
@@ -612,8 +615,14 @@ def wreath_counts(
     joint counts, each a word system over S (`_BatchEvaluator`).
 
     Tuples with the same read patterns pi share their components and are
-    counted together.  The counts of one tuple, |S|^n of them, must fit in
-    `_BATCH_ELEMENTS`.
+    counted together.  Returns one (tuples, factors) pair per pattern:
+    ``tuples`` the ascending numbers of its tuples, and ``factors`` one
+    (coordinates, counts) pair per component, its coordinates ascending
+    and its (len(tuples), |S|^|C|) joint counts, keyed with its first
+    coordinate the most significant digit.  Tuple r's count at an S^n
+    index is the product over its components of its row's count at the
+    index's digits on the component's coordinates.  A component's counts,
+    up to |S|^n of them for one tuple, must fit in `_BATCH_ELEMENTS`.
     """
     _require_word(w)
     l, q = w.length, s.order
@@ -633,10 +642,10 @@ def wreath_counts(
     reads = np.take_along_axis(sigmas[:, lead], np.argsort(sigmas, axis=2), axis=2)
     patterns, which = np.unique(reads.reshape(len(reads), -1), axis=0, return_inverse=True)
     which = which.ravel()
-    out = np.empty((len(reads), q**n), dtype=np.int64)
+    parts = []
     for p, pattern in enumerate(patterns.reshape(-1, l, n)):
         members = np.flatnonzero(which == p)
-        joint = np.ones((len(members),) + (1,) * n, dtype=np.int64)
+        factors = []
         for coords in _components(pattern):
             pos = {c: j for j, c in enumerate(coords)}
             # copy pi_i(c) of the variable at position j is system variable
@@ -656,10 +665,9 @@ def wreath_counts(
             counts = np.concatenate([
                 ev.counts(list(digits[:, lo : lo + step])) for lo in range(0, len(members), step)
             ])
-            shape = [q if c in pos else 1 for c in range(n)]
-            joint = joint * counts.reshape([len(members)] + shape)
-        out[members] = joint.reshape(len(members), -1)
-    return out
+            factors.append((coords, counts))
+        parts.append((members, factors))
+    return parts
 
 
 def _components(pattern: np.ndarray) -> list[list[int]]:

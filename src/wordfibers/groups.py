@@ -510,7 +510,8 @@ class AutSet:
     ``is_closed`` takes them as closed and checks any other set.  ``search``
     is the `HomSearch` that enumerated the set, when one did, and ``phi``,
     on Aut(G) as `automorphism_group` builds it, the rows Φ with
-    Aut(G) = Inn(G)·Φ.
+    Aut(G) = Inn(G)·Φ.  ``searches`` keeps the exact searches over the set
+    that the checkers have run (`verify._exact_search`).
     """
 
     search: Optional["HomSearch"] = None
@@ -521,6 +522,7 @@ class AutSet:
         self.tables = _canonical_rows(_as_rows(tables, group.order))
         self.tables.setflags(write=False)
         self.kind = kind
+        self.searches: dict = {}
         if not len(self.tables) or (self.tables[0] != np.arange(group.order)).any():
             raise ValueError("an AutSet must contain the identity automorphism")
 

@@ -64,6 +64,27 @@ def _require_inner(a: AutSet) -> None:
         raise ValueError("the automorphism set must contain all inner automorphisms")
 
 
+def _exact_search(
+    g: FiniteGroup, w: ReducedWord, a: AutSet, budget: int, threads: int
+) -> MaxFiberResult:
+    """`max_fiber` in exact mode, run once per group object, word and A.
+
+    The result is kept on A (``a.searches``), so it lives as long as A: for
+    the Aut(G) and Inn(G) that the group keeps, until `Context.close` drops
+    them.  It does not depend on the thread count.  A kept result is shared,
+    so its arrays are read-only, and a hit refuses a budget below the
+    evaluations the search performed, as the search itself would."""
+    key = (g, w)
+    res = a.searches.get(key)
+    if res is not None:
+        fibers._require_budget(res.evaluations_performed, budget)
+        return res
+    res = a.searches[key] = max_fiber(g, w, a, budget=budget, threads=threads)
+    for array in (res.target_values, res.target_tuple_numbers, res.witness_tuple):
+        array.setflags(write=False)
+    return res
+
+
 def check_identity_maximal(
     g: FiniteGroup,
     w: ReducedWord,
@@ -73,7 +94,7 @@ def check_identity_maximal(
 ) -> CheckReport:
     """Every target's best fiber is at most the identity's best fiber."""
     _require_inner(a)
-    res = max_fiber(g, w, a, budget=budget, threads=threads)
+    res = _exact_search(g, w, a, budget, threads)
     identity_max = int(res.target_values[0])
     worst = int(np.argmax(res.target_values))
     params = {
@@ -121,9 +142,9 @@ def check_submultiplicative(
     ind = induced_autset(n, a)
     res = restricted_autset(n, a)
     qh = n.as_quotient
-    pt_g = max_fiber(g, w, a, budget=budget, threads=threads)
-    pt_q = max_fiber(qh.quotient, w, ind, budget=budget, threads=threads)
-    pt_n = max_fiber(res.group, w, res, budget=budget, threads=threads)
+    pt_g = _exact_search(g, w, a, budget, threads)
+    pt_q = _exact_search(qh.quotient, w, ind, budget, threads)
+    pt_n = _exact_search(res.group, w, res, budget, threads)
     n_identity = int(pt_n.target_values[0])
     params = {
         "group": g.spec,
@@ -337,7 +358,7 @@ def variation_profile(
     breakdown = []
     results = {}
     for key, (flattened, multiplicity) in _flattened_forms(w).items():
-        res = results[key] = max_fiber(s, flattened, aut, budget=budget, threads=threads)
+        res = results[key] = _exact_search(s, flattened, aut, budget, threads)
         evaluations += res.evaluations
         best = max(best, res.proportion)
         breakdown.append(
@@ -358,6 +379,32 @@ def bound_exponent(n: int, l: int, mode: str = "ceil") -> int:
     if mode == "floor":
         return n // (l * l)
     raise ValueError(f"unknown exponent mode {mode!r}")
+
+
+def _wreath_maxima(parts, k: int, q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The largest fiber on S^n of each of k tuples and the least target
+    attaining it, read off the factors of `wreath_counts` (``parts``).
+
+    A tuple's factors are nonnegative, sit on disjoint coordinates and have
+    positive maxima (a factor's counts sum to |S|^(|C| d)), so their
+    product is largest exactly where every factor is at its maximum: the
+    largest fiber is the product of the maxima.  Targets compare as S^n
+    indices, coordinate 0 first, and the first coordinate where two
+    maximizers differ belongs to one factor, whose index orders its own
+    coordinates the same way.  So the lex-least maximizer of the product is
+    each factor's lex-least maximizer, its least argmax, put together: the
+    argmax's digits, first coordinate first, go to the factor's coordinates."""
+    values = np.empty(k, dtype=np.int64)
+    targets = np.empty(k, dtype=np.int64)
+    for members, factors in parts:
+        value, target = 1, 0
+        for coords, counts in factors:
+            best = counts.argmax(axis=1)  # the first, so the least, argmax
+            value = value * counts[np.arange(len(best)), best]
+            for j, c in enumerate(coords):
+                target = target + best // q ** (len(coords) - 1 - j) % q * q ** (n - 1 - c)
+        values[members], targets[members] = value, target
+    return values, targets
 
 
 def check_variation_bound(
@@ -385,9 +432,11 @@ def check_variation_bound(
     is a variation of w over S, relabelling each variable's copies by the
     permutation of its first letter is a bijection of the arguments, and the
     components of coordinates that read shared copies take disjoint
-    arguments, so the S^n counts are products of component counts.  The
-    budget, samples * |S|^(n*d) evaluations, and the size of one sample's
-    |S|^n counts, at most `_BATCH_ELEMENTS`, are checked before any work.
+    arguments, so the S^n counts are products of component counts.
+    `_wreath_maxima` reads each sample's largest fiber and least target off
+    those factors, the sum of |S|^|C| counts, not |S|^n.  The budget,
+    samples * |S|^(n*d) evaluations, and the size of one sample's |S|^n
+    counts, at most `_BATCH_ELEMENTS`, are checked before any work.
     The witness is the first violating sample, else the first sample with
     the largest fiber.
     ``exponent_mode`` selects the ceiling (default) or the weaker floor
@@ -453,7 +502,7 @@ def check_variation_bound(
     # exact comparison value/total <= bound, as value <= floor(bound * total),
     # clamped into int64 range: every value lies in 1..total
     allowed = min(total, max(-1, bound.numerator * total // bound.denominator))
-    # blocks of samples whose S^n counts take about 1 MB (2^17 int64 entries)
+    # blocks of samples whose factors take at most 1 MB (2^17 int64 entries)
     step = max(1, (_BATCH_ELEMENTS >> 5) // s.order**n)
     worst = {}
     for lo in range(0, samples, step):
@@ -461,8 +510,8 @@ def check_variation_bound(
         # sample-major, letter-minor: the seeded draw order
         draws = [(rng.integers(0, len(aut), size=n), rng.permutation(n)) for _ in range(k * l)]
         base_indices, sigmas = (np.array(part).reshape(k, l, n) for part in zip(*draws))
-        counts = wreath_counts(s, w, aut, n, base_indices, sigmas)
-        values, targets = counts.max(axis=1), counts.argmax(axis=1)
+        parts = wreath_counts(s, w, aut, n, base_indices, sigmas)
+        values, targets = _wreath_maxima(parts, k, s.order, n)
         over = np.flatnonzero(values > allowed)
         if len(over):
             r = int(over[0])
@@ -511,7 +560,7 @@ def check_variation_projection(
     forms = _flattened_forms(w)
     params = {"group": g.spec, "word": format_word(w), "forms": sorted(forms)}
     for key, (flattened, _) in sorted(forms.items()):
-        res = max_fiber(g, flattened, aut, budget=budget, threads=threads)
+        res = _exact_search(g, flattened, aut, budget, threads)
         evaluations += res.evaluations
         if res.proportion != 1:
             continue

@@ -1006,20 +1006,37 @@ class TestUsageErrors:
 
 class TestEntryPoint:
     @staticmethod
-    def wfl(*argv):
-        """`python -m wordfibers.cli` in a child process, through `main()` and
-        `sys.exit`; the child imports wordfibers from the same place as this
-        test does."""
+    def python(*args):
+        """`python *args` in a child process that imports wordfibers from the
+        same place as this test does."""
         import wordfibers
 
         src = str(Path(wordfibers.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "wordfibers.cli", *argv],
+            [sys.executable, *args],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
         )
+
+    @classmethod
+    def wfl(cls, *argv):
+        """`python -m wordfibers.cli`, through `main()` and `sys.exit`."""
+        return cls.python("-m", "wordfibers.cli", *argv)
+
+    def test_import_loads_neither_bounds_nor_mpmath(self):
+        # the bounds handlers import them on first use
+        proc = self.python("-c", "import sys, wordfibers.cli; "
+                           "print(sorted({'mpmath', 'wordfibers.bounds'} & set(sys.modules)))")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+    def test_a_bounds_request_in_a_fresh_process(self):
+        argv = ["bounds", "radical-bound", "--word", "x1", "--rho", "1/2",
+                "--factors", "60:120", "--n-zero", "1000000", "--eta-zero", "1/100"]
+        proc = self.wfl(*argv)
+        assert proc.returncode == EXIT_OK
+        assert json.loads(proc.stdout) == run(argv)[1]
 
     def test_subprocess_invocation(self):
         proc = self.wfl("verify", "dihedral", "--o", "5")

@@ -26,12 +26,16 @@ from wordfibers.groups import (
     identity_autset,
     inner_automorphisms,
     make_group,
-    power_group,
     subgroup_handle,
     subgroups,
 )
 from wordfibers.words import Letter, ReducedWord, parse_word
-from wreath_oracle import draw_wreath_parts, wreath_rows
+from wreath_oracle import (
+    WREATH_WORDS,
+    dense_wreath_counts,
+    draw_wreath_parts,
+    factor_rows,
+)
 
 COMMUTATOR = parse_word("[x1,x2]")
 SQUARE = parse_word("x1^2")
@@ -1099,16 +1103,6 @@ class TestWordSystems:
             fibers._BatchEvaluator(g, [word_of((1, 1))] * 6, automorphism_group(g).tables)
 
 
-def dense_wreath_counts(s, w, base, n, base_indices, sigmas):
-    """The fiber counts on the table of S^n: the `wreath_rows` tables of each
-    tuple, counted by the kernel one tuple at a time."""
-    k, l = base_indices.shape[:2]
-    rows = wreath_rows(base, n, base_indices.reshape(k * l, n), sigmas.reshape(k * l, n))
-    ev = fibers._BatchEvaluator(power_group(s, n), w, rows)
-    return np.concatenate([ev.counts([np.array([r * l + i]) for i in range(l)]) for r in range(k)])
-
-
-WREATH_WORDS = ["x1", "x1^2", "x1^3", "x1 x2 x1", "x1 x2^-1", "[x1,x2]"]
 # (group, n, word, tuples): few tuples where the table of S^n is large
 WREATH_CASES = [
     (spec, n, word, 24)
@@ -1125,8 +1119,8 @@ class TestWreathCounts:
         base = automorphism_group(s)
         parts = draw_wreath_parts(np.random.default_rng(6), len(base), n, k * w.length)
         base_indices, sigmas = (x.reshape(k, w.length, n) for x in parts)
-        got = fibers.wreath_counts(s, w, base, n, base_indices, sigmas)
-        assert got.shape == (k, s.order**n) and got.dtype == np.int64
+        factors = fibers.wreath_counts(s, w, base, n, base_indices, sigmas)
+        got = factor_rows(factors, k, s.order, n)
         assert got.tolist() == dense_wreath_counts(s, w, base, n, base_indices, sigmas).tolist()
 
     def test_tuples_with_joined_coordinates_are_covered(self):
@@ -1136,7 +1130,7 @@ class TestWreathCounts:
         base = inner_automorphisms(s)
         base_indices = np.array([[[1, 2], [3, 4]], [[5, 0], [2, 2]]])
         sigmas = np.array([[[0, 1], [1, 0]], [[1, 0], [1, 0]]])
-        got = fibers.wreath_counts(s, w, base, 2, base_indices, sigmas)
+        got = factor_rows(fibers.wreath_counts(s, w, base, 2, base_indices, sigmas), 2, 6, 2)
         assert got.tolist() == dense_wreath_counts(s, w, base, 2, base_indices, sigmas).tolist()
         assert [fibers._components(np.array(p)) for p in ([[0, 1], [1, 0]], [[0, 1], [0, 1]])] == [
             [[0, 1]], [[0], [1]]]

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import wordfibers.fibers as fibers
 import wordfibers.verify as verify
 import wordfibers.groups as groups
 from wordfibers.errors import BudgetExceeded, CapExceeded
-from wordfibers.fibers import eval_automorphic, fiber_distribution
+from wordfibers.fibers import DEFAULT_BUDGET, eval_automorphic, fiber_distribution, max_fiber
 from wordfibers.groups import (
     automorphism_group,
     identity_autset,
@@ -27,6 +28,7 @@ from wordfibers.verify import (
     variation_profile,
 )
 from wordfibers.words import Letter, ReducedWord, parse_word
+from wreath_oracle import WREATH_WORDS, dense_wreath_counts, draw_wreath_parts
 
 SQUARE = parse_word("x1^2")
 CUBE = parse_word("x1^3")
@@ -616,6 +618,114 @@ class TestVariationBound:
         )
         assert floor_report.params["exponent"] == 2  # floor(2/1)
         assert floor_report.outcome == "inconclusive-sampled"
+
+
+class TestWreathMaxima:
+    """Each sample's largest fiber and least target, read off the factors of
+    `wreath_counts`, against the dense counts on the table of S^n."""
+
+    @pytest.mark.parametrize("spec, n", [("sym:3", 2), ("sym:3", 3), ("dih:4", 2),
+                                         ("dih:4", 3), ("alt:4", 2)])
+    @pytest.mark.parametrize("word", WREATH_WORDS)
+    def test_maxima_and_least_targets_match_the_dense_rows(self, spec, n, word):
+        s, w, k = make_group(spec), parse_word(word), 24
+        base = automorphism_group(s)
+        parts = draw_wreath_parts(np.random.default_rng(9), len(base), n, k * w.length)
+        base_indices, sigmas = (x.reshape(k, w.length, n) for x in parts)
+        factors = fibers.wreath_counts(s, w, base, n, base_indices, sigmas)
+        values, targets = verify._wreath_maxima(factors, k, s.order, n)
+        dense = dense_wreath_counts(s, w, base, n, base_indices, sigmas)
+        assert values.tolist() == dense.max(axis=1).tolist()
+        assert targets.tolist() == dense.argmax(axis=1).tolist()
+
+
+class TestSearchMemo:
+    """The checks run one exact search per group object, word and A, and share
+    its result; a direct `max_fiber` call scans again."""
+
+    @staticmethod
+    def searches(monkeypatch):
+        calls = []
+
+        def counting(g, w, a, **kwargs):
+            calls.append((g, str(w)))
+            return max_fiber(g, w, a, **kwargs)
+
+        monkeypatch.setattr(verify, "max_fiber", counting)
+        return calls
+
+    def test_submult_reuses_the_identity_max_search(self, monkeypatch):
+        calls = self.searches(monkeypatch)
+        g = make_group("dih:4")
+        aut = automorphism_group(g)
+        n = char_subgroup_of_order(g, 4)
+        check_identity_maximal(g, COMMUTATOR, aut)
+        report = check_submultiplicative(g, n, COMMUTATOR, aut)
+        # the G side is a hit; the quotient and the subgroup are searched
+        assert [c[0] for c in calls] == [g, n.as_quotient.quotient, n.as_group]
+        monkeypatch.undo()
+        fresh = make_group("dih:4")
+        assert report == check_submultiplicative(
+            fresh, char_subgroup_of_order(fresh, 4), COMMUTATOR, automorphism_group(fresh))
+
+    def test_variation_bound_entries_share_the_profile(self, monkeypatch):
+        calls = self.searches(monkeypatch)
+        s = make_group("alt:5")
+        check_variation_bound(s, 1, SQUARE)
+        searched = list(calls)
+        assert [w for _, w in searched] == ["x1 x1", "x1 x2"]
+        report = check_variation_bound(s, 2, SQUARE, samples=20, seed=3)
+        assert calls == searched
+        monkeypatch.undo()
+        assert report == check_variation_bound(make_group("alt:5"), 2, SQUARE, samples=20, seed=3)
+
+    def test_a_hit_equals_a_fresh_search(self):
+        g = make_group("alt:4")
+        a = automorphism_group(g)
+        first = verify._exact_search(g, COMMUTATOR, a, DEFAULT_BUDGET, 1)
+        assert verify._exact_search(g, COMMUTATOR, a, DEFAULT_BUDGET, 1) is first
+        fresh = max_fiber(g, COMMUTATOR, a)
+        assert fresh is not first
+        for field in dataclasses.fields(first):
+            got, want = getattr(first, field.name), getattr(fresh, field.name)
+            assert np.array_equal(got, want), field.name
+
+    def test_shared_results_are_read_only(self):
+        g = make_group("sym:3")
+        res = verify._exact_search(g, SQUARE, automorphism_group(g), DEFAULT_BUDGET, 1)
+        for array in (res.target_values, res.target_tuple_numbers, res.witness_tuple):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_a_hit_refuses_a_smaller_budget_as_a_miss_does(self):
+        needed = max_fiber(make_group("alt:4"), COMMUTATOR,
+                           automorphism_group(make_group("alt:4"))).evaluations_performed
+        missed = make_group("alt:4")
+        with pytest.raises(BudgetExceeded) as miss:
+            check_identity_maximal(missed, COMMUTATOR, automorphism_group(missed),
+                                   budget=needed - 1)
+        g = make_group("alt:4")
+        aut = automorphism_group(g)
+        report = check_identity_maximal(g, COMMUTATOR, aut, budget=needed)
+        with pytest.raises(BudgetExceeded) as hit:
+            check_identity_maximal(g, COMMUTATOR, aut, budget=needed - 1)
+        assert str(hit.value) == str(miss.value)
+        assert check_identity_maximal(g, COMMUTATOR, aut, budget=needed) == report
+
+    def test_threads_one_and_two_give_the_same_results(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # batches of two tuples, so two threads split each scan over a pool
+        monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 2 * 8**2)
+        reports = {}
+        for threads in (1, 2):
+            g = make_group("dih:4")
+            aut = automorphism_group(g)
+            n = char_subgroup_of_order(g, 4)
+            reports[threads] = [
+                check_identity_maximal(g, COMMUTATOR, aut, threads=threads),
+                check_submultiplicative(g, n, COMMUTATOR, aut, threads=3 - threads),
+            ]
+        assert reports[1] == reports[2]
 
 
 class TestVariationProfile:
