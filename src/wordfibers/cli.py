@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -146,6 +145,8 @@ def dumps_canonical(doc) -> str:
 
 
 def request_digest(request: dict) -> str:
+    # imported on first use: only a request against a result cache needs it
+    import hashlib
     return hashlib.sha256(dumps_canonical(request).encode()).hexdigest()
 
 
@@ -834,8 +835,8 @@ def run_command(argv, stdout=None) -> int:
         "version": __version__,
         "budget": str(budget),
     }
-    digest = request_digest(request)
     if cache is not None:
+        digest = request_digest(request)
         record = cache.lookup(digest)
         if record is not None:
             doc = {

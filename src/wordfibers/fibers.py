@@ -13,7 +13,6 @@ the automorphism on letter i.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -486,11 +485,13 @@ def _search_all_tuples(
     _require_budget(scanned * g.order**w.num_variables, budget)
     ev = _BatchEvaluator(g, w, a.tables)
     # no more workers than cores, and a pool only for a scan of several
-    # batches; the witnesses do not depend on the split
+    # batches, which alone imports `concurrent.futures`; the witnesses do not
+    # depend on the split
     threads = min(int(threads), os.cpu_count() or 1) if threads > 1 else 1
     if threads == 1 or scanned <= ev.batch_size():
         parts = [_scan_range(ev, _normal_form_batches(ev, 0, scanned, free))]
     else:
+        from concurrent.futures import ThreadPoolExecutor
         bounds = np.linspace(0, scanned, threads + 1, dtype=np.int64).tolist()
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [

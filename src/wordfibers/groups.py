@@ -306,12 +306,18 @@ def _perm_group(n: int, even_only: bool) -> FiniteGroup:
 
     Each permutation p is encoded as the base-n integer code(p) = Σ_x w_x p[x],
     w_x = n^(n-1-x).  ``itertools.permutations`` yields lexicographic order,
-    and A_n keeps the permutations with an even number of inversions in that
-    order, so an element's index is the rank of its code, read from a dense
-    array over all n^n codes.  A product's code is one matrix product:
-    code(a ∘ b) = Σ_x w_x a[b[x]] = Σ_v a[v] w_{b⁻¹(v)}, the row of a times
-    the row of b's weights spread to the places b sends them.  Products are
-    composed in blocks of rows to keep the temporaries at a few MB.
+    and A_n keeps the permutations with an even number of inversions (pairs
+    x < y with p[x] > p[y]) in that order, so an element's index is the rank
+    of its code, read from a dense array over all n^n codes.  A product's code
+    is one matrix product: code(a ∘ b) = Σ_x w_x a[b[x]] = Σ_v a[v] w_{b⁻¹(v)},
+    the row of a times the row of b's weights spread to the places b sends
+    them.  The products are taken in float64, which BLAS multiplies, and are
+    exact: every term and partial sum is an integer below n^n, and within the
+    order cap n ≤ 7 (7! > 4096), so n^n ≤ 7^7 < 2^53 (it holds up to n = 13),
+    and float64 holds every such integer exactly in any summation order and
+    at any BLAS thread count.  They are composed in blocks of a quarter of
+    `_COMPOSE_BLOCK_ELEMENTS` entries, whose float64 product and int64 codes
+    stay at about 0.5 MB.
 
     For n ≠ 6 every automorphism of S_n or A_n is conjugation by an element
     of S_n (J. D. Dixon and B. Mortimer, *Permutation Groups*, 1996), so the
@@ -319,20 +325,23 @@ def _perm_group(n: int, even_only: bool) -> FiniteGroup:
     x -> τ x τ, τ = (0 1), for A_n with n >= 3.  That row is one gather of
     the permutations' codes; only the row is kept, not the rank array.
     """
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    perms = np.fromiter(flat, dtype=np.int64, count=n * math.factorial(n)).reshape(-1, n)
     if even_only:
-        i, j = np.triu_indices(n, 1)
+        pairs = list(itertools.combinations(range(n), 2))
+        i, j = [x for x, _ in pairs], [y for _, y in pairs]
         perms = perms[(perms[:, i] > perms[:, j]).sum(axis=1) % 2 == 0]
     order = len(perms)
     weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     rank = np.zeros(n**n, dtype=np.int32)
     rank[perms @ weights] = np.arange(order, dtype=np.int32)
-    spread = np.empty((n, order), dtype=np.int64)  # spread[b[x], b] = w_x
+    spread = np.empty((n, order), dtype=np.float64)  # spread[b[x], b] = w_x
     spread[perms, np.arange(order)[:, None]] = weights
+    rows_f = perms.astype(np.float64)
     table = np.empty((order, order), dtype=np.int32)
-    rows = max(1, _COMPOSE_BLOCK_ELEMENTS // order)
+    rows = max(1, _COMPOSE_BLOCK_ELEMENTS // (4 * order))
     for lo in range(0, order, rows):
-        table[lo : lo + rows] = rank[perms[lo : lo + rows] @ spread]
+        table[lo : lo + rows] = rank[(rows_f[lo : lo + rows] @ spread).astype(np.int64)]
     name = f"alt:{n}" if even_only else f"sym:{n}"
     phi_rows = [np.arange(order, dtype=np.int32)]
     if even_only and n >= 3:
@@ -551,7 +560,7 @@ class AutSet:
     @cached_property
     def contains_inner(self) -> bool:
         """Whether every row of Inn(G), which the group keeps, is a member."""
-        return self._all_members(inner_automorphisms(self.group).tables)
+        return self._all_members(_inner_rows(self.group))
 
     @cached_property
     def is_closed(self) -> bool:
@@ -578,9 +587,12 @@ def identity_autset(g: FiniteGroup) -> AutSet:
     return AutSet(g, np.arange(g.order, dtype=np.int32), kind="identity-only")
 
 
-def inner_automorphisms(g: FiniteGroup) -> AutSet:
-    """The rows conj(x): y -> x y x^-1, one per coset of the center Z(G).
-    Kept on ``g``, as Aut(G) is.
+def _inner_rows(g: FiniteGroup) -> np.ndarray:
+    """The rows conj(x): y -> x y x^-1, one per coset of the center Z(G), in
+    the order of their least coset members x; read-only and kept on ``g``.
+    Every conjugation in this module reads them, by row number where it
+    keeps rows; `inner_automorphisms` sorts them only when Inn(G) is asked
+    for as a set.
 
     Conjugation by xz equals conjugation by x for central z, so the row of
     the least member x of each coset xZ gives every inner automorphism once;
@@ -588,7 +600,7 @@ def inner_automorphisms(g: FiniteGroup) -> AutSet:
     x z is smaller; as z x = x z, rows z of the table hold the coset members,
     read a block of rows at a time."""
 
-    def build() -> AutSet:
+    def build() -> np.ndarray:
         t, inv = g.table, g.inv_table
         center = np.asarray(g.center, dtype=np.int64)
         least = np.arange(g.order)
@@ -596,9 +608,17 @@ def inner_automorphisms(g: FiniteGroup) -> AutSet:
         for lo in range(0, len(center), step):
             np.minimum(least, t[center[lo : lo + step]].min(axis=0), out=least)
         reps = np.flatnonzero(least == np.arange(g.order))
-        return AutSet(g, t[t[reps], inv[reps, None]], kind="inner")
+        rows = t[t[reps], inv[reps, None]]
+        rows.setflags(write=False)
+        return rows
 
-    return _derived(g, ("inn",), build)
+    return _derived(g, ("inn-rows",), build)
+
+
+def inner_automorphisms(g: FiniteGroup) -> AutSet:
+    """Inn(G) as an `AutSet`: the rows of `_inner_rows`, sorted.  Kept on
+    ``g``, as Aut(G) is."""
+    return _derived(g, ("inn",), lambda: AutSet(g, _inner_rows(g), kind="inner"))
 
 
 def _span_mask(
@@ -632,6 +652,56 @@ def _span_mask(
 def _closure(table: np.ndarray, seeds: Iterable[int]) -> tuple[int, ...]:
     """Subgroup generated by the seed elements (always contains 0)."""
     return tuple(np.flatnonzero(_span_mask(table, [int(s) for s in seeds])).tolist())
+
+
+def _products(table: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> Iterator[np.ndarray]:
+    """The products x y, x in ``xs`` and y in ``ys``, in blocks of rows x,
+    each at most `_COMPOSE_BLOCK_ELEMENTS` entries, or one row x when ``ys``
+    alone is larger."""
+    step = max(1, _COMPOSE_BLOCK_ELEMENTS // len(ys))
+    for lo in range(0, len(xs), step):
+        yield table[xs[lo : lo + step, None], ys]
+
+
+def _product_mask(table: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Membership mask of the product set XY."""
+    mask = np.zeros(table.shape[0], dtype=bool)
+    for block in _products(table, xs, ys):
+        mask[block] = True
+    return mask
+
+
+def _join(table: np.ndarray, h: Sequence[int], a: Sequence[int]) -> tuple[int, ...]:
+    """<H, A> of the subgroups H and A, given by their elements, as an
+    ascending tuple, computed as a product of sets.
+
+    If AH ⊆ HA, then <H, A> = HA: HA·HA = H(AH)A ⊆ H(HA)A = HA, so HA is
+    closed under products, and a nonempty finite subset of a group closed
+    under products is a subgroup; it holds H and A, as both hold 1, and
+    lies in <H, A>.  Otherwise S is squared, S <- S·S, starting from
+    S = HA: every S lies in <H, A> and holds 1, so S ⊆ S·S, and the S grow
+    until S·S = S, which is then a subgroup holding H and A, so <H, A>.
+    The k-th square holds every product of 2^k elements of H ∪ A, so it
+    takes at most ⌈log2 |<H, A>|⌉ + 1 squarings.  The squaring stops early
+    when only G fits: by Lagrange |<H, A>| divides |G| and is a multiple of
+    lcm(|H|, |A|), and it is at least |S|; when no proper divisor of |G|
+    is such a multiple and at least |S|, <H, A> = G.
+
+    Each product set is gathered in blocks (`_products`), and AH ⊆ HA is
+    read a block at a time, so no |X|×|Y| array is built."""
+    n = table.shape[0]
+    hs, as_ = np.asarray(h, dtype=np.int64), np.asarray(a, dtype=np.int64)
+    mask = _product_mask(table, hs, as_)
+    if all(mask[block].all() for block in _products(table, as_, hs)):
+        return tuple(np.flatnonzero(mask).tolist())
+    step = math.lcm(len(hs), len(as_))
+    while True:
+        elems = np.flatnonzero(mask)
+        if not any(n % d == 0 for d in range(-(-len(elems) // step) * step, n, step)):
+            return tuple(range(n))
+        mask = _product_mask(table, elems, elems)
+        if mask.sum() == len(elems):
+            return tuple(elems.tolist())
 
 
 def _bucket_keys(g: FiniteGroup) -> np.ndarray:
@@ -806,14 +876,14 @@ def _head_images(dst: FiniteGroup, buckets: list[np.ndarray]) -> np.ndarray:
     `plan_hom_search` keeps: r least in its conjugacy class, s least in its
     C_dst(r)-orbit; one column with one generator, one empty row with none.
 
-    C_dst(r) acts through its image in Inn(dst), the rows that fix r: x
-    commutes with r exactly when conjugation by x fixes r."""
+    C_dst(r) acts through its image in Inn(dst), the rows of `_inner_rows`
+    that fix r: x commutes with r exactly when conjugation by x fixes r."""
     if not buckets:
         return np.zeros((1, 0), dtype=np.int32)
     first = buckets[0][dst.class_minima[buckets[0]] == buckets[0]]
     if len(buckets) == 1:
         return first[:, None]
-    inn, second = inner_automorphisms(dst).tables, buckets[1]
+    inn, second = _inner_rows(dst), buckets[1]
     rows = [np.zeros((0, 2), dtype=np.int32)]
     # an empty second bucket, which only groups of different profiles give,
     # leaves no row
@@ -925,16 +995,15 @@ def _search_homs(search: HomSearch, *, find_all: bool, max_results: int) -> np.n
 
 def _compose_after(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """Every composite c ∘ φ = c[φ] of a row c of ``inner`` and a row φ of
-    ``outer``, gathered from the flattened rows `_COMPOSE_BLOCK_ELEMENTS`
-    entries at a time."""
-    m, n = len(inner) * len(outer), inner.shape[1]
-    flat = inner.ravel()
-    out = np.empty((m, n), dtype=np.int32)
-    step = max(1, _COMPOSE_BLOCK_ELEMENTS // n)
+    ``outer``, inner-major: one gather ``inner[block][:, outer]`` per block
+    of inner rows, each block at most `_COMPOSE_BLOCK_ELEMENTS` entries, or
+    one inner row when ``outer`` alone is larger."""
+    m, k, n = len(inner), len(outer), inner.shape[1]
+    out = np.empty((m, k, n), dtype=np.int32)
+    step = max(1, _COMPOSE_BLOCK_ELEMENTS // (k * n))
     for lo in range(0, m, step):
-        pair = np.arange(lo, min(lo + step, m))
-        out[lo : lo + step] = flat[(pair // len(outer) * n)[:, None] + outer[pair % len(outer)]]
-    return out
+        out[lo : lo + step] = inner[lo : lo + step][:, outer]
+    return out.reshape(m * k, n)
 
 
 def automorphism_group(g: FiniteGroup) -> AutSet:
@@ -975,7 +1044,7 @@ def automorphism_group(g: FiniteGroup) -> AutSet:
             outer = _search_homs(search, find_all=True, max_results=AUTSET_SIZE_CAP)
         else:
             search, outer = None, g._phi()
-        inner = inner_automorphisms(g).tables
+        inner = _inner_rows(g)
         if len(inner) * len(outer) > AUTSET_SIZE_CAP:
             raise CapExceeded(f"automorphism enumeration exceeds cap {AUTSET_SIZE_CAP}")
         # with Inn(G) trivial the composites are Φ itself, kept once
@@ -1020,7 +1089,7 @@ class SubgroupHandle:
         of Inn(G), which the group keeps: conjugation by xz equals
         conjugation by x for central z, so one row per coset of Z(G) is
         every conjugation."""
-        return self._invariant(inner_automorphisms(self.group).tables)
+        return self._invariant(_inner_rows(self.group))
 
     @cached_property
     def characteristic(self) -> bool:
@@ -1108,12 +1177,13 @@ def _conjugacy_class(
     g: FiniteGroup, elems: tuple[int, ...]
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The conjugates of the subgroup ``elems``, ``elems`` first and each an
-    ascending tuple, and the numbers of the rows of Inn(G) that fix it, the
-    image N_G(elems)/Z(G) of its normalizer, as an ascending array.  A conjugate is ``elems`` itself exactly when it lies
-    inside it, as both have |elems| members; only the others are sorted."""
+    ascending tuple, and the numbers of the rows of `_inner_rows` that fix
+    it, the image N_G(elems)/Z(G) of its normalizer, as an ascending array.
+    A conjugate is ``elems`` itself exactly when it lies inside it, as both
+    have |elems| members; only the others are sorted."""
     members = _members(g, elems)
     normalizer, others = [], set()
-    for i, c in _row_images(inner_automorphisms(g).tables, elems):
+    for i, c in _row_images(_inner_rows(g), elems):
         inside = members[c].all(axis=1)
         normalizer.append(i[inside])
         others.update(map(tuple, np.sort(c[~inside], axis=1).tolist()))
@@ -1123,14 +1193,14 @@ def _conjugacy_class(
 def _orbit_minima(
     g: FiniteGroup, rows: np.ndarray, elems: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """The least image of e under the rows of Inn(G) numbered ``rows``, per
-    element e of ``elems`` (all of G by default).  When the rows are the
-    image in Inn(G) of a subgroup X, equal labels mark the orbits of X
-    acting on G by conjugation: x and xz conjugate alike for central z, so
-    the orbits of X are the orbits of its image.  For every row these are
-    the conjugacy classes, which the group keeps."""
+    """The least image of e under the rows of `_inner_rows` numbered
+    ``rows``, per element e of ``elems`` (all of G by default).  When the
+    rows are the image in Inn(G) of a subgroup X, equal labels mark the
+    orbits of X acting on G by conjugation: x and xz conjugate alike for
+    central z, so the orbits of X are the orbits of its image.  For every
+    row these are the conjugacy classes, which the group keeps."""
     elems = np.arange(g.order) if elems is None else np.asarray(elems, dtype=np.int64)
-    inn = inner_automorphisms(g).tables
+    inn = _inner_rows(g)
     if len(rows) == len(inn):
         return g.class_minima[elems]
     label = elems.copy()
@@ -1151,8 +1221,9 @@ def _lattice(g: FiniteGroup, atoms: Iterable[tuple[int, ...]]) -> list[SubgroupH
     The walk goes one conjugacy class at a time.  It keeps a representative
     H per class found, joins H only with one atom per N_G(H)-orbit of the
     atoms H does not contain, and adds each new join's whole class at once.
-    N_G(H) is kept as the numbers of its rows in Inn(G) (`_conjugacy_class`),
-    whose orbits are its own (`_orbit_minima`).
+    N_G(H) is kept as the numbers of its rows in `_inner_rows`
+    (`_conjugacy_class`), whose orbits are its own (`_orbit_minima`).  Each
+    join is a product of subgroups (`_join`).
     Why that finds every join: conjugation permutes the subgroups and the
     atoms (x<e>x^-1 = <x e x^-1>, likewise for normal closures), and for x in
     N_G(H), <H, x A x^-1> = x <H, A> x^-1, a conjugate of <H, A>.  By
@@ -1174,7 +1245,7 @@ def _lattice(g: FiniteGroup, atoms: Iterable[tuple[int, ...]]) -> list[SubgroupH
     for i in reversed(range(len(atoms))):  # the least atom containing e wins
         atom_of[list(atoms[i])] = i
     class_size = {(0,): 1}
-    worklist = [((0,), np.arange(len(inner_automorphisms(g))))]
+    worklist = [((0,), np.arange(len(_inner_rows(g))))]
     while worklist:
         h, normalizer = worklist.pop()
         outside = np.flatnonzero(~_members(g, h))
@@ -1182,7 +1253,7 @@ def _lattice(g: FiniteGroup, atoms: Iterable[tuple[int, ...]]) -> list[SubgroupH
         key = np.full(len(atoms), n)
         np.minimum.at(key, ids, labels)
         for e in np.unique(key[ids]).tolist():
-            join = _closure(g.table, h + atoms[atom_of[e]])
+            join = _join(g.table, h, atoms[atom_of[e]])
             if join not in class_size:
                 conjugates, join_normalizer = _conjugacy_class(g, join)
                 class_size.update(dict.fromkeys(conjugates, len(conjugates)))

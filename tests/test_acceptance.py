@@ -5,6 +5,7 @@ and timings.  Every expected value is either computed by an independent
 oracle inside this module or checked at the stated exact/relative tolerance.
 """
 
+import concurrent.futures
 import io
 import json
 import os
@@ -328,7 +329,7 @@ def test_criterion_9_determinism_across_thread_counts(monkeypatch):
     # two cores, and two tuples per batch on q8 with two variables: the
     # searches below span several batches, so two threads split them
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(fibers, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 2 * 8**2)
     with criterion("9 determinism"):
         commands = [

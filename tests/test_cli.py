@@ -1,3 +1,4 @@
+import concurrent.futures
 import decimal
 import io
 import json
@@ -570,6 +571,18 @@ class TestCache:
         )
         assert doc["result"]["M"] == "299593"  # (8^7 - 1) / 7
 
+    def test_only_a_cached_request_computes_its_digest(self, monkeypatch, tmp_path):
+        import wordfibers.cli as cli
+
+        digests = []
+        real = cli.request_digest
+        monkeypatch.setattr(cli, "request_digest", lambda r: digests.append(r) or real(r))
+        monkeypatch.delenv("WFL_CACHE_DIR", raising=False)
+        argv = ["fiber", "pi", "--group", "dih:5", "--word", "x1^3"]
+        plain = run(argv)
+        assert digests == []
+        assert run(["--cache-dir", str(tmp_path), *argv]) == plain and len(digests) == 1
+
     def test_battery_is_never_cached(self, tmp_path):
         # its reports are files, which a cached answer would not write again
         manifest = tmp_path / "m.json"
@@ -595,7 +608,7 @@ class TestBattery:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(fibers, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         if threads == "2":
             # batches of at most 4096 word values, so the larger searches span
             # several batches and are split over a pool (at the default size
@@ -1025,10 +1038,13 @@ class TestEntryPoint:
         """`python -m wordfibers.cli`, through `main()` and `sys.exit`."""
         return cls.python("-m", "wordfibers.cli", *argv)
 
-    def test_import_loads_neither_bounds_nor_mpmath(self):
-        # the bounds handlers import them on first use
+    def test_import_loads_no_module_that_only_some_requests_need(self):
+        # the bounds handlers import `bounds` and mpmath on first use, a tuple
+        # search imports `concurrent.futures` only to open a pool, and
+        # `request_digest` imports `hashlib` only for a result cache
+        lazy = ["concurrent.futures", "hashlib", "mpmath", "wordfibers.bounds"]
         proc = self.python("-c", "import sys, wordfibers.cli; "
-                           "print(sorted({'mpmath', 'wordfibers.bounds'} & set(sys.modules)))")
+                           f"print(sorted(set({lazy}) & set(sys.modules)))")
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
     def test_a_bounds_request_in_a_fresh_process(self):
@@ -1201,7 +1217,7 @@ class TestThreadSettings:
                 return future
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(fibers, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         # two tuples per batch on sym:3 with two variables: the 6^2 scanned
         # rows span several batches, so the pool opens
         monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 2 * 6**2)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import itertools
 import os
@@ -343,7 +344,7 @@ class TestMaxFiber:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(fibers, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         g = make_group("dih:4")
         a = automorphism_group(g)
         one_batch = max_fiber(g, COMMUTATOR, a, threads=2)

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -176,7 +177,42 @@ def _searchsorted_perm_table(n, even_only):
     return np.searchsorted(codes, np.concatenate(blocks))
 
 
+def _lehmer_perm_table(n, even_only):
+    """The table by direct composition, a block of rows at a time: entry
+    [a, b] is the rank of a[b], (a ∘ b)[x] = a[b[x]], read off its Lehmer
+    code c_i = #{j > i: p[j] < p[i]}.  Σ_i c_i (n-1-i)! is p's lexicographic
+    rank among all n! permutations, and Σ_i c_i counts its inversions.  The
+    permutations at ranks 2k and 2k+1 differ by swapping the last two
+    entries, so exactly one of them is even, and an even permutation's rank
+    in A_n is its rank over 2."""
+
+    def lehmer(p):
+        return [(p[..., i + 1 :] < p[..., i, None]).sum(axis=-1) for i in range(n)]
+
+    def rank(p):
+        return sum(c * math.factorial(n - 1 - i) for i, c in enumerate(lehmer(p)))
+
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    if even_only:
+        perms = perms[sum(lehmer(perms)) % 2 == 0]
+    blocks = [rank(a[:, perms]) for a in np.array_split(perms, -(-len(perms) // 128))]
+    table = np.concatenate(blocks)
+    return table // 2 if even_only else table
+
+
 class TestPermutationTables:
+    @pytest.mark.parametrize(
+        "spec", [f"sym:{n}" for n in range(1, 8)] + [f"alt:{n}" for n in range(1, 9)]
+    )
+    def test_every_table_under_the_cap_equals_direct_composition(self, spec):
+        # sym:7 and alt:8 are the first refused
+        n, even_only = int(spec[4:]), spec.startswith("alt:")
+        if math.factorial(n) // (2 if even_only else 1) > groups_mod.DEFAULT_ORDER_CAP:
+            with pytest.raises(CapExceeded):
+                make_group(spec)
+            return
+        assert (make_group(spec).table == _lehmer_perm_table(n, even_only)).all()
+
     @pytest.mark.parametrize(
         "spec", [f"sym:{n}" for n in range(1, 6)] + [f"alt:{n}" for n in range(1, 7)]
     )
@@ -689,9 +725,9 @@ class TestLattice:
         # joining every found subgroup with every atom took 1,700 closures
         g, _ = group_and_aut("alt:5")
         calls = []
-        real = groups_mod._closure
+        real = groups_mod._join
         monkeypatch.setattr(
-            groups_mod, "_closure", lambda *a, **k: calls.append(None) or real(*a, **k)
+            groups_mod, "_join", lambda *a, **k: calls.append(None) or real(*a, **k)
         )
         assert len(subgroups(g)) == 59
         assert len(calls) == 48
@@ -714,6 +750,52 @@ class TestLattice:
         assert [s.order for s in normal_subgroups(g)] == [1, 2, 4, 60, 120, 240]
         series = characteristic_series(g)
         assert [h.order for h in series.chain] == [1, 2, 4, 240]
+
+
+class TestJoins:
+    """`_join` against the breadth-first closure of H ∪ A (`_span_mask`)."""
+
+    @pytest.mark.parametrize(
+        "spec, lattice",
+        [(s, subgroups) for s in LATTICE_SPECS]
+        + [("dih:64", normal_subgroups), ("cyc:64", normal_subgroups)],
+    )
+    def test_every_pair_joins_to_the_closure(self, spec, lattice):
+        g, _ = group_and_aut(spec)
+        elems = [s.elements for s in lattice(g)]
+        for i, h in enumerate(elems):
+            for a in elems[i:]:
+                closure = tuple(np.flatnonzero(_span_mask(g.table, h + a)).tolist())
+                assert groups_mod._join(g.table, h, a) == closure, (h, a)
+                assert groups_mod._join(g.table, a, h) == closure, (a, h)
+
+    def test_skipping_the_permutability_test_gives_a_non_subgroup(self, monkeypatch):
+        # the mutant takes every join to be HA; on sym:4 the walk meets pairs
+        # with AH ⊄ HA, where HA is not a subgroup
+        g = make_group("sym:4")
+
+        def product(table, h, a):
+            mask = groups_mod._product_mask(table, np.asarray(h), np.asarray(a))
+            return tuple(np.flatnonzero(mask).tolist())
+
+        monkeypatch.setattr(groups_mod, "_join", product)
+        found = [s.elements for s in subgroups(g)]
+        assert [e for e in found if _closure(g.table, e) != e]
+
+    def test_the_lagrange_stop_answers_g(self, monkeypatch):
+        # <(0 1), (0 1 2 3 4)> is sym:5: HA has 10 elements, and S grows to
+        # 50 and then past 60, where only G fits, so G·G is never squared
+        g = make_group("sym:5")
+        perms = list(itertools.permutations(range(5)))
+        h = _closure(g.table, [perms.index((1, 0, 2, 3, 4))])
+        a = _closure(g.table, [perms.index((1, 2, 3, 4, 0))])
+        sizes = []
+        real = groups_mod._product_mask
+        monkeypatch.setattr(
+            groups_mod, "_product_mask", lambda t, x, y: sizes.append(len(x)) or real(t, x, y)
+        )
+        assert groups_mod._join(g.table, h, a) == tuple(range(120))
+        assert sizes == [2, 10, 50]
 
 
 def conjugation_labels(g, xs, elems):
@@ -792,7 +874,7 @@ class TestConjugationRows:
     def test_normalizer_rows_give_the_normalizer_orbits(self, spec):
         g, _ = group_and_aut(spec)
         assert len(g.center) > 1
-        inn = inner_automorphisms(g)
+        inn = groups_mod._inner_rows(g)
         elems = list(range(g.order))
         for s in subgroups(g):
             conjugates, rows = groups_mod._conjugacy_class(g, s.elements)
@@ -800,8 +882,8 @@ class TestConjugationRows:
                 x for x in elems
                 if {g.mul(g.mul(x, h), g.inv(x)) for h in s.elements} == s.element_set
             ]
-            conj = np.array([[g.mul(g.mul(x, y), g.inv(x)) for y in elems] for x in normalizer])
-            assert rows.tolist() == sorted(set(inn.index(conj).tolist()))
+            conj = {tuple(g.mul(g.mul(x, y), g.inv(x)) for y in elems) for x in normalizer}
+            assert rows.tolist() == [i for i, row in enumerate(inn.tolist()) if tuple(row) in conj]
             assert len(conjugates) == g.order // len(normalizer)
             labels = groups_mod._orbit_minima(g, rows)
             assert labels.tolist() == conjugation_labels(g, normalizer, elems)
@@ -809,7 +891,7 @@ class TestConjugationRows:
     @pytest.mark.parametrize("spec", ["dih:12", "prod:(sym:4)x(cyc:3)"])
     def test_centralizer_rows_give_the_centralizer_orbits(self, spec):
         g, _ = group_and_aut(spec)
-        inn = inner_automorphisms(g).tables
+        inn = groups_mod._inner_rows(g)
         elems = list(range(g.order))
         for r in elems:
             rows = np.flatnonzero(inn[:, r] == r)
@@ -821,10 +903,8 @@ class TestConjugationRows:
 
     def test_series_builds_no_inn_of_a_subgroup(self, monkeypatch):
         seen = []
-        real = groups_mod.inner_automorphisms
-        monkeypatch.setattr(
-            groups_mod, "inner_automorphisms", lambda g: seen.append(g.spec) or real(g)
-        )
+        real = groups_mod._inner_rows
+        monkeypatch.setattr(groups_mod, "_inner_rows", lambda g: seen.append(g.spec) or real(g))
         for spec in ["sym:4", "prod:(sym:4)x(cyc:3)", "alt:5", "q8"]:
             characteristic_series(make_group(spec))
         assert seen and not [s for s in seen if s.startswith("<")]
@@ -1586,6 +1666,17 @@ class TestInnerReduction:
         t, inv = g.table, g.inv_table
         every_row = AutSet(g, t[t, inv[:, None]], kind="inner")  # row x is conj(x)
         assert inner_automorphisms(g).tables.tolist() == every_row.tables.tolist()
+
+    @pytest.mark.parametrize("spec", ["alt:5", "dih:12", "prod:(sym:4)x(cyc:3)", "q8"])
+    def test_inn_is_sorted_into_a_set_only_when_asked_for(self, spec):
+        # Aut(G) and the lattice read the unsorted rows kept on the group
+        g = make_group(spec)
+        automorphism_group(g)
+        subgroups(g)
+        assert ("inn",) not in g._derived
+        rows = groups_mod._inner_rows(g)
+        assert not rows.flags.writeable
+        assert inner_automorphisms(g).tables.tolist() == sorted(rows.tolist())
 
     def test_abelian_groups_have_one_inner_row_and_no_composites(self, monkeypatch):
         def no_composites(*args):
