@@ -40,6 +40,7 @@ from .fibers import (
 from .groups import (
     AutSet,
     FiniteGroup,
+    _inner_rows,
     automorphism_group,
     characteristic_series,
     identity_autset,
@@ -315,7 +316,7 @@ def cmd_group_auts(args, ctx):
     doc = {
         "order": g.order,
         "aut_size": len(aut),
-        "inner_size": len(inner_automorphisms(g)),
+        "inner_size": len(_inner_rows(g)),
     }
     if args.tables:
         doc["tables"] = aut.tables.tolist()

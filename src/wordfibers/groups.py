@@ -33,8 +33,6 @@ DEFAULT_ORDER_CAP = 4096
 HOM_WORK_CAP = 10**8
 SUBGROUP_ORDER_CAP = 200
 AUTSET_SIZE_CAP = 500_000
-_ASSOC_FULL_CHECK_CAP = 64
-_ASSOC_RANDOM_TRIPLES = 100_000
 _COMPOSE_BLOCK_ELEMENTS = 1 << 17
 _HOM_BLOCK_ELEMENTS = 1 << 18
 
@@ -161,29 +159,42 @@ class FiniteGroup:
     def class_size_of(self) -> np.ndarray:
         return self._classes[2]
 
-    def validate(self, seed: int = 0) -> None:
-        """Check group axioms; exhaustive for small orders, sampled above."""
-        n = self.order
-        t = self.table
-        if t.min() < 0 or t.max() >= n:
-            raise ValueError("table entries out of range")
-        if (t[0] != np.arange(n)).any() or (t[:, 0] != np.arange(n)).any():
-            raise ValueError("index 0 is not the identity")
+    def validate(self) -> None:
+        """Check the group axioms exactly, associativity by Light's test.
+
+        Say a passes when (xa)y = x(ay) for all x and y.  If a and b pass,
+        so does ab: (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+        That step holds in any magma, so no group axiom is assumed: every
+        left-normed product of passing generators passes, and these products
+        with 0 are the reach that `_span_mask` walks.  The next generator a
+        is the least element outside the reach; its test compares the rows
+        t[xa] with t[x][t[a]], a block of rows x at a time.  Once the reach
+        is G, every element passes and the table is associative.
+
+        The generator bound: in a group, the reach is the subgroup the
+        generators generate, and each generator outside a proper subgroup at
+        least doubles it; a proper subgroup has at most |G|/2 elements, so
+        ⌊log2 |G|⌋ generators reach G.  An associative table with identity
+        and inverses is a group, so a reach still short of G after that many
+        generators shows the table is not associative."""
+        n, t = self.order, self.table
+        _require_identity_at_0(t)
         if sorted(int(x) for x in self.inv_table) != list(range(n)) or (
             t[np.arange(n), self.inv_table] != 0
         ).any():
             raise ValueError("missing inverses")
-        if n <= _ASSOC_FULL_CHECK_CAP:
-            a = np.arange(n)
-            lhs = t[t[a[:, None, None], a[None, :, None]], a[None, None, :]]
-            rhs = t[a[:, None, None], t[a[None, :, None], a[None, None, :]]]
-            if (lhs != rhs).any():
+        gens: list[int] = []
+        reach = np.arange(n) == 0
+        step = max(1, _COMPOSE_BLOCK_ELEMENTS // n)
+        while not reach.all():
+            a = int(np.argmin(reach))
+            if len(gens) == n.bit_length() - 1 or any(
+                (t[t[lo : lo + step, a]] != t[lo : lo + step, t[a]]).any()
+                for lo in range(0, n, step)
+            ):
                 raise ValueError("multiplication is not associative")
-        else:
-            rng = np.random.default_rng(seed)
-            a, b, c = rng.integers(0, n, size=(3, _ASSOC_RANDOM_TRIPLES))
-            if (t[t[a, b], c] != t[a, t[b, c]]).any():
-                raise ValueError("multiplication is not associative (sampled)")
+            gens.append(a)
+            reach = _span_mask(t, gens, reach)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, spec={self.spec!r})"
@@ -422,7 +433,6 @@ def make_group(spec: str) -> FiniteGroup:
         return g
     if spec.startswith("table:"):
         table = read_cayley_table(spec[6:])
-        cap(table.shape[0])
         g = FiniteGroup(table.shape[0], table=table, spec=spec)
         g.validate()
         return g
@@ -433,7 +443,8 @@ def make_group(spec: str) -> FiniteGroup:
 
 
 def read_cayley_table(path: str | Path) -> np.ndarray:
-    """Read the table file format: order line, then one row of indices per line."""
+    """Read the table file format: order line, then one row of indices per
+    line.  An order above the cap is refused before any row is parsed."""
     lines = Path(path).read_text().split("\n")
     rows = [line for line in lines if line.strip()]
     if not rows:
@@ -442,6 +453,7 @@ def read_cayley_table(path: str | Path) -> np.ndarray:
         n = int(rows[0])
     except ValueError:
         raise ValueError(f"bad order line {rows[0]!r}") from None
+    _capped(n)
     if n < 1 or len(rows) != n + 1:
         raise ValueError(f"expected {n} table rows, found {len(rows) - 1}")
     table = np.empty((n, n), dtype=np.int32)
@@ -451,13 +463,20 @@ def read_cayley_table(path: str | Path) -> np.ndarray:
             raise ValueError(f"row {i} has {len(parts)} entries, expected {n}")
         try:
             table[i] = [int(x) for x in parts]
-        except ValueError:
-            raise ValueError(f"row {i} contains a non-integer entry") from None
+        except (ValueError, OverflowError):
+            raise ValueError(f"row {i} contains a non-integer or out-of-range entry") from None
+    _require_identity_at_0(table)
+    return table
+
+
+def _require_identity_at_0(table: np.ndarray) -> None:
+    """Refuse a square table with an entry outside 0..n-1, or whose row and
+    column 0 are not the identity permutation."""
+    n = table.shape[0]
     if table.min() < 0 or table.max() >= n:
         raise ValueError("table entries out of range")
     if (table[0] != np.arange(n)).any() or (table[:, 0] != np.arange(n)).any():
         raise ValueError("row/column 0 must be the identity permutation")
-    return table
 
 
 # -- automorphisms ------------------------------------------------------------
@@ -626,14 +645,15 @@ def _span_mask(
 ) -> np.ndarray:
     """Membership mask of the subgroup generated by gens (always holding 0).
 
-    In a finite group every element of <gens> is a positive word in gens, so
-    right-multiplying by gens breadth-first from the identity reaches all of
-    it; each level is one table gather.  A `start` mask, holding 0 and only
-    elements of <gens>, is the first level: the walk from it reaches the same
-    subgroup, since the identity is in it, and in fewer levels when it holds
-    long words in gens, such as their powers.  With many seeds one gather per
-    level beats the n·k Python steps of `_cayley_walk`, which serves the few
-    generators of a search."""
+    Right-multiplying by gens breadth-first from the identity reaches 0 and
+    the left-normed products ((g1 g2) ...) gk of gens, in any table; each
+    level is one table gather.  In a finite group every element of <gens> is
+    a positive word in gens, so that reach is all of <gens>.  A `start`
+    mask, holding 0 and only such products, is the first level: the walk
+    from it reaches the same set, since 0 is in it, and in fewer levels when
+    it holds long products, such as powers of gens.  With many seeds one
+    gather per level beats the n·k Python steps of `_cayley_walk`, which
+    serves the few generators of a search."""
     if start is None:
         start = np.zeros(table.shape[0], dtype=bool)
         start[0] = True

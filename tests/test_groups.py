@@ -1,9 +1,11 @@
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import wordfibers.groups as groups_mod
+from wordfibers.cli import EXIT_BUDGET, EXIT_USAGE, run_command
 from wordfibers.errors import CapExceeded
 from wordfibers.groups import (
     _class_closures,
@@ -59,6 +62,13 @@ def brute_force_automorphisms(g):
 
 def klein_four():
     return make_group("prod:(cyc:2)x(cyc:2)")
+
+
+def run_wfl(argv):
+    """The exit code and the parsed JSON document of one `wfl` request."""
+    out = io.StringIO()
+    code = run_command(argv, stdout=out)
+    return code, json.loads(out.getvalue())
 
 
 def write_cayley_table(path, g):
@@ -138,8 +148,7 @@ class TestMakeGroup:
         q8 = make_group("q8")
         assert sorted(q8.element_orders.tolist()) == [1, 2, 4, 4, 4, 4, 4, 4]
 
-    def test_validate_sampled_associativity_path(self):
-        # order > 64 exercises the seeded random-triple check
+    def test_validate_exact_associativity_path(self):
         make_group("sym:5").validate()
         make_group("cyc:100").validate()
 
@@ -261,9 +270,11 @@ class TestCayleyTableFile:
         assert h.order == 6
         assert (h.table == g.table).all()
 
-    def test_malformed_rows(self, tmp_path):
+    # a missing row, a non-integer entry, an entry beyond int32
+    @pytest.mark.parametrize("text", ["2\n0 1\n", "2\n0 1\n1 x\n", "2\n0 1\n1 99999999999\n"])
+    def test_malformed_rows(self, tmp_path, text):
         path = tmp_path / "bad.tbl"
-        path.write_text("2\n0 1\n")
+        path.write_text(text)
         with pytest.raises(ValueError):
             read_cayley_table(path)
 
@@ -278,6 +289,13 @@ class TestCayleyTableFile:
         path.write_text("3\n0 1 2\n1 0 0\n2 0 0\n")
         with pytest.raises(ValueError):
             make_group(f"table:{path}")
+
+    def test_order_above_the_cap_is_refused_before_the_rows(self, tmp_path):
+        path = tmp_path / "big.tbl"
+        path.write_text("4097\n0 1\n1 0\n0 0\n")
+        code, doc = run_wfl(["group", "make", "--spec", f"table:{path}"])
+        assert code == EXIT_BUDGET
+        assert doc["result"]["error"] == "order 4097 exceeds cap 4096"
 
 
 class TestAutomorphismGroup:
@@ -1870,3 +1888,68 @@ def test_readme_lists_exactly_the_public_caps():
     row = next(line for line in readme.splitlines() if line.startswith("| `wordfibers.groups`"))
     public = {name for name in vars(groups_mod) if name.endswith("_CAP") and name[0] != "_"}
     assert set(re.findall(r"`([A-Z][A-Z_]*_CAP)`", row)) == public
+
+
+def swapped_cyclic(n, p):
+    """The `cyc:n` table with the entries at (p, p) and (p+h, p+h), h = n/2,
+    swapped with those at (p, p+h) and (p+h, p): still a Latin square with
+    identity and inverses, but not associative."""
+    t = make_group(f"cyc:{n}").table.copy()
+    h = n // 2
+    t[[p, p + h, p, p + h], [p, p + h, p + h, p]] = t[[p, p + h, p, p + h], [p + h, p, p, p + h]]
+    return t
+
+
+class TestAssociativity:
+    """`FiniteGroup.validate` checks associativity exactly by Light's test on
+    at most ⌊log2 |G|⌋ generators."""
+
+    @pytest.mark.parametrize("n, p", [(128, 1), (128, 2), (1024, 9), (1024, 10),
+                                      (4096, 2), (4096, 5)])
+    def test_swapped_cyclic_tables_are_refused(self, n, p):
+        t = swapped_cyclic(n, p)
+        assert (np.sort(t, axis=0) == np.arange(n)[:, None]).all()
+        assert (np.sort(t, axis=1) == np.arange(n)).all()
+        with pytest.raises(ValueError, match="not associative"):
+            groups_mod.FiniteGroup(n, table=t).validate()
+
+    def test_a_swapped_table_file_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "swapped.tbl"
+        write_cayley_table(path, groups_mod.FiniteGroup(128, table=swapped_cyclic(128, 1)))
+        code, doc = run_wfl(["group", "make", "--spec", f"table:{path}"])
+        assert code == EXIT_USAGE
+        assert doc["result"]["error"] == "multiplication is not associative"
+
+    @staticmethod
+    def second_generator_fault():
+        # element 1 generates the central cyc:3 and passes; generator 3 fails
+        bad = groups_mod.FiniteGroup(8, table=swapped_cyclic(8, 1))
+        return groups_mod.direct_product(bad, make_group("cyc:3"))
+
+    def test_the_second_generator_catches_a_fault(self):
+        with pytest.raises(ValueError, match="not associative"):
+            self.second_generator_fault().validate()
+
+    def test_checking_only_the_first_generator_accepts_a_non_group(self, monkeypatch):
+        # mutation: the reach after the first generator is taken to be G
+        g = self.second_generator_fault()
+        monkeypatch.setattr(groups_mod, "_span_mask",
+                            lambda table, gens, start=None: np.ones(len(table), dtype=bool))
+        g.validate()
+
+    @pytest.mark.parametrize("spec", sorted(AUT_DIGESTS))
+    def test_every_digest_group_loads_from_its_table_file(self, tmp_path, spec):
+        g = make_group(spec)
+        path = tmp_path / "g.tbl"
+        write_cayley_table(path, g)
+        h = make_group(f"table:{path}")
+        assert (h.table == g.table).all()
+
+    # pow:(cyc:2)^12 needs 12 = ⌊log2 4096⌋ generators, all the bound allows
+    @pytest.mark.parametrize("spec", ["pow:(cyc:2)^12", "dih:2048"])
+    def test_validation_at_the_order_cap_is_fast(self, spec):
+        g = make_group(spec)
+        start = time.perf_counter()
+        g.validate()
+        assert time.perf_counter() - start < 2.0
+
