@@ -40,7 +40,9 @@ from .fibers import (
 from .groups import (
     AutSet,
     FiniteGroup,
+    SubgroupHandle,
     _inner_rows,
+    _phi_rows,
     automorphism_group,
     characteristic_series,
     identity_autset,
@@ -229,11 +231,15 @@ def _group_and_aut(ctx: Context, spec: str, which: str) -> tuple[FiniteGroup, Au
 def resolve_subgroup(g: FiniteGroup, spec: str):
     """Subgroup selector: center | radical | order:<k> | indices:i,j,...
 
-    Aut(G), which the characteristic flags read, is resolved first, so its
-    cap refuses before the selector is read."""
-    automorphism_group(g)
+    The automorphisms that the characteristic flags read (`_phi_rows`) are
+    found first, so their search's caps refuse before the selector is read.
+    The center is characteristic, and only ``indices:`` input is checked to
+    be a subgroup."""
+    _phi_rows(g)
     if spec == "center":
-        return subgroup_handle(g, g.center)
+        center = SubgroupHandle(g, g.center)
+        center.normal = center.characteristic = True
+        return center
     if spec == "radical":
         return solvable_radical(g)
     if spec.startswith("order:"):
@@ -308,7 +314,7 @@ def cmd_group_auts(args, ctx):
     g = ctx.group(args.spec)
     aut = automorphism_group(g)
     # a group that carries its Φ runs no search: no rows tried, no generators
-    search = aut.search
+    _, search = _phi_rows(g)
     ctx.stats.update(
         aut_candidates=search.tried if search else 0,
         aut_generators=len(search.generators) if search else 0,

@@ -5,9 +5,11 @@ and carries a dense multiplication table.  Symmetric and alternating groups
 number their permutations in ``itertools.permutations`` (lexicographic) order
 and build the table eagerly at construction.
 
-Aut(G) is built as Inn(G)·Φ (`automorphism_group`).  Cyclic groups, and
-symmetric and alternating groups of degree n ≠ 6, carry Φ in closed form
-from their builders; every other group finds Φ by a generator-image search
+Aut(G) = Inn(G)·Φ: the structure flags read the rows of Inn(G) and Φ
+(`_phi_rows`), and only a request that reads every automorphism builds the
+table of Aut(G) (`automorphism_group`).  Cyclic groups, and symmetric and
+alternating groups of degree n ≠ 6, carry Φ in closed form from their
+builders; every other group finds Φ by a generator-image search
 (`plan_hom_search`), which the tests also use as the closed forms' oracle.
 """
 
@@ -41,9 +43,9 @@ class FiniteGroup:
     """A finite group by indexed elements with a dense multiplication table.
 
     ``phi``, from a builder that knows it, is a zero-argument function
-    returning rows Φ of automorphisms with Aut(G) = Inn(G)·Φ;
-    `automorphism_group` calls it in place of the generator-image search,
-    and only then.  Without it, Φ is searched for."""
+    returning rows Φ of automorphisms with Aut(G) = Inn(G)·Φ; `_phi_rows`
+    calls it in place of the generator-image search, and only then.  Without
+    it, Φ is searched for."""
 
     def __init__(
         self,
@@ -444,7 +446,10 @@ def make_group(spec: str) -> FiniteGroup:
 
 def read_cayley_table(path: str | Path) -> np.ndarray:
     """Read the table file format: order line, then one row of indices per
-    line.  An order above the cap is refused before any row is parsed."""
+    line.  An order above the cap is refused before any row is parsed; the
+    rows are parsed in one `np.loadtxt`, which refuses a non-integer entry
+    (``#`` included: no comments), an entry beyond int32 and a row of
+    another length.  Parsed in int32, the table is the one array kept."""
     lines = Path(path).read_text().split("\n")
     rows = [line for line in lines if line.strip()]
     if not rows:
@@ -456,15 +461,12 @@ def read_cayley_table(path: str | Path) -> np.ndarray:
     _capped(n)
     if n < 1 or len(rows) != n + 1:
         raise ValueError(f"expected {n} table rows, found {len(rows) - 1}")
-    table = np.empty((n, n), dtype=np.int32)
-    for i, line in enumerate(rows[1:]):
-        parts = line.split()
-        if len(parts) != n:
-            raise ValueError(f"row {i} has {len(parts)} entries, expected {n}")
-        try:
-            table[i] = [int(x) for x in parts]
-        except (ValueError, OverflowError):
-            raise ValueError(f"row {i} contains a non-integer or out-of-range entry") from None
+    try:
+        table = np.loadtxt(rows[1:], dtype=np.int32, comments=None, ndmin=2)
+    except ValueError as err:
+        raise ValueError(f"malformed table rows: {err}") from None
+    if table.shape[1] != n:
+        raise ValueError(f"rows have {table.shape[1]} entries, expected {n}")
     _require_identity_at_0(table)
     return table
 
@@ -535,15 +537,10 @@ class AutSet:
     ``contains_inner`` is computed, never trusted.  The kinds in
     ``_SUBGROUP_KINDS`` name the sets this module builds as subgroups of
     Aut(G) (`automorphism_group`, `inner_automorphisms`, `identity_autset`);
-    ``is_closed`` takes them as closed and checks any other set.  ``search``
-    is the `HomSearch` that enumerated the set, when one did, and ``phi``,
-    on Aut(G) as `automorphism_group` builds it, the rows Φ with
-    Aut(G) = Inn(G)·Φ.  ``searches`` keeps the exact searches over the set
-    that the checkers have run (`verify._exact_search`).
+    ``is_closed`` takes them as closed and checks any other set.
+    ``searches`` keeps the exact searches over the set that the checkers have
+    run (`verify._exact_search`).
     """
-
-    search: Optional["HomSearch"] = None
-    phi: Optional[np.ndarray] = None
 
     def __init__(self, group: FiniteGroup, tables: np.ndarray, kind: str):
         self.group = group
@@ -1026,52 +1023,55 @@ def _compose_after(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     return out.reshape(m * k, n)
 
 
-def automorphism_group(g: FiniteGroup) -> AutSet:
-    """The full automorphism group as Inn(G)·Φ, where Φ holds the
-    automorphisms that the generator-image search finds (`plan_hom_search`);
-    refused before any test runs when the search work exceeds
-    `HOM_WORK_CAP`, and before any composite is built when |Inn|·|Φ|
-    exceeds `AUTSET_SIZE_CAP`.
-
-    Every automorphism is c∘φ with c inner and φ in Φ (`plan_hom_search`), so
-    the composites are all of Aut(G).  With two generators Φ meets each coset
-    Inn(G)·ψ exactly once, so |Aut| = |Inn|·|Φ|: if φ' = c_z∘φ with φ, φ' in
-    Φ, then z conjugates r = φ(g_1) to φ'(g_1), the least member of the same
-    class, so φ'(g_1) = r and z lies in C_G(r); then z conjugates φ(g_2) to
-    φ'(g_2), both least in one C_G(r)-orbit, so they are equal, and φ' = φ,
-    as an automorphism is fixed by its generator images.  With more
-    generators the later images are not reduced, so Φ may meet a coset more
-    than once; `AutSet` drops the repeated composites, and |Inn|·|Φ| is an
-    upper bound for the cap.  The set found does not depend on the
-    generators or representatives chosen, and `AutSet` sorts it canonically,
-    so any deterministic choice gives byte-identical output.
+def _phi_rows(g: FiniteGroup) -> tuple[np.ndarray, Optional[HomSearch]]:
+    """Rows Φ of automorphisms with Aut(G) = Inn(G)·Φ, and the `HomSearch`
+    that found them; kept on ``g``.  The search is refused before any test
+    runs when its work exceeds `HOM_WORK_CAP`, and stops when Φ exceeds
+    `AUTSET_SIZE_CAP` rows.  Every automorphism is c∘φ with c inner and φ
+    in Φ (`plan_hom_search`).
 
     A group whose builder knows Φ carries it (`FiniteGroup`), and no search
-    runs, so `HOM_WORK_CAP` does not apply and ``search`` stays None.  These
+    runs, so `HOM_WORK_CAP` does not apply and the search is None.  These
     are C_n, whose automorphisms are x -> u x for the units u mod n, and S_n
     and A_n for n ≠ 6, whose automorphisms are all conjugations by elements
-    of S_n (J. D. Dixon and B. Mortimer, *Permutation Groups*, 1996).  The
-    composites are the same set as the search's, so the same sorted tables;
-    the size cap is checked as for a search.
+    of S_n (J. D. Dixon and B. Mortimer, *Permutation Groups*, 1996)."""
 
-    Φ is kept as ``phi`` on the set, for the characteristic flags
-    (`SubgroupHandle.characteristic`).  Kept on ``g``, so repeated calls
-    share one `AutSet` and its cached lookups."""
+    def build() -> tuple[np.ndarray, Optional[HomSearch]]:
+        if g._phi is not None:
+            return g._phi(), None
+        search = plan_hom_search(g, g)
+        return _search_homs(search, find_all=True, max_results=AUTSET_SIZE_CAP), search
+
+    return _derived(g, ("phi",), build)
+
+
+def automorphism_group(g: FiniteGroup) -> AutSet:
+    """The full automorphism group as the composites of Inn(G) and Φ
+    (`_phi_rows`), refused before any composite is built when |Inn|·|Φ|
+    exceeds `AUTSET_SIZE_CAP`.  Only a request that reads the rows builds
+    it: the structure flags read Inn(G) and Φ.
+
+    With two generators Φ meets each coset Inn(G)·ψ exactly once, so
+    |Aut| = |Inn|·|Φ|: if φ' = c_z∘φ with φ, φ' in Φ, then z conjugates
+    r = φ(g_1) to φ'(g_1), the least member of the same class, so
+    φ'(g_1) = r and z lies in C_G(r); then z conjugates φ(g_2) to φ'(g_2),
+    both least in one C_G(r)-orbit, so they are equal, and φ' = φ, as an
+    automorphism is fixed by its generator images.  With more generators the
+    later images are not reduced, so Φ may meet a coset more than once;
+    `AutSet` drops the repeated composites, and |Inn|·|Φ| is an upper bound
+    for the cap.  The set found does not depend on the generators or
+    representatives chosen, nor on whether Φ is searched or carried, and
+    `AutSet` sorts it canonically, so any deterministic choice gives
+    byte-identical output.  Kept on ``g``, so repeated calls share one
+    `AutSet` and its cached lookups."""
 
     def build() -> AutSet:
-        if g._phi is None:
-            search = plan_hom_search(g, g)
-            outer = _search_homs(search, find_all=True, max_results=AUTSET_SIZE_CAP)
-        else:
-            search, outer = None, g._phi()
+        outer, _ = _phi_rows(g)
         inner = _inner_rows(g)
         if len(inner) * len(outer) > AUTSET_SIZE_CAP:
             raise CapExceeded(f"automorphism enumeration exceeds cap {AUTSET_SIZE_CAP}")
-        # with Inn(G) trivial the composites are Φ itself, kept once
-        aut = AutSet(g, outer if len(inner) == 1 else _compose_after(inner, outer), kind="full")
-        aut.search = search
-        aut.phi = aut.tables if len(inner) == 1 else outer
-        return aut
+        # with Inn(G) trivial the composites are Φ itself
+        return AutSet(g, outer if len(inner) == 1 else _compose_after(inner, outer), kind="full")
 
     return _derived(g, ("aut",), build)
 
@@ -1079,7 +1079,12 @@ def automorphism_group(g: FiniteGroup) -> AutSet:
 def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> tuple[bool, Optional[np.ndarray]]:
     """Isomorphism test with a witness map on success.  The search tries the
     first two generator images up to conjugation in h (`plan_hom_search`),
-    which keeps some isomorphism whenever one exists."""
+    which keeps some isomorphism whenever one exists.
+
+    No request calls it: the series reads its factors' simple groups off
+    their class closures (`characteristic_series`).  It is the tests' oracle
+    for those factors, and the check for isomorphisms between constructions
+    such as PSL(2,5) and A_5."""
     if g.order != h.order:
         return False, None
     profile = lambda k: sorted(zip(k.element_orders.tolist(), k.class_size_of.tolist()))
@@ -1115,12 +1120,12 @@ class SubgroupHandle:
     def characteristic(self) -> bool:
         """Whether every automorphism of the group maps H onto itself.
 
-        Aut(G) = Inn(G)·Φ (`automorphism_group`), so every automorphism is
-        c∘φ with c inner and φ in Φ, and H is characteristic exactly when it
-        is normal and Φ-invariant: then c(φ(H)) = c(H) = H, and both Inn(G)
-        and Φ lie in Aut(G).  Aut(G) is resolved first, so its caps refuse
-        as they would for the whole set, but only Φ is read."""
-        phi = automorphism_group(self.group).phi
+        Aut(G) = Inn(G)·Φ (`_phi_rows`), so every automorphism is c∘φ with
+        c inner and φ in Φ, and H is characteristic exactly when it is
+        normal and Φ-invariant: then c(φ(H)) = c(H) = H, and both Inn(G) and
+        Φ lie in Aut(G).  No table of Aut(G) is built, so only the caps on
+        Φ's search refuse."""
+        phi, _ = _phi_rows(self.group)
         return self.normal and self._invariant(phi)
 
     def _invariant(self, rows: np.ndarray) -> bool:
@@ -1135,9 +1140,6 @@ class SubgroupHandle:
     @cached_property
     def element_set(self) -> frozenset[int]:
         return frozenset(self.elements)
-
-    def __contains__(self, g: int) -> bool:
-        return g in self.element_set
 
     @cached_property
     def positions(self) -> np.ndarray:
@@ -1307,11 +1309,11 @@ def subgroups(g: FiniteGroup) -> list[SubgroupHandle]:
     """All subgroups, each flagged normal.
 
     The atoms are the cyclic subgroups <x>: every subgroup H is the join of
-    <h> over its elements h.  Aut(G), which the characteristic flags read, is
-    resolved first, so its cap refuses before the lattice is walked."""
+    <h> over its elements h.  Φ, which the characteristic flags read, is
+    found first, so its search's caps refuse before the lattice is walked."""
     if g.order > SUBGROUP_ORDER_CAP:
         raise CapExceeded(f"subgroup enumeration capped at order {SUBGROUP_ORDER_CAP}")
-    automorphism_group(g)
+    _phi_rows(g)
     return _lattice(g, _cyclic_subgroups(g))
 
 
@@ -1320,12 +1322,12 @@ def normal_subgroups(g: FiniteGroup) -> list[SubgroupHandle]:
 
     The atoms are the class closures: a normal subgroup N is the join of the
     normal closures of the classes it contains, and a join of normal subgroups
-    is normal, so the joins are exactly the normal subgroups.  Aut(G) is
-    resolved first, so its cap refuses before the class closures are built.
+    is normal, so the joins are exactly the normal subgroups.  Φ is found
+    first, so its search's caps refuse before the class closures are built.
 
     The lattice is kept on ``g``: each call returns a new list over the same
     handles, which keep their own cached flags, `as_group` and `as_quotient`."""
-    automorphism_group(g)
+    _phi_rows(g)
     return list(_derived(g, ("normal",), lambda: _lattice(g, _class_closures(g))))
 
 
@@ -1414,9 +1416,22 @@ def characteristic_series(g: FiniteGroup) -> CharSeries:
     is normal, so the joins of the class closures reach all of them.  The
     chain is made deterministic by always taking the lexicographically
     smallest eligible next subgroup; only the factor multiset is meaningful.
-    Each lower term is normal in G, hence in the upper term: its handle
-    there is flagged normal, and no Inn of the upper term is built.
-    """
+    Each lower term is normal in G, hence in the upper term, and
+    ``positions`` numbers it there in ascending order: its handle there is
+    flagged normal, and no Inn of the upper term is built.
+
+    Each factor F = U/L of consecutive terms L < U is characteristically
+    simple.  Say L < M < U with M/L characteristic in U/L.  Every α in
+    Aut(G) fixes U and L, so α induces an automorphism of U/L, which fixes
+    M/L; so α fixes M, and M is characteristic in G, which contradicts the
+    chain's maximality.  So F ≅ S^n for a simple group S (D. J. S. Robinson,
+    *A Course in the Theory of Groups*, §3.3), and S is read off F with no
+    isomorphism test: the least normal closure of a non-identity class of F
+    (`_class_closures`) is one coordinate copy of S.  For nonabelian S the
+    normal closure of x is the product of the copies where x has a
+    non-identity coordinate, since the normal closure of a non-identity
+    element of a simple group is the group; for abelian S = C_p it is <x>,
+    of order p.  Then n is read from |F| = |S|^n."""
     char_subs = [s for s in normal_subgroups(g) if s.characteristic]
     chain = [char_subs[0]]
     while chain[-1].order < g.order:
@@ -1426,10 +1441,15 @@ def characteristic_series(g: FiniteGroup) -> CharSeries:
         chain.append(min(minimal, key=lambda s: s.elements))
     factors = []
     for lower, upper in zip(chain, chain[1:]):
-        inner = subgroup_handle(upper.as_group, upper.positions[list(lower.elements)])
+        below = upper.positions[list(lower.elements)]
+        inner = SubgroupHandle(upper.as_group, tuple(below.tolist()))
         inner.normal = True
         f = quotient(inner).quotient
-        simple, copies = decompose_char_simple(f)
+        simple = SubgroupHandle(f, _class_closures(f)[0]).as_group
+        copies, rest = 0, f.order
+        while rest > 1:
+            rest //= simple.order
+            copies += 1
         factors.append(FactorDecomposition(factor=f, simple=simple, copies=copies))
     return CharSeries(group=g, chain=chain, factors=factors)
 
@@ -1450,38 +1470,10 @@ def _class_closures(g: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(closures, key=lambda c: (len(c), c))
 
 
-def minimal_normal_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
-    closures = _class_closures(g)
-    return [c for c in closures if not any(set(o) < set(c) for o in closures)]
-
-
 def is_simple(g: FiniteGroup) -> bool:
     if g.order == 1:
         return False
     return all(c == tuple(range(g.order)) for c in _class_closures(g))
-
-
-def decompose_char_simple(f: FiniteGroup) -> tuple[FiniteGroup, int]:
-    """Write a characteristically simple group as (simple S, n) with F = S^n."""
-    if f.order == 1:
-        raise ValueError("the trivial group has no simple decomposition")
-    minimal = minimal_normal_subgroups(f)[0]
-    s = SubgroupHandle(f, minimal).as_group
-    if not is_simple(s):
-        raise ValueError(f"{f.spec or 'group'} is not characteristically simple")
-    n = 0
-    rest = f.order
-    while rest % s.order == 0 and rest > 1:
-        rest //= s.order
-        n += 1
-    if rest != 1:
-        raise ValueError(f"{f.spec or 'group'} is not characteristically simple")
-    if n == 1:
-        return s, n  # s is a normal subgroup as large as f, so s is f
-    ok, _ = is_isomorphic(f, power_group(s, n))
-    if not ok:
-        raise ValueError(f"{f.spec or 'group'} is not characteristically simple")
-    return s, n
 
 
 # -- solvable radical -----------------------------------------------------------

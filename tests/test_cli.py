@@ -1118,12 +1118,12 @@ class TestSharedStructure:
         assert (len(auts), len(lattices)) == (10, 4)
 
     def test_each_request_builds_its_own_groups(self, monkeypatch):
-        auts = count_builds(monkeypatch, ("aut",))
+        phis = count_builds(monkeypatch, ("phi",))
         argv = ["verify", "submult", "--group", "alt:4", "--subgroup", "order:4",
                 "--word", "x1^2", "--auts", "inn"]
         first, second = run(argv), run(argv)
         assert first == second and first[0] == EXIT_OK
-        assert len(auts) == 2
+        assert len(phis) == 2
 
     def test_a_request_leaves_no_reference_cycles(self):
         # Aut(G) and the lattice point back at their group; the request drops
@@ -1141,14 +1141,9 @@ class TestSharedStructure:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("argv, inner", [
-        # `group auts` counts the rows of Inn(G) and sorts no AutSet of them
-        (["group", "auts", "--spec", "sym:4"], 0),
-        (["verify", "submult", "--group", "sym:3", "--subgroup", "order:3", "--word", "x1^2",
-          "--auts", "inn"], 1),
-    ])
-    def test_inner_automorphisms_are_built_once(self, monkeypatch, argv, inner):
-        # Inn(G) is kept on the group, and Aut(G), built as Inn(G)·Φ, reads it there
+    @staticmethod
+    def count_kinds(monkeypatch):
+        """A list of the kind of each `AutSet` built."""
         import wordfibers.groups as groups
 
         kinds = []
@@ -1159,8 +1154,41 @@ class TestSharedStructure:
                 super().__init__(group, tables, kind)
 
         monkeypatch.setattr(groups, "AutSet", CountingAutSet)
+        return kinds
+
+    @pytest.mark.parametrize("argv, inner, full", [
+        # `group auts` counts the rows of Inn(G) and sorts no AutSet of them
+        (["group", "auts", "--spec", "sym:4"], 0, 1),
+        # the characteristic flag reads Φ, and no table of Aut(G) is built
+        (["verify", "submult", "--group", "sym:3", "--subgroup", "order:3", "--word", "x1^2",
+          "--auts", "inn"], 1, 0),
+    ])
+    def test_inner_automorphisms_are_built_once(self, monkeypatch, argv, inner, full):
+        # Inn(G) is kept on the group, and Aut(G), built as Inn(G)·Φ, reads it there
+        kinds = self.count_kinds(monkeypatch)
         assert run(argv)[0] == EXIT_OK
-        assert kinds.count("inner") == inner and kinds.count("full") == 1
+        assert kinds.count("inner") == inner and kinds.count("full") == full
+
+    @pytest.mark.parametrize("argv", [
+        ["group", "subgroups", "--spec", "alt:5"],
+        ["group", "series", "--spec", "prod:(sym:4)x(cyc:3)"],
+        ["group", "radical", "--spec", "sym:5"],
+        *(["verify", "submult", "--group", group, "--subgroup", subgroup, "--word", "x1^2",
+           "--auts", "inn"]
+          for group in ("dih:4", "sym:4", "alt:4")
+          for subgroup in ("center", "order:4", "radical")),
+    ])
+    def test_structure_requests_build_no_aut_table(self, monkeypatch, argv):
+        # the flags read Inn(G) and Φ; the center is characteristic as built
+        import wordfibers.groups as groups
+
+        kinds = self.count_kinds(monkeypatch)
+        closures = self.count(monkeypatch, groups, "_closure")
+        composites = self.count(monkeypatch, groups, "_compose_after")
+        assert run(argv)[0] == EXIT_OK
+        assert kinds.count("full") == 0 and not composites
+        if "radical" not in argv:
+            assert not closures
 
     def test_submult_builds_one_quotient(self, monkeypatch):
         import wordfibers.groups as groups

@@ -23,7 +23,6 @@ from wordfibers.groups import (
     automorphism_group,
     characteristic_series,
     choose_generators,
-    decompose_char_simple,
     identity_autset,
     induced_autset,
     inner_automorphisms,
@@ -31,7 +30,6 @@ from wordfibers.groups import (
     is_isomorphic,
     is_simple,
     make_group,
-    minimal_normal_subgroups,
     normal_subgroups,
     power_group,
     quotient,
@@ -270,13 +268,42 @@ class TestCayleyTableFile:
         assert h.order == 6
         assert (h.table == g.table).all()
 
-    # a missing row, a non-integer entry, an entry beyond int32
-    @pytest.mark.parametrize("text", ["2\n0 1\n", "2\n0 1\n1 x\n", "2\n0 1\n1 99999999999\n"])
+    # a missing row, a non-integer entry, an entry beyond int32, beyond
+    # int64, a short row, rows of another length
+    @pytest.mark.parametrize("text", [
+        "2\n0 1\n", "2\n0 1\n1 x\n", "2\n0 1\n1 99999999999\n",
+        "2\n0 1\n1 99999999999999999999999\n", "2\n0 1\n1\n", "2\n0 1 0\n1 0 1\n",
+        "2\n0 1\n1 1.0\n",
+    ])
     def test_malformed_rows(self, tmp_path, text):
         path = tmp_path / "bad.tbl"
         path.write_text(text)
         with pytest.raises(ValueError):
             read_cayley_table(path)
+
+    def test_a_comment_sign_is_refused(self, tmp_path):
+        path = tmp_path / "comment.tbl"
+        path.write_text("2\n0 1\n1 0 # swap\n")
+        with pytest.raises(ValueError):
+            read_cayley_table(path)
+
+    def test_order_one(self, tmp_path):
+        path = tmp_path / "one.tbl"
+        path.write_text("1\n0\n")
+        assert read_cayley_table(path).tolist() == [[0]]
+        assert make_group(f"table:{path}").order == 1
+
+    def test_a_table_at_the_order_cap_loads_quickly(self, tmp_path):
+        g = make_group("dih:2048")
+        names = [str(i) for i in range(g.order)]
+        path = tmp_path / "dih2048.tbl"
+        path.write_text(f"{g.order}\n" + "".join(
+            " ".join(map(names.__getitem__, row)) + "\n" for row in g.table.tolist()
+        ))
+        start = time.perf_counter()
+        h = make_group(f"table:{path}")
+        assert time.perf_counter() - start < 2
+        assert h.table.dtype == np.int32 and (h.table == g.table).all()
 
     def test_identity_not_first(self, tmp_path):
         path = tmp_path / "bad2.tbl"
@@ -534,7 +561,7 @@ class TestQuotient:
 
     def test_projection_is_homomorphism(self):
         g = make_group("alt:4")
-        n = subgroup_handle(g, minimal_normal_subgroups(g)[0])
+        n = subgroup_handle(g, _class_closures(g)[0])
         q = quotient(n)
         for a in range(g.order):
             for b in range(g.order):
@@ -686,7 +713,10 @@ def reference_flags(g, aut, elems):
 
 
 def reference_series(g):
-    """The chain of `characteristic_series` picked from all of `subgroups`."""
+    """The chain of `characteristic_series` picked from all of `subgroups`.
+    Each factor F's simple order is the least order of a non-trivial normal
+    subgroup among all subgroups of F, and its copies the exponent n with
+    |S|^n = |F|, found by comparing powers."""
     char_subs = [s for s in subgroups(g) if s.characteristic]
     chain = [char_subs[0]]
     while chain[-1].order < g.order:
@@ -696,8 +726,11 @@ def reference_series(g):
         chain.append(min(minimal, key=lambda s: s.elements))
     factors = []
     for lower, upper in zip(chain, chain[1:]):
-        simple, copies = decompose_char_simple(quotient_of(g, upper, lower))
-        factors.append((upper.order // lower.order, simple.order, copies))
+        f = quotient_of(g, upper, lower)
+        least = min(s.order for s in subgroups(f) if s.normal and s.order > 1)
+        copies = next(n for n in range(1, f.order.bit_length() + 1) if least**n >= f.order)
+        assert least**copies == f.order
+        factors.append((f.order, least, copies))
     return [s.elements for s in chain], factors
 
 
@@ -846,36 +879,49 @@ class TestConjugationRows:
             assert fresh_flags(g, s.elements) == (True, False)
 
     def test_characteristic_reads_phi_not_the_closure(self, monkeypatch):
+        _, aut = group_and_aut("dih:64")
         g = make_group("dih:64")
-        aut = automorphism_group(g)
         expected = [reference_flags(g, aut, s.elements) for s in normal_subgroups(g)]
-        assert len(aut.phi) < len(aut)
-        monkeypatch.setattr(aut, "tables", None)
+        assert len(groups_mod._phi_rows(g)[0]) < len(aut)
+
+        def refuse(*args):
+            raise AssertionError("Aut(G) was built")
+
+        monkeypatch.setattr(groups_mod, "automorphism_group", refuse)
+        monkeypatch.setattr(groups_mod, "_compose_after", refuse)
         assert [fresh_flags(g, s.elements) for s in normal_subgroups(g)] == expected
+        assert ("aut",) not in g._derived
 
     @pytest.mark.parametrize("spec", ["cyc:12", "dih:12", "sym:4", "alt:6", "q8"])
     def test_phi_with_inn_generates_aut(self, spec):
         g, aut = group_and_aut(spec)
         inner = inner_automorphisms(g).tables
-        closure = AutSet(g, groups_mod._compose_after(inner, aut.phi), kind="full")
+        phi, _ = groups_mod._phi_rows(g)
+        closure = AutSet(g, groups_mod._compose_after(inner, phi), kind="full")
         assert closure.tables.tobytes() == aut.tables.tobytes()
-        if len(inner) == 1:
-            assert aut.phi is aut.tables
 
     @pytest.mark.parametrize("setting", [("HOM_WORK_CAP", 10), ("AUTSET_SIZE_CAP", 10)])
-    @pytest.mark.parametrize("spec", ["dih:4", "sym:4", "cyc:16"])
-    def test_characteristic_is_refused_wherever_aut_is(self, monkeypatch, spec, setting):
+    @pytest.mark.parametrize("spec", ["dih:4", "sym:4", "cyc:16", "dih:5"])
+    def test_characteristic_is_refused_wherever_phi_is(self, monkeypatch, spec, setting):
+        # AUTSET_SIZE_CAP refuses the table of Aut(G), |Inn|·|Φ| rows, on
+        # sym:4 and dih:5, but the flags read only Φ
         monkeypatch.setattr(groups_mod, *setting)
         g = make_group(spec)
-        try:
-            automorphism_group(make_group(spec))
-        except CapExceeded:
-            refused = True
-        else:
-            refused = False
+
+        def refused(build):
+            try:
+                build(make_group(spec))
+            except CapExceeded:
+                return True
+            return False
+
+        phi_refused = refused(groups_mod._phi_rows)
+        assert refused(automorphism_group) == (
+            phi_refused or setting[0] == "AUTSET_SIZE_CAP" and spec in ("sym:4", "dih:5")
+        )
         for elems in [(0,), tuple(range(g.order))]:
             h = subgroup_handle(g, elems)
-            if refused:
+            if phi_refused:
                 with pytest.raises(CapExceeded):
                     h.characteristic
             else:
@@ -884,7 +930,7 @@ class TestConjugationRows:
     def test_characteristic_is_refused_on_a_refused_aut(self):
         g = make_group("pow:(cyc:2)^8")
         with pytest.raises(CapExceeded):
-            automorphism_group(g)
+            groups_mod._phi_rows(g)
         with pytest.raises(CapExceeded):
             subgroup_handle(g, [0]).characteristic
 
@@ -1007,37 +1053,78 @@ class TestClassClosures:
         assert levels[0] == 511
 
 
-class TestDecomposeCharSimple:
-    def test_klein_four(self):
-        s, n = decompose_char_simple(klein_four())
-        assert (s.order, n) == (2, 2)
+def factor_data(spec):
+    return [(f.factor.order, f.simple.order, f.copies)
+            for f in characteristic_series(make_group(spec)).factors]
 
-    def test_a5(self):
-        s, n = decompose_char_simple(make_group("alt:5"))
-        assert (s.order, n) == (60, 1)
 
-    def test_c9_rejected(self):
-        with pytest.raises(ValueError):
-            decompose_char_simple(make_group("cyc:9"))
+class TestSeriesFactors:
+    """Each factor F of the series is characteristically simple, F ≅ S^n,
+    and S is its least class closure as a group (`characteristic_series`)."""
 
-    def test_a4_rejected(self):
-        with pytest.raises(ValueError):
-            decompose_char_simple(make_group("alt:4"))
+    @pytest.mark.parametrize("spec, expected", [
+        ("prod:(cyc:2)x(cyc:2)", [(4, 2, 2)]),
+        ("alt:5", [(60, 60, 1)]),
+        ("pow:(cyc:3)^2", [(9, 3, 2)]),
+        ("pow:(cyc:2)^3", [(8, 2, 3)]),
+        ("cyc:9", [(3, 3, 1), (3, 3, 1)]),
+        ("alt:4", [(4, 2, 2), (3, 3, 1)]),
+        ("pow:(alt:5)^1", [(60, 60, 1)]),
+    ])
+    def test_factors(self, spec, expected):
+        assert factor_data(spec) == expected
 
-    def test_power_of_c3(self):
-        s, n = decompose_char_simple(make_group("pow:(cyc:3)^2"))
-        assert (s.order, n) == (3, 2)
+    # the relabelled groups are characteristically simple: one factor, G/1
+    @pytest.mark.parametrize(
+        "spec", LATTICE_SPECS
+        + [f"relabelled:{s}" for s in
+           ["pow:(cyc:2)^3", "pow:(cyc:3)^2", "prod:(cyc:5)x(cyc:5)", "pow:(cyc:2)^4"]]
+    )
+    def test_every_factor_is_a_power_of_its_simple_group(self, spec):
+        if spec.startswith("relabelled:"):
+            g = relabelled(make_group(spec[len("relabelled:"):]), seed=5)
+        else:
+            g = make_group(spec)
+        for f in characteristic_series(g).factors:
+            assert is_simple(f.simple)
+            power = power_group(f.simple, f.copies)
+            ok, witness = is_isomorphic(f.factor, power)
+            assert ok, spec
+            assert_isomorphism(f.factor, power, witness)
 
-    def test_simple_group_needs_no_isomorphism_search(self, monkeypatch):
-        import wordfibers.groups as groups_module
+    def test_a_nonabelian_power_reads_one_coordinate_copy(self):
+        # A5 x A5, whose Φ search the work cap refuses, is given Φ as the
+        # wreath rows of Φ(A5) wr S2; its class closures are A5 x 1, 1 x A5
+        # and all of it, and only the least is the simple group
+        s = make_group("alt:5")
+        base = AutSet(s, groups_mod._phi_rows(s)[0], kind="custom")
+        parts = [(b, p) for p in itertools.permutations(range(2))
+                 for b in itertools.product(range(len(base)), repeat=2)]
+        rows = wreath_rows(base, 2, [b for b, _ in parts], [p for _, p in parts])
+        g = make_group("pow:(alt:5)^2")
+        g._phi = lambda: rows
+        (f,) = characteristic_series(g).factors
+        assert (f.factor.order, f.simple.order, f.copies) == (3600, 60, 2)
+        assert is_simple(f.simple)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("is_isomorphic called for a simple factor")
+    @pytest.mark.parametrize("spec", LATTICE_SPECS)
+    def test_series_request_searches_for_phi_at_most_once(self, monkeypatch, spec):
+        import wordfibers.cli as cli
 
-        monkeypatch.setattr(groups_module, "is_isomorphic", refuse)
-        for spec, order in [("alt:5", 60), ("cyc:7", 7)]:
-            s, n = decompose_char_simple(make_group(spec))
-            assert (s.order, n) == (order, 1)
+        g = make_group(spec)  # a pow: spec is built by power_group
+        monkeypatch.setattr(cli, "make_group", lambda s: g)
+        calls = {}
+
+        def counting(name):
+            real = getattr(groups_mod, name)
+            return lambda *a, **k: calls.setdefault(name, []).append(None) or real(*a, **k)
+
+        for name in ("_compose_after", "is_isomorphic", "power_group", "_closure",
+                     "plan_hom_search"):
+            monkeypatch.setattr(groups_mod, name, counting(name))
+        code, _ = run_wfl(["group", "series", "--spec", spec])
+        assert code == 0
+        assert set(calls) <= {"plan_hom_search"} and len(calls.get("plan_hom_search", [])) <= 1
 
 
 # reference for direct products: coordinates in mixed radix, the first most
@@ -1736,18 +1823,6 @@ class TestInnerReduction:
         with pytest.raises(CapExceeded, match="exceeds cap 1439"):
             automorphism_group(make_group("alt:6"))
 
-    @pytest.mark.parametrize(
-        "spec", ["pow:(cyc:2)^3", "pow:(cyc:3)^2", "prod:(cyc:5)x(cyc:5)", "pow:(cyc:2)^4"]
-    )
-    def test_decomposition_finds_a_witness(self, spec):
-        f = relabelled(make_group(spec), seed=5)
-        s, n = decompose_char_simple(f)
-        power = groups_mod.power_group(s, n)
-        assert s.order ** n == f.order
-        ok, witness = is_isomorphic(f, power)
-        assert ok
-        assert_isomorphism(f, power, witness)
-
 
 CLOSED_FORM_SPECS = (
     [f"sym:{n}" for n in range(1, 6)] + [f"alt:{n}" for n in range(1, 6)]
@@ -1761,8 +1836,9 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
     def test_closed_form_tables_are_the_searched_ones(self, spec):
-        aut = automorphism_group(make_group(spec))
-        assert aut.search is None
+        g = make_group(spec)
+        assert groups_mod._phi_rows(g)[1] is None
+        aut = automorphism_group(g)
         assert aut.tables.tolist() == searched_aut(make_group(spec))[1].tables.tolist()
 
     @pytest.mark.parametrize(
@@ -1784,7 +1860,7 @@ class TestClosedForms:
     def test_other_constructions_are_searched(self, spec):
         g = make_group(spec)
         assert g._phi is None
-        assert automorphism_group(g).search is not None
+        assert groups_mod._phi_rows(g)[1] is not None
 
     def test_subgroups_and_quotients_are_searched(self):
         g = make_group("sym:4")
@@ -1796,7 +1872,7 @@ class TestClosedForms:
         with pytest.raises(CapExceeded):
             groups_mod.plan_hom_search(g, g)
         aut = automorphism_group(g)
-        assert len(aut) == 5040 and aut.search is None
+        assert len(aut) == 5040 and groups_mod._phi_rows(g)[1] is None
         rows = np.random.default_rng(7).choice(len(aut), size=20, replace=False)
         assert all(is_automorphism(g, aut.tables[i]) for i in rows)
 
