@@ -461,10 +461,16 @@ def read_cayley_table(path: str | Path) -> np.ndarray:
     _capped(n)
     if n < 1 or len(rows) != n + 1:
         raise ValueError(f"expected {n} table rows, found {len(rows) - 1}")
-    try:
-        table = np.loadtxt(rows[1:], dtype=np.int32, comments=None, ndmin=2)
-    except ValueError as err:
-        raise ValueError(f"malformed table rows: {err}") from None
+    # a numpy that still reads "1.0" as an integer through a float warns
+    # (DeprecationWarning) where a newer one raises: both are refused
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(rows[1:], dtype=np.int32, comments=None, ndmin=2)
+        except (ValueError, OverflowError, DeprecationWarning) as err:
+            raise ValueError(f"malformed table rows: {err}") from None
     if table.shape[1] != n:
         raise ValueError(f"rows have {table.shape[1]} entries, expected {n}")
     _require_identity_at_0(table)
@@ -1070,8 +1076,12 @@ def automorphism_group(g: FiniteGroup) -> AutSet:
         inner = _inner_rows(g)
         if len(inner) * len(outer) > AUTSET_SIZE_CAP:
             raise CapExceeded(f"automorphism enumeration exceeds cap {AUTSET_SIZE_CAP}")
-        # with Inn(G) trivial the composites are Φ itself
-        return AutSet(g, outer if len(inner) == 1 else _compose_after(inner, outer), kind="full")
+        # with Inn(G) trivial the composites are Φ itself, and the group
+        # keeps Φ once, as the sorted table
+        aut = AutSet(g, outer if len(inner) == 1 else _compose_after(inner, outer), kind="full")
+        if len(inner) == 1:
+            g._derived[("phi",)] = (aut.tables, _phi_rows(g)[1])
+        return aut
 
     return _derived(g, ("aut",), build)
 

@@ -1061,6 +1061,16 @@ class TestEntryPoint:
         doc = json.loads(proc.stdout)
         assert doc["result"]["witness"]["group_max"] == "6"
 
+    @pytest.mark.parametrize("entry", ["1.0", "0.9", "1e3", "99999999999999999999999"])
+    def test_a_table_entry_that_is_no_int32_is_refused_in_a_fresh_process(self, tmp_path, entry):
+        # a fresh process runs with the default warning filters, not the
+        # test suite's
+        path = tmp_path / "bad.tbl"
+        path.write_text(f"2\n0 1\n1 {entry}\n")
+        proc = self.wfl("group", "make", "--spec", f"table:{path}")
+        assert proc.returncode == EXIT_USAGE, proc.stdout
+        assert "malformed table rows" in json.loads(proc.stdout)["result"]["error"]
+
     def test_usage_error_is_one_json_line(self):
         proc = self.wfl("word", "frobnicate")
         assert proc.returncode == EXIT_USAGE
