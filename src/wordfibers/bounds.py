@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import mpmath
 from mpmath import mp
@@ -72,6 +72,37 @@ def _ln_fraction(f: Fraction) -> mpmath.mpf:
     return mp.log(mp.mpf(f.numerator)) - mp.log(mp.mpf(f.denominator))
 
 
+def _resolve_interval(
+    interval: Callable[[], mpmath.ctx_iv.ivmpf],
+    precisions: Sequence[int],
+    rounding: Callable[[mpmath.mpf], mpmath.mpf],
+    is_exactly: Optional[Callable[[int], bool]] = None,
+) -> int:
+    """``rounding`` (`mpmath.floor` or `mpmath.ceil`) of the quantity that
+    ``interval()`` encloses at the interval precision ``iv.dps``, widened
+    through ``precisions`` until both ends round to one integer.  A floor
+    whose ends round to lo and lo + 1 is lo + 1 where ``is_exactly(lo + 1)``
+    confirms that the quantity is that integer, which no widening separates.
+    Runs under `_MP_LOCK` and restores ``iv.dps``."""
+    iv = mpmath.iv
+    with _MP_LOCK:
+        saved = iv.dps
+        try:
+            for dps in precisions:
+                iv.dps = dps
+                x = interval()
+                with mp.workdps(dps + 10):
+                    # rounding works at working precision, so keep it high
+                    # enough to represent the integer exactly
+                    lo = int(rounding(x.a))
+                    hi = int(rounding(x.b))
+                if lo == hi or (hi == lo + 1 and is_exactly and is_exactly(hi)):
+                    return hi
+        finally:
+            iv.dps = saved
+    raise RuntimeError("interval widening failed to resolve a rounding")
+
+
 # -- the alternating-family order threshold -------------------------------------
 
 
@@ -98,22 +129,11 @@ def _exact_ceiling_of_exp_product(factor: int, l_pow: int, exponent: int) -> Opt
     if digits > EXACT_DIGIT_CAP:
         return None
     iv = mpmath.iv
-    with _MP_LOCK:
-        saved = iv.dps
-        try:
-            for dps in (digits + 40, digits + 120, digits + 360):
-                iv.dps = dps
-                x = iv.mpf(factor) * iv.mpf(l_pow) * iv.exp(iv.mpf(exponent))
-                with mp.workdps(dps + 10):
-                    # ceil rounds to working precision, so keep it high enough
-                    # to represent the integer exactly
-                    lo = int(mpmath.ceil(x.a))
-                    hi = int(mpmath.ceil(x.b))
-                if lo == hi:
-                    return lo
-        finally:
-            iv.dps = saved
-    raise RuntimeError("interval widening failed to resolve a ceiling")
+    return _resolve_interval(
+        lambda: iv.mpf(factor) * iv.mpf(l_pow) * iv.exp(iv.mpf(exponent)),
+        (digits + 40, digits + 120, digits + 360),
+        mpmath.ceil,
+    )
 
 
 def alt_exclusion_threshold(w: ReducedWord, rho: Fraction) -> AltThreshold:
@@ -234,26 +254,18 @@ def n0_bound(w: ReducedWord, rho: Fraction, s_order: int) -> int:
         return 0
     ll = l * l
     iv = mpmath.iv
-    with _MP_LOCK:
-        saved = iv.dps
-        try:
-            for dps in (60, 120, 240, 480, 960, 1920, 3840):
-                iv.dps = dps
-                r = iv.mpf(rho.numerator) / iv.mpf(rho.denominator)
-                b = iv.mpf(base.numerator) / iv.mpf(base.denominator)
-                q = ll * iv.log(r) / iv.log(b)
-                with mp.workdps(dps + 10):
-                    lo = int(mpmath.floor(q.a))
-                    hi = int(mpmath.floor(q.b))
-                if lo == hi:
-                    return lo
-                if hi == lo + 1 and hi <= _EXACT_POWER_CAP:
-                    # the quotient may be exactly the integer hi
-                    if rho**ll == base**hi:
-                        return hi
-        finally:
-            iv.dps = saved
-    raise RuntimeError("interval widening failed to resolve a floor")
+
+    def quotient():
+        r = iv.mpf(rho.numerator) / iv.mpf(rho.denominator)
+        b = iv.mpf(base.numerator) / iv.mpf(base.denominator)
+        return ll * iv.log(r) / iv.log(b)
+
+    return _resolve_interval(
+        quotient,
+        (60, 120, 240, 480, 960, 1920, 3840),
+        mpmath.floor,
+        lambda hi: hi <= _EXACT_POWER_CAP and rho**ll == base**hi,
+    )
 
 
 def radical_index_bound(

@@ -157,25 +157,36 @@ class ResultCache:
     """Append-only JSON-lines store keyed by request digest."""
 
     def __init__(self, directory: str | Path):
+        """Create the directory and open the store for appending; a directory
+        that cannot be used is a ValueError, which the request reports as a
+        usage error."""
         self.path = Path(directory) / "cache.jsonl"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self.path.open("a").close()
+        except OSError as err:
+            raise ValueError(f"cache directory {str(directory)!r} cannot be used: {err}") from None
 
-    def lookup(self, digest: str) -> Optional[dict]:
-        if not self.path.exists():
-            return None
+    def lookup(self, digest: str) -> Optional[tuple[dict, int]]:
+        """The document and exit code stored for ``digest``.  A line that is
+        no JSON object, or whose record lacks a field the hit re-emits, is
+        skipped with a warning."""
         for line_no, line in enumerate(self.path.read_text().splitlines(), 1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
+                if record.get("digest") != digest:
+                    continue
+                fields = ("schema_version", "request", "result", "status", "stats")
+                return {k: record[k] for k in fields}, int(record["exit_code"])
+            # no JSON (ValueError), no object (AttributeError), or a hit
+            # without every field it re-emits
+            except (AttributeError, KeyError, TypeError, ValueError):
                 print(
                     f"warning: skipping corrupt cache line {line_no}",
                     file=sys.stderr,
                 )
-                continue
-            if record.get("digest") == digest:
-                return record
         return None
 
     def store(self, digest: str, doc: dict) -> None:
@@ -814,6 +825,12 @@ def run_command(argv, stdout=None) -> int:
         args = parser.parse_args(argv)
         threads = _setting(args.threads, "WFL_THREADS", 1, _positive_int)
         budget = _setting(args.budget, "WFL_BUDGET", DEFAULT_BUDGET, int)
+        cache_dir = args.cache_dir if args.cache_dir is not None else os.environ.get(
+            "WFL_CACHE_DIR"
+        )
+        command = args.command
+        use_cache = cache_dir is not None and not args.no_cache and command.cached
+        cache = ResultCache(cache_dir) if use_cache else None
     except (SystemExit, ValueError) as err:
         if isinstance(err, SystemExit) and err.code == 0:
             return EXIT_OK  # --help: argparse has printed the help text
@@ -827,12 +844,6 @@ def run_command(argv, stdout=None) -> int:
         stdout.write(dumps_canonical(doc) + "\n")
         return EXIT_USAGE
 
-    cache_dir = args.cache_dir if args.cache_dir is not None else os.environ.get(
-        "WFL_CACHE_DIR"
-    )
-    command = args.command
-    use_cache = cache_dir is not None and not args.no_cache and command.cached
-    cache = ResultCache(cache_dir) if use_cache else None
     ctx = Context(threads=threads, budget=budget)
 
     params = {p.name: getattr(args, p.name) for p in command.params}
@@ -844,17 +855,10 @@ def run_command(argv, stdout=None) -> int:
     }
     if cache is not None:
         digest = request_digest(request)
-        record = cache.lookup(digest)
-        if record is not None:
-            doc = {
-                "schema_version": record["schema_version"],
-                "request": record["request"],
-                "result": record["result"],
-                "status": record["status"],
-                "stats": record["stats"],
-            }
-            stdout.write(dumps_canonical(doc) + "\n")
-            return int(record["exit_code"])
+        hit = cache.lookup(digest)
+        if hit is not None:
+            stdout.write(dumps_canonical(hit[0]) + "\n")
+            return hit[1]
 
     try:
         result = globals()[command.handler.__name__](args, ctx)  # see `Command`

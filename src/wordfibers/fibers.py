@@ -756,8 +756,9 @@ def rewrite_coset_equation(
 
     c = conjugators[:, :, None]
     # row (t, i): x -> c_ti auts[t, i](x) c_ti^-1, restricted to N in the
-    # numbering of n.as_group
-    beta = n.positions[g.table[g.table[c, tables[:, :, list(n.elements)]], g.inv_table[c]]]
+    # numbering of the section N/1
+    s = n.as_group
+    beta = s.projection[g.table[g.table[c, tables[:, :, list(s.reps)]], g.inv_table[c]]]
     if (beta < 0).any():
         raise ValueError("conjugated automorphism must stabilize N")
-    return RewriteResult(n.as_group, tuple(n.elements), beta, value, conjugators)
+    return RewriteResult(s.group, s.reps, beta, value, conjugators)

@@ -1152,25 +1152,17 @@ class SubgroupHandle:
         return frozenset(self.elements)
 
     @cached_property
-    def positions(self) -> np.ndarray:
-        """``positions[x]`` is the index of x in ``elements``, which numbers
-        the elements of `as_group`, or -1 for x outside H."""
-        pos = np.full(self.group.order, -1, dtype=np.int32)
-        pos[list(self.elements)] = np.arange(self.order, dtype=np.int32)
-        pos.setflags(write=False)
-        return pos
+    def as_group(self) -> "Section":
+        """The subgroup as the section H/1 (`section`), built on first use."""
+        return section(self.group, self.elements, (0,))
 
     @cached_property
-    def as_group(self) -> FiniteGroup:
-        """The subgroup as a group in its own right (`subgroup_group`), built
-        on first use."""
-        return subgroup_group(self.group, self)
-
-    @cached_property
-    def as_quotient(self) -> "QuotientHandle":
-        """The quotient by this normal subgroup (`quotient`), built on first
-        use."""
-        return quotient(self)
+    def as_quotient(self) -> "Section":
+        """The quotient G/H by this normal subgroup (`section`), built on
+        first use."""
+        if not self.normal:
+            raise ValueError("subgroup is not normal; quotient undefined")
+        return section(self.group, range(self.group.order), self.elements)
 
 
 def subgroup_handle(g: FiniteGroup, elements: Iterable[int]) -> SubgroupHandle:
@@ -1336,48 +1328,50 @@ def normal_subgroups(g: FiniteGroup) -> list[SubgroupHandle]:
     first, so its search's caps refuse before the class closures are built.
 
     The lattice is kept on ``g``: each call returns a new list over the same
-    handles, which keep their own cached flags, `as_group` and `as_quotient`."""
+    handles, which keep their own cached flags and sections."""
     _phi_rows(g)
     return list(_derived(g, ("normal",), lambda: _lattice(g, _class_closures(g))))
 
 
 @dataclass
-class QuotientHandle:
-    quotient: FiniteGroup
-    projection: np.ndarray  # G index -> quotient index
-    coset_reps: tuple[int, ...]
+class Section:
+    """A section U/L of a group G, L normal in U: ``group`` is U/L on the
+    cosets Lx, x in U, numbered in ascending order of their least members
+    ``reps``, and ``projection[x]`` is the number of Lx for x in U, -1
+    outside U.  A subgroup H is the section H/1, numbered by its ascending
+    elements; a quotient is G/N; a series factor is U/L of consecutive
+    terms."""
+
+    group: FiniteGroup
+    projection: np.ndarray
+    reps: tuple[int, ...]
 
 
-def quotient(n: SubgroupHandle) -> QuotientHandle:
-    """Quotient of ``n.group`` by ``n``, on minimal coset representatives."""
-    if not n.normal:
-        raise ValueError("subgroup is not normal; quotient undefined")
-    g = n.group
-    t = g.table
-    arr = np.asarray(n.elements, dtype=np.int64)
-    proj = np.full(g.order, -1, dtype=np.int32)
-    reps: list[int] = []
-    for x in range(g.order):
-        if proj[x] >= 0:
-            continue
-        idx = len(reps)
-        proj[t[arr, x]] = idx  # coset N*x; x is its least member
-        reps.append(x)
-    qn = len(reps)
-    reps_arr = np.asarray(reps, dtype=np.int64)
-    qtable = proj[t[np.ix_(reps_arr, reps_arr)]]
-    q = FiniteGroup(qn, table=qtable, spec=f"({g.spec})/<order {n.order}>")
-    return QuotientHandle(quotient=q, projection=proj, coset_reps=tuple(reps))
-
-
-def subgroup_group(g: FiniteGroup, n: SubgroupHandle) -> FiniteGroup:
-    """The subgroup as a group in its own right, numbered by
-    `SubgroupHandle.positions`."""
-    arr = np.asarray(n.elements, dtype=np.int64)
-    table = n.positions[g.table[np.ix_(arr, arr)]]
+def section(g: FiniteGroup, upper: Sequence[int], lower: Sequence[int]) -> Section:
+    """The section U/L of ``g`` for subgroups U = ``upper`` and L = ``lower``,
+    each given by its ascending elements, L normal in U.  It is read from
+    g's table, so no table of U is built: the walk over U in ascending order
+    meets each coset Lx first at its least member x.  With L = 1 each x is
+    its own coset, numbered at once."""
+    projection = np.full(g.order, -1, dtype=np.int32)
+    if len(lower) == 1:
+        reps = tuple(upper)
+        projection[list(reps)] = np.arange(len(reps))
+    else:
+        cols, found = np.asarray(lower, dtype=np.int64), []
+        for x in upper:
+            if projection[x] < 0:
+                projection[g.table[cols, x]] = len(found)
+                found.append(x)
+        reps = tuple(found)
+    projection.setflags(write=False)
+    table = projection[g.table[np.ix_(reps, reps)]]
     if (table < 0).any():
         raise ValueError("element set is not closed under the group operation")
-    return FiniteGroup(len(arr), table=table, spec=f"<order {n.order} in {g.spec}>")
+    spec = g.spec if len(upper) == g.order else f"<order {len(upper)} in {g.spec}>"
+    if len(lower) > 1:
+        spec = f"({spec})/<order {len(lower)}>"
+    return Section(FiniteGroup(len(reps), table=table, spec=spec), projection, reps)
 
 
 def _require_characteristic(n: SubgroupHandle) -> None:
@@ -1385,21 +1379,26 @@ def _require_characteristic(n: SubgroupHandle) -> None:
         raise ValueError("subgroup is not characteristic")
 
 
+def _section_autset(s: Section, a: AutSet) -> AutSet:
+    """The maps the members of A induce on the section ``s``: row i sends
+    coset j to the coset of alpha_i(reps[j]).  A row that leaves U is
+    refused."""
+    rows = s.projection[a.tables[:, list(s.reps)]]
+    if (rows < 0).any():
+        raise ValueError("an automorphism does not stabilize the subgroup")
+    return AutSet(s.group, rows, kind="custom")
+
+
 def induced_autset(n: SubgroupHandle, a: AutSet) -> AutSet:
     """Automorphisms of G/N induced by members of A, for G = ``n.group``."""
     _require_characteristic(n)
-    qh = n.as_quotient
-    return AutSet(qh.quotient, qh.projection[a.tables[:, list(qh.coset_reps)]], kind="custom")
+    return _section_autset(n.as_quotient, a)
 
 
 def restricted_autset(n: SubgroupHandle, a: AutSet) -> AutSet:
-    """Restrictions of members of A to N, in N's own numbering
-    (`SubgroupHandle.positions`)."""
+    """Restrictions of members of A to N, numbered as N/1 (`section`)."""
     _require_characteristic(n)
-    restricted = n.positions[a.tables[:, list(n.elements)]]
-    if (restricted < 0).any():
-        raise ValueError("an automorphism does not stabilize the subgroup")
-    return AutSet(n.as_group, restricted, kind="custom")
+    return _section_autset(n.as_group, a)
 
 
 # -- characteristic series and simple decomposition ----------------------------
@@ -1426,9 +1425,8 @@ def characteristic_series(g: FiniteGroup) -> CharSeries:
     is normal, so the joins of the class closures reach all of them.  The
     chain is made deterministic by always taking the lexicographically
     smallest eligible next subgroup; only the factor multiset is meaningful.
-    Each lower term is normal in G, hence in the upper term, and
-    ``positions`` numbers it there in ascending order: its handle there is
-    flagged normal, and no Inn of the upper term is built.
+    Each lower term is normal in G, hence in the upper term, and each factor
+    is read from G's table (`section`), so no table of a term is built.
 
     Each factor F = U/L of consecutive terms L < U is characteristically
     simple.  Say L < M < U with M/L characteristic in U/L.  Every α in
@@ -1451,11 +1449,8 @@ def characteristic_series(g: FiniteGroup) -> CharSeries:
         chain.append(min(minimal, key=lambda s: s.elements))
     factors = []
     for lower, upper in zip(chain, chain[1:]):
-        below = upper.positions[list(lower.elements)]
-        inner = SubgroupHandle(upper.as_group, tuple(below.tolist()))
-        inner.normal = True
-        f = quotient(inner).quotient
-        simple = SubgroupHandle(f, _class_closures(f)[0]).as_group
+        f = section(g, upper.elements, lower.elements).group
+        simple = section(f, _class_closures(f)[0], (0,)).group
         copies, rest = 0, f.order
         while rest > 1:
             rest //= simple.order

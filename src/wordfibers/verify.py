@@ -143,7 +143,7 @@ def check_submultiplicative(
     res = restricted_autset(n, a)
     qh = n.as_quotient
     pt_g = _exact_search(g, w, a, budget, threads)
-    pt_q = _exact_search(qh.quotient, w, ind, budget, threads)
+    pt_q = _exact_search(qh.group, w, ind, budget, threads)
     pt_n = _exact_search(res.group, w, res, budget, threads)
     n_identity = int(pt_n.target_values[0])
     params = {

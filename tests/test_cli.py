@@ -556,13 +556,38 @@ class TestCache:
         _, _, plain = run(argv_tail)
         assert cached == cached_again == plain
 
-    def test_corrupt_lines_skipped(self, tmp_path, capsys):
+    @pytest.mark.parametrize("corrupt", ["{broken json", "[1]", '"x"', "no stats"])
+    def test_corrupt_lines_skipped(self, tmp_path, capsys, corrupt):
         argv = ["--cache-dir", str(tmp_path), "word", "mconst", "-l", "1", "-d", "1"]
         _, _, first = run(argv)
         cache_file = tmp_path / "cache.jsonl"
-        cache_file.write_text("{broken json\n" + cache_file.read_text())
+        good = cache_file.read_text()
+        if corrupt == "no stats":  # the request's own record, less a field a hit re-emits
+            record = json.loads(good)
+            del record["stats"]
+            corrupt = json.dumps(record)
+        cache_file.write_text(corrupt + "\n" + good)
+        capsys.readouterr()
         _, _, second = run(argv)
         assert first == second
+        assert capsys.readouterr().err == "warning: skipping corrupt cache line 1\n"
+
+    @pytest.mark.parametrize("where, via_env", [
+        ("file", False), ("file", True), ("store is a directory", False)])
+    def test_an_unusable_cache_dir_is_a_usage_error(self, tmp_path, monkeypatch, where, via_env):
+        cache_dir = tmp_path / "cache"
+        if where == "file":
+            cache_dir.write_text("")
+        else:
+            (cache_dir / "cache.jsonl").mkdir(parents=True)
+        argv = ["word", "parse", "--word", "x1"]
+        if via_env:
+            monkeypatch.setenv("WFL_CACHE_DIR", str(cache_dir))
+        else:
+            argv = ["--cache-dir", str(cache_dir), *argv]
+        code, doc, text = run(argv)
+        assert code == EXIT_USAGE and doc["status"] == "usage-error"
+        assert "cannot be used" in doc["result"]["error"] and text.count("\n") == 1
 
     def test_different_params_different_digest(self, tmp_path):
         run(["--cache-dir", str(tmp_path), "word", "mconst", "-l", "1", "-d", "1"])
@@ -1200,15 +1225,15 @@ class TestSharedStructure:
         if "radical" not in argv:
             assert not closures
 
-    def test_submult_builds_one_quotient(self, monkeypatch):
+    def test_submult_builds_the_quotient_and_the_subgroup_once(self, monkeypatch):
         import wordfibers.groups as groups
 
-        quotients = self.count(monkeypatch, groups, "quotient")
+        sections = self.count(monkeypatch, groups, "section")
         for subgroup in ("center", "order:4"):
-            quotients.clear()
+            sections.clear()
             code, _, _ = run(["verify", "submult", "--group", "dih:4", "--subgroup",
                               subgroup, "--word", "x1^2"])
-            assert code == EXIT_OK and len(quotients) == 1, subgroup
+            assert code == EXIT_OK and len(sections) == 2, subgroup
 
 
 class TestThreadSettings:

@@ -21,6 +21,7 @@ from wordfibers.groups import (
     _closure,
     _span_mask,
     AutSet,
+    FiniteGroup,
     automorphism_group,
     characteristic_series,
     choose_generators,
@@ -33,11 +34,10 @@ from wordfibers.groups import (
     make_group,
     normal_subgroups,
     power_group,
-    quotient,
     read_cayley_table,
     restricted_autset,
+    section,
     solvable_radical,
-    subgroup_group,
     subgroup_handle,
     subgroups,
 )
@@ -567,23 +567,21 @@ def center_handle(g):
 class TestQuotient:
     def test_d6_mod_c3(self):
         g = make_group("dih:3")
-        n = subgroup_handle(g, [0, 1, 2])
-        q = quotient(n)
-        assert q.quotient.order == 2
+        q = subgroup_handle(g, [0, 1, 2]).as_quotient
+        assert q.group.order == 2
         assert q.projection[0] == 0
 
     def test_trivial_and_full(self):
         g = make_group("dih:4")
-        assert quotient(subgroup_handle(g, [0])).quotient.order == 8
-        assert quotient(subgroup_handle(g, range(8))).quotient.order == 1
+        assert subgroup_handle(g, [0]).as_quotient.group.order == 8
+        assert subgroup_handle(g, range(8)).as_quotient.group.order == 1
 
     def test_projection_is_homomorphism(self):
         g = make_group("alt:4")
-        n = subgroup_handle(g, _class_closures(g)[0])
-        q = quotient(n)
+        q = subgroup_handle(g, _class_closures(g)[0]).as_quotient
         for a in range(g.order):
             for b in range(g.order):
-                assert q.projection[g.mul(a, b)] == q.quotient.mul(
+                assert q.projection[g.mul(a, b)] == q.group.mul(
                     q.projection[a], q.projection[b]
                 )
 
@@ -591,7 +589,7 @@ class TestQuotient:
         g = make_group("sym:3")
         sub = next(s for s in subgroups(g) if s.order == 2)
         with pytest.raises(ValueError):
-            quotient(sub)
+            sub.as_quotient
 
 
 class TestInducedRestricted:
@@ -642,6 +640,15 @@ class TestInducedRestricted:
         n = subgroup_handle(g, [0, 1])
         with pytest.raises(ValueError):
             induced_autset(n, identity_autset(g))
+
+    def test_a_row_that_leaves_the_subgroup_is_refused(self):
+        # a builder that flags a subgroup characteristic wrongly: Aut(V4)
+        # moves <a>, so some row maps it outside
+        g = klein_four()
+        n = subgroup_handle(g, [0, 1])
+        n.characteristic = True
+        with pytest.raises(ValueError, match="does not stabilize"):
+            restricted_autset(n, automorphism_group(g))
 
 
 class TestCharacteristicSeries:
@@ -730,11 +737,8 @@ def reference_flags(g, aut, elems):
     return bool(members[conj].all()), bool(members[aut.tables[:, arr]].all())
 
 
-def reference_series(g):
-    """The chain of `characteristic_series` picked from all of `subgroups`.
-    Each factor F's simple order is the least order of a non-trivial normal
-    subgroup among all subgroups of F, and its copies the exponent n with
-    |S|^n = |F|, found by comparing powers."""
+def reference_chain(g):
+    """The chain of `characteristic_series` picked from all of `subgroups`."""
     char_subs = [s for s in subgroups(g) if s.characteristic]
     chain = [char_subs[0]]
     while chain[-1].order < g.order:
@@ -742,6 +746,15 @@ def reference_series(g):
         above = [s for s in char_subs if cur < s.element_set]
         minimal = [s for s in above if not any(cur < t.element_set < s.element_set for t in above)]
         chain.append(min(minimal, key=lambda s: s.elements))
+    return chain
+
+
+def reference_series(g):
+    """`reference_chain` and its factors.  Each factor F's simple order is
+    the least order of a non-trivial normal subgroup among all subgroups of
+    F, and its copies the exponent n with |S|^n = |F|, found by comparing
+    powers."""
+    chain = reference_chain(g)
     factors = []
     for lower, upper in zip(chain, chain[1:]):
         f = quotient_of(g, upper, lower)
@@ -752,10 +765,26 @@ def reference_series(g):
     return [s.elements for s in chain], factors
 
 
+def section_by_cosets(g, upper, lower):
+    """U/L by a walk over the cosets of L, on a table of U gathered entry by
+    entry from g's: (table, projection, reps), the cosets numbered by their
+    least members and the projection -1 outside U; independent of
+    `section`."""
+    u = list(upper)
+    index = {x: i for i, x in enumerate(u)}
+    u_table = [[index[g.mul(x, y)] for y in u] for x in u]
+    low = [index[x] for x in lower]
+    cosets = sorted({frozenset(u_table[l][i] for l in low) for i in range(len(u))}, key=min)
+    number = {i: k for k, coset in enumerate(cosets) for i in coset}
+    firsts = [min(coset) for coset in cosets]
+    table = [[number[u_table[i][j]] for j in firsts] for i in firsts]
+    projection = [number[index[x]] if x in index else -1 for x in range(g.order)]
+    return table, projection, [u[i] for i in firsts]
+
+
 def quotient_of(g, upper, lower):
-    hgrp = subgroup_group(g, upper)
-    pos = {x: i for i, x in enumerate(upper.elements)}
-    return quotient(subgroup_handle(hgrp, [pos[x] for x in lower.elements])).quotient
+    table, _, _ = section_by_cosets(g, upper.elements, lower.elements)
+    return FiniteGroup(len(table), table=np.array(table))
 
 
 def flags(handles):
@@ -1001,18 +1030,56 @@ class TestConjugationRows:
         assert seen and not [s for s in seen if s.startswith("<")]
 
 
-class TestPositions:
-    @pytest.mark.parametrize("spec", ["sym:4", "dih:6"])
-    def test_positions_number_the_subgroup_group(self, spec):
+def section_data(s):
+    return s.group.table.tolist(), s.projection.tolist(), list(s.reps)
+
+
+def assert_projection_is_homomorphism(g, upper, s):
+    u = np.asarray(upper)
+    image = s.projection[u]
+    assert (image >= 0).all()
+    products = s.projection[g.table[np.ix_(u, u)]]
+    assert (s.group.table[image[:, None], image[None, :]] == products).all()
+
+
+class TestSection:
+    """Every subgroup, quotient and series factor is one `section` of G,
+    compared with `section_by_cosets`."""
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS)
+    def test_factors_quotients_and_normal_subgroups_match_the_coset_walk(self, spec):
         g = make_group(spec)
-        for s in subgroups(g):
-            pos = s.positions
-            assert pos[list(s.elements)].tolist() == list(range(s.order))
-            assert (np.delete(pos, list(s.elements)) == -1).all()
-            sub = s.as_group
-            for i, x in enumerate(s.elements):
-                for j, y in enumerate(s.elements):
-                    assert sub.mul(i, j) == pos[g.mul(x, y)]
+        whole = tuple(range(g.order))
+        pairs = [(upper.elements, lower.elements)
+                 for lower, upper in itertools.pairwise(reference_chain(g))]
+        for n in normal_subgroups(g):
+            pairs += [(whole, n.elements), (n.elements, (0,))]
+            assert section_data(n.as_quotient) == section_data(section(g, whole, n.elements))
+            assert section_data(n.as_group) == section_data(section(g, n.elements, (0,)))
+        for upper, lower in pairs:
+            s = section(g, upper, lower)
+            assert section_data(s) == section_by_cosets(g, upper, lower), (upper, lower)
+            assert_projection_is_homomorphism(g, upper, s)
+
+    @pytest.mark.parametrize("spec", ["sym:4", "dih:6"])
+    def test_every_subgroup_is_numbered_by_its_elements(self, spec):
+        g = make_group(spec)
+        for h in subgroups(g):
+            s = h.as_group
+            assert s.reps == h.elements
+            assert section_data(s) == section_by_cosets(g, h.elements, (0,))
+
+    def test_the_series_builds_no_table_of_a_term(self):
+        g = make_group("cyc:1024")
+        [s.characteristic for s in normal_subgroups(g)]
+        tracemalloc.start()
+        try:
+            characteristic_series(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a 1024 x 1024 int32 table of G alone is 4 MB
+        assert peak < 3 * 2**20
 
 
 def counting_span_levels(monkeypatch):
@@ -1892,7 +1959,7 @@ class TestClosedForms:
     def test_subgroups_and_quotients_are_searched(self):
         g = make_group("sym:4")
         v4 = next(h for h in normal_subgroups(g) if h.order == 4)
-        assert v4.as_group._phi is None and v4.as_quotient.quotient._phi is None
+        assert v4.as_group.group._phi is None and v4.as_quotient.group._phi is None
 
     def test_alt7_is_answered_without_the_search(self):
         g = make_group("alt:7")

@@ -178,13 +178,11 @@ class TestRewriteCheck:
         assert r1.outcome == r2.outcome == "pass"
         assert r1.counters == r2.counters
 
-    def test_subgroup_group_is_built_once_per_call(self, monkeypatch):
+    def test_the_subgroup_section_is_built_once_per_call(self, monkeypatch):
         g, aut, n = rewrite_setup("alt:4", 4)
         calls = []
-        real = groups.subgroup_group
-        monkeypatch.setattr(
-            groups, "subgroup_group", lambda *args: calls.append(None) or real(*args)
-        )
+        real = groups.section
+        monkeypatch.setattr(groups, "section", lambda *args: calls.append(None) or real(*args))
         assert check_rewrite(g, n, SQUARE, aut, trials=20, seed=9).outcome == "pass"
         assert len(calls) == 1
 
@@ -662,7 +660,7 @@ class TestSearchMemo:
         check_identity_maximal(g, COMMUTATOR, aut)
         report = check_submultiplicative(g, n, COMMUTATOR, aut)
         # the G side is a hit; the quotient and the subgroup are searched
-        assert [c[0] for c in calls] == [g, n.as_quotient.quotient, n.as_group]
+        assert [c[0] for c in calls] == [g, n.as_quotient.group, n.as_group.group]
         monkeypatch.undo()
         fresh = make_group("dih:4")
         assert report == check_submultiplicative(
