@@ -19,11 +19,15 @@ from typing import Callable, Optional, Sequence
 import mpmath
 from mpmath import mp
 
+from .errors import CapExceeded
 from .words import ReducedWord, format_word, m_constant, m_prime
 
 _MP_LOCK = threading.Lock()
 WORKING_DPS = 60
 EXACT_DIGIT_CAP = 10**4
+# digits of M'(l) past which the alternating threshold is refused (l >= 113):
+# the log of its factorial term has an exponent of about as many digits
+M_PRIME_DIGIT_CAP = 1000
 _FACTORIAL_EXACT_CAP = 5000
 _EXACT_POWER_CAP = 10**6
 
@@ -83,7 +87,9 @@ def _resolve_interval(
     through ``precisions`` until both ends round to one integer.  A floor
     whose ends round to lo and lo + 1 is lo + 1 where ``is_exactly(lo + 1)``
     confirms that the quantity is that integer, which no widening separates.
-    Runs under `_MP_LOCK` and restores ``iv.dps``."""
+    An infinite or nan end is unresolved, and widens too; an interval that
+    no precision resolves is refused.  Runs under `_MP_LOCK` and restores
+    ``iv.dps``."""
     iv = mpmath.iv
     with _MP_LOCK:
         saved = iv.dps
@@ -91,6 +97,8 @@ def _resolve_interval(
             for dps in precisions:
                 iv.dps = dps
                 x = interval()
+                if not (mpmath.isfinite(x.a) and mpmath.isfinite(x.b)):
+                    continue
                 with mp.workdps(dps + 10):
                     # rounding works at working precision, so keep it high
                     # enough to represent the integer exactly
@@ -100,7 +108,9 @@ def _resolve_interval(
                     return hi
         finally:
             iv.dps = saved
-    raise RuntimeError("interval widening failed to resolve a rounding")
+    raise CapExceeded(
+        f"interval widening to {precisions[-1]} digits failed to resolve a rounding"
+    )
 
 
 # -- the alternating-family order threshold -------------------------------------
@@ -144,6 +154,8 @@ def alt_exclusion_threshold(w: ReducedWord, rho: Fraction) -> AltThreshold:
     if l < 1:
         raise ValueError("the word must be nonempty")
     mp_l = m_prime(l)
+    if not _digit_count_at_most(mp_l, M_PRIME_DIGIT_CAP):
+        raise CapExceeded(f"M'({l}) has more than {M_PRIME_DIGIT_CAP} digits")
     exponent = 16 * mp_l * l - 2
     ceil_arg = _exact_ceiling_of_exp_product(256, l**16, exponent)
     with _MP_LOCK, mp.workdps(WORKING_DPS):
@@ -246,7 +258,13 @@ def epsilon_upper_bound(s_order: int, l: int) -> Fraction:
 
 def n0_bound(w: ReducedWord, rho: Fraction, s_order: int) -> int:
     """floor(l^2 log(rho) / log(eps)), resolved exactly, with
-    eps = 1 - 1/|S|^l from `epsilon_upper_bound`, which checks |S| and l."""
+    eps = 1 - 1/|S|^l from `epsilon_upper_bound`, which checks |S| and l.
+
+    With D the digits of |S|^l, log(eps) is about -1/|S|^l and the quotient
+    has about D digits, so a resolved floor needs about 2D interval digits.
+    The precision starts at D + 40, at least 60, which resolves a quotient
+    of at most 20 digits at once, and widens to 2D + 120 and 2D + 360.  A D
+    above `EXACT_DIGIT_CAP` is refused before any interval work."""
     rho = _rho_ok(rho)
     l = w.length
     base = epsilon_upper_bound(s_order, l)
@@ -260,9 +278,12 @@ def n0_bound(w: ReducedWord, rho: Fraction, s_order: int) -> int:
         b = iv.mpf(base.numerator) / iv.mpf(base.denominator)
         return ll * iv.log(r) / iv.log(b)
 
+    digits = max(20, int(l * math.log10(s_order)) + 1)
+    if digits > EXACT_DIGIT_CAP:
+        raise CapExceeded(f"|S|^l = {s_order}^{l} has more than {EXACT_DIGIT_CAP} digits")
     return _resolve_interval(
         quotient,
-        (60, 120, 240, 480, 960, 1920, 3840),
+        (digits + 40, 2 * digits + 120, 2 * digits + 360),
         mpmath.floor,
         lambda hi: hi <= _EXACT_POWER_CAP and rho**ll == base**hi,
     )

@@ -472,8 +472,12 @@ def _search_all_tuples(
 
     The budget is checked against the evaluations performed, the argument
     tuples the scanned tuples account for, before any is made.  Returns the
-    per-target records of `_scan_range`, the evaluations performed, and the
-    tuples covered and scanned.
+    per-target records of `_scan_range`, read-only, the evaluations
+    performed, and the tuples covered and scanned.  The scan is kept on A
+    (``a.searches``), keyed by the group object and the word, and a later
+    search reads it; the budget check comes first, on the same count, so a
+    kept scan is refused exactly where a new one would be.  The records do
+    not depend on the thread count.
     """
     _require_word(w)
     m, l = len(a), w.length
@@ -483,6 +487,9 @@ def _search_all_tuples(
     free = _free_letters(w, a)
     scanned = m ** len(free)
     _require_budget(scanned * g.order**w.num_variables, budget)
+    key = (g, w)
+    if key in a.searches:
+        return a.searches[key]
     ev = _BatchEvaluator(g, w, a.tables)
     # no more workers than cores, and a pool only for a scan of several
     # batches, which alone imports `concurrent.futures`; the witnesses do not
@@ -500,7 +507,10 @@ def _search_all_tuples(
                 if hi > lo
             ]
             parts = [f.result() for f in futures]
-    return *_merge_ranges(parts), covered, scanned
+    records = _merge_ranges(parts)
+    for array in records[:3]:
+        array.setflags(write=False)
+    return a.searches.setdefault(key, (*records, covered, scanned))
 
 
 def max_fiber(
@@ -522,11 +532,14 @@ def max_fiber(
     on the first letter of each variable: composing an automorphism of A onto
     all letters of one variable reparametrizes that variable and changes no
     fiber size, and the least maximizing tuple already has that form (see
-    `_search_all_tuples`).  Sample mode draws `samples` seeded uniform tuples
-    after the identity tuple, in blocks of `batch_size()` as it scans them,
-    and reports a lower bound.  In both modes the
-    budget bounds the evaluations performed, and is checked before any tuple
-    is scanned or drawn.
+    `_search_all_tuples`).  The exact scan is kept on A, so a later exact
+    call for the same group object and word, with any target or thread
+    count, builds its result from the kept records, which are read-only.
+    Sample mode draws `samples` seeded uniform tuples after the identity
+    tuple, in blocks of `batch_size()` as it scans them, keeps nothing, and
+    reports a lower bound.  In both modes the budget bounds the evaluations
+    performed, and is checked before any tuple is scanned or drawn, or a
+    kept scan read.
 
     Ties are broken by the least (tuple index, target index), and the
     witness is read off the per-target records of `_scan_range`.  With a

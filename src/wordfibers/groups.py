@@ -73,10 +73,6 @@ class FiniteGroup:
         return int(self.inv_table[a])
 
     @property
-    def identity(self) -> int:
-        return 0
-
-    @property
     def table(self) -> np.ndarray:
         """Dense multiplication table: ``table[a, b]`` is the index of a*b."""
         return self._table
@@ -544,8 +540,8 @@ class AutSet:
     ``_SUBGROUP_KINDS`` name the sets this module builds as subgroups of
     Aut(G) (`automorphism_group`, `inner_automorphisms`, `identity_autset`);
     ``is_closed`` takes them as closed and checks any other set.
-    ``searches`` keeps the exact searches over the set that the checkers have
-    run (`verify._exact_search`).
+    ``searches`` keeps the exact scans over the set that `fibers.max_fiber`
+    has run, keyed by group object and word (`fibers._search_all_tuples`).
     """
 
     def __init__(self, group: FiniteGroup, tables: np.ndarray, kind: str):

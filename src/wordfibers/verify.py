@@ -26,7 +26,6 @@ from .fibers import (
     _require_word,
     _word_values,
     DEFAULT_BUDGET,
-    MaxFiberResult,
     fiber_distribution,
     max_fiber,
     pi_w,
@@ -64,27 +63,6 @@ def _require_inner(a: AutSet) -> None:
         raise ValueError("the automorphism set must contain all inner automorphisms")
 
 
-def _exact_search(
-    g: FiniteGroup, w: ReducedWord, a: AutSet, budget: int, threads: int
-) -> MaxFiberResult:
-    """`max_fiber` in exact mode, run once per group object, word and A.
-
-    The result is kept on A (``a.searches``), so it lives as long as A: for
-    the Aut(G) and Inn(G) that the group keeps, until `Context.close` drops
-    them.  It does not depend on the thread count.  A kept result is shared,
-    so its arrays are read-only, and a hit refuses a budget below the
-    evaluations the search performed, as the search itself would."""
-    key = (g, w)
-    res = a.searches.get(key)
-    if res is not None:
-        fibers._require_budget(res.evaluations_performed, budget)
-        return res
-    res = a.searches[key] = max_fiber(g, w, a, budget=budget, threads=threads)
-    for array in (res.target_values, res.target_tuple_numbers, res.witness_tuple):
-        array.setflags(write=False)
-    return res
-
-
 def check_identity_maximal(
     g: FiniteGroup,
     w: ReducedWord,
@@ -94,7 +72,7 @@ def check_identity_maximal(
 ) -> CheckReport:
     """Every target's best fiber is at most the identity's best fiber."""
     _require_inner(a)
-    res = _exact_search(g, w, a, budget, threads)
+    res = max_fiber(g, w, a, budget=budget, threads=threads)
     identity_max = int(res.target_values[0])
     worst = int(np.argmax(res.target_values))
     params = {
@@ -142,9 +120,9 @@ def check_submultiplicative(
     ind = induced_autset(n, a)
     res = restricted_autset(n, a)
     qh = n.as_quotient
-    pt_g = _exact_search(g, w, a, budget, threads)
-    pt_q = _exact_search(qh.group, w, ind, budget, threads)
-    pt_n = _exact_search(res.group, w, res, budget, threads)
+    pt_g = max_fiber(g, w, a, budget=budget, threads=threads)
+    pt_q = max_fiber(qh.group, w, ind, budget=budget, threads=threads)
+    pt_n = max_fiber(res.group, w, res, budget=budget, threads=threads)
     n_identity = int(pt_n.target_values[0])
     params = {
         "group": g.spec,
@@ -161,23 +139,22 @@ def check_submultiplicative(
         + pt_q.tuples_examined
         + pt_n.tuples_examined,
     }
-    for target in range(g.order):
-        lhs = int(pt_g.target_values[target])
-        rhs = int(pt_q.target_values[qh.projection[target]]) * n_identity
-        if lhs > rhs:
-            return CheckReport(
-                claim="submultiplicative",
-                params=params,
-                outcome="fail",
-                witness={
-                    "part": 1,
-                    "target": target,
-                    "group_value": lhs,
-                    "quotient_value": int(pt_q.target_values[qh.projection[target]]),
-                    "subgroup_identity_value": n_identity,
-                },
-                counters=counters,
-            )
+    over = np.flatnonzero(pt_g.target_values > pt_q.target_values[qh.projection] * n_identity)
+    if len(over):
+        target = int(over[0])
+        return CheckReport(
+            claim="submultiplicative",
+            params=params,
+            outcome="fail",
+            witness={
+                "part": 1,
+                "target": target,
+                "group_value": int(pt_g.target_values[target]),
+                "quotient_value": int(pt_q.target_values[qh.projection[target]]),
+                "subgroup_identity_value": n_identity,
+            },
+            counters=counters,
+        )
     overall_lhs = pt_g.value
     overall_rhs = pt_q.value * pt_n.value
     if overall_lhs > overall_rhs:
@@ -345,20 +322,18 @@ def variation_profile(
     aut: AutSet,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
-) -> tuple[Fraction, list[dict], int, dict[str, MaxFiberResult]]:
+) -> tuple[Fraction, list[dict], int]:
     """Exact best fiber proportion over all variations, with a per-form breakdown.
 
     Variations sharing a flattened form are computed once; the breakdown lists
     each distinct flattened word with its proportion and multiplicity.  Also
-    returns the evaluations and each form's `max_fiber` result, keyed by its
-    formatted word.
+    returns the evaluations.
     """
     evaluations = 0
     best = Fraction(0)
     breakdown = []
-    results = {}
     for key, (flattened, multiplicity) in _flattened_forms(w).items():
-        res = results[key] = _exact_search(s, flattened, aut, budget, threads)
+        res = max_fiber(s, flattened, aut, budget=budget, threads=threads)
         evaluations += res.evaluations
         best = max(best, res.proportion)
         breakdown.append(
@@ -369,7 +344,7 @@ def variation_profile(
                 "value": res.value,
             }
         )
-    return best, breakdown, evaluations, results
+    return best, breakdown, evaluations
 
 
 def bound_exponent(n: int, l: int, mode: str = "ceil") -> int:
@@ -423,7 +398,9 @@ def check_variation_bound(
 
     n = 1 is checked exactly, by the search `variation_profile` already ran
     on the all-ones variation, whose flattened form is w with its variables
-    renamed in order of first occurrence (`ReducedWord.normalized`).
+    renamed in order of first occurrence (`ReducedWord.normalized`): A keeps
+    that scan, so `max_fiber` reads it.  The counter adds its evaluations a
+    second time, as the recorded reports do.
     n >= 2 draws ``samples`` seeded tuples of members of Aut(S) wr S_n and can
     only report inconclusive-sampled or fail: per sample and letter, n base
     indices (``rng.integers``) and then a coordinate permutation
@@ -463,7 +440,7 @@ def check_variation_bound(
                 f"{s.order}^{n} fiber counts of one sample exceed {_BATCH_ELEMENTS}"
             )
     aut = automorphism_group(s)
-    epsilon, breakdown, evaluations, searches = variation_profile(
+    epsilon, breakdown, evaluations = variation_profile(
         s, w, aut, budget=budget, threads=threads
     )
     epsilon_used = epsilon * epsilon_factor
@@ -483,7 +460,7 @@ def check_variation_bound(
         "variation_breakdown": breakdown,
     }
     if n == 1:
-        res = searches[format_word(w.normalized())]
+        res = max_fiber(s, w.normalized(), aut, budget=budget, threads=threads)
         evaluations += res.evaluations
         holds = res.proportion <= bound
         return CheckReport(
@@ -560,7 +537,7 @@ def check_variation_projection(
     forms = _flattened_forms(w)
     params = {"group": g.spec, "word": format_word(w), "forms": sorted(forms)}
     for key, (flattened, _) in sorted(forms.items()):
-        res = _exact_search(g, flattened, aut, budget, threads)
+        res = max_fiber(g, flattened, aut, budget=budget, threads=threads)
         evaluations += res.evaluations
         if res.proportion != 1:
             continue

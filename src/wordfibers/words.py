@@ -91,9 +91,6 @@ class ReducedWord:
         rename = {v: i + 1 for i, v in enumerate(self._first_occurrence_order())}
         return ReducedWord(tuple(Letter(rename[l.var], l.sign) for l in self.letters))
 
-    def inverse(self) -> "ReducedWord":
-        return ReducedWord(tuple(l.inverse() for l in reversed(self.letters)))
-
     def __str__(self) -> str:
         return format_word(self)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+import wordfibers.bounds as bounds
 from wordfibers.bounds import (
     alt_exclusion_threshold,
     epsilon_upper_bound,
@@ -16,6 +17,7 @@ from wordfibers.bounds import (
     simple_group_bound_alt,
     simple_group_bound_lie,
 )
+from wordfibers.errors import CapExceeded
 from wordfibers.words import m_constant, m_prime, parse_word
 
 X1 = parse_word("x1")
@@ -26,6 +28,19 @@ COMMUTATOR = parse_word("[x1,x2]")
 def rel_close(a, b, tol):
     a, b = mpmath.mpf(a), mpmath.mpf(b)
     return abs(a - b) <= tol * max(abs(a), abs(b))
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
+def n0_oracle(l, rho, order):
+    """floor(l^2 log(rho) / log(1 - 1/order^l)) at 3 * digits + 200 digits,
+    with digits those of order^l."""
+    with mp.workdps(3 * len(str(order**l)) + 200):
+        eps = 1 - 1 / mp.mpf(order) ** l
+        r = mp.mpf(rho.numerator) / rho.denominator
+        return int(mpmath.floor(l * l * mp.log(r) / mp.log(eps)))
 
 
 def log_number(value):
@@ -123,6 +138,26 @@ class TestAltThreshold:
             ln_arg = mp.log(256) + 16 * mp.log(2) + exponent
             stirling = mp.exp(ln_arg) * (ln_arg - 1)
         assert rel_close(res.term_factorial.ln_value, stirling, mpmath.mpf(10) ** -20)
+
+    @pytest.mark.parametrize("report", [alt_exclusion_threshold, excluded_factors_report])
+    def test_m_prime_past_the_digit_cap_is_refused_before_any_mpmath_work(
+        self, monkeypatch, report
+    ):
+        # M'(113) has 1,006 digits, M'(112) 996
+        assert (len(str(m_prime(112))), len(str(m_prime(113)))) == (996, 1006)
+        monkeypatch.setattr(bounds, "_exact_ceiling_of_exp_product", no_work)
+        monkeypatch.setattr(bounds, "_ln_fraction", no_work)
+        with pytest.raises(CapExceeded, match=r"M'\(113\) has more than 1000 digits"):
+            report(parse_word("x1^113"), Fraction(1, 2))
+
+    def test_the_m_prime_cap_is_a_digit_count(self, monkeypatch):
+        # M'(1) = 341 has 3 digits, M'(2) = 3257437 has 7
+        monkeypatch.setattr(bounds, "M_PRIME_DIGIT_CAP", 3)
+        assert alt_exclusion_threshold(X1, Fraction(1, 2)).term_rho.exact == 2 ** (16 * 341)
+        with pytest.raises(CapExceeded):
+            alt_exclusion_threshold(SQUARE, Fraction(1, 2))
+        monkeypatch.setattr(bounds, "M_PRIME_DIGIT_CAP", 7)
+        assert alt_exclusion_threshold(SQUARE, Fraction(1, 2)).ceil_argument.exact is None
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
@@ -233,11 +268,59 @@ class TestN0Bound:
         assert values == sorted(values)
         assert values[0] == 0
 
+    @pytest.mark.parametrize("l, order", [(35, 60), (40, 60), (100, 60), (30, 360)])
+    def test_long_words_resolve_by_widening(self, l, order):
+        # at 60 digits eps = 1 - 1/order^l encloses 1, and the quotient's
+        # interval is infinite
+        rho = Fraction(1, 2)
+        assert n0_bound(parse_word(f"x1^{l}"), rho, order) == n0_oracle(l, rho, order)
+
+    @pytest.mark.parametrize("l, first", [(2, 60), (12, 62), (35, 103)])
+    def test_the_first_precision_follows_the_size_of_the_power(self, monkeypatch, l, first):
+        # 60^12 has 22 digits, 60^35 has 63
+        precisions = []
+        real = bounds._resolve_interval
+
+        def recording(interval, wanted, *args):
+            precisions.append(wanted)
+            return real(interval, wanted, *args)
+
+        monkeypatch.setattr(bounds, "_resolve_interval", recording)
+        assert n0_bound(parse_word(f"x1^{l}"), Fraction(1, 2), 60) == n0_oracle(
+            l, Fraction(1, 2), 60)
+        assert precisions[0][0] == first
+
+    def test_powers_past_the_digit_cap_are_refused_before_interval_work(self, monkeypatch):
+        # 60^5623 has 9,999 digits (l log10(60) = 9998.4), 60^5624 has 10,001
+        monkeypatch.setattr(bounds, "_resolve_interval", no_work)
+        with pytest.raises(CapExceeded, match="more than 10000 digits"):
+            n0_bound(parse_word("x1^5624"), Fraction(1, 2), 60)
+        with pytest.raises(AssertionError, match="work started"):
+            n0_bound(parse_word("x1^5623"), Fraction(1, 2), 60)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             n0_bound(SQUARE, Fraction(1, 2), 12)
         with pytest.raises(ValueError):
             n0_bound(SQUARE, Fraction(2), 60)
+
+
+class TestResolveInterval:
+    def test_an_interval_no_precision_resolves_is_refused(self):
+        with pytest.raises(CapExceeded, match="to 60 digits"):
+            bounds._resolve_interval(lambda: mpmath.iv.mpf([0.5, 1.5]), (30, 60), mpmath.floor)
+
+    def test_an_infinite_end_widens(self):
+        iv = mpmath.iv
+
+        def quotient():
+            # 1 - 10^-40 is 1 below 45 digits, so the quotient is infinite
+            return iv.mpf(-1) / iv.log(1 - iv.mpf(10) ** -40)
+
+        with pytest.raises(CapExceeded):
+            bounds._resolve_interval(quotient, (20, 30), mpmath.floor)
+        # -1/log(1 - x) = 1/x - 1/2 - x/12 - ...
+        assert bounds._resolve_interval(quotient, (20, 100), mpmath.floor) == 10**40 - 1
 
 
 class TestRadicalIndexBound:
@@ -267,6 +350,16 @@ class TestRadicalIndexBound:
     def test_empty_list(self):
         res = radical_index_bound([], X1, Fraction(1, 2), 10, Fraction(1))
         assert res.exact == 1
+
+    def test_long_word(self):
+        # n0 has 76 digits, past what a 60-digit interval resolves
+        res = radical_index_bound([(60, 120)], parse_word("x1^40"), Fraction(1, 2), 100,
+                                  Fraction(1, 2))
+        n0 = n0_oracle(40, Fraction(1, 2), 60)
+        with mp.workdps(100):
+            expected = n0 * mp.log(120) + mp.loggamma(n0 + 1)
+        assert res.exact is None
+        assert rel_close(res.ln_value, expected, mpmath.mpf(10) ** -45)
 
     def test_candidate_cap_enforced_exactly(self):
         # 60^1 > 1/rho for rho = 1/59, and n_zero below 60, so the entry is rejected

@@ -928,6 +928,30 @@ class TestBoundsCommands:
         assert code == EXIT_USAGE
         assert doc["result"]["error"] == "nonabelian simple groups have order at least 60"
 
+    def test_n0_of_a_long_word(self):
+        # 60^35 has 63 digits: a 60-digit interval holds eps = 1 - 1/60^35
+        # and 1 at once, so n0 is read at a wider precision
+        import mpmath
+
+        code, doc, _ = run(["bounds", "n0", "--word", "x1^35", "--rho", "1/2", "--order", "60"])
+        with mpmath.workdps(3 * 63 + 200):
+            oracle = mpmath.floor(35**2 * mpmath.log(0.5) / mpmath.log(1 - mpmath.mpf(60) ** -35))
+        assert (code, doc["result"]["n0"]) == (EXIT_OK, str(int(oracle)))
+
+    def test_radical_bound_of_a_long_word(self):
+        code, doc, _ = run(["bounds", "radical-bound", "--word", "x1^40", "--rho", "1/2",
+                            "--factors", "60:120", "--n-zero", "100", "--eta-zero", "1/2"])
+        assert code == EXIT_OK
+        assert set(doc["result"]["bound"]) == {"ln"}
+
+    @pytest.mark.parametrize("action", ["alt", "exclude"])
+    def test_alt_refuses_m_prime_past_its_digit_cap(self, action):
+        start = time.perf_counter()
+        code, doc, _ = run(["bounds", action, "--word", "x1^113", "--rho", "1/2"])
+        assert (code, doc["status"]) == (EXIT_BUDGET, "budget-exceeded")
+        assert doc["result"]["error"] == "M'(113) has more than 1000 digits"
+        assert time.perf_counter() - start < 1
+
     def test_radical_bound(self):
         code, doc, _ = run(
             ["bounds", "radical-bound", "--word", "x1", "--rho", "0.97",
@@ -1137,7 +1161,8 @@ class TestSharedStructure:
         return calls
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_shipped_battery_builds_each_structure_once(self, monkeypatch, tmp_path, threads):
+    def test_shipped_battery_builds_each_structure_once(self, monkeypatch, tmp_path, threads,
+                                                        scans):
         import wordfibers.groups as groups
 
         auts = count_builds(monkeypatch, ("aut",))
@@ -1151,6 +1176,10 @@ class TestSharedStructure:
         # 10 of the 16 specs need Aut(G); 4 resolve order:<k> selectors.  The
         # entries run in order on one thread, whatever the thread count.
         assert (len(auts), len(lattices)) == (10, 4)
+        # 79 exact scans, the other 23 exact searches read a kept scan; on
+        # two threads a scan of several batches is split into ranges
+        if threads == "1":
+            assert len(scans) == 79
 
     def test_each_request_builds_its_own_groups(self, monkeypatch):
         phis = count_builds(monkeypatch, ("phi",))
@@ -1160,13 +1189,16 @@ class TestSharedStructure:
         assert first == second and first[0] == EXIT_OK
         assert len(phis) == 2
 
-    def test_a_request_leaves_no_reference_cycles(self):
-        # Aut(G) and the lattice point back at their group; the request drops
-        # them at its end, so its groups are freed at once
+    @pytest.mark.parametrize("argv", [
+        ["verify", "submult", "--group", "dih:4", "--subgroup", "order:4", "--word", "x1^2"],
+        ["fiber", "max", "--group", "dih:4", "--word", "[x1,x2]", "--auts", "aut"],
+    ], ids=["submult", "fiber-max"])
+    def test_a_request_leaves_no_reference_cycles(self, argv):
+        # Aut(G), the lattice and the scans kept on an automorphism set point
+        # back at their group; the request drops them at its end, so its
+        # groups are freed at once
         import gc
 
-        argv = ["verify", "submult", "--group", "dih:4", "--subgroup", "order:4",
-                "--word", "x1^2"]
         run(argv)  # builds the parser, once per process
         gc.collect()
         gc.disable()

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -56,6 +57,12 @@ def two_tuples_per_batch(g, w):
 def identity_rows(g, w):
     """The identity on every letter: one table row per letter."""
     return np.tile(np.arange(g.order), (w.length, 1))
+
+
+def fresh(a):
+    """A copy of A that keeps no exact scans (``a.searches``), so an exact
+    `max_fiber` on it scans again."""
+    return AutSet(a.group, a.tables, kind=a.kind)
 
 
 # independent oracle: evaluate an automorphic word map by plain loops
@@ -283,7 +290,7 @@ class TestMaxFiber:
         with two_tuples_per_batch(g, SQUARE):
             for threads in (1, 2):
                 for mode in ("exact", "sample"):
-                    again = max_fiber(g, SQUARE, a, mode=mode, threads=threads)
+                    again = max_fiber(g, SQUARE, fresh(a), mode=mode, threads=threads)
                     assert (again.witness_target, again.witness_tuple_indices) == (1, (0, 0))
 
     def test_trivial_group(self):
@@ -326,7 +333,7 @@ class TestMaxFiber:
         a = automorphism_group(g)
         one = max_fiber(g, COMMUTATOR, a, threads=1)
         with two_tuples_per_batch(g, COMMUTATOR):
-            four = max_fiber(g, COMMUTATOR, a, threads=4)
+            four = max_fiber(g, COMMUTATOR, fresh(a), threads=4)
         assert (one.value, one.witness_tuple_indices, one.witness_target) == (
             four.value,
             four.witness_tuple_indices,
@@ -347,10 +354,10 @@ class TestMaxFiber:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         g = make_group("dih:4")
         a = automorphism_group(g)
-        one_batch = max_fiber(g, COMMUTATOR, a, threads=2)
+        one_batch = max_fiber(g, COMMUTATOR, fresh(a), threads=2)
         assert one_batch.tuples_scanned == 64 and pools == []
         with two_tuples_per_batch(g, COMMUTATOR):
-            split = max_fiber(g, COMMUTATOR, a, threads=2)
+            split = max_fiber(g, COMMUTATOR, fresh(a), threads=2)
         assert pools == [2]
         assert split.target_values.tolist() == one_batch.target_values.tolist()
         assert split.target_tuple_numbers.tolist() == one_batch.target_tuple_numbers.tolist()
@@ -365,7 +372,7 @@ class TestMaxFiber:
         a = automorphism_group(g)
         batched = max_fiber(g, COMMUTATOR, a)
         monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 7)
-        chunked = max_fiber(g, COMMUTATOR, a)
+        chunked = max_fiber(g, COMMUTATOR, fresh(a))
         assert batched.target_values.tolist() == chunked.target_values.tolist()
         assert batched.target_tuple_numbers.tolist() == chunked.target_tuple_numbers.tolist()
         assert batched.witness_tuple_indices == chunked.witness_tuple_indices
@@ -665,7 +672,7 @@ class TestSplitWords:
             best, per_vals, per_idx = brute_force_search(grp, w, a, [None])
             for threads in (1, 2):
                 with two_tuples_per_batch(grp, w):
-                    res = max_fiber(grp, w, a, threads=threads)
+                    res = max_fiber(grp, w, fresh(a), threads=threads)
                 assert (res.value, res.witness_target, res.witness_tuple_indices) == best[None]
                 assert res.target_values.tolist() == per_vals.tolist()
                 assert res.target_tuple_numbers.tolist() == per_idx.tolist()
@@ -753,9 +760,11 @@ class TestNormalFormSearch:
     def _check_against_brute_force(self, g, w, a):
         best, per_vals, per_idx = brute_force_search(g, w, a, [None, 1])
         for threads in (1, 2):
+            # one scan per thread count; target 1 reads the kept scan
+            kept = fresh(a)
             for target in (None, 1):
                 with two_tuples_per_batch(g, w):
-                    res = max_fiber(g, w, a, target=target, threads=threads)
+                    res = max_fiber(g, w, kept, target=target, threads=threads)
                 value, witness_target, indices = best[target]
                 assert (res.value, res.witness_target, res.witness_tuple_indices) == (
                     value, witness_target, indices
@@ -816,9 +825,10 @@ class TestNormalFormSearch:
         a = automorphism_group(g)
         w = parse_word(word)
         for threads in (1, 2):
+            kept = fresh(a)
             for target, expected in ((None, any_target), (1, target_one)):
                 with two_tuples_per_batch(g, w):
-                    res = max_fiber(g, w, a, target=target, threads=threads)
+                    res = max_fiber(g, w, kept, target=target, threads=threads)
                 assert (res.value, res.witness_target, res.witness_tuple_indices) == expected
                 assert res.target_values.tolist() == values
                 assert res.target_tuple_numbers.tolist() == indices
@@ -869,6 +879,105 @@ class TestNormalFormSearch:
             max_fiber(g, SQUARE, a, mode="sample", samples=9, budget=79)
         with pytest.raises(BudgetExceeded):
             max_fiber(g, SQUARE, a, mode="sample", samples=10**15)
+
+
+def assert_same_result(got, want):
+    for field in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+class TestSearchMemo:
+    """`max_fiber` keeps each exact scan on A (``a.searches``), keyed by the
+    group object and the word, and builds every later exact result for them
+    from it."""
+
+    def test_a_second_call_reads_the_kept_scan(self, scans):
+        g = make_group("alt:4")
+        a = automorphism_group(g)
+        first = max_fiber(g, COMMUTATOR, a)
+        for k, target in enumerate((None, 1, 5)):
+            hit = max_fiber(g, COMMUTATOR, a, target=target)
+            assert len(scans) == 1 + k
+            assert_same_result(hit, max_fiber(g, COMMUTATOR, fresh(a), target=target))
+            assert len(scans) == 2 + k  # a fresh set scans again
+        assert_same_result(max_fiber(g, COMMUTATOR, a), first)
+
+    def test_the_scan_is_kept_per_word_and_group_object(self, scans):
+        g = make_group("dih:4")
+        a = automorphism_group(g)
+        square, commutator = max_fiber(g, SQUARE, a), max_fiber(g, COMMUTATOR, a)
+        assert len(scans) == 2 and square.value != commutator.value
+        assert max_fiber(g, SQUARE, a).value == square.value
+        assert max_fiber(g, COMMUTATOR, a).value == commutator.value
+        assert len(scans) == 2
+        max_fiber(make_group("dih:4"), SQUARE, a)
+        assert len(scans) == 3
+
+    def test_kept_records_are_read_only(self):
+        g = make_group("sym:3")
+        a = automorphism_group(g)
+        res = max_fiber(g, SQUARE, a)
+        for array in (res.target_values, res.target_tuple_numbers):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # the witness tuple is the caller's own copy of A's rows
+        res.witness_tuple[:] = 0
+        again = max_fiber(g, SQUARE, a)
+        assert again.witness_tuple.tolist() == a.tables[list(again.witness_tuple_indices)].tolist()
+
+    def test_a_hit_refuses_a_smaller_budget_as_a_miss_does(self, scans):
+        g = make_group("alt:4")
+        a = automorphism_group(g)
+        needed = 24**2 * 12**2
+        with pytest.raises(BudgetExceeded) as miss:
+            max_fiber(g, COMMUTATOR, a, budget=needed - 1)
+        assert not a.searches
+        kept = max_fiber(g, COMMUTATOR, a, budget=needed)
+        with pytest.raises(BudgetExceeded) as hit:
+            max_fiber(g, COMMUTATOR, a, budget=needed - 1)
+        assert str(hit.value) == str(miss.value)
+        assert_same_result(max_fiber(g, COMMUTATOR, a, budget=needed), kept)
+        assert len(scans) == 1
+
+    def test_a_hit_after_a_two_thread_miss_equals_a_one_thread_search(self, monkeypatch, scans):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        g = make_group("dih:4")
+        a = automorphism_group(g)
+        with two_tuples_per_batch(g, COMMUTATOR):
+            max_fiber(g, COMMUTATOR, a, threads=2)
+        assert len(scans) == 2  # one range per thread
+        for target in (None, 0, 3):
+            assert_same_result(max_fiber(g, COMMUTATOR, a, target=target),
+                               max_fiber(g, COMMUTATOR, fresh(a), target=target))
+
+    def test_sample_mode_keeps_nothing(self, scans):
+        g = make_group("dih:4")
+        a = automorphism_group(g)
+        first = max_fiber(g, SQUARE, a, mode="sample", samples=5, seed=1)
+        assert not a.searches
+        exact = max_fiber(g, SQUARE, a)
+        again = max_fiber(g, SQUARE, a, mode="sample", samples=5, seed=1)
+        assert len(scans) == 3 and list(a.searches) == [(g, SQUARE)]
+        assert_same_result(again, first)
+        assert (again.status, exact.status) == ("lower_bound", "exact")
+        first.target_values[0] = 0  # a sampled result is the caller's own
+
+    def test_threads_sharing_one_set_get_the_scans_of_fresh_sets(self):
+        # several callers on one A at once, switching threads often: a miss
+        # on two threads scans twice and keeps the first scan stored
+        g = make_group("dih:4")
+        a = automorphism_group(g)
+        words = [SQUARE, COMMUTATOR, XY, parse_word("x1 x2 x1")] * 3
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                results = list(pool.map(lambda w: max_fiber(g, w, a), words, timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(a.searches) == 4
+        for w, res in zip(words, results):
+            assert_same_result(res, max_fiber(g, w, fresh(a)))
 
 
 def center_handle(g):

@@ -9,7 +9,7 @@ import wordfibers.fibers as fibers
 import wordfibers.verify as verify
 import wordfibers.groups as groups
 from wordfibers.errors import BudgetExceeded, CapExceeded
-from wordfibers.fibers import DEFAULT_BUDGET, eval_automorphic, fiber_distribution, max_fiber
+from wordfibers.fibers import eval_automorphic, fiber_distribution, max_fiber
 from wordfibers.groups import (
     automorphism_group,
     identity_autset,
@@ -99,6 +99,38 @@ class TestSubmultiplicative:
         n = subgroup_handle(g, [0])
         report = check_submultiplicative(g, n, SQUARE, aut)
         assert report.outcome == "pass"
+
+    def test_part_1_fails_at_the_least_violating_target(self, monkeypatch):
+        # the center's identity fiber forged down to 1: G's per-target maxima
+        # then beat the quotient's times 1 at several targets, and the least
+        # of them is the witness
+        g = make_group("dih:4")
+        aut = automorphism_group(g)
+        n = char_subgroup_of_order(g, 2)
+        center, real = n.as_group.group, verify.max_fiber
+
+        def forged(grp, w, a, **kwargs):
+            res = real(grp, w, a, **kwargs)
+            if grp is center:
+                values = res.target_values.copy()
+                values[0] = 1
+                res = dataclasses.replace(res, target_values=values)
+            return res
+
+        monkeypatch.setattr(verify, "max_fiber", forged)
+        report = check_submultiplicative(g, n, COMMUTATOR, aut)
+        pt_g = real(g, COMMUTATOR, aut)
+        pt_q = real(n.as_quotient.group, COMMUTATOR, groups.induced_autset(n, aut))
+        quotient_values = pt_q.target_values[n.as_quotient.projection]
+        over = [t for t in range(g.order) if pt_g.target_values[t] > quotient_values[t]]
+        assert len(over) > 1
+        assert (report.outcome, report.witness) == ("fail", {
+            "part": 1,
+            "target": over[0],
+            "group_value": int(pt_g.target_values[over[0]]),
+            "quotient_value": int(quotient_values[over[0]]),
+            "subgroup_identity_value": 1,
+        })
 
 
 class TestDihedral:
@@ -535,20 +567,14 @@ class TestVariationBound:
                                        budget=10**9)
         assert report.outcome == "inconclusive-sampled"
 
-    def test_n1_reuses_the_search_of_the_all_ones_variation(self, monkeypatch):
-        calls = []
-        real = verify.max_fiber
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
+    def test_n1_reuses_the_search_of_the_all_ones_variation(self, scans):
         s, w = make_group("alt:5"), SQUARE
-        monkeypatch.setattr(verify, "max_fiber", counting)
         report = check_variation_bound(s, 1, w)
-        # the flattened forms x1 x1 and x1 x2, once each
-        assert [str(v) for v in calls] == ["x1 x1", "x1 x2"]
-        res = real(s, w, automorphism_group(s))
+        # the flattened forms x1 x1 and x1 x2 are scanned once each; the n = 1
+        # search reads the scan of x1 x1
+        assert [v for _, v in scans] == ["x1 x1", "x1 x2"]
+        fresh = make_group("alt:5")
+        res = max_fiber(fresh, w, automorphism_group(fresh))
         assert report.witness == {
             "proportion": res.proportion,
             "value": res.value,
@@ -558,20 +584,12 @@ class TestVariationBound:
         # both forms cover 120^2 tuples; the n = 1 search counts once more
         assert report.counters == {"evaluations": 120**2 * (60 + 3600) + res.evaluations}
 
-    def test_n1_reads_a_word_through_its_normalized_form(self, monkeypatch):
-        calls = []
-        real = verify.max_fiber
-
-        def counting(*args, **kwargs):
-            calls.append(str(args[1]))
-            return real(*args, **kwargs)
-
+    def test_n1_reads_a_word_through_its_normalized_form(self, scans):
         s = make_group("alt:5")
-        monkeypatch.setattr(verify, "max_fiber", counting)
         x2_x2 = ReducedWord((Letter(2, 1), Letter(2, 1)))
         assert not x2_x2.is_normalized
         report = check_variation_bound(s, 1, x2_x2)
-        assert calls == ["x1 x1", "x1 x2"]  # one search per flattened form
+        assert [v for _, v in scans] == ["x1 x1", "x1 x2"]  # one scan per flattened form
         assert report.params.pop("word") == "x2 x2"
         expected = check_variation_bound(s, 1, SQUARE)
         assert expected.params.pop("word") == "x1 x1"
@@ -638,62 +656,32 @@ class TestWreathMaxima:
 
 
 class TestSearchMemo:
-    """The checks run one exact search per group object, word and A, and share
-    its result; a direct `max_fiber` call scans again."""
+    """The checks share the exact scans that `max_fiber` keeps on each A, one
+    per group object and word."""
 
-    @staticmethod
-    def searches(monkeypatch):
-        calls = []
-
-        def counting(g, w, a, **kwargs):
-            calls.append((g, str(w)))
-            return max_fiber(g, w, a, **kwargs)
-
-        monkeypatch.setattr(verify, "max_fiber", counting)
-        return calls
-
-    def test_submult_reuses_the_identity_max_search(self, monkeypatch):
-        calls = self.searches(monkeypatch)
+    def test_submult_reuses_the_identity_max_search(self, monkeypatch, scans):
         g = make_group("dih:4")
         aut = automorphism_group(g)
         n = char_subgroup_of_order(g, 4)
         check_identity_maximal(g, COMMUTATOR, aut)
         report = check_submultiplicative(g, n, COMMUTATOR, aut)
-        # the G side is a hit; the quotient and the subgroup are searched
-        assert [c[0] for c in calls] == [g, n.as_quotient.group, n.as_group.group]
+        # the G side is read from the kept scan; the quotient and the
+        # subgroup are scanned
+        assert [grp for grp, _ in scans] == [g, n.as_quotient.group, n.as_group.group]
         monkeypatch.undo()
         fresh = make_group("dih:4")
         assert report == check_submultiplicative(
             fresh, char_subgroup_of_order(fresh, 4), COMMUTATOR, automorphism_group(fresh))
 
-    def test_variation_bound_entries_share_the_profile(self, monkeypatch):
-        calls = self.searches(monkeypatch)
+    def test_variation_bound_entries_share_the_profile(self, monkeypatch, scans):
         s = make_group("alt:5")
         check_variation_bound(s, 1, SQUARE)
-        searched = list(calls)
-        assert [w for _, w in searched] == ["x1 x1", "x1 x2"]
+        scanned = list(scans)
+        assert [w for _, w in scanned] == ["x1 x1", "x1 x2"]
         report = check_variation_bound(s, 2, SQUARE, samples=20, seed=3)
-        assert calls == searched
+        assert scans == scanned
         monkeypatch.undo()
         assert report == check_variation_bound(make_group("alt:5"), 2, SQUARE, samples=20, seed=3)
-
-    def test_a_hit_equals_a_fresh_search(self):
-        g = make_group("alt:4")
-        a = automorphism_group(g)
-        first = verify._exact_search(g, COMMUTATOR, a, DEFAULT_BUDGET, 1)
-        assert verify._exact_search(g, COMMUTATOR, a, DEFAULT_BUDGET, 1) is first
-        fresh = max_fiber(g, COMMUTATOR, a)
-        assert fresh is not first
-        for field in dataclasses.fields(first):
-            got, want = getattr(first, field.name), getattr(fresh, field.name)
-            assert np.array_equal(got, want), field.name
-
-    def test_shared_results_are_read_only(self):
-        g = make_group("sym:3")
-        res = verify._exact_search(g, SQUARE, automorphism_group(g), DEFAULT_BUDGET, 1)
-        for array in (res.target_values, res.target_tuple_numbers, res.witness_tuple):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
 
     def test_a_hit_refuses_a_smaller_budget_as_a_miss_does(self):
         needed = max_fiber(make_group("alt:4"), COMMUTATOR,
@@ -729,7 +717,7 @@ class TestSearchMemo:
 class TestVariationProfile:
     def test_xy_single_variation(self):
         s = make_group("alt:5")
-        eps, breakdown, _, _ = variation_profile(
+        eps, breakdown, _ = variation_profile(
             s, parse_word("x1 x2"), automorphism_group(s)
         )
         assert eps == Fraction(1, 60)
