@@ -119,8 +119,16 @@ def canonical(obj):
     if isinstance(obj, Fraction):
         return f"{_digits(obj.numerator)}/{_digits(obj.denominator)}"
     if isinstance(obj, np.ndarray):
-        return [canonical(x) for x in obj.tolist()]
+        return canonical(obj.tolist())
     if isinstance(obj, (list, tuple)):
+        # plain ints in one comprehension; a bool is not ``type(x) is int``,
+        # and an int past str()'s digit limit raises, so both take the
+        # per-element path
+        if all(type(x) is int for x in obj):
+            try:
+                return [str(x) for x in obj]
+            except ValueError:
+                pass
         return [canonical(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): canonical(v) for k, v in obj.items()}
@@ -312,12 +320,14 @@ def cmd_word_mconst(args, ctx):
 
 def cmd_group_make(args, ctx):
     g = ctx.group(args.spec)
+    class_sizes = sorted(len(c) for c in g.conjugacy_classes)
     return {
         "spec": g.spec,
         "order": g.order,
         "abelian": g.is_abelian,
-        "center_size": len(g.center),
-        "class_sizes": sorted(len(c) for c in g.conjugacy_classes),
+        # the center is the union of the one-element classes
+        "center_size": class_sizes.count(1),
+        "class_sizes": class_sizes,
     }
 
 
@@ -395,7 +405,7 @@ def cmd_fiber_dist(args, ctx):
         raise ValueError(f"tuple indices must lie in 0..{len(autset) - 1}")
     dist = fiber_distribution(g, w, autset.tables[indices], budget=ctx.budget)
     return {
-        "counts": [int(c) for c in dist.counts],
+        "counts": dist.counts.tolist(),
         "order": dist.order,
         "arity": dist.arity,
         "total": dist.total,
@@ -825,11 +835,10 @@ def run_command(argv, stdout=None) -> int:
         args = parser.parse_args(argv)
         threads = _setting(args.threads, "WFL_THREADS", 1, _positive_int)
         budget = _setting(args.budget, "WFL_BUDGET", DEFAULT_BUDGET, int)
-        cache_dir = args.cache_dir if args.cache_dir is not None else os.environ.get(
-            "WFL_CACHE_DIR"
-        )
+        # an empty setting is an unset one, not the working directory
+        cache_dir = args.cache_dir or os.environ.get("WFL_CACHE_DIR")
         command = args.command
-        use_cache = cache_dir is not None and not args.no_cache and command.cached
+        use_cache = bool(cache_dir) and not args.no_cache and command.cached
         cache = ResultCache(cache_dir) if use_cache else None
     except (SystemExit, ValueError) as err:
         if isinstance(err, SystemExit) and err.code == 0:

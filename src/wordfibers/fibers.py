@@ -20,7 +20,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, CapExceeded, EmptyWordError
-from .groups import AutSet, FiniteGroup, SubgroupHandle, _require_characteristic
+from .groups import (
+    _COMPOSE_BLOCK_ELEMENTS,
+    AutSet,
+    FiniteGroup,
+    SubgroupHandle,
+    _require_characteristic,
+)
 from .words import Letter, ReducedWord
 
 DEFAULT_BUDGET = 10**8
@@ -262,13 +268,12 @@ class _BatchEvaluator:
     arguments, and the counts of the word are their group-algebra
     convolution, folded in word order: with L the counts of the letters so
     far and R those of the next segment, a*x gets L[a] * R[x] for every a and
-    x, so for each a in the support of L the row L[a] * R is added at the
-    positions x -> a*x, row a of the table, a permutation; no inverse table
-    is needed.  This is exact: the segments take independent arguments, so
-    an argument tuple of the whole word is one argument tuple per segment,
-    and its value is the product of the segment values in word order; each
-    letter still goes through its own automorphism row, so the segment
-    counts are those of the tuple itself.  The fold keeps the left factor on
+    x, summed by `_fold` over blocks of the support of L.  This is exact:
+    the segments take independent arguments, so an argument tuple of the
+    whole word is one argument tuple per segment, and its value is the
+    product of the segment values in word order; each letter still goes
+    through its own automorphism row, so the segment counts are those of
+    the tuple itself.  The fold keeps the left factor on
     the left, as a nonabelian group needs.  A word that does not split is one
     segment, enumerated as a whole, and so is a system of several words.
 
@@ -350,11 +355,28 @@ class _BatchEvaluator:
         return counts.reshape(b, bins)
 
     def _fold(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Counts of the product of two independent segments, left first."""
-        table = self.g.table
-        out = np.zeros((max(len(left), len(right)), self.n), dtype=np.int64)
-        for a in np.flatnonzero(left.any(axis=0)):
-            out[:, table[a]] += left[:, a, None] * right
+        """Counts of the product of two independent segments, left first.
+
+        The product a*x = c gets L[a] * R[x], so out[c] is the sum over a of
+        L[a] * R[ldiv[a, c]], with ldiv[a, c] = x the left quotient a^-1 c.
+        Row a of ldiv is scattered from row a of the table, ldiv[a, a*x] = x,
+        so no inverse table is read.  The support of L is taken in blocks of
+        k elements a, with k*b*n <= `_COMPOSE_BLOCK_ELEMENTS` for b tuples:
+        a block gathers R through its k rows of ldiv, (b, k, n), and adds one
+        int64 product, L's block (b, 1, k) on the left, to out.  One tuple on
+        a group of order at most 362 is one block.  The product is exact:
+        every term is >= 0 and every sum at most n^d, which the evaluator
+        refuses beyond int64."""
+        table, n = self.g.table, self.n
+        b = max(len(left), len(right))
+        out = np.zeros((b, n), dtype=np.int64)
+        support = np.flatnonzero(left.any(axis=0))
+        k = max(1, _COMPOSE_BLOCK_ELEMENTS // (b * n))
+        for lo in range(0, len(support), k):
+            a = support[lo : lo + k]
+            ldiv = np.empty((len(a), n), dtype=np.intp)
+            ldiv[np.arange(len(a))[:, None], table[a]] = np.arange(n)
+            out += (left[:, None, a] @ right[:, ldiv])[:, 0]
         return out
 
 

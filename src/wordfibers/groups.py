@@ -1500,14 +1500,23 @@ def is_solvable_subset(g: FiniteGroup, elems: tuple[int, ...]) -> bool:
 
 def solvable_radical(g: FiniteGroup) -> SubgroupHandle:
     """Largest solvable normal subgroup, as the join of solvable class
-    closures; an abelian group is its own radical, and builds no closure."""
+    closures; an abelian group is its own radical, and builds no closure.
+    Every subgroup of a solvable group is solvable, so a closure that
+    contains one already found non-solvable is skipped without its derived
+    series."""
     if g.is_abelian:
         radical = SubgroupHandle(g, tuple(range(g.order)))
     else:
         seeds: set[int] = {0}
+        unsolvable: list[set[int]] = []
         for closure in _class_closures(g):
+            members = set(closure)
+            if any(bad <= members for bad in unsolvable):
+                continue
             if is_solvable_subset(g, closure):
                 seeds.update(closure)
+            else:
+                unsolvable.append(members)
         radical = SubgroupHandle(g, _closure(g.table, seeds))
     radical.normal = radical.characteristic = True
     return radical

@@ -5,7 +5,7 @@ Exhaustive checkers report "pass" or "fail"; sampled checkers report
 "inconclusive-sampled" (zero violations found) or "fail".  One exception:
 `check_rewrite` samples its trials (automorphism tuple and base tuple) with a
 seed, yet reports "pass" when every trial holds; each trial is checked over
-all of N^d, but the trials cover only part of the space (ROADMAP item 5).
+all of N^d, but the trials cover only part of the space (ROADMAP item 6).
 Its trials are drawn, rewritten and swept in blocks of trials, with the
 draws, witness and counters of a trial-by-trial sweep.
 """

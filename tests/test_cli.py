@@ -9,8 +9,10 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wordfibers.cli import (
@@ -19,6 +21,7 @@ from wordfibers.cli import (
     EXIT_OK,
     EXIT_USAGE,
     build_parser,
+    canonical,
     default_battery_path,
     dumps_canonical,
     parse_fraction,
@@ -340,6 +343,35 @@ def test_every_readme_command_succeeds(tmp_path):
     assert float(results["threshold 28800"]["threshold"]) == 28800
 
 
+class TestCanonical:
+    @pytest.mark.parametrize("items", [
+        [1, 2, 3],
+        (0, -7, 10**20),
+        [True, 1],
+        [np.int64(5), 6],
+        [Fraction(1, 3), 2],
+        [[1, 2], [3]],
+        [10**5000],
+        [4, 10**5000],
+        [],
+    ], ids=["ints", "tuple", "bool", "np.int64", "Fraction", "nested", "huge", "int-and-huge",
+            "empty"])
+    def test_a_list_reads_as_its_elements_one_by_one(self, items):
+        per_element = [canonical(x) for x in items]
+        assert dumps_canonical(canonical(items)) == dumps_canonical(per_element)
+
+    def test_ints_past_the_digit_limit_take_the_per_element_path(self, monkeypatch):
+        import wordfibers.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "_digits", lambda v: calls.append(v) or str(decimal.Decimal(v)))
+        assert canonical([3, 10**5000])[1] == str(decimal.Decimal(10**5000))
+        assert calls == [3, 10**5000]
+        calls.clear()
+        assert canonical([3, 4]) == ["3", "4"] and calls == []
+        assert canonical([True, 4]) == [True, "4"] and calls == [4]
+
+
 class TestFiberCommands:
     def test_pi(self):
         code, doc, _ = run(["fiber", "pi", "--group", "dih:3", "--word", "x1^2"])
@@ -607,6 +639,19 @@ class TestCache:
         plain = run(argv)
         assert digests == []
         assert run(["--cache-dir", str(tmp_path), *argv]) == plain and len(digests) == 1
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_an_empty_cache_dir_means_no_cache(self, tmp_path, monkeypatch, via_env):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("WFL_CACHE_DIR", raising=False)
+        argv = ["fiber", "pi", "--group", "dih:5", "--word", "x1^3"]
+        plain = run(argv)
+        if via_env:
+            monkeypatch.setenv("WFL_CACHE_DIR", "")
+        else:
+            argv = ["--cache-dir", "", *argv]
+        assert run(argv) == plain == run(argv)
+        assert list(tmp_path.iterdir()) == []
 
     def test_battery_is_never_cached(self, tmp_path):
         # its reports are files, which a cached answer would not write again

@@ -606,6 +606,29 @@ class TestArgumentBlocks:
 SPLIT_WORDS = ["x1^2 x2^-2", "x2 x1 x3^2 x1", "x1 x2^2", "x1^2 x2", "x1 x2^-1 x1 x3"]
 
 
+def reference_fold(table, left, right):
+    """The per-element fold: for each a in the support of the left counts,
+    the row left[a] * right is added at the positions x -> a*x, row a of
+    the table."""
+    out = np.zeros((max(len(left), len(right)), len(table)), dtype=np.int64)
+    for a in np.flatnonzero(left.any(axis=0)):
+        out[:, table[a]] += left[:, a, None] * right
+    return out
+
+
+def recording_gathers(arr, sizes):
+    """A view of ``arr`` that appends the size of every array read from it
+    by indexing to ``sizes``, and hands out plain arrays."""
+
+    class Recorded(np.ndarray):
+        def __getitem__(self, key):
+            got = super().__getitem__(key).view(np.ndarray)
+            sizes.append(got.size)
+            return got
+
+    return arr.view(Recorded)
+
+
 class TestSplitWords:
     @pytest.mark.parametrize("word, segments", [
         ("x1 x2 x3 x4", [(0, 1), (1, 2), (2, 3), (3, 4)]),
@@ -704,6 +727,69 @@ class TestSplitWords:
         with pytest.raises(CapExceeded):
             pi_w(make_group("sym:5"), w, budget=10**30)
         assert built == []
+
+    # (left rows, right rows): one tuple on the left broadcast over a batch
+    # on the right, the reverse, and a batch on both sides; blocks of
+    # ``per`` elements a, None for the default size (the whole support)
+    @pytest.mark.parametrize("per", [None, 1, 2, 5], ids=lambda k: f"per{k}")
+    @pytest.mark.parametrize("rows", [(1, 3), (3, 1), (3, 3)], ids=str)
+    def test_blocked_fold_matches_the_per_element_fold(self, monkeypatch, rows, per):
+        g = make_group("alt:4")
+        n, b = g.order, max(rows)
+        rng = np.random.default_rng(11)
+        left = rng.integers(0, 40, size=(rows[0], n))
+        left[:, rng.permutation(n)[: n // 3]] = 0  # a support short of G
+        right = rng.integers(0, 40, size=(rows[1], n))
+        limit = fibers._COMPOSE_BLOCK_ELEMENTS
+        if per is not None:
+            limit = per * b * n
+            monkeypatch.setattr(fibers, "_COMPOSE_BLOCK_ELEMENTS", limit)
+        ev = fibers._BatchEvaluator(g, XY, identity_rows(g, XY))
+        lefts, rights = [], []
+        got = ev._fold(recording_gathers(left, lefts), recording_gathers(right, rights))
+        assert got.tolist() == reference_fold(g.table, left, right).tolist()
+        support = np.count_nonzero(left.any(axis=0))
+        assert len(rights) == (1 if per is None else -(-support // per))
+        assert max(lefts + rights) <= limit
+
+    @pytest.mark.parametrize("spec, word", [("alt:4", "x1^2 x2^-2"), ("sym:3", "x2 x1 x3^2 x1")])
+    def test_batches_of_several_tuples_fold_one_element_a_block(self, monkeypatch, spec, word):
+        # a block of one element a for b tuples: k = 1 on every fold
+        g = make_group(spec)
+        a = automorphism_group(g)
+        w = parse_word(word)
+        ev = fibers._BatchEvaluator(g, w, a.tables)
+        free = fibers._free_letters(w, a)
+        rows = np.arange(min(ev.batch_size(), len(a) ** len(free)))
+        digits, _ = fibers._tuple_digits(rows, len(a), w.length, free)
+        want = ev.counts(digits)
+        monkeypatch.setattr(fibers, "_COMPOSE_BLOCK_ELEMENTS", len(rows) * g.order)
+        assert len(rows) > 1 and ev.counts(digits).tolist() == want.tolist()
+        for r in rows:
+            tup = a.tables[[0 if dig is None else int(dig[r]) for dig in digits]]
+            assert want[r].tolist() == product_counts(g, w, tup)
+
+    def test_counts_past_2_to_the_53_are_exact(self):
+        # the squares of 10 variables on alt:5: 60^10 argument tuples, and
+        # fibers past 2^53 that float64 cannot hold (on sym:5 the squares of
+        # 9 variables have fibers that large, but every one is a multiple of
+        # a power of 2 that float64 holds exactly)
+        g = make_group("alt:5")
+        w = parse_word(" ".join(f"x{i}^2" for i in range(1, 11)))
+        squares = [0] * g.order
+        for x in range(g.order):
+            squares[g.table[x, x]] += 1
+        want = [1] + [0] * (g.order - 1)
+        for _ in range(10):
+            nxt = [0] * g.order
+            for a in range(g.order):
+                for x in range(g.order):
+                    nxt[g.table[a, x]] += want[a] * squares[x]
+            want = nxt
+        assert sum(want) == g.order**10
+        assert any(v > 2**53 and float(v) != v for v in want)
+        got = fiber_distribution(g, w, identity_rows(g, w), budget=10**19)
+        assert got.counts.tolist() == want
 
     def test_inverse_table_is_read_only_for_inverse_letters(self):
         from wordfibers.groups import FiniteGroup

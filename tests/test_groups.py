@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import wordfibers.groups as groups_mod
-from wordfibers.cli import EXIT_BUDGET, EXIT_USAGE, run_command
+from wordfibers.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, run_command
 from wordfibers.errors import CapExceeded
 from wordfibers.groups import (
     _class_closures,
@@ -1454,6 +1454,53 @@ class TestSolvableRadical:
     def test_groups_of_order_above_360_are_answered(self, spec):
         rad = solvable_radical(make_group(spec))
         assert rad.order == 1 and rad.normal and rad.characteristic
+
+    # LATTICE_SPECS holds sym:5 and dih:12; in alt:5 x dih:33 the solvable
+    # closure dih:33 (order 66) comes after the non-solvable alt:5
+    @pytest.mark.parametrize(
+        "spec", LATTICE_SPECS + ["prod:(alt:5)x(cyc:2)", "prod:(alt:5)x(dih:33)"]
+    )
+    def test_equals_the_join_of_every_solvable_closure(self, spec):
+        g = make_group(spec)
+        seeds = {0}
+        for closure in groups_mod._class_closures(g):
+            if groups_mod.is_solvable_subset(g, closure):
+                seeds.update(closure)
+        assert solvable_radical(g).elements == _closure(g.table, seeds)
+
+    # sym:5: alt:5 is not solvable, so sym:5 is skipped; alt:5 x cyc:2: the
+    # closures cyc:2 (2 calls) and alt:5 (1), and alt:5 x cyc:2 is skipped
+    @pytest.mark.parametrize("spec, calls", [("sym:5", 1), ("prod:(alt:5)x(cyc:2)", 3)])
+    def test_a_closure_over_a_non_solvable_one_runs_no_derived_series(
+        self, monkeypatch, spec, calls
+    ):
+        made = []
+        real = groups_mod.derived_subgroup
+        monkeypatch.setattr(
+            groups_mod, "derived_subgroup", lambda g, elems: made.append(elems) or real(g, elems)
+        )
+        solvable_radical(make_group(spec))
+        assert len(made) == calls
+
+
+class TestGroupMake:
+    @pytest.mark.parametrize(
+        "spec", LATTICE_SPECS + ["cyc:12", "prod:(cyc:2)x(cyc:4)", "pow:(cyc:3)^3", "cyc:1"]
+    )
+    def test_center_size_counts_the_one_element_classes(self, spec):
+        out = io.StringIO()
+        assert run_command(["group", "make", "--spec", spec], stdout=out) == EXIT_OK
+        result = json.loads(out.getvalue())["result"]
+        assert result["center_size"] == str(len(make_group(spec).center))
+
+    def test_the_handler_leaves_the_center_uncomputed(self):
+        from types import SimpleNamespace
+
+        from wordfibers import cli
+
+        ctx = cli.Context(threads=1, budget=10**8)
+        doc = cli.cmd_group_make(SimpleNamespace(spec="sym:6"), ctx)
+        assert doc["center_size"] == 1 and "center" not in vars(ctx.group("sym:6"))
 
 
 class TestIsIsomorphic:
