@@ -13,6 +13,7 @@ the automorphism on letter i.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,6 +32,10 @@ from .words import Letter, ReducedWord
 
 DEFAULT_BUDGET = 10**8
 _BATCH_ELEMENTS = 1 << 22
+
+# every exact scan some AutSet keeps, indexed by what it depends on
+# (`_search_all_tuples`); an entry leaves when the last set holding it goes
+_SCANS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass
@@ -465,6 +470,28 @@ def _require_budget(needed: int, budget: int) -> None:
         raise BudgetExceeded(f"exact search needs {needed} evaluations, budget is {budget}")
 
 
+class _Scan:
+    """One exact scan: the records `_search_all_tuples` returns, with the
+    group table and the set's rows it ran on, which a content lookup
+    compares in full.  Both are the group's and the set's own arrays."""
+
+    __slots__ = ("table", "rows", "records", "__weakref__")
+
+    def __init__(self, table: np.ndarray, rows: np.ndarray, records: tuple):
+        self.table, self.rows, self.records = table, rows, records
+
+    def ran_on(self, table: np.ndarray, rows: np.ndarray) -> bool:
+        return np.array_equal(self.table, table) and np.array_equal(self.rows, rows)
+
+
+def _digest(array: np.ndarray) -> int:
+    """An index of an array's content: the hash of its shape and of at most
+    about 4096 of its entries, evenly strided, so no large copy is made.
+    Equal arrays have equal digests; unequal ones may share one."""
+    flat = array.ravel()
+    return hash((array.shape, flat[:: max(1, flat.size >> 12)].tobytes()))
+
+
 def _search_all_tuples(
     g: FiniteGroup,
     w: ReducedWord,
@@ -495,11 +522,26 @@ def _search_all_tuples(
     The budget is checked against the evaluations performed, the argument
     tuples the scanned tuples account for, before any is made.  Returns the
     per-target records of `_scan_range`, read-only, the evaluations
-    performed, and the tuples covered and scanned.  The scan is kept on A
-    (``a.searches``), keyed by the group object and the word, and a later
-    search reads it; the budget check comes first, on the same count, so a
-    kept scan is refused exactly where a new one would be.  The records do
-    not depend on the thread count.
+    performed, and the tuples covered and scanned.  The records do not
+    depend on the thread count.
+
+    A scan is kept on A (``a.searches``), keyed by the group object and the
+    word, and a later search reads it.  On a miss there, it is looked up by
+    content in `_SCANS`, since a scan is a function of G's table, A's rows,
+    A's closedness and the word: the evaluator reads G only through its
+    table (products, and inverses, which the table determines) and its
+    order, the table's side; it reads A only through its rows, by row
+    number, so the records' tuple numbers and letters are row numbers, equal
+    for equal rows; closedness picks the free letters; and the counts
+    covered and scanned follow from |A|, the free letters and l.  So two
+    searches that agree on these four have the same records, whichever
+    group and set objects they are given.  The entry is indexed by the word,
+    the closedness and digests of the two arrays (`_digest`), and a hit
+    needs both arrays equal in full: a digest alone decides nothing.  A
+    found scan is kept on A as its own is, so every set that runs or reads
+    a scan holds it, and the weak table forgets it with the last of them.
+    The budget check comes first, on the same count, so a kept or shared
+    scan is refused exactly where a new one would be.
     """
     _require_word(w)
     m, l = len(a), w.length
@@ -509,10 +551,20 @@ def _search_all_tuples(
     free = _free_letters(w, a)
     scanned = m ** len(free)
     _require_budget(scanned * g.order**w.num_variables, budget)
-    key = (g, w)
-    if key in a.searches:
-        return a.searches[key]
-    ev = _BatchEvaluator(g, w, a.tables)
+    scan = a.searches.get((g, w))
+    if scan is None:
+        content = (w, a.is_closed, _digest(g.table), _digest(a.tables))
+        scan = _SCANS.get(content)
+        if scan is None or not scan.ran_on(g.table, a.tables):
+            records = _scan_normal_forms(_BatchEvaluator(g, w, a.tables), free, scanned, threads)
+            scan = _SCANS[content] = _Scan(g.table, a.tables, (*records, covered, scanned))
+        scan = a.searches.setdefault((g, w), scan)
+    return scan.records
+
+
+def _scan_normal_forms(ev: _BatchEvaluator, free: Sequence[int], scanned: int, threads: int):
+    """The merged records of the scanned rows 0..scanned-1, split over at
+    most ``threads`` ranges, with the three record arrays made read-only."""
     # no more workers than cores, and a pool only for a scan of several
     # batches, which alone imports `concurrent.futures`; the witnesses do not
     # depend on the split
@@ -532,7 +584,7 @@ def _search_all_tuples(
     records = _merge_ranges(parts)
     for array in records[:3]:
         array.setflags(write=False)
-    return a.searches.setdefault(key, (*records, covered, scanned))
+    return records
 
 
 def max_fiber(
@@ -556,7 +608,9 @@ def max_fiber(
     fiber size, and the least maximizing tuple already has that form (see
     `_search_all_tuples`).  The exact scan is kept on A, so a later exact
     call for the same group object and word, with any target or thread
-    count, builds its result from the kept records, which are read-only.
+    count, builds its result from the kept records, which are read-only; a
+    call that misses them reads a scan of equal content, an equal table,
+    equal rows, closedness and word, that another set keeps.
     Sample mode draws `samples` seeded uniform tuples after the identity
     tuple, in blocks of `batch_size()` as it scans them, keeps nothing, and
     reports a lower bound.  In both modes the budget bounds the evaluations

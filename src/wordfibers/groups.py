@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -198,14 +198,14 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, spec={self.spec!r})"
 
 
-def _derived(g: FiniteGroup, key: tuple, build):
-    """``build()``, kept on ``g`` under ``key``: structure that is a function
-    of the group and the key is built once per group object.  Two threads
-    that race on a key may both build it; the first value stored is the one
-    every caller gets."""
-    value = g._derived.get(key)
+def _derived(owner, key: tuple, build):
+    """``build()``, kept on ``owner``, a group or a subgroup handle, under
+    ``key``: structure that is a function of the owner and the key is built
+    once per owner object.  Two threads that race on a key may both build
+    it; the first value stored is the one every caller gets."""
+    value = owner._derived.get(key)
     if value is None:
-        value = g._derived.setdefault(key, build())
+        value = owner._derived.setdefault(key, build())
     return value
 
 
@@ -541,7 +541,11 @@ class AutSet:
     Aut(G) (`automorphism_group`, `inner_automorphisms`, `identity_autset`);
     ``is_closed`` takes them as closed and checks any other set.
     ``searches`` keeps the exact scans over the set that `fibers.max_fiber`
-    has run, keyed by group object and word (`fibers._search_all_tuples`).
+    has run or read, keyed by group object and word; a scan another set
+    with equal rows already holds, for an equal group table, word and
+    closedness, is found by content and kept here too
+    (`fibers._search_all_tuples`).  The set's hold is what keeps a scan
+    alive.
     """
 
     def __init__(self, group: FiniteGroup, tables: np.ndarray, kind: str):
@@ -1109,10 +1113,13 @@ def is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> tuple[bool, Optional[np.nda
 class SubgroupHandle:
     """A subgroup given by its sorted element indices.  Its structure flags
     are computed from ``group`` on first read; a builder that already knows
-    a flag assigns it instead."""
+    a flag assigns it instead.  Its sections, and the automorphism sets
+    induced on them (`induced_autset`, `restricted_autset`), are kept on
+    it."""
 
     group: FiniteGroup
     elements: tuple[int, ...]
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def normal(self) -> bool:
@@ -1386,15 +1393,17 @@ def _section_autset(s: Section, a: AutSet) -> AutSet:
 
 
 def induced_autset(n: SubgroupHandle, a: AutSet) -> AutSet:
-    """Automorphisms of G/N induced by members of A, for G = ``n.group``."""
+    """Automorphisms of G/N induced by members of A, for G = ``n.group``;
+    kept on the handle per source set, with the scans kept on them."""
     _require_characteristic(n)
-    return _section_autset(n.as_quotient, a)
+    return _derived(n, ("induced", a), lambda: _section_autset(n.as_quotient, a))
 
 
 def restricted_autset(n: SubgroupHandle, a: AutSet) -> AutSet:
-    """Restrictions of members of A to N, numbered as N/1 (`section`)."""
+    """Restrictions of members of A to N, numbered as N/1 (`section`); kept
+    on the handle per source set, with the scans kept on them."""
     _require_characteristic(n)
-    return _section_autset(n.as_group, a)
+    return _derived(n, ("restricted", a), lambda: _section_autset(n.as_group, a))
 
 
 # -- characteristic series and simple decomposition ----------------------------
@@ -1461,13 +1470,17 @@ def _class_closures(g: FiniteGroup) -> list[tuple[int, ...]]:
     suffices because the generating set is conjugation-stable.  Each class's
     walk starts from the union of its elements' cyclic subgroups, rows of
     one `_power_mask`, all inside the closure, so an element of order k
-    costs no k levels of the walk."""
-    powers = _power_mask(g)
-    closures = {
-        tuple(np.flatnonzero(_span_mask(g.table, cls, powers[list(cls)].any(axis=0))).tolist())
-        for cls in g.conjugacy_classes
-        if cls != (0,)
-    }
+    costs no k levels of the walk.  In an abelian group each class {x}
+    closes to <x>, already a row of the mask, so no walk runs."""
+    if g.is_abelian:
+        closures = _cyclic_subgroups(g)
+    else:
+        powers = _power_mask(g)
+        closures = {
+            tuple(np.flatnonzero(_span_mask(g.table, cls, powers[list(cls)].any(axis=0))).tolist())
+            for cls in g.conjugacy_classes
+            if cls != (0,)
+        }
     return sorted(closures, key=lambda c: (len(c), c))
 
 

@@ -479,8 +479,9 @@ def check_variation_bound(
     # exact comparison value/total <= bound, as value <= floor(bound * total),
     # clamped into int64 range: every value lies in 1..total
     allowed = min(total, max(-1, bound.numerator * total // bound.denominator))
-    # blocks of samples whose factors take at most 1 MB (2^17 int64 entries)
-    step = max(1, (_BATCH_ELEMENTS >> 5) // s.order**n)
+    # blocks of samples whose |S|^n counts each, no fewer than their factors
+    # hold, fit `_BATCH_ELEMENTS`, the block bound `_joint_counts` keeps
+    step = max(1, _BATCH_ELEMENTS // s.order**n)
     worst = {}
     for lo in range(0, samples, step):
         k = min(step, samples - lo)

@@ -1,6 +1,18 @@
+import weakref
+
 import pytest
 
 import wordfibers.fibers as fibers
+
+
+@pytest.fixture(autouse=True)
+def scan_table(monkeypatch):
+    """An empty content table of exact scans (`fibers._SCANS`) for each
+    test: sets of earlier tests that the cyclic garbage collector has not
+    freed yet would otherwise lend it their scans."""
+    table = weakref.WeakValueDictionary()
+    monkeypatch.setattr(fibers, "_SCANS", table)
+    return table
 
 
 @pytest.fixture

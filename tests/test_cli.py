@@ -1210,8 +1210,12 @@ class TestSharedStructure:
                                                         scans):
         import wordfibers.groups as groups
 
+        import wordfibers.verify as verify
+
         auts = count_builds(monkeypatch, ("aut",))
         lattices = self.count(monkeypatch, groups, "_lattice")
+        section_sets = self.count(monkeypatch, groups, "_section_autset")
+        wreaths = self.count(monkeypatch, verify, "wreath_counts")
         golden = json.loads((GOLDEN / "battery.json").read_text())
         code, doc, _ = run(["--threads", threads, "verify", "battery", "--out", str(tmp_path)])
         assert (code, doc["result"]) == (golden["records"][0]["exit_code"],
@@ -1221,10 +1225,16 @@ class TestSharedStructure:
         # 10 of the 16 specs need Aut(G); 4 resolve order:<k> selectors.  The
         # entries run in order on one thread, whatever the thread count.
         assert (len(auts), len(lattices)) == (10, 4)
-        # 79 exact scans, the other 23 exact searches read a kept scan; on
-        # two threads a scan of several batches is split into ranges
+        # the 20 submult entries on 5 subgroups build 16 section sets: those
+        # of an order:<k> subgroup are kept on its lattice handle, and each
+        # center entry builds a new handle; the 300 samples of the alt:5,
+        # n = 2 entry are counted in one block
+        assert (len(section_sets), len(wreaths)) == (16, 1)
+        # 50 exact scans; the other 52 exact searches read a scan kept on
+        # their set or found by content on another; on two threads a scan of
+        # several batches is split into ranges
         if threads == "1":
-            assert len(scans) == 79
+            assert len(scans) == 50
 
     def test_each_request_builds_its_own_groups(self, monkeypatch):
         phis = count_builds(monkeypatch, ("phi",))
@@ -1238,10 +1248,11 @@ class TestSharedStructure:
         ["verify", "submult", "--group", "dih:4", "--subgroup", "order:4", "--word", "x1^2"],
         ["fiber", "max", "--group", "dih:4", "--word", "[x1,x2]", "--auts", "aut"],
     ], ids=["submult", "fiber-max"])
-    def test_a_request_leaves_no_reference_cycles(self, argv):
+    def test_a_request_leaves_no_reference_cycles(self, argv, scan_table):
         # Aut(G), the lattice and the scans kept on an automorphism set point
         # back at their group; the request drops them at its end, so its
-        # groups are freed at once
+        # groups are freed at once, and with them every scan the content
+        # table indexes
         import gc
 
         run(argv)  # builds the parser, once per process
@@ -1249,6 +1260,7 @@ class TestSharedStructure:
         gc.disable()
         try:
             assert run(argv)[0] == EXIT_OK
+            assert len(scan_table) == 0
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -60,8 +60,11 @@ def identity_rows(g, w):
 
 
 def fresh(a):
-    """A copy of A that keeps no exact scans (``a.searches``), so an exact
-    `max_fiber` on it scans again."""
+    """A copy of A that keeps no exact scans (``a.searches``), with the
+    content table of scans (`fibers._SCANS`) emptied, so an exact
+    `max_fiber` on it scans again: the oracle shares no scan.  The emptied
+    entries stay kept on the sets that hold them."""
+    fibers._SCANS.clear()
     return AutSet(a.group, a.tables, kind=a.kind)
 
 
@@ -975,7 +978,8 @@ def assert_same_result(got, want):
 class TestSearchMemo:
     """`max_fiber` keeps each exact scan on A (``a.searches``), keyed by the
     group object and the word, and builds every later exact result for them
-    from it."""
+    from it; a set that misses there finds a scan of equal content
+    (`fibers._SCANS`)."""
 
     def test_a_second_call_reads_the_kept_scan(self, scans):
         g = make_group("alt:4")
@@ -996,8 +1000,12 @@ class TestSearchMemo:
         assert max_fiber(g, SQUARE, a).value == square.value
         assert max_fiber(g, COMMUTATOR, a).value == commutator.value
         assert len(scans) == 2
-        max_fiber(make_group("dih:4"), SQUARE, a)
-        assert len(scans) == 3
+        # a new group object is a new key on A, and its equal table finds
+        # the scan by content
+        twin = make_group("dih:4")
+        assert max_fiber(twin, SQUARE, a).value == square.value
+        assert len(scans) == 2
+        assert list(a.searches) == [(g, SQUARE), (g, COMMUTATOR), (twin, SQUARE)]
 
     def test_kept_records_are_read_only(self):
         g = make_group("sym:3")
@@ -1049,21 +1057,104 @@ class TestSearchMemo:
         first.target_values[0] = 0  # a sampled result is the caller's own
 
     def test_threads_sharing_one_set_get_the_scans_of_fresh_sets(self):
-        # several callers on one A at once, switching threads often: a miss
-        # on two threads scans twice and keeps the first scan stored
-        g = make_group("dih:4")
+        # several callers on one A, and on a set of equal content over a
+        # group of equal table, at once, switching threads often: a miss on
+        # two threads scans twice and keeps the first scan stored
+        g, twin = make_group("dih:4"), make_group("dih:4")
         a = automorphism_group(g)
+        b = AutSet(twin, a.tables.copy(), kind="full")
         words = [SQUARE, COMMUTATOR, XY, parse_word("x1 x2 x1")] * 3
+        jobs = [(grp, w, s) for w in words for grp, s in ((g, a), (twin, b))]
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
-                results = list(pool.map(lambda w: max_fiber(g, w, a), words, timeout=60))
+                results = list(pool.map(lambda job: max_fiber(*job), jobs, timeout=60))
         finally:
             sys.setswitchinterval(switch)
-        assert len(a.searches) == 4
-        for w, res in zip(words, results):
-            assert_same_result(res, max_fiber(g, w, fresh(a)))
+        assert len(a.searches) == len(b.searches) == 4
+        for (grp, w, s), res in zip(jobs, results):
+            assert_same_result(res, max_fiber(grp, w, fresh(s)))
+
+
+class TestSharedScans:
+    """A set that misses its own kept scans finds a scan by content: G's
+    table, A's rows, A's closedness and the word (`fibers._SCANS`)."""
+
+    @staticmethod
+    def twin(a):
+        """A new group object with a's group's table, and a new set with a
+        copy of a's rows."""
+        g = make_group(a.group.spec)
+        return g, AutSet(g, a.tables.copy(), kind=a.kind)
+
+    def test_equal_tables_and_rows_share_one_scan(self, scans):
+        g = make_group("dih:4")
+        a = automorphism_group(g)
+        first = max_fiber(g, COMMUTATOR, a)
+        twin, b = self.twin(a)
+        for target in (None, 0, 3):
+            assert_same_result(max_fiber(twin, COMMUTATOR, b, target=target),
+                               max_fiber(g, COMMUTATOR, a, target=target))
+        assert len(scans) == 1
+        assert b.searches[(twin, COMMUTATOR)] is a.searches[(g, COMMUTATOR)]
+        assert_same_result(max_fiber(twin, COMMUTATOR, fresh(b)), first)
+        assert len(scans) == 2
+
+    def test_a_different_row_table_word_or_closedness_scans_again(self, scans):
+        g = make_group("dih:4")
+        max_fiber(g, SQUARE, automorphism_group(g))
+        max_fiber(g, SQUARE, inner_automorphisms(g))  # other rows
+        max_fiber(g, SQUARE, identity_autset(g))
+        cyc = make_group("cyc:8")
+        max_fiber(cyc, SQUARE, identity_autset(cyc))  # the identity rows, another table
+        max_fiber(g, COMMUTATOR, automorphism_group(g))  # another word
+        assert len(scans) == 5
+        # the same rows taken as closed: a normal-form scan, not the full one
+        c, unclosed = doubling_autset()
+        taken = AutSet(c, unclosed.tables, kind="full")
+        full, normal = max_fiber(c, SQUARE, unclosed), max_fiber(c, SQUARE, taken)
+        assert len(scans) == 7
+        assert (full.tuples_scanned, normal.tuples_scanned) == (4, 2)
+
+    def test_a_digest_collision_scans_again(self, monkeypatch, scans):
+        # with every digest equal, only the full comparison of the arrays
+        # tells the scans apart
+        monkeypatch.setattr(fibers, "_digest", lambda array: 0)
+        g, cyc = make_group("dih:4"), make_group("cyc:8")
+        sets = [(g, automorphism_group(g)), (g, inner_automorphisms(g)),
+                (cyc, identity_autset(cyc)), (g, identity_autset(g))]
+        results = [max_fiber(grp, SQUARE, a) for grp, a in sets]
+        assert len(scans) == 4
+        for (grp, a), res in zip(sets, results):
+            assert_same_result(res, max_fiber(grp, SQUARE, fresh(a)))
+
+    def test_a_shared_hit_refuses_the_budget_a_miss_refuses(self, scans):
+        g = make_group("alt:4")
+        a = automorphism_group(g)
+        needed = 24**2 * 12**2
+        twin, b = self.twin(a)
+        with pytest.raises(BudgetExceeded) as miss:
+            max_fiber(twin, COMMUTATOR, b, budget=needed - 1)
+        max_fiber(g, COMMUTATOR, a, budget=needed)
+        with pytest.raises(BudgetExceeded) as hit:
+            max_fiber(twin, COMMUTATOR, b, budget=needed - 1)
+        assert str(hit.value) == str(miss.value)
+        assert not b.searches and len(scans) == 1
+        max_fiber(twin, COMMUTATOR, b, budget=needed)
+        assert len(scans) == 1 and list(b.searches) == [(twin, COMMUTATOR)]
+
+    def test_the_table_forgets_a_scan_with_its_last_set(self, scan_table):
+        g = make_group("dih:4")
+        a = AutSet(g, automorphism_group(g).tables, kind="full")
+        twin, b = self.twin(a)
+        max_fiber(g, SQUARE, a)
+        max_fiber(twin, SQUARE, b)
+        assert len(scan_table) == 1
+        del a
+        assert len(scan_table) == 1  # b holds it
+        del b
+        assert len(scan_table) == 0
 
 
 def center_handle(g):

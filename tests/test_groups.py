@@ -592,6 +592,11 @@ class TestQuotient:
             sub.as_quotient
 
 
+def dih4_rotations(g):
+    """The characteristic subgroup of order 4 of ``dih:4``, from its lattice."""
+    return next(s for s in normal_subgroups(g) if s.order == 4 and s.characteristic)
+
+
 class TestInducedRestricted:
     def test_identity_only(self):
         g = make_group("dih:4")
@@ -640,6 +645,26 @@ class TestInducedRestricted:
         n = subgroup_handle(g, [0, 1])
         with pytest.raises(ValueError):
             induced_autset(n, identity_autset(g))
+
+    def test_kept_on_the_handle_per_source_set(self, monkeypatch):
+        # the section sets are built once per handle and source set, so the
+        # scans kept on them outlive the check that first asked for them
+        g = make_group("dih:4")
+        n = dih4_rotations(g)
+        aut, inn = automorphism_group(g), inner_automorphisms(g)
+        built = []
+        real = groups_mod._section_autset
+        monkeypatch.setattr(groups_mod, "_section_autset",
+                            lambda s, a: built.append(a) or real(s, a))
+        for make in (induced_autset, restricted_autset):
+            assert make(n, aut) is make(n, aut)
+            assert make(n, inn) is not make(n, aut)
+            assert make(n, inn) is make(n, inn)
+        assert built == [aut, inn] * 2
+        # another handle on the same subgroup builds its own
+        twin = dih4_rotations(make_group("dih:4"))
+        assert induced_autset(twin, automorphism_group(twin.group)) is not induced_autset(n, aut)
+        assert n == subgroup_handle(g, n.elements)  # the kept sets are not compared
 
     def test_a_row_that_leaves_the_subgroup_is_refused(self):
         # a builder that flags a subgroup characteristic wrongly: Aut(V4)
@@ -1138,13 +1163,35 @@ class TestClassClosures:
             start[[0, x]] = True
             assert (_span_mask(g.table, cls, start) == _span_mask(g.table, cls)).all()
 
-    def test_one_level_per_class_of_a_cyclic_group(self, monkeypatch):
-        # each class {x} starts from <x>, which is already closed; walking
-        # the powers took about |x| levels for each
+    def test_an_abelian_group_walks_no_class(self, monkeypatch):
+        # each class {x} closes to <x>, a row of the power mask; walking from
+        # that row took one level per class
         levels = counting_span_levels(monkeypatch)
         g = make_group("cyc:512")
         assert len(_class_closures(g)) == 9
-        assert levels[0] == 511
+        assert levels[0] == 0
+
+    # pow:(cyc:2)^4 among them
+    @pytest.mark.parametrize("spec", [s for s in LATTICE_SPECS if make_group(s).is_abelian])
+    def test_abelian_closures_equal_the_walks(self, spec):
+        g = make_group(spec)
+        powers = groups_mod._power_mask(g)
+        walked = {
+            tuple(np.flatnonzero(_span_mask(g.table, [x], powers[x])).tolist())
+            for x in range(1, g.order)
+        }
+        assert _class_closures(g) == sorted(walked, key=lambda c: (len(c), c))
+
+    def test_a_nonabelian_group_walks_every_class(self, monkeypatch):
+        levels = counting_span_levels(monkeypatch)
+        for spec in ("q8", "dih:4"):
+            g = make_group(spec)
+            calls = []
+            real = groups_mod._cyclic_subgroups
+            monkeypatch.setattr(groups_mod, "_cyclic_subgroups",
+                                lambda g: calls.append(g) or real(g))
+            _class_closures(g)
+            assert calls == [] and levels[0] > 0
 
 
 def factor_data(spec):

@@ -518,11 +518,35 @@ class TestVariationBound:
         )
         assert (report.outcome, report.witness, report.counters) == (outcome, witness, counters)
 
+    @pytest.mark.parametrize("case", [PINNED_SAMPLED[0], PINNED_SAMPLED[4]],
+                             ids=["battery-entry", "fails-at-sample-1"])
+    def test_the_sample_block_does_not_change_the_report(self, monkeypatch, case):
+        # the default block, the kernel's bound, takes every sample at once;
+        # blocks of 1, 36 and 300 samples draw the same sample-major stream,
+        # and the witness and counters do not depend on the split
+        word, samples, seed, factor, outcome, witness, counters = case
+        blocks = []
+        real = verify.wreath_counts
+        monkeypatch.setattr(verify, "wreath_counts",
+                            lambda *a: blocks.append(len(a[4])) or real(*a))
+        reports = []
+        for step in (None, 1, 36, 300):
+            if step is not None:
+                monkeypatch.setattr(verify, "_BATCH_ELEMENTS", step * 3600)
+            blocks.clear()
+            reports.append(check_variation_bound(make_group("alt:5"), 2, parse_word(word),
+                                                 samples=samples, seed=seed,
+                                                 epsilon_factor=factor))
+            assert blocks[0] == min(step or samples, samples)
+        assert all(report == reports[0] for report in reports)
+        assert (reports[0].outcome, reports[0].witness, reports[0].counters) == (
+            outcome, witness, counters)
+
     def test_sampled_blocks_do_not_change_the_report(self, monkeypatch):
         s, w = make_group("alt:5"), parse_word("x1^2")
         whole = check_variation_bound(s, 2, w, samples=60, seed=2026)
-        # blocks of 7 samples (a block's counts take _BATCH_ELEMENTS / 32 entries)
-        monkeypatch.setattr(verify, "_BATCH_ELEMENTS", 32 * 7 * 3600)
+        # blocks of 7 samples (a block's counts take _BATCH_ELEMENTS entries)
+        monkeypatch.setattr(verify, "_BATCH_ELEMENTS", 7 * 3600)
         assert check_variation_bound(s, 2, w, samples=60, seed=2026) == whole
         # and kernel batches of one sample
         monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 3600)
