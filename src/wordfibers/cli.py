@@ -62,7 +62,15 @@ from .verify import (
     check_variation_bound,
     check_variation_projection,
 )
-from .words import format_word, m_constant, parse_word, variation_count, variations
+from .words import (
+    ReducedWord,
+    _require_nonempty,
+    format_word,
+    m_constant,
+    parse_word,
+    variation_count,
+    variations,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -111,7 +119,18 @@ def _digits(value) -> str:
 
 
 def canonical(obj):
-    """Convert a result tree to JSON-ready form with canonical number formats."""
+    """Convert a result tree to JSON-ready form with canonical number formats.
+
+    Strings, None, plain ints and plain dicts, most of a report's nodes, are
+    told by their exact type first, before the isinstance chain and the
+    `bounds` lookup; a subclass of any of them takes the chain."""
+    kind = type(obj)
+    if kind is str or obj is None:
+        return obj
+    if kind is dict:
+        return {str(k): canonical(v) for k, v in obj.items()}
+    if kind is int:
+        return _digits(obj)
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -206,19 +225,21 @@ class ResultCache:
 
 
 class Context:
-    """Per-request settings and groups; a handler may add work counters to
-    ``stats``.
+    """Per-request settings, groups and words; a handler may add work
+    counters to ``stats``.
 
     `group` builds each spec once per request, so every check of a battery
     on the same spec shares one `FiniteGroup`, and with it the structure
-    cached on the group: Aut(G), the normal lattice and its quotients.  A
-    new request builds everything again."""
+    cached on the group: Aut(G), the normal lattice and its quotients.
+    `word` parses each word text once per request.  A new request builds
+    everything again."""
 
     def __init__(self, threads: int, budget: int):
         self.threads = threads
         self.budget = budget
         self.stats: dict = {}
         self._groups: dict[str, FiniteGroup] = {}
+        self._words: dict[str, ReducedWord] = {}
 
     def group(self, spec: str) -> FiniteGroup:
         """The request's group for ``spec``, built on first use."""
@@ -226,6 +247,15 @@ class Context:
         if g is None:
             g = self._groups[spec] = make_group(spec)
         return g
+
+    def word(self, text: str, require_nonempty: bool = False) -> ReducedWord:
+        """The request's word for ``text``, parsed on first use; with
+        ``require_nonempty``, an empty word is refused as `parse_word`
+        refuses it.  A word is immutable, so every reader may share it."""
+        w = self._words.get(text)
+        if w is None:
+            w = self._words[text] = parse_word(text)
+        return _require_nonempty(w, text) if require_nonempty else w
 
     def close(self) -> None:
         """Drop the structure cached on the request's groups.  Aut(G) and the
@@ -289,7 +319,7 @@ class CheckFailed(Exception):
 
 
 def cmd_word_parse(args, ctx):
-    w = parse_word(args.word)
+    w = ctx.word(args.word)
     return {
         "word": format_word(w),
         "length": w.length,
@@ -299,7 +329,7 @@ def cmd_word_parse(args, ctx):
 
 
 def cmd_word_variations(args, ctx):
-    w = parse_word(args.word, require_nonempty=True)
+    w = ctx.word(args.word, require_nonempty=True)
     count = variation_count(w)
     listed = []
     for v in variations(w):
@@ -394,7 +424,7 @@ def cmd_group_radical(args, ctx):
 
 def cmd_fiber_dist(args, ctx):
     g, autset = _group_and_aut(ctx, args.group, args.auts)
-    w = parse_word(args.word, require_nonempty=True)
+    w = ctx.word(args.word, require_nonempty=True)
     if args.tuple:
         indices = [int(x) for x in args.tuple.split(",")]
     else:
@@ -414,14 +444,14 @@ def cmd_fiber_dist(args, ctx):
 
 def cmd_fiber_pi(args, ctx):
     g = ctx.group(args.group)
-    w = parse_word(args.word, require_nonempty=True)
+    w = ctx.word(args.word, require_nonempty=True)
     value, proportion = pi_w(g, w, budget=ctx.budget)
     return {"max_fiber": value, "proportion": proportion}
 
 
 def cmd_fiber_max(args, ctx):
     g, autset = _group_and_aut(ctx, args.group, args.auts)
-    w = parse_word(args.word, require_nonempty=True)
+    w = ctx.word(args.word, require_nonempty=True)
     target = None if args.target == "any" else int(args.target)
     res = max_fiber(
         g,
@@ -503,14 +533,14 @@ class Check:
 
 def _run_identity_max(p, ctx, budget):
     g, autset = _group_and_aut(ctx, p["group"], p["auts"])
-    w = parse_word(p["word"], require_nonempty=True)
+    w = ctx.word(p["word"], require_nonempty=True)
     return check_identity_maximal(g, w, autset, budget=budget, threads=ctx.threads)
 
 
 def _run_submult(p, ctx, budget):
     g, autset = _group_and_aut(ctx, p["group"], p["auts"])
     n = resolve_subgroup(g, p["subgroup"])
-    w = parse_word(p["word"], require_nonempty=True)
+    w = ctx.word(p["word"], require_nonempty=True)
     return check_submultiplicative(g, n, w, autset, budget=budget, threads=ctx.threads)
 
 
@@ -518,13 +548,13 @@ def _run_rewrite(p, ctx, budget):
     g = ctx.group(p["group"])
     aut = automorphism_group(g)
     n = resolve_subgroup(g, p["subgroup"])
-    w = parse_word(p["word"], require_nonempty=True)
+    w = ctx.word(p["word"], require_nonempty=True)
     return check_rewrite(g, n, w, aut, trials=p["trials"], seed=p["seed"], budget=budget)
 
 
 def _run_variation_bound(p, ctx, budget):
     s = ctx.group(p["simple"])
-    w = parse_word(p["word"], require_nonempty=True)
+    w = ctx.word(p["word"], require_nonempty=True)
     return check_variation_bound(
         s,
         p["n"],
@@ -540,7 +570,7 @@ def _run_variation_bound(p, ctx, budget):
 
 def _run_variation_projection(p, ctx, budget):
     g = ctx.group(p["group"])
-    w = parse_word(p["word"], require_nonempty=True)
+    w = ctx.word(p["word"], require_nonempty=True)
     return check_variation_projection(g, w, budget=budget, threads=ctx.threads)
 
 
@@ -618,9 +648,9 @@ def _entry_params(index: int, entry, budget: int) -> tuple[Check, dict, int]:
     return check, params, budget
 
 
-def run_battery_entry(entry: dict, ctx: Context, index: int = 0) -> CheckReport:
-    """Run one manifest entry; ``ctx.threads`` splits its tuple searches."""
-    check, params, budget = _entry_params(index, entry, ctx.budget)
+def run_battery_entry(check: Check, params: dict, budget: int, ctx: Context) -> CheckReport:
+    """Run one validated manifest entry (`_entry_params`); ``ctx.threads``
+    splits its tuple searches."""
     return check.run(params, ctx, budget)
 
 
@@ -636,11 +666,11 @@ def cmd_verify_battery(args, ctx):
         raise ValueError(f"cannot read manifest {manifest_path}: {err}") from err
     if not isinstance(entries, list):
         raise ValueError("the manifest must be a JSON list of check entries")
-    for index, entry in enumerate(entries):
-        _entry_params(index, entry, ctx.budget)  # refuse a bad manifest before any work
+    # every entry is validated, and a bad manifest refused, before any work
+    checks = [_entry_params(index, entry, ctx.budget) for index, entry in enumerate(entries)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = [run_battery_entry(entry, ctx, index) for index, entry in enumerate(entries)]
+    reports = [run_battery_entry(*check, ctx) for check in checks]
     summary = {"total": len(reports), "passed": 0, "failed": 0, "inconclusive": 0}
     files = []
     for idx, report in enumerate(reports):
@@ -665,7 +695,7 @@ def cmd_verify_battery(args, ctx):
 
 def cmd_bounds_exclude(args, ctx):
     from .bounds import excluded_factors_report
-    w = parse_word(args.word, require_nonempty=True)
+    w = ctx.word(args.word, require_nonempty=True)
     report = excluded_factors_report(w, parse_fraction(args.rho))
     return {
         "word": report.word,
@@ -690,25 +720,25 @@ def cmd_bounds_exclude(args, ctx):
 
 def cmd_bounds_alt(args, ctx):
     from .bounds import alt_exclusion_threshold
-    w = parse_word(args.word, require_nonempty=True)
+    w = ctx.word(args.word, require_nonempty=True)
     return alt_exclusion_threshold(w, parse_fraction(args.rho))
 
 
 def cmd_bounds_lie(args, ctx):
     from .bounds import lie_rank_threshold
-    w = parse_word(args.word, require_nonempty=True)
+    w = ctx.word(args.word, require_nonempty=True)
     return lie_rank_threshold(w, parse_fraction(args.rho))
 
 
 def cmd_bounds_n0(args, ctx):
     from .bounds import n0_bound
-    w = parse_word(args.word, require_nonempty=True)
+    w = ctx.word(args.word, require_nonempty=True)
     return {"n0": n0_bound(w, parse_fraction(args.rho), args.order)}
 
 
 def cmd_bounds_radical_bound(args, ctx):
     from .bounds import radical_index_bound
-    w = parse_word(args.word, require_nonempty=True)
+    w = ctx.word(args.word, require_nonempty=True)
     factors = []
     if args.factors:
         for part in args.factors.split(","):

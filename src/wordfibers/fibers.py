@@ -5,7 +5,8 @@ significant: index = sum_k g_k * n^(d-k).  Automorphism tuples drawn from an
 enumerated AutSet of size m are likewise numbered in mixed radix with the
 first letter most significant, which fixes the deterministic search order and
 tie-breaking.  The exact search scans only the tuples in normal form (see
-`_search_all_tuples`) but reports every tuple index in this full numbering.
+`_search_all_tuples`), or one tuple per conjugation orbit of them, but
+reports every tuple index in this full numbering.
 One tuple of letter automorphisms is an (l, |G|) array, row i the table of
 the automorphism on letter i.
 """
@@ -32,6 +33,11 @@ from .words import Letter, ReducedWord
 
 DEFAULT_BUDGET = 10**8
 _BATCH_ELEMENTS = 1 << 22
+# the largest |A|^2 whose conjugation table the orbit scan builds
+_CONJUGATION_ENTRIES = 1 << 22
+# read once: `np.iinfo` builds a new object on every call
+_INT32_MAX = int(np.iinfo(np.int32).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 # every exact scan some AutSet keeps, indexed by what it depends on
 # (`_search_all_tuples`); an entry leaves when the last set holding it goes
@@ -60,12 +66,13 @@ class FiberDistribution:
 class MaxFiberResult:
     """``tuples_examined`` counts the automorphism tuples the result covers
     (all |A|^l of them in exact mode) and ``tuples_scanned`` those actually
-    scanned; ``evaluations`` and ``evaluations_performed`` count the argument
-    tuples accounted for, |G|^d per covered or scanned tuple.  A word that
-    splits into segments (see `_BatchEvaluator`) accounts for them without
-    evaluating each one.  ``witness_tuple`` holds the witness's letter
-    automorphisms, one table per row, and ``witness_tuple_indices`` their
-    AutSet indices.
+    evaluated: in exact mode the tuples in normal form, or one per orbit of
+    them where the orbit scan runs (see `max_fiber`); ``evaluations`` and
+    ``evaluations_performed`` count the argument tuples accounted for, |G|^d
+    per covered or scanned tuple.  A word that splits into segments (see
+    `_BatchEvaluator`) accounts for them without evaluating each one.
+    ``witness_tuple`` holds the witness's letter automorphisms, one table
+    per row, and ``witness_tuple_indices`` their AutSet indices.
 
     ``target_values[g]`` is the largest fiber at target g over the tuples
     covered, P^(A)(G, g) in exact mode, and ``target_tuple_numbers[g]`` the
@@ -307,10 +314,10 @@ class _BatchEvaluator:
         letters = [let for word in words for let in word.letters]
         d = len({let.var for let in letters})
         self.total_args = self.n**d
-        if self.total_args > np.iinfo(np.int64).max:
+        if self.total_args > _INT64_MAX:
             raise CapExceeded(f"{self.n}^{d} argument tuples exceed the 64-bit fiber counts")
         self.bins = self.n ** len(words)
-        if self.bins > np.iinfo(np.int32).max:
+        if self.bins > _INT32_MAX:
             raise CapExceeded(f"{self.n}^{len(words)} joint bins exceed the 32-bit keys")
         if len(words) == 1:
             parts = [(lo, hi, [letters[lo:hi]]) for lo, hi in _segments(words[0])]
@@ -398,13 +405,24 @@ def _segments(w: ReducedWord) -> list[tuple[int, int]]:
     return segments
 
 
-def _normal_form_batches(ev: _BatchEvaluator, start: int, stop: int, free: Sequence[int]):
-    """Scanned rows start..stop-1 of the exact search in batches, their
-    digits filling the `free` letters, with their full indices
-    (`_tuple_digits`)."""
-    m, l, step = len(ev.at), ev.w.length, ev.batch_size()
+def _normal_form_batches(
+    ev: _BatchEvaluator,
+    start: int,
+    stop: int,
+    free: Sequence[int],
+    reps: Optional[np.ndarray] = None,
+    step: Optional[int] = None,
+):
+    """Scanned rows start..stop-1 of the exact search in batches of `step`
+    (default `batch_size()`), their digits filling the `free` letters, with
+    their full indices (`_tuple_digits`).  With `reps` given, positions
+    start..stop-1 of that ascending array of rows are scanned instead."""
+    m, l = len(ev.at), ev.w.length
+    step = step or ev.batch_size()
     for lo in range(start, stop, step):
-        yield _tuple_digits(np.arange(lo, min(lo + step, stop), dtype=np.int64), m, l, free)
+        hi = min(lo + step, stop)
+        rows = np.arange(lo, hi, dtype=np.int64) if reps is None else reps[lo:hi]
+        yield _tuple_digits(rows, m, l, free)
 
 
 def _sampled_batches(ev: _BatchEvaluator, rng: np.random.Generator, samples: int):
@@ -421,43 +439,135 @@ def _sampled_batches(ev: _BatchEvaluator, rng: np.random.Generator, samples: int
         yield list(draws.T), np.arange(lo, hi, dtype=np.int64)
 
 
-def _scan_range(ev: _BatchEvaluator, batches):
+class _Orbits:
+    """The tuples in normal form under simultaneous conjugation by a closed
+    A, alpha_i -> beta alpha_i beta^-1, as rows of the exact search (see
+    `_search_all_tuples`): the least row of each orbit, and the images of a
+    block of them.  Every digit is read from A's conjugation table."""
+
+    def __init__(self, a: AutSet, l: int, f: int):
+        t = a.tables
+        # |A|, the word length and the number of free letters
+        self.m, self.l, self.f = len(a), l, f
+        # images[alpha, b]: the row number of beta_b alpha beta_b^-1
+        self.images = np.ascontiguousarray(a.conjugation.T)
+        # inverse[b]: the table of beta_b^-1
+        self.inverse = np.empty_like(t)
+        self.inverse[np.arange(self.m)[:, None], t] = np.arange(t.shape[1], dtype=t.dtype)
+
+    def representatives(self, scanned: int) -> np.ndarray:
+        """The rows 0..scanned-1 that are least in their orbit, ascending.
+
+        Rows compare as their digits do, first digit first, so a least row
+        has a first digit d least in its conjugacy class, and its images
+        under beta keep d only for beta in the centralizer C(d), which must
+        not lower the later digits.  So only the class minima d are tried,
+        each with the rows of the later digits against C(d): a row is kept
+        where the least row number of those images is its own.  The
+        centralizers lie side by side, one run per class, and the rows go a
+        block of at most `_COMPOSE_BLOCK_ELEMENTS` images at a time."""
+        m, f = self.m, self.f
+        rest = scanned // m
+        least = np.flatnonzero(self.images.min(axis=1) == np.arange(m))
+        cls, beta = np.nonzero(self.images[least] == least[:, None])
+        runs = np.flatnonzero(np.diff(cls, prepend=-1))
+        images = self.images[:, beta]
+        step = max(1, _COMPOSE_BLOCK_ELEMENTS // len(beta))
+        reps = []
+        for lo in range(0, rest, step):
+            rows = np.arange(lo, min(lo + step, rest), dtype=np.int64)
+            image = np.zeros((len(rows), len(beta)), dtype=np.int64)
+            for j in range(1, f):
+                image = image * m + images[(rows // m ** (f - 1 - j)) % m]
+            kept = np.minimum.reduceat(image, runs, axis=1) == rows[:, None]
+            r, c = np.nonzero(kept)
+            reps.append(least[c] * rest + rows[r])
+        return np.sort(np.concatenate(reps))
+
+    def expand(self, counts: np.ndarray, digits: list[Optional[np.ndarray]]):
+        """The counts, per-letter digits and full tuple numbers of every image
+        beta.r of the b representatives r given, each image once, ascending
+        by number.  Its counts are read off r's, F_(beta.r)(t) =
+        F_r(beta^-1(t)), in one gather of at most b*|A|*|G| entries."""
+        m = self.m
+        num = np.zeros((len(counts), m), dtype=np.int64)
+        image: list[Optional[np.ndarray]] = []
+        for i, dig in enumerate(digits):
+            if dig is not None:
+                dig = self.images[dig]
+                num += dig * np.int64(m ** (self.l - 1 - i))
+            image.append(dig)
+        num = num.ravel()
+        order = np.argsort(num)
+        num = num[order]
+        first = np.ones(len(num), dtype=bool)
+        first[1:] = num[1:] != num[:-1]
+        order, num = order[first], num[first]
+        rep, beta = np.divmod(order, m)
+        counts = counts[rep[:, None], self.inverse[beta]]
+        return counts, [None if dig is None else dig.ravel()[order] for dig in image], num
+
+
+def _scan_range(ev: _BatchEvaluator, batches, orbits: Optional[_Orbits] = None):
     """Scan batches of tuples; returns, for each target, the largest fiber,
     the number of the least tuple attaining it and that tuple's per-letter
     AutSet indices ((n,), (n,) and (n, l) arrays), and the evaluation count.
 
     A batch is its per-letter AutSet indices, None for the identity on every
     tuple, and its tuple numbers, ascending: full mixed-radix indices
-    (`_normal_form_batches`) or draw numbers (`_sampled_batches`).  A target's
-    record changes only where a batch beats it strictly, to the batch's first
-    row at the new maximum, so it is always the least tuple attaining it.  A
+    (`_normal_form_batches`) or draw numbers (`_sampled_batches`).  With
+    `orbits`, a batch holds orbit representatives, and only they are
+    evaluated: `_Orbits.expand` turns their counts into those of every tuple
+    of their orbits, ascending by number, and those are recorded.
+
+    A record changes by one rule: a larger value wins, and on equal values
+    the smaller tuple number.  A batch's rows ascend, so its best at a target
+    is its first row at the batch's maximum; a tie with the record can win
+    only if the batch holds a number below the record's, so ties are looked
+    at only when the batch's least number is below the largest seen.  In
+    scan order no batch's is, and a record changes only where a batch beats
+    it strictly.  Either way it is the least tuple attaining its value.  A
     target no tuple reaches keeps value 0, number -1 and the identity tuple,
     every letter 0.
     """
     vals = np.zeros(ev.n, dtype=np.int64)
     nums = np.full(ev.n, -1, dtype=np.int64)
     letters = np.zeros((ev.n, ev.w.length), dtype=np.int64)
-    evals = 0
+    evals = top = 0
     for digits, idx in batches:
         counts = ev.counts(digits)
         evals += len(idx) * ev.total_args
+        if orbits is not None:
+            counts, digits, idx = orbits.expand(counts, digits)
         batch_max = counts.max(axis=0)
-        improved = np.flatnonzero(batch_max > vals)
-        if improved.size:
-            rows = counts[:, improved].argmax(axis=0)
-            vals[improved] = batch_max[improved]
-            nums[improved] = idx[rows]
+        better = batch_max > vals
+        # no record's number exceeds the largest number seen, `top`
+        ties = idx[0] < top
+        top = max(top, int(idx[-1]))
+        if ties:
+            better |= (batch_max == vals) & (nums > idx[0])
+        cand = np.flatnonzero(better)
+        if cand.size:
+            rows = counts[:, cand].argmax(axis=0)
+            if ties:
+                win = (batch_max[cand] > vals[cand]) | (idx[rows] < nums[cand])
+                cand, rows = cand[win], rows[win]
+            vals[cand] = batch_max[cand]
+            nums[cand] = idx[rows]
+            # an identity letter is 0 in every record already
             for i, dig in enumerate(digits):
-                letters[improved, i] = 0 if dig is None else dig[rows]
+                if dig is not None:
+                    letters[cand, i] = dig[rows]
     return vals, nums, letters, evals
 
 
 def _merge_ranges(parts):
-    """The records of consecutive ranges, given in order, as one scan would
-    leave them: a later range's record wins only where strictly larger."""
+    """The records of several ranges as one scan of them all would leave
+    them, by the rule of `_scan_range`: the larger value wins, and on equal
+    values the smaller tuple number."""
     vals, nums, letters, evals = parts[0]
     for v, t, let, e in parts[1:]:
-        take = v > vals
+        take = (v > vals) | ((v == vals) & (t < nums))
         vals, nums = np.where(take, v, vals), np.where(take, t, nums)
         letters = np.where(take[:, None], let, letters)
         evals += e
@@ -519,11 +629,33 @@ def _search_all_tuples(
     full indices monotonically, so scanning them in order, in any thread
     split, reports the same witnesses as the full scan.
 
-    The budget is checked against the evaluations performed, the argument
-    tuples the scanned tuples account for, before any is made.  Returns the
-    per-target records of `_scan_range`, read-only, the evaluations
-    performed, and the tuples covered and scanned.  The records do not
-    depend on the thread count.
+    Orbits: a closed A also acts on tuples by simultaneous conjugation,
+    beta.alpha = (beta alpha_i beta^-1)_i.  Each letter of the word map then
+    reads beta(alpha_i(beta^-1(x_v))), and beta is a homomorphism, so
+    w_(beta.alpha)(x) = beta(w_alpha(beta^-1(x))); as x -> beta^-1(x) is a
+    bijection of G^d, F_(beta.alpha)(beta(t)) = F_alpha(t).  Conjugation
+    keeps the identity on every first letter, so it permutes the tuples in
+    normal form, and each of them is beta.r for r the least row of its
+    orbit (`_Orbits.representatives`).  So only the representatives are
+    evaluated, and every target's record is rebuilt from their counts:
+    M(t) = max over r and beta of F_r(beta^-1(t)), and its witness is the
+    least tuple number of beta.r over the pairs (r, beta) reaching M(t).
+    Those images are exactly the tuples in normal form that reach M(t), so
+    this is the witness of the scan of every row; it is the least image,
+    not the image of the least representative, which may lie anywhere in
+    its orbit.  A target that no tuple reaches keeps value 0, number -1 and
+    the identity letters in both scans.  The records are those of the scan
+    of every row, value, number and letters; only the tuples and
+    evaluations performed fall, to the representatives'.  `_orbits_pay`
+    estimates whether that pays, and an unclosed A, or one whose table of
+    conjugates would not fit, scans every row.
+
+    The budget is checked against the evaluations the scan of every row
+    would perform, the argument tuples its tuples account for, before any
+    is made, so the orbit scan refuses exactly where that scan does.
+    Returns the per-target records of `_scan_range`, read-only, the
+    evaluations performed, and the tuples covered and scanned.  The records
+    do not depend on the thread count.
 
     A scan is kept on A (``a.searches``), keyed by the group object and the
     word, and a later search reads it.  On a miss there, it is looked up by
@@ -532,21 +664,22 @@ def _search_all_tuples(
     table (products, and inverses, which the table determines) and its
     order, the table's side; it reads A only through its rows, by row
     number, so the records' tuple numbers and letters are row numbers, equal
-    for equal rows; closedness picks the free letters; and the counts
-    covered and scanned follow from |A|, the free letters and l.  So two
-    searches that agree on these four have the same records, whichever
-    group and set objects they are given.  The entry is indexed by the word,
-    the closedness and digests of the two arrays (`_digest`), and a hit
-    needs both arrays equal in full: a digest alone decides nothing.  A
-    found scan is kept on A as its own is, so every set that runs or reads
-    a scan holds it, and the weak table forgets it with the last of them.
-    The budget check comes first, on the same count, so a kept or shared
-    scan is refused exactly where a new one would be.
+    for equal rows; closedness picks the free letters and whether orbits
+    are scanned; and the counts covered and scanned follow from A's rows,
+    the free letters and l.  So two searches that agree on these four have
+    the same records, whichever group and set objects they are given.  The
+    entry is indexed by the word, the closedness and digests of the two
+    arrays (`_digest`), and a hit needs both arrays equal in full: a digest
+    alone decides nothing.  A found scan is kept on A as its own is, so
+    every set that runs or reads a scan holds it, and the weak table forgets
+    it with the last of them.  The budget check comes first, on the same
+    count, so a kept or shared scan is refused exactly where a new one would
+    be.
     """
     _require_word(w)
     m, l = len(a), w.length
     covered = m**l
-    if covered > np.iinfo(np.int64).max:
+    if covered > _INT64_MAX:
         raise CapExceeded(f"{covered} automorphism tuples exceed the 64-bit tuple numbering")
     free = _free_letters(w, a)
     scanned = m ** len(free)
@@ -556,27 +689,74 @@ def _search_all_tuples(
         content = (w, a.is_closed, _digest(g.table), _digest(a.tables))
         scan = _SCANS.get(content)
         if scan is None or not scan.ran_on(g.table, a.tables):
-            records = _scan_normal_forms(_BatchEvaluator(g, w, a.tables), free, scanned, threads)
-            scan = _SCANS[content] = _Scan(g.table, a.tables, (*records, covered, scanned))
+            *records, count = _scan_normal_forms(
+                _BatchEvaluator(g, w, a.tables), a, free, scanned, threads
+            )
+            scan = _SCANS[content] = _Scan(g.table, a.tables, (*records, covered, count))
         scan = a.searches.setdefault((g, w), scan)
     return scan.records
 
 
-def _scan_normal_forms(ev: _BatchEvaluator, free: Sequence[int], scanned: int, threads: int):
-    """The merged records of the scanned rows 0..scanned-1, split over at
-    most ``threads`` ranges, with the three record arrays made read-only."""
+def _orbits_pay(ev: _BatchEvaluator, m: int, scanned: int) -> bool:
+    """Whether scanning one tuple per orbit of A, |A| = m, is estimated to
+    cost less than scanning all `scanned` rows, in steps of about one
+    gathered element.
+
+    One tuple costs the kernel w = sum over its segments of n^(d_k) *
+    (letters + 1), the letter gathers and the bincount, plus n^2 for each
+    fold of two segments, and some 30 steps of set-up.  The orbit scan
+    evaluates at least scanned/m tuples, the representatives, and spends
+    about 3n steps on each row for its image's counts; it builds the
+    conjugation table, some 15 m^2 steps, and sets up in about 1e5 steps.
+    On a 2-core x86 VM (Python 3.11, numpy 2) this picks the faster scan in
+    all but 2 of 191 group/word/set cases timed both ways, each miss within
+    0.2 ms; the orbit scan loses at 4.6e3 evaluations (`q8`, `x1^3`; `dih:4`,
+    `[x1,x2]`) and wins from 3.7e4 (`q8`, `[x1,x2]`)."""
+    n = ev.n
+    w = sum(n**d * (hi - lo + 1) for lo, hi, d, _ in ev.segments)
+    w += (len(ev.segments) - 1) * n * n
+    return scanned * (w * (1 - 1 / m) + 30 - 3 * n) >= 15 * m * m + 100_000
+
+
+def _orbits(ev: _BatchEvaluator, a: AutSet, free: Sequence[int], scanned: int):
+    """The `_Orbits` to scan, or None to scan every row: conjugation needs A
+    closed, and is used where its table fits and `_orbits_pay`."""
+    m = len(a)
+    if not free or m == 1 or m * m > _CONJUGATION_ENTRIES or not a.is_closed:
+        return None
+    if not _orbits_pay(ev, m, scanned):
+        return None
+    return _Orbits(a, ev.w.length, len(free))
+
+
+def _scan_normal_forms(
+    ev: _BatchEvaluator, a: AutSet, free: Sequence[int], scanned: int, threads: int
+):
+    """The merged records of the scanned rows 0..scanned-1, or of the least
+    row of each orbit (`_orbits`), split over at most ``threads`` ranges of
+    the rows scanned, with the three record arrays made read-only, and the
+    count of rows scanned."""
+    orbits = _orbits(ev, a, free, scanned)
+    if orbits is None:
+        reps, count, step = None, scanned, ev.batch_size()
+    else:
+        reps = orbits.representatives(scanned)
+        count = len(reps)
+        step = max(1, min(ev.batch_size(), _BATCH_ELEMENTS // (len(a) * ev.n)))
     # no more workers than cores, and a pool only for a scan of several
     # batches, which alone imports `concurrent.futures`; the witnesses do not
     # depend on the split
     threads = min(int(threads), os.cpu_count() or 1) if threads > 1 else 1
-    if threads == 1 or scanned <= ev.batch_size():
-        parts = [_scan_range(ev, _normal_form_batches(ev, 0, scanned, free))]
+    if threads == 1 or count <= step:
+        parts = [_scan_range(ev, _normal_form_batches(ev, 0, count, free, reps, step), orbits)]
     else:
         from concurrent.futures import ThreadPoolExecutor
-        bounds = np.linspace(0, scanned, threads + 1, dtype=np.int64).tolist()
+        bounds = np.linspace(0, count, threads + 1, dtype=np.int64).tolist()
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_scan_range, ev, _normal_form_batches(ev, lo, hi, free))
+                pool.submit(
+                    _scan_range, ev, _normal_form_batches(ev, lo, hi, free, reps, step), orbits
+                )
                 for lo, hi in zip(bounds, bounds[1:])
                 if hi > lo
             ]
@@ -584,7 +764,7 @@ def _scan_normal_forms(ev: _BatchEvaluator, free: Sequence[int], scanned: int, t
     records = _merge_ranges(parts)
     for array in records[:3]:
         array.setflags(write=False)
-    return records
+    return (*records, count)
 
 
 def max_fiber(
@@ -605,7 +785,14 @@ def max_fiber(
     tuples but, when A is closed, scans only the |A|^(l-d) with the identity
     on the first letter of each variable: composing an automorphism of A onto
     all letters of one variable reparametrizes that variable and changes no
-    fiber size, and the least maximizing tuple already has that form (see
+    fiber size, and the least maximizing tuple already has that form.  Where
+    `_orbits_pay` estimates that it pays, it scans fewer still: one
+    tuple per orbit of A acting by simultaneous conjugation, alpha_i ->
+    beta alpha_i beta^-1, which moves each fiber from target t to beta(t)
+    and keeps its size.  Every target's record is rebuilt from the orbit
+    representatives' counts, the same value, least tuple and letters as the
+    scan of every tuple in normal form, so only ``tuples_scanned`` and
+    ``evaluations_performed`` tell the two apart (see
     `_search_all_tuples`).  The exact scan is kept on A, so a later exact
     call for the same group object and word, with any target or thread
     count, builds its result from the kept records, which are read-only; a
@@ -615,7 +802,8 @@ def max_fiber(
     tuple, in blocks of `batch_size()` as it scans them, keeps nothing, and
     reports a lower bound.  In both modes the budget bounds the evaluations
     performed, and is checked before any tuple is scanned or drawn, or a
-    kept scan read.
+    kept scan read; in exact mode it is checked on the count of the scan of
+    every tuple in normal form, which the orbit scan never exceeds.
 
     Ties are broken by the least (tuple index, target index), and the
     witness is read off the per-target records of `_scan_range`.  With a
@@ -723,7 +911,7 @@ def wreath_counts(
     if q**n > _BATCH_ELEMENTS:
         raise CapExceeded(f"{q}^{n} fiber counts of one tuple exceed {_BATCH_ELEMENTS}")
     args = n * w.num_variables
-    if q**args > np.iinfo(np.int64).max:
+    if q**args > _INT64_MAX:
         raise CapExceeded(f"{q}^{args} argument tuples exceed the 64-bit fiber counts")
     first: dict[int, int] = {}
     lead = [first.setdefault(let.var, i) for i, let in enumerate(w.letters)]

@@ -545,7 +545,8 @@ class AutSet:
     with equal rows already holds, for an equal group table, word and
     closedness, is found by content and kept here too
     (`fibers._search_all_tuples`).  The set's hold is what keeps a scan
-    alive.
+    alive.  ``conjugation``, the table of beta alpha beta^-1 over a closed
+    set that the orbit scan reads, is built on first use and kept too.
     """
 
     def __init__(self, group: FiniteGroup, tables: np.ndarray, kind: str):
@@ -601,8 +602,77 @@ class AutSet:
             self._all_members(t[lo : lo + step][:, t].reshape(-1, n)) for lo in range(0, m, step)
         )
 
+    @cached_property
+    def conjugation(self) -> np.ndarray:
+        """(|A|, |A|) int32 table of a closed set, read-only: entry [b, a] is
+        the row number of beta alpha beta^-1, for beta row b and alpha row a.
+
+        An automorphism is known by its values on a few elements, the
+        columns of `_column_labels`: A is closed, so each product is a
+        member, and exactly one member has its values there.  So only those
+        values of the products are composed, x -> beta(alpha(beta^-1(x))), a
+        block of conjugators beta at a time, and looked up by their label."""
+        if not self.is_closed:
+            raise ValueError("conjugation is defined on a closed automorphism set only")
+        t = self.tables
+        m, n = t.shape
+        cols, label = _column_labels(t)
+        member = np.empty(m, dtype=np.int32)
+        member[label(t[:, cols])] = np.arange(m, dtype=np.int32)
+        inv = np.empty_like(t)
+        inv[np.arange(m)[:, None], t] = np.arange(n, dtype=t.dtype)
+        out = np.empty((m, m), dtype=np.int32)
+        step = max(1, _COMPOSE_BLOCK_ELEMENTS // (m * len(cols)))
+        for lo in range(0, m, step):
+            beta = t[lo : lo + step]
+            k = np.arange(len(beta))[:, None, None]
+            # block [k, a, j] = beta_k(alpha_a(beta_k^-1(cols_j)))
+            block = beta[k, t[:, inv[lo : lo + step][:, cols]].transpose(1, 0, 2)]
+            out[lo : lo + len(beta)] = member[label(block.reshape(-1, len(cols)))].reshape(
+                len(beta), m
+            )
+        out.setflags(write=False)
+        return out
+
     def __repr__(self) -> str:
         return f"AutSet(kind={self.kind!r}, size={len(self)}, |G|={self.group.order})"
+
+
+def _column_labels(rows: np.ndarray):
+    """Columns on which the given distinct rows are pairwise distinct, and a
+    function from values on those columns to the label, 0..m-1, of the one
+    row that has them.
+
+    Each column, in index order, is taken where it splits rows that the
+    columns taken so far do not, until every row stands alone (column 0 for
+    a single row).  A row's label is the rank of (its label so far, its
+    value) among the rows' pairs, column by column; a table of (labels so
+    far) * |G| entries per column maps each pair to its rank.  Values that
+    no row has get no meaningful label: the caller gives only values some
+    row has."""
+    m, n = rows.shape
+    cols: list[int] = []
+    ranks: list[np.ndarray] = []
+    label, count = np.zeros(m, dtype=np.int64), 1
+    for x in range(n):
+        if count == m and cols:
+            break
+        pairs = label * n + rows[:, x]
+        present = np.zeros(count * n, dtype=bool)
+        present[pairs] = True
+        if np.count_nonzero(present) > count or m == 1:
+            rank = np.cumsum(present) - 1
+            label, count = rank[pairs], int(rank[-1]) + 1
+            cols.append(x)
+            ranks.append(rank)
+
+    def label_of(values: np.ndarray) -> np.ndarray:
+        found = np.zeros(len(values), dtype=np.int64)
+        for j, rank in enumerate(ranks):
+            found = rank[found * n + values[:, j]]
+        return found
+
+    return cols, label_of
 
 
 def identity_autset(g: FiniteGroup) -> AutSet:
@@ -1306,8 +1376,10 @@ def _power_mask(g: FiniteGroup) -> np.ndarray:
 
 
 def _cyclic_subgroups(g: FiniteGroup) -> set[tuple[int, ...]]:
-    """The subgroups <x>, x ≠ 1."""
-    return {tuple(np.flatnonzero(row).tolist()) for row in _power_mask(g)[1:]}
+    """The subgroups <x>, x ≠ 1: the distinct rows of `_power_mask`, found
+    by their bytes, each turned into a tuple once."""
+    rows = {row.tobytes(): row for row in _power_mask(g)[1:]}
+    return {tuple(np.flatnonzero(row).tolist()) for row in rows.values()}
 
 
 def subgroups(g: FiniteGroup) -> list[SubgroupHandle]:

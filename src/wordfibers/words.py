@@ -204,7 +204,12 @@ def parse_word(text: str, require_nonempty: bool = False) -> ReducedWord:
     tokens = _tokenize(text)
     letters, _ = _parse_sequence(tokens, 0, 0)
     word = free_reduce(letters).normalized()
-    if require_nonempty and word.length == 0:
+    return _require_nonempty(word, text) if require_nonempty else word
+
+
+def _require_nonempty(word: ReducedWord, text: str) -> ReducedWord:
+    """``word``, parsed from ``text``, unless it is empty."""
+    if word.length == 0:
         raise EmptyWordError(f"word {text!r} reduces to the empty word")
     return word
 

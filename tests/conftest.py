@@ -22,9 +22,9 @@ def scans(monkeypatch):
     calls = []
     real = fibers._scan_range
 
-    def counting(ev, batches):
+    def counting(ev, batches, *orbits):
         calls.append((ev.g, str(ev.w)))
-        return real(ev, batches)
+        return real(ev, batches, *orbits)
 
     monkeypatch.setattr(fibers, "_scan_range", counting)
     return calls

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import decimal
 import io
 import json
@@ -372,6 +373,71 @@ class TestCanonical:
         assert canonical([True, 4]) == [True, "4"] and calls == [4]
 
 
+def reference_canonical(obj):
+    """`canonical` by its isinstance chain alone, with no dispatch on exact
+    types first."""
+    from wordfibers import bounds
+    from wordfibers.cli import _digits
+
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return _digits(obj)
+    if isinstance(obj, Fraction):
+        return f"{_digits(obj.numerator)}/{_digits(obj.denominator)}"
+    if isinstance(obj, np.ndarray):
+        return reference_canonical(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [reference_canonical(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): reference_canonical(v) for k, v in obj.items()}
+    if isinstance(obj, bounds.mpmath.mpf):
+        return bounds.mpmath.nstr(obj, 50)
+    if isinstance(obj, bounds.LogNumber):
+        doc = {"ln": obj.ln_str(50)}
+        if obj.exact is not None:
+            doc["exact"] = _digits(obj.exact)
+        if obj.is_factorial_of is not None:
+            doc["is_factorial_of"] = _digits(obj.is_factorial_of)
+        return doc
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {k: reference_canonical(v) for k, v in vars(obj).items()}
+    if obj is None or isinstance(obj, (str, float)):
+        return obj
+    return str(obj)
+
+
+class TestCanonicalDispatch:
+    def test_equals_the_isinstance_chain_on_nested_values(self):
+        from wordfibers import bounds
+
+        class Text(str):
+            pass
+
+        class Table(dict):
+            pass
+
+        @dataclasses.dataclass
+        class Leaf:
+            value: object
+            note: str = "leaf"
+
+        tree = {
+            "flags": [True, False, None],
+            "ints": (np.int64(7), 8, -9, 10**5000, np.int32(3)),
+            "ratio": Fraction(10**30, 7),
+            "rows": np.arange(6).reshape(2, 3),
+            "leaf": Leaf({1: [Fraction(1, 2), np.int64(2)], "s": Text("x")}),
+            "bounds": [bounds.mpmath.mpf(2) / 3,
+                       bounds.LogNumber(bounds.mpmath.mpf(5), exact=148, is_factorial_of=5),
+                       bounds.LogNumber(bounds.mpmath.mpf("0.5"))],
+            3: Table({"nested": [{"deep": 1.5}, "text", Path("p")]}),
+        }
+        got = canonical(tree)
+        assert dumps_canonical(got) == dumps_canonical(reference_canonical(tree))
+        assert got["flags"] == [True, False, None] and got["ints"][0] == "7"
+
+
 class TestFiberCommands:
     def test_pi(self):
         code, doc, _ = run(["fiber", "pi", "--group", "dih:3", "--word", "x1^2"])
@@ -464,10 +530,11 @@ class TestFiberCommands:
         argv = ["fiber", "max", "--group", "alt:4", "--word", "[x1,x2]", "--auts", "aut"]
         code, doc, _ = run(argv)
         assert code == EXIT_OK
+        # one pair per orbit of Aut(alt:4) = S4 on its 576 pairs: 43 orbits
         assert doc["stats"] == {
-            "evaluations_performed": str(24**2 * 12**2),
+            "evaluations_performed": str(43 * 12**2),
             "exit_code": "0",
-            "tuples_scanned": str(24**2),
+            "tuples_scanned": "43",
         }
         assert doc["result"]["tuples_examined"] == str(24**4)
         assert doc["result"]["evaluations"] == str(24**4 * 12**2)
@@ -766,13 +833,18 @@ class TestBattery:
              str(tmp_path / "out")]
         )
 
-    def test_misspelt_key_is_rejected_before_any_check_runs(self, tmp_path):
+    def test_misspelt_key_is_rejected_before_any_check_runs(self, tmp_path, monkeypatch):
+        import wordfibers.cli as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "run_battery_entry", lambda *args: ran.append(args))
         entries = [
             {"check": "dihedral", "o": 3},
             {"check": "rewrite", "group": "sym:3", "subgroup": "order:3",
              "word": "x1^2", "trails": 10},
         ]
         code, doc, _ = self._run_manifest(tmp_path, entries)
+        assert ran == []
         assert code == EXIT_USAGE
         assert doc["status"] == "usage-error"
         assert "manifest entry 1" in doc["result"]["error"]
@@ -1212,10 +1284,14 @@ class TestSharedStructure:
 
         import wordfibers.verify as verify
 
+        import wordfibers.cli as cli
+
         auts = count_builds(monkeypatch, ("aut",))
         lattices = self.count(monkeypatch, groups, "_lattice")
         section_sets = self.count(monkeypatch, groups, "_section_autset")
         wreaths = self.count(monkeypatch, verify, "wreath_counts")
+        parses = self.count(monkeypatch, cli, "parse_word")
+        validations = self.count(monkeypatch, cli, "_entry_params")
         golden = json.loads((GOLDEN / "battery.json").read_text())
         code, doc, _ = run(["--threads", threads, "verify", "battery", "--out", str(tmp_path)])
         assert (code, doc["result"]) == (golden["records"][0]["exit_code"],
@@ -1230,6 +1306,9 @@ class TestSharedStructure:
         # center entry builds a new handle; the 300 samples of the alt:5,
         # n = 2 entry are counted in one block
         assert (len(section_sets), len(wreaths)) == (16, 1)
+        # the 66 word fields hold 6 distinct texts, each parsed once; the 73
+        # entries are validated once, before any runs
+        assert (len(parses), len(validations)) == (6, 73)
         # 50 exact scans; the other 52 exact searches read a scan kept on
         # their set or found by content on another; on two threads a scan of
         # several batches is split into ranges

@@ -1,6 +1,8 @@
 import concurrent.futures
 import contextlib
 import dataclasses
+import functools
+import io
 import itertools
 import os
 import subprocess
@@ -15,7 +17,6 @@ import pytest
 import wordfibers.fibers as fibers
 from wordfibers.errors import BudgetExceeded, CapExceeded, EmptyWordError
 from wordfibers.fibers import (
-    DEFAULT_BUDGET,
     eval_automorphic,
     fiber_distribution,
     max_fiber,
@@ -845,9 +846,51 @@ def doubling_autset():
     return g, AutSet(g, np.array([[0, 1, 2, 3, 4], [0, 2, 4, 1, 3]]), kind="custom")
 
 
+@pytest.fixture(params=["every-row", "orbits"])
+def scan_by(request, monkeypatch):
+    """Each exact scan of the test scans every row in normal form, or one
+    per conjugation orbit wherever A is closed, whatever
+    `fibers._orbits_pay` estimates; the fixture's value says which."""
+    orbits = request.param == "orbits"
+    monkeypatch.setattr(fibers, "_orbits_pay", lambda *args: orbits)
+    return orbits
+
+
+def orbit_count(g, w, a):
+    """The orbits of a closed A on the tuples in normal form under
+    simultaneous conjugation, by listing them: every tuple of the free
+    letters (the later occurrences of each variable), each orbit once."""
+    n, m = g.order, len(a)
+    rows = [tuple(r) for r in a.tables.tolist()]
+    number = {r: i for i, r in enumerate(rows)}
+    conj = [
+        [number[tuple(beta[alpha[inv[x]]] for x in range(n))] for alpha in rows]
+        for beta, inv in ((b, np.argsort(b).tolist()) for b in rows)
+    ]
+    free = len(w.letters) - w.num_variables
+    seen, orbits = set(), 0
+    for combo in itertools.product(range(m), repeat=free):
+        if combo not in seen:
+            orbits += 1
+            seen.update(tuple(conj[b][x] for x in combo) for b in range(m))
+    return orbits
+
+
+@functools.lru_cache(maxsize=None)
+def brute_force_case(spec, table, rows, word):
+    """`brute_force_search` for targets None and 1, once per group table,
+    set rows and word, both scans of `scan_by` comparing against it."""
+    g = make_group(spec)
+    assert g.table.tobytes() == table
+    a = AutSet(g, np.frombuffer(rows, dtype=np.int32).reshape(-1, g.order), kind="custom")
+    return brute_force_search(g, parse_word(word), a, [None, 1])
+
+
 class TestNormalFormSearch:
     def _check_against_brute_force(self, g, w, a):
-        best, per_vals, per_idx = brute_force_search(g, w, a, [None, 1])
+        best, per_vals, per_idx = brute_force_case(
+            g.spec, g.table.tobytes(), a.tables.tobytes(), str(w)
+        )
         for threads in (1, 2):
             # one scan per thread count; target 1 reads the kept scan
             kept = fresh(a)
@@ -865,17 +908,20 @@ class TestNormalFormSearch:
         return res
 
     @pytest.mark.parametrize("spec, auts, word", NORMAL_FORM_CASES)
-    def test_matches_brute_force(self, spec, auts, word):
+    def test_matches_brute_force(self, spec, auts, word, scan_by):
         g = make_group(spec)
         a = inner_automorphisms(g) if auts == "inn" else automorphism_group(g)
         w = parse_word(word)
         res = self._check_against_brute_force(g, w, a)
-        scanned = len(a) ** (w.length - w.num_variables)
+        if scan_by and len(a) > 1 and w.length > w.num_variables:
+            scanned = orbit_count(g, w, a)
+        else:
+            scanned = len(a) ** (w.length - w.num_variables)
         assert res.tuples_scanned == scanned
         assert res.evaluations_performed == scanned * g.order**w.num_variables
 
     @pytest.mark.parametrize("word", NORMAL_FORM_WORDS)
-    def test_unclosed_set_falls_back_to_the_full_scan(self, word):
+    def test_unclosed_set_falls_back_to_the_full_scan(self, word, scan_by):
         g, a = doubling_autset()
         assert not a.is_closed
         w = parse_word(word)
@@ -883,16 +929,18 @@ class TestNormalFormSearch:
         assert res.tuples_scanned == 2**w.length
         assert res.evaluations_performed == res.evaluations
 
-    def test_closure_of_a_custom_set_is_computed(self):
+    def test_closure_of_a_custom_set_is_computed(self, scan_by):
         g = make_group("dih:4")
         a = AutSet(g, automorphism_group(g).tables, kind="custom")
         assert a.is_closed
         res = self._check_against_brute_force(g, COMMUTATOR, a)
-        assert res.tuples_scanned == 8**2
+        assert res.tuples_scanned == (28 if scan_by else 8**2)
 
     # Taken from the full |A|^l scan at the commit before the normal-form
     # search: (value, target, indices) for any target and for target 1, then
-    # the per-target maxima and their first tuple indices.
+    # the per-target maxima and their first tuple indices.  Aut(q8) and
+    # Aut(alt:4) are both S4, whose 576 pairs fall into 43 orbits under
+    # conjugation (Burnside: (24^2 + 6*4^2 + 3*8^2 + 8*3^2 + 6*4^2) / 24).
     @pytest.mark.parametrize("spec, word, any_target, target_one, values, indices", [
         ("q8", "[x1,x2]", (40, 0, (0, 0, 0, 0)), (40, 1, (0, 0, 1, 4)),
          [40, 40, 24, 24, 24, 24, 24, 24], [0, 28, 76, 52, 42, 46, 36, 32]),
@@ -909,7 +957,8 @@ class TestNormalFormSearch:
          [48, 24, 24, 48, 24, 24, 24, 24, 48, 24, 24, 48],
          [1731, 1, 2, 1734, 23, 22, 10, 11, 1736, 14, 13, 1744]),
     ])
-    def test_matches_pinned_full_scans(self, spec, word, any_target, target_one, values, indices):
+    def test_matches_pinned_full_scans(self, spec, word, any_target, target_one, values, indices,
+                                       scan_by):
         g = make_group(spec)
         a = automorphism_group(g)
         w = parse_word(word)
@@ -921,17 +970,19 @@ class TestNormalFormSearch:
                 assert (res.value, res.witness_target, res.witness_tuple_indices) == expected
                 assert res.target_values.tolist() == values
                 assert res.target_tuple_numbers.tolist() == indices
-                assert res.tuples_examined == 24**4 and res.tuples_scanned == 24**2
+                assert res.tuples_examined == 24**4
+                assert res.tuples_scanned == (43 if scan_by else 24**2)
 
     def test_alt5_commutator_over_aut_is_exact(self):
-        # |G| k(G) = 60 * 5 commuting pairs: the identity's fiber, the largest
+        # |G| k(G) = 60 * 5 commuting pairs: the identity's fiber, the largest.
+        # Aut(alt:5) is S5, whose 14,400 pairs fall into 161 conjugation orbits
         g = make_group("alt:5")
         res = max_fiber(g, COMMUTATOR, automorphism_group(g))
         assert res.status == "exact"
         assert (res.value, res.witness_target, res.witness_tuple_indices) == (300, 0, (0, 0, 0, 0))
-        assert res.tuples_scanned == 14400
+        assert res.tuples_scanned == 161
         assert res.tuples_examined == 120**4
-        assert res.evaluations_performed == 14400 * 3600 <= DEFAULT_BUDGET
+        assert res.evaluations_performed == 161 * 3600
 
     def test_tuple_numbering_past_64_bits_is_refused_before_the_search(self):
         # 168^9 tuples overflow int64, although the normal form scans one
@@ -940,11 +991,14 @@ class TestNormalFormSearch:
         with pytest.raises(CapExceeded):
             max_fiber(g, w, automorphism_group(g), budget=10**12)
 
-    def test_budget_bounds_the_performed_work(self):
+    def test_budget_bounds_the_performed_work(self, scan_by):
+        # the budget is checked on the scan of every row in normal form,
+        # which the orbit scan's 43 rows never exceed
         g = make_group("alt:4")
         a = automorphism_group(g)
         needed = 24**2 * 12**2
-        assert max_fiber(g, COMMUTATOR, a, budget=needed).evaluations_performed == needed
+        performed = max_fiber(g, COMMUTATOR, a, budget=needed).evaluations_performed
+        assert performed == (43 * 12**2 if scan_by else needed)
         with pytest.raises(BudgetExceeded):
             max_fiber(g, COMMUTATOR, a, budget=needed - 1)
         g5, unclosed = doubling_autset()
@@ -968,6 +1022,72 @@ class TestNormalFormSearch:
             max_fiber(g, SQUARE, a, mode="sample", samples=9, budget=79)
         with pytest.raises(BudgetExceeded):
             max_fiber(g, SQUARE, a, mode="sample", samples=10**15)
+
+
+class TestOrbitScan:
+    """The orbit scan rebuilds the records of the scan of every row in
+    normal form in full: values, tuple numbers and letters."""
+
+    @staticmethod
+    def records(g, w, a, orbits, threads=1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fibers, "_orbits_pay", lambda *args: orbits)
+            mp.setattr(os, "cpu_count", lambda: 2)
+            return fibers._search_all_tuples(g, w, fresh(a), 10**12, threads)
+
+    def assert_same_records(self, g, w, a):
+        every = self.records(g, w, a, False)
+        for threads in (1, 2):
+            for batches in (contextlib.nullcontext(), two_tuples_per_batch(g, w)):
+                with batches:
+                    got = self.records(g, w, a, True, threads)
+                for mine, theirs in zip(got[:3], every[:3]):
+                    assert np.array_equal(mine, theirs), (g.spec, str(w), threads)
+                assert got[4] == every[4]
+
+    def test_every_scan_of_the_battery(self, tmp_path):
+        from wordfibers import cli
+
+        seen = []
+        real = fibers._scan_normal_forms
+
+        def record(ev, a, *args):
+            seen.append((ev.g, ev.w, a))
+            return real(ev, a, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fibers, "_scan_normal_forms", record)
+            cli.run_command(["verify", "battery", "--out", str(tmp_path)], stdout=io.StringIO())
+        assert len(seen) == 50
+        for g, w, a in seen:
+            self.assert_same_records(g, w, a)
+
+    @pytest.mark.parametrize("word", ["[x1,x2]", "x1^2 x2^2"])
+    def test_alt5_under_aut(self, word):
+        g = make_group("alt:5")
+        self.assert_same_records(g, parse_word(word), automorphism_group(g))
+
+    @pytest.mark.parametrize("spec, word, orbits", [
+        # the measured crossover: the orbit scan loses at 4.6e3 scanned
+        # evaluations and wins from 3.7e4
+        ("dih:4", "[x1,x2]", False), ("q8", "x1^3", False), ("q8", "[x1,x2]", True),
+        ("alt:5", "[x1,x2]", True), ("alt:5", "x1^2 x2^2", True), ("cyc:4", "[x1,x2]", False),
+    ])
+    def test_the_estimate_follows_the_measured_crossover(self, spec, word, orbits):
+        g = make_group(spec)
+        a, w = automorphism_group(g), parse_word(word)
+        scanned = len(a) ** (w.length - w.num_variables)
+        ev = fibers._BatchEvaluator(g, w, a.tables)
+        assert fibers._orbits_pay(ev, len(a), scanned) == orbits
+        res = max_fiber(g, w, a)
+        assert (res.tuples_scanned < scanned) == orbits
+
+    def test_a_set_whose_table_would_not_fit_scans_every_row(self, monkeypatch, scan_by):
+        g = make_group("q8")
+        a = automorphism_group(g)
+        monkeypatch.setattr(fibers, "_CONJUGATION_ENTRIES", 24**2 - 1)
+        assert max_fiber(g, COMMUTATOR, a).tuples_scanned == 24**2
+        assert "conjugation" not in vars(a)
 
 
 def assert_same_result(got, want):

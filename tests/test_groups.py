@@ -491,6 +491,53 @@ class TestAutSetIndex:
             AutSet(aut.group, aut.tables.reshape(-1, 4), kind="custom")
 
 
+# reference for AutSet.conjugation: beta alpha beta^-1 composed in a plain
+# loop and found among the rows
+def reference_conjugation(a):
+    position = {row: i for i, row in enumerate(row_tuples(a))}
+    rows = a.tables.tolist()
+    return [
+        [position[tuple(beta[alpha[y]] for y in np.argsort(beta).tolist())] for alpha in rows]
+        for beta in rows
+    ]
+
+
+class TestAutSetConjugation:
+    def test_matches_the_composition_loop(self):
+        closed = [(g, rows) for g, rows in closure_test_sets()
+                  if AutSet(g, rows, kind="custom").is_closed]
+        assert len(closed) >= 12
+        for g, rows in closed:
+            a = AutSet(g, rows, kind="custom")
+            assert a.conjugation.tolist() == reference_conjugation(a)
+
+    def test_does_not_depend_on_the_block_size(self, monkeypatch):
+        monkeypatch.setattr(groups_mod, "_COMPOSE_BLOCK_ELEMENTS", 1)
+        g = make_group("alt:4")
+        a = AutSet(g, automorphism_group(g).tables, kind="full")
+        assert a.conjugation.tolist() == reference_conjugation(a)
+
+    def test_alt5_is_kept_and_read_only(self):
+        g = make_group("alt:5")
+        aut = automorphism_group(g)
+        table = aut.conjugation
+        assert aut.conjugation is table and not table.flags.writeable
+        assert table.tolist() == reference_conjugation(aut)
+
+    def test_an_unclosed_set_is_refused(self):
+        for g, rows in closure_test_sets():
+            a = AutSet(g, rows, kind="custom")
+            if not a.is_closed:
+                with pytest.raises(ValueError, match="closed"):
+                    a.conjugation
+
+    def test_labels_tell_the_rows_apart(self):
+        for g, rows in closure_test_sets():
+            a = AutSet(g, rows, kind="custom")
+            cols, label = groups_mod._column_labels(a.tables)
+            assert sorted(label(a.tables[:, cols]).tolist()) == list(range(len(a)))
+
+
 class TestInnerAutomorphisms:
     def test_abelian_trivial(self):
         assert len(inner_automorphisms(make_group("cyc:6"))) == 1
@@ -1181,6 +1228,19 @@ class TestClassClosures:
             for x in range(1, g.order)
         }
         assert _class_closures(g) == sorted(walked, key=lambda c: (len(c), c))
+
+    @pytest.mark.parametrize("spec", LATTICE_SPECS + ["cyc:4096"])
+    def test_cyclic_subgroups_are_the_distinct_power_rows(self, spec, monkeypatch):
+        # one tuple per row of the power mask, as the subgroups were found
+        # before rows were told apart by their bytes
+        g = make_group(spec)
+        powers = groups_mod._power_mask(g)
+        monkeypatch.setattr(groups_mod, "_power_mask", lambda g: powers)
+        every_row = {tuple(np.flatnonzero(row).tolist()) for row in powers[1:]}
+        assert groups_mod._cyclic_subgroups(g) == every_row
+        if spec == "cyc:4096":
+            # one subgroup of each order 4096 / 2^j > 1: the multiples of 2^j
+            assert every_row == {tuple(range(0, 4096, 2**j)) for j in range(12)}
 
     def test_a_nonabelian_group_walks_every_class(self, monkeypatch):
         levels = counting_span_levels(monkeypatch)

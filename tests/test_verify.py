@@ -708,8 +708,9 @@ class TestSearchMemo:
         assert report == check_variation_bound(make_group("alt:5"), 2, SQUARE, samples=20, seed=3)
 
     def test_a_hit_refuses_a_smaller_budget_as_a_miss_does(self):
-        needed = max_fiber(make_group("alt:4"), COMMUTATOR,
-                           automorphism_group(make_group("alt:4"))).evaluations_performed
+        # the budget is checked on the scan of every normal-form row: 24^2
+        # pairs of Aut(alt:4), 12^2 arguments each
+        needed = 24**2 * 12**2
         missed = make_group("alt:4")
         with pytest.raises(BudgetExceeded) as miss:
             check_identity_maximal(missed, COMMUTATOR, automorphism_group(missed),
