@@ -41,6 +41,7 @@ from .groups import (
     AutSet,
     FiniteGroup,
     SubgroupHandle,
+    _derived,
     _inner_rows,
     _phi_rows,
     automorphism_group,
@@ -283,12 +284,17 @@ def resolve_subgroup(g: FiniteGroup, spec: str):
     The automorphisms that the characteristic flags read (`_phi_rows`) are
     found first, so their search's caps refuse before the selector is read.
     The center is characteristic, and only ``indices:`` input is checked to
-    be a subgroup."""
+    be a subgroup.  The center and radical handles are kept on ``g``, so
+    their sections are built once per group."""
     _phi_rows(g)
     if spec == "center":
-        center = SubgroupHandle(g, g.center)
-        center.normal = center.characteristic = True
-        return center
+
+        def center():
+            handle = SubgroupHandle(g, g.center)
+            handle.normal = handle.characteristic = True
+            return handle
+
+        return _derived(g, ("center",), center)
     if spec == "radical":
         return solvable_radical(g)
     if spec.startswith("order:"):

@@ -71,14 +71,15 @@ class MaxFiberResult:
     ``evaluations_performed`` count the argument tuples accounted for, |G|^d
     per covered or scanned tuple.  A word that splits into segments (see
     `_BatchEvaluator`) accounts for them without evaluating each one.
-    ``witness_tuple`` holds the witness's letter automorphisms, one table
-    per row, and ``witness_tuple_indices`` their AutSet indices.
 
-    ``target_values[g]`` is the largest fiber at target g over the tuples
-    covered, P^(A)(G, g) in exact mode, and ``target_tuple_numbers[g]`` the
-    number of the least tuple attaining it: its full mixed-radix index in
-    exact mode, its draw number in sample mode (0 is the identity tuple);
-    -1 for a target no tuple reaches."""
+    The scan's records are two arrays: ``target_values[g]`` is the largest
+    fiber at target g over the tuples covered, P^(A)(G, g) in exact mode,
+    and ``target_tuple_numbers[g]`` the number of the least tuple attaining
+    it: its full mixed-radix index in exact mode, its draw number in sample
+    mode (0 is the identity tuple); -1 for a target no tuple reaches.  The
+    witness is decoded from its number alone: ``witness_tuple_indices`` are
+    the AutSet indices of its letters, and ``witness_tuple`` their tables,
+    one per row; number -1 decodes as the identity tuple."""
 
     value: int
     proportion: Fraction
@@ -485,33 +486,24 @@ class _Orbits:
         return np.sort(np.concatenate(reps))
 
     def expand(self, counts: np.ndarray, digits: list[Optional[np.ndarray]]):
-        """The counts, per-letter digits and full tuple numbers of every image
-        beta.r of the b representatives r given, each image once, ascending
-        by number.  Its counts are read off r's, F_(beta.r)(t) =
+        """The counts and full tuple numbers of every image beta.r of the b
+        representatives r given by their per-letter digits, each image once,
+        ascending by number.  Its counts are read off r's, F_(beta.r)(t) =
         F_r(beta^-1(t)), in one gather of at most b*|A|*|G| entries."""
         m = self.m
         num = np.zeros((len(counts), m), dtype=np.int64)
-        image: list[Optional[np.ndarray]] = []
         for i, dig in enumerate(digits):
             if dig is not None:
-                dig = self.images[dig]
-                num += dig * np.int64(m ** (self.l - 1 - i))
-            image.append(dig)
-        num = num.ravel()
-        order = np.argsort(num)
-        num = num[order]
-        first = np.ones(len(num), dtype=bool)
-        first[1:] = num[1:] != num[:-1]
-        order, num = order[first], num[first]
-        rep, beta = np.divmod(order, m)
-        counts = counts[rep[:, None], self.inverse[beta]]
-        return counts, [None if dig is None else dig.ravel()[order] for dig in image], num
+                num += self.images[dig] * np.int64(m ** (self.l - 1 - i))
+        num, first = np.unique(num, return_index=True)
+        rep, beta = np.divmod(first, m)
+        return counts[rep[:, None], self.inverse[beta]], num
 
 
 def _scan_range(ev: _BatchEvaluator, batches, orbits: Optional[_Orbits] = None):
-    """Scan batches of tuples; returns, for each target, the largest fiber,
-    the number of the least tuple attaining it and that tuple's per-letter
-    AutSet indices ((n,), (n,) and (n, l) arrays), and the evaluation count.
+    """Scan batches of tuples; returns the records, two (n,) arrays: for
+    each target, the largest fiber and the number of the least tuple
+    attaining it.
 
     A batch is its per-letter AutSet indices, None for the identity on every
     tuple, and its tuple numbers, ascending: full mixed-radix indices
@@ -520,58 +512,34 @@ def _scan_range(ev: _BatchEvaluator, batches, orbits: Optional[_Orbits] = None):
     evaluated: `_Orbits.expand` turns their counts into those of every tuple
     of their orbits, ascending by number, and those are recorded.
 
-    A record changes by one rule: a larger value wins, and on equal values
-    the smaller tuple number.  A batch's rows ascend, so its best at a target
-    is its first row at the batch's maximum; a tie with the record can win
-    only if the batch holds a number below the record's, so ties are looked
-    at only when the batch's least number is below the largest seen.  In
-    scan order no batch's is, and a record changes only where a batch beats
-    it strictly.  Either way it is the least tuple attaining its value.  A
-    target no tuple reaches keeps value 0, number -1 and the identity tuple,
-    every letter 0.
+    A batch's rows ascend, so its best at a target is its first row at the
+    batch's maximum, and `_merge` records it.  Only targets where the batch
+    can win are merged, and only there is the argmax taken: those where it
+    beats the record, and those where it ties the record and holds a number
+    below the record's, which in scan order none does.  A target no tuple
+    reaches keeps value 0 and number -1.
     """
     vals = np.zeros(ev.n, dtype=np.int64)
     nums = np.full(ev.n, -1, dtype=np.int64)
-    letters = np.zeros((ev.n, ev.w.length), dtype=np.int64)
-    evals = top = 0
     for digits, idx in batches:
         counts = ev.counts(digits)
-        evals += len(idx) * ev.total_args
         if orbits is not None:
-            counts, digits, idx = orbits.expand(counts, digits)
-        batch_max = counts.max(axis=0)
-        better = batch_max > vals
-        # no record's number exceeds the largest number seen, `top`
-        ties = idx[0] < top
-        top = max(top, int(idx[-1]))
-        if ties:
-            better |= (batch_max == vals) & (nums > idx[0])
-        cand = np.flatnonzero(better)
-        if cand.size:
-            rows = counts[:, cand].argmax(axis=0)
-            if ties:
-                win = (batch_max[cand] > vals[cand]) | (idx[rows] < nums[cand])
-                cand, rows = cand[win], rows[win]
-            vals[cand] = batch_max[cand]
-            nums[cand] = idx[rows]
-            # an identity letter is 0 in every record already
-            for i, dig in enumerate(digits):
-                if dig is not None:
-                    letters[cand, i] = dig[rows]
-    return vals, nums, letters, evals
+            counts, idx = orbits.expand(counts, digits)
+        best = counts.max(axis=0)
+        cand = np.flatnonzero((best > vals) | ((best == vals) & (nums > idx[0])))
+        _merge(vals, nums, cand, best[cand], idx[counts[:, cand].argmax(axis=0)])
+    return vals, nums
 
 
-def _merge_ranges(parts):
-    """The records of several ranges as one scan of them all would leave
-    them, by the rule of `_scan_range`: the larger value wins, and on equal
-    values the smaller tuple number."""
-    vals, nums, letters, evals = parts[0]
-    for v, t, let, e in parts[1:]:
-        take = (v > vals) | ((v == vals) & (t < nums))
-        vals, nums = np.where(take, v, vals), np.where(take, t, nums)
-        letters = np.where(take[:, None], let, letters)
-        evals += e
-    return vals, nums, letters, evals
+def _merge(vals: np.ndarray, nums: np.ndarray, at: np.ndarray, v: np.ndarray, t: np.ndarray):
+    """Merge the records (v, t) of the targets `at` into (vals, nums), in
+    place, by the one record rule: the larger value wins, and on equal
+    values the smaller tuple number.  So merging a range's batches in scan
+    order, or several ranges' records, leaves each target the least tuple
+    attaining its largest value, as one scan of them all would."""
+    take = (v > vals[at]) | ((v == vals[at]) & (t < nums[at]))
+    at = at[take]
+    vals[at], nums[at] = v[take], t[take]
 
 
 def _require_budget(needed: int, budget: int) -> None:
@@ -581,9 +549,10 @@ def _require_budget(needed: int, budget: int) -> None:
 
 
 class _Scan:
-    """One exact scan: the records `_search_all_tuples` returns, with the
-    group table and the set's rows it ran on, which a content lookup
-    compares in full.  Both are the group's and the set's own arrays."""
+    """One exact scan: the records `_search_all_tuples` returns, (values,
+    numbers, tuples scanned), with the group table and the set's rows it ran
+    on, which a content lookup compares in full.  Both are the group's and
+    the set's own arrays."""
 
     __slots__ = ("table", "rows", "records", "__weakref__")
 
@@ -643,19 +612,18 @@ def _search_all_tuples(
     Those images are exactly the tuples in normal form that reach M(t), so
     this is the witness of the scan of every row; it is the least image,
     not the image of the least representative, which may lie anywhere in
-    its orbit.  A target that no tuple reaches keeps value 0, number -1 and
-    the identity letters in both scans.  The records are those of the scan
-    of every row, value, number and letters; only the tuples and
-    evaluations performed fall, to the representatives'.  `_orbits_pay`
-    estimates whether that pays, and an unclosed A, or one whose table of
-    conjugates would not fit, scans every row.
+    its orbit.  A target that no tuple reaches keeps value 0 and number -1
+    in both scans.  The records are those of the scan of every row, value
+    and number; only the tuples scanned fall, to the representatives'.
+    `_orbits_pay` estimates whether that pays, and an unclosed A, or one
+    whose table of conjugates would not fit, scans every row.
 
     The budget is checked against the evaluations the scan of every row
     would perform, the argument tuples its tuples account for, before any
     is made, so the orbit scan refuses exactly where that scan does.
-    Returns the per-target records of `_scan_range`, read-only, the
-    evaluations performed, and the tuples covered and scanned.  The records
-    do not depend on the thread count.
+    Returns the two per-target record arrays of `_scan_range`, read-only,
+    and the count of tuples scanned.  The records do not depend on the
+    thread count.
 
     A scan is kept on A (``a.searches``), keyed by the group object and the
     word, and a later search reads it.  On a miss there, it is looked up by
@@ -663,10 +631,10 @@ def _search_all_tuples(
     A's closedness and the word: the evaluator reads G only through its
     table (products, and inverses, which the table determines) and its
     order, the table's side; it reads A only through its rows, by row
-    number, so the records' tuple numbers and letters are row numbers, equal
+    number, so the records' tuple numbers are in row numbers, equal
     for equal rows; closedness picks the free letters and whether orbits
-    are scanned; and the counts covered and scanned follow from A's rows,
-    the free letters and l.  So two searches that agree on these four have
+    are scanned; and the count scanned follows from A's rows, the free
+    letters and l.  So two searches that agree on these four have
     the same records, whichever group and set objects they are given.  The
     entry is indexed by the word, the closedness and digests of the two
     arrays (`_digest`), and a hit needs both arrays equal in full: a digest
@@ -689,10 +657,8 @@ def _search_all_tuples(
         content = (w, a.is_closed, _digest(g.table), _digest(a.tables))
         scan = _SCANS.get(content)
         if scan is None or not scan.ran_on(g.table, a.tables):
-            *records, count = _scan_normal_forms(
-                _BatchEvaluator(g, w, a.tables), a, free, scanned, threads
-            )
-            scan = _SCANS[content] = _Scan(g.table, a.tables, (*records, covered, count))
+            records = _scan_normal_forms(_BatchEvaluator(g, w, a.tables), a, free, scanned, threads)
+            scan = _SCANS[content] = _Scan(g.table, a.tables, records)
         scan = a.searches.setdefault((g, w), scan)
     return scan.records
 
@@ -734,7 +700,7 @@ def _scan_normal_forms(
 ):
     """The merged records of the scanned rows 0..scanned-1, or of the least
     row of each orbit (`_orbits`), split over at most ``threads`` ranges of
-    the rows scanned, with the three record arrays made read-only, and the
+    the rows scanned, with the two record arrays made read-only, and the
     count of rows scanned."""
     orbits = _orbits(ev, a, free, scanned)
     if orbits is None:
@@ -761,10 +727,12 @@ def _scan_normal_forms(
                 if hi > lo
             ]
             parts = [f.result() for f in futures]
-    records = _merge_ranges(parts)
-    for array in records[:3]:
-        array.setflags(write=False)
-    return (*records, count)
+    vals, nums = parts[0]
+    for part in parts[1:]:
+        _merge(vals, nums, np.arange(ev.n), *part)
+    vals.setflags(write=False)
+    nums.setflags(write=False)
+    return vals, nums, count
 
 
 def max_fiber(
@@ -815,17 +783,23 @@ def max_fiber(
     the least target holding it is the least target where tuple t reaches M.
     A target no tuple reaches reports value 0 and the identity tuple, which
     is what the first tuple scanned, always the identity, gives.
+
+    The witness's letters are decoded from its number: in exact mode, the
+    base-|A| digits of its full index, the first letter most significant
+    (the inverse of `_tuple_digits`); in sample mode, by drawing again with
+    the same seed up to the witness's batch, so no more than one batch of
+    draws is held.  The evaluations performed are the tuples scanned times
+    |G|^d.
     """
     _require_word(w)
     if len(a) == 0:
         raise ValueError("empty automorphism set")
     if target is not None and not 0 <= target < g.order:
         raise ValueError(f"target {target} out of range for order {g.order}")
-    d = w.num_variables
+    d, m, l = w.num_variables, len(a), w.length
     if mode == "exact":
-        vals, nums, letters, evals, total, scanned = _search_all_tuples(
-            g, w, a, budget, threads
-        )
+        vals, nums, scanned = _search_all_tuples(g, w, a, budget, threads)
+        total = m**l
     elif mode == "sample":
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
@@ -833,8 +807,7 @@ def max_fiber(
         if needed > budget:
             raise BudgetExceeded(f"sampled search needs {needed} evaluations, budget is {budget}")
         ev = _BatchEvaluator(g, w, a.tables)
-        batches = _sampled_batches(ev, np.random.default_rng(seed), samples)
-        vals, nums, letters, evals = _scan_range(ev, batches)
+        vals, nums = _scan_range(ev, _sampled_batches(ev, np.random.default_rng(seed), samples))
         total = scanned = samples + 1
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -842,19 +815,29 @@ def max_fiber(
         top = np.flatnonzero(vals == vals.max())
         target = int(top[np.argmin(nums[top])])
     value = int(vals[target])
+    # number -1, no tuple reaching the target, reads as 0: the identity tuple
+    number = max(int(nums[target]), 0)
+    if mode == "exact":
+        letters = [(number // m ** (l - 1 - i)) % m for i in range(l)]
+    else:
+        letters = next(
+            [int(dig[number - idx[0]]) for dig in digits]
+            for digits, idx in _sampled_batches(ev, np.random.default_rng(seed), samples)
+            if idx[-1] >= number
+        )
     return MaxFiberResult(
         value=value,
         proportion=Fraction(value, g.order**d),
-        witness_tuple=a.tables[letters[target]],
+        witness_tuple=a.tables[letters],
         witness_target=target,
         status="exact" if mode == "exact" else "lower_bound",
         tuples_examined=total,
         evaluations=total * g.order**d,
         tuples_scanned=scanned,
-        evaluations_performed=evals,
+        evaluations_performed=scanned * g.order**d,
         target_values=vals,
         target_tuple_numbers=nums,
-        witness_tuple_indices=tuple(letters[target].tolist()),
+        witness_tuple_indices=tuple(letters),
         seed=None if mode == "exact" else seed,
     )
 

@@ -1363,15 +1363,17 @@ def _lattice(g: FiniteGroup, atoms: Iterable[tuple[int, ...]]) -> list[SubgroupH
 
 def _power_mask(g: FiniteGroup) -> np.ndarray:
     """(|G|, |G|) mask whose row x is the cyclic subgroup <x>, from one walk
-    over the powers of every element at once, as `element_orders` walks
-    them: after max order steps, row x holds every power of x."""
+    over the powers of every element at once: row x marks x, x^2, ... and
+    stops once it has marked the identity, x^k for k the order of x, so
+    the walk costs the sum of the element orders."""
     n = g.order
-    idx = np.arange(n)
     mask = np.zeros((n, n), dtype=bool)
-    power = idx
-    for _ in range(int(g.element_orders.max())):
-        mask[idx, power] = True
-        power = g.table[power, idx]
+    live = power = np.arange(n)
+    while live.size:
+        mask[live, power] = True
+        going = power != 0
+        live = live[going]
+        power = g.table[power[going], live]
     return mask
 
 
@@ -1588,20 +1590,25 @@ def solvable_radical(g: FiniteGroup) -> SubgroupHandle:
     closures; an abelian group is its own radical, and builds no closure.
     Every subgroup of a solvable group is solvable, so a closure that
     contains one already found non-solvable is skipped without its derived
-    series."""
-    if g.is_abelian:
-        radical = SubgroupHandle(g, tuple(range(g.order)))
-    else:
-        seeds: set[int] = {0}
-        unsolvable: list[set[int]] = []
-        for closure in _class_closures(g):
-            members = set(closure)
-            if any(bad <= members for bad in unsolvable):
-                continue
-            if is_solvable_subset(g, closure):
-                seeds.update(closure)
-            else:
-                unsolvable.append(members)
-        radical = SubgroupHandle(g, _closure(g.table, seeds))
-    radical.normal = radical.characteristic = True
-    return radical
+    series.  The handle is kept on ``g``, so its sections are built once
+    per group."""
+
+    def build():
+        if g.is_abelian:
+            radical = SubgroupHandle(g, tuple(range(g.order)))
+        else:
+            seeds: set[int] = {0}
+            unsolvable: list[set[int]] = []
+            for closure in _class_closures(g):
+                members = set(closure)
+                if any(bad <= members for bad in unsolvable):
+                    continue
+                if is_solvable_subset(g, closure):
+                    seeds.update(closure)
+                else:
+                    unsolvable.append(members)
+            radical = SubgroupHandle(g, _closure(g.table, seeds))
+        radical.normal = radical.characteristic = True
+        return radical
+
+    return _derived(g, ("radical",), build)

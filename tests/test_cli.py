@@ -1288,6 +1288,7 @@ class TestSharedStructure:
 
         auts = count_builds(monkeypatch, ("aut",))
         lattices = self.count(monkeypatch, groups, "_lattice")
+        sections = self.count(monkeypatch, groups, "section")
         section_sets = self.count(monkeypatch, groups, "_section_autset")
         wreaths = self.count(monkeypatch, verify, "wreath_counts")
         parses = self.count(monkeypatch, cli, "parse_word")
@@ -1301,11 +1302,12 @@ class TestSharedStructure:
         # 10 of the 16 specs need Aut(G); 4 resolve order:<k> selectors.  The
         # entries run in order on one thread, whatever the thread count.
         assert (len(auts), len(lattices)) == (10, 4)
-        # the 20 submult entries on 5 subgroups build 16 section sets: those
-        # of an order:<k> subgroup are kept on its lattice handle, and each
-        # center entry builds a new handle; the 300 samples of the alt:5,
-        # n = 2 entry are counted in one block
-        assert (len(section_sets), len(wreaths)) == (16, 1)
+        # the 20 submult entries on 5 subgroups build 10 sections and 10
+        # section sets, each once: those of an order:<k> subgroup are kept
+        # on its lattice handle, and the center and radical handles are kept
+        # on their group; the 300 samples of the alt:5, n = 2 entry are
+        # counted in one block
+        assert (len(sections), len(section_sets), len(wreaths)) == (10, 10, 1)
         # the 66 word fields hold 6 distinct texts, each parsed once; the 73
         # entries are validated once, before any runs
         assert (len(parses), len(validations)) == (6, 73)

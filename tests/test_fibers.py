@@ -466,13 +466,16 @@ class TestMaxFiber:
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: made.append(real(seed)) or made[-1])
         for seed, value, witness_target, indices, after in pins:
+            made.clear()
             res = max_fiber(g, w, a, target=target, mode="sample", samples=samples, seed=seed)
             assert (res.value, res.witness_target, res.witness_tuple_indices) == (
                 value, witness_target, indices)
             assert res.tuples_scanned == samples + 1
             assert res.evaluations_performed == (samples + 1) * g.order**w.num_variables
-            # the generator stands where one (samples, l) draw leaves it
-            assert int(made.pop().integers(0, 2**40)) == after
+            # the scan's generator, the first made, stands where one
+            # (samples, l) draw leaves it; a second draws the witness again
+            assert len(made) == 2
+            assert int(made[0].integers(0, 2**40)) == after
 
     def test_isomorphism_invariance_under_relabelling(self):
         g = make_group("sym:3")
@@ -1024,9 +1027,29 @@ class TestNormalFormSearch:
             max_fiber(g, SQUARE, a, mode="sample", samples=10**15)
 
 
+def battery_scans(out):
+    """(group, word, set) of each of the 50 exact scans of the shipped
+    battery, run with its reports written to `out`; each set keeps its
+    scan."""
+    from wordfibers import cli
+
+    seen = []
+    real = fibers._scan_normal_forms
+
+    def record(ev, a, *args):
+        seen.append((ev.g, ev.w, a))
+        return real(ev, a, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fibers, "_scan_normal_forms", record)
+        cli.run_command(["verify", "battery", "--out", str(out)], stdout=io.StringIO())
+    assert len(seen) == 50
+    return seen
+
+
 class TestOrbitScan:
     """The orbit scan rebuilds the records of the scan of every row in
-    normal form in full: values, tuple numbers and letters."""
+    normal form in full: values and tuple numbers."""
 
     @staticmethod
     def records(g, w, a, orbits, threads=1):
@@ -1041,25 +1064,11 @@ class TestOrbitScan:
             for batches in (contextlib.nullcontext(), two_tuples_per_batch(g, w)):
                 with batches:
                     got = self.records(g, w, a, True, threads)
-                for mine, theirs in zip(got[:3], every[:3]):
+                for mine, theirs in zip(got[:2], every[:2]):
                     assert np.array_equal(mine, theirs), (g.spec, str(w), threads)
-                assert got[4] == every[4]
 
     def test_every_scan_of_the_battery(self, tmp_path):
-        from wordfibers import cli
-
-        seen = []
-        real = fibers._scan_normal_forms
-
-        def record(ev, a, *args):
-            seen.append((ev.g, ev.w, a))
-            return real(ev, a, *args)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fibers, "_scan_normal_forms", record)
-            cli.run_command(["verify", "battery", "--out", str(tmp_path)], stdout=io.StringIO())
-        assert len(seen) == 50
-        for g, w, a in seen:
+        for g, w, a in battery_scans(tmp_path):
             self.assert_same_records(g, w, a)
 
     @pytest.mark.parametrize("word", ["[x1,x2]", "x1^2 x2^2"])
@@ -1088,6 +1097,65 @@ class TestOrbitScan:
         monkeypatch.setattr(fibers, "_CONJUGATION_ENTRIES", 24**2 - 1)
         assert max_fiber(g, COMMUTATOR, a).tuples_scanned == 24**2
         assert "conjugation" not in vars(a)
+
+
+class TestWitnessNumbers:
+    """The records hold a number per target and no letters: `max_fiber`
+    decodes each witness from its number alone."""
+
+    @staticmethod
+    def assert_numbers_carry_the_witnesses(g, w, a):
+        """Every target's decoded tuple reaches the target's record value
+        there, and encodes back to its number; number -1, a target no tuple
+        reaches, decodes as the identity.  Returns the targets at -1."""
+        res = max_fiber(g, w, a, budget=10**12)
+        vals, nums = res.target_values, res.target_tuple_numbers
+        m, l = len(a), w.length
+        counts = {}
+        for t in range(g.order):
+            got = max_fiber(g, w, a, target=t, budget=10**12)
+            letters = got.witness_tuple_indices
+            assert got.witness_tuple.tolist() == a.tables[list(letters)].tolist()
+            if letters not in counts:
+                counts[letters] = fiber_distribution(g, w, got.witness_tuple, 10**12).counts
+            assert counts[letters][t] == vals[t] == got.value, (g.spec, str(w), t)
+            number = max(int(nums[t]), 0)
+            assert sum(x * m ** (l - 1 - i) for i, x in enumerate(letters)) == number
+        return int((nums == -1).sum())
+
+    def test_every_scan_of_the_battery(self, tmp_path):
+        unreached = sum(
+            self.assert_numbers_carry_the_witnesses(g, w, a) for g, w, a in battery_scans(tmp_path)
+        )
+        assert unreached > 0
+
+    @pytest.mark.parametrize("word", ["[x1,x2]", "x1^2 x2^2"])
+    def test_alt5_under_aut(self, word):
+        g = make_group("alt:5")
+        self.assert_numbers_carry_the_witnesses(g, parse_word(word), automorphism_group(g))
+
+    def test_number_minus_one_is_the_identity_tuple(self):
+        g = make_group("cyc:4")
+        a = automorphism_group(g)
+        res = max_fiber(g, SQUARE, a, target=1)
+        assert res.target_tuple_numbers[1] == -1
+        assert (res.value, res.witness_tuple_indices) == (0, (0, 0))
+        assert res.witness_tuple.tolist() == identity_rows(g, SQUARE).tolist()
+
+    @pytest.mark.parametrize("samples", [1, 7, 50])
+    def test_a_sampled_witness_is_the_drawn_tuple(self, monkeypatch, samples):
+        g, w = make_group("alt:5"), parse_word("x1^2 x2^2")
+        a, seed = automorphism_group(g), 7
+        # batches of 8 draws, so the witness is drawn again past the first
+        monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 8 * g.order**2)
+        draws = np.vstack([
+            np.zeros((1, w.length), dtype=np.int64),
+            np.random.default_rng(seed).integers(0, len(a), size=(samples, w.length)),
+        ])
+        nums = max_fiber(g, w, a, mode="sample", samples=samples, seed=seed).target_tuple_numbers
+        for t in range(g.order):
+            got = max_fiber(g, w, a, target=t, mode="sample", samples=samples, seed=seed)
+            assert got.witness_tuple_indices == tuple(draws[max(int(nums[t]), 0)].tolist())
 
 
 def assert_same_result(got, want):

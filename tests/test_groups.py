@@ -1242,6 +1242,24 @@ class TestClassClosures:
             # one subgroup of each order 4096 / 2^j > 1: the multiples of 2^j
             assert every_row == {tuple(range(0, 4096, 2**j)) for j in range(12)}
 
+    @pytest.mark.parametrize("spec", LATTICE_SPECS + ["cyc:4096"])
+    def test_power_mask_equals_a_walk_of_max_order_steps(self, spec):
+        # the oracle advances every row for as many steps as the largest
+        # element order, past the identity; the mask stops each at it
+        g = make_group(spec)
+        idx = np.arange(g.order)
+        expected = np.zeros((g.order, g.order), dtype=bool)
+        power = idx
+        for _ in range(int(g.element_orders.max())):
+            expected[idx, power] = True
+            power = g.table[power, idx]
+        assert np.array_equal(groups_mod._power_mask(g), expected)
+
+    def test_the_series_of_cyc4096_leaves_element_orders_uncomputed(self):
+        g = make_group("cyc:4096")
+        assert len(characteristic_series(g).chain) == 13
+        assert "element_orders" not in vars(g)
+
     def test_a_nonabelian_group_walks_every_class(self, monkeypatch):
         levels = counting_span_levels(monkeypatch)
         for spec in ("q8", "dih:4"):
