@@ -746,10 +746,12 @@ def cmd_bounds_radical_bound(args, ctx):
     from .bounds import radical_index_bound
     w = ctx.word(args.word, require_nonempty=True)
     factors = []
-    if args.factors:
-        for part in args.factors.split(","):
+    for part in args.factors.split(",") if args.factors else []:
+        try:
             s_order, aut_order = part.split(":")
             factors.append((int(s_order), int(aut_order)))
+        except ValueError:
+            raise ValueError(f"--factors entry {part!r} is not order:autorder") from None
     bound = radical_index_bound(
         factors,
         w,

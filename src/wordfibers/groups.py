@@ -243,24 +243,16 @@ def _dihedral_table(o: int) -> np.ndarray:
 
 
 def _quaternion_table() -> np.ndarray:
-    # indices: 0:1 1:-1 2:i 3:-i 4:j 5:-j 6:k 7:-k
-    axis_mul = {
-        ("e", "e"): (1, "e"), ("e", "i"): (1, "i"), ("e", "j"): (1, "j"), ("e", "k"): (1, "k"),
-        ("i", "e"): (1, "i"), ("j", "e"): (1, "j"), ("k", "e"): (1, "k"),
-        ("i", "i"): (-1, "e"), ("j", "j"): (-1, "e"), ("k", "k"): (-1, "e"),
-        ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
-        ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
-    }
-    axes = ["e", "i", "j", "k"]
-    enc = lambda sign, axis: axes.index(axis) * 2 + (0 if sign == 1 else 1)
-    table = np.zeros((8, 8), dtype=np.int32)
-    for a in range(8):
-        for b in range(8):
-            sa, xa = (1 if a % 2 == 0 else -1), axes[a // 2]
-            sb, xb = (1 if b % 2 == 0 else -1), axes[b // 2]
-            s, x = axis_mul[(xa, xb)]
-            table[a, b] = enc(sa * sb * s, x)
-    return table
+    # index 2 * axis + sign bit over the axes 0:1 1:i 2:j 3:k, so 0:1 1:-1
+    # 2:i 3:-i 4:j 5:-j 6:k 7:-k.  The axis of a product is a xor b: 1 times
+    # an axis is that axis, i i = -1, and i j = k, j k = i, k i = j.  Its
+    # sign is the product of the signs, flipped for a = b ≠ 0 (i i = -1) and
+    # for the reversed products j i = -k, k j = -i, i k = -j (b - a = 2 mod 3)
+    idx = np.arange(8)
+    a, b = idx[:, None] // 2, idx[None, :] // 2
+    sign = idx[:, None] % 2 ^ idx[None, :] % 2
+    sign ^= (a > 0) & (b > 0) & ((a == b) | ((b - a) % 3 == 2))
+    return (2 * (a ^ b) + sign).astype(np.int32)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, spec: str = "") -> FiniteGroup:
@@ -296,11 +288,12 @@ def _capped_product(factors: Iterable[int], what: str) -> int:
     return _capped(order)
 
 
-def power_group(s: FiniteGroup, n: int) -> FiniteGroup:
-    """Direct power S^n; coordinate 0 is the most significant index digit."""
+def power_group(s: FiniteGroup, n: int, spec: str = "") -> FiniteGroup:
+    """Direct power S^n; coordinate 0 is the most significant index digit.
+    ``spec`` names it, ``pow:(<spec of s>)^n`` by default."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    spec = f"pow:({s.spec})^{n}"
+    spec = spec or f"pow:({s.spec})^{n}"
     if s.order == 1:
         return FiniteGroup(1, table=s.table, spec=spec)
     _capped_product(itertools.repeat(s.order, n), spec)
@@ -361,9 +354,10 @@ def _perm_group(n: int, even_only: bool) -> FiniteGroup:
     return FiniteGroup(order, table=table, spec=name, phi=phi)
 
 
-def _split_outer(spec: str, prefix: str) -> tuple[str, str]:
-    """Split 'prefix:(A)<sep>(B)' style specs on the balanced outer parens."""
-    body = spec[len(prefix) :]
+def _split_outer(spec: str, body: str, after: str) -> tuple[str, str]:
+    """Split ``body``, a part of ``spec`` that starts with '(', at the
+    parenthesis that closes the first: what is inside, and the rest, which
+    must start with ``after`` and is returned without it."""
     if not body.startswith("("):
         raise ValueError(f"malformed spec {spec!r}")
     depth = 0
@@ -373,67 +367,87 @@ def _split_outer(spec: str, prefix: str) -> tuple[str, str]:
         elif ch == ")":
             depth -= 1
             if depth == 0:
-                return body[1:i], body[i + 1 :]
+                if not body.startswith(after, i + 1):
+                    raise ValueError(f"malformed spec {spec!r}")
+                return body[1:i], body[i + 1 + len(after) :]
     raise ValueError(f"unbalanced parentheses in spec {spec!r}")
 
 
+def _parameter(spec: str, text: str, low: str) -> int:
+    """The integer ``text`` of ``spec``.  Text that is not an integer is a
+    usage error that names the spec; so is a value below 1, with the
+    message ``low``, formatted with the ``value`` and the ``spec``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"parameter {text!r} in spec {spec!r} is not an integer") from None
+    if value < 1:
+        raise ValueError(low.format(value=value, spec=spec))
+    return value
+
+
 def make_group(spec: str) -> FiniteGroup:
-    """Build a group from a construction string, refusing orders above
-    `DEFAULT_ORDER_CAP` before any table is built.
+    """Build a group from a construction string.
 
     Grammar: cyc:n | sym:n | alt:n | dih:o | q8 | prod:(s1)x(s2) | pow:(s)^n
     | table:<path>.
-    """
+
+    The whole spec is planned first (`_plan_group`), and only then built:
+    every order in it, of each factor, power and product, is checked against
+    `DEFAULT_ORDER_CAP` before any table is built."""
+    return _plan_group(spec)[2]()
+
+
+def _plan_group(spec: str) -> tuple[int, str, Callable[[], FiniteGroup]]:
+    """The order of the group that ``spec`` names, the spec the group
+    carries, and a function that builds it; the plan itself builds nothing.
+
+    A node reads its parameters (`_parameter`), plans its inner nodes, and
+    refuses its order above the cap (`_capped`, `_capped_product`), in that
+    order.  A group carries the stripped text of its spec, except S_n and
+    A_n, which `_perm_group` names ``sym:n`` and ``alt:n``; a power too large
+    to write out is named by its base's spec, as `power_group` names it.  A
+    table node reads its file's order line here and its rows only when it is
+    built, and is validated then (`_plan_table`)."""
     spec = spec.strip()
-
-    def cap(order: int) -> int:
-        if order < 1:
-            raise ValueError(f"order must be positive in spec {spec!r}")
-        return _capped(order)
-
-    if spec.startswith("cyc:"):
-        n = cap(int(spec[4:]))
-        return FiniteGroup(n, table=_cyclic_table(n), spec=spec, phi=lambda: _unit_rows(n))
-    if spec.startswith("sym:") or spec.startswith("alt:"):
-        n = int(spec[4:])
-        if n < 1:
-            raise ValueError(f"degree must be positive in spec {spec!r}")
-        even = spec.startswith("alt:")
-        _capped_product(range(3 if even else 2, n + 1), spec)  # n! or n!/2
-        return _perm_group(n, even)
-    if spec.startswith("dih:"):
-        o = int(spec[4:])
-        if o < 1:
-            raise ValueError(f"dihedral parameter must be positive, got {o}")
-        cap(2 * o)
-        return FiniteGroup(2 * o, table=_dihedral_table(o), spec=spec)
+    kind, _, arg = spec.partition(":")
+    if kind == "cyc":
+        n = _capped(_parameter(spec, arg, "order must be positive in spec {spec!r}"))
+        phi = lambda: _unit_rows(n)
+        return n, spec, lambda: FiniteGroup(n, table=_cyclic_table(n), spec=spec, phi=phi)
+    if kind in ("sym", "alt"):
+        n = _parameter(spec, arg, "degree must be positive in spec {spec!r}")
+        order = _capped_product(range(3 if kind == "alt" else 2, n + 1), spec)  # n! or n!/2
+        return order, f"{kind}:{n}", lambda: _perm_group(n, kind == "alt")
+    if kind == "dih":
+        o = _parameter(spec, arg, "dihedral parameter must be positive, got {value}")
+        build = lambda: FiniteGroup(2 * o, table=_dihedral_table(o), spec=spec)
+        return _capped(2 * o), spec, build
     if spec == "q8":
-        return FiniteGroup(8, table=_quaternion_table(), spec=spec)
-    if spec.startswith("prod:"):
-        left, rest = _split_outer(spec, "prod:")
-        if not rest.startswith("x("):
-            raise ValueError(f"malformed spec {spec!r}")
-        right, tail = _split_outer("x:" + rest[1:], "x:")
+        return 8, spec, lambda: FiniteGroup(8, table=_quaternion_table(), spec=spec)
+    if kind == "prod":
+        left, rest = _split_outer(spec, arg, "x")
+        right, tail = _split_outer(spec, rest, "")
         if tail:
             raise ValueError(f"trailing characters in spec {spec!r}")
-        g1 = make_group(left)
-        g2 = make_group(right)
-        cap(g1.order * g2.order)
-        return direct_product(g1, g2, spec=spec)
-    if spec.startswith("pow:"):
-        inner, rest = _split_outer(spec, "pow:")
-        if not rest.startswith("^"):
-            raise ValueError(f"malformed spec {spec!r}")
-        n = int(rest[1:])
-        s = make_group(inner)
-        g = power_group(s, n)
-        g.spec = spec
-        return g
-    if spec.startswith("table:"):
-        table = read_cayley_table(spec[6:])
-        g = FiniteGroup(table.shape[0], table=table, spec=spec)
-        g.validate()
-        return g
+        (n1, _, build1), (n2, _, build2) = _plan_group(left), _plan_group(right)
+        return _capped(n1 * n2), spec, lambda: direct_product(build1(), build2(), spec)
+    if kind == "pow":
+        inner, text = _split_outer(spec, arg, "^")
+        n = _parameter(spec, text, "power must be >= 1")
+        order, name, build = _plan_group(inner)
+        if order > 1:
+            order = _capped_product(itertools.repeat(order, n), f"pow:({name})^{n}")
+        return order, spec, lambda: power_group(build(), n, spec)
+    if kind == "table":
+        n, parse = _plan_table(arg)
+
+        def build_table() -> FiniteGroup:
+            g = FiniteGroup(n, table=parse(), spec=spec)
+            g.validate()
+            return g
+
+        return n, spec, build_table
     raise ValueError(f"unknown group spec {spec!r}")
 
 
@@ -446,6 +460,12 @@ def read_cayley_table(path: str | Path) -> np.ndarray:
     rows are parsed in one `np.loadtxt`, which refuses a non-integer entry
     (``#`` included: no comments), an entry beyond int32 and a row of
     another length.  Parsed in int32, the table is the one array kept."""
+    return _plan_table(path)[1]()
+
+
+def _plan_table(path: str | Path) -> tuple[int, Callable[[], np.ndarray]]:
+    """The order on a table file's order line, refused above the cap, and a
+    function that parses the rows (`read_cayley_table`)."""
     lines = Path(path).read_text().split("\n")
     rows = [line for line in lines if line.strip()]
     if not rows:
@@ -457,20 +477,24 @@ def read_cayley_table(path: str | Path) -> np.ndarray:
     _capped(n)
     if n < 1 or len(rows) != n + 1:
         raise ValueError(f"expected {n} table rows, found {len(rows) - 1}")
-    # a numpy that still reads "1.0" as an integer through a float warns
-    # (DeprecationWarning) where a newer one raises: both are refused
-    import warnings
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            table = np.loadtxt(rows[1:], dtype=np.int32, comments=None, ndmin=2)
-        except (ValueError, OverflowError, DeprecationWarning) as err:
-            raise ValueError(f"malformed table rows: {err}") from None
-    if table.shape[1] != n:
-        raise ValueError(f"rows have {table.shape[1]} entries, expected {n}")
-    _require_identity_at_0(table)
-    return table
+    def parse() -> np.ndarray:
+        # a numpy that still reads "1.0" as an integer through a float warns
+        # (DeprecationWarning) where a newer one raises: both are refused
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                table = np.loadtxt(rows[1:], dtype=np.int32, comments=None, ndmin=2)
+            except (ValueError, OverflowError, DeprecationWarning) as err:
+                raise ValueError(f"malformed table rows: {err}") from None
+        if table.shape[1] != n:
+            raise ValueError(f"rows have {table.shape[1]} entries, expected {n}")
+        _require_identity_at_0(table)
+        return table
+
+    return n, parse
 
 
 def _require_identity_at_0(table: np.ndarray) -> None:
@@ -502,7 +526,7 @@ def _row_view(rows: np.ndarray) -> np.ndarray:
     """One void scalar per row, holding its entries as big-endian int32.
 
     Rows of non-negative ints compare bytewise (memcmp) in the same order as
-    tuples of their entries, so this view sorts and searches rows."""
+    tuples of their entries, so this view sorts rows (`_canonical_rows`)."""
     n = rows.shape[-1]
     return rows.astype(">i4").view(np.dtype((np.void, 4 * n))).ravel()
 
@@ -562,20 +586,25 @@ class AutSet:
         return len(self.tables)
 
     @cached_property
-    def _sorted_view(self) -> np.ndarray:
-        # built on the first lookup rather than kept from `_canonical_rows`,
-        # where it would be a third copy of the tables next to the caller's
-        # unsorted stack and the sorted rows
-        return _row_view(self.tables)
+    def _labels(self):
+        """`_column_labels` of the rows, built on the first lookup: a
+        member's label is its row number."""
+        return _column_labels(self.tables)
 
     def index(self, rows: np.ndarray) -> np.ndarray:
         """The row number of each given table in A, or -1 where it is not a
-        member: a binary search of the sorted rows.  ``rows`` is one row of
-        |G| entries or an (m, |G|) array."""
-        view = self._sorted_view
-        wanted = _row_view(_as_rows(rows, self.group.order))
-        pos = np.minimum(np.searchsorted(view, wanted), len(view) - 1)
-        return np.where(view[pos] == wanted, pos, -1)
+        member: each table's label (`_labels`) names the one member that
+        could be it, which is then compared with the whole table.  ``rows``
+        is one row of |G| entries or an (m, |G|) array.  The label is read
+        from the entries mod |G|, so a table with an entry outside
+        0..|G|-1, which is no member, gets some label and fails the
+        comparison."""
+        n = self.group.order
+        rows = _as_rows(rows, n)
+        cols, label_of = self._labels
+        label = label_of(rows[:, cols] % n)
+        label[(self.tables[label] != rows).any(axis=1)] = -1
+        return label
 
     def _all_members(self, rows: np.ndarray) -> bool:
         return bool((self.index(rows) >= 0).all())
@@ -611,14 +640,13 @@ class AutSet:
         columns of `_column_labels`: A is closed, so each product is a
         member, and exactly one member has its values there.  So only those
         values of the products are composed, x -> beta(alpha(beta^-1(x))), a
-        block of conjugators beta at a time, and looked up by their label."""
+        block of conjugators beta at a time, and their labels are the row
+        numbers (`_labels`)."""
         if not self.is_closed:
             raise ValueError("conjugation is defined on a closed automorphism set only")
         t = self.tables
         m, n = t.shape
-        cols, label = _column_labels(t)
-        member = np.empty(m, dtype=np.int32)
-        member[label(t[:, cols])] = np.arange(m, dtype=np.int32)
+        cols, label = self._labels
         inv = np.empty_like(t)
         inv[np.arange(m)[:, None], t] = np.arange(n, dtype=t.dtype)
         out = np.empty((m, m), dtype=np.int32)
@@ -628,9 +656,7 @@ class AutSet:
             k = np.arange(len(beta))[:, None, None]
             # block [k, a, j] = beta_k(alpha_a(beta_k^-1(cols_j)))
             block = beta[k, t[:, inv[lo : lo + step][:, cols]].transpose(1, 0, 2)]
-            out[lo : lo + len(beta)] = member[label(block.reshape(-1, len(cols)))].reshape(
-                len(beta), m
-            )
+            out[lo : lo + len(beta)] = label(block.reshape(-1, len(cols))).reshape(len(beta), m)
         out.setflags(write=False)
         return out
 
@@ -639,37 +665,38 @@ class AutSet:
 
 
 def _column_labels(rows: np.ndarray):
-    """Columns on which the given distinct rows are pairwise distinct, and a
-    function from values on those columns to the label, 0..m-1, of the one
-    row that has them.
+    """Columns on which the given rows, distinct and in lexicographic order
+    (an `AutSet`'s), are pairwise distinct, and a function from values on
+    those columns to the number of the one row that has them.
 
-    Each column, in index order, is taken where it splits rows that the
-    columns taken so far do not, until every row stands alone (column 0 for
-    a single row).  A row's label is the rank of (its label so far, its
-    value) among the rows' pairs, column by column; a table of (labels so
-    far) * |G| entries per column maps each pair to its rank.  Values that
-    no row has get no meaningful label: the caller gives only values some
-    row has."""
+    Each two adjacent rows first differ at some column, and those columns,
+    in index order, are the ones taken (column 0 for a single row).  Sorted
+    rows r < s first differ at the least such column of the adjacent pairs
+    from r to s, so the taken columns tell every two rows apart.  Before a
+    taken column c, a row's label is the number of adjacent pairs above it
+    that first differ before c: rows share it exactly when they agree on
+    every column before c.  Past c it counts the pairs that differ at c as
+    well, and past the last column every pair, so it is the row number.  A
+    table of (labels before c) * |G| entries maps each (label, value at c)
+    to the label past c.  Values that no row has get a label of no meaning,
+    -1 or any row number, still in range as an index: callers confirm it."""
     m, n = rows.shape
-    cols: list[int] = []
-    ranks: list[np.ndarray] = []
-    label, count = np.zeros(m, dtype=np.int64), 1
-    for x in range(n):
-        if count == m and cols:
-            break
-        pairs = label * n + rows[:, x]
-        present = np.zeros(count * n, dtype=bool)
-        present[pairs] = True
-        if np.count_nonzero(present) > count or m == 1:
-            rank = np.cumsum(present) - 1
-            label, count = rank[pairs], int(rank[-1]) + 1
-            cols.append(x)
-            ranks.append(rank)
+    first = (rows[1:] != rows[:-1]).argmax(axis=1)
+    cols = np.unique(first) if m > 1 else np.zeros(1, dtype=np.int64)
+    ranks = []
+    for c in cols:
+        before = np.zeros(m, dtype=np.int64)
+        np.cumsum(first < c, out=before[1:])
+        after = np.zeros(m, dtype=np.int32)
+        np.cumsum(first <= c, out=after[1:])
+        rank = np.full((before[-1] + 1) * n, -1, dtype=np.int32)
+        rank[before * n + rows[:, c]] = after
+        ranks.append(rank)
 
     def label_of(values: np.ndarray) -> np.ndarray:
         found = np.zeros(len(values), dtype=np.int64)
         for j, rank in enumerate(ranks):
-            found = rank[found * n + values[:, j]]
+            found[:] = rank[found * n + values[:, j]]
         return found
 
     return cols, label_of
@@ -1429,7 +1456,8 @@ def section(g: FiniteGroup, upper: Sequence[int], lower: Sequence[int]) -> Secti
     each given by its ascending elements, L normal in U.  It is read from
     g's table, so no table of U is built: the walk over U in ascending order
     meets each coset Lx first at its least member x.  With L = 1 each x is
-    its own coset, numbered at once."""
+    its own coset, numbered at once.  A section of an abelian group is
+    abelian, and is flagged so without a compare of its table."""
     projection = np.full(g.order, -1, dtype=np.int32)
     if len(lower) == 1:
         reps = tuple(upper)
@@ -1448,7 +1476,10 @@ def section(g: FiniteGroup, upper: Sequence[int], lower: Sequence[int]) -> Secti
     spec = g.spec if len(upper) == g.order else f"<order {len(upper)} in {g.spec}>"
     if len(lower) > 1:
         spec = f"({spec})/<order {len(lower)}>"
-    return Section(FiniteGroup(len(reps), table=table, spec=spec), projection, reps)
+    h = FiniteGroup(len(reps), table=table, spec=spec)
+    if g.is_abelian:
+        h.is_abelian = True
+    return Section(h, projection, reps)
 
 
 def _require_characteristic(n: SubgroupHandle) -> None:

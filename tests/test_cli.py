@@ -1076,6 +1076,16 @@ class TestBoundsCommands:
         )
         assert doc["result"]["bound"]["exact"] == "120"
 
+    @pytest.mark.parametrize("factors, entry", [
+        ("60", "60"), ("60:x", "60:x"), ("60:120,", ""), ("60:120:7", "60:120:7"),
+        ("60:120,,168:336", ""),
+    ])
+    def test_radical_bound_names_a_bad_factors_entry(self, factors, entry):
+        code, doc, _ = run(["bounds", "radical-bound", "--word", "x1^2", "--rho", "1/2",
+                            "--factors", factors, "--n-zero", "10", "--eta-zero", "1/2"])
+        assert (code, doc["status"]) == (EXIT_USAGE, "usage-error")
+        assert doc["result"]["error"] == f"--factors entry {entry!r} is not order:autorder"
+
     def test_exclude(self):
         code, doc, _ = run(["bounds", "exclude", "--word", "x1", "--rho", "1"])
         assert doc["result"]["M"] == "341"

@@ -127,6 +127,97 @@ class TestMakeGroup:
         with pytest.raises(ValueError):
             make_group("frob:20")
 
+    @pytest.mark.parametrize("spec, node, text", [
+        ("cyc:x", "cyc:x", "x"),
+        ("dih:", "dih:", ""),
+        ("pow:(cyc:2)^x", "pow:(cyc:2)^x", "x"),
+        ("sym:2.5", "sym:2.5", "2.5"),
+        ("prod:(cyc:2)x(alt:five)", "alt:five", "five"),
+    ])
+    def test_a_parameter_that_is_no_integer_is_a_usage_error_naming_the_spec(
+        self, spec, node, text
+    ):
+        code, doc = run_wfl(["group", "make", "--spec", spec])
+        assert (code, doc["status"]) == (EXIT_USAGE, "usage-error")
+        assert doc["result"]["error"] == f"parameter {text!r} in spec {node!r} is not an integer"
+
+    @pytest.mark.parametrize("spec, error", [
+        ("cyc:0", "order must be positive in spec 'cyc:0'"),
+        ("sym:0", "degree must be positive in spec 'sym:0'"),
+        ("alt:-1", "degree must be positive in spec 'alt:-1'"),
+        ("dih:0", "dihedral parameter must be positive, got 0"),
+        ("dih:-3", "dihedral parameter must be positive, got -3"),
+        ("pow:(cyc:2)^0", "power must be >= 1"),
+        # a node's parameters are read before its inner nodes are planned
+        ("pow:(cyc:5000)^0", "power must be >= 1"),
+    ])
+    def test_a_parameter_below_one_keeps_its_message(self, spec, error):
+        code, doc = run_wfl(["group", "make", "--spec", spec])
+        assert (code, doc["result"]["error"]) == (EXIT_USAGE, error)
+
+    @pytest.mark.parametrize("spec, error", [
+        ("prod:(cyc:2)(cyc:3)", "malformed spec 'prod:(cyc:2)(cyc:3)'"),
+        ("prod:(cyc:2)x", "malformed spec 'prod:(cyc:2)x'"),
+        ("pow:(cyc:2)", "malformed spec 'pow:(cyc:2)'"),
+        ("pow:cyc:2^2", "malformed spec 'pow:cyc:2^2'"),
+        ("prod:(cyc:2)x(cyc:3)y", "trailing characters in spec 'prod:(cyc:2)x(cyc:3)y'"),
+        ("prod:(cyc:2)x(cyc:3", "unbalanced parentheses in spec 'prod:(cyc:2)x(cyc:3'"),
+        ("q8:", "unknown group spec 'q8:'"),
+    ])
+    def test_a_malformed_spec_is_refused(self, spec, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            make_group(spec)
+
+    @pytest.mark.parametrize("spec, error", [
+        ("prod:(alt:7)x(cyc:2)", "order 5040 exceeds cap 4096"),
+        ("pow:(alt:7)^2", "order 6350400 exceeds cap 4096"),
+        ("prod:(cyc:4096)x(cyc:2)", "order 8192 exceeds cap 4096"),
+        ("pow:(cyc:4096)^2", "order 16777216 exceeds cap 4096"),
+        ("prod:(pow:(cyc:2)^6)x(alt:7)", "order 161280 exceeds cap 4096"),
+        ("prod:(dih:2048)x(q8)", "order 32768 exceeds cap 4096"),
+        ("sym:1000000", "order of sym:1000000 exceeds cap 4096"),
+        ("pow:(cyc:3)^10000", "order of pow:(cyc:3)^10000 exceeds cap 4096"),
+        # a power too large to write out is named as `power_group` names it
+        ("pow:( sym:05 )^010000", "order of pow:(sym:5)^10000 exceeds cap 4096"),
+    ])
+    def test_a_spec_is_refused_before_any_table_is_built(self, monkeypatch, spec, error):
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        for name in ("_perm_group", "_cyclic_table", "_dihedral_table", "_quaternion_table",
+                     "direct_product", "power_group"):
+            monkeypatch.setattr(groups_mod, name, no_table)
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"^{re.escape(error)}$"):
+            make_group(spec)
+        assert time.perf_counter() - start < 0.1
+
+    def test_a_table_file_is_refused_before_its_rows_are_parsed(self, tmp_path, monkeypatch):
+        path = tmp_path / "cyc64.tbl"
+        write_cayley_table(path, make_group("cyc:64"))
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("the rows were parsed")
+
+        monkeypatch.setattr(np, "loadtxt", no_rows)
+        with pytest.raises(CapExceeded, match=r"^order 8192 exceeds cap 4096$"):
+            make_group(f"prod:(table:{path})x(cyc:128)")
+
+    @pytest.mark.parametrize("spec, carried", [
+        ("pow:( cyc:2 )^02", "pow:( cyc:2 )^02"),
+        (" prod:(cyc:2)x(q8) ", "prod:(cyc:2)x(q8)"),
+        ("pow:(pow:(cyc:2)^2)^2", "pow:(pow:(cyc:2)^2)^2"),
+        ("prod:( sym:3 )x(dih:04)", "prod:( sym:3 )x(dih:04)"),
+        ("cyc:+6", "cyc:+6"),
+        # S_n and A_n are named by their builder
+        ("sym:05", "sym:5"),
+        ("alt: 4", "alt:4"),
+    ])
+    def test_a_group_carries_its_stripped_spec(self, spec, carried):
+        code, doc = run_wfl(["group", "make", "--spec", spec])
+        assert (code, doc["result"]["spec"]) == (EXIT_OK, carried)
+        assert make_group(spec).spec == carried
+
     def test_sym_alt_element_counts_and_identity(self):
         s4 = make_group("sym:4")
         a4 = make_group("alt:4")
@@ -481,6 +572,25 @@ class TestAutSetIndex:
         for i, row in enumerate(aut.tables):
             assert aut.index(row).tolist() == [i]
         assert aut.index(np.empty((0, 8), dtype=np.int32)).tolist() == []
+
+    def test_entries_out_of_range_are_no_members(self):
+        aut = automorphism_group(make_group("dih:4"))
+        assert aut.index([[0, 1, 2, 3, 4, 5, 6, 99]]).tolist() == [-1]
+        # every position, the label columns among them, above and below 0..7
+        bad = np.repeat(aut.tables[3:4], 16, axis=0)
+        bad[np.arange(8), np.arange(8)] = 8
+        bad[np.arange(8, 16), np.arange(8)] = -1
+        assert aut.index(bad).tolist() == [-1] * 16
+        assert aut.index(np.full((1, 8), 2**40)).tolist() == [-1]
+
+    @pytest.mark.parametrize("spec", ["cyc:4", "cyc:12", "dih:4", "dih:6", "q8", "sym:3",
+                                      "alt:4", "sym:4", "prod:(cyc:2)x(cyc:4)",
+                                      "pow:(cyc:2)^3", "alt:5", "sym:5", "alt:6"])
+    def test_a_members_label_is_its_row_number(self, spec):
+        g = make_group(spec)
+        for a in (automorphism_group(g), inner_automorphisms(g)):
+            cols, label = groups_mod._column_labels(a.tables)
+            assert label(a.tables[:, cols]).tolist() == list(range(len(a)))
 
     def test_wrong_width_is_refused(self):
         aut = automorphism_group(make_group("dih:4"))
@@ -1153,6 +1263,38 @@ class TestSection:
         # a 1024 x 1024 int32 table of G alone is 4 MB
         assert peak < 3 * 2**20
 
+    # `group series` output on the abelian groups of LATTICE_SPECS and
+    # cyc:4096, taken while sections still compared their own tables
+    SERIES_SHA256 = {
+        "cyc:2": "78589ae429fbfc38e52538f8f05e416fb7b26d3ace0db3939ce977e4aeab32c6",
+        "cyc:4": "a6cb5f6ea9f360ed6a109b609a89d3c8e5d851f2c76d3622f253158d478b1443",
+        "cyc:6": "5c65294a3d4ce26a9ec342755b158a55f1d0606c189c5ad7d836ec1bccd62898",
+        "prod:(cyc:2)x(cyc:2)": "978cddcc4afa04e823168df231a58d2523fcb774b14ef0b3536e8c0d79d77137",
+        "pow:(cyc:2)^4": "12f452dcd5fd69423d7397e62a2a4d5c98ed6c83efedc9f1f2fa2dd7760aeaf0",
+        "cyc:4096": "26570f025f257424762fc94fbf00b4d37fda620f07db81a3e0280054469419e8",
+    }
+
+    def test_the_abelian_specs_are_pinned(self):
+        assert sorted(s for s in LATTICE_SPECS if make_group(s).is_abelian) == sorted(
+            set(self.SERIES_SHA256) - {"cyc:4096"}
+        )
+
+    @pytest.mark.parametrize("spec", list(SERIES_SHA256))
+    def test_an_abelian_series_compares_the_table_of_g_only(self, monkeypatch, spec):
+        compared = []
+        real = groups_mod.FiniteGroup.is_abelian.func
+        monkeypatch.setattr(groups_mod.FiniteGroup.is_abelian, "func",
+                            lambda g: compared.append(g.order) or real(g))
+        out = io.StringIO()
+        assert run_command(["group", "series", "--spec", spec], stdout=out) == EXIT_OK
+        assert compared == [make_group(spec).order]
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.SERIES_SHA256[spec]
+
+    def test_a_section_of_a_nonabelian_group_compares_its_own_table(self):
+        g = make_group("sym:4")
+        s = section(g, _closure(g.table, [1]), (0,)).group  # a subgroup of order 2
+        assert "is_abelian" not in vars(s) and s.is_abelian
+
 
 def counting_span_levels(monkeypatch):
     """Wrap `_span_mask` so that its table counts the gathers made on it, one
@@ -1405,6 +1547,22 @@ class TestCyclicDihedralTables:
         finally:
             tracemalloc.stop()
         assert peak < 3 * g.table.nbytes
+
+
+def hamilton_product(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+class TestQuaternionTable:
+    def test_equal_to_the_hamilton_products(self):
+        # index 2 * axis + sign bit, over the axes 1, i, j, k
+        units = [tuple((-1) ** (x % 2) * (k == x // 2) for k in range(4)) for x in range(8)]
+        expected = [[units.index(hamilton_product(p, q)) for q in units] for p in units]
+        table = make_group("q8").table
+        assert table.dtype == np.int32 and table.tolist() == expected
 
 
 class TestPowerGroup:
