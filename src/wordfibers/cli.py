@@ -9,7 +9,8 @@ thread counts.  Exit codes: 0 success/pass, 1 check failed, 2 usage error,
 exits 0.
 
 Every subcommand is one row of `COMMANDS`: its parameters, which build its
-options and its request echo, and its handler.
+options and its request echo, and its handler.  The checks' rows (`CHECKS`)
+are also the battery's manifest entries.
 """
 
 from __future__ import annotations
@@ -88,6 +89,15 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(str(text).strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _integer(text: str, what: str) -> int:
+    """The integer ``text``; other text is a usage error that names ``what``,
+    the option or selector it came from."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what}: {text!r} is not an integer") from None
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -227,7 +237,8 @@ class ResultCache:
 
 class Context:
     """Per-request settings, groups and words; a handler may add work
-    counters to ``stats``.
+    counters to ``stats``.  The request's budget is a request parameter,
+    ``args.budget``, so a battery entry can carry its own.
 
     `group` builds each spec once per request, so every check of a battery
     on the same spec shares one `FiniteGroup`, and with it the structure
@@ -235,9 +246,8 @@ class Context:
     `word` parses each word text once per request.  A new request builds
     everything again."""
 
-    def __init__(self, threads: int, budget: int):
+    def __init__(self, threads: int):
         self.threads = threads
-        self.budget = budget
         self.stats: dict = {}
         self._groups: dict[str, FiniteGroup] = {}
         self._words: dict[str, ReducedWord] = {}
@@ -249,14 +259,14 @@ class Context:
             g = self._groups[spec] = make_group(spec)
         return g
 
-    def word(self, text: str, require_nonempty: bool = False) -> ReducedWord:
-        """The request's word for ``text``, parsed on first use; with
-        ``require_nonempty``, an empty word is refused as `parse_word`
-        refuses it.  A word is immutable, so every reader may share it."""
+    def word(self, text: str) -> ReducedWord:
+        """The request's word for ``text``, parsed on first use; a word that
+        reduces to the empty word is refused.  A word is immutable, so every
+        reader may share it."""
         w = self._words.get(text)
         if w is None:
-            w = self._words[text] = parse_word(text)
-        return _require_nonempty(w, text) if require_nonempty else w
+            w = self._words[text] = _require_nonempty(parse_word(text), text)
+        return w
 
     def close(self) -> None:
         """Drop the structure cached on the request's groups.  Aut(G) and the
@@ -298,7 +308,7 @@ def resolve_subgroup(g: FiniteGroup, spec: str):
     if spec == "radical":
         return solvable_radical(g)
     if spec.startswith("order:"):
-        k = int(spec[6:])
+        k = _integer(spec[6:], f"subgroup selector {spec!r}")
         hits = [s for s in normal_subgroups(g) if s.order == k and s.characteristic]
         if len(hits) != 1:
             raise ValueError(
@@ -307,25 +317,16 @@ def resolve_subgroup(g: FiniteGroup, spec: str):
             )
         return hits[0]
     if spec.startswith("indices:"):
-        elements = [int(x) for x in spec[8:].split(",") if x]
+        elements = [_integer(x, f"subgroup selector {spec!r}") for x in spec[8:].split(",") if x]
         return subgroup_handle(g, elements)
     raise ValueError(f"unknown subgroup selector {spec!r}")
-
-
-class CheckFailed(Exception):
-    """A handler's result whose check failed: the request reports it with
-    status "fail" and exit code 1."""
-
-    def __init__(self, result):
-        super().__init__("check failed")
-        self.result = result
 
 
 # -- command handlers -----------------------------------------------------------
 
 
 def cmd_word_parse(args, ctx):
-    w = ctx.word(args.word)
+    w = parse_word(args.word)  # the one command that accepts the empty word
     return {
         "word": format_word(w),
         "length": w.length,
@@ -335,7 +336,7 @@ def cmd_word_parse(args, ctx):
 
 
 def cmd_word_variations(args, ctx):
-    w = ctx.word(args.word, require_nonempty=True)
+    w = ctx.word(args.word)
     count = variation_count(w)
     listed = []
     for v in variations(w):
@@ -430,16 +431,16 @@ def cmd_group_radical(args, ctx):
 
 def cmd_fiber_dist(args, ctx):
     g, autset = _group_and_aut(ctx, args.group, args.auts)
-    w = ctx.word(args.word, require_nonempty=True)
+    w = ctx.word(args.word)
     if args.tuple:
-        indices = [int(x) for x in args.tuple.split(",")]
+        indices = [_integer(x, "--tuple") for x in args.tuple.split(",")]
     else:
         indices = [0] * w.length
     if len(indices) != w.length:
         raise ValueError(f"need {w.length} tuple indices, got {len(indices)}")
     if any(not 0 <= i < len(autset) for i in indices):
         raise ValueError(f"tuple indices must lie in 0..{len(autset) - 1}")
-    dist = fiber_distribution(g, w, autset.tables[indices], budget=ctx.budget)
+    dist = fiber_distribution(g, w, autset.tables[indices], budget=args.budget)
     return {
         "counts": dist.counts.tolist(),
         "order": dist.order,
@@ -450,22 +451,22 @@ def cmd_fiber_dist(args, ctx):
 
 def cmd_fiber_pi(args, ctx):
     g = ctx.group(args.group)
-    w = ctx.word(args.word, require_nonempty=True)
-    value, proportion = pi_w(g, w, budget=ctx.budget)
+    w = ctx.word(args.word)
+    value, proportion = pi_w(g, w, budget=args.budget)
     return {"max_fiber": value, "proportion": proportion}
 
 
 def cmd_fiber_max(args, ctx):
     g, autset = _group_and_aut(ctx, args.group, args.auts)
-    w = ctx.word(args.word, require_nonempty=True)
-    target = None if args.target == "any" else int(args.target)
+    w = ctx.word(args.word)
+    target = None if args.target == "any" else _integer(args.target, "--target")
     res = max_fiber(
         g,
         w,
         autset,
         target=target,
         mode=args.mode,
-        budget=ctx.budget,
+        budget=args.budget,
         seed=args.seed,
         threads=ctx.threads,
         samples=args.samples,
@@ -487,7 +488,7 @@ def cmd_fiber_max(args, ctx):
     return doc
 
 
-# -- parameters and the check registry ------------------------------------------
+# -- parameters, commands and the check registry --------------------------------
 
 
 @dataclass(frozen=True)
@@ -528,120 +529,117 @@ class Param:
 
 
 @dataclass(frozen=True)
-class Check:
-    """A checker as `wfl verify <name>` and as a manifest entry `"check": name`."""
+class Command:
+    """The subcommand `wfl <module> <action>`: its parameters and its handler.
+    The handler, a `cmd_*` function of this module, returns the result; a
+    result whose ``failed`` is true makes the request report status "fail"
+    and exit 1.  The handler is looked up by name when the request or a
+    battery entry runs (`_handler`), so a handler replaced on this module
+    after the parser is built (say, by a tracing wrapper) is the one called."""
 
-    name: str
+    module: str
+    action: str
     params: tuple[Param, ...]
-    # (params, request context, budget); searches split over ctx.threads
-    run: Callable[[dict, Context, int], CheckReport]
+    handler: Callable[[argparse.Namespace, Context], object]
+    cached: bool = True  # False: the result cache is never read or written
 
 
-def _run_identity_max(p, ctx, budget):
-    g, autset = _group_and_aut(ctx, p["group"], p["auts"])
-    w = ctx.word(p["word"], require_nonempty=True)
-    return check_identity_maximal(g, w, autset, budget=budget, threads=ctx.threads)
+def _handler(command: Command) -> Callable[[argparse.Namespace, Context], object]:
+    return globals()[command.handler.__name__]
 
 
-def _run_submult(p, ctx, budget):
-    g, autset = _group_and_aut(ctx, p["group"], p["auts"])
-    n = resolve_subgroup(g, p["subgroup"])
-    w = ctx.word(p["word"], require_nonempty=True)
-    return check_submultiplicative(g, n, w, autset, budget=budget, threads=ctx.threads)
+def cmd_verify_identity_max(args, ctx):
+    g, autset = _group_and_aut(ctx, args.group, args.auts)
+    w = ctx.word(args.word)
+    return check_identity_maximal(g, w, autset, budget=args.budget, threads=ctx.threads)
 
 
-def _run_rewrite(p, ctx, budget):
-    g = ctx.group(p["group"])
+def cmd_verify_submult(args, ctx):
+    g, autset = _group_and_aut(ctx, args.group, args.auts)
+    n = resolve_subgroup(g, args.subgroup)
+    w = ctx.word(args.word)
+    return check_submultiplicative(g, n, w, autset, budget=args.budget, threads=ctx.threads)
+
+
+def cmd_verify_dihedral(args, ctx):
+    return check_dihedral_counterexample(args.o, budget=args.budget)
+
+
+def cmd_verify_rewrite(args, ctx):
+    g = ctx.group(args.group)
     aut = automorphism_group(g)
-    n = resolve_subgroup(g, p["subgroup"])
-    w = ctx.word(p["word"], require_nonempty=True)
-    return check_rewrite(g, n, w, aut, trials=p["trials"], seed=p["seed"], budget=budget)
+    n = resolve_subgroup(g, args.subgroup)
+    w = ctx.word(args.word)
+    return check_rewrite(g, n, w, aut, trials=args.trials, seed=args.seed, budget=args.budget)
 
 
-def _run_variation_bound(p, ctx, budget):
-    s = ctx.group(p["simple"])
-    w = ctx.word(p["word"], require_nonempty=True)
+def cmd_verify_variation_bound(args, ctx):
+    s = ctx.group(args.simple)
+    w = ctx.word(args.word)
     return check_variation_bound(
         s,
-        p["n"],
+        args.n,
         w,
-        samples=p["samples"],
-        seed=p["seed"],
-        exponent_mode=p["exponent_mode"],
-        epsilon_factor=parse_fraction(p["epsilon_factor"]),
-        budget=budget,
+        samples=args.samples,
+        seed=args.seed,
+        exponent_mode=args.exponent_mode,
+        epsilon_factor=parse_fraction(args.epsilon_factor),
+        budget=args.budget,
         threads=ctx.threads,
     )
 
 
-def _run_variation_projection(p, ctx, budget):
-    g = ctx.group(p["group"])
-    w = ctx.word(p["word"], require_nonempty=True)
-    return check_variation_projection(g, w, budget=budget, threads=ctx.threads)
+def cmd_verify_variation_projection(args, ctx):
+    g = ctx.group(args.group)
+    w = ctx.word(args.word)
+    return check_variation_projection(g, w, budget=args.budget, threads=ctx.threads)
 
 
 _AUTS = Param("auts", default="aut", choices=("inn", "aut"))
 _BUDGET = Param("budget", int)
+# the checkers, as `wfl verify <action>` and as manifest entries `"check": action`
 CHECKS = {
-    c.name: c
+    c.action: c
     for c in (
-        Check("identity-max", (Param("group"), Param("word"), _AUTS), _run_identity_max),
-        Check(
-            "submult",
-            (Param("group"), Param("subgroup"), Param("word"), _AUTS),
-            _run_submult,
-        ),
-        Check(
-            "dihedral",
-            (Param("o", int),),
-            lambda p, ctx, budget: check_dihedral_counterexample(p["o"], budget=budget),
-        ),
-        Check(
-            "rewrite",
-            (Param("group"), Param("subgroup"), Param("word"),
-             Param("trials", int, 100), Param("seed", int, 0)),
-            _run_rewrite,
-        ),
-        Check(
-            "variation-bound",
-            (Param("simple"), Param("n", int, 1), Param("word"),
-             Param("samples", int, 1000), Param("seed", int, 0),
-             Param("exponent_mode", default="ceil", choices=("ceil", "floor")),
-             Param("epsilon_factor", default="1")),
-            _run_variation_bound,
-        ),
-        Check("variation-projection", (Param("group"), Param("word")),
-              _run_variation_projection),
+        Command("verify", "identity-max", (Param("group"), Param("word"), _AUTS),
+                cmd_verify_identity_max),
+        Command("verify", "submult", (Param("group"), Param("subgroup"), Param("word"), _AUTS),
+                cmd_verify_submult),
+        Command("verify", "dihedral", (Param("o", int),), cmd_verify_dihedral),
+        Command("verify", "rewrite",
+                (Param("group"), Param("subgroup"), Param("word"),
+                 Param("trials", int, 100), Param("seed", int, 0)),
+                cmd_verify_rewrite),
+        Command("verify", "variation-bound",
+                (Param("simple"), Param("n", int, 1), Param("word"),
+                 Param("samples", int, 1000), Param("seed", int, 0),
+                 Param("exponent_mode", default="ceil", choices=("ceil", "floor")),
+                 Param("epsilon_factor", default="1")),
+                cmd_verify_variation_bound),
+        Command("verify", "variation-projection", (Param("group"), Param("word")),
+                cmd_verify_variation_projection),
     )
 }
 
 
-def cmd_verify_check(args, ctx):
-    check = CHECKS[args.action]
-    report = check.run({p.name: getattr(args, p.name) for p in check.params}, ctx, ctx.budget)
-    if report.outcome == "fail":
-        raise CheckFailed(report)
-    return report
-
-
-def _entry_params(index: int, entry, budget: int) -> tuple[Check, dict, int]:
+def _entry_params(index: int, entry, budget: int) -> tuple[Command, dict, int]:
     """Validate manifest entry `index` against the registry: its check, params
     (defaults filled in) and budget, which the `budget` key overrides."""
     if not isinstance(entry, dict):
         raise ValueError(f"manifest entry {index} is not an object")
     name = entry.get("check")
-    check = CHECKS.get(name) if isinstance(name, str) else None
-    if check is None:
+    command = CHECKS.get(name) if isinstance(name, str) else None
+    if command is None:
         raise ValueError(f"manifest entry {index}: unknown check type {name!r}")
-    declared = {p.name for p in check.params}
+    declared = {p.name for p in command.params}
     for key in entry:
         if key not in declared and key not in ("check", "budget"):
             raise ValueError(
-                f"manifest entry {index}: unknown key {key!r} for check {check.name!r}"
+                f"manifest entry {index}: unknown key {key!r} for check {command.action!r}"
             )
     params = {}
     try:
-        for p in check.params:
+        for p in command.params:
             if p.name in entry:
                 params[p.name] = p.convert(entry[p.name])
             elif p.default is ...:
@@ -651,13 +649,28 @@ def _entry_params(index: int, entry, budget: int) -> tuple[Check, dict, int]:
         budget = _BUDGET.convert(entry.get("budget", budget))
     except (TypeError, ValueError) as err:
         raise ValueError(f"manifest entry {index}: {err}") from err
-    return check, params, budget
+    return command, params, budget
 
 
-def run_battery_entry(check: Check, params: dict, budget: int, ctx: Context) -> CheckReport:
-    """Run one validated manifest entry (`_entry_params`); ``ctx.threads``
-    splits its tuple searches."""
-    return check.run(params, ctx, budget)
+def run_battery_entry(command: Command, params: dict, budget: int, ctx: Context) -> CheckReport:
+    """Run one validated manifest entry (`_entry_params`) through its check's
+    handler, as `wfl verify <check>` would; ``ctx.threads`` splits its tuple
+    searches."""
+    return _handler(command)(argparse.Namespace(**params, budget=budget), ctx)
+
+
+@dataclass(frozen=True)
+class BatteryResult:
+    """The result of `verify battery`: the outcome counts, and each entry's
+    report file and outcome in manifest order."""
+
+    summary: dict
+    reports: list
+    outcomes: list
+
+    @property
+    def failed(self) -> bool:
+        return self.summary["failed"] > 0
 
 
 def default_battery_path() -> Path:
@@ -673,7 +686,7 @@ def cmd_verify_battery(args, ctx):
     if not isinstance(entries, list):
         raise ValueError("the manifest must be a JSON list of check entries")
     # every entry is validated, and a bad manifest refused, before any work
-    checks = [_entry_params(index, entry, ctx.budget) for index, entry in enumerate(entries)]
+    checks = [_entry_params(index, entry, args.budget) for index, entry in enumerate(entries)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = [run_battery_entry(*check, ctx) for check in checks]
@@ -689,19 +702,12 @@ def cmd_verify_battery(args, ctx):
             summary["failed"] += 1
         else:
             summary["inconclusive"] += 1
-    result = {
-        "summary": summary,
-        "reports": files,
-        "outcomes": [r.outcome for r in reports],
-    }
-    if summary["failed"]:
-        raise CheckFailed(result)
-    return result
+    return BatteryResult(summary, files, [r.outcome for r in reports])
 
 
 def cmd_bounds_exclude(args, ctx):
     from .bounds import excluded_factors_report
-    w = ctx.word(args.word, require_nonempty=True)
+    w = ctx.word(args.word)
     report = excluded_factors_report(w, parse_fraction(args.rho))
     return {
         "word": report.word,
@@ -726,25 +732,25 @@ def cmd_bounds_exclude(args, ctx):
 
 def cmd_bounds_alt(args, ctx):
     from .bounds import alt_exclusion_threshold
-    w = ctx.word(args.word, require_nonempty=True)
+    w = ctx.word(args.word)
     return alt_exclusion_threshold(w, parse_fraction(args.rho))
 
 
 def cmd_bounds_lie(args, ctx):
     from .bounds import lie_rank_threshold
-    w = ctx.word(args.word, require_nonempty=True)
+    w = ctx.word(args.word)
     return lie_rank_threshold(w, parse_fraction(args.rho))
 
 
 def cmd_bounds_n0(args, ctx):
     from .bounds import n0_bound
-    w = ctx.word(args.word, require_nonempty=True)
+    w = ctx.word(args.word)
     return {"n0": n0_bound(w, parse_fraction(args.rho), args.order)}
 
 
 def cmd_bounds_radical_bound(args, ctx):
     from .bounds import radical_index_bound
-    w = ctx.word(args.word, require_nonempty=True)
+    w = ctx.word(args.word)
     factors = []
     for part in args.factors.split(",") if args.factors else []:
         try:
@@ -763,21 +769,6 @@ def cmd_bounds_radical_bound(args, ctx):
 
 
 # -- the command table ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Command:
-    """The subcommand `wfl <module> <action>`: its parameters and its handler.
-    The handler, a `cmd_*` function of this module, returns the result; it
-    is looked up by name when the request runs, so a handler replaced on
-    this module after the parser is built (say, by a tracing wrapper) is
-    the one called."""
-
-    module: str
-    action: str
-    params: tuple[Param, ...]
-    handler: Callable[[argparse.Namespace, Context], object]
-    cached: bool = True  # False: the result cache is never read or written
 
 
 COMMANDS = (
@@ -804,8 +795,7 @@ COMMANDS = (
              Param("mode", default="exact", choices=("exact", "sample")),
              Param("samples", int, 1000), Param("seed", int, 0)),
             cmd_fiber_max),
-    *(Command("verify", check.name, check.params, cmd_verify_check)
-      for check in CHECKS.values()),
+    *CHECKS.values(),
     Command("verify", "battery",
             (Param("manifest", default=None, help="defaults to the shipped manifest"),
              Param("out", default="battery_reports")),
@@ -872,7 +862,7 @@ def run_command(argv, stdout=None) -> int:
     try:
         args = parser.parse_args(argv)
         threads = _setting(args.threads, "WFL_THREADS", 1, _positive_int)
-        budget = _setting(args.budget, "WFL_BUDGET", DEFAULT_BUDGET, int)
+        args.budget = _setting(args.budget, "WFL_BUDGET", DEFAULT_BUDGET, int)
         # an empty setting is an unset one, not the working directory
         cache_dir = args.cache_dir or os.environ.get("WFL_CACHE_DIR")
         command = args.command
@@ -891,14 +881,14 @@ def run_command(argv, stdout=None) -> int:
         stdout.write(dumps_canonical(doc) + "\n")
         return EXIT_USAGE
 
-    ctx = Context(threads=threads, budget=budget)
+    ctx = Context(threads=threads)
 
     params = {p.name: getattr(args, p.name) for p in command.params}
     request = {
         "command": f"{command.module} {command.action}",
         "params": canonical({k: v for k, v in params.items() if v is not None}),
         "version": __version__,
-        "budget": str(budget),
+        "budget": str(args.budget),
     }
     if cache is not None:
         digest = request_digest(request)
@@ -908,10 +898,9 @@ def run_command(argv, stdout=None) -> int:
             return hit[1]
 
     try:
-        result = globals()[command.handler.__name__](args, ctx)  # see `Command`
-        status, exit_code = "ok", EXIT_OK
-    except CheckFailed as failed:
-        result, status, exit_code = failed.result, "fail", EXIT_CHECK_FAILED
+        result = _handler(command)(args, ctx)
+        failed = getattr(result, "failed", False)
+        status, exit_code = ("fail", EXIT_CHECK_FAILED) if failed else ("ok", EXIT_OK)
     except (BudgetExceeded, CapExceeded) as err:
         result, status, exit_code = {"error": str(err)}, "budget-exceeded", EXIT_BUDGET
     except (ValueError, WordSyntaxError, EmptyWordError, OSError) as err:

@@ -102,11 +102,17 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        """Whether the table is symmetric, compared a block of rows at a
-        time, so a non-abelian group usually stops at its first block."""
+        """Whether the table is symmetric, compared one square tile of at most
+        `_COMPOSE_BLOCK_ELEMENTS` entries at a time with its mirror tile, so a
+        non-abelian group usually stops at an early tile.  Both sides of a
+        compare read `side` rows of the table, not every row."""
         t, n = self.table, self.order
-        step = max(1, _COMPOSE_BLOCK_ELEMENTS // n)
-        return all((t[lo : lo + step] == t[:, lo : lo + step].T).all() for lo in range(0, n, step))
+        side = math.isqrt(_COMPOSE_BLOCK_ELEMENTS)
+        return all(
+            (t[i : i + side, j : j + side] == t[j : j + side, i : i + side].T).all()
+            for i in range(0, n, side)
+            for j in range(i, n, side)
+        )
 
     @cached_property
     def center(self) -> tuple[int, ...]:

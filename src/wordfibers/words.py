@@ -199,12 +199,11 @@ def _parse_sequence(tokens, pos: int, depth: int) -> tuple[list[Letter], int]:
     return letters, pos
 
 
-def parse_word(text: str, require_nonempty: bool = False) -> ReducedWord:
+def parse_word(text: str) -> ReducedWord:
     """Parse a word expression, free-reduce it, and normalize variable names."""
     tokens = _tokenize(text)
     letters, _ = _parse_sequence(tokens, 0, 0)
-    word = free_reduce(letters).normalized()
-    return _require_nonempty(word, text) if require_nonempty else word
+    return free_reduce(letters).normalized()
 
 
 def _require_nonempty(word: ReducedWord, text: str) -> ReducedWord:

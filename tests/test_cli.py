@@ -881,6 +881,20 @@ class TestBattery:
         assert key in doc["result"]["error"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("keyed, expected", [((0,), EXIT_BUDGET), ((0, 1), EXIT_OK)])
+    def test_an_entry_budget_governs_that_entry_alone(self, tmp_path, keyed, expected):
+        entry = {"check": "identity-max", "group": "sym:3", "word": "x1^2"}
+        entries = [{**entry, "budget": 10**6} if i in keyed else entry for i in range(2)]
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(entries))
+        code, doc, _ = run(["--budget", "5", "verify", "battery", "--manifest", str(manifest),
+                            "--out", str(tmp_path / "out")])
+        assert code == expected
+        if expected == EXIT_BUDGET:
+            assert doc["result"] == {"error": "exact search needs 36 evaluations, budget is 5"}
+        else:
+            assert doc["result"]["outcomes"] == ["pass", "pass"]
+
     def test_integer_strings_stay_accepted(self):
         from wordfibers.cli import _entry_params
 
@@ -1191,6 +1205,36 @@ class TestUsageErrors:
              "--auts", "aut", "--target", "11"]
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, error", [
+        (["fiber", "max", "--group", "cyc:4", "--word", "x1^2", "--target", "x"],
+         "--target: 'x' is not an integer"),
+        (["fiber", "dist", "--group", "cyc:4", "--word", "x1 x2", "--tuple", "1,,2"],
+         "--tuple: '' is not an integer"),
+        (["verify", "submult", "--group", "cyc:4", "--subgroup", "order:x", "--word", "x1^2"],
+         "subgroup selector 'order:x': 'x' is not an integer"),
+        (["verify", "submult", "--group", "cyc:4", "--subgroup", "indices:1,x",
+          "--word", "x1^2"],
+         "subgroup selector 'indices:1,x': 'x' is not an integer"),
+    ])
+    def test_a_bad_integer_names_its_option_or_selector(self, argv, error):
+        code, doc, _ = run(["--no-cache", *argv])
+        assert (code, doc["status"], doc["result"]) == (
+            EXIT_USAGE, "usage-error", {"error": error})
+
+    @pytest.mark.parametrize("argv", [
+        ["word", "variations", "--word", "x1 x1^-1"],
+        ["fiber", "pi", "--group", "cyc:4", "--word", "x1 x1^-1"],
+        ["verify", "identity-max", "--group", "cyc:4", "--word", "x2 x2^-1"],
+        ["bounds", "alt", "--word", "[x1,x1]", "--rho", "1/2"],
+    ])
+    def test_every_command_but_word_parse_refuses_the_empty_word(self, argv):
+        code, doc, _ = run(["--no-cache", *argv])
+        text = argv[argv.index("--word") + 1]
+        assert (code, doc["result"]) == (
+            EXIT_USAGE, {"error": f"word {text!r} reduces to the empty word"})
+        code, doc, _ = run(["--no-cache", "word", "parse", "--word", text])
+        assert (code, doc["result"]["length"]) == (EXIT_OK, "0")
 
 
 class TestEntryPoint:

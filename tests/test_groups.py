@@ -1337,6 +1337,26 @@ class TestSpanMask:
             assert set(np.flatnonzero(mask).tolist()) == set_closure(table, gens), gens
 
 
+class TestIsAbelian:
+    @pytest.mark.parametrize("elements", [1, 5, 9, 50, 1 << 17])
+    def test_tiles_of_any_size_agree_with_the_whole_table(self, monkeypatch, elements):
+        groups = [make_group(s) for s in LATTICE_SPECS + ["dih:7", "cyc:13"]]
+        monkeypatch.setattr(groups_mod, "_COMPOSE_BLOCK_ELEMENTS", elements)
+        for g in groups:
+            vars(g).pop("is_abelian", None)
+            assert g.is_abelian == bool((g.table == g.table.T).all()), g.spec
+
+    def test_every_entry_off_the_diagonal_is_compared(self, monkeypatch):
+        monkeypatch.setattr(groups_mod, "_COMPOSE_BLOCK_ELEMENTS", 9)  # 3 x 3 tiles
+        n = 10
+        base = np.add.outer(np.arange(n), np.arange(n)) % n
+        assert FiniteGroup(n, table=base).is_abelian
+        for a, b in itertools.permutations(range(n), 2):
+            t = base.copy()
+            t[a, b] = (t[a, b] + 1) % n
+            assert not FiniteGroup(n, table=t).is_abelian, (a, b)
+
+
 class TestClassClosures:
     @pytest.mark.parametrize("spec", LATTICE_SPECS + ["dih:64", "cyc:64", "sym:6"])
     def test_match_the_closure_of_each_class(self, spec):
@@ -1781,7 +1801,7 @@ class TestGroupMake:
 
         from wordfibers import cli
 
-        ctx = cli.Context(threads=1, budget=10**8)
+        ctx = cli.Context(threads=1)
         doc = cli.cmd_group_make(SimpleNamespace(spec="sym:6"), ctx)
         assert doc["center_size"] == 1 and "center" not in vars(ctx.group("sym:6"))
 

@@ -7,6 +7,7 @@ from wordfibers.words import (
     ReducedWord,
     VariationWord,
     VarLetter,
+    _require_nonempty,
     format_word,
     free_reduce,
     m_constant,
@@ -93,8 +94,8 @@ class TestParse:
 
     def test_empty_after_reduction(self):
         assert parse_word("x1 x1^-1") == EMPTY_WORD
-        with pytest.raises(EmptyWordError):
-            parse_word("x1 x1^-1", require_nonempty=True)
+        with pytest.raises(EmptyWordError, match="word 'x1 x1\\^-1' reduces to the empty word"):
+            _require_nonempty(parse_word("x1 x1^-1"), "x1 x1^-1")
 
     def test_format_examples(self):
         assert format_word(COMMUTATOR) == "x1 x2 x1^-1 x2^-1"
