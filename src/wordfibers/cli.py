@@ -3,9 +3,9 @@ battery runner.
 
 Every subcommand emits a single JSON document {schema_version, request,
 result, status, stats} with sorted keys, integers as decimal strings and
-rationals as "p/q", so exact-mode output is byte-identical across runs and
-thread counts.  Exit codes: 0 success/pass, 1 check failed, 2 usage error,
-3 budget or cap exceeded.  `--help` prints argparse's help text instead, and
+rationals as "p/q", so output is byte-identical across runs and thread
+counts.  Exit codes: 0 success/pass, 1 check failed, 2 usage error, 3 budget
+or cap exceeded.  `--help` prints argparse's help text instead, and
 exits 0.
 
 Every subcommand is one row of `COMMANDS`: its parameters, which build its
@@ -116,6 +116,7 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 
 
 _positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _digits(value) -> str:
@@ -432,7 +433,7 @@ def cmd_group_radical(args, ctx):
 def cmd_fiber_dist(args, ctx):
     g, autset = _group_and_aut(ctx, args.group, args.auts)
     w = ctx.word(args.word)
-    if args.tuple:
+    if args.tuple is not None:
         indices = [_integer(x, "--tuple") for x in args.tuple.split(",")]
     else:
         indices = [0] * w.length
@@ -460,17 +461,7 @@ def cmd_fiber_max(args, ctx):
     g, autset = _group_and_aut(ctx, args.group, args.auts)
     w = ctx.word(args.word)
     target = None if args.target == "any" else _integer(args.target, "--target")
-    res = max_fiber(
-        g,
-        w,
-        autset,
-        target=target,
-        mode=args.mode,
-        budget=args.budget,
-        seed=args.seed,
-        threads=ctx.threads,
-        samples=args.samples,
-    )
+    res = max_fiber(g, w, autset, target=target, budget=args.budget, threads=ctx.threads)
     doc = {
         "value": res.value,
         "proportion": res.proportion,
@@ -483,8 +474,6 @@ def cmd_fiber_max(args, ctx):
     ctx.stats.update(
         tuples_scanned=res.tuples_scanned, evaluations_performed=res.evaluations_performed
     )
-    if res.seed is not None:
-        doc["seed"] = res.seed
     return doc
 
 
@@ -504,9 +493,14 @@ class Param:
     flag: Optional[str] = None  # the option's spelling, if not --name with dashes
 
     def convert(self, value):
-        if self.type is int and isinstance(value, (bool, float)):
+        """A manifest value as the option would read it; every type but str
+        and bool is an integer type, which refuses JSON bools and floats."""
+        if self.type not in (str, bool) and isinstance(value, (bool, float)):
             raise ValueError(f"{self.name!r} must be an integer, got {json.dumps(value)}")
-        value = self.type(value)
+        try:
+            value = self.type(value)
+        except argparse.ArgumentTypeError as err:
+            raise ValueError(f"{self.name!r} {err}") from None
         if self.choices is not None and value not in self.choices:
             raise ValueError(f"{self.name} must be one of {', '.join(self.choices)}")
         return value
@@ -596,7 +590,7 @@ def cmd_verify_variation_projection(args, ctx):
 
 
 _AUTS = Param("auts", default="aut", choices=("inn", "aut"))
-_BUDGET = Param("budget", int)
+_BUDGET = Param("budget", _non_negative_int)
 # the checkers, as `wfl verify <action>` and as manifest entries `"check": action`
 CHECKS = {
     c.action: c
@@ -773,7 +767,7 @@ def cmd_bounds_radical_bound(args, ctx):
 
 COMMANDS = (
     Command("word", "parse", (Param("word"),), cmd_word_parse),
-    Command("word", "variations", (Param("word"), Param("limit", _int_at_least(0), 64)),
+    Command("word", "variations", (Param("word"), Param("limit", _non_negative_int, 64)),
             cmd_word_variations),
     Command("word", "mconst", (Param("l", int, flag="-l"), Param("d", int, flag="-d")),
             cmd_word_mconst),
@@ -791,9 +785,7 @@ COMMANDS = (
     Command("fiber", "max",
             (Param("group"), Param("word"),
              Param("auts", default="aut", choices=("id", "inn", "aut")),
-             Param("target", default="any"),
-             Param("mode", default="exact", choices=("exact", "sample")),
-             Param("samples", int, 1000), Param("seed", int, 0)),
+             Param("target", default="any")),
             cmd_fiber_max),
     *CHECKS.values(),
     Command("verify", "battery",
@@ -823,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=_positive_int, default=None,
         help="worker threads, at most one per core",
     )
-    parser.add_argument("--budget", type=int, default=None, help="evaluation budget")
+    parser.add_argument("--budget", type=_non_negative_int, default=None, help="evaluation budget")
     parser.add_argument("--cache-dir", default=None, help="result cache directory")
     parser.add_argument(
         "--no-cache", action="store_true", help="bypass the result cache"
@@ -862,7 +854,7 @@ def run_command(argv, stdout=None) -> int:
     try:
         args = parser.parse_args(argv)
         threads = _setting(args.threads, "WFL_THREADS", 1, _positive_int)
-        args.budget = _setting(args.budget, "WFL_BUDGET", DEFAULT_BUDGET, int)
+        args.budget = _setting(args.budget, "WFL_BUDGET", DEFAULT_BUDGET, _non_negative_int)
         # an empty setting is an unset one, not the working directory
         cache_dir = args.cache_dir or os.environ.get("WFL_CACHE_DIR")
         command = args.command

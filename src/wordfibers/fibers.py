@@ -1,10 +1,10 @@
 """Word map and automorphic word map evaluation, fiber counting, maximization.
 
 Argument tuples (g_1, ..., g_d) are flattened to a single index with g_1 most
-significant: index = sum_k g_k * n^(d-k).  Automorphism tuples drawn from an
+significant: index = sum_k g_k * n^(d-k).  Automorphism tuples from an
 enumerated AutSet of size m are likewise numbered in mixed radix with the
-first letter most significant, which fixes the deterministic search order and
-tie-breaking.  The exact search scans only the tuples in normal form (see
+first letter most significant, which fixes the search order and tie-breaking.
+The exact search scans only the tuples in normal form (see
 `_search_all_tuples`), or one tuple per conjugation orbit of them, but
 reports every tuple index in this full numbering.
 One tuple of letter automorphisms is an (l, |G|) array, row i the table of
@@ -65,27 +65,27 @@ class FiberDistribution:
 @dataclass
 class MaxFiberResult:
     """``tuples_examined`` counts the automorphism tuples the result covers
-    (all |A|^l of them in exact mode) and ``tuples_scanned`` those actually
-    evaluated: in exact mode the tuples in normal form, or one per orbit of
-    them where the orbit scan runs (see `max_fiber`); ``evaluations`` and
+    (all |A|^l of them) and ``tuples_scanned`` those actually evaluated:
+    the tuples in normal form, or one per orbit of them where the orbit
+    scan runs (see `max_fiber`); ``evaluations`` and
     ``evaluations_performed`` count the argument tuples accounted for, |G|^d
     per covered or scanned tuple.  A word that splits into segments (see
     `_BatchEvaluator`) accounts for them without evaluating each one.
 
     The scan's records are two arrays: ``target_values[g]`` is the largest
-    fiber at target g over the tuples covered, P^(A)(G, g) in exact mode,
-    and ``target_tuple_numbers[g]`` the number of the least tuple attaining
-    it: its full mixed-radix index in exact mode, its draw number in sample
-    mode (0 is the identity tuple); -1 for a target no tuple reaches.  The
-    witness is decoded from its number alone: ``witness_tuple_indices`` are
-    the AutSet indices of its letters, and ``witness_tuple`` their tables,
-    one per row; number -1 decodes as the identity tuple."""
+    fiber at target g over the tuples covered, P^(A)(G, g), and
+    ``target_tuple_numbers[g]`` the full mixed-radix index of the least
+    tuple attaining it (0 is the identity tuple); -1 for a target no tuple
+    reaches.  The witness is decoded from its number alone:
+    ``witness_tuple_indices`` are the AutSet indices of its letters, and
+    ``witness_tuple`` their tables, one per row; number -1 decodes as the
+    identity tuple."""
 
     value: int
     proportion: Fraction
     witness_tuple: np.ndarray
     witness_target: int
-    status: str  # "exact" or "lower_bound"
+    status: str  # always "exact"
     tuples_examined: int
     evaluations: int
     tuples_scanned: int
@@ -93,7 +93,6 @@ class MaxFiberResult:
     target_values: np.ndarray
     target_tuple_numbers: np.ndarray
     witness_tuple_indices: Optional[tuple[int, ...]] = None
-    seed: Optional[int] = None
 
 
 def _letter_args(w: ReducedWord) -> list[tuple[int, int]]:
@@ -229,7 +228,7 @@ def pi_w(g: FiniteGroup, w: ReducedWord, budget: int = DEFAULT_BUDGET) -> tuple[
     return value, Fraction(value, dist.total)
 
 
-# -- exhaustive / sampled search over automorphism tuples ----------------------
+# -- exact search over automorphism tuples --------------------------------------
 
 
 def _free_letters(w: ReducedWord, a: AutSet) -> list[int]:
@@ -426,20 +425,6 @@ def _normal_form_batches(
         yield _tuple_digits(rows, m, l, free)
 
 
-def _sampled_batches(ev: _BatchEvaluator, rng: np.random.Generator, samples: int):
-    """The identity tuple, index 0, then `samples` seeded uniform tuples,
-    drawn in batches.  numpy's `Generator` draws a (k, l) array element by
-    element in row-major order, so the batches draw the values of one
-    (samples, l) call and leave the generator in the same state."""
-    m, l, step = len(ev.at), ev.w.length, ev.batch_size()
-    for lo in range(0, samples + 1, step):
-        hi = min(lo + step, samples + 1)
-        draws = rng.integers(0, m, size=(hi - max(lo, 1), l))
-        if lo == 0:
-            draws = np.vstack([np.zeros((1, l), dtype=np.int64), draws])
-        yield list(draws.T), np.arange(lo, hi, dtype=np.int64)
-
-
 class _Orbits:
     """The tuples in normal form under simultaneous conjugation by a closed
     A, alpha_i -> beta alpha_i beta^-1, as rows of the exact search (see
@@ -506,11 +491,11 @@ def _scan_range(ev: _BatchEvaluator, batches, orbits: Optional[_Orbits] = None):
     attaining it.
 
     A batch is its per-letter AutSet indices, None for the identity on every
-    tuple, and its tuple numbers, ascending: full mixed-radix indices
-    (`_normal_form_batches`) or draw numbers (`_sampled_batches`).  With
-    `orbits`, a batch holds orbit representatives, and only they are
-    evaluated: `_Orbits.expand` turns their counts into those of every tuple
-    of their orbits, ascending by number, and those are recorded.
+    tuple, and its full mixed-radix tuple indices, ascending
+    (`_normal_form_batches`).  With `orbits`, a batch holds orbit
+    representatives, and only they are evaluated: `_Orbits.expand` turns
+    their counts into those of every tuple of their orbits, ascending by
+    number, and those are recorded.
 
     A batch's rows ascend, so its best at a target is its first row at the
     batch's maximum, and `_merge` records it.  Only targets where the batch
@@ -740,38 +725,32 @@ def max_fiber(
     w: ReducedWord,
     a: AutSet,
     target: Optional[int] = None,
-    mode: str = "exact",
     budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
     threads: int = 1,
-    samples: int = 1000,
 ) -> MaxFiberResult:
-    """Maximum fiber size over automorphism tuples drawn from A, and the
+    """Exact maximum fiber size over all automorphism tuples from A, and the
     maximum at every target from the same scan.
 
-    target None means maximize over all targets.  Exact mode covers all |A|^l
-    tuples but, when A is closed, scans only the |A|^(l-d) with the identity
-    on the first letter of each variable: composing an automorphism of A onto
-    all letters of one variable reparametrizes that variable and changes no
-    fiber size, and the least maximizing tuple already has that form.  Where
-    `_orbits_pay` estimates that it pays, it scans fewer still: one
-    tuple per orbit of A acting by simultaneous conjugation, alpha_i ->
+    target None means maximize over all targets.  The search covers all
+    |A|^l tuples but, when A is closed, scans only the |A|^(l-d) with the
+    identity on the first letter of each variable: composing an automorphism
+    of A onto all letters of one variable reparametrizes that variable and
+    changes no fiber size, and the least maximizing tuple already has that
+    form.  Where `_orbits_pay` estimates that it pays, it scans fewer still:
+    one tuple per orbit of A acting by simultaneous conjugation, alpha_i ->
     beta alpha_i beta^-1, which moves each fiber from target t to beta(t)
     and keeps its size.  Every target's record is rebuilt from the orbit
     representatives' counts, the same value, least tuple and letters as the
     scan of every tuple in normal form, so only ``tuples_scanned`` and
     ``evaluations_performed`` tell the two apart (see
-    `_search_all_tuples`).  The exact scan is kept on A, so a later exact
-    call for the same group object and word, with any target or thread
-    count, builds its result from the kept records, which are read-only; a
-    call that misses them reads a scan of equal content, an equal table,
-    equal rows, closedness and word, that another set keeps.
-    Sample mode draws `samples` seeded uniform tuples after the identity
-    tuple, in blocks of `batch_size()` as it scans them, keeps nothing, and
-    reports a lower bound.  In both modes the budget bounds the evaluations
-    performed, and is checked before any tuple is scanned or drawn, or a
-    kept scan read; in exact mode it is checked on the count of the scan of
-    every tuple in normal form, which the orbit scan never exceeds.
+    `_search_all_tuples`).  The scan is kept on A, so a later call for the
+    same group object and word, with any target or thread count, builds its
+    result from the kept records, which are read-only; a call that misses
+    them reads a scan of equal content, an equal table, equal rows,
+    closedness and word, that another set keeps.  The budget bounds the
+    evaluations performed, and is checked before any tuple is scanned or a
+    kept scan read, on the count of the scan of every tuple in normal form,
+    which the orbit scan never exceeds.
 
     Ties are broken by the least (tuple index, target index), and the
     witness is read off the per-target records of `_scan_range`.  With a
@@ -784,12 +763,9 @@ def max_fiber(
     A target no tuple reaches reports value 0 and the identity tuple, which
     is what the first tuple scanned, always the identity, gives.
 
-    The witness's letters are decoded from its number: in exact mode, the
-    base-|A| digits of its full index, the first letter most significant
-    (the inverse of `_tuple_digits`); in sample mode, by drawing again with
-    the same seed up to the witness's batch, so no more than one batch of
-    draws is held.  The evaluations performed are the tuples scanned times
-    |G|^d.
+    The witness's letters are the base-|A| digits of its full index, the
+    first letter most significant (the inverse of `_tuple_digits`).  The
+    evaluations performed are the tuples scanned times |G|^d.
     """
     _require_word(w)
     if len(a) == 0:
@@ -797,48 +773,27 @@ def max_fiber(
     if target is not None and not 0 <= target < g.order:
         raise ValueError(f"target {target} out of range for order {g.order}")
     d, m, l = w.num_variables, len(a), w.length
-    if mode == "exact":
-        vals, nums, scanned = _search_all_tuples(g, w, a, budget, threads)
-        total = m**l
-    elif mode == "sample":
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
-        needed = (samples + 1) * g.order**d
-        if needed > budget:
-            raise BudgetExceeded(f"sampled search needs {needed} evaluations, budget is {budget}")
-        ev = _BatchEvaluator(g, w, a.tables)
-        vals, nums = _scan_range(ev, _sampled_batches(ev, np.random.default_rng(seed), samples))
-        total = scanned = samples + 1
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    vals, nums, scanned = _search_all_tuples(g, w, a, budget, threads)
     if target is None:
         top = np.flatnonzero(vals == vals.max())
         target = int(top[np.argmin(nums[top])])
     value = int(vals[target])
     # number -1, no tuple reaching the target, reads as 0: the identity tuple
     number = max(int(nums[target]), 0)
-    if mode == "exact":
-        letters = [(number // m ** (l - 1 - i)) % m for i in range(l)]
-    else:
-        letters = next(
-            [int(dig[number - idx[0]]) for dig in digits]
-            for digits, idx in _sampled_batches(ev, np.random.default_rng(seed), samples)
-            if idx[-1] >= number
-        )
+    letters = [(number // m ** (l - 1 - i)) % m for i in range(l)]
     return MaxFiberResult(
         value=value,
         proportion=Fraction(value, g.order**d),
         witness_tuple=a.tables[letters],
         witness_target=target,
-        status="exact" if mode == "exact" else "lower_bound",
-        tuples_examined=total,
-        evaluations=total * g.order**d,
+        status="exact",
+        tuples_examined=m**l,
+        evaluations=m**l * g.order**d,
         tuples_scanned=scanned,
         evaluations_performed=scanned * g.order**d,
         target_values=vals,
         target_tuple_numbers=nums,
         witness_tuple_indices=tuple(letters),
-        seed=None if mode == "exact" else seed,
     )
 
 

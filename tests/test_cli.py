@@ -459,54 +459,19 @@ class TestFiberCommands:
                 "x1 x2",
                 "--auts",
                 "aut",
-                "--mode",
-                "exact",
             ]
         )
         assert code == EXIT_OK
         assert doc["result"]["value"] == "6"
         assert doc["result"]["status"] == "exact"
 
-    def test_max_sample_lower_bound(self):
+    @pytest.mark.parametrize("flag", [["--mode", "sample"], ["--samples", "10"], ["--seed", "3"]])
+    def test_max_refuses_the_retired_sampling_flags(self, flag):
+        # the search is exact only, so argparse knows no sampling option
         code, doc, _ = run(
-            [
-                "fiber", "max", "--group", "dih:4", "--word", "x1^2",
-                "--auts", "aut", "--mode", "sample", "--samples", "10",
-                "--seed", "3",
-            ]
+            ["--no-cache", "fiber", "max", "--group", "dih:4", "--word", "x1^2", *flag]
         )
-        assert doc["result"]["status"] == "lower_bound"
-        assert doc["result"]["seed"] == "3"
-
-    def test_max_sample_refuses_over_budget_before_any_draw(self, monkeypatch):
-        import wordfibers.fibers as fibers
-
-        def no_scan(*args, **kwargs):
-            raise AssertionError("scanned before the budget was checked")
-
-        monkeypatch.setattr(fibers, "_scan_range", no_scan)
-        monkeypatch.setattr(fibers.np.random, "default_rng", no_scan)
-        # 1001 tuples of 8 arguments: 8008 evaluations
-        code, doc, _ = run(
-            ["--no-cache", "--budget", "8007", "fiber", "max", "--group", "dih:4",
-             "--word", "x1^2", "--mode", "sample", "--samples", "1000"]
-        )
-        assert code == EXIT_BUDGET
-        assert doc["result"]["error"] == "sampled search needs 8008 evaluations, budget is 8007"
-        monkeypatch.undo()
-        code, doc, _ = run(
-            ["--no-cache", "--budget", "8008", "fiber", "max", "--group", "dih:4",
-             "--word", "x1^2", "--mode", "sample", "--samples", "1000"]
-        )
-        assert code == EXIT_OK and doc["result"]["tuples_examined"] == "1001"
-
-    def test_max_sample_refuses_samples_below_one(self):
-        code, doc, _ = run(
-            ["fiber", "max", "--group", "dih:4", "--word", "x1^2", "--mode", "sample",
-             "--samples", "-2"]
-        )
-        assert code == EXIT_USAGE
-        assert doc["result"]["error"] == "samples must be >= 1, got -2"
+        assert (code, doc["status"], doc["result"]) == (EXIT_USAGE, "usage-error", None)
 
     def test_budget_exit(self):
         code, doc, _ = run(
@@ -873,6 +838,7 @@ class TestBattery:
           "trials": True}, "'trials'"),
         ({"check": "dihedral", "o": 3, "budget": 1e6}, "'budget'"),
         ({"check": "dihedral", "o": 3, "budget": False}, "'budget'"),
+        ({"check": "dihedral", "o": 3, "budget": -1}, "'budget' must be at least 0"),
     ])
     def test_integer_key_rejects_bools_and_floats(self, tmp_path, entry, key):
         code, doc, _ = self._run_manifest(tmp_path, [{"check": "dihedral", "o": 3}, entry])
@@ -993,8 +959,7 @@ ECHO_CASES = [
     (["fiber", "pi", "--group", "cyc:3", "--word", "x1^2"],
      {"group": "cyc:3", "word": "x1^2"}),
     (["fiber", "max", "--group", "cyc:3", "--word", "x1^2"],
-     {"auts": "aut", "group": "cyc:3", "mode": "exact", "samples": "1000", "seed": "0",
-      "target": "any", "word": "x1^2"}),
+     {"auts": "aut", "group": "cyc:3", "target": "any", "word": "x1^2"}),
     (["verify", "variation-projection", "--group", "cyc:2", "--word", "x1^2"],
      {"group": "cyc:2", "word": "x1^2"}),
     (["verify", "battery"], {"out": "battery_reports"}),
@@ -1210,6 +1175,8 @@ class TestUsageErrors:
         (["fiber", "max", "--group", "cyc:4", "--word", "x1^2", "--target", "x"],
          "--target: 'x' is not an integer"),
         (["fiber", "dist", "--group", "cyc:4", "--word", "x1 x2", "--tuple", "1,,2"],
+         "--tuple: '' is not an integer"),
+        (["fiber", "dist", "--group", "cyc:4", "--word", "x1^2", "--tuple", ""],
          "--tuple: '' is not an integer"),
         (["verify", "submult", "--group", "cyc:4", "--subgroup", "order:x", "--word", "x1^2"],
          "subgroup selector 'order:x': 'x' is not an integer"),
@@ -1465,7 +1432,7 @@ class TestThreadSettings:
 
     @pytest.mark.parametrize("name, value", [
         ("WFL_THREADS", "abc"), ("WFL_THREADS", "0"), ("WFL_THREADS", "-3"),
-        ("WFL_BUDGET", "abc"), ("WFL_BUDGET", "1e5"),
+        ("WFL_BUDGET", "abc"), ("WFL_BUDGET", "1e5"), ("WFL_BUDGET", "-1"),
     ])
     def test_bad_environment_value_is_a_usage_error(self, monkeypatch, name, value):
         monkeypatch.setenv(name, value)
@@ -1474,10 +1441,13 @@ class TestThreadSettings:
         assert text.count("\n") == 1
         assert doc["result"]["error"].startswith(f"{name}={value!r}: ")
 
-    @pytest.mark.parametrize("value", ["0", "-1", "two"])
-    def test_bad_threads_flag_is_a_usage_error(self, monkeypatch, value):
-        monkeypatch.setenv("WFL_THREADS", "2")  # the flag is read first
-        code, doc, _ = run(["--threads", value, *self.ARGV])
+    @pytest.mark.parametrize("flag, value", [
+        ("--threads", "0"), ("--threads", "-1"), ("--threads", "two"), ("--budget", "-1"),
+    ], ids=["0", "-1", "two", "budget--1"])
+    def test_bad_threads_flag_is_a_usage_error(self, monkeypatch, flag, value):
+        # the flag is read first; argparse refuses it and names it on stderr
+        monkeypatch.setenv(f"WFL_{flag[2:].upper()}", "2")
+        code, doc, _ = run([flag, value, *self.ARGV])
         assert code == EXIT_USAGE and doc["status"] == "usage-error"
 
     def test_worker_pools_are_capped_at_the_core_count(self, monkeypatch, tmp_path):

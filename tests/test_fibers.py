@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import contextlib
 import dataclasses
@@ -293,9 +294,8 @@ class TestMaxFiber:
         assert unreached.witness_tuple.tolist() == a.tables[[0, 0]].tolist()
         with two_tuples_per_batch(g, SQUARE):
             for threads in (1, 2):
-                for mode in ("exact", "sample"):
-                    again = max_fiber(g, SQUARE, fresh(a), mode=mode, threads=threads)
-                    assert (again.witness_target, again.witness_tuple_indices) == (1, (0, 0))
+                again = max_fiber(g, SQUARE, fresh(a), threads=threads)
+                assert (again.witness_target, again.witness_tuple_indices) == (1, (0, 0))
 
     def test_trivial_group(self):
         # the general search covers the one tuple and the one target
@@ -310,15 +310,17 @@ class TestMaxFiber:
                 assert (res.tuples_scanned, res.evaluations_performed) == (1, 1)
                 assert res.target_values.tolist() == [1]
                 assert res.target_tuple_numbers.tolist() == [0]
-                sampled = max_fiber(g, w, a, mode="sample", samples=4, seed=9)
-                assert (sampled.value, sampled.status, sampled.seed) == (1, "lower_bound", 9)
-                assert sampled.tuples_examined == sampled.evaluations == 5
 
-    @pytest.mark.parametrize("samples", [0, -2])
-    def test_sample_mode_refuses_counts_below_one(self, samples):
-        g = make_group("sym:3")
-        with pytest.raises(ValueError, match="samples must be >= 1"):
-            max_fiber(g, SQUARE, inner_automorphisms(g), mode="sample", samples=samples)
+    def test_the_module_reads_no_random_stream(self):
+        # the one search is exact: fibers.py neither imports nor reads
+        # numpy.random
+        tree = ast.parse(Path(fibers.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "random", ast.unparse(node)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                assert not any("random" in name for name in names), ast.unparse(node)
 
     def test_per_target_matches_python_oracle(self):
         g = make_group("sym:3")
@@ -390,92 +392,6 @@ class TestMaxFiber:
             assert values == sorted(values)
             plain, _ = pi_w(g, w)
             assert plain <= values[0]
-
-    def test_sample_mode_is_lower_bound_and_deterministic(self):
-        g = make_group("dih:4")
-        a = automorphism_group(g)
-        exact = max_fiber(g, SQUARE, a)
-        s1 = max_fiber(g, SQUARE, a, mode="sample", samples=20, seed=11)
-        s2 = max_fiber(g, SQUARE, a, mode="sample", samples=20, seed=11)
-        assert s1.status == "lower_bound" and s1.seed == 11
-        assert s1.value <= exact.value
-        plain, _ = pi_w(g, SQUARE)
-        assert s1.value >= plain  # identity tuple always sampled
-        assert s1.value == s2.value
-        assert s1.witness_tuple_indices == s2.witness_tuple_indices
-        assert s1.tuples_examined == 21
-
-    @pytest.mark.parametrize(
-        "spec, word, samples, seed, target, value, witness_target, indices, evaluations",
-        [
-            ("dih:4", "x1^2", 20, 11, None, 6, 0, (0, 0), 168),
-            ("dih:4", "x1^2", 20, 11, 2, 6, 2, (3, 1), 168),
-            ("alt:4", "[x1,x2]", 50, 3, 3, 48, 3, (15, 16, 20, 7), 7344),
-            ("alt:4", "[x1,x2]", 50, 3, 5, 24, 5, (4, 19, 20, 13), 7344),
-        ],
-    )
-    def test_sample_mode_pinned_witnesses(
-        self, spec, word, samples, seed, target, value, witness_target, indices, evaluations
-    ):
-        # Pins the rng stream (identity row first, then `samples` seeded draws)
-        # and the tie-breaking (least row, then least target).
-        g = make_group(spec)
-        res = max_fiber(
-            g, parse_word(word), automorphism_group(g), target=target,
-            mode="sample", samples=samples, seed=seed,
-        )
-        assert res.value == value
-        assert res.witness_target == witness_target
-        assert res.witness_tuple_indices == indices
-        assert res.evaluations == evaluations
-        assert res.tuples_examined == samples + 1
-
-    # Taken at the commit that drew all samples in one call; each limit
-    # makes the draws come in several blocks (one row a block for cyc:2 and
-    # dih:4, so the first block is the identity row alone and draws nothing).
-    @pytest.mark.parametrize("spec, word, target, samples, limit, pins", [
-        ("cyc:5", "x1^2", None, 30, 5 * 3, [
-            (0, 5, 0, (2, 1), 756955185367),
-            (1, 5, 0, (1, 2), 567423410539),
-            (7, 5, 0, (3, 0), 546318119748)]),
-        ("alt:4", "x1^2", 1, 60, 12 * 9, [
-            (0, 4, 1, (1, 2), 444809451921),
-            (1, 4, 1, (11, 12), 301319389854),
-            (7, 4, 1, (11, 12), 665266386544)]),
-        ("dih:4", "x1^2", 2, 25, 8, [
-            (0, 6, 2, (2, 0), 421857932227),
-            (1, 6, 2, (6, 4), 796914967575),
-            (7, 6, 2, (7, 5), 566126244900)]),
-        ("sym:3", "[x1,x2]", None, 50, 36 * 7, [
-            (0, 18, 0, (0, 0, 0, 0), 527752303418),
-            (1, 18, 0, (0, 0, 0, 0), 718933282177),
-            (7, 18, 0, (0, 0, 0, 0), 1063390730602)]),
-        ("cyc:2", "x1^2", None, 10, 2, [
-            (0, 2, 0, (0, 0), 700346781657),
-            (1, 2, 0, (0, 0), 562753827705),
-            (7, 2, 0, (0, 0), 687299734001)]),
-    ])
-    def test_sample_mode_draws_in_blocks(self, monkeypatch, spec, word, target, samples,
-                                         limit, pins):
-        g, w = make_group(spec), parse_word(word)
-        a = automorphism_group(g)
-        monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", limit)
-        step = fibers._BatchEvaluator(g, w, a.tables).batch_size()
-        assert step < samples + 1
-        made, real = [], np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: made.append(real(seed)) or made[-1])
-        for seed, value, witness_target, indices, after in pins:
-            made.clear()
-            res = max_fiber(g, w, a, target=target, mode="sample", samples=samples, seed=seed)
-            assert (res.value, res.witness_target, res.witness_tuple_indices) == (
-                value, witness_target, indices)
-            assert res.tuples_scanned == samples + 1
-            assert res.evaluations_performed == (samples + 1) * g.order**w.num_variables
-            # the scan's generator, the first made, stands where one
-            # (samples, l) draw leaves it; a second draws the witness again
-            assert len(made) == 2
-            assert int(made[0].integers(0, 2**40)) == after
 
     def test_isomorphism_invariance_under_relabelling(self):
         g = make_group("sym:3")
@@ -1010,22 +926,6 @@ class TestNormalFormSearch:
         with pytest.raises(BudgetExceeded):
             max_fiber(g5, COMMUTATOR, unclosed, budget=full - 1)
 
-    def test_sample_mode_budget_is_checked_before_any_draw(self, monkeypatch):
-        g = make_group("dih:4")
-        a = automorphism_group(g)
-        # 9 draws after the identity tuple, 8 arguments each
-        res = max_fiber(g, SQUARE, a, mode="sample", samples=9, seed=11, budget=80)
-        assert res.evaluations_performed == 80
-
-        def no_draw(*args, **kwargs):
-            raise AssertionError("drew before the budget was checked")
-
-        monkeypatch.setattr(fibers.np.random, "default_rng", no_draw)
-        with pytest.raises(BudgetExceeded, match="80 evaluations, budget is 79"):
-            max_fiber(g, SQUARE, a, mode="sample", samples=9, budget=79)
-        with pytest.raises(BudgetExceeded):
-            max_fiber(g, SQUARE, a, mode="sample", samples=10**15)
-
 
 def battery_scans(out):
     """(group, word, set) of each of the 50 exact scans of the shipped
@@ -1142,21 +1042,6 @@ class TestWitnessNumbers:
         assert (res.value, res.witness_tuple_indices) == (0, (0, 0))
         assert res.witness_tuple.tolist() == identity_rows(g, SQUARE).tolist()
 
-    @pytest.mark.parametrize("samples", [1, 7, 50])
-    def test_a_sampled_witness_is_the_drawn_tuple(self, monkeypatch, samples):
-        g, w = make_group("alt:5"), parse_word("x1^2 x2^2")
-        a, seed = automorphism_group(g), 7
-        # batches of 8 draws, so the witness is drawn again past the first
-        monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", 8 * g.order**2)
-        draws = np.vstack([
-            np.zeros((1, w.length), dtype=np.int64),
-            np.random.default_rng(seed).integers(0, len(a), size=(samples, w.length)),
-        ])
-        nums = max_fiber(g, w, a, mode="sample", samples=samples, seed=seed).target_tuple_numbers
-        for t in range(g.order):
-            got = max_fiber(g, w, a, target=t, mode="sample", samples=samples, seed=seed)
-            assert got.witness_tuple_indices == tuple(draws[max(int(nums[t]), 0)].tolist())
-
 
 def assert_same_result(got, want):
     for field in dataclasses.fields(want):
@@ -1231,18 +1116,6 @@ class TestSearchMemo:
         for target in (None, 0, 3):
             assert_same_result(max_fiber(g, COMMUTATOR, a, target=target),
                                max_fiber(g, COMMUTATOR, fresh(a), target=target))
-
-    def test_sample_mode_keeps_nothing(self, scans):
-        g = make_group("dih:4")
-        a = automorphism_group(g)
-        first = max_fiber(g, SQUARE, a, mode="sample", samples=5, seed=1)
-        assert not a.searches
-        exact = max_fiber(g, SQUARE, a)
-        again = max_fiber(g, SQUARE, a, mode="sample", samples=5, seed=1)
-        assert len(scans) == 3 and list(a.searches) == [(g, SQUARE)]
-        assert_same_result(again, first)
-        assert (again.status, exact.status) == ("lower_bound", "exact")
-        first.target_values[0] = 0  # a sampled result is the caller's own
 
     def test_threads_sharing_one_set_get_the_scans_of_fresh_sets(self):
         # several callers on one A, and on a set of equal content over a
