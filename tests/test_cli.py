@@ -473,6 +473,24 @@ class TestFiberCommands:
         )
         assert (code, doc["status"], doc["result"]) == (EXIT_USAGE, "usage-error", None)
 
+    def test_max_refuses_over_budget_before_any_scan(self, monkeypatch):
+        import wordfibers.fibers as fibers
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before the budget was checked")
+
+        monkeypatch.setattr(fibers, "_scan_normal_forms", no_scan)
+        # Aut(dih:4) has 8 elements: 8 rows in normal form, 8 arguments each
+        argv = ["fiber", "max", "--group", "dih:4", "--word", "x1^2"]
+        code, doc, _ = run(["--no-cache", "--budget", "63", *argv])
+        assert (code, doc["status"]) == (EXIT_BUDGET, "budget-exceeded")
+        assert doc["result"] == {"error": "exact search needs 64 evaluations, budget is 63"}
+        monkeypatch.undo()
+        code, doc, _ = run(["--no-cache", "--budget", "64", *argv])
+        assert code == EXIT_OK
+        assert (doc["result"]["value"], doc["result"]["tuples_examined"]) == ("6", "64")
+        assert doc["stats"]["evaluations_performed"] == "64"
+
     def test_budget_exit(self):
         code, doc, _ = run(
             ["--budget", "10", "fiber", "pi", "--group", "alt:4", "--word", "[x1,x2]"]
@@ -846,6 +864,14 @@ class TestBattery:
         assert "manifest entry 1" in doc["result"]["error"]
         assert key in doc["result"]["error"]
         assert not (tmp_path / "out").exists()
+
+    def test_a_zero_entry_budget_is_a_budget(self, tmp_path):
+        # 0 passes validation, and refuses its entry's search with exit 3
+        code, doc, _ = self._run_manifest(
+            tmp_path, [{"check": "dihedral", "o": 3}, {"check": "dihedral", "o": 3, "budget": 0}]
+        )
+        assert (code, doc["status"]) == (EXIT_BUDGET, "budget-exceeded")
+        assert doc["result"] == {"error": "6^1 evaluations exceed budget 0"}
 
     @pytest.mark.parametrize("keyed, expected", [((0,), EXIT_BUDGET), ((0, 1), EXIT_OK)])
     def test_an_entry_budget_governs_that_entry_alone(self, tmp_path, keyed, expected):
@@ -1449,6 +1475,19 @@ class TestThreadSettings:
         monkeypatch.setenv(f"WFL_{flag[2:].upper()}", "2")
         code, doc, _ = run([flag, value, *self.ARGV])
         assert code == EXIT_USAGE and doc["status"] == "usage-error"
+
+    @pytest.mark.parametrize("where", ["flag", "environment"])
+    def test_a_zero_budget_is_a_budget(self, monkeypatch, where):
+        # 0 is the least budget taken: it refuses every search, with exit 3
+        argv = ["--no-cache", "fiber", "pi", "--group", "cyc:2", "--word", "x1"]
+        if where == "flag":
+            argv[1:1] = ["--budget", "0"]
+        else:
+            monkeypatch.setenv("WFL_BUDGET", "0")
+        code, doc, _ = run(argv)
+        assert (code, doc["status"], doc["request"]["budget"]) == (
+            EXIT_BUDGET, "budget-exceeded", "0")
+        assert doc["result"] == {"error": "2^1 evaluations exceed budget 0"}
 
     def test_worker_pools_are_capped_at_the_core_count(self, monkeypatch, tmp_path):
         from concurrent.futures import Future

@@ -322,6 +322,48 @@ class TestMaxFiber:
                 names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
                 assert not any("random" in name for name in names), ast.unparse(node)
 
+    @pytest.mark.parametrize("keyword", [{"mode": "sample"}, {"samples": 10}, {"seed": 3}],
+                             ids=["mode", "samples", "seed"])
+    def test_the_retired_sampling_keywords_are_refused(self, keyword):
+        # max_fiber takes no sampling parameter, so a caller that still
+        # passes one is told so instead of getting an exact result
+        g = make_group("dih:4")
+        with pytest.raises(TypeError, match=f"'{next(iter(keyword))}'"):
+            max_fiber(g, SQUARE, automorphism_group(g), **keyword)
+
+    # Each limit splits the rows in normal form into several batches: 3 and
+    # 9 tuples a batch for cyc:5 and alt:4, 7 for sym:3, one for dih:4, and
+    # for x1 x2 x1 on dih:4 one tuple's 64 arguments in blocks of 16.
+    @pytest.mark.parametrize("spec, word, target, limit, batches", [
+        ("cyc:5", "x1^2", None, 5 * 3, [3, 1]),
+        ("alt:4", "x1^2", 1, 12 * 9, [9, 9, 6]),
+        ("dih:4", "x1^2", 2, 8, [1] * 8),
+        ("sym:3", "[x1,x2]", None, 36 * 7, [7] * 5 + [1]),
+        ("dih:4", "x1 x2 x1", None, 16, [1] * 8),
+    ])
+    def test_an_exact_scan_in_several_batches_matches_brute_force(
+        self, monkeypatch, spec, word, target, limit, batches
+    ):
+        g, w = make_group(spec), parse_word(word)
+        a = automorphism_group(g)
+        best, per_vals, per_idx = brute_force_search(g, w, a, [target])
+        monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", limit)
+        seen, real = [], fibers._BatchEvaluator.counts
+        monkeypatch.setattr(fibers._BatchEvaluator, "counts",
+                            lambda ev, digits: seen.append(len(c := real(ev, digits))) or c)
+        for threads in (1, 2):
+            seen.clear()
+            res = max_fiber(g, w, fresh(a), target=target, threads=threads)
+            assert (res.value, res.witness_target, res.witness_tuple_indices) == best[target]
+            assert res.target_values.tolist() == per_vals.tolist()
+            assert res.target_tuple_numbers.tolist() == per_idx.tolist()
+            # two threads split the rows in two ranges, each in batches
+            if threads == 1:
+                assert seen == batches
+            assert sum(seen) == sum(batches) and max(seen) <= batches[0]
+            assert res.tuples_scanned == sum(batches) == len(a) ** (w.length - w.num_variables)
+            assert res.evaluations_performed == res.tuples_scanned * g.order**w.num_variables
+
     def test_per_target_matches_python_oracle(self):
         g = make_group("sym:3")
         inn = inner_automorphisms(g)
@@ -1041,6 +1083,23 @@ class TestWitnessNumbers:
         assert res.target_tuple_numbers[1] == -1
         assert (res.value, res.witness_tuple_indices) == (0, (0, 0))
         assert res.witness_tuple.tolist() == identity_rows(g, SQUARE).tolist()
+
+    @pytest.mark.parametrize("per_batch", [1, 7, 50])
+    def test_the_numbers_do_not_depend_on_the_batch_size(self, monkeypatch, per_batch):
+        # sym:4 under Aut, x1^2 x2^2: the orbit representatives of the 576
+        # rows in normal form, scanned per_batch tuples at a time on one or
+        # two threads, give the records of the scan in one batch; products
+        # of two squares are even, so the 12 odd targets stay at -1
+        g, w = make_group("sym:4"), parse_word("x1^2 x2^2")
+        a = automorphism_group(g)
+        whole = max_fiber(g, w, fresh(a))
+        monkeypatch.setattr(fibers, "_BATCH_ELEMENTS", per_batch * g.order**w.num_variables)
+        for threads in (1, 2):
+            kept = fresh(a)
+            got = max_fiber(g, w, kept, threads=threads)
+            assert got.tuples_scanned < 24**2
+            assert_same_result(got, whole)
+            assert self.assert_numbers_carry_the_witnesses(g, w, kept) == 12
 
 
 def assert_same_result(got, want):
